@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from text_to_graph_ray.config import PipelineConfig
-from text_to_graph_ray.stages.canonicalize import merge_bucket_packed
+from text_to_graph_ray.stages.canonicalize import merge_bucket
 from text_to_graph_ray.stages.chunker import chunk_one_file, count_tokens
 
 CFG = PipelineConfig(chunk_size=50)
@@ -67,8 +67,8 @@ def test_merge_bucket_packed_idempotent(rows):
             "repos_packed": [r[2] for r in rows],
         }
     )
-    once = merge_bucket_packed(df).to_pandas()
-    twice = merge_bucket_packed(once).to_pandas()
+    once = merge_bucket(df).to_pandas()
+    twice = merge_bucket(once).to_pandas()
     assert once.equals(twice)
 
 
@@ -84,8 +84,8 @@ def test_merge_bucket_packed_edge_idempotent(rows):
             "repos_packed": [r for _, _, r in rows],
         }
     )
-    once = merge_bucket_packed(df).to_pandas()
-    twice = merge_bucket_packed(once).to_pandas()
+    once = merge_bucket(df).to_pandas()
+    twice = merge_bucket(once).to_pandas()
     assert once.equals(twice)
 
 

@@ -240,56 +240,9 @@ class TestTokenizerOption:
 
 
 class TestSaltedCanonicalize:
-    def test_salted_matches_single_phase(self, ray_session, small_corpus):
-        """The salted two-phase plan must be value-identical to the default
-        single-exchange plan on the full pipeline (nodes + edges)."""
-        from text_to_graph_ray.config import PipelineConfig
-        from text_to_graph_ray.pipelines import kg
-
-        n1, e1 = kg.graph_tables(small_corpus["path"], PipelineConfig(num_partitions=8))
-        n2, e2 = kg.graph_tables(
-            small_corpus["path"], PipelineConfig(num_partitions=8, salted_canonicalize=True, salt_buckets=4)
-        )
-        cols_n = ["entity_id", "entity_key", "label", "types_packed", "repos_packed"]
-        cols_e = ["src_key", "pred", "dst_key", "repos_packed"]
-        a = n1.to_pandas().sort_values(cols_n).reset_index(drop=True)
-        b = n2.to_pandas().sort_values(cols_n).reset_index(drop=True)
-        assert a[cols_n].equals(b[cols_n])
-        a = e1.to_pandas().sort_values(cols_e).reset_index(drop=True)
-        b = e2.to_pandas().sort_values(cols_e).reset_index(drop=True)
-        assert a[cols_e].equals(b[cols_e])
-
-    def test_hot_key_spreads_across_buckets(self):
-        """Skew stress at the operator level: one entity key with N distinct
-        provenance values lands in ONE merge bucket unsalted (the serialized
-        wall) and in ~salt_buckets buckets salted — the merge work bound."""
-        import pyarrow as pa
-
-        from text_to_graph_ray.stages.canonicalize import combined_partials
-
-        n = 2000
-        batch = pa.table(
-            {
-                "kind": pa.array(["node"] * n),
-                "a": pa.array(["HotEntity"] * n),
-                "b": pa.array(["type"] * n),
-                "c": pa.array([""] * n),
-                "a_key": pa.array(["hotentity"] * n),
-                "c_key": pa.array([""] * n),
-                "repo": pa.array([f"repo{i}" for i in range(n)]),
-            }
-        )
-        plain = combined_partials(batch, buckets=64)
-        salted = combined_partials(batch, buckets=64, salt=8)
-        assert plain.column("bucket").to_pandas().nunique() == 1
-        got = salted.column("bucket").to_pandas().nunique()
-        assert 2 <= got <= 8  # spread over up to salt_buckets merge tasks
-        # same distinct payload rows either way
-        assert salted.num_rows == plain.num_rows == n
-
     def test_salted_skewed_corpus_end_to_end(self, ray_session, tmp_path):
-        """One hot entity called from EVERY file across many batches: both
-        plans agree, and the hot node's provenance packs every repo."""
+        """One hot entity called from EVERY file across many batches: the
+        single canonicalization exchange packs every repo into one node."""
         import pyarrow as pa
         import pyarrow.parquet as pq
 
@@ -306,15 +259,10 @@ class TestSaltedCanonicalize:
         }
         p = str(tmp_path / "skew.parquet")
         pq.write_table(pa.table(rows), p)
-        cfg_a = PipelineConfig(num_partitions=8, batch_size=16)
-        cfg_b = PipelineConfig(num_partitions=8, batch_size=16, salted_canonicalize=True, salt_buckets=8)
-        n1, _ = kg.graph_tables(p, cfg_a)
-        n2, _ = kg.graph_tables(p, cfg_b)
-        df1 = n1.to_pandas().sort_values("entity_key").reset_index(drop=True)
-        df2 = n2.to_pandas().sort_values("entity_key").reset_index(drop=True)
-        assert df1.equals(df2)
-        hot = df1[df1["entity_key"] == "hotmod"]
-        assert len(hot) == 1 and len(hot.iloc[0]["repos_packed"].split("|")) == n_files
+        n, _ = kg.graph_tables(p, PipelineConfig(num_partitions=8, batch_size=16))
+        df = n.to_pandas()
+        hot = df[df["entity_key"] == "hotmod"]
+        assert len(hot) == 1 and hot.iloc[0]["repos_packed"].split("|") == rows["repo"]
 
 
 class TestChainedReexports:

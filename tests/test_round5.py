@@ -2825,6 +2825,17 @@ class TestForestDepths:
         with pytest.raises(ValueError, match="max_depth"):
             forest_depths(_ray.data.from_arrow(t), node_type=pa.string(), max_depth=5)
 
+    def test_chain_exactly_max_depth(self, ray_session):
+        import ray as _ray
+
+        from text_to_graph_ray.functions.graph import forest_depths
+
+        # r -> a -> b -> c : the deepest level sits exactly at max_depth=3
+        t = pa.table({"src": pa.array(["r", "a", "b"], type=pa.string()),
+                      "dst": pa.array(["a", "b", "c"], type=pa.string())})
+        got = forest_depths(_ray.data.from_arrow(t), node_type=pa.string(), max_depth=3).to_pandas()
+        assert list(map(tuple, got[["node", "depth"]].values)) == [("a", 1), ("b", 2), ("c", 3), ("r", 0)]
+
     def test_single_root_no_children(self, ray_session):
         import ray as _ray
 

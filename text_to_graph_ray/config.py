@@ -44,32 +44,15 @@ class PipelineConfig:
     # the driver before linking, and the def rule composes after the closed
     # hop — "pkg.fn" -> "mod.fn" -> "fn" resolves in one linker pass.
     reexports: tuple = field(default_factory=tuple)
-    # record-level stages (keys / partials) use whole-block batches
-    # (batch_size=None): per-call pandas overhead is ~3-5 ms, so slicing
-    # tens of millions of records into small batches burns more time in
-    # fixed overhead than in work, and a fixed batch size larger than the
-    # block forces cross-block bundling that breaks operator fusion
-    linker_batch_size: int | None = None
-    linker_concurrency: int = 0     # actor-pool max; 0 = auto (cluster CPUs - 2)
     # physical
     num_partitions: int = 64        # checkpoint/shuffle partition count
     batch_size: int = 1024          # rows per map_batches call on file-level stages
-    # hot-key skew: the per-batch distinct-row combiner already bounds a hot
-    # key's exchange rows at one per batch, but its per-bucket MERGE work is
-    # still serialized in one task. salted_canonicalize spreads it over
-    # salt_buckets phase-A tasks (value-salted buckets) + one unsalted
-    # phase-B re-merge — value-identical, one extra vocabulary-sized
-    # exchange, so opt-in for pathologically skewed corpora.
-    salted_canonicalize: bool = False
-    salt_buckets: int = 8           # salt width for the two-phase plan
     stop_entities: tuple = field(default_factory=tuple)  # entity keys dropped pre-shuffle
-    # linking scale guards: defs index is broadcast while it fits
-    # (<= defs_broadcast_max def-site rows), else the shuffle-join fallback
-    # runs (defs table stays distributed); changed-row collection in the
-    # sparse relink is capped at relink_collect_max rows — beyond that the
-    # whole (vocabulary-sized) graph re-merges distributedly instead
+    # linking scale guard: the name-pruned defs table is broadcast into the
+    # one stateless relink pass while it fits (<= defs_broadcast_max
+    # def-site rows), else the shuffle-join fallback runs (defs table stays
+    # distributed)
     defs_broadcast_max: int = 2_000_000
-    relink_collect_max: int = 200_000
 
     @property
     def max_tokens(self) -> int:

@@ -2367,20 +2367,21 @@ def forest_depths(edges_ds, src_col: str = "src", dst_col: str = "dst",
     frontier = filter_by_keys(parents, edges_ds, key="node", right_key=dst_col,
                               mode="anti").materialize()
     out_parts = [with_depth(frontier, 0).materialize()]
-    for d in range(1, max_depth + 1):
+    # one probe past max_depth: a level AT max_depth is a complete answer,
+    # only children below it mean a cycle or an over-deep tree
+    for d in range(1, max_depth + 2):
         hit = filter_by_keys(edges_ds, frontier, key=src_col, right_key="node", mode="semi")
         frontier = distinct_rows(
             hit.map_batches(project(dst_col), batch_format="pyarrow"), "node", node_schema
         ).materialize()
         if frontier.count() == 0:
             break
-        out_parts.append(with_depth(frontier, d).materialize())
-    else:
-        if frontier.count() > 0:
+        if d > max_depth:
             raise ValueError(
                 f"forest_depths: frontier non-empty after max_depth={max_depth} rounds "
                 "— cycle in the 'forest' or raise max_depth"
             )
+        out_parts.append(with_depth(frontier, d).materialize())
 
     out = out_parts[0]
     for p in out_parts[1:]:

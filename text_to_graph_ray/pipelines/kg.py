@@ -8,10 +8,10 @@
       -> map_batches(combined_partials)          combiner: distinct rows/batch
       -> groupby(bucket).map_groups(merge)       ONE canonicalization shuffle
                                                  (nodes + edges + def sites)
-      -> relink_merged                           sparse vocabulary-level alias
-                                                 linking (MergedLinker actor
-                                                 pool, broadcast defs index;
-                                                 only affected rows re-merge)
+      -> relink_merged                           vocabulary-level alias linking
+                                                 (stateless MergedLinker pass,
+                                                 broadcast defs table; only
+                                                 affected rows re-merge)
       -> split + sort + dense ids                deterministic materialize
       -> write_parquet(nodes/, edges/)
 
@@ -90,59 +90,17 @@ def extract_chain(ds, cfg: PipelineConfig = DEFAULT_CONFIG):
     return ds
 
 
-def records_dataset(input_path: str, cfg: PipelineConfig = DEFAULT_CONFIG, with_part: bool = False):
+def records_dataset(input_path: str, cfg: PipelineConfig = DEFAULT_CONFIG):
     """read -> sha -> chunk -> extract. Column-pruned at the read."""
-    import ray.data as rd
-
     ds = read_parquet_clean(
         input_path, columns=["repo", "path", "lang", "content"], override_num_blocks=_input_blocks(input_path)
     )
-    ds = extract_chain(ds, cfg)
-    if with_part:
-        ds = ds.map_batches(lambda b: _with_part(b, cfg.num_partitions), batch_format="pyarrow")
-    return ds
+    return extract_chain(ds, cfg)
 
 
 def _with_part(batch: pa.Table, num_partitions: int) -> pa.Table:
     parts = [part_of(r, p, num_partitions) for r, p in zip(batch.column("repo").to_pylist(), batch.column("path").to_pylist())]
     return batch.append_column("part_id", pa.array(parts, type=pa.int64()))
-
-
-def _defines_pairs(batch: pa.Table) -> pa.Table:
-    """(name_key, module) pairs for the defs index — vectorized, pre-deduped
-    per batch."""
-    from text_to_graph_ray.stages.linker import entity_key_array
-
-    mask = pc.and_(pc.equal(batch.column("kind"), "edge"), pc.equal(batch.column("b"), "defines"))
-    sel = batch.filter(mask)
-    import pandas as pd
-
-    df = pd.DataFrame(
-        {
-            "name_key": entity_key_array(sel.column("c")).to_pandas(),
-            "module": sel.column("path").to_pandas().str.rsplit(".", n=1).str[0].str.replace("/", ".", regex=False),
-        }
-    ).drop_duplicates()
-    return pa_from_pandas(df)
-
-
-def build_defs_index(records_ds) -> dict:
-    """Collect the (small) definitions vocabulary to the driver for broadcast.
-    One entry per defined function/class — the small side of the linking join."""
-    pairs_ds = records_ds.map_batches(_defines_pairs, batch_format="pyarrow")
-    idx: dict[str, set] = {}
-    for b in pairs_ds.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        for n, m in zip(b.column("name_key").to_pylist(), b.column("module").to_pylist()):
-            idx.setdefault(n, set()).add(m)
-    return idx
-
-
-def defs_index_from_merged(merged) -> dict:
-    """Same index, read off the merged graph's ``kind='d'`` rows — definition
-    sites rode the canonicalization shuffle, so no second extraction pass."""
-    from text_to_graph_ray.stages.linker import defs_dict_from_table
-
-    return {k: set(v) for k, v in defs_dict_from_table(defs_table_from_merged(merged)).items()}
 
 
 _DEFS_SCHEMA = pa.schema([("k1", pa.string()), ("k2", pa.string())])
@@ -218,11 +176,21 @@ def _plain_keys(batch: pa.Table) -> pa.Table:
     )
 
 
+# record-level stages (keys / partials) use whole-block batches: per-call
+# pandas overhead is ~3-5 ms, so slicing tens of millions of records into
+# small batches burns more time in fixed overhead than in work, and a fixed
+# batch size larger than the block forces cross-block bundling that breaks
+# operator fusion
+_RECORD_BATCH_SIZE = None
+
+
 def keyed_records(records_ds, cfg: PipelineConfig = DEFAULT_CONFIG):
     """Attach normalized entity keys (vectorized) + optional stop-entity
     filter. Alias linking happens LATER, on the merged vocabulary
     (relink_merged) — resolving per distinct entity instead of per mention."""
-    return _filter_stop(records_ds.map_batches(_plain_keys, batch_format="pyarrow", batch_size=cfg.linker_batch_size), cfg)
+    return _filter_stop(
+        records_ds.map_batches(_plain_keys, batch_format="pyarrow", batch_size=_RECORD_BATCH_SIZE), cfg
+    )
 
 
 def _drop_def_rows(merged):
@@ -244,17 +212,20 @@ def _rebucket_fn(cfg: PipelineConfig):
     return rebucket
 
 
-def _remerge_all(rows, cfg: PipelineConfig):
-    """Full distributed re-merge of (possibly re-keyed) merged-graph rows —
-    one vocabulary-sized shuffle, no driver involvement."""
-    from text_to_graph_ray.stages.canonicalize import merge_bucket_packed
-
+def _remerge(rows, cfg: PipelineConfig):
+    """Lazy distributed re-merge of (possibly re-keyed) merged-graph rows:
+    rebucket, one exchange, ``merge_bucket`` per bucket."""
     return (
         rows.map_batches(_rebucket_fn(cfg), batch_format="pyarrow")
         .groupby("bucket")
-        .map_groups(merge_bucket_packed, batch_format="pandas")
-        .materialize()
+        .map_groups(merge_bucket, batch_format="pandas")
     )
+
+
+def _remerge_all(rows, cfg: PipelineConfig):
+    """Full distributed re-merge of (possibly re-keyed) merged-graph rows —
+    one vocabulary-sized shuffle, no driver involvement."""
+    return _remerge(rows, cfg).materialize()
 
 
 def link_merged(merged, cfg: PipelineConfig = DEFAULT_CONFIG):
@@ -262,9 +233,11 @@ def link_merged(merged, cfg: PipelineConfig = DEFAULT_CONFIG):
     side of a join — and it is pruned to the names the alias rule can actually
     probe (distinct last segments of dotted vocabulary keys) BEFORE it is
     sized: broadcast while the pruned table fits (<= cfg.defs_broadcast_max
-    rows), else fall back to the shuffle-join path where the def-site table
-    stays distributed. Both paths produce hash-identical graphs (asserted in
-    tests/test_linker.py by forcing the threshold to 0)."""
+    rows) into the one stateless ``relink_merged`` pass, else fall back to the
+    shuffle-join path where the def-site table stays distributed. With
+    nothing the alias rule could rewrite, linking is skipped. Both paths
+    produce hash-identical graphs (asserted in tests/test_round2.py by
+    forcing the threshold to 0)."""
     import ray
 
     # ONE pass over merged produces the per-block-distinct name blocks; their
@@ -304,88 +277,68 @@ def link_merged(merged, cfg: PipelineConfig = DEFAULT_CONFIG):
     return relink_merged_distributed(merged, cfg, reexports=closed)
 
 
-def relink_merged(merged, defs_idx: dict, cfg: PipelineConfig = DEFAULT_CONFIG, reexports: dict | None = None):
-    """SPARSE entity-linking pass over the vocabulary-sized merged graph
-    (broadcast defs index).
+_LINKER_CACHE: dict = {}
 
-    Alias resolution only ever rewrites dotted keys onto their definition key,
-    so after ``MergedLinker`` re-keys the vocabulary, the only rows that need
-    a second exchange are (a) rows whose key changed and (b) rows whose key a
-    changed row landed on. Those affected keys are collected — bounded by
-    ``cfg.relink_collect_max``; above that the whole vocabulary re-merges
-    distributedly instead (``_remerge_all``) — broadcast, and only the
-    affected slice re-shuffles; the rest of the graph passes through
-    untouched. The linker pass executes exactly once (materialized)."""
+
+def relink_merged(merged, defs_idx: pa.Table, cfg: PipelineConfig = DEFAULT_CONFIG, reexports: dict | None = None):
+    """Entity-linking pass over the vocabulary-sized merged graph with a
+    broadcast (name, module) defs table.
+
+    ONE stateless ``map_batches`` pass runs ``MergedLinker`` from a
+    per-process cache keyed by the defs-table ref (the ``ray.put`` table is
+    fetched zero-copy and indexed once per worker process, not once per
+    batch) and tags each row ``affected`` when it changed, when its ``k1`` is
+    a rewrite target, or when it is an edge whose ``k3`` is one. The rewrite
+    targets are every key the alias rule can produce: the defs table's names
+    plus the closed re-export targets. The affected slice re-merges through
+    one exchange; every other row passes through untouched.
+
+    Exact: the tag depends only on ``k1``/``k3``, so each merge identity
+    (node ``k1``, edge ``(k1, pred, k3)``) lands wholly on one side; every
+    new key of a changed row is a target, so every collision is inside the
+    slice; and re-merging an already-merged row returns it unchanged. The
+    worst case (every key a target) is one full re-merge."""
     import ray
 
-    from text_to_graph_ray.stages.canonicalize import merge_bucket_packed
     from text_to_graph_ray.stages.linker import MergedLinker
+    from text_to_graph_ray.util import compact_nonempty
 
-    # Arrow defs table broadcasts zero-copy; a plain dict (tests, small
-    # inputs) still works — actors normalize either form in __init__
-    ref = ray.put(defs_idx if isinstance(defs_idx, pa.Table) else {k: tuple(sorted(v)) for k, v in defs_idx.items()})
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    # auto = cpus - 2 (config.py contract): the vocabulary pass must widen
-    # with the cluster or it becomes a constant-time stage that caps scaling;
-    # the pool floor is elastic (1), so idle actors cost nothing on small
-    # inputs and the per-actor defs-index fetch is paid only by actors that
-    # actually spin up
-    pool_max = max(1, cfg.linker_concurrency if cfg.linker_concurrency > 0 else cpus - 2)
-    merged_nd = _drop_def_rows(merged)
+    reexports = reexports or {}
+    defs_ref = ray.put(defs_idx)
+    ref_id = defs_ref.hex()
 
-    # the ONE linker execution; everything below derives from this
-    linked = merged_nd.map_batches(
-        MergedLinker,
-        batch_format="pyarrow",
-        concurrency=(1, pool_max),
-        fn_constructor_kwargs={"defs_ref": ref, "reexports": reexports or None},
-    ).materialize()
-    changed_ds = linked.map_batches(
-        lambda b: b.filter(b.column("changed")).select(["kind", "k1", "k2", "k3"]), batch_format="pyarrow"
-    ).materialize()
-    n_changed = changed_ds.count()
-    if n_changed == 0:
-        return merged_nd  # lazy filter over the already-materialized merged
-    if n_changed > cfg.relink_collect_max:
-        # heavily-aliased vocabulary: the sparse split would collect too much —
-        # re-merge everything distributedly instead (still vocabulary-sized)
-        return _remerge_all(
-            linked.map_batches(lambda b: b.drop_columns(["changed"]), batch_format="pyarrow"), cfg
-        )
+    def link_and_tag(b: pa.Table) -> pa.Table:
+        cached = _LINKER_CACHE.get("merged")
+        if cached is None or cached[0] != ref_id:
+            defs = ray.get(defs_ref)
+            targets = pc.unique(
+                pa.concat_arrays(
+                    [
+                        defs.column("k1").combine_chunks().cast(pa.string()),
+                        pa.array(sorted(set(reexports.values())), type=pa.string()),
+                    ]
+                )
+            )
+            cached = _LINKER_CACHE["merged"] = (ref_id, MergedLinker(defs_idx=defs, reexports=reexports), targets)
+        _, linker, targets = cached
+        out = linker(b)
+        k3_hit = pc.and_(pc.equal(out.column("kind"), "e"), pc.is_in(out.column("k3"), value_set=targets))
+        hit = pc.or_(pc.is_in(out.column("k1"), value_set=targets), k3_hit)
+        return out.append_column("affected", pc.or_(out.column("changed"), hit)).drop_columns(["changed"])
 
-    changed_rows = changed_ds.take_all()  # bounded by relink_collect_max
-    node_keys = {r["k1"] for r in changed_rows if r["kind"] == "n"}
-    triple_keys = {(r["k1"], r["k2"], r["k3"]) for r in changed_rows if r["kind"] == "e"}
-    aff_ref = ray.put((node_keys, triple_keys))
+    linked = _drop_def_rows(merged).map_batches(link_and_tag, batch_format="pyarrow").materialize()
 
-    def affected_mask(b: pa.Table) -> pa.Array:
-        nk, tk = ray.get(aff_ref)
-        import pandas as pd
+    def side(affected: bool):
+        def take(b: pa.Table) -> pa.Table:
+            mask = b.column("affected")
+            return b.filter(mask if affected else pc.invert(mask)).drop_columns(["affected"])
 
-        df = b.select(["kind", "k1", "k2", "k3", "changed"]).to_pandas()
-        is_n = df["kind"] == "n"
-        hit = df["changed"] | (is_n & df["k1"].isin(nk))
-        if tk:
-            trip = list(zip(df["k1"], df["k2"], df["k3"]))
-            hit = hit | (~is_n & pd.Series([t in tk for t in trip], index=df.index))
-        return pa.array(hit.to_numpy())
+        return take
 
-    def take_affected(b: pa.Table) -> pa.Table:
-        return b.filter(affected_mask(b)).drop_columns(["changed"])
-
-    def take_passthrough(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return b.filter(pc.invert(affected_mask(b))).drop_columns(["changed"])
-
-    remerged = (
-        linked.map_batches(take_affected, batch_format="pyarrow")
-        .map_batches(_rebucket_fn(cfg), batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge_bucket_packed, batch_format="pandas")
-    )
-    passthrough = linked.map_batches(take_passthrough, batch_format="pyarrow")
-    return passthrough.union(remerged).materialize()
+    remerged = _remerge(linked.map_batches(side(True), batch_format="pyarrow"), cfg)
+    passthrough = linked.map_batches(side(False), batch_format="pyarrow")
+    # an empty slice leaves schema-less blocks behind the exchange
+    return compact_nonempty(passthrough.union(remerged).materialize())
 
 
 def relink_merged_distributed(merged, cfg: PipelineConfig = DEFAULT_CONFIG, reexports: dict | None = None):
@@ -551,30 +504,16 @@ def _filter_stop(ds, cfg: PipelineConfig):
 
 def merged_graph(resolved, cfg: PipelineConfig = DEFAULT_CONFIG):
     """The canonicalization shuffle: node mentions and edges travel together
-    (kind column), combiner-reduced per batch, merged per hash bucket.
-    Returns the (vocabulary-sized) merged dataset, materialized so nodes and
-    edges can both be split from it without re-running extraction.
-
-    ``cfg.salted_canonicalize`` switches to the SALTED TWO-PHASE plan for
-    corpora with pathological hot entities (one key in a large fraction of
-    all batches — think ``utils.py`` at 10^12 files): phase A merges
-    (key, salt-of-value) groups with the ordinary ``merge_bucket`` so the hot
-    key's set-union work spreads over up to ``cfg.salt_buckets`` tasks, and
-    phase B (``_remerge_all`` — the same machinery the link path uses)
-    unions the per-salt packed partials in one unsalted vocabulary-sized
-    exchange. Value-identical to the single-phase plan (equivalence + skew
-    tests in test_round4); costs one extra vocabulary-sized exchange, which
-    is why it is opt-in rather than the default."""
-    salt = cfg.salt_buckets if cfg.salted_canonicalize else 1
+    (kind column), combiner-reduced per batch, merged per hash bucket by
+    ``merge_bucket``. Returns the (vocabulary-sized) merged dataset,
+    materialized so nodes and edges can both be split from it without
+    re-running extraction."""
     parts = resolved.map_batches(
-        lambda b: combined_partials(b, cfg.num_partitions, salt=salt),
+        lambda b: combined_partials(b, cfg.num_partitions),
         batch_format="pyarrow",
-        batch_size=cfg.linker_batch_size,
+        batch_size=_RECORD_BATCH_SIZE,
     )
-    merged = parts.groupby("bucket").map_groups(merge_bucket, batch_format="pandas")
-    if salt > 1:
-        return _remerge_all(merged, cfg)
-    return merged.materialize()
+    return parts.groupby("bucket").map_groups(merge_bucket, batch_format="pandas").materialize()
 
 
 def nodes_from_merged(merged, with_ids: bool = True):
@@ -994,8 +933,8 @@ def merge_increment(
     """Incremental KG maintenance: union ALREADY-MERGED (packed) graph
     increments — e.g. yesterday's persisted merged graph plus today's
     new-files increment — and re-merge in ONE vocabulary-sized exchange
-    (``_remerge_all`` / ``merge_bucket_packed`` set-union semantics; the
-    same machinery the salted phase-B and link paths use).
+    (``_remerge_all`` / ``merge_bucket`` set-union semantics; the same
+    machinery the link paths use).
 
     Correctness: every merge rule is ASSOCIATIVE over set union — types /
     repos / edge provenance are pure unions, the canonical label is

@@ -18,8 +18,7 @@ Physical design (why it looks the way it does):
 * **Combiner first**: each batch is reduced to DISTINCT partial rows
   (vectorized pandas ``drop_duplicates``) before the exchange, so a hot key
   ("log" called from every file, "utils.py" at 10^12-file scale) ships one row
-  per upstream batch, not one per mention — the salted/two-phase-aggregation
-  requirement of the north rule.
+  per upstream batch, not one per mention.
 * **Hash-bucket groups**: the shuffle groups by a stable hash bucket of the
   key (``pandas.util.hash_pandas_object``, process-stable), and each bucket
   merges all its keys in one vectorized call — same result as a per-key
@@ -43,125 +42,50 @@ def _stable_bucket(series: pd.Series, buckets: int) -> pd.Series:
     return (pd.util.hash_pandas_object(series, index=False) % buckets).astype("int64")
 
 
-def combined_partials(batch: pa.Table, buckets: int, salt: int = 1) -> pa.Table:
-    """Resolved records -> distinct partial rows for BOTH kinds:
+def combined_partials(batch: pa.Table, buckets: int) -> pa.Table:
+    """Resolved records -> distinct partial rows for BOTH kinds, already in
+    the merged-row schema so one kernel (``merge_bucket``) serves every
+    merge:
 
-      kind='n': k1=entity_key, k2=label,        k3=type,    repo
-      kind='e': k1=src_key,    k2=lower(pred),  k3=dst_key, repo
+      kind='n': k1=entity_key, k2=label,        k3=type,    repos_packed=repo
+      kind='e': k1=src_key,    k2=lower(pred),  k3=dst_key, repos_packed=repo
 
     One vectorized drop_duplicates per kind; bucket = stable hash of the
-    grouping key.
-
-    ``salt > 1`` enables the SALTED two-phase plan (north-rule skew
-    handling): the bucket additionally hashes a salt derived from the row's
-    VALUE payload (nodes: (label, type, repo); edges: repo; defs: module), so
-    a hot key's surviving distinct rows spread across up to ``salt`` merge
-    tasks instead of serializing in one. The phase-A merge is the ordinary
-    ``merge_bucket`` (it groups by key within each salted bucket); a second
-    unsalted exchange over the (already partially packed) rows finishes with
-    ``merge_bucket_packed`` — set-union semantics make the two-phase result
-    value-identical regardless of how values split across salts."""
+    grouping key. A repo containing ``|`` (the provenance separator) raises
+    instead of silently splitting into several provenance entries."""
     df = batch.select(["kind", "a", "b", "c", "a_key", "c_key", "repo"]).to_pandas()
+    bad = df["repo"].str.contains("|", regex=False, na=False)
+    if bad.any():
+        raise ValueError(f"repo value {df['repo'][bad].iloc[0]!r} contains '|', the provenance separator")
 
     n = df[df["kind"] == "node"]
     nodes = pd.DataFrame(
-        {"kind": "n", "k1": n["a_key"], "k2": n["a"], "k3": n["b"], "repo": n["repo"]}
+        {"kind": "n", "k1": n["a_key"], "k2": n["a"], "k3": n["b"], "repos_packed": n["repo"]}
     ).drop_duplicates()
-    nkey = nodes["k1"]
-    if salt > 1:
-        nkey = nkey + SEP + _stable_bucket(nodes["k2"] + SEP + nodes["k3"] + SEP + nodes["repo"], salt).astype(str)
-    nodes["bucket"] = _stable_bucket(nkey, buckets)
+    nodes["bucket"] = _stable_bucket(nodes["k1"], buckets)
 
     e = df[df["kind"] == "edge"]
     edges = pd.DataFrame(
-        {"kind": "e", "k1": e["a_key"], "k2": e["b"].str.lower(), "k3": e["c_key"], "repo": e["repo"]}
+        {"kind": "e", "k1": e["a_key"], "k2": e["b"].str.lower(), "k3": e["c_key"], "repos_packed": e["repo"]}
     ).drop_duplicates()
-    ekey = edges["k1"] + SEP + edges["k2"] + SEP + edges["k3"]
-    if salt > 1:
-        ekey = ekey + SEP + _stable_bucket(edges["repo"], salt).astype(str)
-    edges["bucket"] = _stable_bucket(ekey, buckets)
+    edges["bucket"] = _stable_bucket(edges["k1"] + SEP + edges["k2"] + SEP + edges["k3"], buckets)
 
     d = df[df["kind"] == "def"]
-    defs = pd.DataFrame({"kind": "d", "k1": d["a_key"], "k2": d["b"], "k3": "", "repo": ""}).drop_duplicates()
-    dkey = defs["k1"]
-    if salt > 1:
-        dkey = dkey + SEP + _stable_bucket(defs["k2"], salt).astype(str)
-    defs["bucket"] = _stable_bucket(dkey, buckets)
+    defs = pd.DataFrame({"kind": "d", "k1": d["a_key"], "k2": d["b"], "k3": "", "repos_packed": ""}).drop_duplicates()
+    defs["bucket"] = _stable_bucket(defs["k1"], buckets)
 
     out = pd.concat([nodes, edges, defs], ignore_index=True)
     return pa_from_pandas(out)
 
 
-def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
-    """Merge one hash bucket: entity rows -> (entity_key, label, types_packed,
-    repos_packed); edge rows -> (src,pred,dst, repos_packed). Python dict work
-    is proportional to the bucket's DISTINCT rows (already combiner-reduced)."""
-    rows_kind, rows_k1, rows_k2, rows_k3, rows_pack = [], [], [], [], []
-
-    n = group[group["kind"] == "n"]
-    ents: dict[str, tuple[set, set, set]] = {}
-    for k1, k2, k3, repo in zip(n["k1"], n["k2"], n["k3"], n["repo"]):
-        ent = ents.get(k1)
-        if ent is None:
-            ent = ents[k1] = (set(), set(), set())
-        ent[0].add(k2)
-        ent[1].add(k3)
-        ent[2].add(repo)
-    for k in sorted(ents):
-        labels, types, repos = ents[k]
-        own = [l for l in labels if entity_key(l) == k]
-        rows_kind.append("n")
-        rows_k1.append(k)
-        rows_k2.append(min(own) if own else min(labels))
-        rows_k3.append("|".join(sorted(t for t in types if t)))
-        rows_pack.append("|".join(sorted(repos)))
-
-    e = group[group["kind"] == "e"]
-    eds: dict[tuple, set] = {}
-    for k1, k2, k3, repo in zip(e["k1"], e["k2"], e["k3"], e["repo"]):
-        eds.setdefault((k1, k2, k3), set()).add(repo)
-    for (k1, k2, k3) in sorted(eds):
-        rows_kind.append("e")
-        rows_k1.append(k1)
-        rows_k2.append(k2)
-        rows_k3.append(k3)
-        rows_pack.append("|".join(sorted(eds[(k1, k2, k3)])))
-
-    _append_def_rows(group, rows_kind, rows_k1, rows_k2, rows_k3, rows_pack)
-
-    # return Arrow, not pandas: object-dtype pandas blocks force a slow
-    # string conversion in every downstream stage (and in materialize)
-    return _merged_table(rows_kind, rows_k1, rows_k2, rows_k3, rows_pack)
-
-
-def _append_def_rows(group, rows_kind, rows_k1, rows_k2, rows_k3, rows_pack):
-    d = group[group["kind"] == "d"]
-    if len(d):
-        for k1, k2 in sorted(set(zip(d["k1"], d["k2"]))):
-            rows_kind.append("d")
-            rows_k1.append(k1)
-            rows_k2.append(k2)
-            rows_k3.append("")
-            rows_pack.append("")
-
-
-def _merged_table(kind, k1, k2, k3, pack) -> pa.Table:
-    return pa.table(
-        {
-            "kind": pa.array(kind, type=pa.string()),
-            "k1": pa.array(k1, type=pa.string()),
-            "k2": pa.array(k2, type=pa.string()),
-            "k3": pa.array(k3, type=pa.string()),
-            "repos_packed": pa.array(pack, type=pa.string()),
-        }
-    )
-
-
-def merge_bucket_packed(group: pd.DataFrame) -> pd.DataFrame:
-    """Second-phase merge after entity linking re-keys the (already merged,
-    vocabulary-sized) graph: groups whose keys collided post-linking union
-    their packed label/type/repo sets. Input/output schema == merge_bucket's
-    output."""
+def merge_bucket(group: pd.DataFrame) -> pa.Table:
+    """Merge one hash bucket of merged-schema rows (``combined_partials``
+    output, or already-merged rows re-keyed by linking / unioned across
+    increments): entity rows -> (entity_key, label, types_packed,
+    repos_packed); edge rows -> (src, pred, dst, repos_packed); def rows
+    dedup. Types and repos are ``|``-packed sets, unioned per key, so merging
+    an already-merged row returns it unchanged. Python dict work is
+    proportional to the bucket's DISTINCT rows (already combiner-reduced)."""
     rows_kind, rows_k1, rows_k2, rows_k3, rows_pack = [], [], [], [], []
 
     n = group[group["kind"] == "n"]
@@ -193,9 +117,25 @@ def merge_bucket_packed(group: pd.DataFrame) -> pd.DataFrame:
         rows_k3.append(k3)
         rows_pack.append("|".join(sorted(eds[(k1, k2, k3)])))
 
-    _append_def_rows(group, rows_kind, rows_k1, rows_k2, rows_k3, rows_pack)
+    d = group[group["kind"] == "d"]
+    for k1, k2 in sorted(set(zip(d["k1"], d["k2"]))):
+        rows_kind.append("d")
+        rows_k1.append(k1)
+        rows_k2.append(k2)
+        rows_k3.append("")
+        rows_pack.append("")
 
-    return _merged_table(rows_kind, rows_k1, rows_k2, rows_k3, rows_pack)
+    # return Arrow, not pandas: object-dtype pandas blocks force a slow
+    # string conversion in every downstream stage (and in materialize)
+    return pa.table(
+        {
+            "kind": pa.array(rows_kind, type=pa.string()),
+            "k1": pa.array(rows_k1, type=pa.string()),
+            "k2": pa.array(rows_k2, type=pa.string()),
+            "k3": pa.array(rows_k3, type=pa.string()),
+            "repos_packed": pa.array(rows_pack, type=pa.string()),
+        }
+    )
 
 
 def split_nodes(batch: pa.Table) -> pa.Table:

@@ -1,23 +1,25 @@
-"""Entity linking — the pipeline's stateful actor-pool stage.
+"""Entity linking — alias resolution plus a similarity fallback.
 
 Replaces the reference's one genuinely stateful/expensive stage (the remote LLM
 client, /root/reference/graph_extractor/src/gpt.py:37-70, rebuilt per call
 there) with a deterministic alias resolver + similarity scorer whose state is
-built ONCE per actor in ``__init__``:
+built ONCE per worker process, not per batch:
 
 * the **definitions index** (defined-name key -> set of defining module paths)
-  is broadcast with ``ray.put`` on the driver and fetched once per actor —
-  never re-shipped per batch;
+  is broadcast with ``ray.put`` on the driver as an Arrow table and indexed
+  once per process — ``MergedLinker`` is the kernel of the stateless relink
+  pass in ``pipelines/kg.py``, cached per process by the table's ref;
 * a **memo cache** of resolved keys accumulates across batches (the reference's
   response cache analogue, sqlite_support.py:275-423);
-* an optional **char-trigram scorer** ranks near-miss mentions against the
-  canonical vocabulary (the "embedding cache + scorer" of the north star).
+* an optional **char-trigram scorer** (``ScoredLinkStage``, an actor pool)
+  ranks near-miss mentions against the canonical vocabulary (the "embedding
+  cache + scorer" of the north star).
 
 Scale note: the defs index is the *small side* of a would-be join (one entry
 per defined function/class — orders of magnitude smaller than the mention
 stream), so broadcast is the right shape at 10^12 files as long as the
-definition vocabulary fits worker memory; beyond that, swap this stage for a
-shuffle join on ``name_key`` (same key space, documented fallback).
+definition vocabulary fits worker memory; beyond that the pipeline swaps to a
+shuffle join on the name key (``relink_merged_distributed``).
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class AliasResolver:
 def defs_dict_from_table(table: pa.Table) -> dict:
     """(k1 name, k2 module) Arrow pairs -> {name: sorted module tuple}.
 
-    Runs once per linker actor, so the build must be near-vectorized: sort
+    Runs once per linker process, so the build must be near-vectorized: sort
     (C), detect group boundaries with one numpy object-compare, and take the
     O(n) ``dict(zip(...))`` path when every name is unique (the common case —
     a per-group Python loop here cost 3.6 s/actor at 800k defs)."""
@@ -119,7 +121,8 @@ class MergedLinker:
     Runs on the (already merged, vocabulary-sized) graph rows rather than the
     raw mention stream: resolving once per distinct key instead of once per
     mention makes the alias rule O(|vocabulary|), and the broadcast defs index
-    is fetched by this one small stage only. Rewrites k1 (both kinds) and k3
+    is fetched by this one small stage only. The ``changed`` column flags
+    rows whose key was rewritten. Rewrites k1 (both kinds) and k3
     (edge dst only — for node rows k3 is the packed type set and must pass
     through untouched)."""
 
@@ -130,7 +133,7 @@ class MergedLinker:
             defs_idx = ray.get(defs_ref) if defs_ref is not None else {}
         if isinstance(defs_idx, pa.Table):
             # Arrow broadcast (zero-copy from the object store): build the
-            # lookup dict once per actor — far cheaper than unpickling a
+            # lookup dict once per process — far cheaper than unpickling a
             # driver-built dict at large vocabularies
             defs_idx = defs_dict_from_table(defs_idx)
         self.r = AliasResolver(defs_idx=defs_idx, reexports=reexports)

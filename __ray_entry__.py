@@ -2262,16 +2262,11 @@ def _q_docs_lm_terciles(sf_dir):
         else pa.schema([("doc_id", pa.int64()), ("nll", pa.float64())]).empty_table(),
         batch_format="pyarrow",
     )
-    sorted_ds = scores.sort(["nll", "doc_id"]).materialize()
-    refs = sorted_ds.to_arrow_refs()
+    from text_to_graph_ray.util import block_rows
 
-    @ray.remote
-    def block_rows(t: pa.Table) -> int:
-        return t.num_rows
-
-    counts = ray.get([block_rows.remote(r) for r in refs])
+    blocks = block_rows(scores.sort(["nll", "doc_id"]).materialize())
     offsets, n = [], 0
-    for c in counts:
+    for _, c in blocks:
         offsets.append(n)
         n += c
     out_schema = pa.schema([("doc_id", pa.int64()), ("nll", pa.float64()), ("tercile", pa.int64())])
@@ -2295,7 +2290,7 @@ def _q_docs_lm_terciles(sf_dir):
         return pa.table({"doc_id": t.column("doc_id"), "nll": t.column("nll"),
                          "tercile": pa.array(tile, type=pa.int64())}, schema=out_schema)
 
-    tagged = ray.get([tag.remote(r, o) for r, o in zip(refs, offsets)])
+    tagged = ray.get([tag.remote(r, o) for (r, _), o in zip(blocks, offsets)])
     return sort_coalesced(
         rd.from_arrow_refs([ray.put(t) for t in tagged if t.num_rows]), "doc_id")
 

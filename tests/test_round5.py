@@ -2253,6 +2253,11 @@ class TestKTruss:
     def test_empty(self, ray_session):
         assert self._run([], k=4, max_rounds=2) == []
 
+    def test_k_below_3_raises(self, ray_session):
+        # k - 2 <= 0 would keep no triangle-free edge instead of all of them
+        with pytest.raises(ValueError, match="k >= 3"):
+            self._run([(0, 1), (1, 2)], k=2, max_rounds=1)
+
 
 class TestGroupedOls:
     def test_matches_closed_form(self, ray_session):

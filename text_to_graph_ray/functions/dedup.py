@@ -93,37 +93,23 @@ def exact_dedup_keep_min(ds, text_col: str = "text", id_col: str = "doc_id"):
 
 
 def _metadata_row_count(ds):
-    """Row count from parquet footers when the dataset is read-shaped
-    (``input_files()`` resolves) — appended map stages make ``ds.count()``
+    """Row count of a read-shaped dataset from its parquet footers
+    (``util.parquet_row_count`` over ``read_parquet_clean``'s source hint,
+    else over ``input_files()``): appended map stages make ``ds.count()``
     execute a full scan, which the signature_join="auto" decision must not
     pay. Returns None when footers can't answer (caller falls back)."""
     import os
 
-    files: list = []
-    src = getattr(ds, "_graft_source", None)  # read_parquet_clean's hint
-    if isinstance(src, str):
-        if os.path.isdir(src):
-            files = [
-                os.path.join(r, n) for r, _, ns in os.walk(src) for n in ns if n.endswith(".parquet")
-            ]
-        elif os.path.isfile(src):
-            files = [src]
-    if not files:
-        try:
-            files = ds.input_files()
-        except Exception:
-            return None
-    if not files:
-        return None
-    import pyarrow.parquet as pq
+    from text_to_graph_ray.util import parquet_row_count
 
-    total = 0
-    for f in files:
-        try:
-            total += pq.ParquetFile(f).metadata.num_rows
-        except Exception:
-            return None
-    return total
+    src = getattr(ds, "_graft_source", None)  # read_parquet_clean's hint
+    try:
+        if isinstance(src, str) and os.path.exists(src):
+            return parquet_row_count(src)
+        files = ds.input_files()
+        return parquet_row_count(files) if files else None
+    except Exception:
+        return None
 
 
 _MINHASHER_CACHE: dict = {}

@@ -2067,8 +2067,12 @@ def ktruss_bounded(edges_ds, k: int = 4, max_rounds: int = 3, src_col: str = "sr
     (``stats["ktruss_rounds"]`` records them). Output: (a, b, sup) for the
     surviving edges with support recomputed WITHIN the surviving subgraph
     (sup = 0 surfaces real if the round budget ran out before fixpoint),
-    sorted by (a, b).
+    sorted by (a, b). ``k < 3`` raises: a support threshold ``k - 2 <= 0``
+    would peel no edge yet drop every triangle-free edge, which has no
+    support row.
     """
+    if k < 3:
+        raise ValueError(f"ktruss_bounded needs k >= 3 (every k-truss edge is in >= k-2 triangles), got k={k}")
     import pyarrow.compute as pc
 
     from text_to_graph_ray.functions.agg import distinct_rows

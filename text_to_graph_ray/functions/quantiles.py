@@ -44,15 +44,11 @@ def exact_quantiles(ds, col: str, qs: list[float], presorted: bool = False):
             .map_batches(lambda t: t.filter(pc.is_valid(t.column(col))), batch_format="pyarrow")
             .sort(col)
         )
-    ds = ds.materialize()
-    refs = ds.to_arrow_refs()
+    from text_to_graph_ray.util import block_rows
 
-    @ray.remote
-    def block_len(t: pa.Table) -> int:
-        # empty post-sort blocks can be schema-less; len is always safe
-        return t.num_rows
-
-    lens = ray.get([block_len.remote(r) for r in refs])
+    blocks = block_rows(ds.materialize())
+    refs = [r for r, _ in blocks]
+    lens = [n for _, n in blocks]
     bases = []
     total = 0
     for length in lens:

@@ -1037,11 +1037,9 @@ def gini_exact(ds, col: str = "cents", out_schema: pa.Schema | None = None):
     import ray
     import ray.data as rd
 
-    sorted_ds = ds.sort(col).materialize()
+    from text_to_graph_ray.util import block_rows
 
-    @ray.remote
-    def count_rows(t: pa.Table) -> int:
-        return t.num_rows
+    sorted_ds = ds.sort(col).materialize()
 
     @ray.remote
     def partial(t: pa.Table, offset: int):
@@ -1066,13 +1064,11 @@ def gini_exact(ds, col: str = "cents", out_schema: pa.Schema | None = None):
         sx = sum(int(v) for v in np.add.reduceat(x, cuts))
         return (str(s1), sx, m)
 
-    refs = sorted_ds.to_arrow_refs()
-    counts = ray.get([count_rows.remote(r) for r in refs])
-    offsets, total = [], 0
-    for c in counts:
-        offsets.append(total)
+    tasks, total = [], 0
+    for ref, c in block_rows(sorted_ds):
+        tasks.append(partial.remote(ref, total))
         total += c
-    parts = ray.get([partial.remote(r, o) for r, o in zip(refs, offsets)])
+    parts = ray.get(tasks)
     s1 = sum(int(p[0]) for p in parts)
     sx = sum(int(p[1]) for p in parts)
     n = sum(int(p[2]) for p in parts)

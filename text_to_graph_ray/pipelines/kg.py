@@ -31,7 +31,7 @@ import time
 
 import pyarrow as pa
 
-from text_to_graph_ray.util import pa_from_pandas, read_parquet_clean
+from text_to_graph_ray.util import block_rows, pa_from_pandas, parquet_row_count, read_parquet_clean
 import pyarrow.compute as pc
 
 from text_to_graph_ray.config import DEFAULT_CONFIG, PipelineConfig
@@ -46,7 +46,7 @@ from text_to_graph_ray.stages.chunker import chunk_files
 from text_to_graph_ray.stages.extract import extract_records
 from text_to_graph_ray.stages.hashing import add_sha256
 
-from text_to_graph_ray.state.checkpoint import CheckpointStore, part_of
+from text_to_graph_ray.state.checkpoint import CheckpointStore, part_ids, require_file_keys
 
 INPUT_COLUMNS = ["repo", "path", "commit", "lang", "content"]
 
@@ -73,8 +73,14 @@ def extract_chain(ds, cfg: PipelineConfig = DEFAULT_CONFIG):
     """sha -> chunk -> extract over a (repo, path, lang, content) dataset —
     the ONE extraction chain, shared by ``records_dataset`` (lazy queries) and
     ``run`` (checkpointed job) so config knobs like ``two_pass`` can never
-    silently diverge between the two entry points."""
-    ds = ds.map_batches(add_sha256, batch_format="pyarrow", batch_size=cfg.batch_size)
+    silently diverge between the two entry points. Its first stage rejects
+    a null ``repo`` or ``path`` with a ``ValueError`` naming the column."""
+
+    def checked_sha256(b: pa.Table) -> pa.Table:
+        require_file_keys(b.column("repo"), b.column("path"))
+        return add_sha256(b)
+
+    ds = ds.map_batches(checked_sha256, batch_format="pyarrow", batch_size=cfg.batch_size)
     ds = ds.map_batches(lambda b: chunk_files(b, cfg), batch_format="pyarrow", batch_size=cfg.batch_size)
     if cfg.two_pass:
         # L1 mentions -> L2 triples gated on the mention set (reference "high
@@ -99,8 +105,7 @@ def records_dataset(input_path: str, cfg: PipelineConfig = DEFAULT_CONFIG):
 
 
 def _with_part(batch: pa.Table, num_partitions: int) -> pa.Table:
-    parts = [part_of(r, p, num_partitions) for r, p in zip(batch.column("repo").to_pylist(), batch.column("path").to_pylist())]
-    return batch.append_column("part_id", pa.array(parts, type=pa.int64()))
+    return batch.append_column("part_id", part_ids(batch.column("repo"), batch.column("path"), num_partitions))
 
 
 _DEFS_SCHEMA = pa.schema([("k1", pa.string()), ("k2", pa.string())])
@@ -240,26 +245,20 @@ def link_merged(merged, cfg: PipelineConfig = DEFAULT_CONFIG):
     forcing the threshold to 0)."""
     import ray
 
-    # ONE pass over merged produces the per-block-distinct name blocks; their
-    # row counts (fetched as O(#blocks) scalars, not data) gate the collect
-    qrefs = dotted_query_names(merged).to_arrow_refs()
-
-    @ray.remote
-    def _nrows(t: pa.Table) -> int:
-        return t.num_rows
-
     from text_to_graph_ray.keys import close_reexports
 
+    # ONE pass over merged produces the per-block-distinct name blocks; their
+    # row counts (block metadata, no data moves) gate the collect
+    qblocks = block_rows(dotted_query_names(merged).materialize())
     closed = close_reexports(dict(cfg.reexports)) if cfg.reexports else {}
 
-    lens = ray.get([_nrows.remote(r) for r in qrefs])
-    n_upper = sum(lens)
+    n_upper = sum(n for _, n in qblocks)
     if n_upper == 0 and not closed:
         # nothing the alias rule could rewrite: skip the linker pass entirely
         return _drop_def_rows(merged)
     if n_upper <= cfg.defs_broadcast_max:
         name_arrays = [
-            t.column("name").combine_chunks().cast(pa.string()) for t, n in zip(ray.get(qrefs), lens) if n
+            t.column("name").combine_chunks().cast(pa.string()) for t in ray.get([r for r, n in qblocks if n])
         ]
         if closed:
             # the def-rule hop also fires on CLOSED RE-EXPORT TARGETS that are
@@ -794,9 +793,18 @@ def run(
     — both keep a long-lived checkpoint root bounded on a 100-TB run that
     iterates on config.
 
+    Every count comes from parquet footers of what this call wrote, never
+    from a Ray job: a computed partition's lineage ``rows`` is the footer sum
+    of its ``records/part_id=k/`` directory (cleared just before the write,
+    so exactly the files the merge reads next), the ``merged`` manifest's
+    ``rows`` that of ``merged/``, and the ``nodes``/``edges`` counters those
+    of ``nodes/``/``edges/``. A null ``repo`` or ``path`` raises a
+    ``ValueError`` naming the column.
+
     Returns counters {parts_total, parts_skipped, parts_computed, nodes, edges}.
     """
-    import ray.data as rd
+    import os
+    import shutil
 
     from text_to_graph_ray.state.checkpoint import gc_config_roots, input_fingerprint
 
@@ -825,8 +833,7 @@ def run(
     key_ds = read_parquet_clean(input_path, columns=["repo", "path"])
 
     def batch_parts(b: pa.Table, n=cfg.num_partitions) -> pa.Table:
-        seen = {part_of(r, p, n) for r, p in zip(b.column("repo").to_pylist(), b.column("path").to_pylist())}
-        return pa.table({"part_id": pa.array(sorted(seen), type=pa.int64())})
+        return pa.table({"part_id": pc.unique(part_ids(b.column("repo"), b.column("path"), n))})
 
     all_parts: set[int] = set(key_ds.map_batches(batch_parts, batch_format="pyarrow").unique("part_id"))
     pending = sorted(all_parts - done)
@@ -836,8 +843,6 @@ def run(
         # a killed run can leave data files for partitions whose manifest was
         # never written — clear them so recompute is an idempotent overwrite
         # (the reference's delete-then-insert, sqlite_support.py:492-531)
-        import shutil
-
         for p in pending:
             shutil.rmtree(f"{rec_dir}/part_id={p}", ignore_errors=True)
         pend = pa.array(pending, type=pa.int64())
@@ -848,22 +853,15 @@ def run(
         ds = ds.map_batches(lambda b: _with_part(b, cfg.num_partitions), batch_format="pyarrow")
         ds.write_parquet(rec_dir, partition_cols=["part_id"])
 
-        # lineage + counters per freshly-computed partition: distributed
-        # groupby-count over the pruned re-read; <= num_partitions rows collected
-        from ray.data.aggregate import Count
-
-        cnt_tbl = (
-            read_parquet_clean(rec_dir, columns=["part_id"]).groupby("part_id").aggregate(Count(alias_name="n")).take_all()
-        )
-        counts: dict[int, int] = {int(r["part_id"]): int(r["n"]) for r in cnt_tbl}
+        # lineage + counters per freshly-computed partition, from the footers
+        # of the files just written (a partition with no records has no dir)
         wall_ms = int((time.monotonic() - t0) * 1000)
         for p in pending:
-            store.mark_done("records", p, rows=counts.get(p, 0), input_fingerprint=fp, wall_ms=wall_ms)
+            d = f"{rec_dir}/part_id={p}"
+            rows = parquet_row_count(d) if os.path.isdir(d) else 0
+            store.mark_done("records", p, rows=rows, input_fingerprint=fp, wall_ms=wall_ms)
 
     # wide stages read the checkpointed records
-    import os
-    import shutil
-
     gm = store.manifest("graph", 0)
     if (
         not pending
@@ -899,15 +897,15 @@ def run(
         if cfg.link_aliases:
             merged = link_merged(merged, cfg)
         merged.write_parquet(store.stage_dir("merged"))
-        merged = read_parquet_clean(store.stage_dir("merged"))
-        store.mark_done("merged", 0, rows=merged.count(), input_fingerprint=fp)
+        merged = read_parquet_clean(merged_dir)
+        store.mark_done("merged", 0, rows=parquet_row_count(merged_dir), input_fingerprint=fp)
     nodes = nodes_from_merged(merged).map_batches(_unpack_lists, batch_format="pyarrow")
     nodes.write_parquet(f"{out_dir}/nodes")
     edges = edges_from_merged(merged).map_batches(_unpack_lists, batch_format="pyarrow")
     edges.write_parquet(f"{out_dir}/edges")
 
-    n_nodes = read_parquet_clean(f"{out_dir}/nodes").count()
-    n_edges = read_parquet_clean(f"{out_dir}/edges").count()
+    n_nodes = parquet_row_count(f"{out_dir}/nodes")
+    n_edges = parquet_row_count(f"{out_dir}/edges")
     store.mark_done(
         "graph", 0, nodes=n_nodes, edges=n_edges, input_fingerprint=fp, wall_ms=int((time.monotonic() - t0) * 1000)
     )
@@ -978,17 +976,12 @@ def merge_increment(
             node = pc.binary_join_element_wise(b.column("kind"), b.column("k1"), "\x00")
             return pc.if_else(is_n, node, full).cast(pa.string())
 
-        # per-block-distinct identity blocks; O(#blocks) row counts gate the collect
-        krefs = inc.map_batches(
-            lambda b: pa.table({"ik": pc.unique(identity(b))}), batch_format="pyarrow"
-        ).to_arrow_refs()
-
-        @ray.remote
-        def _nrows(t: pa.Table) -> int:
-            return t.num_rows
-
-        if sum(ray.get([_nrows.remote(r) for r in krefs])) <= delta_keys_max:
-            arrays = [t.column("ik").combine_chunks().cast(pa.string()) for t in ray.get(krefs) if t.num_rows]
+        # per-block-distinct identity blocks; their block-metadata row counts gate the collect
+        kblocks = block_rows(
+            inc.map_batches(lambda b: pa.table({"ik": pc.unique(identity(b))}), batch_format="pyarrow").materialize()
+        )
+        if sum(n for _, n in kblocks) <= delta_keys_max:
+            arrays = [t.column("ik").combine_chunks().cast(pa.string()) for t in ray.get([r for r, n in kblocks if n])]
             keys = pc.unique(pa.concat_arrays(arrays)) if arrays else pa.array([], type=pa.string())
             kref = ray.put(keys)
 

@@ -118,7 +118,7 @@ def parquet_profile(path: str) -> pa.Table:
     sized for the scan): per column, chunk count, value count, compressed
     and uncompressed byte totals. Metadata-only: no data pages are read, no
     Ray stage is launched — cost is O(columns x row_groups) footer entries,
-    the same source dedup._metadata_row_count uses for plan sizing. Returns
+    the same source ``util.parquet_row_count`` counts rows from. Returns
     an Arrow table sorted by column name; oracle = DuckDB parquet_metadata()
     over the same file."""
     import pyarrow.parquet as pq

@@ -170,15 +170,16 @@ def add_dense_index(ds, col: str = "entity_id"):
     """Deterministic 0..N-1 ids over an already-sorted Dataset.
 
     The Dataset API has no zip-with-index, so this drops to raw Ray for the one
-    thing it can't express: per-block offsets. The sorted dataset's blocks are
-    counted (tiny metadata tasks), a prefix sum computed on the driver, and
-    each block gets a range column — no data leaves the object store.
+    thing it can't express: per-block offsets. The sorted dataset is
+    materialized, its per-block row counts read from Ray's block metadata
+    (``util.block_rows``: no task, no data moved), a prefix sum computed on
+    the driver, and each block gets a range column — no data leaves the
+    object store.
     """
     import ray
+    import ray.data as rd
 
-    @ray.remote
-    def count_rows(t: pa.Table) -> int:
-        return t.num_rows
+    from text_to_graph_ray.util import block_rows
 
     @ray.remote
     def with_index(t: pa.Table, offset: int) -> pa.Table:
@@ -187,15 +188,9 @@ def add_dense_index(ds, col: str = "entity_id"):
         idx = pa.array(np.arange(offset, offset + t.num_rows, dtype="int64"))
         return t.add_column(0, col, idx)
 
-    mds = ds.materialize()
-    refs = mds.to_arrow_refs()
-    counts = ray.get([count_rows.remote(r) for r in refs])
-    offsets = []
+    out_refs = []
     total = 0
-    for c in counts:
-        offsets.append(total)
-        total += c
-    out_refs = [with_index.remote(r, o) for r, o in zip(refs, offsets)]
-    import ray.data as rd
-
+    for ref, n in block_rows(ds.materialize()):
+        out_refs.append(with_index.remote(ref, total))
+        total += n
     return rd.from_arrow_refs(out_refs)

@@ -23,10 +23,41 @@ import json
 import os
 import zlib
 
+import pyarrow as pa
+import pyarrow.compute as pc
+
+
+def _part_of_key(key: str, num_partitions: int) -> int:
+    return zlib.crc32(key.encode("utf-8")) % num_partitions
+
 
 def part_of(repo: str, path: str, num_partitions: int) -> int:
     """Stable partition id of a file row (crc32 — process-independent)."""
-    return zlib.crc32(f"{repo}\x00{path}".encode("utf-8")) % num_partitions
+    return _part_of_key(f"{repo}\x00{path}", num_partitions)
+
+
+def require_file_keys(repo, path) -> None:
+    """Raise a ``ValueError`` naming the column when ``repo`` or ``path``
+    holds a null: a file row's partition, provenance and entity keys are all
+    built from the pair."""
+    for name, col in (("repo", repo), ("path", path)):
+        if col.null_count:
+            raise ValueError(
+                f"input column {name!r} has {col.null_count} null value(s); every file row needs a repo and a path"
+            )
+
+
+def part_ids(repo, path, num_partitions: int) -> pa.Array:
+    """``part_of`` over Arrow columns, row for row: crc32 runs once per
+    DISTINCT ``repo\\x00path`` of the batch (every extracted record of a file
+    shares its file's key) and is mapped back with ``index_in`` + ``take``."""
+    require_file_keys(repo, path)
+    keys = pc.binary_join_element_wise(repo.cast(pa.string()), path.cast(pa.string()), "\x00")
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    distinct = pc.unique(keys)
+    ids = pa.array([_part_of_key(k, num_partitions) for k in distinct.to_pylist()], type=pa.int64())
+    return ids.take(pc.index_in(keys, value_set=distinct))
 
 
 def input_fingerprint(input_path: str) -> str:

@@ -45,7 +45,7 @@ def read_parquet_clean(path, **kwargs):
             cols = kwargs.get("columns")
             kwargs = dict(kwargs, schema=pa.schema([full.field(c) for c in cols]) if cols else full)
             out = rd.read_parquet(path, **kwargs)
-            out._graft_source = path  # footer-count hint (dedup._metadata_row_count)
+            out._graft_source = path  # footer-count hint (parquet_row_count)
             return out
         except (KeyError, OSError):
             pass
@@ -56,6 +56,39 @@ def read_parquet_clean(path, **kwargs):
     # (e.g. signature_join="auto") count rows from parquet footers instead of
     # executing a full scan
     out._graft_source = path
+    return out
+
+
+def parquet_row_count(path) -> int:
+    """THE row counter for data on disk: rows in a parquet file, a directory
+    tree of them, or a list of files, summed from the footers (no data page
+    read, no Ray job). A missing path raises rather than answer 0."""
+    import pyarrow.parquet as pq
+
+    if isinstance(path, str):
+        if os.path.isdir(path):
+            files = [os.path.join(r, n) for r, _, ns in os.walk(path) for n in ns if n.endswith(".parquet")]
+        elif os.path.isfile(path):
+            files = [path]
+        else:
+            raise FileNotFoundError(path)
+    else:
+        files = list(path)
+    return sum(pq.read_metadata(f).num_rows for f in files)
+
+
+def block_rows(mds) -> list:
+    """THE row counter for data in the object store: ``[(block_ref,
+    num_rows)]`` of a MATERIALIZED dataset in block order, from Ray's block
+    metadata (no task, no data moved; on Arrow datasets the refs are what
+    ``to_arrow_refs`` returns). A block without a row count raises: reading
+    it as empty would silently drop or misnumber rows."""
+    out = []
+    for bundle in mds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows is None:
+                raise ValueError(f"block {ref.hex()} has no row count in its metadata")
+            out.append((ref, meta.num_rows))
     return out
 
 
@@ -136,15 +169,9 @@ def compact_nonempty(mds):
     pandas blocks."""
     import ray.data as rd
 
-    keep = []
-    dropped = False
-    for bundle in mds.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows:
-                keep.append(ref)
-            else:
-                dropped = True
-    if not keep or not dropped:
+    blocks = block_rows(mds)
+    keep = [ref for ref, n in blocks if n]
+    if not keep or len(keep) == len(blocks):
         return mds
     return rd.from_arrow_refs(keep)
 

@@ -89,3 +89,47 @@ def test_part_of_stable():
 
     assert part_of("r", "p", 64) == part_of("r", "p", 64)
     assert 0 <= part_of("acme/web", "src/a.py", 64) < 64
+
+
+def _corpus_by_partition(n_parts: int, per_part: int) -> dict[int, list[dict]]:
+    """``per_part`` small python files in each of ``n_parts`` partitions."""
+    from text_to_graph_ray.state.checkpoint import part_of
+
+    by_part: dict[int, list[dict]] = {p: [] for p in range(n_parts)}
+    i = 0
+    while any(len(v) < per_part for v in by_part.values()):
+        f = {"repo": "o/r", "path": f"src/m{i}.py", "commit": "c", "lang": "python"}
+        f["content"] = f"def f{i}():\n    g{i}()\n"
+        bucket = by_part[part_of(f["repo"], f["path"], n_parts)]
+        if len(bucket) < per_part:
+            bucket.append(f)
+        i += 1
+    return by_part
+
+
+def _write_files(path: str, files: list[dict]) -> str:
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    cols = ["repo", "path", "commit", "lang", "content"]
+    pq.write_table(pa.table({c: [f[c] for f in files] for c in cols}), path)
+    return path
+
+
+def test_no_resume_drops_other_inputs_partitions(ray_session, tmp_path):
+    """``resume=False`` over an output dir built from a bigger input must
+    not merge that input's other partitions into the new graph."""
+    from text_to_graph_ray.config import PipelineConfig
+    from text_to_graph_ray.pipelines import kg
+
+    cfg = PipelineConfig(num_partitions=4)
+    by_part = _corpus_by_partition(4, 2)
+    a = _write_files(str(tmp_path / "a.parquet"), [f for fs in by_part.values() for f in fs])
+    b = _write_files(str(tmp_path / "b.parquet"), by_part[0])
+    out = str(tmp_path / "out")
+    assert kg.run(a, out, cfg)["parts_computed"] == 4
+    r = kg.run(b, out, cfg, resume=False)
+    clean = kg.run(b, str(tmp_path / "clean"), cfg)
+    assert r == clean
+    assert _read_sorted(f"{out}/nodes").equals(_read_sorted(f"{tmp_path}/clean/nodes"))
+    assert _read_sorted(f"{out}/edges").equals(_read_sorted(f"{tmp_path}/clean/edges"))

@@ -1,50 +1,42 @@
-"""AliasResolver + NgramScorer unit behavior (no Ray needed — defs_idx passed
-directly; the actor path is covered by the pipeline tests)."""
+"""MergedLinker + NgramScorer unit behavior (no Ray needed — the defs table
+is passed directly; the relink pass is covered by the pipeline tests)."""
 
 import pyarrow as pa
 
-from text_to_graph_ray.stages.linker import AliasResolver, NgramScorer, build_defs_index
+from text_to_graph_ray.stages.linker import MergedLinker, NgramScorer
 
 
-def test_build_defs_index():
-    idx = build_defs_index([("f", "src.a.m"), ("f", "src.b.m2"), ("g", "src.a.m")])
-    assert idx == {"f": {"src.a.m", "src.b.m2"}, "g": {"src.a.m"}}
+def _defs(pairs) -> pa.Table:
+    return pa.table({"k1": pa.array([n for n, _ in pairs]), "k2": pa.array([m for _, m in pairs])})
 
 
-def _batch(kind, a, c=""):
-    return pa.table(
-        {
-            "repo": ["r"],
-            "path": ["p"],
-            "content_sha256": ["h"],
-            "chunk_index": [0],
-            "ord": [0],
-            "kind": [kind],
-            "a": [a],
-            "b": ["calls"],
-            "c": [c],
-        }
-    )
+def _merged(rows) -> pa.Table:
+    """Merged-graph rows (kind, k1, k2, k3): an edge is (k1 pred k3), a node's
+    k3 is its packed type set."""
+    cols = ["kind", "k1", "k2", "k3"]
+    return pa.table({c: pa.array([r[i] for r in rows], type=pa.string()) for i, c in enumerate(cols)})
 
 
 def test_resolver_rewrites_dotted_alias():
-    r = AliasResolver(defs_idx={"helper": {"src.pkg.mod"}})
-    out = r(_batch("edge", "g", "pkg.mod.helper"))
-    assert out.column("c_key").to_pylist() == ["helper"]
-    assert out.column("a_key").to_pylist() == ["g"]
+    linker = MergedLinker(defs_idx=_defs([("helper", "src.pkg.mod")]))
+    out = linker(_merged([("e", "g", "calls", "pkg.mod.helper"), ("n", "pkg.mod.helper", "helper", "function")]))
+    assert out.column("k1").to_pylist() == ["g", "helper"]
+    assert out.column("k3").to_pylist() == ["helper", "function"]  # a node's type set is never rewritten
+    assert out.column("changed").to_pylist() == [True, True]
 
 
 def test_resolver_leaves_unresolvable():
-    r = AliasResolver(defs_idx={"helper": {"src.a.m", "src.b.m"}})
-    out = r(_batch("edge", "os.path", "m.helper"))
-    assert out.column("a_key").to_pylist() == ["os.path"]
-    assert out.column("c_key").to_pylist() == ["m.helper"]  # ambiguous: untouched
+    linker = MergedLinker(defs_idx=_defs([("helper", "src.a.m"), ("helper", "src.b.m")]))
+    out = linker(_merged([("e", "os.path", "calls", "m.helper")]))
+    assert out.column("k1").to_pylist() == ["os.path"]
+    assert out.column("k3").to_pylist() == ["m.helper"]  # ambiguous: untouched
+    assert out.column("changed").to_pylist() == [False]
 
 
 def test_resolver_memo_cache():
-    r = AliasResolver(defs_idx={"f": {"m.x"}})
-    r(_batch("edge", "x.f", "x.f"))
-    assert r.memo["x.f"] == "f"
+    linker = MergedLinker(defs_idx=_defs([("f", "m.x")]))
+    linker(_merged([("e", "x.f", "calls", "x.f")]))
+    assert linker.memo["x.f"] == "f"
 
 
 def test_ngram_scorer_self_match_and_determinism():

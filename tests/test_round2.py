@@ -18,14 +18,16 @@ def _sorted(df, cols):
     return df[cols].sort_values(cols).reset_index(drop=True)
 
 
-def test_distributed_linking_matches_broadcast(ray_session, small_corpus):
-    """Forcing defs_broadcast_max=0 routes linking through the shuffle-join
-    fallback; the graph must be value-identical to the broadcast path."""
+def test_distributed_linking_matches_broadcast(ray_session, small_corpus, monkeypatch):
+    """Forcing kg.DEFS_BROADCAST_MAX to 0 routes linking through the
+    shuffle-join fallback; the graph must be value-identical to the broadcast
+    path."""
     from text_to_graph_ray.config import PipelineConfig
     from text_to_graph_ray.pipelines import kg
 
     n1, e1 = kg.graph_tables(small_corpus["path"], PipelineConfig(num_partitions=8))
-    n2, e2 = kg.graph_tables(small_corpus["path"], PipelineConfig(num_partitions=8, defs_broadcast_max=0))
+    monkeypatch.setattr(kg, "DEFS_BROADCAST_MAX", 0)
+    n2, e2 = kg.graph_tables(small_corpus["path"], PipelineConfig(num_partitions=8))
     assert _sorted(n1.to_pandas(), NODE_COLS).equals(_sorted(n2.to_pandas(), NODE_COLS))
     assert _sorted(e1.to_pandas(), EDGE_COLS).equals(_sorted(e2.to_pandas(), EDGE_COLS))
 

@@ -478,7 +478,7 @@ def _write_corpus(tmp_path, rows):
     return p
 
 
-def test_link_pruning_matches_distributed_no_dotted(ray_session, tmp_path):
+def test_link_pruning_matches_distributed_no_dotted(ray_session, tmp_path, monkeypatch):
     """A corpus with NO dotted mention keys takes the skip-linker early
     return; the graph must equal the (unpruned) shuffle-join fallback's."""
     from text_to_graph_ray.config import PipelineConfig
@@ -486,12 +486,13 @@ def test_link_pruning_matches_distributed_no_dotted(ray_session, tmp_path):
 
     p = _write_corpus(tmp_path, [("o/r", "src/a.py", "def f():\n    g()\n"), ("o/r", "src/b.py", "def g():\n    pass\n")])
     n1, e1 = kg.graph_tables(p, PipelineConfig(num_partitions=4))
-    n2, e2 = kg.graph_tables(p, PipelineConfig(num_partitions=4, defs_broadcast_max=0))
+    monkeypatch.setattr(kg, "DEFS_BROADCAST_MAX", 0)
+    n2, e2 = kg.graph_tables(p, PipelineConfig(num_partitions=4))
     assert _sorted(n1.to_pandas(), NODE_COLS).equals(_sorted(n2.to_pandas(), NODE_COLS))
     assert _sorted(e1.to_pandas(), EDGE_COLS).equals(_sorted(e2.to_pandas(), EDGE_COLS))
 
 
-def test_link_pruning_matches_distributed_no_candidate_defs(ray_session, tmp_path):
+def test_link_pruning_matches_distributed_no_candidate_defs(ray_session, tmp_path, monkeypatch):
     """Dotted keys exist but NO defined name matches them: the pruned defs
     table is empty, link takes the identity early return, and the graph must
     equal the shuffle-join fallback's (which sees the full defs table)."""
@@ -503,7 +504,8 @@ def test_link_pruning_matches_distributed_no_candidate_defs(ray_session, tmp_pat
         [("o/r", "src/a.py", "def f():\n    os.path.join()\n"), ("o/r", "src/b.py", "def g():\n    f()\n")],
     )
     n1, e1 = kg.graph_tables(p, PipelineConfig(num_partitions=4))
-    n2, e2 = kg.graph_tables(p, PipelineConfig(num_partitions=4, defs_broadcast_max=0))
+    monkeypatch.setattr(kg, "DEFS_BROADCAST_MAX", 0)
+    n2, e2 = kg.graph_tables(p, PipelineConfig(num_partitions=4))
     assert _sorted(n1.to_pandas(), NODE_COLS).equals(_sorted(n2.to_pandas(), NODE_COLS))
     assert _sorted(e1.to_pandas(), EDGE_COLS).equals(_sorted(e2.to_pandas(), EDGE_COLS))
 

@@ -315,13 +315,14 @@ class TestChainedReexports:
         calls = edf[edf["pred"] == "calls"]
         assert set(calls["dst_key"]) == {"fn"}  # both dotted call edges rewritten
 
-    def test_reexports_distributed_matches_broadcast(self, ray_session, tmp_path):
+    def test_reexports_distributed_matches_broadcast(self, ray_session, tmp_path, monkeypatch):
         from text_to_graph_ray.config import PipelineConfig
         from text_to_graph_ray.pipelines import kg
 
         p = self._corpus(tmp_path)
         n1, e1 = kg.graph_tables(p, PipelineConfig(num_partitions=4, reexports=self.RX))
-        n2, e2 = kg.graph_tables(p, PipelineConfig(num_partitions=4, reexports=self.RX, defs_broadcast_max=0))
+        monkeypatch.setattr(kg, "DEFS_BROADCAST_MAX", 0)
+        n2, e2 = kg.graph_tables(p, PipelineConfig(num_partitions=4, reexports=self.RX))
         cols_n = ["entity_id", "entity_key", "label", "types_packed", "repos_packed"]
         cols_e = ["src_key", "pred", "dst_key", "repos_packed"]
         assert (
@@ -333,7 +334,7 @@ class TestChainedReexports:
             .equals(e2.to_pandas()[cols_e].sort_values(cols_e).reset_index(drop=True))
         )
 
-    def test_reexport_without_defs_still_rewrites(self, ray_session, tmp_path):
+    def test_reexport_without_defs_still_rewrites(self, ray_session, tmp_path, monkeypatch):
         """A declared alias whose target has NO definition anywhere still
         rewrites onto the (dotted) closed target, on both paths."""
         from text_to_graph_ray.config import PipelineConfig
@@ -341,8 +342,9 @@ class TestChainedReexports:
 
         p = self._corpus(tmp_path)
         rx = (("pkg.fn", "vendor.blob"),)
-        for extra in ({}, {"defs_broadcast_max": 0}):
-            n, e = kg.graph_tables(p, PipelineConfig(num_partitions=4, reexports=rx, **extra))
+        for broadcast_max in (kg.DEFS_BROADCAST_MAX, 0):
+            monkeypatch.setattr(kg, "DEFS_BROADCAST_MAX", broadcast_max)
+            n, e = kg.graph_tables(p, PipelineConfig(num_partitions=4, reexports=rx))
             keys = set(n.to_pandas()["entity_key"])
             assert "pkg.fn" not in keys and "vendor.blob" in keys
 

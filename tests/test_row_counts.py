@@ -1,9 +1,12 @@
 """Row counts come from metadata: parquet footers for what ``kg.run`` wrote,
 Ray block metadata for materialized datasets. These tests pin the counts
 against the tables themselves, the vectorized partition kernel against
-``part_of``, and the named error for a null file key."""
+``part_of``, the partition set ``kg.run`` reads off its own checkpoint, and
+the named errors for a null file key and an empty input."""
 
 import os
+import re
+import shutil
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -149,3 +152,76 @@ def test_null_file_key_named_error_graph_tables(ray_session, tmp_path, col):
 def test_part_ids_null_raises_value_error():
     with pytest.raises(ValueError, match="input column 'path' has 1 null value"):
         part_ids(pa.array(["r", "r"]), pa.array(["a", None]), 8)
+
+
+# ---------------------------------------------------------------------------
+# the partition set comes from the checkpoint, not from a scan of the input
+# ---------------------------------------------------------------------------
+
+
+def test_noop_rerun_reads_nothing(ray_session, small_corpus, tmp_path, monkeypatch):
+    from text_to_graph_ray.pipelines import kg
+
+    out = str(tmp_path / "out")
+    r1 = kg.run(small_corpus["path"], out, CFG)
+    store = CheckpointStore(f"{out}/checkpoints", CFG.config_hash())
+    assert store.manifest("graph", 0)["parts"] == r1["parts_total"]
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a no-op rerun read parquet")
+
+    monkeypatch.setattr(kg, "read_parquet_clean", no_read)
+    r2 = kg.run(small_corpus["path"], out, CFG)
+    assert r2 == {**r1, "parts_skipped": r1["parts_total"], "parts_computed": 0}
+
+
+_EDGE_FILES = [
+    ("o/r", "src/empty.py", "python", ""),
+    ("o/r", "src/null.py", "python", None),
+    ("o/r", "README", None, "some text. more text."),
+    ("o/r", "prog.cob", "cobol", "IDENTIFICATION DIVISION."),
+    ("o/r", "src/pkg/mod.py", "python", "def f():\n    g()\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg", [CFG, PipelineConfig.high_resolution(num_partitions=8)], ids=["single_pass", "two_pass"]
+)
+def test_every_file_yields_a_record(ray_session, cfg):
+    """``kg.run`` takes the computed partitions from the directories its
+    records write created, so every input file must yield a record."""
+    import ray.data as rd
+
+    from text_to_graph_ray.pipelines import kg
+
+    cols = ["repo", "path", "lang", "content"]
+    files = pa.table({c: pa.array([f[i] for f in _EDGE_FILES], type=pa.string()) for i, c in enumerate(cols)})
+    records = kg.extract_chain(rd.from_arrow(files), cfg).to_pandas()
+    assert set(zip(records["repo"], records["path"])) == {(f[0], f[1]) for f in _EDGE_FILES}
+
+
+def test_graph_rebuild_recomputes_no_partition(ray_session, small_corpus, tmp_path):
+    from text_to_graph_ray.pipelines import kg
+
+    out = str(tmp_path / "out")
+    r1 = kg.run(small_corpus["path"], out, CFG)
+    store = CheckpointStore(f"{out}/checkpoints", CFG.config_hash())
+    store.invalidate_parts("graph", [0])
+    shutil.rmtree(f"{out}/nodes")
+    r2 = kg.run(small_corpus["path"], out, CFG)
+    clean = kg.run(small_corpus["path"], str(tmp_path / "clean"), CFG)
+    assert r2 == {**clean, "parts_skipped": clean["parts_total"], "parts_computed": 0}
+    assert r1 == clean
+    _assert_counts_match(out, r2)
+
+
+def test_empty_input_named_error(ray_session, tmp_path):
+    from text_to_graph_ray.pipelines import kg
+
+    p = str(tmp_path / "empty.parquet")
+    cols = ["repo", "path", "commit", "lang", "content"]
+    pq.write_table(pa.table({c: pa.array([], type=pa.string()) for c in cols}), p)
+    with pytest.raises(ValueError, match=re.escape(f"input '{p}' has no rows")):
+        kg.run(p, str(tmp_path / "out"), CFG)
+    nodes, edges = kg.graph_tables(p, CFG)
+    assert (nodes.count(), edges.count()) == (0, 0)

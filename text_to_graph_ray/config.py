@@ -48,11 +48,6 @@ class PipelineConfig:
     num_partitions: int = 64        # checkpoint/shuffle partition count
     batch_size: int = 1024          # rows per map_batches call on file-level stages
     stop_entities: tuple = field(default_factory=tuple)  # entity keys dropped pre-shuffle
-    # linking scale guard: the name-pruned defs table is broadcast into the
-    # one stateless relink pass while it fits (<= defs_broadcast_max
-    # def-site rows), else the shuffle-join fallback runs (defs table stays
-    # distributed)
-    defs_broadcast_max: int = 2_000_000
 
     @property
     def max_tokens(self) -> int:

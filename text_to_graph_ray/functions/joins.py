@@ -254,7 +254,7 @@ def filter_by_keys(left, right, key: str, right_key: str | None = None, mode: st
     Both plans are value-identical (test forces broadcast_max=0).
 
     Contract: ``key`` is non-null on both sides (ids). Same discipline as
-    kg.defs_broadcast_max / dedup._drop_removed, generalized.
+    kg.DEFS_BROADCAST_MAX / dedup._drop_removed, generalized.
     """
     import ray
 

@@ -27,6 +27,8 @@ Nothing here calls ray.init(); callers own the session.
 
 from __future__ import annotations
 
+import os
+import shutil
 import time
 
 import pyarrow as pa
@@ -58,8 +60,6 @@ def _input_blocks(input_path: str) -> int:
     Ray's default sizing targets much larger blocks and would serialize small
     corpora onto one task; capped so huge inputs don't explode the task
     count."""
-    import os
-
     total = 0
     if os.path.isdir(input_path):
         for root, _, names in os.walk(input_path):
@@ -148,10 +148,11 @@ def defs_table_from_merged(merged, names: pa.Array | None = None):
 
     This is the BROADCAST representation: at 800k defs, collecting a Python
     dict cost 4.4 s on the driver + 2.3 s to ``ray.put`` (pickle) + ~2 s to
-    deserialize PER linker actor — all width-insensitive wall that capped
+    deserialize per consumer — all width-insensitive wall that capped
     scaling efficiency. Arrow buffers collect via ``to_arrow_refs`` (no
     driver-side row loop), ``ray.put`` zero-copy, and map zero-copy into
-    every actor; each actor builds its lookup dict once from the table.
+    every worker process of the relink pass, whose cached ``MergedLinker``
+    builds the lookup dict once per process.
 
     ``names`` (small, from :func:`dotted_query_names`) pushes a semi-join
     prune INTO the workers: only def rows whose name can actually be probed
@@ -233,16 +234,23 @@ def _remerge_all(rows, cfg: PipelineConfig):
     return _remerge(rows, cfg).materialize()
 
 
+# linking scale guard: the name-pruned defs table is broadcast into the one
+# stateless relink pass while it has at most this many def-site rows, else
+# the shuffle-join fallback keeps it distributed. Not a config field: both
+# plans write the same graph, so it has no place in the checkpoint identity.
+DEFS_BROADCAST_MAX = 2_000_000
+
+
 def link_merged(merged, cfg: PipelineConfig = DEFAULT_CONFIG):
     """Entity linking over the merged vocabulary. The defs index is the small
     side of a join — and it is pruned to the names the alias rule can actually
     probe (distinct last segments of dotted vocabulary keys) BEFORE it is
-    sized: broadcast while the pruned table fits (<= cfg.defs_broadcast_max
+    sized: broadcast while the pruned table fits (<= ``DEFS_BROADCAST_MAX``
     rows) into the one stateless ``relink_merged`` pass, else fall back to the
     shuffle-join path where the def-site table stays distributed. With
     nothing the alias rule could rewrite, linking is skipped. Both paths
     produce hash-identical graphs (asserted in tests/test_round2.py by
-    forcing the threshold to 0)."""
+    patching the threshold to 0)."""
     import ray
 
     from text_to_graph_ray.keys import close_reexports
@@ -256,7 +264,7 @@ def link_merged(merged, cfg: PipelineConfig = DEFAULT_CONFIG):
     if n_upper == 0 and not closed:
         # nothing the alias rule could rewrite: skip the linker pass entirely
         return _drop_def_rows(merged)
-    if n_upper <= cfg.defs_broadcast_max:
+    if n_upper <= DEFS_BROADCAST_MAX:
         name_arrays = [
             t.column("name").combine_chunks().cast(pa.string()) for t in ray.get([r for r, n in qblocks if n])
         ]
@@ -271,7 +279,7 @@ def link_merged(merged, cfg: PipelineConfig = DEFAULT_CONFIG):
         if pruned.num_rows == 0 and not closed:
             # no dotted key has any candidate definition: identity relink
             return _drop_def_rows(merged)
-        if pruned.num_rows <= cfg.defs_broadcast_max:
+        if pruned.num_rows <= DEFS_BROADCAST_MAX:
             return relink_merged(merged, pruned, cfg, reexports=closed)
     return relink_merged_distributed(merged, cfg, reexports=closed)
 
@@ -563,7 +571,7 @@ def scored_fallback_links(
       rounded to 6 dp, sorted by mention.
 
     Two plans, guard sized like every other small-side collect in this repo
-    (defs_broadcast_max / BROADCAST_JOIN_MAX_ROWS discipline):
+    (DEFS_BROADCAST_MAX / BROADCAST_JOIN_MAX_ROWS discipline):
 
     **Broadcast** (distinct vocabulary <= ``vocab_broadcast_max``): vocab
     collected once, ``ray.put``, each ScoredLinkStage actor builds the dense
@@ -774,6 +782,11 @@ def _unpack_lists(batch: pa.Table) -> pa.Table:
     return out
 
 
+def _part_dirs(rec_dir: str) -> set[int]:
+    """Partition ids that have a ``part_id=p`` directory in the records stage."""
+    return {int(n[len("part_id=") :]) for n in os.listdir(rec_dir) if n.startswith("part_id=")}
+
+
 def run(
     input_path: str,
     out_dir: str,
@@ -793,19 +806,28 @@ def run(
     — both keep a long-lived checkpoint root bounded on a 100-TB run that
     iterates on config.
 
+    The input is read once. The checkpoint is the only record of which
+    partitions exist: ``done`` is the set of records manifests written for
+    this input fingerprint (none when ``resume=False``), every
+    ``records/part_id=p/`` directory outside it is removed before the read,
+    the read drops the rows of done partitions, and the partitions it
+    computed are the directories its write created. Every input file yields
+    at least one record (its containment edges), so ``done`` and the computed
+    set together are all of the input's partitions; the ``graph`` manifest
+    stores their number as ``parts``. A rerun whose fingerprint matches,
+    whose valid records manifests number ``parts`` and whose ``nodes/`` and
+    ``edges/`` exist returns the manifest's counters without starting a Ray
+    job. An input with no rows raises a ``ValueError`` naming the path.
+
     Every count comes from parquet footers of what this call wrote, never
     from a Ray job: a computed partition's lineage ``rows`` is the footer sum
-    of its ``records/part_id=k/`` directory (cleared just before the write,
-    so exactly the files the merge reads next), the ``merged`` manifest's
+    of its ``records/part_id=k/`` directory, the ``merged`` manifest's
     ``rows`` that of ``merged/``, and the ``nodes``/``edges`` counters those
     of ``nodes/``/``edges/``. A null ``repo`` or ``path`` raises a
     ``ValueError`` naming the column.
 
     Returns counters {parts_total, parts_skipped, parts_computed, nodes, edges}.
     """
-    import os
-    import shutil
-
     from text_to_graph_ray.state.checkpoint import gc_config_roots, input_fingerprint
 
     t0 = time.monotonic()
@@ -813,110 +835,90 @@ def run(
     if gc_keep_configs is not None:
         gc_config_roots(f"{out_dir}/checkpoints", keep_last=gc_keep_configs, current=cfg.config_hash())
     fp = input_fingerprint(input_path)
-    if resume:
-        existing = store.counters("records")
-        if any(m is None or m.get("input_fingerprint") != fp for m in existing.values()):
-            # input changed since (part of) the checkpoint was written: stale
-            # data files could alias partitions that no longer exist — wipe
-            # the stage rather than trust any of it
-            store.clear_stage("records")
-            done: set[int] = set()
-        else:
-            done = set(existing)
-    else:
-        done = set()
+    existing = store.counters("records")
+    if not resume or any(m is None or m.get("input_fingerprint") != fp for m in existing.values()):
+        # no resume, or the input changed since (part of) the checkpoint was
+        # written: stale data files could alias partitions that no longer
+        # exist — wipe the stage rather than trust any of it
+        store.clear_stage("records")
+        existing = {}
+    done = set(existing)
 
-    # which partitions exist in the input: distributed — per-batch distinct
-    # part_ids, then one tiny groupby; only <= num_partitions rows ever reach
-    # the driver (at 10^12 input rows the old iter_batches loop was the first
-    # thing to die)
-    key_ds = read_parquet_clean(input_path, columns=["repo", "path"])
-
-    def batch_parts(b: pa.Table, n=cfg.num_partitions) -> pa.Table:
-        return pa.table({"part_id": pc.unique(part_ids(b.column("repo"), b.column("path"), n))})
-
-    all_parts: set[int] = set(key_ds.map_batches(batch_parts, batch_format="pyarrow").unique("part_id"))
-    pending = sorted(all_parts - done)
-
-    rec_dir = store.stage_dir("records")
-    if pending:
-        # a killed run can leave data files for partitions whose manifest was
-        # never written — clear them so recompute is an idempotent overwrite
-        # (the reference's delete-then-insert, sqlite_support.py:492-531)
-        for p in pending:
-            shutil.rmtree(f"{rec_dir}/part_id={p}", ignore_errors=True)
-        pend = pa.array(pending, type=pa.int64())
-        ds = read_parquet_clean(input_path, columns=["repo", "path", "lang", "content"])
-        ds = ds.map_batches(lambda b: _with_part(b, cfg.num_partitions), batch_format="pyarrow")
-        ds = ds.map_batches(lambda b: b.filter(pc.is_in(b.column("part_id"), value_set=pend)), batch_format="pyarrow")
-        ds = extract_chain(ds, cfg)  # the same chain as records_dataset — two_pass etc. honored
-        ds = ds.map_batches(lambda b: _with_part(b, cfg.num_partitions), batch_format="pyarrow")
-        ds.write_parquet(rec_dir, partition_cols=["part_id"])
-
-        # lineage + counters per freshly-computed partition, from the footers
-        # of the files just written (a partition with no records has no dir)
-        wall_ms = int((time.monotonic() - t0) * 1000)
-        for p in pending:
-            d = f"{rec_dir}/part_id={p}"
-            rows = parquet_row_count(d) if os.path.isdir(d) else 0
-            store.mark_done("records", p, rows=rows, input_fingerprint=fp, wall_ms=wall_ms)
-
-    # wide stages read the checkpointed records
     gm = store.manifest("graph", 0)
     if (
-        not pending
-        and gm
+        gm
         and gm.get("input_fingerprint") == fp
+        and gm.get("parts") == len(done)
         and os.path.isdir(f"{out_dir}/nodes")
         and os.path.isdir(f"{out_dir}/edges")
     ):
-        m = gm
-        return {
-            "parts_total": len(all_parts),
-            "parts_skipped": len(all_parts),
-            "parts_computed": 0,
-            "nodes": m["nodes"],
-            "edges": m["edges"],
-        }
-    for d in (f"{out_dir}/nodes", f"{out_dir}/edges"):
-        shutil.rmtree(d, ignore_errors=True)
-
-    def read_records():
-        return read_parquet_clean(rec_dir)
-
-    # second checkpoint level: the (vocabulary-sized) merged+linked graph.
-    # A run that died between canonicalization and the final sink resumes
-    # here without re-reading the records or re-running the shuffle.
-    merged_dir = store.stage_dir("merged")
-    mm = store.manifest("merged", 0)
-    if not pending and mm and mm.get("input_fingerprint") == fp and any(os.scandir(merged_dir)):
-        merged = read_parquet_clean(merged_dir)
+        computed, n_nodes, n_edges = set(), gm["nodes"], gm["edges"]
     else:
-        store.clear_stage("merged")
-        merged = merged_graph(keyed_records(read_records(), cfg), cfg)
-        if cfg.link_aliases:
-            merged = link_merged(merged, cfg)
-        merged.write_parquet(store.stage_dir("merged"))
-        merged = read_parquet_clean(merged_dir)
-        store.mark_done("merged", 0, rows=parquet_row_count(merged_dir), input_fingerprint=fp)
-    nodes = nodes_from_merged(merged).map_batches(_unpack_lists, batch_format="pyarrow")
-    nodes.write_parquet(f"{out_dir}/nodes")
-    edges = edges_from_merged(merged).map_batches(_unpack_lists, batch_format="pyarrow")
-    edges.write_parquet(f"{out_dir}/edges")
+        rec_dir = store.stage_dir("records")
+        # a killed run can leave data files for partitions whose manifest was
+        # never written — clear them so recompute is an idempotent overwrite
+        # (the reference's delete-then-insert, sqlite_support.py:492-531)
+        for p in _part_dirs(rec_dir) - done:
+            shutil.rmtree(f"{rec_dir}/part_id={p}")
+        done_ids = pa.array(sorted(done), type=pa.int64())
 
-    n_nodes = parquet_row_count(f"{out_dir}/nodes")
-    n_edges = parquet_row_count(f"{out_dir}/edges")
-    store.mark_done(
-        "graph", 0, nodes=n_nodes, edges=n_edges, input_fingerprint=fp, wall_ms=int((time.monotonic() - t0) * 1000)
-    )
-    # run completed: fold per-partition manifest rows into one snapshot so
-    # the manifest dir stays O(1) files across arbitrarily many run/resume
-    # cycles (resume reads the snapshot + any newer individual rows)
-    store.compact()
+        def undone(b: pa.Table) -> pa.Table:
+            ids = part_ids(b.column("repo"), b.column("path"), cfg.num_partitions)
+            return b.filter(pc.invert(pc.is_in(ids, value_set=done_ids)))
+
+        ds = read_parquet_clean(input_path, columns=["repo", "path", "lang", "content"])
+        ds = extract_chain(ds.map_batches(undone, batch_format="pyarrow"), cfg)  # two_pass etc. honored
+        ds = ds.map_batches(lambda b: _with_part(b, cfg.num_partitions), batch_format="pyarrow")
+        ds.write_parquet(rec_dir, partition_cols=["part_id"])
+        # every input file yields a record, so the write created a dir for
+        # exactly the partitions that were not done
+        computed = _part_dirs(rec_dir) - done
+        if not done | computed:
+            raise ValueError(f"input {input_path!r} has no rows: there is no graph to build")
+
+        # lineage + counters per freshly-computed partition, from the footers
+        # of the files just written
+        wall_ms = int((time.monotonic() - t0) * 1000)
+        for p in sorted(computed):
+            rows = parquet_row_count(f"{rec_dir}/part_id={p}")
+            store.mark_done("records", p, rows=rows, input_fingerprint=fp, wall_ms=wall_ms)
+
+        for d in (f"{out_dir}/nodes", f"{out_dir}/edges"):
+            shutil.rmtree(d, ignore_errors=True)
+        # second checkpoint level: the (vocabulary-sized) merged+linked graph.
+        # A run that died between canonicalization and the final sink resumes
+        # here without re-reading the records or re-running the shuffle.
+        merged_dir = store.stage_dir("merged")
+        mm = store.manifest("merged", 0)
+        if not computed and mm and mm.get("input_fingerprint") == fp and any(os.scandir(merged_dir)):
+            merged = read_parquet_clean(merged_dir)
+        else:
+            store.clear_stage("merged")
+            merged = merged_graph(keyed_records(read_parquet_clean(rec_dir), cfg), cfg)
+            if cfg.link_aliases:
+                merged = link_merged(merged, cfg)
+            merged.write_parquet(store.stage_dir("merged"))
+            merged = read_parquet_clean(merged_dir)
+            store.mark_done("merged", 0, rows=parquet_row_count(merged_dir), input_fingerprint=fp)
+        nodes = nodes_from_merged(merged).map_batches(_unpack_lists, batch_format="pyarrow")
+        nodes.write_parquet(f"{out_dir}/nodes")
+        edges = edges_from_merged(merged).map_batches(_unpack_lists, batch_format="pyarrow")
+        edges.write_parquet(f"{out_dir}/edges")
+
+        n_nodes = parquet_row_count(f"{out_dir}/nodes")
+        n_edges = parquet_row_count(f"{out_dir}/edges")
+        wall_ms = int((time.monotonic() - t0) * 1000)
+        store.mark_done(
+            "graph", 0, nodes=n_nodes, edges=n_edges, parts=len(done | computed), input_fingerprint=fp, wall_ms=wall_ms
+        )
+        # run completed: fold per-partition manifest rows into one snapshot so
+        # the manifest dir stays O(1) files across arbitrarily many run/resume
+        # cycles (resume reads the snapshot + any newer individual rows)
+        store.compact()
     return {
-        "parts_total": len(all_parts),
-        "parts_skipped": len(all_parts) - len(pending),
-        "parts_computed": len(pending),
+        "parts_total": len(done | computed),
+        "parts_skipped": len(done),
+        "parts_computed": len(computed),
         "nodes": n_nodes,
         "edges": n_edges,
     }

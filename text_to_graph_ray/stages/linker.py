@@ -5,12 +5,13 @@ client, /root/reference/graph_extractor/src/gpt.py:37-70, rebuilt per call
 there) with a deterministic alias resolver + similarity scorer whose state is
 built ONCE per worker process, not per batch:
 
-* the **definitions index** (defined-name key -> set of defining module paths)
-  is broadcast with ``ray.put`` on the driver as an Arrow table and indexed
-  once per process — ``MergedLinker`` is the kernel of the stateless relink
-  pass in ``pipelines/kg.py``, cached per process by the table's ref;
-* a **memo cache** of resolved keys accumulates across batches (the reference's
-  response cache analogue, sqlite_support.py:275-423);
+* the **definitions index** (defined-name key -> defining module paths)
+  travels as one Arrow table (``ray.put`` on the driver); ``MergedLinker``,
+  the kernel of the stateless relink pass in ``pipelines/kg.py``, is cached
+  per worker process by the table's ref and builds its lookup dict once;
+* a **memo cache** of resolved keys on that ``MergedLinker`` accumulates
+  across batches (the reference's response cache analogue,
+  sqlite_support.py:275-423);
 * an optional **char-trigram scorer** (``ScoredLinkStage``, an actor pool)
   ranks near-miss mentions against the canonical vocabulary (the "embedding
   cache + scorer" of the north star).
@@ -37,68 +38,13 @@ def entity_key_array(arr):
     return pc.utf8_lower(pc.utf8_trim_whitespace(pc.replace_substring(arr, pattern="|", replacement="_")))
 
 
-def build_defs_index(defines_rows) -> dict:
-    """(name_key, module_path) pairs -> {name_key: set(module_paths)}."""
-    idx: dict[str, set] = {}
-    for name_key, mod in defines_rows:
-        idx.setdefault(name_key, set()).add(mod)
-    return idx
-
-
-class AliasResolver:
-    """Callable for ``map_batches(AliasResolver, concurrency=N,
-    fn_constructor_kwargs={'defs_ref': ref})`` over record batches: rewrites
-    dotted entity labels onto their unique definition key (keys.resolve_alias
-    rule) and appends resolved-key columns."""
-
-    def __init__(self, defs_ref=None, defs_idx: dict | None = None, reexports: dict | None = None):
-        if defs_idx is None:
-            import ray
-
-            defs_idx = ray.get(defs_ref) if defs_ref is not None else {}
-        self.defs_idx = defs_idx
-        # CLOSED re-export map (keys.close_reexports): chained aliases are
-        # already collapsed, so one lookup replaces the per-key fixpoint loop;
-        # the def-rule hop composes after the re-export hop (re-export wins
-        # on conflict — it is the user-declared mapping)
-        self.reexports = reexports or {}
-        self.memo: dict[str, str] = {}
-
-    def resolve(self, key: str) -> str:
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        cur = self.reexports.get(key, key)
-        tgt = resolve_alias(cur, self.defs_idx) if "." in cur else None
-        out = tgt if tgt is not None else cur
-        self.memo[key] = out
-        return out
-
-    def _resolve_array(self, arr: pa.Array) -> pa.Array:
-        """Vectorized: dictionary-encode the column and resolve only the
-        DISTINCT keys through the (memoized) alias rule — per-row python work
-        drops from O(rows) to O(unique keys per batch)."""
-        keys = entity_key_array(arr)
-        enc = keys.combine_chunks().dictionary_encode() if isinstance(keys, pa.ChunkedArray) else keys.dictionary_encode()
-        uniq = enc.dictionary.to_pylist()
-        mapped = [self.resolve(u) for u in uniq]
-        if mapped == uniq:
-            return keys
-        return pa.array(mapped, type=pa.string()).take(enc.indices)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        a_key = self._resolve_array(batch.column("a"))
-        c_key = self._resolve_array(batch.column("c"))
-        return batch.append_column("a_key", a_key).append_column("c_key", c_key)
-
-
 def defs_dict_from_table(table: pa.Table) -> dict:
     """(k1 name, k2 module) Arrow pairs -> {name: sorted module tuple}.
 
     Runs once per linker process, so the build must be near-vectorized: sort
     (C), detect group boundaries with one numpy object-compare, and take the
     O(n) ``dict(zip(...))`` path when every name is unique (the common case —
-    a per-group Python loop here cost 3.6 s/actor at 800k defs)."""
+    a per-group Python loop here cost 3.6 s per process at 800k defs)."""
     import numpy as np
 
     n = table.num_rows
@@ -120,29 +66,39 @@ class MergedLinker:
 
     Runs on the (already merged, vocabulary-sized) graph rows rather than the
     raw mention stream: resolving once per distinct key instead of once per
-    mention makes the alias rule O(|vocabulary|), and the broadcast defs index
-    is fetched by this one small stage only. The ``changed`` column flags
-    rows whose key was rewritten. Rewrites k1 (both kinds) and k3
-    (edge dst only — for node rows k3 is the packed type set and must pass
+    mention makes the alias rule O(|vocabulary|). ``defs_idx`` is the
+    broadcast (name, module) Arrow table, indexed into a lookup dict once per
+    instance; the relink pass keeps one instance per worker process, so a
+    memo of resolved keys accumulates across its batches. The ``changed``
+    column flags rows whose key was rewritten. Rewrites k1 (both kinds) and
+    k3 (edge dst only — for node rows k3 is the packed type set and must pass
     through untouched)."""
 
-    def __init__(self, defs_ref=None, defs_idx: dict | None = None, reexports: dict | None = None):
-        if defs_idx is None:
-            import ray
+    def __init__(self, defs_idx: pa.Table, reexports: dict | None = None):
+        self.defs_idx = defs_dict_from_table(defs_idx)
+        # CLOSED re-export map (keys.close_reexports): chained aliases are
+        # already collapsed, so one lookup replaces the per-key fixpoint loop;
+        # the def-rule hop composes after the re-export hop (re-export wins
+        # on conflict — it is the user-declared mapping)
+        self.reexports = reexports or {}
+        self.memo: dict[str, str] = {}
 
-            defs_idx = ray.get(defs_ref) if defs_ref is not None else {}
-        if isinstance(defs_idx, pa.Table):
-            # Arrow broadcast (zero-copy from the object store): build the
-            # lookup dict once per process — far cheaper than unpickling a
-            # driver-built dict at large vocabularies
-            defs_idx = defs_dict_from_table(defs_idx)
-        self.r = AliasResolver(defs_idx=defs_idx, reexports=reexports)
+    def resolve(self, key: str) -> str:
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        cur = self.reexports.get(key, key)
+        tgt = resolve_alias(cur, self.defs_idx) if "." in cur else None
+        out = tgt if tgt is not None else cur
+        self.memo[key] = out
+        return out
 
     def _resolve_keys(self, arr: pa.Array) -> pa.Array:
-        # keys are already normalized; only the alias rule applies here
+        # keys are already normalized; only the alias rule applies here, once
+        # per DISTINCT key of the batch
         enc = arr.combine_chunks().dictionary_encode() if isinstance(arr, pa.ChunkedArray) else arr.dictionary_encode()
         uniq = enc.dictionary.to_pylist()
-        mapped = [self.r.resolve(u) for u in uniq]
+        mapped = [self.resolve(u) for u in uniq]
         if mapped == uniq:
             return arr
         return pa.array(mapped, type=pa.string()).take(enc.indices)

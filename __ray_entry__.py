@@ -312,127 +312,6 @@ def _q_text_segment_dedup(sf_dir):
     return segment_dedup(ds)
 
 
-def _q_rel_bucketed_join(sf_dir):
-    """Bucket-map join (round 4): both sides hash-bucketed by custkey at
-    WRITE time (one exchange each, reusable by every later join/groupby on
-    the same key), then an exchange-free per-bucket inner join — one task
-    per bucket reads exactly its own bucket files from both sides. Oracle:
-    plain SQL inner join."""
-    import os
-
-    from text_to_graph_ray.sources.bucketed import bucketed_join, write_bucketed
-    from text_to_graph_ray.util import sort_coalesced
-
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    root = f"/tmp/graft_bucketed/{tag}"
-    cust = read_parquet_clean(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name", "c_acctbal"])
-    orders = read_parquet_clean(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_totalprice"])
-    write_bucketed(cust, "c_custkey", f"{root}/customer", num_buckets=32)
-    write_bucketed(orders, "o_custkey", f"{root}/orders", num_buckets=32)
-    out = bucketed_join(f"{root}/customer", f"{root}/orders", on=("c_custkey", "o_custkey"))
-    return sort_coalesced(out, "o_orderkey")
-
-
-def _q_events_zorder_scan(sf_dir):
-    """Z-order clustered layout + footer-pruned rectangle scan (round 4):
-    events rewritten once clustered by morton(user_id, ts); a
-    (user-range x time-range) aggregate then reads only the row groups
-    whose footer min/max intersect the rectangle (~70% pruned at sf0.01)
-    and exact-filters the survivors. Money kept integer (cents) so the
-    aggregate is association-order-free. Oracle: plain SQL filter +
-    aggregate over the ORIGINAL file — the layout must never change
-    results."""
-    import pandas as pd
-    import pyarrow as pa
-
-    from text_to_graph_ray.functions.agg import bucketed_aggregate
-    from text_to_graph_ray.sources.zorder import pd_ts_to_us, pruned_read, write_zordered
-    from text_to_graph_ray.util import sort_coalesced
-
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    path = f"/tmp/graft_zorder/{tag}/events"
-    ev = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type", "value"])
-    write_zordered(ev, "user_id", "ts", path, rows_per_file=2000, row_group_size=250)
-    t1, t2 = pd_ts_to_us(pd.Timestamp("2024-01-08")), pd_ts_to_us(pd.Timestamp("2024-01-16"))
-    ds = pruned_read(path, [("user_id", 20, 60, "both"), ("ts", t1, t2, "left")])
-
-    out_schema = pa.schema([("event_type", pa.string()), ("n", pa.int64()), ("sum_cents", pa.int64())])
-
-    def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return out_schema.empty_table()
-        import numpy as np
-
-        df = pd.DataFrame({
-            "event_type": b.column("event_type").to_pylist(),
-            "n": 1,
-            # floor(x*100 + 0.5) == SQL floor(value*100 + 0.5): identical
-            # half-up semantics on both engines even if value precision ever
-            # gets finer than the current 2-decimal synth contract
-            "sum_cents": np.floor(b.column("value").to_numpy(zero_copy_only=False) * 100.0 + 0.5).astype("int64"),
-        })
-        g = df.groupby("event_type", as_index=False, sort=False).sum()
-        return pa.table({f.name: pa.array(g[f.name], type=f.type) for f in out_schema}, schema=out_schema)
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    agg = bucketed_aggregate(
-        partials, ["event_type"], {"n": ("n", "sum"), "sum_cents": ("sum_cents", "sum")},
-        out_schema=out_schema, num_buckets=8, in_schema=out_schema,
-    )
-    return sort_coalesced(agg, "event_type")
-
-
-def _q_events_cdc_merge(sf_dir):
-    """CDC MERGE (upsert + tombstone delete) applied to the events table:
-    change rows derived IDENTICALLY on both engines (%7 -> v1 update,
-    %14 -> v2 update that must beat v1, %35 -> delete tombstone); money in
-    integer cents so every value is exact. One keyed exchange via the
-    side-tagged latest_per_key. Oracle: QUALIFY row_number over
-    (side DESC, ver DESC) + NOT deleted."""
-    import numpy as np
-    import pyarrow as pa
-
-    from text_to_graph_ray.functions.agg import merge_upsert
-    from text_to_graph_ray.util import sort_coalesced
-
-    sch = pa.schema([("event_id", pa.int64()), ("cents", pa.int64()),
-                     ("ver", pa.int64()), ("deleted", pa.bool_())])
-    ev = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_id", "value"])
-
-    def rows(ids, cents, ver, deleted):
-        n = len(ids)
-        return pa.table({
-            "event_id": pa.array(ids, type=pa.int64()), "cents": pa.array(cents, type=pa.int64()),
-            "ver": pa.array([ver] * n, type=pa.int64()), "deleted": pa.array([deleted] * n, type=pa.bool_()),
-        }, schema=sch)
-
-    def base_rows(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return sch.empty_table()
-        ids = np.asarray(b.column("event_id").to_pylist(), dtype=np.int64)
-        cents = np.floor(np.asarray(b.column("value").to_pylist()) * 100.0 + 0.5).astype(np.int64)
-        return rows(ids, cents, 0, False)
-
-    def change_rows(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return sch.empty_table()
-        ids = np.asarray(b.column("event_id").to_pylist(), dtype=np.int64)
-        cents = np.floor(np.asarray(b.column("value").to_pylist()) * 100.0 + 0.5).astype(np.int64)
-        m7, m14, m35 = ids % 7 == 0, ids % 14 == 0, ids % 35 == 0
-        return pa.concat_tables([
-            rows(ids[m7], cents[m7] + 111, 1, False),
-            rows(ids[m14], cents[m14] + 222, 2, False),
-            rows(ids[m35], cents[m35], 3, True),
-        ])
-
-    merged = merge_upsert(
-        ev.map_batches(base_rows, batch_format="pyarrow"),
-        ev.map_batches(change_rows, batch_format="pyarrow"),
-        key="event_id", order_by=["ver"], deleted_col="deleted", out_schema=sch,
-    )
-    return sort_coalesced(merged.select_columns(["event_id", "cents", "ver"]), "event_id")
-
-
 def _q_docs_quota_sample(sf_dir):
     """Per-source quota sampling (cap 3 docs per source — source balancing):
     md5-ranked deterministic winners, combiner-bounded exchange. Oracle:
@@ -484,73 +363,6 @@ def _q_pipeline_curation_full(sf_dir):
     from text_to_graph_ray.pipelines.curation import curation_full
 
     return curation_full(sf_dir)
-
-
-def _q_rel_column_stats(sf_dir):
-    """Ingest-validation column profile of lineitem's integer key columns:
-    per column (n_rows, n_null, min, max) from ONE streamed scan of Arrow
-    null_count/min_max kernels. Oracle: plain SQL aggregates per column,
-    UNION ALL'd."""
-    from text_to_graph_ray.sources.formats import column_stats
-
-    cols = ["l_orderkey", "l_partkey", "l_suppkey", "l_linenumber"]
-    ds = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=cols)
-    return column_stats(ds, cols)
-
-
-def _q_events_retention(sf_dir):
-    """Weekly retention-cohort matrix: first-touch ISO week per user (min
-    combiner + bucketed min), guarded cohort broadcast (the corpus never
-    shuffles for the attach), exact COUNT(DISTINCT user) per (cohort,
-    week-offset). Oracle: date_trunc('week') + datediff SQL."""
-    from text_to_graph_ray.pipelines.analytics import retention_cohorts
-
-    return retention_cohorts(sf_dir)
-
-
-def _q_events_rolling_active(sf_dir):
-    """Rolling 7-day active users: distinct (user, day) reduction, N-way
-    window-end fan-out, one exact COUNT(DISTINCT) exchange — exchange cost
-    proportional to the answer, never to raw events. Oracle: lateral
-    generate_series + count distinct."""
-    from text_to_graph_ray.pipelines.analytics import rolling_active_users
-
-    return rolling_active_users(sf_dir)
-
-
-def _q_rel_mad(sf_dir):
-    """Median absolute deviation of quantities per returnflag: two keyed
-    row exchanges (exact nested interpolated medians), round(6) at both
-    median points mirrored op-for-op in the oracle CTE."""
-    from text_to_graph_ray.functions.stats import grouped_mad
-
-    ds = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_returnflag", "l_quantity"])
-    return grouped_mad(ds, "l_returnflag", "l_quantity")
-
-
-def _q_events_drift_chi2(sf_dir):
-    """Categorical drift monitor: chi-square decomposition of the
-    event_type distribution between even- and odd-user cohorts — per-type
-    exact counts + chi-square contribution (which value drifted). Combiner
-    partials only cross the exchange; answer-sized finish."""
-    import pyarrow.compute as pc
-
-    from text_to_graph_ray.functions.stats import categorical_drift_chi2
-    from text_to_graph_ray.util import read_parquet_clean
-
-    ev = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_type", "user_id"])
-
-    def with_side(b):
-        import pyarrow as pa
-
-        if b.num_rows == 0:
-            return pa.schema([("event_type", pa.string()), ("side", pa.bool_())]).empty_table()
-        return pa.table({
-            "event_type": b.column("event_type"),
-            "side": pc.equal(pc.bit_wise_and(b.column("user_id"), pa.scalar(1, pa.int64())), pa.scalar(1, pa.int64())),
-        })
-
-    return categorical_drift_chi2(ev.map_batches(with_side, batch_format="pyarrow"), "event_type", "side")
 
 
 def _q_text_lm_score(sf_dir):
@@ -704,56 +516,6 @@ def _q_graph_scc(sf_dir):
     return strongly_connected_components(ds)
 
 
-def _q_rel_gini(sf_dir):
-    """Exact Gini coefficient of per-customer order revenue: per-custkey cents
-    combiner + bucketed aggregate, ONE distributed sort, block-offset rank
-    weighting with overflow-proof chunked int accumulation (stats.gini_exact).
-    Everything up to the final single division is integer-exact."""
-    import pyarrow as _pa
-    import pyarrow.compute as _pc
-
-    from text_to_graph_ray.functions.agg import bucketed_aggregate
-    from text_to_graph_ray.functions.stats import gini_exact
-    from text_to_graph_ray.util import read_parquet_clean
-
-    ds = read_parquet_clean(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
-    part_schema = _pa.schema([("o_custkey", _pa.int64()), ("cents", _pa.int64())])
-
-    def partial(b: _pa.Table) -> _pa.Table:
-        import numpy as _np
-
-        if b.num_rows == 0:
-            return part_schema.empty_table()
-        cents = _np.floor(_np.asarray(b.column("o_totalprice"), dtype=_np.float64) * 100.0 + 0.5).astype(_np.int64)
-        g = (
-            _pa.table({"o_custkey": _pc.cast(b.column("o_custkey"), _pa.int64()), "cents": _pa.array(cents)})
-            .group_by("o_custkey")
-            .aggregate([("cents", "sum")])
-        )
-        return _pa.table({"o_custkey": g.column("o_custkey"), "cents": g.column("cents_sum")}, schema=part_schema)
-
-    per_cust = bucketed_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
-        "o_custkey",
-        {"cents": ("cents", "sum")},
-        out_schema=part_schema,
-        in_schema=part_schema,
-    )
-    out_schema = _pa.schema([("n_customers", _pa.int64()), ("total_cents", _pa.int64()), ("gini", _pa.float64())])
-    return gini_exact(per_cust, col="cents", out_schema=out_schema)
-
-
-def _q_rel_nation_volume(sf_dir):
-    """TPC-H-Q5-shaped six-table join (region -> nation -> customer -> orders
-    -> lineitem -> supplier, local-supplier filter c_nat == s_nat): guarded
-    dim broadcasts with distributed ds.join fallbacks, per-(order, nation)
-    cents combiner before the ONE wide orderkey exchange; revenue quantized
-    to int64 cents (floor(x*100+0.5)) so sums are exact on both engines."""
-    from text_to_graph_ray.pipelines.analytics import local_supplier_volume
-
-    return local_supplier_volume(sf_dir)
-
-
 def _q_graph_link_ra(sf_dir):
     """Resource-Allocation link prediction (Zhou et al. 2009) over the same
     1000-node graph: top-100 non-adjacent pairs by Σ 1/deg(common neighbor),
@@ -791,17 +553,6 @@ def _q_docs_length_band(sf_dir):
 
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"])
     return length_band_stats(docs, lo_q=0.05, hi_q=0.95)
-
-
-def _q_events_markov(sf_dir):
-    """Markov transition matrix over per-user event-type sequences:
-    (from_type, to_type, n, p) where p is the row-conditional transition
-    probability. One keyed bucket exchange ships events; the transition
-    exchange carries only per-bucket (from, to, partial) rows; p is one
-    IEEE division — bit-identical to the SQL with no rounding."""
-    from text_to_graph_ray.pipelines.analytics import event_type_transitions
-
-    return event_type_transitions(sf_dir)
 
 
 def _q_dedup_cross_corpus(sf_dir):
@@ -887,65 +638,6 @@ def _q_text_lexical(sf_dir):
     return sort_coalesced(ds.map_batches(lexical_stats, batch_format="pyarrow"), "doc_id")
 
 
-def _q_events_anomaly_mad(sf_dir):
-    """Robust per-type anomaly counts: |value - median| > 3 × MAD — the
-    outlier rule a mean/stddev z-score can't provide (one extreme value
-    drags the mean and inflates sigma; medians stay put). Two keyed row
-    exchanges for the nested medians, one combiner-first counting scan.
-    Oracle mirrors the MATERIALIZED nested-median CTEs op-for-op."""
-    from text_to_graph_ray.functions.stats import mad_outliers
-    from text_to_graph_ray.util import read_parquet_clean
-
-    ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
-    return mad_outliers(ds, "event_type", "value", k=3.0)
-
-
-def _q_rel_part_lookup(sf_dir):
-    """LEFT OUTER dimension-enrichment join (joins.lookup_join): lineitems
-    pick up p_brand from the p_size > 40 slice of part; unmatched rows keep
-    NULL and aggregate under the 'NONE' bucket — the row-preserving
-    enrichment shape an inner hash join cannot express. Guarded broadcast
-    (sorted-array searchsorted per batch, left never leaves its blocks)
-    with a one-exchange bucketed left-merge fallback (equivalence test
-    forces broadcast_max=0)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from text_to_graph_ray.functions.agg import bucketed_aggregate
-    from text_to_graph_ray.functions.joins import lookup_join
-    from text_to_graph_ray.util import read_parquet_clean, sort_coalesced
-
-    li = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_quantity"])
-    part = read_parquet_clean(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand", "p_size"])
-    dim = part.map_batches(
-        lambda b: b.filter(pc.greater(b.column("p_size"), 40)).select(["p_partkey", "p_brand"]),
-        batch_format="pyarrow",
-    )
-    enriched = lookup_join(li, dim, key="l_partkey", right_key="p_partkey", cols=["p_brand"])
-
-    out_schema = pa.schema([("brand", pa.string()), ("n", pa.int64()), ("sum_qty", pa.int64())])
-
-    def partial(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        if b.num_rows == 0:
-            return out_schema.empty_table()
-        brand = b.column("p_brand").fill_null("NONE")
-        qty = b.column("l_quantity").to_numpy(zero_copy_only=False).astype(np.int64)
-        g = pd.DataFrame({"brand": brand.to_pylist(), "n": 1, "sum_qty": qty}).groupby(
-            "brand", as_index=False, sort=False
-        ).sum()
-        return pa.table({f.name: pa.array(g[f.name], type=f.type) for f in out_schema}, schema=out_schema)
-
-    agg = bucketed_aggregate(
-        enriched.map_batches(partial, batch_format="pyarrow"), "brand",
-        {"n": ("n", "sum"), "sum_qty": ("sum_qty", "sum")},
-        out_schema=out_schema, num_buckets=16, in_schema=out_schema,
-    )
-    return sort_coalesced(agg, "brand")
-
-
 def _q_text_search_topk(sf_dir):
     """Query-term retrieval: top-10 docs by sum(tf * idf) for a fixed
     3-term query — df/N from one streamed scan, round(6) idf absorbs the
@@ -955,29 +647,6 @@ def _q_text_search_topk(sf_dir):
 
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return search_topk(ds, ["table", "fast", "customer"], k=10)
-
-
-def _q_events_skew_profile(sf_dir):
-    """Key-distribution skew profile of events.user_id (the diagnostic
-    behind salt/broadcast/bucket decisions): exact int64 Gini numerator via
-    the block-offset rank pattern, one IEEE division; top key = min key
-    among max-count holders (the SQL deterministic pick)."""
-    from text_to_graph_ray.functions.agg import key_skew_profile
-
-    ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["user_id"])
-    return key_skew_profile(ds, "user_id")
-
-
-def _q_rel_winsorized(sf_dir):
-    """Per-returnflag winsorization of quantities at exact disc [p10, p90]:
-    one keyed exchange finds the per-group bounds (DuckDB's quantile_disc
-    index rule per group), the corpus is then clipped IN THE SCAN against a
-    guarded ray.put broadcast — all-int arithmetic. Oracle: quantile_disc
-    bounds + LEAST/GREATEST sums."""
-    from text_to_graph_ray.functions.stats import winsorize_group_stats
-
-    ds = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_returnflag", "l_quantity"])
-    return winsorize_group_stats(ds, "l_returnflag", "l_quantity", q_lo=0.1, q_hi=0.9)
 
 
 def _q_docs_partitioned_scan(sf_dir):
@@ -1175,21 +844,6 @@ def _q_emb_label_centroids(sf_dir):
     return label_centroids(ds)
 
 
-def _q_events_median_by_type(sf_dir):
-    """Per-type EXACT median — a non-decomposable aggregate through
-    ``functions/agg.bucketed_aggregate`` (every row of a fine key lands in
-    one bucket, so median is exact, not merged-from-partials)."""
-    import pyarrow as pa
-
-    from text_to_graph_ray.functions.agg import bucketed_aggregate
-
-    ev = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
-    out_schema = pa.schema([("event_type", pa.string()), ("med", pa.float64()), ("n", pa.int64())])
-    return bucketed_aggregate(
-        ev, "event_type", {"med": ("value", "median"), "n": ("value", "size")}, out_schema=out_schema
-    )
-
-
 def _q_docs_topk_per_source(sf_dir):
     """Top-3 documents per source by n_chars (per-group top-k with a
     per-batch combiner prune, ``functions/agg.topk_per_group``) vs a SQL
@@ -1260,155 +914,52 @@ def _q_ann_ivf(sf_dir):
     return ivf_topk(ds, q_ids, q_vecs, k=10)
 
 
-def _q_events_window(sf_dir):
-    from text_to_graph_ray.pipelines.analytics import events_tumbling_window
-
-    return events_tumbling_window(sf_dir)
-
-
-def _q_events_hopping(sf_dir):
-    from text_to_graph_ray.pipelines.analytics import events_hopping_window
-
-    return events_hopping_window(sf_dir)
-
-
-def _q_events_stream_window(sf_dir):
-    """Incremental micro-batch streaming accumulator (sharded stateful
-    actors + watermark); with full lateness it must reproduce the batch
-    tumbling windows exactly."""
-    import ray.data as rd
-
-    from text_to_graph_ray.state.streaming import stream_tumbling_window
-
-    ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"])
-    return stream_tumbling_window(ds)
-
-
-def _q_events_sessions(sf_dir):
-    from text_to_graph_ray.pipelines.analytics import sessionize
-
-    return sessionize(sf_dir)
-
-
-def _q_events_asof(sf_dir):
-    """Distributed as-of join (latest click at-or-before each purchase per
-    user) vs DuckDB's native ASOF JOIN."""
-    from text_to_graph_ray.pipelines.analytics import purchase_click_asof
-
-    return purchase_click_asof(sf_dir)
-
-
-def _q_events_range_join(sf_dir):
-    """Distributed range (interval) join: purchases within 30 min strictly
-    after each view, per user, vs a DuckDB inequality join."""
-    from text_to_graph_ray.pipelines.analytics import view_purchase_window
-
-    return view_purchase_window(sf_dir)
-
-
-def _q_rel_pricing(sf_dir):
-    from text_to_graph_ray.pipelines.analytics import pricing_summary
-
-    return pricing_summary(sf_dir)
-
-
-def _q_rel_segment_revenue(sf_dir):
-    from text_to_graph_ray.pipelines.analytics import segment_revenue
-
-    return segment_revenue(sf_dir)
-
-
-def _q_rel_customers_no_orders(sf_dir):
-    """Distributed LEFT ANTI join (Ray-native) vs SQL NOT EXISTS."""
-    from text_to_graph_ray.pipelines.analytics import customers_without_orders
-
-    return customers_without_orders(sf_dir)
-
-
-def _q_rel_bloom_semijoin(sf_dir):
-    """Bloom-filter semijoin (distributed bitmap build + one fixed-size
-    broadcast; only Bloom-maybes verified by the exact join) vs SQL IN."""
-    from text_to_graph_ray.pipelines.analytics import customers_with_orders_bloom
-
-    return customers_with_orders_bloom(sf_dir)
-
-
 def _q_stats_kmv_distinct(sf_dir):
-    """KMV distinct-count sketch, exact-below-k regime vs COUNT(DISTINCT)."""
-    from text_to_graph_ray.pipelines.analytics import events_distinct_sketch
+    """KMV distinct-count sketch over (event_type, user_id): fixed-size
+    partials folded in the calling process, no distinct-value exchange;
+    exact below k=8192, so the hash is checked vs COUNT(DISTINCT)."""
+    from text_to_graph_ray.functions.sketch import kmv_distinct
 
-    return events_distinct_sketch(sf_dir, kind="kmv")
+    ev = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_type", "user_id"])
+    return kmv_distinct(ev, ["event_type", "user_id"], k=8192)
 
 
 def _q_stats_hll_distinct(sf_dir):
     """HyperLogLog estimate — no SQL oracle can replay the registers, so this
     is a rows-only driver check; tests pin the error at three cardinalities."""
-    from text_to_graph_ray.pipelines.analytics import events_distinct_sketch
+    from text_to_graph_ray.functions.sketch import hll_distinct
 
-    return events_distinct_sketch(sf_dir, kind="hll")
-
-
-def _q_events_heavy_hitters(sf_dir):
-    """Misra-Gries candidate pass + exact verification vs GROUP BY HAVING."""
-    from text_to_graph_ray.pipelines.analytics import event_heavy_hitters
-
-    return event_heavy_hitters(sf_dir)
-
-
-def _q_events_ntile(sf_dir):
-    """NTILE(4) per user ordered by (value, event_id) vs the SQL window."""
-    from text_to_graph_ray.pipelines.analytics import user_value_ntiles
-
-    return user_value_ntiles(sf_dir)
-
-
-def _q_events_pct_rank(sf_dir):
-    """PERCENT_RANK + CUME_DIST per user over event day vs the SQL windows."""
-    from text_to_graph_ray.pipelines.analytics import user_day_percentiles
-
-    return user_day_percentiles(sf_dir)
+    ev = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_type", "user_id"])
+    return hll_distinct(ev, ["event_type", "user_id"], p=14)
 
 
 def _q_text_token_heavy_hitters(sf_dir):
-    """Frequent tokens via MG candidates + verification vs GROUP BY HAVING."""
-    from text_to_graph_ray.pipelines.analytics import token_heavy_hitters
+    """Frequent tokens (> 0.5% of all token occurrences) via MG candidates +
+    verification over the exploded token stream vs GROUP BY HAVING: no
+    (token, count) exchange, the token stream is scanned twice."""
+    import pyarrow as pa
 
-    return token_heavy_hitters(sf_dir)
+    from text_to_graph_ray.functions.sketch import heavy_hitters
+
+    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["text"])
+
+    def explode(b: pa.Table) -> pa.Table:
+        toks: list = []
+        for t in b.column("text").to_pylist():
+            toks.extend((t or "").split())
+        return pa.table({"token": pa.array(toks, type=pa.string())})
+
+    return heavy_hitters(docs.map_batches(explode, batch_format="pyarrow"), "token", 0.005)
 
 
 def _q_stats_quantile_sketch(sf_dir):
-    """Mergeable MRL quantile summary (exact-below-k regime) vs quantile_disc."""
-    from text_to_graph_ray.pipelines.analytics import events_quantile_sketch
+    """Mergeable MRL quantile summary of events.value vs quantile_disc:
+    per-block fixed-memory partials folded in the calling process, no sort
+    exchange; k=131072 keeps the gate scales in the exact-below-k regime."""
+    from text_to_graph_ray.functions.sketch import quantile_sketch
 
-    return events_quantile_sketch(sf_dir)
-
-
-def _q_rel_unpivot(sf_dir):
-    """melt (UNPIVOT) of the lineitem measures vs a SQL UNION ALL."""
-    from text_to_graph_ray.pipelines.analytics import lineitem_melted
-
-    return lineitem_melted(sf_dir)
-
-
-def _q_events_pivot(sf_dir):
-    """Wide pivot (one column per event type) vs SQL conditional aggregation."""
-    from text_to_graph_ray.pipelines.analytics import user_event_matrix
-
-    return user_event_matrix(sf_dir)
-
-
-def _q_events_running_sum(sf_dir):
-    """Per-user ordered cumulative sum vs a SQL window running sum
-    (bit-exact: same accumulation order)."""
-    from text_to_graph_ray.pipelines.analytics import user_running_sum
-
-    return user_running_sum(sf_dir)
-
-
-def _q_rel_top_orders(sf_dir):
-    from text_to_graph_ray.pipelines.analytics import top_orders
-
-    return top_orders(sf_dir)
+    ev = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["value"])
+    return quantile_sketch(ev, "value", (0.1, 0.25, 0.5, 0.75, 0.9, 0.99), k=131072)
 
 
 def _q_kg_fixture_triples(sf_dir):
@@ -1446,24 +997,6 @@ def _q_conformance_parse(sf_dir):
     # sort_coalesced: the 12-row result would otherwise sort across many
     # sampled ranges and emit schema-less empty partitions (RefBundle warns)
     return sort_coalesced(ds.map_batches(parse_replies, batch_format="pyarrow"), "reply_id")
-
-
-def _q_rel_order_revenue(sf_dir):
-    from text_to_graph_ray.pipelines.analytics import order_revenue_topk
-
-    return order_revenue_topk(sf_dir)
-
-
-def _q_rel_shipping_priority(sf_dir):
-    from text_to_graph_ray.pipelines.analytics import shipping_priority
-
-    return shipping_priority(sf_dir)
-
-
-def _q_rel_region_balance(sf_dir):
-    from text_to_graph_ray.pipelines.analytics import region_supplier_balance
-
-    return region_supplier_balance(sf_dir)
 
 
 def _q_kg_scored_links(sf_dir):
@@ -1655,38 +1188,6 @@ def _q_text_inverted_index(sf_dir):
     return inverted_index(ds, min_df=5)
 
 
-def _q_rel_pricing_cube(sf_dir):
-    """GROUP BY CUBE (round 4): all four grouping sets via the same
-    combiner-expansion as the rollup, vs DuckDB's native CUBE."""
-    from text_to_graph_ray.pipelines.analytics import pricing_cube
-
-    return pricing_cube(sf_dir)
-
-
-def _q_events_funnel(sf_dir):
-    """Ordered-funnel conversion view -> click -> purchase (round 4):
-    strict min-ts-after semantics per user, one user-keyed exchange, rows
-    (the irreducible order statistics) as the only payload."""
-    from text_to_graph_ray.pipelines.analytics import funnel_steps
-
-    return funnel_steps(sf_dir)
-
-
-def _q_rel_pricing_rollup(sf_dir):
-    """GROUP BY ROLLUP via grouping-set expansion in the combiner."""
-    from text_to_graph_ray.pipelines.analytics import pricing_rollup
-
-    return pricing_rollup(sf_dir)
-
-
-def _q_events_user_profile(sf_dir):
-    """Exact COUNT(DISTINCT user_id) per event_type (non-decomposable
-    aggregate via distinct-pair combiner + coarse-bucket exchange)."""
-    from text_to_graph_ray.pipelines.analytics import event_type_profile
-
-    return event_type_profile(sf_dir)
-
-
 def _q_docs_distinct_pairs(sf_dir):
     """SELECT DISTINCT source, lang (per-batch distinct combiner + one
     coarse-bucket dedup exchange)."""
@@ -1698,33 +1199,6 @@ def _q_docs_distinct_pairs(sf_dir):
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["source", "lang"])
     out_schema = pa.schema([("source", pa.string()), ("lang", pa.string())])
     return sort_coalesced(distinct_rows(ds, ["source", "lang"], out_schema), ["source", "lang"])
-
-
-def _q_events_lag_deltas(sf_dir):
-    """Per-user LAG + ROW_NUMBER window (sequence index + value delta vs the
-    previous event), one keyed coarse-bucket exchange."""
-    from text_to_graph_ray.pipelines.analytics import user_event_deltas
-
-    return user_event_deltas(sf_dir)
-
-
-def _q_events_scd2_history(sf_dir):
-    """SCD-type-2 event_type version history per user (change rows with
-    effective_from / effective_to via lead) — one keyed coarse-bucket
-    exchange, change-sized output, no float math; SQL lag/lead window
-    mirror over the identical (ts, event_id) order."""
-    from text_to_graph_ray.pipelines.analytics import user_type_history
-
-    return user_type_history(sf_dir)
-
-
-def _q_events_window_frame(sf_dir):
-    """Per-user LEAD + explicit 3-row frame sum (value + lag1 + lag2), one
-    keyed coarse-bucket exchange; fixed-order adds keep floats bit-identical
-    to the SQL window expression."""
-    from text_to_graph_ray.pipelines.analytics import user_window_frame
-
-    return user_window_frame(sf_dir)
 
 
 def _q_dedup_decontaminate(sf_dir):
@@ -1819,105 +1293,6 @@ def _q_kg_pagerank_topk(sf_dir):
     return pr.sort(["rank", "node"], descending=[True, False]).limit(20).map_batches(attach, batch_format="pyarrow")
 
 
-def _set_op_users(sf_dir, op: str):
-    import pyarrow as pa
-
-    from text_to_graph_ray.functions.agg import set_op_rows
-    from text_to_graph_ray.util import read_parquet_clean, sort_coalesced
-
-    ev = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
-
-    def only(event_type: str):
-        def fn(b):
-            import pyarrow as pa
-            import pyarrow.compute as pc
-
-            if b.num_rows == 0:
-                return pa.schema([("user_id", pa.int64())]).empty_table()
-            return b.filter(pc.equal(b.column("event_type"), event_type)).select(["user_id"])
-
-        return ev.map_batches(fn, batch_format="pyarrow")
-
-    out_schema = pa.schema([("user_id", pa.int64())])
-    out = set_op_rows(only("click"), only("purchase"), ["user_id"], out_schema, op=op)
-    return sort_coalesced(out, "user_id")
-
-
-def _q_events_users_intersect(sf_dir):
-    """Distributed SQL INTERSECT: users who both clicked and purchased (one
-    tagged union + one coarse-bucket exchange, per-batch distinct combiner)."""
-    return _set_op_users(sf_dir, "intersect")
-
-
-def _q_events_users_except(sf_dir):
-    """Distributed SQL EXCEPT over a two-column key: (user, day) pairs with a
-    click but no purchase that day — exercises the multi-column set-op path."""
-    import pyarrow as pa
-
-    from text_to_graph_ray.functions.agg import set_op_rows
-    from text_to_graph_ray.util import read_parquet_clean, sort_coalesced
-
-    ev = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"])
-
-    def day_pairs(event_type: str):
-        def fn(b):
-            import numpy as np
-            import pyarrow as pa
-            import pyarrow.compute as pc
-
-            if b.num_rows == 0:
-                return pa.schema([("user_id", pa.int64()), ("day", pa.timestamp("us"))]).empty_table()
-            f = b.filter(pc.equal(b.column("event_type"), event_type))
-            day = f.column("ts").to_numpy(zero_copy_only=False).astype("datetime64[D]").astype("datetime64[us]")
-            return pa.table({"user_id": f.column("user_id"), "day": pa.array(day, type=pa.timestamp("us"))})
-
-        return ev.map_batches(fn, batch_format="pyarrow")
-
-    out_schema = pa.schema([("user_id", pa.int64()), ("day", pa.timestamp("us"))])
-    out = set_op_rows(day_pairs("click"), day_pairs("purchase"), ["user_id", "day"], out_schema, op="except")
-    return sort_coalesced(out, ["user_id", "day"])
-
-
-def _q_events_latest_per_user(sf_dir):
-    """Keep-newest-row-per-key (latest event per user under (ts, event_id)):
-    per-batch one-candidate-per-key combiner + one coarse-bucket exchange —
-    the standard keep-latest-version curation op."""
-    import pyarrow as pa
-
-    from text_to_graph_ray.functions.agg import latest_per_key
-    from text_to_graph_ray.util import read_parquet_clean, sort_coalesced
-
-    ev = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "event_type", "value"])
-    out_schema = pa.schema(
-        [
-            ("event_id", pa.int64()),
-            ("ts", pa.timestamp("us")),
-            ("user_id", pa.int64()),
-            ("event_type", pa.string()),
-            ("value", pa.float64()),
-        ]
-    )
-    out = latest_per_key(ev, "user_id", ["ts", "event_id"], out_schema, descending=True)
-    return sort_coalesced(out, "user_id")
-
-
-def _q_events_day_rank(sf_dir):
-    """RANK + DENSE_RANK per user over event days (real ties; tie-insensitive
-    by construction), one keyed coarse-bucket exchange."""
-    from text_to_graph_ray.pipelines.analytics import user_day_ranks
-
-    return user_day_ranks(sf_dir)
-
-
-def _q_rel_customer_order_counts(sf_dir):
-    """LEFT OUTER join + aggregate: every customer with its order count
-    (zero kept). Combiner-first: orders pre-collapse to one row per customer
-    before the outer join."""
-    from text_to_graph_ray.pipelines.analytics import customer_order_counts
-
-    return customer_order_counts(sf_dir)
-
-
 def _q_text_repetition(sf_dir):
     """Gopher-style repetition quality signals (duplicated-2-gram fraction +
     top-2-gram share), map-only over row-atomic documents."""
@@ -1937,103 +1312,33 @@ def _q_pipeline_pretraining(sf_dir):
     return pretraining_corpus(sf_dir)
 
 
-def _q_events_json_stats(sf_dir):
-    """JSON-column extraction (props -> k) + exact per-type int aggregates;
-    combiner-first, vocabulary-sized exchange."""
-    from text_to_graph_ray.pipelines.analytics import event_json_stats
-
-    return event_json_stats(sf_dir)
-
-
-def _q_rel_brand_revenue(sf_dir):
-    """Discounted revenue per part brand (lineitem ⋈ part dimension join;
-    guarded broadcast of the part->brand map, combiner-first)."""
-    from text_to_graph_ray.pipelines.analytics import brand_revenue
-
-    return brand_revenue(sf_dir)
-
-
-def _q_rel_fuzzy_names(sf_dir):
-    """ED<=1 fuzzy self-join on customer names (SymSpell deletion
-    neighborhoods + exact verify). Oracle: independent delta-probe candidate
-    plan + levenshtein."""
-    from text_to_graph_ray.pipelines.analytics import customer_fuzzy_pairs
-
-    return customer_fuzzy_pairs(sf_dir)
-
-
-def _q_rel_corr_stats(sf_dir):
-    """Pearson corr(quantity, discount) per returnflag from integer-exact
-    sufficient statistics; bit-identical IEEE formula on both sides."""
-    from text_to_graph_ray.pipelines.analytics import lineitem_corr
-
-    return lineitem_corr(sf_dir)
-
-
 def _q_stats_value_histogram(sf_dir):
     """Exact 16-bin fixed-width histogram of events.value; the bin rule is
     IEEE-op-mirrored in the oracle."""
-    from text_to_graph_ray.pipelines.analytics import events_value_histogram
+    from text_to_graph_ray.functions.stats import histogram_fixed
 
-    return events_value_histogram(sf_dir)
-
-
-def _q_events_mode_type(sf_dir):
-    """Mode event type per user (count desc, type asc tie-break) via count
-    partials + topk_per_group(k=1)."""
-    from text_to_graph_ray.pipelines.analytics import user_mode_event
-
-    return user_mode_event(sf_dir)
-
-
-def _q_events_new_users(sf_dir):
-    """First-touch new users per day + cumulative count; min-day combiner ->
-    one keyed exchange, day-bounded driver fold."""
-    from text_to_graph_ray.pipelines.analytics import daily_new_users
-
-    return daily_new_users(sf_dir)
+    ev = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["value"])
+    return histogram_fixed(ev, "value", nbins=16)
 
 
 def _q_stats_grouped_quantiles(sf_dir):
     """Per-type quantiles via the grouped mergeable MRL sketch (exact-below-k
-    regime vs per-group quantile_disc)."""
-    from text_to_graph_ray.pipelines.analytics import events_grouped_quantiles
+    regime vs per-group quantile_disc): one keyed exchange of sketch blobs,
+    never raw rows."""
+    from text_to_graph_ray.functions.sketch import grouped_quantile_sketch
 
-    return events_grouped_quantiles(sf_dir)
-
-
-def _q_rel_fuzzy_lookup(sf_dir):
-    """Two-table ED<=1 fuzzy lookup (even vs odd customer keys); independent
-    signed-delta-probe oracle."""
-    from text_to_graph_ray.pipelines.analytics import customer_fuzzy_lookup
-
-    return customer_fuzzy_lookup(sf_dir)
-
-
-def _q_events_moving_sum(sf_dir):
-    """Per-user MOVING-FRAME window sum (ROWS BETWEEN 9 PRECEDING AND
-    CURRENT ROW) via cumsum-minus-lagged-cumsum; bit-stable round(4) vs the
-    SQL window frame."""
-    from text_to_graph_ray.pipelines.analytics import user_moving_sum
-
-    return user_moving_sum(sf_dir)
+    ev = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
+    return grouped_quantile_sketch(ev, "event_type", "value", (0.25, 0.5, 0.9), k=131072)
 
 
 def _q_stats_moments_by_flag(sf_dir):
     """Grouped mean/stddev/skewness/kurtosis from integer-exact power sums;
     oracle recomputes the identical IEEE op sequence over HUGEINT-exact
     central-moment numerators."""
-    from text_to_graph_ray.pipelines.analytics import lineitem_moments
+    from text_to_graph_ray.functions.stats import grouped_moments_int
 
-    return lineitem_moments(sf_dir)
-
-
-def _q_events_users_per_type_kmv(sf_dir):
-    """Distinct users per event type via the grouped mergeable KMV sketch
-    (exact below k per group) vs COUNT(DISTINCT) GROUP BY."""
-    from text_to_graph_ray.pipelines.analytics import events_users_per_type_kmv
-
-    return events_users_per_type_kmv(sf_dir)
+    li = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_returnflag", "l_quantity"])
+    return grouped_moments_int(li, "l_returnflag", "l_quantity")
 
 
 def _q_graph_bfs(sf_dir):
@@ -2061,17 +1366,9 @@ def _q_graph_bfs(sf_dir):
     return bfs_depths(edges, seeds=[0, 1, 2], max_depth=3)
 
 
-def _copart_min_count(sf_dir: str) -> int:
-    """Data-derived co-occurrence threshold (~median pair count at any sf):
-    parquet-footer row count only, no scan."""
-    import pyarrow.parquet as pq
-
-    return max(2, pq.read_metadata(f"{sf_dir}/orders.parquet").num_rows // 170)
-
-
 def _kcore_mod(sf_dir: str) -> int:
     """Data-derived node-space size (~avg degree 6 at any sf): parquet-footer
-    row count only, no scan — the rel_copart_pairs discipline."""
+    row count only, no scan."""
     import pyarrow.parquet as pq
 
     return max(2, pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows // 3)
@@ -2371,51 +1668,6 @@ def _q_kg_metapath_counts(sf_dir):
     return sort_coalesced(agg, "src_key")
 
 
-def _q_rel_integrity_check(sf_dir):
-    """Ingest-validation referential-integrity report: orphan FK rows via
-    guarded anti/semi filters (broadcast under the row cap, distributed
-    join past it), childless parents, and key-uniqueness violations — one
-    (check, n_violations) row each, the loud data-quality gate an ingest
-    pipeline runs before anything downstream trusts the tables."""
-    import pyarrow as pa
-    import pyarrow.compute as _pc
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.agg import bucketed_aggregate
-    from text_to_graph_ray.functions.joins import filter_by_keys
-
-    li = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey"])
-    orders = read_parquet_clean(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"])
-    cust = read_parquet_clean(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
-
-    orphan_li = filter_by_keys(li, orders, key="l_orderkey", right_key="o_orderkey", mode="anti").count()
-    orphan_ord = filter_by_keys(orders, cust, key="o_custkey", right_key="c_custkey", mode="anti").count()
-    childless = filter_by_keys(orders, li, key="o_orderkey", right_key="l_orderkey", mode="anti").count()
-    # key-uniqueness: count keys with >1 row (combiner-first grouped count)
-    cnt_schema = pa.schema([("c_custkey", pa.int64()), ("n", pa.int64())])
-    dup_cust = bucketed_aggregate(
-        cust, "c_custkey", {"n": ("c_custkey", "size")}, out_schema=cnt_schema,
-        in_schema=pa.schema([("c_custkey", pa.int64())]),
-    ).map_batches(
-        lambda t: t.filter(_pc.greater(t.column("n"), 1)) if t.num_rows else cnt_schema.empty_table(),
-        batch_format="pyarrow",
-    ).count()
-    return rd.from_arrow(pa.table({
-        "chk": pa.array(["childless_orders", "dup_custkey", "orphan_lineitem", "orphan_orders"],
-                        type=pa.string()),
-        "n_violations": pa.array([childless, dup_cust, orphan_li, orphan_ord], type=pa.int64()),
-    }))
-
-
-def _q_events_ohlc(sf_dir):
-    """OHLC bars per (event_type, 5-min window): order-dependent open/close
-    at the exact (ts, event_id) bar boundaries, integer cents throughout —
-    one keyed exchange, vectorized first/last segment kernel."""
-    from text_to_graph_ray.pipelines.analytics import ohlc_bars
-
-    return ohlc_bars(sf_dir)
-
-
 def _q_graph_mst(sf_dir):
     """Distributed Borůvka minimum spanning forest over the lineitem-derived
     weighted graph (a=o%M, b=p%M, M=rows//30, w=extendedprice cents,
@@ -2469,25 +1721,6 @@ def _q_docs_naive_bayes(sf_dir):
 
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "text"])
     return naive_bayes_classify(ds)
-
-
-def _q_rel_returned_revenue(sf_dir):
-    """TPC-H-Q10-shaped top-20 customers by returned-item revenue: exact
-    integer cents·(100−pct) sums through a distributed FK join + customer
-    rollup, top-k merged from per-block partials, winners enriched via an
-    is_in dimension scan — revenue is one int→double division, no round."""
-    from text_to_graph_ray.pipelines.analytics import returned_revenue_topk
-
-    return returned_revenue_topk(sf_dir, k=20)
-
-
-def _q_events_cusum(sf_dir):
-    """Per-type CUSUM change-point: stat_k = n·prefix_k − k·total over the
-    (ts, event_id) order, all int64 (loud overflow guard); outputs max |stat|
-    and its first position — a pure-integer result, order-independent."""
-    from text_to_graph_ray.pipelines.analytics import cusum_changepoint
-
-    return cusum_changepoint(sf_dir)
 
 
 def _q_kg_schema_summary(sf_dir):
@@ -2592,30 +1825,6 @@ def _q_kg_negative_samples(sf_dir):
     return sort_coalesced(out, ["src_key", "pred", "neg_key"])
 
 
-def _q_rel_regression(sf_dir):
-    """Per-returnflag OLS fit of extendedprice-cents on quantity: chunked
-    int64 sufficient sums folded in arbitrary-precision Python ints (the
-    grouped_corr_int discipline), finish = explicit IEEE op sequence over
-    exact integers mirrored op-for-op in HUGEINT SQL — no output rounding
-    needed, the doubles are bit-identical by construction."""
-    from text_to_graph_ray.functions.stats import grouped_ols_int
-
-    ds = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet", columns=["l_returnflag", "l_quantity", "l_extendedprice"]
-    )
-    return grouped_ols_int(ds, "l_returnflag", "l_quantity", "l_extendedprice", y_scale=100)
-
-
-def _q_events_user_ema(sf_dir):
-    """Per-user α=0.5 EMA of event value with every term integer (cents·10⁶
-    right-shifted by its age) so the sum is order-independent: one
-    user-keyed exchange + vectorized segment kernel; ema is one IEEE
-    division of the exact integer, bit-identical to the SQL mirror."""
-    from text_to_graph_ray.pipelines.analytics import user_ema
-
-    return user_ema(sf_dir)
-
-
 def _ktruss_mod(sf_dir: str) -> int:
     """Data-derived node-space size (~avg degree 34 at any sf over the
     first-two-lines subgraph): footer row count only, no scan."""
@@ -2690,97 +1899,33 @@ def _q_graph_ktruss(sf_dir):
     return ktruss_bounded(edges, k=4, max_rounds=3)
 
 
-def _q_rel_copart_pairs(sf_dir):
-    """Supplier-bucket pairs that co-occur in >= n_orders/170 orders
-    (bipartite co-occurrence projection): exact distinct (order, supplier
-    bucket), vectorized triu-pair fan-out per order (groups bounded at 7
-    lineitems — group COUNT scales with the corpus, fan-out per group does
-    not), pair-keyed count exchange. The threshold derives from the data
-    size so the filter stays in the distribution's middle at every sf."""
-    import numpy as np
-
-    from text_to_graph_ray.functions.agg import cooccurrence_pairs
-
-    def prep(b):
-        import pyarrow as pa
-
-        sch = pa.schema([("g", pa.int64()), ("item", pa.int64())])
-        if b.num_rows == 0:
-            return sch.empty_table()
-        ok = np.asarray(b.column("l_orderkey").to_pylist(), dtype=np.int64)
-        sk = np.asarray(b.column("l_suppkey").to_pylist(), dtype=np.int64)
-        return pa.table({"g": pa.array(ok, type=pa.int64()), "item": pa.array(sk % 50, type=pa.int64())}, schema=sch)
-
-    li = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_suppkey"]).map_batches(
-        prep, batch_format="pyarrow"
-    )
-    return cooccurrence_pairs(li, "g", "item", min_count=_copart_min_count(sf_dir))
-
-
-def _q_events_user_streaks(sf_dir):
-    """Longest consecutive-active-day run per user (gaps & islands):
-    vectorized day-minus-rank anchors, one keyed exchange."""
-    from text_to_graph_ray.pipelines.analytics import user_longest_streak
-
-    return user_longest_streak(sf_dir)
-
-
 def _q_stats_quantiles_cont(sf_dir):
     """Per-type interpolated quantiles (quantile_cont) — exact row-shipping
     keyed quantile, DuckDB-mirrored interpolation, round(6)."""
-    from text_to_graph_ray.pipelines.analytics import events_quantiles_cont
+    from text_to_graph_ray.functions.quantiles import grouped_quantiles_cont
 
-    return events_quantiles_cont(sf_dir)
+    ev = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
+    return grouped_quantiles_cont(ev, "event_type", "value", (0.25, 0.5, 0.9))
 
 
 def _q_docs_weighted_sample(sf_dir):
     """Deterministic weighted sample (replicated-ticket minwise md5 draw);
-    the oracle recomputes the identical integer tickets in SQL."""
-    from text_to_graph_ray.pipelines.analytics import documents_weighted_sample
-
-    return documents_weighted_sample(sf_dir)
-
-
-def _q_rel_quantity_zscore(sf_dir):
-    """Per-row z-score of l_quantity against its returnflag group (two-pass
-    feature normalization: exact integer power sums -> broadcast (mean, sd)
-    -> standardize inside the scan; bit-identical, no tolerance)."""
+    the oracle recomputes the identical integer tickets in SQL. Weight =
+    1 + n_chars % 4; the k=50 smallest keys win (sample.weighted_topk)."""
     import pyarrow as pa
 
-    from text_to_graph_ray.functions.stats import grouped_zscore
-    from text_to_graph_ray.util import sort_coalesced
+    from text_to_graph_ray.functions.sample import weighted_topk
 
-    li = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_linenumber", "l_returnflag", "l_quantity"]
-    )
+    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"])
 
-    def prep(b):
-        import numpy as np
-        import pyarrow as pa
-
-        sch = pa.schema([("rid", pa.int64()), ("l_returnflag", pa.string()), ("l_quantity", pa.float64())])
+    def add_wt(b: pa.Table) -> pa.Table:
+        sch = pa.schema([("doc_id", pa.int64()), ("wt", pa.int64())])
         if b.num_rows == 0:
             return sch.empty_table()
-        ok = np.asarray(b.column("l_orderkey").to_pylist(), dtype=np.int64)
-        ln = np.asarray(b.column("l_linenumber").to_pylist(), dtype=np.int64)
-        return pa.table(
-            {"rid": pa.array(ok * 10 + ln, type=pa.int64()), "l_returnflag": b.column("l_returnflag"),
-             "l_quantity": b.column("l_quantity")},
-            schema=sch,
-        )
+        nc = b.column("n_chars").to_numpy(zero_copy_only=False).astype("int64")
+        return pa.table({"doc_id": b.column("doc_id"), "wt": pa.array(nc % 4 + 1, type=pa.int64())}, schema=sch)
 
-    out = grouped_zscore(li.map_batches(prep, batch_format="pyarrow"), "l_returnflag", "l_quantity", "rid")
-    return sort_coalesced(out, "rid")
-
-
-def _q_rel_spearman(sf_dir):
-    """Spearman rank correlation of l_quantity vs l_discount per returnflag:
-    doubled average ranks are exact int64, so the statistic is one IEEE op
-    sequence over exact integer sums — bit-identical to the SQL mirror."""
-    from text_to_graph_ray.functions.stats import grouped_spearman_int
-
-    li = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_returnflag", "l_quantity", "l_discount"])
-    return grouped_spearman_int(li, "l_returnflag", "l_quantity", "l_discount", y_scale=100)
+    return weighted_topk(docs.map_batches(add_wt, batch_format="pyarrow"), "doc_id", "wt", k=50)
 
 
 def _q_text_chunks(sf_dir):
@@ -2833,14 +1978,6 @@ def _q_docs_csv_stats(sf_dir):
     return source_stats_from(read_csv(path, columns=["source", "lang", "n_chars"]))
 
 
-def _q_events_window_distinct(sf_dir):
-    """Distinct users per (tumbling hour, event type): window compute in the
-    scan + the distinct-pair combiner exchange (nunique_per_group)."""
-    from text_to_graph_ray.pipelines.analytics import window_distinct_users
-
-    return window_distinct_users(sf_dir)
-
-
 def _q_graph_sssp(sf_dir):
     """Weighted shortest paths <= 3 hops from seeds {0,1,2} (Bellman-Ford
     rounds; integer weights, exact arithmetic): per round one streamed edge
@@ -2872,60 +2009,32 @@ def _q_graph_sssp(sf_dir):
     return sssp_bounded(edges, seeds=[0, 1, 2], max_hops=3)
 
 
-def _q_events_range_sum(sf_dir):
-    """Per-user TIME-RANGE window sum (RANGE BETWEEN INTERVAL 1 HOUR
-    PRECEDING AND CURRENT ROW — timestamp-axis frame incl. ts peers)."""
-    from text_to_graph_ray.pipelines.analytics import user_time_range_sum
-
-    return user_time_range_sum(sf_dir)
-
-
-def _q_events_full_outer_days(sf_dir):
-    """Per-(user, day) clicks FULL OUTER purchases via the generic
-    one-exchange keyed_full_outer operator; missing sides are real NULLs."""
-    from text_to_graph_ray.pipelines.analytics import clicks_purchases_full
-
-    return clicks_purchases_full(sf_dir)
-
-
-def _q_events_user_trace(sf_dir):
-    """Per-user ordered event-type concatenation (string_agg ORDER BY ts,
-    event_id) via the generic ordered_string_agg operator."""
-    from text_to_graph_ray.pipelines.analytics import user_event_type_concat
-
-    return user_event_type_concat(sf_dir)
-
-
-def _q_events_type_entropy(sf_dir):
-    """Shannon entropy (nats) of each user's event-type mix from exact
-    integer counts; round(6) on both engines."""
-    from text_to_graph_ray.pipelines.analytics import user_type_entropy
-
-    return user_type_entropy(sf_dir)
-
-
 def _q_docs_hash_split(sf_dir):
     """Deterministic md5-based train/test split assignment — per-row
-    assignment (not just sizes) cross-checked against DuckDB md5()."""
-    from text_to_graph_ray.pipelines.analytics import documents_hash_split
+    assignment (not just sizes) cross-checked against DuckDB md5(); ~10%
+    test at thresh '1999'."""
+    from text_to_graph_ray.functions.sample import hash_split
 
-    return documents_hash_split(sf_dir)
+    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    return hash_split(docs, "doc_id", thresh_hex="1999")
 
 
 def _q_docs_shuffle_shards(sf_dir):
     """Deterministic corpus shuffle + shard striping — exact per-row shuffled
     position and shard cross-checked against DuckDB row_number over md5()."""
-    from text_to_graph_ray.pipelines.analytics import documents_shuffle_shards
+    from text_to_graph_ray.functions.sample import shuffle_shards
 
-    return documents_shuffle_shards(sf_dir)
+    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    return shuffle_shards(docs, n_shards=16)
 
 
 def _q_docs_mixture_plan(sf_dir):
     """Largest-remainder domain-mixture token allocation — every per-source
     integer allocation cross-checked, and they sum to the budget exactly."""
-    from text_to_graph_ray.pipelines.analytics import documents_mixture_plan
+    from text_to_graph_ray.functions.sample import mixture_plan
 
-    return documents_mixture_plan(sf_dir)
+    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["source", "text"])
+    return mixture_plan(docs, budget_tokens=1_000_000, by="source")
 
 
 def _q_text_bpe_encode(sf_dir):
@@ -3126,22 +2235,15 @@ def _q_emb_pca_project(sf_dir):
     return pca_project(emb, n_components=2)
 
 
-def _q_events_throttle(sf_dir):
-    """Rate-limit dedup: first event per (user, 60 s window) + suppressed
-    count — combiner-first, one user-bucketed exchange."""
-    from text_to_graph_ray.pipelines.analytics import events_throttle_first
-
-    return events_throttle_first(sf_dir, window_s=60)
-
-
 def _q_docs_mixture_temperature(sf_dir):
     """Temperature-scaled (alpha=0.5) mixture apportionment — sqrt weights
     int64-quantized before the largest-remainder split, so every per-source
     allocation is exact and cross-checked (IEEE sqrt is correctly rounded:
     numpy and DuckDB compute the identical weight)."""
-    from text_to_graph_ray.pipelines.analytics import documents_mixture_temperature
+    from text_to_graph_ray.functions.sample import mixture_plan
 
-    return documents_mixture_temperature(sf_dir)
+    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["source", "text"])
+    return mixture_plan(docs, budget_tokens=1_000_000, by="source", temperature=True)
 
 
 def _q_dedup_semdedup(sf_dir):
@@ -3167,42 +2269,49 @@ def _q_text_bpe_merges(sf_dir):
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    # ORDER MATTERS for external evidence: the driver snapshot covers the
-    # FIRST 50 entries, and rounds 1-4 always snapshotted the same 50 —
-    # so round 5 front-loads the queries that have never appeared in a
-    # driver CORRECTNESS file (graph, storage layouts, incremental KG,
-    # curation flagship, fuzzy joins, sketches, + the round-5 additions).
-    # The local gate (scripts/check_correctness.py) still runs ALL of them.
+    # kg_* first: the knowledge-graph queries are the engine's contract, so a
+    # consumer that checks only a prefix of this dict checks them before the
+    # curation/analytics operators. scripts/check_correctness.py runs all.
     return {
-        "emb_outliers": _q_emb_outliers,
+        "kg_triples": _q_kg_triples,
+        "kg_triples_raw": _q_kg_triples_raw,
+        "kg_nodes": _q_kg_nodes,
+        "kg_containment": _q_kg_containment,
+        "kg_edge_labels": _q_kg_edge_labels,
+        "kg_sha256": _q_kg_sha256,
+        "kg_triples_hires": _q_kg_triples_hires,
+        "kg_chunks": _q_kg_chunks,
+        "kg_run_checkpointed": _q_kg_run_checkpointed,
         "kg_degree_distribution": _q_kg_degree_distribution,
         "kg_containment_depth": _q_kg_containment_depth,
         "kg_repo_triples": _q_kg_repo_triples,
-        "graph_ktruss": _q_graph_ktruss,
         "kg_schema_summary": _q_kg_schema_summary,
         "kg_negative_samples": _q_kg_negative_samples,
-        "rel_returned_revenue": _q_rel_returned_revenue,
-        "events_cusum": _q_events_cusum,
+        "kg_metapath_counts": _q_kg_metapath_counts,
+        "kg_link_rewrites": _q_kg_link_rewrites,
+        "kg_pagerank_topk": _q_kg_pagerank_topk,
+        "kg_nodes_incremental": _q_kg_nodes_incremental,
+        "kg_triples_incremental": _q_kg_triples_incremental,
+        "kg_scored_links": _q_kg_scored_links,
+        "kg_reexport_links": _q_kg_reexport_links,
+        "kg_components": _q_kg_components,
+        "kg_degree_topk": _q_kg_degree_topk,
+        "kg_relabeled": _q_kg_relabeled,
+        "kg_fixture_triples": _q_kg_fixture_triples,
+        "kg_fixture_nodes": _q_kg_fixture_nodes,
+        "emb_outliers": _q_emb_outliers,
+        "graph_ktruss": _q_graph_ktruss,
         "docs_naive_bayes": _q_docs_naive_bayes,
         "emb_kmeans": _q_emb_kmeans,
         "graph_mst": _q_graph_mst,
-        "events_ohlc": _q_events_ohlc,
-        "kg_metapath_counts": _q_kg_metapath_counts,
         "docs_lm_terciles": _q_docs_lm_terciles,
-        "kg_link_rewrites": _q_kg_link_rewrites,
-        "rel_integrity_check": _q_rel_integrity_check,
-        "rel_regression": _q_rel_regression,
-        "events_user_ema": _q_events_user_ema,
         "graph_hits": _q_graph_hits,
         "graph_link_jaccard": _q_graph_link_jaccard,
         "graph_scc": _q_graph_scc,
-        "rel_gini": _q_rel_gini,
-        "rel_nation_volume": _q_rel_nation_volume,
         "graph_assortativity": _q_graph_assortativity,
         "docs_langid_kappa": _q_docs_langid_kappa,
         "docs_langid_report": _q_docs_langid_report,
         "ann_ivf_recall": _q_ann_ivf_recall,
-        "events_scd2_history": _q_events_scd2_history,
         "text_pmi_topk": _q_text_pmi_topk,
         "graph_sample_2hop": _q_graph_sample_2hop,
         "graph_clustering": _q_graph_clustering,
@@ -3213,40 +2322,24 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "text_bpe_merges": _q_text_bpe_merges,
         "dedup_semdedup": _q_dedup_semdedup,
         "docs_mixture_temperature": _q_docs_mixture_temperature,
-        "events_throttle": _q_events_throttle,
         "emb_gram_matrix": _q_emb_gram_matrix,
         "text_bpe_encode": _q_text_bpe_encode,
         "docs_shuffle_shards": _q_docs_shuffle_shards,
         "docs_mixture_plan": _q_docs_mixture_plan,
         "dedup_minhash_incr": _q_dedup_minhash_incr,
         "graph_link_ra": _q_graph_link_ra,
-        "events_drift_chi2": _q_events_drift_chi2,
         "text_lm_score": _q_text_lm_score,
         "graph_common_neighbors": _q_graph_common_neighbors,
         "docs_length_band": _q_docs_length_band,
-        "events_markov": _q_events_markov,
         "dedup_cross_corpus": _q_dedup_cross_corpus,
         "emb_knn_classify": _q_emb_knn_classify,
         "text_lexical": _q_text_lexical,
-        "events_anomaly_mad": _q_events_anomaly_mad,
-        "rel_part_lookup": _q_rel_part_lookup,
         "graph_triangles": _q_graph_triangles,
         "graph_pagerank": _q_graph_pagerank,
         "graph_bfs": _q_graph_bfs,
         "graph_sssp": _q_graph_sssp,
         "graph_kcore": _q_graph_kcore,
         "docs_parquet_profile": _q_docs_parquet_profile,
-        "events_cdc_merge": _q_events_cdc_merge,
-        "events_rolling_active": _q_events_rolling_active,
-        "events_retention": _q_events_retention,
-        "rel_mad": _q_rel_mad,
-        "rel_pricing_rollup": _q_rel_pricing_rollup,
-        "rel_pricing_cube": _q_rel_pricing_cube,
-        "kg_pagerank_topk": _q_kg_pagerank_topk,
-        "kg_nodes_incremental": _q_kg_nodes_incremental,
-        "kg_triples_incremental": _q_kg_triples_incremental,
-        "kg_scored_links": _q_kg_scored_links,
-        "kg_reexport_links": _q_kg_reexport_links,
         "pipeline_curation_full": _q_pipeline_curation_full,
         "pipeline_pretraining": _q_pipeline_pretraining,
         "text_segment_dedup": _q_text_segment_dedup,
@@ -3258,82 +2351,27 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "text_vocab_by_lang": _q_text_vocab_by_lang,
         "text_chunks": _q_text_chunks,
         "text_token_heavy_hitters": _q_text_token_heavy_hitters,
-        "rel_bucketed_join": _q_rel_bucketed_join,
-        "events_zorder_scan": _q_events_zorder_scan,
         "docs_partitioned_scan": _q_docs_partitioned_scan,
-        "rel_fuzzy_names": _q_rel_fuzzy_names,
-        "rel_fuzzy_lookup": _q_rel_fuzzy_lookup,
-        "rel_copart_pairs": _q_rel_copart_pairs,
-        "rel_order_revenue": _q_rel_order_revenue,
         "stats_quantile_sketch": _q_stats_quantile_sketch,
-        "events_users_per_type_kmv": _q_events_users_per_type_kmv,
-        "events_window_distinct": _q_events_window_distinct,
-        "kg_components": _q_kg_components,
-        "kg_degree_topk": _q_kg_degree_topk,
-        "kg_relabeled": _q_kg_relabeled,
-        "kg_fixture_triples": _q_kg_fixture_triples,
-        "kg_fixture_nodes": _q_kg_fixture_nodes,
         "conformance_parse": _q_conformance_parse,
         "pipeline_clean_corpus": _q_pipeline_clean_corpus,
         "docs_budget_select": _q_docs_budget_select,
         "docs_quota_sample": _q_docs_quota_sample,
-        "events_heavy_hitters": _q_events_heavy_hitters,
-        "events_pivot": _q_events_pivot,
-        "events_ntile": _q_events_ntile,
-        "rel_unpivot": _q_rel_unpivot,
-        "events_pct_rank": _q_events_pct_rank,
-        "events_running_sum": _q_events_running_sum,
-        "rel_region_balance": _q_rel_region_balance,
-        "rel_shipping_priority": _q_rel_shipping_priority,
         "mm_decode": _q_mm_decode,
         "mm_resize": _q_mm_resize,
         "mm_frames": _q_mm_frames,
         "mm_features": _q_mm_features,
-        "events_funnel": _q_events_funnel,
-        "events_user_profile": _q_events_user_profile,
         "docs_distinct_pairs": _q_docs_distinct_pairs,
-        "events_lag_deltas": _q_events_lag_deltas,
-        "events_window_frame": _q_events_window_frame,
-        "events_users_intersect": _q_events_users_intersect,
-        "events_users_except": _q_events_users_except,
-        "events_latest_per_user": _q_events_latest_per_user,
-        "events_day_rank": _q_events_day_rank,
-        "rel_customer_order_counts": _q_rel_customer_order_counts,
-        "events_json_stats": _q_events_json_stats,
-        "rel_brand_revenue": _q_rel_brand_revenue,
-        "rel_corr_stats": _q_rel_corr_stats,
         "stats_value_histogram": _q_stats_value_histogram,
-        "events_mode_type": _q_events_mode_type,
-        "events_new_users": _q_events_new_users,
         "stats_grouped_quantiles": _q_stats_grouped_quantiles,
-        "events_moving_sum": _q_events_moving_sum,
         "stats_moments_by_flag": _q_stats_moments_by_flag,
-        "events_user_streaks": _q_events_user_streaks,
         "docs_jsonl_stats": _q_docs_jsonl_stats,
-        "rel_quantity_zscore": _q_rel_quantity_zscore,
-        "rel_spearman": _q_rel_spearman,
         "text_normalize": _q_text_normalize,
         "docs_csv_stats": _q_docs_csv_stats,
         "stats_quantiles_cont": _q_stats_quantiles_cont,
         "docs_weighted_sample": _q_docs_weighted_sample,
-        "events_range_sum": _q_events_range_sum,
-        "events_full_outer_days": _q_events_full_outer_days,
-        "events_user_trace": _q_events_user_trace,
-        "events_type_entropy": _q_events_type_entropy,
         "docs_hash_split": _q_docs_hash_split,
-        "rel_winsorized": _q_rel_winsorized,
         "emb_quantize_profile": _q_emb_quantize_profile,
-        "events_skew_profile": _q_events_skew_profile,
-        "rel_column_stats": _q_rel_column_stats,
-        "kg_triples": _q_kg_triples,
-        "kg_triples_raw": _q_kg_triples_raw,
-        "kg_nodes": _q_kg_nodes,
-        "kg_containment": _q_kg_containment,
-        "kg_edge_labels": _q_kg_edge_labels,
-        "kg_sha256": _q_kg_sha256,
-        "kg_triples_hires": _q_kg_triples_hires,
-        "kg_chunks": _q_kg_chunks,
-        "kg_run_checkpointed": _q_kg_run_checkpointed,
         "dedup_exact": _q_dedup_exact,
         "dedup_minhash": _q_dedup_minhash,
         "dedup_minhash_sigjoin": _q_dedup_minhash_sigjoin,
@@ -3361,18 +2399,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_source_stats": _q_docs_source_stats,
         "docs_topk_per_source": _q_docs_topk_per_source,
         "stats_quantiles": _q_stats_quantiles,
-        "events_median_by_type": _q_events_median_by_type,
-        "events_window": _q_events_window,
-        "events_hopping": _q_events_hopping,
-        "events_stream_window": _q_events_stream_window,
-        "events_sessions": _q_events_sessions,
-        "events_asof": _q_events_asof,
-        "events_range_join": _q_events_range_join,
-        "rel_pricing": _q_rel_pricing,
-        "rel_segment_revenue": _q_rel_segment_revenue,
-        "rel_top_orders": _q_rel_top_orders,
-        "rel_customers_no_orders": _q_rel_customers_no_orders,
-        "rel_bloom_semijoin": _q_rel_bloom_semijoin,
         "stats_kmv_distinct": _q_stats_kmv_distinct,
         "stats_hll_distinct": _q_stats_hll_distinct,
     }
@@ -3473,32 +2499,6 @@ def oracle_sql() -> dict[str, str]:
             "m AS (SELECT a.s AS u, a.t AS v FROM r a JOIN r b ON a.s = b.t AND a.t = b.s) "
             "SELECT n.node::BIGINT AS node, least(n.node, coalesce(min(m.v), n.node))::BIGINT AS scc_id "
             "FROM nodes n LEFT JOIN m ON m.u = n.node GROUP BY n.node ORDER BY node"
-        ),
-        "rel_gini": (
-            # integer-exact up to the last op: HUGEINT rank*cents sums, then
-            # ONE double division written as the engine's exact expression
-            "WITH r AS (SELECT o_custkey, sum(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT))::BIGINT AS cents "
-            "FROM orders GROUP BY 1), "
-            "s AS (SELECT cents, row_number() OVER (ORDER BY cents) AS i FROM r), "
-            "t AS (SELECT count(*)::HUGEINT AS n, sum(cents)::HUGEINT AS sx, "
-            "sum(i::HUGEINT * cents::HUGEINT)::HUGEINT AS s1 FROM s) "
-            "SELECT n::BIGINT AS n_customers, sx::BIGINT AS total_cents, "
-            "round((2 * s1 - (n + 1) * sx)::DOUBLE / (n * sx)::DOUBLE, 6) AS gini FROM t"
-        ),
-        "rel_nation_volume": (
-            # revenue quantized to int64 cents with the engine's exact
-            # expression tree ((price * (1-disc)) * 100) + 0.5 -> floor,
-            # so the per-nation sums are association-order-free integers
-            "WITH li AS (SELECT l_orderkey, s_nationkey, "
-            "CAST(floor(l_extendedprice * (1 - l_discount) * 100 + 0.5) AS BIGINT) AS cents "
-            "FROM lineitem JOIN supplier ON l_suppkey = s_suppkey), "
-            "o AS (SELECT o_orderkey, c_nationkey FROM orders JOIN customer ON o_custkey = c_custkey "
-            "WHERE o_orderdate >= TIMESTAMP '1995-01-01' AND o_orderdate < TIMESTAMP '1997-01-01') "
-            "SELECT n_name, round(sum(cents)::DOUBLE / 100.0, 2) AS revenue, count(*)::BIGINT AS n_items "
-            "FROM li JOIN o ON l_orderkey = o_orderkey AND c_nationkey = s_nationkey "
-            "JOIN nation ON n_nationkey = s_nationkey "
-            "JOIN region ON r_regionkey = n_regionkey "
-            "WHERE r_name = 'ASIA' GROUP BY n_name ORDER BY revenue DESC, n_name"
         ),
         "graph_assortativity": (
             # same canonical-edge + degree CTEs as graph_clustering; the
@@ -3616,16 +2616,6 @@ def oracle_sql() -> dict[str, str]:
             "SUM(CAST(floor(CAST(e1.a AS DOUBLE) * CAST(e2.a AS DOUBLE) * 1000000 + 0.5) AS BIGINT))::BIGINT AS g "
             "FROM e e1 JOIN e e2 USING (vec_id) GROUP BY 1, 2 ORDER BY 1, 2"
         ),
-        "events_throttle": (
-            # first event per (user, 60s tumbling window) under (ts, event_id)
-            # + window event count; floor(epoch/60) == engine ts_us // 60e6
-            "WITH b AS (SELECT user_id, CAST(floor(epoch(ts) / 60) AS BIGINT) AS w, ts, event_id FROM events), "
-            "r AS (SELECT user_id, w, event_id, "
-            "row_number() OVER (PARTITION BY user_id, w ORDER BY ts, event_id) AS rn, "
-            "count(*) OVER (PARTITION BY user_id, w) AS n FROM b) "
-            "SELECT user_id, w, event_id AS first_event_id, n::BIGINT AS n_events "
-            "FROM r WHERE rn = 1 ORDER BY user_id, w"
-        ),
         "docs_mixture_temperature": (
             # alpha=0.5 temperature weights, int64-quantized (IEEE sqrt is
             # correctly rounded => identical weight in numpy and DuckDB);
@@ -3691,21 +2681,6 @@ def oracle_sql() -> dict[str, str]:
             "round(CAST(coalesce(h.hits, 0) AS DOUBLE) / CAST(10 AS DOUBLE), 6) AS recall "
             "FROM (SELECT DISTINCT query_id FROM approx) q LEFT JOIN h USING (query_id) "
             "ORDER BY q.query_id"
-        ),
-        "events_scd2_history": (
-            # change rows via lag over the engine's exact (ts, event_id)
-            # order, then version index + effective_to via lead; pure
-            # timestamp/string columns — no float discipline needed
-            "WITH o AS (SELECT user_id, ts, event_id, event_type, "
-            "lag(event_type) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS prev "
-            "FROM events), "
-            "ch AS (SELECT user_id, ts, event_id, event_type FROM o "
-            "WHERE prev IS NULL OR event_type <> prev) "
-            "SELECT user_id, "
-            "row_number() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS version, "
-            "event_type, ts AS effective_from, "
-            "lead(ts) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS effective_to "
-            "FROM ch ORDER BY user_id, version"
         ),
         "text_pmi_topk": (
             # tokenization mirrors python str.split (the text_vocab_topk
@@ -3818,16 +2793,6 @@ def oracle_sql() -> dict[str, str]:
             "round(sum(n_chars) / count(*), 4) AS avg_chars "
             "FROM documents GROUP BY source, lang ORDER BY source, lang"
         ),
-        "rel_customers_no_orders": (
-            "SELECT c_custkey, c_name, c_acctbal FROM customer c "
-            "WHERE NOT EXISTS (SELECT 1 FROM orders o "
-            "WHERE o.o_custkey = c.c_custkey AND o.o_totalprice > 400000)"
-        ),
-        "rel_bloom_semijoin": (
-            "SELECT c_custkey, c_name, c_acctbal FROM customer "
-            "WHERE c_custkey IN (SELECT o_custkey FROM orders WHERE o_totalprice > 400000) "
-            "ORDER BY c_custkey"
-        ),
         "text_token_heavy_hitters": (
             # token filter mirrors python str.split (see text_vocab_topk)
             "WITH toks AS (SELECT unnest(regexp_split_to_array(text, '\\s+')) AS token "
@@ -3846,40 +2811,6 @@ def oracle_sql() -> dict[str, str]:
             "UNION ALL SELECT 0.99, quantile_disc(value, 0.99) FROM events"
             ") ORDER BY q"
         ),
-        "events_pct_rank": (
-            "SELECT event_id, user_id, "
-            "PERCENT_RANK() OVER (PARTITION BY user_id ORDER BY ts::DATE) AS pct_rank, "
-            "CUME_DIST() OVER (PARTITION BY user_id ORDER BY ts::DATE) AS cume_dist "
-            "FROM events ORDER BY event_id"
-        ),
-        "rel_unpivot": (
-            "SELECT l_orderkey, l_linenumber, measure, val FROM ("
-            "SELECT l_orderkey, l_linenumber, 'l_quantity' AS measure, l_quantity::DOUBLE AS val FROM lineitem "
-            "UNION ALL SELECT l_orderkey, l_linenumber, 'l_extendedprice', l_extendedprice::DOUBLE FROM lineitem "
-            "UNION ALL SELECT l_orderkey, l_linenumber, 'l_discount', l_discount::DOUBLE FROM lineitem "
-            "UNION ALL SELECT l_orderkey, l_linenumber, 'l_tax', l_tax::DOUBLE FROM lineitem"
-            ") WHERE l_orderkey < 2000 ORDER BY l_orderkey, l_linenumber, measure"
-        ),
-        "events_ntile": (
-            "SELECT event_id, user_id, "
-            "NTILE(4) OVER (PARTITION BY user_id ORDER BY value, event_id)::BIGINT AS tile "
-            "FROM events ORDER BY event_id"
-        ),
-        "events_pivot": (
-            "SELECT user_id, "
-            "sum(CASE WHEN event_type='click' THEN value ELSE 0 END) AS click, "
-            "sum(CASE WHEN event_type='error' THEN value ELSE 0 END) AS error, "
-            "sum(CASE WHEN event_type='purchase' THEN value ELSE 0 END) AS purchase, "
-            "sum(CASE WHEN event_type='signup' THEN value ELSE 0 END) AS signup, "
-            "sum(CASE WHEN event_type='view' THEN value ELSE 0 END) AS view "
-            "FROM events GROUP BY user_id ORDER BY user_id"
-        ),
-        "events_heavy_hitters": (
-            "SELECT event_type, count(*)::BIGINT AS cnt FROM events "
-            "GROUP BY event_type "
-            "HAVING count(*) > 0.10 * (SELECT count(*) FROM events) "
-            "ORDER BY event_type"
-        ),
         # stats_hll_distinct has NO oracle on purpose (estimate-only sketch)
         "stats_kmv_distinct": (
             "SELECT col, n_distinct FROM ("
@@ -3887,17 +2818,6 @@ def oracle_sql() -> dict[str, str]:
             "UNION ALL "
             "SELECT 'user_id' AS col, count(DISTINCT user_id)::BIGINT AS n_distinct FROM events"
             ") ORDER BY col"
-        ),
-        "events_running_sum": (
-            # round(4): see user_running_sum — the window sum's addition
-            # order differs from a sequential cumsum in the last ulp
-            "SELECT event_id, user_id, epoch_us(ts) AS ts, "
-            "round(sum(value) OVER (PARTITION BY user_id ORDER BY ts, event_id "
-            "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW), 4) AS running FROM events"
-        ),
-        "events_median_by_type": (
-            "SELECT event_type, median(value) AS med, count(*)::BIGINT AS n "
-            "FROM events GROUP BY event_type"
         ),
         "docs_topk_per_source": (
             "SELECT doc_id, source, n_chars FROM ("
@@ -3937,72 +2857,7 @@ def oracle_sql() -> dict[str, str]:
             "FROM (SELECT DISTINCT doc_id, unnest(regexp_split_to_array(text, '\\s+')) AS token FROM documents) "
             "WHERE token <> '' GROUP BY token HAVING count(*) >= 5 ORDER BY token"
         ),
-        "rel_pricing_rollup": (
-            "SELECT coalesce(l_returnflag, 'ALL') AS rf, coalesce(l_linestatus, 'ALL') AS ls, "
-            "round(sum(l_quantity), 2) AS sum_qty, round(sum(l_extendedprice), 2) AS sum_price, "
-            "count(*)::BIGINT AS n_rows FROM lineitem WHERE l_shipdate < DATE '1996-01-01' "
-            "GROUP BY ROLLUP (l_returnflag, l_linestatus) ORDER BY rf, ls"
-        ),
-        "rel_pricing_cube": (
-            "SELECT coalesce(l_returnflag, 'ALL') AS rf, coalesce(l_linestatus, 'ALL') AS ls, "
-            "round(sum(l_quantity), 2) AS sum_qty, round(sum(l_extendedprice), 2) AS sum_price, "
-            "count(*)::BIGINT AS n_rows FROM lineitem WHERE l_shipdate < DATE '1996-01-01' "
-            "GROUP BY CUBE (l_returnflag, l_linestatus) ORDER BY rf, ls"
-        ),
-        # strict min-ts-after funnel: step k = users with a step-k event
-        # strictly after their step-(k-1) qualifying (min) time
-        "events_funnel": (
-            "WITH s1 AS (SELECT user_id, min(ts) t FROM events WHERE event_type = 'view' GROUP BY 1), "
-            "s2 AS (SELECT e.user_id, min(e.ts) t FROM events e JOIN s1 ON e.user_id = s1.user_id "
-            "AND e.ts > s1.t WHERE e.event_type = 'click' GROUP BY 1), "
-            "s3 AS (SELECT e.user_id, min(e.ts) t FROM events e JOIN s2 ON e.user_id = s2.user_id "
-            "AND e.ts > s2.t WHERE e.event_type = 'purchase' GROUP BY 1) "
-            "SELECT * FROM ("
-            "SELECT 1::BIGINT AS step, 'view' AS name, count(*)::BIGINT AS users FROM s1 "
-            "UNION ALL SELECT 2::BIGINT, 'click', count(*)::BIGINT FROM s2 "
-            "UNION ALL SELECT 3::BIGINT, 'purchase', count(*)::BIGINT FROM s3) ORDER BY step"
-        ),
-        "events_user_profile": (
-            "SELECT event_type, count(DISTINCT user_id)::BIGINT AS n_users "
-            "FROM events GROUP BY event_type ORDER BY event_type"
-        ),
         "docs_distinct_pairs": ("SELECT DISTINCT source, lang FROM documents ORDER BY source, lang"),
-        "events_lag_deltas": (
-            # no rounding: delta is ONE IEEE subtraction of the same doubles
-            # on both sides (no accumulation), bit-identical by construction
-            "SELECT event_id, user_id, row_number() OVER w AS rn, "
-            "value - lag(value) OVER w AS delta FROM events "
-            "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id) ORDER BY event_id"
-        ),
-        "events_window_frame": (
-            # no rounding: w3_sum is TWO left-associated IEEE additions of the
-            # same doubles on both sides (engine computes (v + lag1) + lag2),
-            # bit-identical; NULL/NaN propagation matches pandas
-            "SELECT event_id, user_id, lead(value) OVER w AS next_value, "
-            "value + lag(value, 1) OVER w + lag(value, 2) OVER w AS w3_sum FROM events "
-            "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id) ORDER BY event_id"
-        ),
-        "events_day_rank": (
-            "SELECT event_id, user_id, "
-            "rank() OVER (PARTITION BY user_id ORDER BY date_trunc('day', ts))::BIGINT AS rnk, "
-            "dense_rank() OVER (PARTITION BY user_id ORDER BY date_trunc('day', ts))::BIGINT AS drnk "
-            "FROM events ORDER BY event_id"
-        ),
-        "rel_brand_revenue": (
-            # round(2) on both sides absorbs summation-order float noise
-            "SELECT p_brand, round(sum(l_extendedprice * (1 - l_discount)), 2) AS rev "
-            "FROM lineitem JOIN part ON l_partkey = p_partkey "
-            "GROUP BY p_brand ORDER BY p_brand"
-        ),
-        "events_json_stats": (
-            # COALESCE(..., 0) mirrors the engine's .get("k", 0) for rows
-            # whose props lack the key; all-int aggregates, exact
-            "SELECT event_type, count(*)::BIGINT AS n, "
-            "sum(COALESCE(json_extract(props, '$.k')::BIGINT, 0))::BIGINT AS k_sum, "
-            "min(COALESCE(json_extract(props, '$.k')::BIGINT, 0))::BIGINT AS k_min, "
-            "max(COALESCE(json_extract(props, '$.k')::BIGINT, 0))::BIGINT AS k_max "
-            "FROM events GROUP BY event_type ORDER BY event_type"
-        ),
         "text_repetition": (
             # each output float is ONE IEEE division (+ subtraction) of exact
             # ints on both sides — bit-identical, no rounding needed
@@ -4014,25 +2869,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM c GROUP BY doc_id) "
             "SELECT doc_id, total AS n_bigrams, 1 - dist / total::DOUBLE AS dup_frac, "
             "maxc / total::DOUBLE AS top_frac FROM s ORDER BY doc_id"
-        ),
-        "rel_customer_order_counts": (
-            "SELECT c.c_custkey, c.c_name, count(o.o_custkey)::BIGINT AS n_orders "
-            "FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey "
-            "GROUP BY c.c_custkey, c.c_name ORDER BY c.c_custkey"
-        ),
-        "events_latest_per_user": (
-            "SELECT event_id, ts, user_id, event_type, value FROM events "
-            "QUALIFY row_number() OVER (PARTITION BY user_id ORDER BY ts DESC, event_id DESC) = 1 "
-            "ORDER BY user_id"
-        ),
-        "events_users_intersect": (
-            "SELECT user_id FROM events WHERE event_type = 'click' "
-            "INTERSECT SELECT user_id FROM events WHERE event_type = 'purchase' ORDER BY user_id"
-        ),
-        "events_users_except": (
-            "SELECT user_id, date_trunc('day', ts) AS day FROM events WHERE event_type = 'click' "
-            "EXCEPT SELECT user_id, date_trunc('day', ts) FROM events WHERE event_type = 'purchase' "
-            "ORDER BY user_id, day"
         ),
         "graph_triangles": (
             "WITH e AS (SELECT DISTINCT least(l_partkey%500, l_suppkey%500)::BIGINT AS a, "
@@ -4125,27 +2961,6 @@ def oracle_sql() -> dict[str, str]:
             f"UNION ALL SELECT dst_key FROM read_parquet('{exp_linked}')) "
             f"GROUP BY entity_key ORDER BY degree DESC, entity_key LIMIT 20"
         ),
-        # --- distributed joins vs DuckDB joins ---
-        "rel_order_revenue": (
-            "SELECT l_orderkey AS o_orderkey, o_custkey, "
-            "round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue, count(*)::BIGINT AS n_items "
-            "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-            "GROUP BY l_orderkey, o_custkey ORDER BY revenue DESC, o_orderkey LIMIT 10"
-        ),
-        "rel_shipping_priority": (
-            "SELECT o_orderkey, round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue, "
-            "any_value(o_orderpriority) AS o_orderpriority "
-            "FROM customer JOIN orders ON c_custkey = o_custkey "
-            "JOIN lineitem ON o_orderkey = l_orderkey "
-            "WHERE c_mktsegment = 'BUILDING' AND o_orderdate < TIMESTAMP '1998-01-01' "
-            "AND l_shipdate > TIMESTAMP '1998-01-01' "
-            "GROUP BY o_orderkey ORDER BY revenue DESC, o_orderkey LIMIT 10"
-        ),
-        "rel_region_balance": (
-            "SELECT r_name, n_name, round(sum(s_acctbal), 2) AS total_bal, count(*)::BIGINT AS n_suppliers "
-            "FROM supplier JOIN nation ON s_nationkey = n_nationkey JOIN region ON n_regionkey = r_regionkey "
-            "GROUP BY r_name, n_name ORDER BY r_name, n_name"
-        ),
         "kg_triples": f"SELECT src_key, pred, dst_key, repos_packed FROM read_parquet('{exp_linked}')",
         "kg_triples_raw": f"SELECT src_key, pred, dst_key, repos_packed FROM read_parquet('{exp_raw}')",
         "kg_triples_hires": f"SELECT src_key, pred, dst_key, repos_packed FROM read_parquet('{exp_linked}')",
@@ -4175,16 +2990,6 @@ def oracle_sql() -> dict[str, str]:
             "len(regexp_extract_all(text, ' ?[a-zA-Z]+| ?[0-9]+| ?[^ a-zA-Z0-9]+'))::BIGINT AS n_bpe_tokens "
             "FROM documents"
         ),
-        "events_sessions": (
-            "SELECT user_id, round(min(epoch), 6) AS start_epoch, count(*)::BIGINT AS n_events, "
-            "round(sum(value), 4) AS sum_value FROM ("
-            "  SELECT user_id, value, epoch, sum(new_sess) OVER (PARTITION BY user_id ORDER BY epoch ROWS UNBOUNDED PRECEDING) AS sess FROM ("
-            "    SELECT user_id, value, epoch(ts) AS epoch, "
-            "    CASE WHEN lag(epoch(ts)) OVER (PARTITION BY user_id ORDER BY ts) IS NULL "
-            "         OR epoch(ts) - lag(epoch(ts)) OVER (PARTITION BY user_id ORDER BY ts) > 1800 THEN 1 ELSE 0 END AS new_sess "
-            "    FROM events)) "
-            "GROUP BY user_id, sess"
-        ),
         "ann_topk": (
             "SELECT q.vec_id AS query_id, "
             "row_number() OVER (PARTITION BY q.vec_id ORDER BY "
@@ -4192,87 +2997,6 @@ def oracle_sql() -> dict[str, str]:
             "e.vec_id AS vec_id, "
             "round(list_cosine_similarity(q.embedding::DOUBLE[], e.embedding::DOUBLE[]), 6) AS sim "
             "FROM embeddings e, embeddings q WHERE q.vec_id < 8 QUALIFY rank <= 10"
-        ),
-        "events_window": (
-            "SELECT event_type, CAST(floor(epoch(ts) / 300) AS BIGINT) AS w, "
-            "round(sum(value), 4) AS sum_value, count(*)::BIGINT AS n_events "
-            "FROM events GROUP BY event_type, w"
-        ),
-        "events_stream_window": (
-            "SELECT event_type, CAST(floor(epoch(ts) / 300) AS BIGINT) AS w, "
-            "round(sum(value), 4) AS sum_value, count(*)::BIGINT AS n_events "
-            "FROM events GROUP BY event_type, w"
-        ),
-        "events_hopping": (
-            "SELECT event_type, CAST(floor(epoch(ts) / 300) AS BIGINT) - r AS w, "
-            "round(sum(value), 4) AS sum_value, count(*)::BIGINT AS n_events "
-            "FROM events, (SELECT unnest(range(2)) AS r) "
-            "WHERE CAST(floor(epoch(ts) / 300) AS BIGINT) - r >= 0 "
-            "GROUP BY event_type, w"
-        ),
-        "events_asof": (
-            "SELECT l.user_id, epoch_us(l.ts) AS ts, l.event_id, l.value, "
-            "epoch_us(r.ts) AS click_ts, r.value AS click_value "
-            "FROM (SELECT * FROM events WHERE event_type = 'purchase') l "
-            "ASOF JOIN (SELECT * FROM events WHERE event_type = 'click') r "
-            "ON l.user_id = r.user_id AND l.ts >= r.ts"
-        ),
-        "events_range_join": (
-            "SELECT l.user_id, epoch_us(l.ts) AS l_ts, epoch_us(r.ts) AS r_ts, "
-            "l.event_id AS view_id, r.event_id AS purchase_id, r.value AS purchase_value "
-            "FROM (SELECT * FROM events WHERE event_type = 'view') l "
-            "JOIN (SELECT * FROM events WHERE event_type = 'purchase') r "
-            "ON l.user_id = r.user_id AND r.ts > l.ts AND r.ts <= l.ts + INTERVAL 30 MINUTE"
-        ),
-        "rel_pricing": (
-            "SELECT l_returnflag, l_linestatus, round(sum(l_quantity), 2) AS sum_qty, "
-            "round(sum(l_extendedprice), 2) AS sum_price, round(avg(l_quantity), 4) AS avg_qty, "
-            "round(avg(l_discount), 4) AS avg_disc, count(*)::BIGINT AS n_rows "
-            "FROM lineitem WHERE l_shipdate < TIMESTAMP '1996-01-01' "
-            "GROUP BY l_returnflag, l_linestatus"
-        ),
-        "rel_segment_revenue": (
-            "SELECT c_mktsegment AS seg, round(sum(o_totalprice), 2) AS revenue, count(*)::BIGINT AS n_orders "
-            "FROM orders JOIN customer ON o_custkey = c_custkey GROUP BY c_mktsegment"
-        ),
-        "rel_top_orders": (
-            "SELECT o_orderkey, o_custkey, o_totalprice FROM orders "
-            "ORDER BY o_totalprice DESC, o_orderkey LIMIT 10"
-        ),
-        "rel_fuzzy_names": (
-            # independent candidate plan (NOT the engine's deletion
-            # neighborhoods): names are 'Customer#' + a fixed-width 9-digit
-            # suffix, so equal length forces substitution-only edits and
-            # hamming<=1 on the digits implies |num_a - num_b| = d*10^p
-            # (d in 1..9, p in 0..8). Probe those 81 deltas by equi-join
-            # (necessary, not sufficient: carries can fake a delta), then
-            # levenshtein verifies exactly. Validated == brute force at sf0.01.
-            "WITH d AS (SELECT dd * pp AS delta FROM "
-            "(SELECT unnest([1,2,3,4,5,6,7,8,9]) AS dd), "
-            "(SELECT unnest([1,10,100,1000,10000,100000,1000000,10000000,100000000]) AS pp)) "
-            "SELECT c1.c_custkey AS a_custkey, c2.c_custkey AS b_custkey "
-            "FROM customer c1 JOIN d ON true "
-            "JOIN customer c2 ON c2.c_custkey = c1.c_custkey + d.delta "
-            "WHERE levenshtein(c1.c_name, c2.c_name) <= 1 "
-            "ORDER BY a_custkey, b_custkey"
-        ),
-        "rel_corr_stats": (
-            # exact integer sufficient statistics (discount x100 is integral),
-            # then the engine's explicit IEEE op sequence verbatim: CAST the
-            # exact ints to DOUBLE, two sqrts, one multiply, one divide —
-            # bit-identical, no rounding tolerance
-            "WITH p AS (SELECT l_returnflag, count(*)::BIGINT AS n, "
-            "sum(CAST(round(l_quantity) AS BIGINT)) AS sx, "
-            "sum(CAST(round(l_discount * 100) AS BIGINT)) AS sy, "
-            "sum(CAST(round(l_quantity) AS BIGINT) * CAST(round(l_discount * 100) AS BIGINT)) AS sxy, "
-            "sum(CAST(round(l_quantity) AS BIGINT) * CAST(round(l_quantity) AS BIGINT)) AS sxx, "
-            "sum(CAST(round(l_discount * 100) AS BIGINT) * CAST(round(l_discount * 100) AS BIGINT)) AS syy "
-            "FROM lineitem GROUP BY l_returnflag) "
-            "SELECT l_returnflag, n, "
-            "CASE WHEN n*sxx - sx*sx = 0 OR n*syy - sy*sy = 0 THEN NULL "
-            "ELSE CAST(n*sxy - sx*sy AS DOUBLE) / "
-            "(sqrt(CAST(n*sxx - sx*sx AS DOUBLE)) * sqrt(CAST(n*syy - sy*sy AS DOUBLE))) END AS corr_qd "
-            "FROM p ORDER BY l_returnflag"
         ),
         "stats_value_histogram": (
             # the engine's bin rule IEEE-op-for-op: w = (max-min)/16.0;
@@ -4283,48 +3007,12 @@ def oracle_sql() -> dict[str, str]:
             "SELECT bin, (SELECT mn FROM m) + CAST(bin AS DOUBLE) * ((SELECT (mx - mn) FROM m) / 16.0) AS lo, "
             "count(*)::BIGINT AS cnt FROM b GROUP BY bin ORDER BY bin"
         ),
-        "events_mode_type": (
-            "SELECT user_id, event_type AS mode_type, cnt FROM ("
-            "SELECT user_id, event_type, count(*)::BIGINT AS cnt, "
-            "row_number() OVER (PARTITION BY user_id ORDER BY count(*) DESC, event_type) AS rn "
-            "FROM events GROUP BY user_id, event_type) WHERE rn = 1 ORDER BY user_id"
-        ),
-        "events_new_users": (
-            # CAST the window sum to BIGINT: DuckDB's HUGEINT window sum
-            # otherwise comes back as float64 and breaks the dtype-kind hash
-            "WITH f AS (SELECT user_id, min(CAST(ts AS DATE)) AS d FROM events GROUP BY user_id) "
-            "SELECT strftime(d, '%Y-%m-%d') AS d, count(*)::BIGINT AS new_users, "
-            "CAST(sum(count(*)) OVER (ORDER BY d) AS BIGINT) AS cum_users "
-            "FROM f GROUP BY d ORDER BY d"
-        ),
         "stats_grouped_quantiles": (
             "SELECT event_type, q, value FROM ("
             "SELECT event_type, 0.25 AS q, quantile_disc(value, 0.25) AS value FROM events GROUP BY event_type "
             "UNION ALL SELECT event_type, 0.5 AS q, quantile_disc(value, 0.5) AS value FROM events GROUP BY event_type "
             "UNION ALL SELECT event_type, 0.9 AS q, quantile_disc(value, 0.9) AS value FROM events GROUP BY event_type"
             ") ORDER BY event_type, q"
-        ),
-        "rel_fuzzy_lookup": (
-            # signed delta probes (both directions) because the pair is
-            # (even, odd) rather than ordered by key; same exactness argument
-            # as rel_fuzzy_names
-            "WITH d AS (SELECT dd * pp AS delta FROM "
-            "(SELECT unnest([1,2,3,4,5,6,7,8,9]) AS dd), "
-            "(SELECT unnest([1,10,100,1000,10000,100000,1000000,10000000,100000000]) AS pp)), "
-            "sd AS (SELECT delta FROM d UNION ALL SELECT -delta FROM d), "
-            "l AS (SELECT c_custkey, c_name FROM customer WHERE c_custkey % 2 = 0), "
-            "r AS (SELECT c_custkey, c_name FROM customer WHERE c_custkey % 2 = 1) "
-            "SELECT l.c_custkey AS a_custkey, r.c_custkey AS b_custkey "
-            "FROM l JOIN sd ON true JOIN r ON r.c_custkey = l.c_custkey + sd.delta "
-            "WHERE levenshtein(l.c_name, r.c_name) <= 1 "
-            "ORDER BY a_custkey, b_custkey"
-        ),
-        "events_moving_sum": (
-            # round(4): same last-ulp argument as events_running_sum — the
-            # engine computes the frame as cumsum-minus-lagged-cumsum
-            "SELECT event_id, user_id, "
-            "round(sum(value) OVER (PARTITION BY user_id ORDER BY ts, event_id "
-            "ROWS BETWEEN 9 PRECEDING AND CURRENT ROW), 4) AS moving FROM events"
         ),
         "stats_moments_by_flag": (
             # HUGEINT-exact power sums, then the engine's explicit IEEE op
@@ -4351,65 +3039,12 @@ def oracle_sql() -> dict[str, str]:
             "ELSE CAST(a4 AS DOUBLE) / (CAST(a2 AS DOUBLE) * CAST(a2 AS DOUBLE)) * (CAST(n AS DOUBLE) * CAST(n AS DOUBLE)) - 3.0 END AS kurt_pop "
             "FROM a ORDER BY l_returnflag"
         ),
-        "events_users_per_type_kmv": (
-            # exact-below-k regime: every event type has far fewer than 8192
-            # distinct users at oracle scale, so the merged KMV sketch holds
-            # the full distinct hash set and the count is exact
-            "SELECT event_type, count(DISTINCT user_id)::BIGINT AS n_distinct "
-            "FROM events GROUP BY event_type ORDER BY event_type"
-        ),
-        "rel_spearman": (
-            # 2*avg_rank = 2*rank() + tie_count - 1 (exact BIGINT), then the
-            # engine's exact-int Pearson sequence over doubled ranks
-            "WITH r AS (SELECT l_returnflag AS k, "
-            "2 * rank() OVER (PARTITION BY l_returnflag ORDER BY round(l_quantity)) "
-            "+ count(*) OVER (PARTITION BY l_returnflag, round(l_quantity)) - 1 AS rx, "
-            "2 * rank() OVER (PARTITION BY l_returnflag ORDER BY round(l_discount * 100)) "
-            "+ count(*) OVER (PARTITION BY l_returnflag, round(l_discount * 100)) - 1 AS ry "
-            "FROM lineitem), "
-            "p AS (SELECT k, count(*)::HUGEINT AS n, sum(rx)::HUGEINT AS sx, sum(ry)::HUGEINT AS sy, "
-            "sum(rx * ry)::HUGEINT AS sxy, sum(rx * rx)::HUGEINT AS sxx, sum(ry * ry)::HUGEINT AS syy "
-            "FROM r GROUP BY k) "
-            "SELECT k AS l_returnflag, CAST(n AS BIGINT) AS n, "
-            "CASE WHEN n*sxx - sx*sx = 0 OR n*syy - sy*sy = 0 THEN NULL "
-            "ELSE CAST(n*sxy - sx*sy AS DOUBLE) / "
-            "(sqrt(CAST(n*sxx - sx*sx AS DOUBLE)) * sqrt(CAST(n*syy - sy*sy AS DOUBLE))) END AS spearman "
-            "FROM p ORDER BY 1"
-        ),
-        "rel_quantity_zscore": (
-            # HUGEINT-exact power sums -> ONE IEEE op sequence for mean/sd,
-            # per-row (x - mean)/sd has no association freedom: bit-identical
-            "WITH p AS (SELECT l_returnflag, count(*)::HUGEINT AS n, "
-            "sum(CAST(round(l_quantity) AS BIGINT))::HUGEINT AS s1, "
-            "sum(CAST(round(l_quantity) AS BIGINT) * CAST(round(l_quantity) AS BIGINT))::HUGEINT AS s2 "
-            "FROM lineitem GROUP BY 1), "
-            "s AS (SELECT l_returnflag, CAST(s1 AS DOUBLE) / CAST(n AS DOUBLE) AS mean, "
-            "CASE WHEN n < 2 OR n*s2 - s1*s1 = 0 THEN NULL "
-            "ELSE sqrt(CAST(n*s2 - s1*s1 AS DOUBLE) / CAST(n*(n-1) AS DOUBLE)) END AS sd FROM p) "
-            "SELECT l.l_orderkey * 10 + l.l_linenumber AS rid, l.l_returnflag, "
-            "CASE WHEN s.sd IS NULL THEN NULL "
-            "ELSE (CAST(round(l.l_quantity) AS DOUBLE) - s.mean) / s.sd END AS z "
-            "FROM lineitem l JOIN s USING (l_returnflag) ORDER BY rid"
-        ),
         "text_chunks": (
             # integer ceil: 1 + (n - 65) // 192 == 1 + ceil((n-256)/192)
             "WITH d AS (SELECT doc_id, length(coalesce(text, '')) AS n FROM documents), "
             "k AS (SELECT doc_id, n, CASE WHEN n > 256 THEN 1 + (n - 65) // 192 ELSE 1 END AS n_chunks FROM d) "
             "SELECT doc_id, c AS chunk_idx, c * 192 AS off, LEAST(256, n - c * 192) AS chunk_len, n_chunks "
             "FROM k JOIN generate_series(0, 1023) AS t(c) ON t.c < k.n_chunks ORDER BY doc_id, chunk_idx"
-        ),
-        "rel_bucketed_join": (
-            "SELECT c_custkey, c_name, c_acctbal, o_orderkey, o_totalprice "
-            "FROM customer JOIN orders ON c_custkey = o_custkey ORDER BY o_orderkey"
-        ),
-        "events_zorder_scan": (
-            # the oracle scans the ORIGINAL events file: the clustered layout
-            # must be result-invariant; cents keep the sum integer-exact
-            "SELECT event_type, count(*)::BIGINT AS n, "
-            "sum(CAST(floor(value * 100 + 0.5) AS BIGINT))::BIGINT AS sum_cents "
-            "FROM events WHERE user_id BETWEEN 20 AND 60 "
-            "AND ts >= TIMESTAMP '2024-01-08' AND ts < TIMESTAMP '2024-01-16' "
-            "GROUP BY event_type ORDER BY event_type"
         ),
         "text_segment_dedup": (
             # 16-token segments (token = string_split(' '), the decontam
@@ -4451,19 +3086,6 @@ def oracle_sql() -> dict[str, str]:
             f"SELECT source, lang, count(*)::BIGINT AS n_docs, sum(n_chars)::BIGINT AS chars "
             f"FROM read_csv_auto('{_fmt_csv}') GROUP BY 1, 2 ORDER BY 1, 2"
         ),
-        "events_window_distinct": (
-            "SELECT epoch_us(ts) // 3600000000 AS w, event_type, "
-            "count(DISTINCT user_id)::BIGINT AS n_users "
-            "FROM events GROUP BY 1, 2 ORDER BY 1, 2"
-        ),
-        "events_user_streaks": (
-            # gaps & islands: day - row_number is constant within a streak
-            "WITH d AS (SELECT DISTINCT user_id, CAST(ts AS DATE) AS d FROM events), "
-            "r AS (SELECT user_id, d, row_number() OVER (PARTITION BY user_id ORDER BY d) AS rn FROM d), "
-            "runs AS (SELECT user_id, d - CAST(rn AS INTEGER) AS anchor, count(*)::BIGINT AS len "
-            "FROM r GROUP BY 1, 2) "
-            "SELECT user_id, max(len)::BIGINT AS longest_streak FROM runs GROUP BY user_id ORDER BY user_id"
-        ),
         "stats_quantiles_cont": (
             # round(6) absorbs the one-ulp interpolation-association delta
             "SELECT event_type, q, value FROM ("
@@ -4479,12 +3101,6 @@ def oracle_sql() -> dict[str, str]:
             "t AS (SELECT doc_id, wt, min(CAST('0x' || substr(md5(CAST(doc_id AS VARCHAR) || ':' || CAST(j AS VARCHAR)), 1, 8) AS BIGINT)) AS tkey "
             "FROM w CROSS JOIN range(4) AS r(j) WHERE r.j < w.wt GROUP BY doc_id, wt) "
             "SELECT doc_id, CAST(wt AS BIGINT) AS wt, tkey FROM t ORDER BY tkey, doc_id LIMIT 50"
-        ),
-        "rel_copart_pairs": (
-            "WITH gi AS (SELECT DISTINCT l_orderkey AS g, l_suppkey % 50 AS item FROM lineitem) "
-            "SELECT a.item AS a, b.item AS b, count(*)::BIGINT AS n "
-            "FROM gi a JOIN gi b ON a.g = b.g AND a.item < b.item "
-            f"GROUP BY 1, 2 HAVING count(*) >= {_copart_min_count(_SF01)} ORDER BY 1, 2"
         ),
         "graph_kcore": _kcore_sql(_kcore_mod(_SF01)),
         "graph_ktruss": _ktruss_sql(_ktruss_mod(_SF01)),
@@ -4505,29 +3121,6 @@ def oracle_sql() -> dict[str, str]:
             f"FROM read_parquet('{exp_linked}') d JOIN read_parquet('{exp_linked}') c "
             f"ON d.dst_key = c.src_key AND d.pred = 'defines' AND c.pred = 'calls' "
             f"GROUP BY d.src_key ORDER BY d.src_key"
-        ),
-        "rel_integrity_check": (
-            "SELECT chk, n_violations FROM ("
-            "SELECT 'orphan_lineitem' AS chk, count(*)::BIGINT AS n_violations FROM lineitem "
-            "WHERE l_orderkey NOT IN (SELECT o_orderkey FROM orders) "
-            "UNION ALL SELECT 'orphan_orders', count(*)::BIGINT FROM orders "
-            "WHERE o_custkey NOT IN (SELECT c_custkey FROM customer) "
-            "UNION ALL SELECT 'childless_orders', count(*)::BIGINT FROM orders "
-            "WHERE o_orderkey NOT IN (SELECT l_orderkey FROM lineitem) "
-            "UNION ALL SELECT 'dup_custkey', count(*)::BIGINT FROM "
-            "(SELECT c_custkey FROM customer GROUP BY c_custkey HAVING count(*) > 1)"
-            ") ORDER BY chk"
-        ),
-        "events_ohlc": (
-            # open/close via rn over the exact (ts, event_id) order; all cents
-            "WITH b AS (SELECT event_type, CAST(floor(epoch(ts) / 300) AS BIGINT) AS w, "
-            "CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents, ts, event_id FROM events), "
-            "r AS (SELECT *, row_number() OVER (PARTITION BY event_type, w ORDER BY ts, event_id) AS rn, "
-            "row_number() OVER (PARTITION BY event_type, w ORDER BY ts DESC, event_id DESC) AS rnd FROM b) "
-            "SELECT event_type, w, max(CASE WHEN rn = 1 THEN cents END)::BIGINT AS open, "
-            "max(cents)::BIGINT AS high, min(cents)::BIGINT AS low, "
-            "max(CASE WHEN rnd = 1 THEN cents END)::BIGINT AS close, count(*)::BIGINT AS volume "
-            "FROM r GROUP BY event_type, w ORDER BY event_type, w"
         ),
         "graph_mst": (
             # independent naive Kruskal under the shared (w, a, b) order
@@ -4571,74 +3164,6 @@ def oracle_sql() -> dict[str, str]:
             # independent naive NB (expected.py, same np.log quantization)
             f"SELECT doc_id, lang, pred, correct FROM read_parquet('{e}/expected_nb.parquet') ORDER BY doc_id"
         ),
-        "rel_returned_revenue": (
-            # integer-exact revenue: cents · (100 − discount_pct), summed in
-            # HUGEINT; ranking by revenue DESC == ranking by rev_q DESC
-            "WITH r AS (SELECT l_orderkey, sum(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT) * "
-            "(100 - CAST(floor(l_discount * 100 + 0.5) AS BIGINT))) AS rev_q "
-            "FROM lineitem WHERE l_returnflag = 'R' GROUP BY 1), "
-            "c AS (SELECT o_custkey, sum(rev_q) AS rev_q FROM r JOIN orders ON l_orderkey = o_orderkey GROUP BY 1) "
-            "SELECT c_custkey, c_name, n_name, CAST(rev_q AS DOUBLE) / 1e4 AS revenue "
-            "FROM c JOIN customer ON o_custkey = c_custkey JOIN nation ON c_nationkey = n_nationkey "
-            "ORDER BY rev_q DESC, c_custkey LIMIT 20"
-        ),
-        "events_cusum": (
-            # stat_k = n·prefix_k − k·total, all exact ints (window sums
-            # widen to HUGEINT); first argmax via (st DESC, k) row_number
-            "WITH b AS (SELECT event_type, CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents, ts, event_id FROM events), "
-            "w AS (SELECT event_type, row_number() OVER (PARTITION BY event_type ORDER BY ts, event_id) AS k, "
-            "sum(cents) OVER (PARTITION BY event_type ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING) AS pref, "
-            "count(*) OVER (PARTITION BY event_type) AS n, sum(cents) OVER (PARTITION BY event_type) AS tot FROM b), "
-            "s AS (SELECT event_type, n, abs(n * pref - k * tot) AS st, k FROM w), "
-            "sel AS (SELECT event_type, n, st, k, row_number() OVER (PARTITION BY event_type ORDER BY st DESC, k) AS rn FROM s) "
-            "SELECT event_type, n::BIGINT AS n_events, st::BIGINT AS cusum_q, k::BIGINT AS pos "
-            "FROM sel WHERE rn = 1 ORDER BY event_type"
-        ),
-        "rel_regression": (
-            # exact HUGEINT sufficient sums (sum(BIGINT) widens in DuckDB);
-            # finish CASTs each exact integer to DOUBLE and applies the SAME
-            # IEEE op sequence as grouped_ols_int — no rounding either side
-            "WITH v AS (SELECT l_returnflag, CAST(floor(l_quantity + 0.5) AS BIGINT) AS x, "
-            "CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT) AS y FROM lineitem), "
-            "s AS (SELECT l_returnflag, count(*)::HUGEINT AS n, sum(x) AS sx, sum(y) AS sy, "
-            "sum(x * y) AS sxy, sum(x * x) AS sxx, sum(y * y) AS syy FROM v GROUP BY l_returnflag), "
-            "f AS (SELECT l_returnflag, n, n * sxy - sx * sy AS num, n * sxx - sx * sx AS varx, "
-            "n * syy - sy * sy AS vary, sx, sy FROM s), "
-            "g AS (SELECT l_returnflag, n, CAST(num AS DOUBLE) / CAST(varx AS DOUBLE) AS slope, "
-            "num, varx, vary, sx, sy FROM f) "
-            "SELECT l_returnflag, n::BIGINT AS n, slope, "
-            "(CAST(sy AS DOUBLE) - slope * CAST(sx AS DOUBLE)) / CAST(n AS DOUBLE) AS intercept, "
-            "(CAST(num AS DOUBLE) / (sqrt(CAST(varx AS DOUBLE)) * sqrt(CAST(vary AS DOUBLE)))) * "
-            "(CAST(num AS DOUBLE) / (sqrt(CAST(varx AS DOUBLE)) * sqrt(CAST(vary AS DOUBLE)))) AS r2 "
-            "FROM g ORDER BY l_returnflag"
-        ),
-        "events_user_ema": (
-            # every term is (cents·10⁶) >> min(age, 62): integer floor-divide
-            # by a power of two on BOTH engines (values are non-negative, so
-            # DuckDB's truncating // equals the shift's floor); the final
-            # ema is one exact-int-to-double division, no round() call
-            "WITH b AS (SELECT user_id, CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents, ts, event_id FROM events), "
-            "w AS (SELECT user_id, cents, row_number() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS rn, "
-            "count(*) OVER (PARTITION BY user_id) AS cnt FROM b), "
-            "t AS (SELECT user_id, cnt, (cents * 1000000) // (1::BIGINT << "
-            "CAST(LEAST(CASE WHEN rn = 1 THEN cnt - 1 ELSE cnt - rn + 1 END, 62) AS INTEGER)) AS term FROM w) "
-            "SELECT user_id, any_value(cnt)::BIGINT AS n_events, sum(term)::BIGINT AS ema_q, "
-            "CAST(sum(term) AS DOUBLE) / 1e8 AS ema FROM t GROUP BY user_id ORDER BY user_id"
-        ),
-        "events_cdc_merge": (
-            # change set derived identically on both engines; winner = max
-            # (side, ver); tombstones (ver 3) drop the key
-            "WITH base AS (SELECT event_id, CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents, "
-            "0::BIGINT AS ver, false AS deleted FROM events), "
-            "ch AS ("
-            " SELECT event_id, cents + 111 AS cents, 1::BIGINT AS ver, false AS deleted FROM base WHERE event_id % 7 = 0"
-            " UNION ALL SELECT event_id, cents + 222, 2::BIGINT, false FROM base WHERE event_id % 14 = 0"
-            " UNION ALL SELECT event_id, cents, 3::BIGINT, true FROM base WHERE event_id % 35 = 0), "
-            "u AS (SELECT *, 0 AS side FROM base UNION ALL SELECT *, 1 AS side FROM ch), "
-            "w AS (SELECT * FROM (SELECT *, row_number() OVER "
-            "(PARTITION BY event_id ORDER BY side DESC, ver DESC) AS rn FROM u) WHERE rn = 1) "
-            "SELECT event_id, cents, ver FROM w WHERE NOT deleted ORDER BY event_id"
-        ),
         "docs_budget_select": (
             # quality from the independent expected table; token counts from
             # the docs (list_filter mirrors python str.split exactly);
@@ -4674,15 +3199,6 @@ def oracle_sql() -> dict[str, str]:
             "  WHERE token <> '' GROUP BY 1, 2)) "
             "WHERE rn <= 5 ORDER BY lang, n DESC, token"
         ),
-        "rel_column_stats": (
-            " UNION ALL ".join(
-                f"SELECT '{c}' AS \"column\", count(*)::BIGINT AS n_rows, "
-                f"(count(*) - count({c}))::BIGINT AS n_null, "
-                f"min({c})::BIGINT AS vmin, max({c})::BIGINT AS vmax FROM lineitem"
-                for c in ("l_linenumber", "l_orderkey", "l_partkey", "l_suppkey")
-            )
-            + ' ORDER BY "column"'
-        ),
         "text_search_topk": (
             # tf via exact-token list_filter; idf rounded to 6 dp on both
             # engines; score = tf1*idf1 + tf2*idf2 + tf3*idf3 left-to-right
@@ -4701,16 +3217,6 @@ def oracle_sql() -> dict[str, str]:
             "+ tf3 * round(ln((s.n + 1) / (s.df3 + 1.0)), 6) AS score "
             "FROM d, s WHERE tf1 + tf2 + tf3 > 0 "
             "ORDER BY score DESC, doc_id LIMIT 10"
-        ),
-        "rel_mad": (
-            # engine rounding points mirrored: round(median, 6) then
-            # round(median(|x - med|), 6) — NOT DuckDB's mad()
-            "WITH m AS (SELECT l_returnflag, round(quantile_cont(l_quantity, 0.5), 6) AS med "
-            "FROM lineitem WHERE l_quantity IS NOT NULL GROUP BY 1), "
-            "d AS (SELECT l.l_returnflag, abs(l.l_quantity - m.med) AS dev "
-            "FROM lineitem l JOIN m USING (l_returnflag) WHERE l.l_quantity IS NOT NULL) "
-            "SELECT l_returnflag, round(quantile_cont(dev, 0.5), 6) AS mad "
-            "FROM d GROUP BY 1 ORDER BY 1"
         ),
         "dedup_minhash_incr": (
             # a pair involves a new doc iff its max id is new (new ids are
@@ -4734,21 +3240,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT u, v, cn, round(q::DOUBLE / 1e9, 6) AS ra "
             "FROM cn LEFT JOIN e ON e.a = cn.u AND e.b = cn.v "
             "WHERE e.a IS NULL AND cn >= 2 ORDER BY q DESC, u, v LIMIT 100"
-        ),
-        "events_drift_chi2": (
-            # expected counts and terms written as the engine's EXACT
-            # expression tree ((n_a+n_b)*ta/(ta+tb); d*d, not pow) so both
-            # sides evaluate identical IEEE ops; round(6) pins the contract
-            "WITH c AS (SELECT event_type AS cat, "
-            "count(*) FILTER (WHERE user_id % 2 = 0)::BIGINT AS n_a, "
-            "count(*) FILTER (WHERE user_id % 2 = 1)::BIGINT AS n_b FROM events GROUP BY 1), "
-            "t AS (SELECT sum(n_a)::DOUBLE AS ta, sum(n_b)::DOUBLE AS tb FROM c), "
-            "x AS (SELECT cat, n_a, n_b, (n_a + n_b)::DOUBLE * ta / (ta + tb) AS ea, "
-            "(n_a + n_b)::DOUBLE * tb / (ta + tb) AS eb FROM c, t) "
-            "SELECT cat, n_a, n_b, round("
-            "(CASE WHEN ea > 0 THEN (n_a::DOUBLE - ea) * (n_a::DOUBLE - ea) / ea ELSE 0 END) + "
-            "(CASE WHEN eb > 0 THEN (n_b::DOUBLE - eb) * (n_b::DOUBLE - eb) / eb ELSE 0 END), 6) "
-            "AS chi2_term FROM x ORDER BY cat"
         ),
         "text_lm_score": (
             # n_bigrams is REAL SQL over the established tokenization
@@ -4781,17 +3272,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM t JOIN q USING (source) WHERE n_tokens >= lo AND n_tokens <= hi "
             "GROUP BY 1 ORDER BY 1"
         ),
-        "events_markov": (
-            # p: ONE IEEE division of the same int64-derived doubles on both
-            # sides (no accumulation) — bit-identical, no rounding
-            "WITH s AS (SELECT user_id, event_type, "
-            "lag(event_type) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS prev FROM events), "
-            "t AS (SELECT prev AS from_type, event_type AS to_type, count(*)::BIGINT AS n "
-            "FROM s WHERE prev IS NOT NULL GROUP BY 1, 2) "
-            "SELECT from_type, to_type, n, "
-            "n::DOUBLE / (sum(n) OVER (PARTITION BY from_type))::DOUBLE AS p "
-            "FROM t ORDER BY from_type, to_type"
-        ),
         "dedup_cross_corpus": (
             f"SELECT a, b, est_jaccard FROM read_parquet('{e}/expected_cross_pairs.parquet') "
             "WHERE est_jaccard >= 0.5"
@@ -4820,74 +3300,6 @@ def oracle_sql() -> dict[str, str]:
             "len(list_distinct(t.toks))::BIGINT AS n_types, "
             "CASE WHEN len(t.toks) = 0 THEN 0.0 ELSE round(len(list_distinct(t.toks)) / len(t.toks), 6) END AS ttr, "
             f"x.token_entropy FROM t JOIN read_parquet('{e}/expected_lexical.parquet') x USING (doc_id) ORDER BY t.doc_id"
-        ),
-        "events_anomaly_mad": (
-            # engine rounding mirrored: round(median, 6), round(MAD, 6),
-            # anomaly test abs(x - med) > 3.0 * mad; CTEs MATERIALIZED or
-            # DuckDB re-inlines the quantile scans combinatorially
-            "WITH m AS MATERIALIZED (SELECT event_type, round(quantile_cont(value, 0.5), 6) AS med "
-            "FROM events WHERE value IS NOT NULL GROUP BY 1), "
-            "d AS MATERIALIZED (SELECT e.event_type, e.value, m.med FROM events e "
-            "JOIN m USING (event_type) WHERE e.value IS NOT NULL), "
-            "dv AS MATERIALIZED (SELECT event_type, round(quantile_cont(abs(value - med), 0.5), 6) AS mad "
-            "FROM d GROUP BY 1) "
-            "SELECT d.event_type, count(*)::BIGINT AS n, "
-            "sum(CASE WHEN abs(d.value - d.med) > 3.0 * dv.mad THEN 1 ELSE 0 END)::BIGINT AS n_anomalies "
-            "FROM d JOIN dv USING (event_type) GROUP BY 1 ORDER BY 1"
-        ),
-        "rel_part_lookup": (
-            # LEFT OUTER enrichment: unmatched lineitems keep NULL brand and
-            # land in the 'NONE' bucket; quantities are integer-valued so the
-            # BIGINT sums are exact on both engines
-            "SELECT coalesce(p.p_brand, 'NONE') AS brand, count(*)::BIGINT AS n, "
-            "CAST(sum(l.l_quantity) AS BIGINT) AS sum_qty "
-            "FROM lineitem l LEFT JOIN (SELECT p_partkey, p_brand FROM part WHERE p_size > 40) p "
-            "ON l.l_partkey = p.p_partkey GROUP BY 1 ORDER BY 1"
-        ),
-        "events_rolling_active": (
-            # date_trunc+datediff FLOORS to the day like the engine's
-            # microsecond // 86400e6; a bare epoch(ts)::BIGINT would ROUND
-            # half-up in DuckDB and misplace events within 0.5 s of midnight
-            "WITH ud AS (SELECT DISTINCT user_id, "
-            "datediff('day', DATE '1970-01-01', date_trunc('day', ts))::BIGINT AS d FROM events), "
-            "w AS (SELECT user_id, d + i AS we_day FROM "
-            "(SELECT user_id, d, unnest(generate_series(0, 6)) AS i FROM ud)) "
-            "SELECT we_day, count(DISTINCT user_id)::BIGINT AS n_users "
-            "FROM w GROUP BY 1 ORDER BY 1"
-        ),
-        "events_retention": (
-            # Monday-truncated weeks on both engines; cohort week emitted as
-            # integer days-since-epoch so the hash is type-stable
-            "WITH f AS (SELECT user_id, min(date_trunc('week', ts)) AS cw FROM events GROUP BY 1), "
-            "r AS (SELECT e.user_id, f.cw, "
-            "datediff('week', f.cw, date_trunc('week', e.ts))::BIGINT AS wk "
-            "FROM events e JOIN f USING (user_id)) "
-            "SELECT datediff('day', DATE '1970-01-01', CAST(cw AS DATE))::BIGINT AS cohort_week_day, "
-            "wk, count(DISTINCT user_id)::BIGINT AS n_users FROM r GROUP BY 1, 2 ORDER BY 1, 2"
-        ),
-        "events_skew_profile": (
-            # Gini numerator over (count, key)-ranked counts is integer-
-            # exact; the division is the same single IEEE op as the engine's
-            "WITH c AS (SELECT user_id AS k, count(*)::BIGINT AS n FROM events GROUP BY 1), "
-            "r AS (SELECT k, n, row_number() OVER (ORDER BY n, k) AS i FROM c), "
-            "s AS (SELECT count(*)::BIGINT AS n_keys, sum(n)::BIGINT AS n_rows, max(n) AS max_n FROM c) "
-            "SELECT s.n_rows, s.n_keys, s.max_n, "
-            "(SELECT min(k) FROM c WHERE n = s.max_n) AS top_key, "
-            "(SELECT CAST(sum((2 * i - s.n_keys - 1) * n) AS DOUBLE) FROM r) "
-            "/ CAST(s.n_keys * s.n_rows AS DOUBLE) AS gini FROM s"
-        ),
-        "rel_winsorized": (
-            # int-cast quantities; disc-quantile bounds per group; clipped
-            # flags/sums all integer-exact
-            "WITH q AS (SELECT l_returnflag, CAST(l_quantity AS BIGINT) AS v FROM lineitem "
-            "WHERE l_quantity IS NOT NULL), "
-            "b AS (SELECT l_returnflag, quantile_disc(v, 0.1) AS lo, quantile_disc(v, 0.9) AS hi "
-            "FROM q GROUP BY 1) "
-            "SELECT q.l_returnflag, count(*)::BIGINT AS n, "
-            "sum(CASE WHEN v < lo THEN 1 ELSE 0 END)::BIGINT AS n_lo, "
-            "sum(CASE WHEN v > hi THEN 1 ELSE 0 END)::BIGINT AS n_hi, "
-            "sum(LEAST(GREATEST(v, lo), hi))::BIGINT AS sum_clipped "
-            "FROM q JOIN b USING (l_returnflag) GROUP BY 1 ORDER BY 1"
         ),
         "docs_partitioned_scan": (
             "SELECT source, lang, count(*)::BIGINT AS n_docs, sum(n_chars)::BIGINT AS chars "
@@ -4926,37 +3338,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT e.dst, w.depth + 1 FROM walk w JOIN e ON e.src = w.node "
             "WHERE w.depth < 3) "
             "SELECT node, min(depth)::BIGINT AS depth FROM walk GROUP BY node ORDER BY node"
-        ),
-        "events_range_sum": (
-            # RANGE frame: timestamp-axis window INCLUDING ts peers ordered
-            # after the current row; round(4) = the running-sum ulp argument
-            "SELECT event_id, user_id, "
-            "round(sum(value) OVER (PARTITION BY user_id ORDER BY ts "
-            "RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW), 4) AS range_sum "
-            "FROM events"
-        ),
-        "events_full_outer_days": (
-            "SELECT COALESCE(c.user_id, p.user_id) AS user_id, COALESCE(c.d, p.d) AS d, "
-            "c.n_clicks, p.n_purchases FROM "
-            "(SELECT user_id, strftime(ts, '%Y-%m-%d') AS d, CAST(count(*) AS DOUBLE) AS n_clicks "
-            "FROM events WHERE event_type = 'click' GROUP BY 1, 2) c "
-            "FULL OUTER JOIN "
-            "(SELECT user_id, strftime(ts, '%Y-%m-%d') AS d, CAST(count(*) AS DOUBLE) AS n_purchases "
-            "FROM events WHERE event_type = 'purchase' GROUP BY 1, 2) p "
-            "ON c.user_id = p.user_id AND c.d = p.d ORDER BY 1, 2"
-        ),
-        "events_user_trace": (
-            "SELECT user_id, string_agg(event_type, ',' ORDER BY ts, event_id) AS trace "
-            "FROM events GROUP BY user_id ORDER BY user_id"
-        ),
-        "events_type_entropy": (
-            # counts are exact ints on both engines; the <=5-term float sum's
-            # association-order noise (~1e-16) dies at round(6)
-            "WITH c AS (SELECT user_id, event_type, count(*)::BIGINT AS cnt "
-            "FROM events GROUP BY 1, 2) "
-            "SELECT user_id, sum(cnt)::BIGINT AS n, "
-            "round(ln(sum(cnt)) - sum(cnt * ln(cnt)) / sum(cnt), 6) AS entropy "
-            "FROM c GROUP BY user_id ORDER BY user_id"
         ),
         "docs_hash_split": (
             # md5 over the DECIMAL id string on both engines — per-row

@@ -65,7 +65,6 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     from text_to_graph_ray.functions.ann import brute_force_topk, queries_from_dataset
     from text_to_graph_ray.functions.dedup import minhash_near_dup_pairs
     from text_to_graph_ray.functions.text import text_stats
-    from text_to_graph_ray.pipelines.analytics import events_tumbling_window, pricing_summary
 
     t0 = time.monotonic()
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
@@ -83,20 +82,7 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     brute_force_topk(emb, q_ids, q_vecs, k=10).count()
     times["ann_topk"] = round(time.monotonic() - t0, 3)
 
-    t0 = time.monotonic()
-    events_tumbling_window(sf_dir).count()
-    times["events_window"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    pricing_summary(sf_dir).count()
-    times["rel_pricing"] = round(time.monotonic() - t0, 3)
-
     from text_to_graph_ray.functions.dedup import near_dup_survivors
-    from text_to_graph_ray.pipelines.analytics import order_revenue_topk
-
-    t0 = time.monotonic()
-    order_revenue_topk(sf_dir).count()
-    times["rel_order_revenue"] = round(time.monotonic() - t0, 3)
 
     t0 = time.monotonic()
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
@@ -104,16 +90,11 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     times["dedup_survivors"] = round(time.monotonic() - t0, 3)
 
     from text_to_graph_ray.functions.pack import packed_sequences
-    from text_to_graph_ray.pipelines.analytics import purchase_click_asof
 
     t0 = time.monotonic()
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     packed_sequences(docs).count()
     times["text_packed_seqs"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    purchase_click_asof(sf_dir).count()
-    times["events_asof"] = round(time.monotonic() - t0, 3)
 
     from text_to_graph_ray.functions.text import tfidf_topk
 
@@ -139,44 +120,17 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     _e._q_pipeline_pretraining(sf_dir).count()  # same entry the gate checks
     times["pipeline_pretraining"] = round(time.monotonic() - t0, 3)
 
-    # round-4 families: bloom semijoin (fixed-size broadcast filter) and the
-    # sketch trio (KMV + HLL + heavy hitters — three streamed driver folds)
-    from text_to_graph_ray.pipelines.analytics import customers_with_orders_bloom, event_heavy_hitters, events_distinct_sketch
-
+    # the distinct-count sketch pair (KMV + HLL — two streamed folds)
     t0 = time.monotonic()
-    customers_with_orders_bloom(sf_dir).count()
-    times["rel_bloom_semijoin"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    events_distinct_sketch(sf_dir, kind="kmv")
-    events_distinct_sketch(sf_dir, kind="hll")
-    event_heavy_hitters(sf_dir)
+    _e._q_stats_kmv_distinct(sf_dir)
+    _e._q_stats_hll_distinct(sf_dir)
     times["stats_sketches"] = round(time.monotonic() - t0, 3)
-
-    # ED<=1 fuzzy self-join: deletion-neighborhood exchange + exact verify
-    from text_to_graph_ray.pipelines.analytics import customer_fuzzy_pairs
-
-    t0 = time.monotonic()
-    customer_fuzzy_pairs(sf_dir).count()
-    times["rel_fuzzy_names"] = round(time.monotonic() - t0, 3)
-
-    # round-4 part-4 families: pair-explosion projection, bounded BFS, and
-    # the time-RANGE window frame
-    t0 = time.monotonic()
-    _e._q_rel_copart_pairs(sf_dir).count()
-    times["rel_copart_pairs"] = round(time.monotonic() - t0, 3)
 
     t0 = time.monotonic()
     _e._q_graph_bfs(sf_dir).count()
     times["graph_bfs"] = round(time.monotonic() - t0, 3)
 
-    t0 = time.monotonic()
-    _e._q_events_range_sum(sf_dir).count()
-    times["events_range_sum"] = round(time.monotonic() - t0, 3)
-
-    # round-4 part-5 families: corpus-level segment dedup, bounded k-core
-    # peeling, CDC merge-upsert, and the bucketed storage join (the timed
-    # span includes BOTH bucketed writes — the once-per-layout exchange)
+    # corpus-level segment dedup and bounded k-core peeling
     t0 = time.monotonic()
     _e._q_text_segment_dedup(sf_dir).count()
     times["text_segment_dedup"] = round(time.monotonic() - t0, 3)
@@ -184,14 +138,6 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     t0 = time.monotonic()
     _e._q_graph_kcore(sf_dir).count()
     times["graph_kcore"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    _e._q_events_cdc_merge(sf_dir).count()
-    times["events_cdc_merge"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    _e._q_rel_bucketed_join(sf_dir).count()
-    times["rel_bucketed_join"] = round(time.monotonic() - t0, 3)
 
     t0 = time.monotonic()
     _e._q_pipeline_curation_full(sf_dir).count()
@@ -202,20 +148,8 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     times["text_lexical"] = round(time.monotonic() - t0, 3)
 
     t0 = time.monotonic()
-    _e._q_rel_part_lookup(sf_dir).count()
-    times["rel_part_lookup"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    _e._q_events_anomaly_mad(sf_dir).count()
-    times["events_anomaly_mad"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
     _e._q_graph_triangles(sf_dir).count()
     times["graph_triangles"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    _e._q_events_markov(sf_dir).count()
-    times["events_markov"] = round(time.monotonic() - t0, 3)
 
     t0 = time.monotonic()
     _e._q_docs_length_band(sf_dir).count()
@@ -226,10 +160,6 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     times["text_lm_score"] = round(time.monotonic() - t0, 3)
 
     t0 = time.monotonic()
-    _e._q_events_drift_chi2(sf_dir).count()
-    times["events_drift_chi2"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
     _e._q_emb_knn_classify(sf_dir).count()
     times["emb_knn_classify"] = round(time.monotonic() - t0, 3)
 
@@ -237,8 +167,7 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     _e._q_dedup_cross_corpus(sf_dir).count()
     times["dedup_cross_corpus"] = round(time.monotonic() - t0, 3)
 
-    # round-5 part-6 families: BPE tokenizer training, SemDeDup, the
-    # temperature mixture plan, and window throttling
+    # BPE tokenizer training, SemDeDup and the temperature mixture plan
     t0 = time.monotonic()
     _e._q_text_bpe_merges(sf_dir).count()
     times["text_bpe_merges"] = round(time.monotonic() - t0, 3)
@@ -248,15 +177,11 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     times["dedup_semdedup"] = round(time.monotonic() - t0, 3)
 
     t0 = time.monotonic()
-    _e._q_events_throttle(sf_dir).count()
-    times["events_throttle"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
     _e._q_docs_mixture_temperature(sf_dir).count()
     times["docs_mixture_temperature"] = round(time.monotonic() - t0, 3)
 
-    # round-5 part-8 families: BPE apply, the Gopher rule gate, BM25
-    # retrieval, and the exact PCA projection
+    # BPE apply, the Gopher rule gate, BM25 retrieval and the exact PCA
+    # projection
     t0 = time.monotonic()
     _e._q_text_bpe_encode(sf_dir).count()
     times["text_bpe_encode"] = round(time.monotonic() - t0, 3)
@@ -273,9 +198,8 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     _e._q_emb_pca_project(sf_dir).count()
     times["emb_pca_project"] = round(time.monotonic() - t0, 3)
 
-    # round-5 part-10 families: bounded k-truss peeling, NB classifier
-    # train/classify, k-means clustering profile, the integer-exact EMA /
-    # CUSUM per-key stream kernels, and the Q10-style returned-revenue join
+    # bounded k-truss peeling, NB classifier train/classify and the k-means
+    # clustering profile
     t0 = time.monotonic()
     _e._q_graph_ktruss(sf_dir).count()
     times["graph_ktruss"] = round(time.monotonic() - t0, 3)
@@ -287,15 +211,6 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     t0 = time.monotonic()
     _e._q_emb_kmeans(sf_dir).count()
     times["emb_kmeans"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    _e._q_events_user_ema(sf_dir).count()
-    _e._q_events_cusum(sf_dir).count()
-    times["events_ema_cusum"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    _e._q_rel_returned_revenue(sf_dir).count()
-    times["rel_returned_revenue"] = round(time.monotonic() - t0, 3)
 
     return times["kg_pipeline"], times, extras
 

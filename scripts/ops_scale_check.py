@@ -1,4 +1,4 @@
-"""Scale smoke for the round-4 part-4 operators: multi-million-row
+"""Scale smoke for bounded BFS and the keyed full outer join: multi-million-row
 deterministic synthetic inputs generated DISTRIBUTED (from the row id inside
 map_batches — the driver never materializes an input), wall-clock per op at
 the session's CPU count. Usage:
@@ -21,34 +21,6 @@ import numpy as np
 import pyarrow as pa
 
 
-def synth_events(n_rows: int, n_users: int, days: int = 30):
-    """Deterministic (event_id, ts, user_id, value) rows from the row id."""
-    import ray.data as rd
-
-    base_us = 1_704_067_200_000_000  # 2024-01-01
-    span_us = days * 86_400_000_000
-
-    def gen(b: pa.Table) -> pa.Table:
-        ids = b.column("id").to_numpy().astype(np.int64)
-        # splitmix-style mix for iid-looking fields (uint64: wraps by design)
-        z = (ids.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)) * np.uint64(0xBF58476D1CE4E5B9)
-        z = z ^ (z >> np.uint64(27))
-        ts = base_us + (z % np.uint64(span_us)).astype(np.int64)
-        return pa.table(
-            {
-                "event_id": pa.array(ids, type=pa.int64()),
-                "ts": pa.array(ts.astype("datetime64[us]"), type=pa.timestamp("us")),
-                "user_id": pa.array(((z >> np.uint64(7)) % np.uint64(n_users)).astype(np.int64), type=pa.int64()),
-                "value": pa.array((z % np.uint64(10_000)).astype(np.int64) / 100.0, type=pa.float64()),
-                "event_type": pa.array(np.where(ids % 3 == 0, "click", np.where(ids % 3 == 1, "purchase", "view"))),
-            }
-        )
-
-    return rd.range(n_rows, override_num_blocks=max(64, n_rows // 500_000)).map_batches(
-        gen, batch_format="pyarrow"
-    )
-
-
 def main():
     import ray
     import ray.data as rd
@@ -59,51 +31,6 @@ def main():
         ray.init(address="local", num_cpus=ncpu, include_dashboard=False, logging_level="ERROR")
     DataContext.get_current().enable_progress_bars = False
     walls = {}
-
-    # ---- time-RANGE frame + entropy + streaks over 10M events / 200k users
-    ev = synth_events(10_000_000, 200_000).materialize()
-
-    from text_to_graph_ray.functions.agg import BUCKET_COL  # noqa: F401 (import path warmup)
-    from text_to_graph_ray.functions.stats import grouped_entropy
-
-    t0 = time.monotonic()
-    n = grouped_entropy(ev, "user_id", "event_type", key_type=pa.int64()).count()
-    walls["grouped_entropy_10M_200kkeys"] = (round(time.monotonic() - t0, 1), n)
-
-    # time-RANGE frame: reuse the pipeline kernel via a temp parquet dir
-    import os
-    import tempfile
-
-    tmp = tempfile.mkdtemp(prefix="ops_scale_")
-    ev.write_parquet(os.path.join(tmp, "events.parquet"))
-    from text_to_graph_ray.pipelines.analytics import user_longest_streak, user_time_range_sum
-
-    t0 = time.monotonic()
-    n = user_time_range_sum(tmp).count()
-    walls["time_range_sum_10M"] = (round(time.monotonic() - t0, 1), n)
-
-    t0 = time.monotonic()
-    n = user_longest_streak(tmp).count()
-    walls["longest_streak_10M"] = (round(time.monotonic() - t0, 1), n)
-
-    # ---- co-occurrence: 5M (group, item) rows, 250k groups x <=40 items
-    def gen_gi(b: pa.Table) -> pa.Table:
-        ids = b.column("id").to_numpy().astype(np.int64)
-        # prime modulus: the group stride (250k) must not divide the item
-        # modulus or every group collapses to one item (no pairs)
-        return pa.table(
-            {
-                "g": pa.array(ids % 250_000, type=pa.int64()),
-                "item": pa.array((ids * 2654435761) % 4_999, type=pa.int64()),
-            }
-        )
-
-    gi = rd.range(5_000_000, override_num_blocks=32).map_batches(gen_gi, batch_format="pyarrow")
-    from text_to_graph_ray.functions.agg import cooccurrence_pairs
-
-    t0 = time.monotonic()
-    n = cooccurrence_pairs(gi, "g", "item", min_count=3, max_items_per_group=64).count()
-    walls["cooccurrence_5M"] = (round(time.monotonic() - t0, 1), n)
 
     # ---- BFS: 10M edges over 500k nodes, 3 rounds
     def gen_edges(b: pa.Table) -> pa.Table:

@@ -1,5 +1,4 @@
-"""Scale smoke for the round-4 part-5 operators: segment dedup, bucketed
-storage join, z-order pruned scan, bounded k-core, CDC merge-upsert.
+"""Scale smoke for corpus-level segment dedup and bounded k-core peeling.
 Deterministic synthetic inputs generated DISTRIBUTED from the row id; the
 driver never materializes an input. Usage:
 
@@ -47,22 +46,6 @@ def synth_docs(n_docs: int, vocab: int = 5000, toks: int = 64, dup_every: int = 
     )
 
 
-def synth_kv(n_rows: int, key_mod: int, name: str = "k"):
-    import ray.data as rd
-
-    def gen(b: pa.Table) -> pa.Table:
-        ids = b.column("id").to_numpy().astype(np.int64)
-        z = _mix(ids)
-        return pa.table({
-            name: pa.array((z % np.uint64(key_mod)).astype(np.int64), type=pa.int64()),
-            "payload": pa.array(ids, type=pa.int64()),
-        })
-
-    return rd.range(n_rows, override_num_blocks=max(64, n_rows // 500_000)).map_batches(
-        gen, batch_format="pyarrow"
-    )
-
-
 def synth_edges(n_edges: int, n_nodes: int):
     import ray.data as rd
 
@@ -89,11 +72,8 @@ def main():
         ray.init(address="local", num_cpus=ncpu, include_dashboard=False, logging_level="ERROR")
     DataContext.get_current().enable_progress_bars = False
 
-    from text_to_graph_ray.functions.agg import merge_upsert
     from text_to_graph_ray.functions.graph import kcore_bounded
     from text_to_graph_ray.functions.text import segment_dedup
-    from text_to_graph_ray.sources.bucketed import bucketed_join, write_bucketed
-    from text_to_graph_ray.sources.zorder import pruned_read, write_zordered
 
     # 1. segment dedup: 400k docs x 64 tokens (~25.6M tokens, 1.6M segments)
     docs = synth_docs(400_000).materialize()
@@ -104,64 +84,11 @@ def main():
     print(f"segment_dedup: 400k docs -> {n} out docs, {removed} segments removed, "
           f"{time.monotonic() - t0:.1f}s", flush=True)
 
-    # 2. bucketed storage join: 10M rows x 2M keys joined to 2M-key dim
-    left = synth_kv(10_000_000, 2_000_000, "k")
-    right = synth_kv(2_000_000, 2_000_000, "rk")
-    t0 = time.monotonic()
-    write_bucketed(left, "k", "/tmp/graft_scale_bkt/left", num_buckets=128)
-    write_bucketed(right, "rk", "/tmp/graft_scale_bkt/right", num_buckets=128)
-    t_write = time.monotonic() - t0
-    t0 = time.monotonic()
-    nj = bucketed_join("/tmp/graft_scale_bkt/left", "/tmp/graft_scale_bkt/right", on=("k", "rk")).count()
-    print(f"bucketed_join: 10M x 2M rows -> {nj} joined, write {t_write:.1f}s, "
-          f"join {time.monotonic() - t0:.1f}s (exchange-free)", flush=True)
-
-    # 3. z-order: 10M events, rectangle ~1/64 of the space
-    from scripts.ops_scale_check import synth_events
-
-    ev = synth_events(10_000_000, 200_000)
-    t0 = time.monotonic()
-    write_zordered(ev, "user_id", "ts", "/tmp/graft_scale_z", rows_per_file=500_000, row_group_size=16_384)
-    t_write = time.monotonic() - t0
-    from text_to_graph_ray.sources.zorder import pd_ts_to_us
-    import pandas as pd
-
-    st = {}
-    t0 = time.monotonic()
-    nf = pruned_read("/tmp/graft_scale_z", [
-        ("user_id", 10_000, 35_000, "both"),
-        ("ts", pd_ts_to_us(pd.Timestamp("2024-01-05")), pd_ts_to_us(pd.Timestamp("2024-01-09")), "left"),
-    ], stats=st).count()
-    print(f"zorder: 10M rows write {t_write:.1f}s; pruned scan {nf} rows in "
-          f"{time.monotonic() - t0:.1f}s, row groups {st['rg_kept']}/{st['rg_total']}", flush=True)
-
-    # 4. bounded k-core: 10M edges / 1M nodes (avg deg 20), k=12: below the ER 14-core cascade threshold so a core survives
+    # 2. bounded k-core: 10M edges / 1M nodes (avg deg 20), k=12: below the ER 14-core cascade threshold so a core survives
     edges = synth_edges(10_000_000, 1_000_000).materialize()
     t0 = time.monotonic()
     nk = kcore_bounded(edges, k=12, max_rounds=4).count()
     print(f"kcore: 10M edges k=12 4 rounds -> {nk} nodes, {time.monotonic() - t0:.1f}s", flush=True)
-
-    # 5. CDC merge: 10M base + 1M changes (every 10th key, 10% tombstones)
-    base = synth_kv(10_000_000, 10_000_000).map_batches(
-        lambda b: b.append_column("ver", pa.array(np.zeros(b.num_rows, dtype=np.int64)))
-                   .append_column("deleted", pa.array(np.zeros(b.num_rows, dtype=bool))),
-        batch_format="pyarrow")
-
-    def chg(b: pa.Table) -> pa.Table:
-        k = b.column("k").to_numpy().astype(np.int64)
-        m = k % 10 == 0
-        k = k[m]
-        return pa.table({
-            "k": pa.array(k, type=pa.int64()),
-            "payload": pa.array(k + 1, type=pa.int64()),
-            "ver": pa.array(np.ones(len(k), dtype=np.int64)),
-            "deleted": pa.array(k % 100 == 0),
-        })
-
-    changes = synth_kv(10_000_000, 10_000_000).map_batches(chg, batch_format="pyarrow")
-    t0 = time.monotonic()
-    nm = merge_upsert(base, changes, key="k", order_by=["ver"], deleted_col="deleted").count()
-    print(f"cdc_merge: 10M base + changes -> {nm} rows, {time.monotonic() - t0:.1f}s", flush=True)
 
     ray.shutdown()
 

@@ -8,7 +8,6 @@ Covers:
   (~1e10 rows at hub degree 1e5 — unrunnable); the degree-ordered plan
   sources every wedge at a low-degree spoke, so wedge rows stay O(m).
 - lookup_join at 10M facts x 200k dims, broadcast AND fallback plans.
-- mad_outliers at 10M rows / 50 groups.
 - lexical_stats at 400k synthetic docs (vectorized ttr + token entropy).
 """
 
@@ -111,31 +110,7 @@ def main():
             f"rows={n} matched={matched} (expect {NF//2})")
         assert n == NF and matched == NF // 2
 
-    # --- 3. mad_outliers 10M rows / 50 groups -----------------------------
-    NM, G = 10_000_000, 50
-
-    def vals_fn(a, b):
-        i = np.arange(a, b, dtype=np.int64)
-        g = i % G
-        # deterministic pseudo-noise; every 1000th value is a 100x outlier
-        base = ((i * 2654435761) % 1000).astype(np.float64) / 100.0 + g * 10.0
-        base[i % 1000 == 0] += 1000.0
-        return pa.table({"g": pa.array(g.astype(str), type=pa.string()),
-                         "x": pa.array(base, type=pa.float64())})
-
-    from text_to_graph_ray.functions.stats import mad_outliers
-
-    vals = gen_range(NM, 64, vals_fn).materialize()
-    t0 = time.time()
-    out = mad_outliers(vals, "g", "x", k=3.0).materialize()
-    tt = pa.concat_tables([t for t in ray.get(out.to_arrow_refs()) if t.num_rows])
-    n_tot = pc.sum(tt.column("n")).as_py()
-    n_anom = pc.sum(tt.column("n_anomalies")).as_py()
-    log(f"mad_outliers {NM/1e6:.0f}M/{G}g: {time.time()-t0:.1f}s groups={tt.num_rows} "
-        f"n={n_tot} anomalies={n_anom} (expect {NM//1000})")
-    assert n_tot == NM and n_anom == NM // 1000
-
-    # --- 4. lexical_stats 400k docs ---------------------------------------
+    # --- 3. lexical_stats 400k docs ---------------------------------------
     ND2 = 400_000
     VOCAB = np.array([f"w{j}" for j in range(5000)], dtype=object)
 

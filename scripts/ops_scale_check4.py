@@ -3,12 +3,8 @@ synthetic inputs, walls are smoke-scale proofs on a shared host (not
 steady-state benchmarks). Run: python -u scripts/ops_scale_check4.py [num_cpus]
 
 Covers:
-- event_type_transitions at 10M events / 500k users / 20 types (one
-  user-keyed exchange; transition exchange carries <= buckets*K^2 rows).
 - bigram_lm_nll at 200k synthetic docs (combiner counting pass +
   lookup_join count attachment + keyed reduce).
-- categorical_drift_chi2 at 10M rows / 40 categories (combiner partials
-  only; answer-sized finish).
 - common_neighbor_topk on a CELEBRITY graph (100k-degree hub): exact
   common-neighbor counting is inherently Σ deg(center)^2 — the hub alone
   is 1e10 wedge rows, unrunnable — so this smoke proves the documented
@@ -57,37 +53,7 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    # --- 1. markov transitions at 10M events ------------------------------
-    from text_to_graph_ray.pipelines.analytics import event_type_transitions
-
-    N_EV, N_USERS, N_TYPES = 10_000_000, 500_000, 20
-
-    def ev_chunk(a, b):
-        i = np.arange(a, b, dtype=np.int64)
-        # deterministic mixed congruential streams
-        u = (i * 2654435761) % N_USERS
-        ty = ((i * 40503) ^ (i >> 7)) % N_TYPES
-        ts = (i * 997) % 86_400_000_000
-        return pa.table({
-            "event_id": pa.array(i, type=pa.int64()),
-            "ts": pa.array(ts, type=pa.int64()).cast(pa.timestamp("us")),
-            "user_id": pa.array(u, type=pa.int64()),
-            "event_type": pa.array(np.char.add("t", ty.astype(str)), type=pa.string()),
-        })
-
-    import tempfile
-
-    tmp = tempfile.mkdtemp(prefix="ops4_")
-    gen_range(N_EV, 128, ev_chunk).write_parquet(f"{tmp}/events.parquet")
-    t0 = time.monotonic()
-    out = event_type_transitions(tmp).to_pandas()
-    w = time.monotonic() - t0
-    # the congruential type stream need not produce every (from, to) combo
-    assert 0 < len(out) <= N_TYPES * N_TYPES, len(out)
-    assert int(out["n"].sum()) == N_EV - N_USERS  # every user's first event has no prev
-    log(f"markov_transitions 10M events/500k users: {w:.1f}s ({len(out)} cells)")
-
-    # --- 2. bigram LM at 200k docs ----------------------------------------
+    # --- 1. bigram LM at 200k docs ----------------------------------------
     from text_to_graph_ray.functions.text import bigram_lm_nll
 
     N_DOCS = 200_000
@@ -111,28 +77,7 @@ def main():
     assert n_rows == N_DOCS
     log(f"bigram_lm_nll 200k docs (~24M tokens): {w:.1f}s")
 
-    # --- 3. drift chi2 at 10M rows ----------------------------------------
-    from text_to_graph_ray.functions.stats import categorical_drift_chi2
-
-    def drift_chunk(a, b):
-        i = np.arange(a, b, dtype=np.int64)
-        cat = (i * 48271) % 40
-        # plant drift: category 7 appears 3x more often on side B
-        side = ((i * 69621) % 97) < 48
-        side = side | (cat == 7) & (((i * 131) % 4) != 0)
-        return pa.table({"cat": pa.array(np.char.add("c", cat.astype(str)), type=pa.string()),
-                         "side": pa.array(side, type=pa.bool_())})
-
-    dr = gen_range(N_EV, 128, drift_chunk)
-    t0 = time.monotonic()
-    out = categorical_drift_chi2(dr, "cat", "side").to_pandas()
-    w = time.monotonic() - t0
-    assert len(out) == 40
-    top = out.sort_values("chi2_term").iloc[-1]["cat"]
-    assert top == "c7", top
-    log(f"drift_chi2 10M rows/40 cats: {w:.1f}s (top drift {top})")
-
-    # --- 4. celebrity-graph common neighbors with hub cap ------------------
+    # --- 2. celebrity-graph common neighbors with hub cap ------------------
     from text_to_graph_ray.functions.graph import common_neighbor_topk
 
     N = 100_000
@@ -158,7 +103,7 @@ def main():
     log(f"common_neighbor_topk celebrity(100k-deg hub, capped): {w:.1f}s "
         f"(skipped={stats['cn_hubs_skipped']}; exact would be ~1e10 hub wedges)")
 
-    # --- 5. cross-corpus minhash at 100k x 100k ---------------------------
+    # --- 3. cross-corpus minhash at 100k x 100k ---------------------------
     from text_to_graph_ray.functions.dedup import minhash_cross_pairs
 
     N_SIDE = 100_000

@@ -10,8 +10,6 @@ Covers:
 - semdedup at 500k x 64-dim embeddings / 512 centroids: cluster sizes
   ~1k, so the within-cluster quadratic is ~1M sims per cluster — the
   clustering is what makes 500k^2 tractable.
-- events_throttle_first at 20M events / 500k users: combiner-first, the
-  exchange carries one partial row per (user, window) per upstream batch.
 - mixture_plan(temperature=True) at 400k docs / 200 sources.
 """
 
@@ -109,34 +107,7 @@ def main():
         f"planted near-dup pairs only collapse when both land in one cluster — scoping is the design trade)")
     assert n_removed > 0
 
-    # --- 3. throttle at 20M events -----------------------------------------
-    from text_to_graph_ray.pipelines.analytics import events_throttle_first
-
-    N_EV, N_USERS = 20_000_000, 500_000
-
-    def ev_chunk(a, b):
-        i = np.arange(a, b, dtype=np.int64)
-        u = (i * 2654435761) % N_USERS
-        ts = (i * 499) % 86_400_000_000
-        return pa.table({
-            "event_id": pa.array(i, type=pa.int64()),
-            "ts": pa.array(ts, type=pa.int64()).cast(pa.timestamp("us")),
-            "user_id": pa.array(u, type=pa.int64()),
-        })
-
-    import tempfile
-
-    tmp = tempfile.mkdtemp(prefix="ops5_")
-    gen_range(N_EV, 128, ev_chunk).write_parquet(f"{tmp}/events.parquet")
-    t0 = time.monotonic()
-    th = events_throttle_first(tmp, window_s=60)
-    n_windows = th.count()
-    n_total = int(th.sum("n_events"))
-    w = time.monotonic() - t0
-    assert n_total == N_EV
-    log(f"events_throttle 20M events/500k users: {w:.1f}s ({n_windows} windows kept)")
-
-    # --- 4. temperature mixture at 400k docs / 200 sources ------------------
+    # --- 3. temperature mixture at 400k docs / 200 sources ------------------
     from text_to_graph_ray.functions.sample import mixture_plan
 
     def src_chunk(a, b):

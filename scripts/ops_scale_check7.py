@@ -12,8 +12,6 @@ Covers:
   lookup_join + doc-keyed sum.
 - kmeans_profile at 1M x 64-dim embeddings: bounded sample fit, broadcast
   centroids, bincount partials only.
-- user_ema + cusum_changepoint at 10M events / 100k users: ONE keyed
-  coarse-bucket exchange each, vectorized segment kernels.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ def main():
     from text_to_graph_ray.functions.ann import kmeans_profile
     from text_to_graph_ray.functions.graph import ktruss_bounded
     from text_to_graph_ray.functions.text import naive_bayes_classify
-    from text_to_graph_ray.pipelines.analytics import cusum_changepoint, user_ema
 
     # --- ktruss: 2M-edge random graph on 50k nodes -------------------------
     N_NODE, N_EDGE = 50_000, 2_000_000
@@ -123,38 +120,6 @@ def main():
     t0 = time.monotonic()
     km = kmeans_profile(vecs).to_pandas()
     log(f"kmeans_profile 1M x 64: {time.monotonic()-t0:.1f}s clusters={len(km)} total={km['n_vecs'].sum()}")
-
-    # --- EMA + CUSUM: 10M events / 100k users ------------------------------
-    import tempfile
-
-    def ev_chunk(a, b):
-        i = np.arange(a, b, dtype=np.int64)
-        return pa.table({
-            "event_id": pa.array(i),
-            "ts": pa.array(i * 1000 + (i * 7919) % 997, type=pa.timestamp("us")),
-            "user_id": pa.array((i * 2654435761) % 100_000),
-            "event_type": pa.array(np.where(i % 3 == 0, "click", np.where(i % 3 == 1, "view", "buy"))),
-            "value": pa.array(((i * 37) % 40000).astype(np.float64) / 100 + 0.01),
-            "props": pa.array(np.full(len(i), "{}")),
-        })
-
-    with tempfile.TemporaryDirectory() as d:
-        gen_range(10_000_000, 128, ev_chunk).write_parquet(d)
-        # user_ema/cusum read {dir}/events.parquet: compact the shards there
-        sf = os.path.join(d, "sf")
-        os.makedirs(sf)
-        import glob
-        import pyarrow.parquet as pq
-        import pyarrow.dataset as pds
-
-        dset = pds.dataset([f for f in glob.glob(f"{d}/*.parquet")])
-        pq.write_table(dset.to_table(), os.path.join(sf, "events.parquet"))
-        t0 = time.monotonic()
-        ne = user_ema(sf).count()
-        log(f"user_ema 10M events/100k users: {time.monotonic()-t0:.1f}s users={ne}")
-        t0 = time.monotonic()
-        nc = cusum_changepoint(sf).count()
-        log(f"cusum 10M events/3 types: {time.monotonic()-t0:.1f}s rows={nc}")
 
     ray.shutdown()
 

@@ -84,6 +84,33 @@ def test_config_change_invalidates_cache(ray_session, small_corpus, tmp_path_fac
     assert c1.config_hash() != c2.config_hash()
 
 
+def test_config_switch_back_rewrites_shared_sink(ray_session, small_corpus, cfg, tmp_path_factory):
+    """run(A), run(B), run(A) on one out_dir: every config hash writes the
+    same nodes/ and edges/, so the third call must restore A's graph (from
+    A's merged checkpoint, no re-extraction) rather than report A's counters
+    over B's tables."""
+    import dataclasses
+
+    from text_to_graph_ray.pipelines import kg
+
+    clean = str(tmp_path_factory.mktemp("clean_a"))
+    ref = kg.run(small_corpus["path"], clean, cfg)
+
+    out = str(tmp_path_factory.mktemp("a_b_a"))
+    kg.run(small_corpus["path"], out, cfg)
+    b = kg.run(small_corpus["path"], out, dataclasses.replace(cfg, link_aliases=False))
+    assert (b["nodes"], b["edges"]) != (ref["nodes"], ref["edges"])  # B really is another graph
+    r3 = kg.run(small_corpus["path"], out, cfg)
+
+    assert r3["parts_computed"] == 0
+    assert (r3["nodes"], r3["edges"]) == (ref["nodes"], ref["edges"])
+    for t in ("nodes", "edges"):
+        assert _read_sorted(f"{out}/{t}").equals(_read_sorted(f"{clean}/{t}"))
+    # and a fourth call is a true no-op again
+    r4 = kg.run(small_corpus["path"], out, cfg)
+    assert r4 == r3
+
+
 def test_part_of_stable():
     from text_to_graph_ray.state.checkpoint import part_of
 

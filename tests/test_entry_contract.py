@@ -1,0 +1,51 @@
+"""The query contract of ``__ray_entry__``: which queries exist, which have an
+exact oracle, and in what order. Builds no oracle input and starts no Ray job."""
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+import __ray_entry__ as E
+
+# HyperLogLog registers cannot be replayed in SQL: the one rows-only query
+ROWS_ONLY = {"stats_hll_distinct"}
+
+
+@pytest.fixture
+def oracles(monkeypatch, tmp_path):
+    """``oracle_sql()`` with its input generators stubbed out: each returns
+    an empty directory, which holds only the (empty) expected-nodes
+    table whose footer the KG oracles size themselves from."""
+    import text_to_graph_ray.expected as expected
+    import text_to_graph_ray.fixtures as fixtures
+    import text_to_graph_ray.sources.formats as formats
+
+    d = str(tmp_path)
+    pq.write_table(pa.table({"entity_key": pa.array([], type=pa.string())}), f"{d}/expected_nodes.parquet")
+    monkeypatch.setattr(E, "_synth", lambda sf_dir: d)
+    for mod, name in (
+        (expected, "ensure_kg_scored_expected"),
+        (expected, "ensure_doc_expected"),
+        (expected, "ensure_conformance_expected"),
+        (fixtures, "ensure_fixture"),
+        (formats, "_ensure_converted"),
+    ):
+        monkeypatch.setattr(mod, name, lambda *a, **k: d)
+    return E.oracle_sql()
+
+
+def test_no_events_or_rel_queries():
+    assert [k for k in E.queries() if k.startswith(("events_", "rel_"))] == []
+
+
+def test_every_query_but_the_rows_only_sketch_has_an_oracle(oracles):
+    qs = set(E.queries())
+    assert ROWS_ONLY <= qs
+    assert qs - ROWS_ONLY == set(oracles)
+
+
+def test_kg_queries_come_first():
+    keys = list(E.queries())
+    n_kg = sum(k.startswith("kg_") for k in keys)
+    assert n_kg > 0
+    assert all(k.startswith("kg_") for k in keys[:n_kg]), keys[:n_kg]

@@ -177,19 +177,6 @@ def test_verified_near_dup_empty_candidates(ray_session):
     assert out.count() == 0
 
 
-def test_segment_revenue_join_fallback_matches_broadcast(ray_session, monkeypatch):
-    """Forcing the small-side guard to 0 routes segment_revenue through the
-    distributed hash join; result must equal the broadcast path."""
-    from text_to_graph_ray.pipelines import analytics
-
-    sf = "/root/testdata/sf0.001"
-    a = analytics.segment_revenue(sf).to_pandas()
-    monkeypatch.setattr(analytics, "BROADCAST_JOIN_MAX_ROWS", 0)
-    b = analytics.segment_revenue(sf).to_pandas()
-    cols = ["seg", "revenue", "n_orders"]
-    assert _sorted(a, cols).equals(_sorted(b, cols))
-
-
 def test_minhash_signature_join_matches_ridealong(ray_session):
     """signature_join=True (ids-only band rows + signature hash join) must be
     value-identical to the default ride-along plan."""

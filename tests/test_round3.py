@@ -270,190 +270,7 @@ def test_bucket_exchange_vectorized_per_bucket(ray_session):
     assert out.count() == 0 and out.schema().names == ["k", "vmax"]
 
 
-def test_order_revenue_fk_violation_fallback(ray_session, tmp_path):
-    """A lineitem orderkey ABSENT from orders (and guaranteed into the raw
-    top-k by a huge price) must trip the pushdown guard: the result follows
-    inner-join semantics (violating key dropped), matching a pandas merge."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    from text_to_graph_ray.pipelines.analytics import order_revenue_topk
-
-    rng = np.random.default_rng(3)
-    n = 200
-    lok = rng.integers(2, 40, n).astype("int64")  # keys 2..39, all present in orders
-    lok[:5] = 1  # key 1: missing from orders, forced into raw top-k below
-    price = rng.uniform(10, 1000, n)
-    price[:5] = 1e6
-    disc = rng.uniform(0, 0.1, n)
-    li = pa.table(
-        {
-            "l_orderkey": pa.array(lok, type=pa.int64()),
-            "l_extendedprice": pa.array(price, type=pa.float64()),
-            "l_discount": pa.array(disc, type=pa.float64()),
-        }
-    )
-    orders = pa.table(
-        {
-            "o_orderkey": pa.array(np.arange(2, 40), type=pa.int64()),
-            "o_custkey": pa.array(np.arange(2, 40) * 7, type=pa.int64()),
-        }
-    )
-    pq.write_table(li, str(tmp_path / "lineitem.parquet"))
-    pq.write_table(orders, str(tmp_path / "orders.parquet"))
-
-    got = order_revenue_topk(str(tmp_path), k=5).to_pandas().reset_index(drop=True)
-
-    ldf = li.to_pandas()
-    ldf["rev"] = ldf["l_extendedprice"] * (1 - ldf["l_discount"])
-    agg = ldf.groupby("l_orderkey", as_index=False).agg(revenue=("rev", "sum"), n_items=("rev", "size"))
-    agg["revenue"] = agg["revenue"].round(2)
-    want = (
-        agg.merge(orders.to_pandas(), left_on="l_orderkey", right_on="o_orderkey")
-        .sort_values(["revenue", "o_orderkey"], ascending=[False, True])
-        .head(5)[["o_orderkey", "o_custkey", "revenue", "n_items"]]
-        .reset_index(drop=True)
-    )
-    assert 1 not in set(got["o_orderkey"])  # the violating key was dropped
-    assert list(got["o_orderkey"]) == list(want["o_orderkey"])
-    assert list(got["o_custkey"]) == list(want["o_custkey"])
-    assert np.allclose(got["revenue"], want["revenue"])
-    assert list(got["n_items"]) == list(want["n_items"])
-
-
-# ---- functions/joins.py: distributed as-of and range joins ------------------
-
-
-def _random_events(rng, n, n_users, seed_ts=1_700_000_000_000_000):
-    ts = seed_ts + rng.choice(10**9, size=n, replace=False).astype("int64")  # unique
-    return pd.DataFrame(
-        {
-            "event_id": np.arange(n, dtype="int64"),
-            "ts": pd.to_datetime(ts, unit="us"),
-            "user_id": rng.integers(0, n_users, n).astype("int64"),
-            "value": rng.uniform(0, 100, n).round(2),
-        }
-    )
-
-
 import numpy as np  # noqa: E402  (used by the join tests below)
-
-
-def test_asof_join_matches_pandas_merge_asof(ray_session):
-    """Distributed asof_join == single-process pandas merge_asof on the whole
-    frame — bucket splits and block splits must not change any match.
-    Includes a hot key (half of one side is one user)."""
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.joins import asof_join
-
-    rng = np.random.default_rng(21)
-    left = _random_events(rng, 400, 20)
-    right = _random_events(rng, 600, 20)
-    right.loc[:200, "user_id"] = 7  # hot key
-
-    got = (
-        asof_join(
-            rd.from_pandas(left).repartition(5),
-            rd.from_pandas(right).repartition(7),
-            on="ts",
-            by="user_id",
-            left_cols={"event_id": "event_id", "value": "value"},
-            right_cols={"r_ts": "ts", "r_value": "value"},
-            num_buckets=8,
-        )
-        .to_pandas()
-        .sort_values("event_id")
-        .reset_index(drop=True)
-    )
-
-    l = left.sort_values("ts").copy()
-    r = right.sort_values("ts").copy()
-    r2 = r.rename(columns={"value": "r_value"})
-    r2["r_ts"] = r2["ts"].values.astype("datetime64[us]").astype("int64")
-    want = pd.merge_asof(l, r2[["ts", "user_id", "r_ts", "r_value"]], on="ts", by="user_id", direction="backward")
-    want = want[want["r_ts"].notna()].sort_values("event_id").reset_index(drop=True)
-    want["ts"] = want["ts"].values.astype("datetime64[us]").astype("int64")
-
-    assert list(got["event_id"]) == list(want["event_id"])
-    assert list(got["ts"]) == list(want["ts"])
-    assert list(got["r_ts"]) == [int(x) for x in want["r_ts"]]
-    assert np.allclose(got["r_value"], want["r_value"])
-
-
-def test_asof_join_left_outer_and_forward(ray_session):
-    """inner=False keeps unmatched left rows (null right payload);
-    direction='forward' matches the NEXT right row instead."""
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.joins import asof_join
-
-    left = pd.DataFrame(
-        {
-            "event_id": np.array([1, 2], dtype="int64"),
-            "ts": pd.to_datetime([100, 200], unit="s"),
-            "user_id": np.array([1, 1], dtype="int64"),
-            "value": [1.0, 2.0],
-        }
-    )
-    right = pd.DataFrame(
-        {
-            "event_id": np.array([9], dtype="int64"),
-            "ts": pd.to_datetime([150], unit="s"),
-            "user_id": np.array([1], dtype="int64"),
-            "value": [9.0],
-        }
-    )
-    l, r = rd.from_pandas(left), rd.from_pandas(right)
-    kw = dict(on="ts", by="user_id", left_cols={"event_id": "event_id"}, right_cols={"r_value": "value"}, num_buckets=4)
-
-    outer = asof_join(l, r, inner=False, **kw).to_pandas().sort_values("event_id")
-    assert len(outer) == 2
-    assert np.isnan(outer.iloc[0]["r_value"]) and outer.iloc[1]["r_value"] == 9.0  # 100<150 unmatched backward
-
-    fwd = asof_join(l, r, direction="forward", **kw).to_pandas().sort_values("event_id")
-    assert list(fwd["event_id"]) == [1] and fwd.iloc[0]["r_value"] == 9.0  # only ts=100 has a next right
-
-
-def test_range_join_matches_naive(ray_session):
-    """Distributed range_join == the O(n^2) per-user double loop, including
-    boundary semantics (strict lower, inclusive upper) and a hot key."""
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.joins import range_join
-
-    rng = np.random.default_rng(33)
-    left = _random_events(rng, 300, 12)
-    right = _random_events(rng, 300, 12)
-    right.loc[:150, "user_id"] = 3
-    upper = 200_000_000  # 200 s in us
-
-    got = (
-        range_join(
-            rd.from_pandas(left).repartition(4),
-            rd.from_pandas(right).repartition(6),
-            on="ts",
-            by="user_id",
-            left_cols={"a_id": "event_id"},
-            right_cols={"b_id": "event_id"},
-            lower_us=0,
-            upper_us=upper,
-            num_buckets=8,
-        )
-        .to_pandas()
-        .sort_values(["a_id", "b_id"])
-        .reset_index(drop=True)
-    )
-
-    lus = left.assign(us=left["ts"].values.astype("datetime64[us]").astype("int64"))
-    rus = right.assign(us=right["ts"].values.astype("datetime64[us]").astype("int64"))
-    pairs = []
-    for _, lrow in lus.iterrows():
-        for _, rrow in rus.iterrows():
-            if lrow["user_id"] == rrow["user_id"] and lrow["us"] < rrow["us"] <= lrow["us"] + upper:
-                pairs.append((int(lrow["event_id"]), int(rrow["event_id"])))
-    pairs.sort()
-    assert list(zip(got["a_id"], got["b_id"])) == pairs
 
 
 # ---- defs-broadcast pruning (link_merged early-return gates) -----------------
@@ -670,28 +487,6 @@ def test_distinct_rows_matches_pandas(ray_session):
     pd.testing.assert_frame_equal(got, want)
 
 
-def test_nunique_per_group_matches_pandas(ray_session):
-    import numpy as np
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.agg import nunique_per_group
-
-    rng = np.random.default_rng(22)
-    df = pd.DataFrame(
-        {"g": rng.choice(["p", "q", "r"], 2000), "u": rng.integers(0, 40, 2000).astype("int64")}
-    )
-    got = (
-        nunique_per_group(rd.from_pandas(df).repartition(9), "g", "u", out_name="n_unique")
-        .to_pandas()
-        .sort_values("g")
-        .reset_index(drop=True)
-    )
-    want = (
-        df.groupby("g", as_index=False)["u"].nunique().rename(columns={"u": "n_unique"}).sort_values("g").reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got, want)
-
-
 def test_tfidf_topk_matches_naive(ray_session):
     """tfidf vs a from-scratch pandas reimplementation on a tiny corpus with
     known tie cases (same score -> token ascending wins)."""
@@ -749,84 +544,6 @@ def test_inverted_index_matches_naive(ray_session):
     )
     # postings sorted numerically by doc_id; df counts DISTINCT docs
     pd.testing.assert_frame_equal(got.reset_index(drop=True), want)
-
-
-def test_pricing_rollup_levels(ray_session, tmp_path):
-    """All three ROLLUP levels present and each level's sums equal the finer
-    level's (internal consistency), vs a pandas reimplementation."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    from text_to_graph_ray.pipelines.analytics import pricing_rollup
-
-    rng = np.random.default_rng(4)
-    n = 400
-    li = pd.DataFrame(
-        {
-            "l_returnflag": rng.choice(["A", "N", "R"], n),
-            "l_linestatus": rng.choice(["F", "O"], n),
-            "l_quantity": rng.integers(1, 50, n).astype("float64"),
-            "l_extendedprice": np.round(rng.uniform(100, 900, n), 2),
-            "l_shipdate": pd.to_datetime("1995-06-01").to_datetime64(),
-        }
-    )
-    pq.write_table(pa.Table.from_pandas(li, preserve_index=False), str(tmp_path / "lineitem.parquet"))
-    got = pricing_rollup(str(tmp_path)).to_pandas()
-
-    fine = got[(got["rf"] != "ALL") & (got["ls"] != "ALL")]
-    mid = got[(got["rf"] != "ALL") & (got["ls"] == "ALL")]
-    total = got[(got["rf"] == "ALL") & (got["ls"] == "ALL")]
-    assert len(total) == 1 and int(total["n_rows"].iloc[0]) == n
-    assert fine["n_rows"].sum() == n and mid["n_rows"].sum() == n
-    want_fine = (
-        li.groupby(["l_returnflag", "l_linestatus"], as_index=False)
-        .agg(sum_qty=("l_quantity", "sum"), sum_price=("l_extendedprice", "sum"), n_rows=("l_quantity", "size"))
-        .rename(columns={"l_returnflag": "rf", "l_linestatus": "ls"})
-    )
-    want_fine["sum_qty"] = want_fine["sum_qty"].round(2)
-    want_fine["sum_price"] = want_fine["sum_price"].round(2)
-    want_fine["n_rows"] = want_fine["n_rows"].astype("int64")
-    pd.testing.assert_frame_equal(
-        fine.sort_values(["rf", "ls"]).reset_index(drop=True),
-        want_fine.sort_values(["rf", "ls"]).reset_index(drop=True),
-    )
-
-
-def test_user_event_deltas_matches_pandas(ray_session, tmp_path):
-    """LAG + ROW_NUMBER window vs pandas groupby shift/cumcount on a synthetic
-    events table with duplicate timestamps (tie broken by event_id)."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    from text_to_graph_ray.pipelines.analytics import user_event_deltas
-
-    rng = np.random.default_rng(31)
-    n = 3000
-    df = pd.DataFrame(
-        {
-            "event_id": np.arange(n, dtype="int64"),
-            "user_id": rng.integers(0, 50, n).astype("int64"),
-            # coarse timestamps force (ts, event_id) tie-breaks inside a user
-            "ts": pd.to_datetime(rng.integers(0, 40, n), unit="s").astype("datetime64[us]"),
-            "event_type": "t",
-            "value": rng.normal(size=n),
-        }
-    )
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False), str(tmp_path / "events.parquet"))
-
-    got = user_event_deltas(str(tmp_path)).to_pandas().reset_index(drop=True)
-
-    w = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-    g = w.groupby("user_id", sort=False)
-    want = pd.DataFrame(
-        {
-            "event_id": w["event_id"].to_numpy(),
-            "user_id": w["user_id"].to_numpy(),
-            "rn": (g.cumcount() + 1).to_numpy().astype("int64"),
-            "delta": g["value"].diff().to_numpy(),
-        }
-    ).sort_values("event_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want)
 
 
 def _naive_contamination(df, eval_sources, n):
@@ -898,41 +615,6 @@ def test_ngram_contamination_join_fallback_identical(ray_session):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_user_window_frame_matches_pandas(ray_session, tmp_path):
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    from text_to_graph_ray.pipelines.analytics import user_window_frame
-
-    rng = np.random.default_rng(32)
-    n = 2500
-    df = pd.DataFrame(
-        {
-            "event_id": np.arange(n, dtype="int64"),
-            "user_id": rng.integers(0, 40, n).astype("int64"),
-            "ts": pd.to_datetime(rng.integers(0, 30, n), unit="s").astype("datetime64[us]"),
-            "event_type": "t",
-            "value": rng.normal(size=n),
-        }
-    )
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False), str(tmp_path / "events.parquet"))
-
-    got = user_window_frame(str(tmp_path)).to_pandas().reset_index(drop=True)
-
-    w = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-    g = w.groupby("user_id", sort=False)["value"]
-    v = w["value"].to_numpy()
-    want = pd.DataFrame(
-        {
-            "event_id": w["event_id"].to_numpy(),
-            "user_id": w["user_id"].to_numpy(),
-            "next_value": g.shift(-1).to_numpy(),
-            "w3_sum": (v + g.shift(1).to_numpy()) + g.shift(2).to_numpy(),
-        }
-    ).sort_values("event_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want)
-
-
 def _naive_pagerank(e, iters=3, d=0.85, dp=9):
     """From-scratch dict/loop power iteration with the documented semantics
     (uniform init, per-iteration rounding, no dangling redistribution)."""
@@ -987,146 +669,6 @@ def test_pagerank_sink_and_empty(ray_session):
     assert pagerank(empty).count() == 0
 
 
-def test_set_op_rows_matches_pandas(ray_session):
-    import numpy as np
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.agg import set_op_rows
-
-    rng = np.random.default_rng(51)
-    a = pd.DataFrame({"x": rng.integers(0, 30, 400).astype("int64"), "y": rng.choice(["p", "q"], 400)})
-    b = pd.DataFrame({"x": rng.integers(15, 45, 400).astype("int64"), "y": rng.choice(["p", "q"], 400)})
-    dsa, dsb = rd.from_pandas(a).repartition(4), rd.from_pandas(b).repartition(3)
-    schema = pa.schema([("x", pa.int64()), ("y", pa.string())])
-
-    def want(op):
-        da = a.drop_duplicates()
-        kb = set(map(tuple, b[["x", "y"]].itertuples(index=False)))
-        m = da.apply(lambda r: (r["x"], r["y"]) in kb, axis=1)
-        d = da[m] if op == "intersect" else da[~m]
-        return d.sort_values(["x", "y"]).reset_index(drop=True)
-
-    for op in ("intersect", "except"):
-        got = (
-            set_op_rows(dsa, dsb, ["x", "y"], schema, op=op)
-            .to_pandas()
-            .sort_values(["x", "y"])
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(got, want(op), check_dtype=False)
-
-    # single-column path
-    s1 = pa.schema([("x", pa.int64())])
-    got1 = (
-        set_op_rows(dsa.select_columns(["x"]), dsb.select_columns(["x"]), ["x"], s1, op="intersect")
-        .to_pandas()
-        .sort_values("x")
-        .reset_index(drop=True)
-    )
-    want1 = pd.DataFrame({"x": sorted(set(a["x"]) & set(b["x"]))}).astype("int64")
-    pd.testing.assert_frame_equal(got1, want1)
-
-
-def test_set_op_rows_empty_sides(ray_session):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.agg import set_op_rows
-
-    schema = pa.schema([("x", pa.int64())])
-    a = rd.from_arrow(pa.table({"x": pa.array([1, 2, 2, 3], type=pa.int64())}))
-    empty = rd.from_arrow(schema.empty_table())
-    assert set_op_rows(a, empty, ["x"], schema, op="intersect").count() == 0
-    got = set_op_rows(a, empty, ["x"], schema, op="except").to_pandas().sort_values("x").reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, pd.DataFrame({"x": [1, 2, 3]}).astype("int64"))
-
-
-def test_latest_per_key_matches_pandas(ray_session):
-    import numpy as np
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.agg import latest_per_key
-
-    rng = np.random.default_rng(61)
-    n = 2000
-    df = pd.DataFrame(
-        {
-            "k": rng.integers(0, 60, n).astype("int64"),
-            # duplicate ts values force the id tiebreaker
-            "ts": rng.integers(0, 50, n).astype("int64"),
-            "id": np.arange(n, dtype="int64"),
-            "v": rng.normal(size=n),
-        }
-    )
-    schema = pa.schema([("k", pa.int64()), ("ts", pa.int64()), ("id", pa.int64()), ("v", pa.float64())])
-    got = (
-        latest_per_key(rd.from_pandas(df).repartition(7), "k", ["ts", "id"], schema, descending=True)
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    want = (
-        df.sort_values(["ts", "id"], ascending=False, kind="mergesort")
-        .drop_duplicates("k", keep="first")
-        .sort_values("k")
-        .reset_index(drop=True)[["k", "ts", "id", "v"]]
-    )
-    pd.testing.assert_frame_equal(got, want)
-
-    # ascending = keep-oldest
-    got_min = (
-        latest_per_key(rd.from_pandas(df).repartition(7), "k", ["ts", "id"], schema, descending=False)
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    want_min = (
-        df.sort_values(["ts", "id"], kind="mergesort")
-        .drop_duplicates("k", keep="first")
-        .sort_values("k")
-        .reset_index(drop=True)[["k", "ts", "id", "v"]]
-    )
-    pd.testing.assert_frame_equal(got_min, want_min)
-
-
-def test_user_day_ranks_matches_pandas(ray_session, tmp_path):
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    from text_to_graph_ray.pipelines.analytics import user_day_ranks
-
-    rng = np.random.default_rng(71)
-    n = 2000
-    df = pd.DataFrame(
-        {
-            "event_id": np.arange(n, dtype="int64"),
-            "user_id": rng.integers(0, 30, n).astype("int64"),
-            # few distinct days -> heavy ties within each user
-            "ts": pd.to_datetime(rng.integers(0, 5, n) * 86400 + rng.integers(0, 86400, n), unit="s").astype(
-                "datetime64[us]"
-            ),
-            "event_type": "t",
-            "value": 0.0,
-        }
-    )
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False), str(tmp_path / "events.parquet"))
-
-    got = user_day_ranks(str(tmp_path)).to_pandas().reset_index(drop=True)
-
-    day = df["ts"].to_numpy().astype("datetime64[D]").astype("int64")
-    w = pd.DataFrame({"event_id": df["event_id"], "user_id": df["user_id"], "day": day})
-    g = w.groupby("user_id", sort=False)["day"]
-    want = pd.DataFrame(
-        {
-            "event_id": w["event_id"],
-            "user_id": w["user_id"],
-            "rnk": g.rank(method="min").astype("int64"),
-            "drnk": g.rank(method="dense").astype("int64"),
-        }
-    ).sort_values("event_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want)
-    assert (want.groupby("user_id")["drnk"].max() <= 5).all()  # ties actually occurred
-
-
 def test_extract_image_features_matches_naive(ray_session):
     import ray.data as rd
 
@@ -1145,97 +687,6 @@ def test_extract_image_features_matches_naive(ray_session):
     want = pd.DataFrame(rows, columns=["media_id", "f00", "f01", "f10", "f11", "fstd"]).astype({"media_id": "int64"})
     assert len(want) == 10  # ids 0,3,6,... are images
     pd.testing.assert_frame_equal(got, want)
-
-
-def test_asof_left_outer_int_and_timestamp_payload(ray_session):
-    """Regression: inner=False with an INT or TIMESTAMP right payload used to
-    crash (NaN from the unmatched-left float promotion truncated into the
-    int64 cast); unmatched rows must carry NULL instead."""
-    import numpy as np
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.joins import asof_join
-
-    left = pd.DataFrame(
-        {
-            "event_id": np.array([1, 2], dtype="int64"),
-            "ts": pd.to_datetime([100, 200], unit="s"),
-            "user_id": np.array([1, 1], dtype="int64"),
-        }
-    )
-    right = pd.DataFrame(
-        {
-            "event_id": np.array([9], dtype="int64"),
-            "ts": pd.to_datetime([150], unit="s"),
-            "user_id": np.array([1], dtype="int64"),
-        }
-    )
-    out = (
-        asof_join(
-            rd.from_pandas(left),
-            rd.from_pandas(right),
-            on="ts",
-            by="user_id",
-            left_cols={"l_event": "event_id"},
-            right_cols={"r_event": "event_id", "r_ts": "ts"},  # int64 + timestamp payloads
-            inner=False,
-            num_buckets=4,
-        )
-        .to_pandas()
-        .sort_values("l_event")
-        .reset_index(drop=True)
-    )
-    assert len(out) == 2
-    assert pd.isna(out.iloc[0]["r_event"]) and pd.isna(out.iloc[0]["r_ts"])  # ts=100: no prior right
-    assert out.iloc[1]["r_event"] == 9 and out.iloc[1]["r_ts"] == 150_000_000  # epoch-us
-
-
-def test_range_join_cap_fails_loudly(ray_session):
-    """max_matches_per_row must raise, not silently truncate."""
-    import numpy as np
-    import pytest
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.joins import range_join
-
-    left = pd.DataFrame(
-        {"ts": pd.to_datetime([0], unit="s"), "user_id": np.array([1], dtype="int64"), "v": [1.0]}
-    )
-    right = pd.DataFrame(
-        {
-            "ts": pd.to_datetime(np.arange(5), unit="s"),
-            "user_id": np.ones(5, dtype="int64"),
-            "w": np.zeros(5),
-        }
-    )
-    kw = dict(
-        on="ts", by="user_id", left_cols={"v": "v"}, right_cols={"w": "w"},
-        lower_us=0, upper_us=10_000_000, num_buckets=2,
-    )
-    ok = range_join(rd.from_pandas(left), rd.from_pandas(right), **kw).to_pandas()
-    assert len(ok) == 4  # window is lower-exclusive: rt == lt+lower_us excluded
-    with pytest.raises(Exception, match="max_matches_per_row"):
-        range_join(
-            rd.from_pandas(left), rd.from_pandas(right), max_matches_per_row=3, **kw
-        ).to_pandas()
-
-
-def test_customer_order_counts_keeps_zero_customers(ray_session, tmp_path):
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    from text_to_graph_ray.pipelines.analytics import customer_order_counts
-
-    cust = pd.DataFrame({"c_custkey": np.arange(10, dtype="int64"), "c_name": [f"c{i}" for i in range(10)]})
-    orders = pd.DataFrame({"o_custkey": np.array([1, 1, 3, 3, 3, 7], dtype="int64")})
-    pq.write_table(pa.Table.from_pandas(cust, preserve_index=False), str(tmp_path / "customer.parquet"))
-    pq.write_table(pa.Table.from_pandas(orders, preserve_index=False), str(tmp_path / "orders.parquet"))
-
-    got = customer_order_counts(str(tmp_path)).to_pandas().reset_index(drop=True)
-    assert len(got) == 10  # outer: all customers survive
-    want_n = {1: 2, 3: 3, 7: 1}
-    assert all(got.loc[got["c_custkey"] == k, "n_orders"].iloc[0] == want_n.get(k, 0) for k in range(10))
-    assert got["n_orders"].dtype == "int64"
 
 
 def test_metadata_row_count_no_execution(ray_session, tmp_path):
@@ -1305,53 +756,3 @@ def test_worker_crash_mid_pagerank_recovers(ray_session, tmp_path):
     ).to_pandas().reset_index(drop=True)
     assert os.path.exists(flag), "fault was never injected"
     pd.testing.assert_frame_equal(crashed, clean)
-
-
-def test_event_json_stats_matches_pandas(ray_session, tmp_path):
-    import json
-
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    from text_to_graph_ray.pipelines.analytics import event_json_stats
-
-    rng = np.random.default_rng(81)
-    n = 1500
-    ks = rng.integers(0, 100, n)
-    df = pd.DataFrame(
-        {
-            "event_id": np.arange(n, dtype="int64"),
-            "ts": pd.to_datetime(np.zeros(n), unit="s").astype("datetime64[us]"),
-            "user_id": np.zeros(n, dtype="int64"),
-            "event_type": rng.choice(["a", "b", "c"], n),
-            "value": 0.0,
-            # a few rows missing the key entirely -> engine/.oracle default 0
-            "props": [json.dumps({"k": int(k)}) if k % 17 else "{}" for k in ks],
-        }
-    )
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False), str(tmp_path / "events.parquet"))
-
-    got = event_json_stats(str(tmp_path)).to_pandas().reset_index(drop=True)
-    kv = np.where(ks % 17 == 0, 0, ks)
-    w = pd.DataFrame({"event_type": df["event_type"], "k": kv})
-    want = (
-        w.groupby("event_type")["k"]
-        .agg(n="size", k_sum="sum", k_min="min", k_max="max")
-        .reset_index()
-        .astype({"n": "int64", "k_sum": "int64", "k_min": "int64", "k_max": "int64"})
-    )
-    pd.testing.assert_frame_equal(got, want)
-
-
-def test_brand_revenue_broadcast_vs_join_identical(ray_session, tmp_path, monkeypatch):
-    """Threshold-0 equivalence: forcing the distributed join plan (broadcast
-    guard at 0) must reproduce the broadcast plan's brand revenues exactly."""
-    import numpy as np
-
-    from text_to_graph_ray.pipelines import analytics
-
-    a = analytics.brand_revenue("/root/testdata/sf0.001").to_pandas().reset_index(drop=True)
-    monkeypatch.setattr(analytics, "BROADCAST_JOIN_MAX_ROWS", 0)
-    b = analytics.brand_revenue("/root/testdata/sf0.001").to_pandas().reset_index(drop=True)
-    assert len(a) > 0
-    pd.testing.assert_frame_equal(a, b)

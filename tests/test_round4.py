@@ -487,35 +487,3 @@ class TestTriangleCounts:
                     naive[v] = naive.get(v, 0) + 1
         got = self._counts(ray_session, edges, parts=7)
         assert dict(zip(got["node"], got["triangles"])) == naive
-
-
-class TestNtile:
-    def test_ntile_fill_semantics(self, ray_session):
-        """SQL NTILE: 10 rows / 4 tiles -> sizes 3,3,2,2; n<k -> one row per
-        tile. Checked against DuckDB's window on the same frame."""
-        import duckdb
-        import numpy as np
-        import pandas as pd
-
-        import text_to_graph_ray.pipelines.analytics as an
-
-        rng = np.random.default_rng(31)
-        df = pd.DataFrame({
-            "event_id": np.arange(200, dtype="int64"),
-            "user_id": np.repeat(np.arange(20, dtype="int64"), 10)[:200],
-            "value": rng.normal(size=200),
-        })
-        # user 0 gets only 3 rows (n < k regime)
-        df = df[~((df.user_id == 0) & (df.event_id % 10 >= 3))].reset_index(drop=True)
-        import pyarrow as pa
-        import ray as _ray
-        import tempfile, os
-
-        with tempfile.TemporaryDirectory() as d:
-            pa.parquet.write_table(pa.Table.from_pandas(df, preserve_index=False), os.path.join(d, "events.parquet"))
-            got = an.user_value_ntiles(d).to_pandas().reset_index(drop=True)
-        want = duckdb.sql(
-            "SELECT event_id, user_id, NTILE(4) OVER (PARTITION BY user_id ORDER BY value, event_id)::BIGINT AS tile "
-            "FROM df ORDER BY event_id"
-        ).df()
-        assert got.equals(want)

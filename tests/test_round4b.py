@@ -1,19 +1,9 @@
-"""Round-4 part-2 tests: ED<=1 fuzzy self-join (deletion neighborhoods),
-integer-exact grouped correlation, fixed-width histogram, mode-per-key."""
+"""Round-4 part-2 tests: fixed-width histogram, grouped quantile sketch and
+grouped integer-exact moments."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
-
-
-def _dp_levenshtein(a: str, b: str) -> int:
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
 
 
 WORDS = [
@@ -22,83 +12,6 @@ WORDS = [
     "token", "taken", "tokens", "broken", "",
     "aa", "ab", "ba", "abc",
 ]
-
-
-def test_ed_le1_matches_dp_reference():
-    from text_to_graph_ray.functions.fuzzy import ed_le1
-
-    rng = np.random.default_rng(7)
-    pool = WORDS + ["".join(rng.choice(list("abcd"), size=rng.integers(0, 6))) for _ in range(40)]
-    for a in pool:
-        for b in pool:
-            assert ed_le1(a, b) == (_dp_levenshtein(a, b) <= 1), (a, b)
-
-
-def test_fuzzy_join_matches_bruteforce(ray_session):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.fuzzy import fuzzy_self_join_ed1
-
-    ids = list(range(len(WORDS)))
-    ds = rd.from_arrow(
-        pa.table({"id": pa.array(ids, type=pa.int64()), "s": pa.array(WORDS, type=pa.string())})
-    ).repartition(4)
-    got = sorted((r["a"], r["b"]) for r in fuzzy_self_join_ed1(ds, "s", "id").take_all())
-    want = sorted(
-        (i, j)
-        for i in ids
-        for j in ids
-        if i < j and _dp_levenshtein(WORDS[i], WORDS[j]) <= 1
-    )
-    assert got == want
-    assert len(want) > 5  # the fixture actually exercises matches
-
-
-def test_fuzzy_truncation_counter_fires(ray_session):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.fuzzy import fuzzy_self_join_ed1
-
-    # 30 byte-identical strings: every deletion variant's group holds all 30.
-    # "aaaa" dedupes to exactly 2 variants {aaaa, aaa}; with max_bucket=10
-    # each group drops C(30,2)-C(10,2)=390 pairs -> 780 total, and the kept
-    # pairs from both groups coincide (same min-10 ids) -> C(10,2)=45 rows.
-    n = 30
-    ds = rd.from_arrow(
-        pa.table({"id": pa.array(range(n), type=pa.int64()), "s": pa.array(["aaaa"] * n)})
-    ).repartition(3)
-    stats: dict = {}
-    out = fuzzy_self_join_ed1(ds, "s", "id", max_bucket=10, stats=stats)
-    rows = out.take_all()
-    assert stats["fuzzy_pairs_dropped"] == 780
-    assert len(rows) == 45
-    assert all(0 <= r["a"] < r["b"] < 10 for r in rows)
-
-
-def test_grouped_corr_matches_numpy_and_nulls_degenerate(ray_session):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.stats import grouped_corr_int
-
-    rng = np.random.default_rng(11)
-    n = 5000
-    key = np.where(rng.random(n) < 0.5, "A", "B")
-    x = rng.integers(1, 51, size=n).astype(np.float64)
-    y = rng.integers(0, 11, size=n).astype(np.float64) / 100.0  # 2-decimal like discount
-    # group C: constant y -> zero variance -> NULL corr
-    key = np.concatenate([key, np.array(["C"] * 50)])
-    x = np.concatenate([x, rng.integers(1, 51, size=50).astype(np.float64)])
-    y = np.concatenate([y, np.full(50, 0.05)])
-    ds = rd.from_arrow(
-        pa.table({"k": pa.array(key.tolist()), "x": pa.array(x), "y": pa.array(y)})
-    ).repartition(8)
-    out = {r["k"]: r for r in grouped_corr_int(ds, "k", "x", "y", y_scale=100, out_name="c").take_all()}
-    assert out["C"]["c"] is None
-    for g in ("A", "B"):
-        m = key == g
-        want = np.corrcoef(x[m], np.rint(y[m] * 100))[0, 1]
-        assert out[g]["n"] == int(m.sum())
-        assert abs(out[g]["c"] - want) < 1e-12
 
 
 def test_histogram_exact_drops_nulls_and_closes_top_bin(ray_session):
@@ -126,44 +39,6 @@ def test_histogram_exact_drops_nulls_and_closes_top_bin(ray_session):
     const = rd.from_arrow(pa.table({"v": pa.array([1.0] * 10)}))
     with pytest.raises(ValueError, match="degenerate range"):
         histogram_fixed(const, "v", nbins=4)
-
-
-def test_mode_per_key_tiebreak(ray_session, tmp_path):
-    import pandas as pd
-    import pyarrow.parquet as pq
-
-    from text_to_graph_ray.pipelines.analytics import user_mode_event
-
-    # user 1: clear winner; user 2: exact tie between 'b' and 'a' -> 'a' wins
-    rows = (
-        [(1, "x")] * 3 + [(1, "y")] * 1 + [(2, "b")] * 2 + [(2, "a")] * 2 + [(3, "z")]
-    )
-    df = pd.DataFrame(rows, columns=["user_id", "event_type"])
-    pq.write_table(pa.Table.from_pandas(df), tmp_path / "events.parquet")
-    out = {r["user_id"]: (r["mode_type"], r["cnt"]) for r in user_mode_event(str(tmp_path)).take_all()}
-    assert out == {1: ("x", 3), 2: ("a", 2), 3: ("z", 1)}
-
-
-def test_daily_new_users_first_touch(ray_session, tmp_path):
-    import pandas as pd
-    import pyarrow.parquet as pq
-
-    from text_to_graph_ray.pipelines.analytics import daily_new_users
-
-    # user 1 spans all three days (counted once, on day 1); user 2 starts
-    # day 2; user 3 only day 3; user 4 appears twice on day 1
-    ts = pd.to_datetime(
-        [
-            "2024-03-01 10:00", "2024-03-02 09:00", "2024-03-03 08:00",  # user 1
-            "2024-03-02 12:00",  # user 2
-            "2024-03-03 01:00",  # user 3
-            "2024-03-01 05:00", "2024-03-01 23:59",  # user 4
-        ]
-    )
-    df = pd.DataFrame({"user_id": [1, 1, 1, 2, 3, 4, 4], "ts": ts})
-    pq.write_table(pa.Table.from_pandas(df), tmp_path / "events.parquet")
-    out = [(r["d"], r["new_users"], r["cum_users"]) for r in daily_new_users(str(tmp_path)).take_all()]
-    assert out == [("2024-03-01", 2, 2), ("2024-03-02", 1, 3), ("2024-03-03", 1, 4)]
 
 
 class TestGroupedQuantileSketch:
@@ -211,79 +86,6 @@ class TestGroupedQuantileSketch:
                 got = out[(g, q)]
                 rank = np.searchsorted(data[g], got) / n
                 assert abs(rank - q) < 0.01, (g, q, rank)
-
-
-def test_fuzzy_join_no_matches_keeps_schema(ray_session):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.fuzzy import fuzzy_self_join_ed1
-
-    words = ["alpha", "bbbbbbb", "cccccccccc", "dddd", "eeeeeeeeee"]
-    ds = rd.from_arrow(pa.table({"id": pa.array(range(len(words)), type=pa.int64()), "s": pa.array(words)}))
-    out = fuzzy_self_join_ed1(ds, "s", "id")
-    assert out.count() == 0
-    assert out.schema().names == ["a", "b"]
-
-
-class TestGroupedKMV:
-    def test_exact_below_k_per_group(self, ray_session):
-        import ray.data as rd
-
-        from text_to_graph_ray.functions.sketch import grouped_kmv_distinct
-
-        rng = np.random.default_rng(11)
-        keys = rng.choice(["a", "b", "c"], size=5000).tolist()
-        vals = rng.integers(0, 900, size=5000)  # < k distinct per group
-        tbl = pa.table({"g": pa.array(keys), "v": pa.array([str(v) for v in vals])})
-        ds = rd.from_arrow(tbl).repartition(8)
-        out = {r["g"]: r["n_distinct"] for r in grouped_kmv_distinct(ds, "g", "v", k=8192).take_all()}
-        import pandas as pd
-
-        want = pd.DataFrame({"g": keys, "v": vals}).groupby("g")["v"].nunique().to_dict()
-        assert out == want
-
-    def test_estimate_regime_relative_error(self, ray_session):
-        import ray.data as rd
-
-        from text_to_graph_ray.functions.sketch import grouped_kmv_distinct
-
-        n = 120_000
-        tbl = pa.table(
-            {
-                "g": pa.array(["hot"] * n + ["cold"] * 500),
-                "v": pa.array([str(i) for i in range(n)] + [str(i % 100) for i in range(500)]),
-            }
-        )
-        ds = rd.from_arrow(tbl).repartition(16)
-        out = {r["g"]: r["n_distinct"] for r in grouped_kmv_distinct(ds, "g", "v", k=1024).take_all()}
-        assert out["cold"] == 100  # still exact
-        assert abs(out["hot"] - n) / n < 0.15  # ~1/sqrt(k-1) regime
-
-
-def test_moving_sum_matches_pandas_rolling(ray_session, tmp_path):
-    import pandas as pd
-    import pyarrow.parquet as pq
-
-    from text_to_graph_ray.pipelines.analytics import user_moving_sum
-
-    rng = np.random.default_rng(3)
-    n = 4000
-    df = pd.DataFrame(
-        {
-            "event_id": np.arange(n, dtype=np.int64),
-            "ts": pd.to_datetime("2024-01-01") + pd.to_timedelta(rng.integers(0, 10**6, n), unit="s"),
-            "user_id": rng.integers(0, 37, n).astype(np.int64),
-            "value": np.round(rng.uniform(-5, 5, n), 2),
-        }
-    )
-    pq.write_table(pa.Table.from_pandas(df), tmp_path / "events.parquet")
-    got = {r["event_id"]: r["moving"] for r in user_moving_sum(str(tmp_path), frame=10).take_all()}
-    sd = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-    want = sd.groupby("user_id", sort=False)["value"].rolling(10, min_periods=1).sum().round(4)
-    want_by_id = dict(zip(sd["event_id"], want.to_numpy()))
-    assert len(got) == n
-    for eid, v in want_by_id.items():
-        assert got[eid] == pytest.approx(v, abs=1e-9), eid
 
 
 def test_grouped_moments_matches_exact_reference(ray_session):

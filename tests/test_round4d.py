@@ -1,5 +1,5 @@
-"""Round-4 part 5 operator tests: segment-level corpus dedup, bucketed
-co-partitioned storage join, z-order clustered layout, bounded k-core."""
+"""Round-4 part 5 operator tests: segment-level corpus dedup and bounded
+k-core."""
 
 import pandas as pd
 import pyarrow as pa
@@ -79,125 +79,6 @@ class TestSegmentDedup:
         assert (bcast.n_kept <= bcast.n_segs).all() and len(bcast) > 0
 
 
-class TestBucketedJoin:
-    def _write_sides(self, tmp_path, num_buckets=8, n=200):
-        import ray
-
-        from text_to_graph_ray.sources.bucketed import write_bucketed
-
-        left = ray.data.from_arrow(
-            pa.table({"k": pa.array(range(n), type=pa.int64()),
-                      "name": pa.array([f"n{i}" for i in range(n)])})
-        )
-        # right side: two rows per key for even keys, none for odd -> join
-        # must fan out matches and drop non-matching keys
-        rk = [i for i in range(n) if i % 2 == 0 for _ in range(2)]
-        right = ray.data.from_arrow(
-            pa.table({"rk": pa.array(rk, type=pa.int64()),
-                      "val": pa.array(range(len(rk)), type=pa.int64())})
-        )
-        write_bucketed(left, "k", str(tmp_path / "left"), num_buckets=num_buckets)
-        write_bucketed(right, "rk", str(tmp_path / "right"), num_buckets=num_buckets)
-        return left, right
-
-    def test_join_matches_pandas_oracle(self, ray_session, tmp_path):
-        from text_to_graph_ray.sources.bucketed import bucketed_join
-
-        left, right = self._write_sides(tmp_path)
-        got = (
-            bucketed_join(str(tmp_path / "left"), str(tmp_path / "right"), on=("k", "rk"))
-            .to_pandas().sort_values(["k", "val"]).reset_index(drop=True)
-        )
-        want = (
-            left.to_pandas().merge(right.to_pandas(), left_on="k", right_on="rk")
-            .drop(columns=["rk"]).sort_values(["k", "val"]).reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(got[["k", "name", "val"]], want[["k", "name", "val"]])
-
-    def test_bucket_count_mismatch_raises(self, ray_session, tmp_path):
-        import ray
-
-        from text_to_graph_ray.sources.bucketed import bucketed_join, write_bucketed
-
-        self._write_sides(tmp_path, num_buckets=8)
-        other = ray.data.from_arrow(pa.table({"rk": pa.array([1], type=pa.int64())}))
-        write_bucketed(other, "rk", str(tmp_path / "right16"), num_buckets=16)
-        with pytest.raises(ValueError, match="bucket-count mismatch"):
-            bucketed_join(str(tmp_path / "left"), str(tmp_path / "right16"), on=("k", "rk"))
-
-    def test_manifest_counts_and_write_idempotent(self, ray_session, tmp_path):
-        from text_to_graph_ray.sources.bucketed import write_bucketed
-        import ray
-
-        ds = ray.data.from_arrow(pa.table({"k": pa.array(range(100), type=pa.int64())}))
-        m1 = write_bucketed(ds, "k", str(tmp_path / "t"), num_buckets=4)
-        m2 = write_bucketed(ds, "k", str(tmp_path / "t"), num_buckets=4)  # overwrite
-        assert m1.rows.sum() == 100 and m2.rows.sum() == 100
-        pd.testing.assert_frame_equal(m1, m2)
-
-
-class TestZOrder:
-    def test_morton_kernel_known_values(self):
-        import numpy as np
-
-        from text_to_graph_ray.sources.zorder import morton2
-
-        x = np.array([0, 1, 0, 3], dtype=np.uint32)
-        y = np.array([0, 0, 1, 3], dtype=np.uint32)
-        # x bits land on odd positions, y on even: (1,0)->2, (0,1)->1, (3,3)->15
-        assert list(morton2(x, y)) == [0, 2, 1, 15]
-
-    def _events(self, n=8000):
-        import numpy as np
-
-        # two independent uniform dims -> a rectangle covering ~1/16 of the
-        # space should prune hard under z-order, not at all unsorted
-        rng = np.random.RandomState(7)
-        return pa.table({
-            "u": pa.array(rng.randint(0, 1000, size=n), type=pa.int64()),
-            "t": pa.array(rng.randint(0, 1_000_000, size=n), type=pa.int64()),
-            "v": pa.array(np.arange(n), type=pa.int64()),
-        })
-
-    def test_pruning_beats_unsorted_and_results_exact(self, ray_session, tmp_path):
-        import ray
-
-        from text_to_graph_ray.sources.zorder import pruned_read, write_zordered
-
-        t = self._events()
-        ds = ray.data.from_arrow(t).repartition(8)
-        write_zordered(ds, "u", "t", str(tmp_path / "z"), rows_per_file=1000, row_group_size=125)
-        ranges = [("u", 100, 349, "both"), ("t", 200_000, 450_000, "left")]
-        zs, us = {}, {}
-        got = pruned_read(str(tmp_path / "z"), ranges, stats=zs).to_pandas()
-
-        # unsorted baseline: same writer, same granule, no clustering
-        import pyarrow.parquet as pq
-
-        (tmp_path / "flat").mkdir()
-        pq.write_table(t, str(tmp_path / "flat" / "part-0.parquet"), row_group_size=125)
-        flat = pruned_read(str(tmp_path / "flat"), ranges, stats=us).to_pandas()
-
-        df = t.to_pandas()
-        want = df[(df.u >= 100) & (df.u <= 349) & (df.t >= 200_000) & (df.t < 450_000)]
-        assert sorted(got.v) == sorted(want.v) == sorted(flat.v)
-        # z-order must read well under half the granules; the random layout
-        # cannot prune a ~1/16-selectivity rectangle at 125-row granules
-        assert zs["rg_kept"] < 0.5 * zs["rg_total"], zs
-        assert us["rg_kept"] > 0.9 * us["rg_total"], us
-
-    def test_empty_rectangle(self, ray_session, tmp_path):
-        import ray
-
-        from text_to_graph_ray.sources.zorder import pruned_read, write_zordered
-
-        ds = ray.data.from_arrow(self._events(500))
-        write_zordered(ds, "u", "t", str(tmp_path / "z2"), rows_per_file=200, row_group_size=50)
-        st = {}
-        out = pruned_read(str(tmp_path / "z2"), [("u", 5000, 6000, "both")], stats=st).to_pandas()
-        assert len(out) == 0 and st["rg_kept"] == 0
-
-
 class TestKCore:
     def _edges(self, pairs):
         import ray
@@ -242,51 +123,6 @@ class TestKCore:
         tri = [(0, 1), (1, 0), (1, 2), (2, 0), (0, 0), (2, 2)]
         out = kcore_bounded(self._edges(tri), k=2, max_rounds=3).to_pandas()
         assert list(out.node) == [0, 1, 2] and list(out.deg) == [2, 2, 2]
-
-
-class TestMergeUpsert:
-    def _mk(self, rows):
-        import ray
-
-        return ray.data.from_arrow(pa.table({
-            "k": pa.array([r[0] for r in rows], type=pa.int64()),
-            "v": pa.array([r[1] for r in rows], type=pa.int64()),
-            "ver": pa.array([r[2] for r in rows], type=pa.int64()),
-            "deleted": pa.array([r[3] for r in rows], type=pa.bool_()),
-        }))
-
-    def test_upsert_latest_and_tombstone(self, ray_session):
-        from text_to_graph_ray.functions.agg import merge_upsert
-
-        base = self._mk([(1, 10, 0, False), (2, 20, 0, False), (3, 30, 0, False), (4, 40, 0, False)])
-        # k=1 two change versions (v2 wins), k=2 tombstone, k=5 insert-only
-        ch = self._mk([(1, 11, 1, False), (1, 12, 2, False), (2, 0, 1, True), (5, 50, 1, False)])
-        out = (
-            merge_upsert(base, ch, key="k", order_by=["ver"], deleted_col="deleted")
-            .to_pandas().sort_values("k").reset_index(drop=True)
-        )
-        assert list(out.k) == [1, 3, 4, 5]
-        assert list(out.v) == [12, 30, 40, 50]
-
-    def test_change_beats_base_even_with_lower_ver(self, ray_session):
-        from text_to_graph_ray.functions.agg import merge_upsert
-
-        # side dominates ver: a ver-0 change still overrides a ver-9 base row
-        base = self._mk([(1, 10, 9, False)])
-        ch = self._mk([(1, 99, 0, False)])
-        out = merge_upsert(base, ch, key="k", order_by=["ver"], deleted_col="deleted").to_pandas()
-        assert list(out.v) == [99]
-
-    def test_no_changes_is_identity(self, ray_session):
-        from text_to_graph_ray.functions.agg import merge_upsert
-
-        base = self._mk([(i, i * 10, 0, False) for i in range(20)])
-        empty = self._mk([])
-        out = (
-            merge_upsert(base, empty, key="k", order_by=["ver"], deleted_col="deleted")
-            .to_pandas().sort_values("k").reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(out, base.to_pandas().sort_values("k").reset_index(drop=True))
 
 
 class TestQuotaPerGroup:
@@ -339,35 +175,6 @@ class TestPartitionedLayout:
         assert set(out.lang) == {"en", "fr"}
         with pytest.raises(ValueError, match="no partition"):
             read_partition_values(str(tmp_path / "p"), "lang", ["zz"])
-
-
-class TestWinsorize:
-    def test_known_bounds_and_clipped_sum(self, ray_session):
-        import ray
-
-        from text_to_graph_ray.functions.stats import winsorize_group_stats
-
-        # group g: values 1..10 -> disc p10 = ceil(0.1*10)-1 = idx 0 -> 1;
-        # p90 = ceil(9)-1 = idx 8 -> 9; clip only the 10 -> sum 54
-        t = pa.table({
-            "g": pa.array(["g"] * 10 + ["h"] * 3),
-            "v": pa.array(list(range(1, 11)) + [100, 200, 300], type=pa.int64()),
-        })
-        out = winsorize_group_stats(ray.data.from_arrow(t), "g", "v").to_pandas()
-        g = out[out.g == "g"].iloc[0]
-        assert (g.n, g.n_lo, g.n_hi, g.sum_clipped) == (10, 0, 1, 54)
-        # h: n=3 -> p10 idx ceil(0.3)-1=0 -> 100; p90 idx ceil(2.7)-1=2 -> 300: nothing clips
-        h = out[out.g == "h"].iloc[0]
-        assert (h.n, h.n_lo, h.n_hi, h.sum_clipped) == (3, 0, 0, 600)
-
-    def test_groups_max_guard(self, ray_session):
-        import ray
-
-        from text_to_graph_ray.functions.stats import winsorize_group_stats
-
-        t = pa.table({"g": pa.array([f"g{i}" for i in range(50)]), "v": pa.array(range(50), type=pa.int64())})
-        with pytest.raises(ValueError, match="groups_max"):
-            winsorize_group_stats(ray.data.from_arrow(t), "g", "v", groups_max=10)
 
 
 class TestFilterByAllKeys:
@@ -519,136 +326,6 @@ class TestMergeIncrement:
         pd.testing.assert_frame_equal(full.reset_index(drop=True), inc.reset_index(drop=True))
         row = inc[inc.entity_key == "alpha"]
         assert len(row) == 1
-
-
-class TestKeySkewProfile:
-    def test_known_distribution(self, ray_session):
-        import ray
-
-        from text_to_graph_ray.functions.agg import key_skew_profile
-
-        # counts: a=1, b=2, c=3 (sorted ranks 1,2,3; n_keys=3, n_rows=6)
-        # gini = ((2*1-4)*1 + (2*2-4)*2 + (2*3-4)*3) / (3*6) = (-2+0+6)/18
-        rows = ["a"] + ["b"] * 2 + ["c"] * 3
-        ds = ray.data.from_arrow(pa.table({"k": pa.array(rows)}))
-        out = key_skew_profile(ds, "k").to_pandas()
-        assert out.n_rows.item() == 6 and out.n_keys.item() == 3
-        assert out.max_n.item() == 3 and out.top_key.item() == "c"
-        assert out.gini.item() == 4.0 / 18.0
-
-    def test_uniform_is_zero_and_tie_picks_min_key(self, ray_session):
-        import ray
-
-        from text_to_graph_ray.functions.agg import key_skew_profile
-
-        rows = [f"k{i % 5}" for i in range(50)]
-        out = key_skew_profile(ray.data.from_arrow(pa.table({"k": pa.array(rows)})), "k").to_pandas()
-        assert out.gini.item() == 0.0
-        assert out.top_key.item() == "k0"  # all tie at 10 -> min key
-
-    def test_partition_invariance(self, ray_session):
-        import ray
-
-        from text_to_graph_ray.functions.agg import key_skew_profile
-
-        rows = [f"k{(i * i) % 37}" for i in range(500)]
-        t = pa.table({"k": pa.array(rows)})
-        a = key_skew_profile(ray.data.from_arrow(t), "k").to_pandas()
-        b = key_skew_profile(ray.data.from_arrow(t).repartition(13), "k").to_pandas()
-        pd.testing.assert_frame_equal(a, b)
-
-
-def test_column_stats_nulls_and_minmax(ray_session):
-    import ray
-
-    from text_to_graph_ray.sources.formats import column_stats
-
-    t = pa.table({
-        "a": pa.array([1, None, 3, None], type=pa.int64()),
-        "b": pa.array([10, 20, 30, 40], type=pa.int64()),
-    })
-    out = column_stats(ray.data.from_arrow(t).repartition(3), ["a", "b"]).to_pandas()
-    a = out[out["column"] == "a"].iloc[0]
-    assert (a.n_rows, a.n_null, a.vmin, a.vmax) == (4, 2, 1, 3)
-    b = out[out["column"] == "b"].iloc[0]
-    assert (b.n_rows, b.n_null, b.vmin, b.vmax) == (4, 0, 10, 40)
-
-
-class TestRetentionCohorts:
-    def test_two_cohorts_and_week_math(self, ray_session, tmp_path):
-        import pyarrow.parquet as pq
-
-        from text_to_graph_ray.pipelines.analytics import retention_cohorts
-
-        # 2024-01-01 is a Monday (day 19723). u1 starts week 0, active weeks
-        # 0 and 2; u2 starts week 1 only; u3 starts week 0, active week 0
-        def ts(day, h=12):
-            return pd.Timestamp("1970-01-01") + pd.Timedelta(days=day, hours=h)
-
-        rows = [
-            (1, ts(19723)), (1, ts(19723 + 14)),
-            (2, ts(19723 + 7)),
-            (3, ts(19723 + 2)),
-        ]
-        t = pa.table({
-            "user_id": pa.array([r[0] for r in rows], type=pa.int64()),
-            "ts": pa.array([r[1] for r in rows], type=pa.timestamp("us")),
-            "event_type": pa.array(["click"] * len(rows)),
-        })
-        d = tmp_path / "sf"
-        d.mkdir()
-        pq.write_table(t, str(d / "events.parquet"))
-        out = retention_cohorts(str(d)).to_pandas()
-        got = {(r.cohort_week_day, r.wk): r.n_users for r in out.itertuples()}
-        assert got == {(19723, 0): 2, (19723, 2): 1, (19730, 0): 1}
-
-    def test_users_guard(self, ray_session):
-        from text_to_graph_ray.pipelines.analytics import retention_cohorts
-
-        with pytest.raises(ValueError, match="users_broadcast_max"):
-            retention_cohorts("/root/testdata/sf0.001", users_broadcast_max=1)
-
-
-def test_rolling_active_users_window_membership(ray_session, tmp_path):
-    import pyarrow.parquet as pq
-
-    from text_to_graph_ray.pipelines.analytics import rolling_active_users
-
-    # u1 active day 0 and day 10; u2 active day 3: a day-0 event counts in
-    # window ends 0..6, day-3 in 3..9, day-10 in 10..16
-    t = pa.table({
-        "user_id": pa.array([1, 1, 2], type=pa.int64()),
-        "ts": pa.array([pd.Timestamp("1970-01-01 05:00"), pd.Timestamp("1970-01-11 07:00"),
-                        pd.Timestamp("1970-01-04 09:00")], type=pa.timestamp("us")),
-        "event_type": pa.array(["click"] * 3),
-    })
-    d = tmp_path / "sf"
-    d.mkdir()
-    pq.write_table(t, str(d / "events.parquet"))
-    out = rolling_active_users(str(d)).to_pandas()
-    got = dict(zip(out.we_day, out.n_users))
-    want = {}
-    for day, u in [(0, 1), (10, 1), (3, 2)]:
-        for we in range(day, day + 7):
-            want.setdefault(we, set()).add(u)
-    assert got == {we: len(us) for we, us in want.items()}
-
-
-def test_grouped_mad_known_values_and_guard(ray_session):
-    import ray
-
-    from text_to_graph_ray.functions.stats import grouped_mad
-
-    # g: [1,2,3,4,100] -> median 3, |x-3| = [2,1,0,1,97] -> mad 1
-    # h: [10, 20] -> median 15, devs [5, 5] -> mad 5
-    t = pa.table({
-        "g": pa.array(["g"] * 5 + ["h"] * 2),
-        "v": pa.array([1, 2, 3, 4, 100, 10, 20], type=pa.int64()),
-    })
-    out = grouped_mad(ray.data.from_arrow(t), "g", "v").to_pandas()
-    assert dict(zip(out.g, out["mad"])) == {"g": 1.0, "h": 5.0}
-    with pytest.raises(ValueError, match="groups_max"):
-        grouped_mad(ray.data.from_arrow(t), "g", "v", groups_max=1)
 
 
 def test_search_topk_scoring_and_rank(ray_session):

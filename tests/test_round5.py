@@ -1,6 +1,5 @@
 """Round-5 tests: degree-ordered triangle orientation (both plans), the
-pinned bucketed-write schema, filter_by_all_keys type guard, and the
-half-up cents rounding contract."""
+filter_by_all_keys type guard, and the half-up cents rounding contract."""
 
 import os
 import shutil
@@ -63,63 +62,6 @@ class TestDegreeOrientedTriangles:
         """K3: all degrees equal — orientation must fall back to id order
         and still count each triangle once."""
         assert _tri_counts([(2, 1), (0, 2), (1, 0)]) == {0: 1, 1: 1, 2: 1}
-
-
-class TestBucketedPinnedSchema:
-    def test_int_column_with_nulls_keeps_type_across_buckets(self, ray_session, tmp_path):
-        """A bucket whose int64 column holds only nulls must still be
-        written int64 (pandas inference alone would produce float64 for
-        that bucket and break the join's pinned-schema rebuild)."""
-        import ray as _ray
-
-        from text_to_graph_ray.sources.bucketed import bucketed_join, write_bucketed
-
-        k = pa.array(list(range(40)), type=pa.int64())
-        v = pa.array([None if i % 2 else i * 10 for i in range(40)], type=pa.int64())
-        left = pa.table({"k": k, "v": v})
-        right = pa.table({"k2": k, "w": pa.array([i + 1 for i in range(40)], type=pa.int64())})
-        pl, pr = str(tmp_path / "L"), str(tmp_path / "R")
-        write_bucketed(_ray.data.from_arrow(left).repartition(4), "k", pl, num_buckets=8)
-        write_bucketed(_ray.data.from_arrow(right).repartition(4), "k2", pr, num_buckets=8)
-        import os
-
-        for d in sorted(os.listdir(pl)):
-            if d.startswith("bucket="):
-                f = os.path.join(pl, d, "part-0.parquet")
-                assert pq.read_schema(f).field("v").type == pa.int64()
-        out = bucketed_join(pl, pr, on=("k", "k2")).to_pandas().sort_values("k").reset_index(drop=True)
-        assert len(out) == 40
-        assert out["w"].tolist() == [i + 1 for i in range(40)]
-        got_v = [None if pa.compute.is_null(x).as_py() else x for x in pa.array(out["v"], type=pa.int64())]
-        assert [x.as_py() if x is not None else None for x in got_v] == [
-            None if i % 2 else i * 10 for i in range(40)
-        ]
-
-    def test_join_rejects_divergent_footer(self, ray_session, tmp_path):
-        """A bucket file whose stored schema diverges from the pinned one
-        fails loudly instead of corrupt-casting."""
-        import os
-
-        import ray as _ray
-
-        from text_to_graph_ray.sources.bucketed import bucketed_join, write_bucketed
-
-        t = pa.table({"k": pa.array(range(20), type=pa.int64()),
-                      "v": pa.array(range(20), type=pa.int64())})
-        pl, pr = str(tmp_path / "A"), str(tmp_path / "B")
-        write_bucketed(_ray.data.from_arrow(t), "k", pl, num_buckets=4)
-        write_bucketed(_ray.data.from_arrow(t), "k", pr, num_buckets=4)
-        # corrupt one non-first bucket on the right with a float64 v
-        victim = None
-        for d in sorted(os.listdir(pr)):
-            if d.startswith("bucket="):
-                victim = os.path.join(pr, d, "part-0.parquet")
-        bad = pq.read_table(victim)
-        bad = bad.set_column(bad.schema.get_field_index("v"),
-                             "v", bad.column("v").cast(pa.float64()))
-        pq.write_table(bad, victim)
-        with pytest.raises(Exception, match="diverges from the pinned schema"):
-            bucketed_join(pl, pr, on=("k", "k")).materialize()
 
 
 class TestFilterByAllKeysTypeGuard:
@@ -365,34 +307,6 @@ class TestLookupJoin:
             lookup_join(left, right, key="k")
 
 
-class TestMadOutliers:
-    def test_counts_match_naive(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.stats import mad_outliers
-
-        rng = np.random.default_rng(19)
-        keys, vals = [], []
-        data = {"a": rng.normal(10.0, 2.0, 200), "b": rng.normal(50.0, 5.0, 150)}
-        # inject extreme outliers that would wreck a mean/stddev z-score
-        data["a"][:3] = [1000.0, -900.0, 800.0]
-        for k, arr in data.items():
-            keys += [k] * len(arr)
-            vals += arr.tolist()
-        t = pa.table({"g": pa.array(keys, type=pa.string()), "x": pa.array(vals, type=pa.float64())})
-        got = mad_outliers(_ray.data.from_arrow(t).repartition(5), "g", "x", k=3.0).to_pandas()
-
-        expect = {}
-        for k, arr in data.items():
-            med = round(float(np.quantile(arr, 0.5, method="linear")), 6)
-            mad = round(float(np.quantile(np.abs(arr - med), 0.5, method="linear")), 6)
-            anom = int((np.abs(arr - med) > 3.0 * mad).sum())
-            expect[k] = (len(arr), anom)
-        assert {r.g: (int(r.n), int(r.n_anomalies)) for r in got.itertuples()} == expect
-        # the planted extremes must be flagged (robustness property)
-        assert expect["a"][1] >= 3
-
-
 class TestLexicalStats:
     def test_batch_matches_row_contract(self):
         from text_to_graph_ray.functions.text import lexical_row, lexical_stats
@@ -547,54 +461,6 @@ class TestHalfUpCents:
         assert np.round(0.125 * 100).astype(np.int64) != engine[0]
 
 
-class TestMarkovTransitions:
-    def test_matches_pandas_naive(self, ray_session, tmp_path):
-        """Engine transition counts + probabilities must equal a pandas
-        lag-within-user recomputation, including the user-boundary mask
-        (no cross-user transition) and single-event users (no row)."""
-        import pandas as pd
-
-        from text_to_graph_ray.pipelines.analytics import event_type_transitions
-
-        rng = np.random.default_rng(11)
-        n = 400
-        ts = pd.to_datetime(rng.permutation(n), unit="s")
-        df = pd.DataFrame({
-            "event_id": np.arange(n, dtype=np.int64),
-            "ts": ts,
-            "user_id": rng.integers(0, 30, n).astype(np.int64),
-            "event_type": rng.choice(["a", "b", "c", "d"], n),
-            "value": rng.normal(size=n),
-            "props": ["{}"] * n,
-        })
-        # one single-event user: contributes nothing
-        df.loc[0, "user_id"] = 999
-        df = df[~((df.user_id == 999) & (df.index != 0))]
-        pq.write_table(pa.Table.from_pandas(df, preserve_index=False), str(tmp_path / "events.parquet"))
-
-        got = event_type_transitions(str(tmp_path)).to_pandas()
-
-        s = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        prev = s.groupby("user_id", sort=False)["event_type"].shift(1)
-        t = (
-            pd.DataFrame({"from_type": prev, "to_type": s["event_type"]})
-            .dropna()
-            .groupby(["from_type", "to_type"], as_index=False)
-            .size()
-            .rename(columns={"size": "n"})
-            .sort_values(["from_type", "to_type"], kind="mergesort")
-            .reset_index(drop=True)
-        )
-        t["p"] = t["n"].to_numpy(np.int64).astype(np.float64) / t.groupby("from_type")["n"].transform(
-            "sum"
-        ).to_numpy(np.int64).astype(np.float64)
-
-        assert got[["from_type", "to_type"]].values.tolist() == t[["from_type", "to_type"]].values.tolist()
-        assert got["n"].tolist() == t["n"].tolist()
-        assert got["p"].tolist() == t["p"].tolist()  # bit-exact: one IEEE division
-        assert "999" not in set(got["from_type"]) and not (got["from_type"] == "999").any()
-
-
 class TestLengthBandStats:
     def test_matches_numpy_linear_quantiles(self, ray_session):
         """Per-group band membership must match numpy linear-interpolated
@@ -739,41 +605,6 @@ class TestBigramLM:
         a = bigram_lm_nll(_ray.data.from_arrow(t).repartition(3)).to_pandas()
         b = bigram_lm_nll(_ray.data.from_arrow(t).repartition(3), counts_broadcast_max=0).to_pandas()
         assert a.values.tolist() == b.values.tolist()
-
-
-class TestDriftChi2:
-    def test_matches_naive_and_detects_planted_drift(self, ray_session):
-        """Category 'z' appears only in cohort B: its chi2 term must
-        dominate; a perfectly balanced category contributes ~0; totals and
-        terms must match a plain-dict recomputation."""
-        import ray as _ray
-
-        from text_to_graph_ray.functions.stats import categorical_drift_chi2
-
-        cats = ["x"] * 50 + ["y"] * 30 + ["z"] * 20
-        side = [False, True] * 25 + [False] * 15 + [True] * 15 + [True] * 20
-        t = pa.table({"cat": pa.array(cats, type=pa.string()),
-                      "side": pa.array(side, type=pa.bool_())})
-        got = categorical_drift_chi2(_ray.data.from_arrow(t).repartition(4), "cat", "side").to_pandas()
-
-        from collections import Counter
-        ca = Counter(c for c, s in zip(cats, side) if not s)
-        cb = Counter(c for c, s in zip(cats, side) if s)
-        ta, tb = float(sum(ca.values())), float(sum(cb.values()))
-        want = []
-        for c in sorted(set(cats)):
-            na, nb = ca.get(c, 0), cb.get(c, 0)
-            ea = (na + nb) * ta / (ta + tb)
-            eb = (na + nb) * tb / (ta + tb)
-            term = (0.0 if ea == 0 else (na - ea) * (na - ea) / ea) + (
-                0.0 if eb == 0 else (nb - eb) * (nb - eb) / eb)
-            want.append((c, na, nb, round(term, 6)))
-        assert [tuple(r) for r in got.itertuples(index=False)] == want
-        terms = dict(zip(got["cat"], got["chi2_term"]))
-        # the planted one-sided category dominates (13.33 vs <= 2.09: note
-        # even x's 25/25 split is drifted against the 40:60 cohort baseline)
-        assert terms["z"] == max(terms.values()) and terms["z"] > 5.0
-        assert max(terms["x"], terms["y"]) < 2.5
 
 
 class TestResourceAllocationLink:
@@ -1107,42 +938,6 @@ class TestDeltaScopedIncrementalMerge:
         assert row.iloc[0]["repos_packed"] == "r1|r2"
 
 
-class TestBucketedJoinNodeAffinity:
-    """VERDICT r4 #9: node-local-storage co-location behind a flag. The
-    affinity plan (one soft-pinned raw task per bucket, results re-entering
-    Ray Data via from_arrow_refs) must be value-identical to the default
-    map_batches plan; single-node we can only pin to the local node, but
-    the wiring (strategy construction, per-bucket fan-out, ref assembly)
-    is fully exercised."""
-
-    def test_affinity_plan_matches_default(self, ray_session, tmp_path):
-        import ray as _ray
-
-        from text_to_graph_ray.sources.bucketed import bucketed_join, write_bucketed
-
-        n = 200
-        left = pa.table({"k": pa.array(range(n), type=pa.int64()),
-                         "v": pa.array([i * 3 for i in range(n)], type=pa.int64())})
-        right = pa.table({"k2": pa.array(range(0, n, 2), type=pa.int64()),
-                          "w": pa.array([i + 7 for i in range(0, n, 2)], type=pa.int64())})
-        pl, pr = str(tmp_path / "L"), str(tmp_path / "R")
-        write_bucketed(_ray.data.from_arrow(left).repartition(4), "k", pl, num_buckets=8)
-        write_bucketed(_ray.data.from_arrow(right).repartition(4), "k2", pr, num_buckets=8)
-
-        base = bucketed_join(pl, pr, on=("k", "k2")).to_pandas().sort_values("k").reset_index(drop=True)
-        me = _ray.get_runtime_context().get_node_id()
-        # mixed map: some buckets pinned, some unmapped (falls back to default scheduling)
-        amap = {k: me for k in range(0, 8, 2)}
-        aff = (
-            bucketed_join(pl, pr, on=("k", "k2"), node_affinity=amap)
-            .to_pandas().sort_values("k").reset_index(drop=True)
-        )
-        import pandas as pd
-
-        pd.testing.assert_frame_equal(aff, base)
-        assert len(base) == n // 2 and (base["w"] == base["k"] + 7).all()
-
-
 class TestShuffleShards:
     def test_permutation_balance_and_naive_match(self, ray_session):
         import hashlib
@@ -1348,41 +1143,6 @@ class TestMixtureTemperature:
         assert dict(zip(plain["source"], plain["alloc_tokens"])) == {"big": 90, "small": 10}
         assert dict(zip(temp["source"], temp["alloc_tokens"])) == {"big": 75, "small": 25}
         assert temp["alloc_tokens"].sum() == 100
-
-
-class TestEventsThrottle:
-    def test_hand_fixture(self, ray_session, tmp_path):
-        """Three users; windows and winners derived by hand, including a
-        same-timestamp tie broken by event_id."""
-        import pandas as pd
-
-        from text_to_graph_ray.pipelines.analytics import events_throttle_first
-
-        rows = [
-            # user 1: two events in window 0 (ts 5s, 50s), one in window 1 (65s)
-            (10, 5_000_000, 1), (11, 50_000_000, 1), (12, 65_000_000, 1),
-            # user 2: same-ts tie in window 0 -> event_id 20 wins over 21
-            (21, 30_000_000, 2), (20, 30_000_000, 2),
-            # user 3: single event far out (window 100)
-            (30, 6_000_000_000, 3),
-        ]
-        t = pa.table({
-            "event_id": pa.array([r[0] for r in rows], type=pa.int64()),
-            "ts": pa.array([r[1] for r in rows], type=pa.timestamp("us")),
-            "user_id": pa.array([r[2] for r in rows], type=pa.int64()),
-            "event_type": pa.array(["x"] * len(rows), type=pa.string()),
-            "value": pa.array([0.0] * len(rows), type=pa.float64()),
-            "props": pa.array(["{}"] * len(rows), type=pa.string()),
-        })
-        pq.write_table(t, tmp_path / "events.parquet")
-        got = events_throttle_first(str(tmp_path), window_s=60).to_pandas()
-        expect = pd.DataFrame({
-            "user_id": [1, 1, 2, 3],
-            "w": [0, 1, 0, 100],
-            "first_event_id": [10, 12, 20, 30],
-            "n_events": [2, 1, 2, 1],
-        })
-        assert got.reset_index(drop=True).equals(expect)
 
 
 class TestGramMatrix:
@@ -1833,45 +1593,6 @@ class TestTopkRecall:
         assert 2 not in got["query_id"]
 
 
-class TestScd2History:
-    def test_hand_computed_history(self, ray_session, tmp_path):
-        import datetime as dt
-
-        import pyarrow.parquet as pq
-
-        from text_to_graph_ray.pipelines.analytics import user_type_history
-
-        def ts(s):
-            return dt.datetime(2024, 1, 1) + dt.timedelta(seconds=s)
-
-        # user 1: a a b b a  -> versions a@0, b@2, a@4
-        # user 2: x          -> one open version
-        rows = [
-            (10, ts(0), 1, "a"), (11, ts(1), 1, "a"), (12, ts(2), 1, "b"),
-            (13, ts(3), 1, "b"), (14, ts(4), 1, "a"), (20, ts(5), 2, "x"),
-        ]
-        t = pa.table({
-            "event_id": pa.array([r[0] for r in rows], type=pa.int64()),
-            "ts": pa.array([r[1] for r in rows], type=pa.timestamp("us")),
-            "user_id": pa.array([r[2] for r in rows], type=pa.int64()),
-            "event_type": pa.array([r[3] for r in rows], type=pa.string()),
-            "value": pa.array([0.0] * len(rows), type=pa.float64()),
-            "props": pa.array(["{}"] * len(rows), type=pa.string()),
-        })
-        pq.write_table(t, str(tmp_path / "events.parquet"))
-        got = user_type_history(str(tmp_path)).to_pandas()
-        recs = [(int(r.user_id), int(r.version), r.event_type,
-                 r.effective_from.to_pydatetime(),
-                 None if pd.isna(r.effective_to) else r.effective_to.to_pydatetime())
-                for r in got.itertuples()]
-        assert recs == [
-            (1, 1, "a", ts(0), ts(2)),
-            (1, 2, "b", ts(2), ts(4)),
-            (1, 3, "a", ts(4), None),
-            (2, 1, "x", ts(5), None),
-        ]
-
-
 class TestPmiTopk:
     def test_hand_computed_and_partition_invariance(self, ray_session):
         import math
@@ -1946,78 +1667,6 @@ class TestSampleNeighbors:
         noisy = _ray.data.from_arrow(pa.concat_tables([t, t.slice(0, 40)])).repartition(7)
         got2 = sample_neighbors(noisy, fanout=(3, 2), seed_mod=3).to_pandas()
         assert got2.equals(got)
-
-
-class TestLocalSupplierVolume:
-    """TPC-H-Q5-shaped six-table join (pipelines/analytics.local_supplier_volume)."""
-
-    def test_matches_duckdb_and_fallback_identical(self, ray_session):
-        import duckdb
-
-        from text_to_graph_ray.pipelines.analytics import local_supplier_volume
-
-        sf = "/root/testdata/sf0.001"
-        got = local_supplier_volume(sf).to_pandas()
-        want = duckdb.sql(
-            "WITH li AS (SELECT l_orderkey, s_nationkey, "
-            "CAST(floor(l_extendedprice * (1 - l_discount) * 100 + 0.5) AS BIGINT) AS cents "
-            f"FROM '{sf}/lineitem.parquet' JOIN '{sf}/supplier.parquet' ON l_suppkey = s_suppkey), "
-            "o AS (SELECT o_orderkey, c_nationkey FROM "
-            f"'{sf}/orders.parquet' JOIN '{sf}/customer.parquet' ON o_custkey = c_custkey "
-            "WHERE o_orderdate >= TIMESTAMP '1995-01-01' AND o_orderdate < TIMESTAMP '1997-01-01') "
-            "SELECT n_name, round(sum(cents)::DOUBLE / 100.0, 2) AS revenue, count(*)::BIGINT AS n_items "
-            "FROM li JOIN o ON l_orderkey = o_orderkey AND c_nationkey = s_nationkey "
-            f"JOIN '{sf}/nation.parquet' ON n_nationkey = s_nationkey "
-            f"JOIN '{sf}/region.parquet' ON r_regionkey = n_regionkey "
-            "WHERE r_name = 'ASIA' GROUP BY n_name ORDER BY revenue DESC, n_name"
-        ).df()
-        assert list(got.itertuples(index=False, name=None)) == list(want.itertuples(index=False, name=None))
-        # threshold-0 forces BOTH distributed ds.join fallback arms
-        fb = local_supplier_volume(sf, broadcast_max=0).to_pandas()
-        assert fb.equals(got)
-
-    def test_empty_region_window(self, ray_session):
-        from text_to_graph_ray.pipelines.analytics import local_supplier_volume
-
-        out = local_supplier_volume("/root/testdata/sf0.001", date_lo="1990-01-01", date_hi="1990-01-02")
-        assert out.count() == 0
-        # Ray's to_pandas() drops columns on an all-empty dataset; the
-        # Dataset-level schema is the stable contract
-        assert out.schema().names == ["n_name", "revenue", "n_items"]
-
-
-class TestGiniExact:
-    def test_hand_computed_and_partition_invariant(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.stats import gini_exact
-
-        t = pa.table({"cents": pa.array([8, 1, 1], type=pa.int64())})
-        out = gini_exact(_ray.data.from_arrow(t)).to_pandas()
-        # sorted [1,1,8]: S1=27, Sx=10, n=3 -> (54-40)/30
-        assert out["n_rows"][0] == 3 and out["total"][0] == 10
-        assert out["gini"][0] == round(14 / 30, 6)
-        # equal values -> 0; partitioning must not change the result
-        eq = pa.table({"cents": pa.array([5] * 40, type=pa.int64())})
-        out_eq = gini_exact(_ray.data.from_arrow(eq).repartition(7)).to_pandas()
-        assert out_eq["gini"][0] == 0.0
-        big = pa.table({"cents": pa.array(list(range(1, 201)), type=pa.int64())})
-        a = gini_exact(_ray.data.from_arrow(big)).to_pandas()
-        b = gini_exact(_ray.data.from_arrow(big).repartition(9)).to_pandas()
-        assert a.equals(b)
-
-    def test_chunked_accumulation_is_exact_near_int64(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.stats import gini_exact
-
-        # values large enough that a single-block Σ rank·x overflows int64
-        # (forces the reduceat chunking + Python-int fold path)
-        v = 2_000_000_000_000_000
-        t = pa.table({"cents": pa.array([v] * 2000, type=pa.int64())})
-        out = gini_exact(_ray.data.from_arrow(t).repartition(3)).to_pandas()
-        assert out["gini"][0] == 0.0
-        assert int(out["total"][0]) == v * 2000
 
 
 class TestStronglyConnectedComponents:
@@ -2259,106 +1908,6 @@ class TestKTruss:
             self._run([(0, 1), (1, 2)], k=2, max_rounds=1)
 
 
-class TestGroupedOls:
-    def test_matches_closed_form(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.stats import grouped_ols_int
-
-        rng = np.random.default_rng(21)
-        n = 500
-        key = rng.choice(["a", "b", "c"], n)
-        x = rng.integers(1, 50, n).astype(np.float64)
-        y = (3.25 * x + rng.normal(0, 5, n)).round(2)
-        t = pa.table({"k": pa.array(key), "x": pa.array(x), "y": pa.array(y)})
-        got = grouped_ols_int(
-            _ray.data.from_arrow(t).repartition(4), "k", "x", "y", y_scale=100, chunk_rows=37
-        ).to_pandas()
-        for _, r in got.iterrows():
-            m = key == r["k"]
-            xi = np.floor(x[m] + 0.5).astype(np.int64)
-            yi = np.floor(y[m] * 100 + 0.5).astype(np.int64)
-            nn, sx, sy = len(xi), int(xi.sum()), int(yi.sum())
-            sxy = int((xi * yi).sum())
-            sxx = int((xi * xi).sum())
-            syy = int((yi * yi).sum())
-            num, varx, vary = nn * sxy - sx * sy, nn * sxx - sx * sx, nn * syy - sy * sy
-            slope = float(num) / float(varx)
-            assert r["slope"] == slope
-            assert r["intercept"] == (float(sy) - slope * float(sx)) / float(nn)
-            corr = float(num) / (np.sqrt(float(varx)) * np.sqrt(float(vary)))
-            assert r["r2"] == corr * corr
-            # sanity: slope in cents/unit ≈ 325
-            assert 250 < r["slope"] < 400
-
-    def test_zero_variance_group_is_null(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.stats import grouped_ols_int
-
-        t = pa.table({"k": pa.array(["z"] * 5 + ["w"] * 5),
-                      "x": pa.array([2.0] * 5 + [1, 2, 3, 4, 5.0]),
-                      "y": pa.array([1.0, 2, 3, 4, 5] * 2)})
-        got = grouped_ols_int(_ray.data.from_arrow(t), "k", "x", "y").to_pandas().set_index("k")
-        assert np.isnan(got.loc["z", "slope"])  # varx == 0
-        assert got.loc["w", "slope"] == 1.0
-
-
-class TestUserEma:
-    def _naive(self, rows, max_shift=62):
-        # rows: (user_id, ts_us, event_id, value)
-        from collections import defaultdict
-
-        per = defaultdict(list)
-        for u, ts, e, v in rows:
-            per[u].append((ts, e, v))
-        out = {}
-        for u, evs in per.items():
-            evs.sort()
-            n = len(evs)
-            q = 0
-            for i, (_, _, v) in enumerate(evs, start=1):
-                cents = int(np.floor(v * 100 + 0.5))
-                w = n - 1 if i == 1 else n - i + 1
-                q += (cents * 1_000_000) >> min(w, max_shift)
-            out[u] = (n, q, float(q) / 1e8)
-        return out
-
-    def test_matches_naive_and_partition_invariant(self, ray_session, tmp_path):
-        import ray as _ray
-
-        rng = np.random.default_rng(31)
-        n = 400
-        rows = [(int(rng.integers(0, 12)), int(rng.integers(0, 10**9)), i,
-                 round(float(rng.uniform(0.01, 400)), 2)) for i in range(n)]
-        t = pa.table({
-            "event_id": pa.array([r[2] for r in rows], type=pa.int64()),
-            "ts": pa.array([r[1] for r in rows], type=pa.timestamp("us")),
-            "user_id": pa.array([r[0] for r in rows], type=pa.int64()),
-            "value": pa.array([r[3] for r in rows], type=pa.float64()),
-            "event_type": pa.array(["x"] * n),
-            "props": pa.array(["{}"] * n),
-        })
-        import pyarrow.parquet as _pq
-
-        d = tmp_path / "sf"
-        d.mkdir()
-        _pq.write_table(t, str(d / "events.parquet"))
-        from text_to_graph_ray.pipelines.analytics import user_ema
-
-        got = user_ema(str(d)).to_pandas()
-        exp = self._naive(rows)
-        assert len(got) == len(exp)
-        for _, r in got.iterrows():
-            en, eq, ema = exp[r["user_id"]]
-            assert (r["n_events"], r["ema_q"], r["ema"]) == (en, eq, ema)
-        # shuffled row order must not change a single bit
-        perm = rng.permutation(n)
-        _pq.write_table(t.take(perm), str(d / "events.parquet"))
-        got2 = user_ema(str(d)).to_pandas()
-        assert got2.equals(got)
-
-
 class TestKgSchemaAndNegatives:
     def test_schema_summary_covers_every_edge(self, ray_session):
         import __ray_entry__ as E
@@ -2406,68 +1955,6 @@ class TestKgSchemaAndNegatives:
         emitted = {(s, p): g for s, p, g in got.itertuples(index=False)}
         for k, v in expected.items():
             assert emitted.get(k) == v or v in got[got["src_key"] == k[0]]["neg_key"].values
-
-
-class TestCusumAndQ10:
-    def test_cusum_matches_naive(self, ray_session, tmp_path):
-        import pyarrow.parquet as _pq
-
-        from text_to_graph_ray.pipelines.analytics import cusum_changepoint
-
-        rng = np.random.default_rng(41)
-        n = 300
-        # engineered level shift: type "a" jumps halfway through
-        types = ["a"] * 150 + ["b"] * 150
-        vals = np.concatenate([rng.uniform(1, 2, 75), rng.uniform(8, 9, 75), rng.uniform(3, 4, 150)])
-        t = pa.table({
-            "event_id": pa.array(range(n), type=pa.int64()),
-            "ts": pa.array(np.arange(n) * 1000, type=pa.timestamp("us")),
-            "event_type": pa.array(types),
-            "value": pa.array(np.round(vals, 2), type=pa.float64()),
-            "user_id": pa.array([0] * n, type=pa.int64()),
-            "props": pa.array(["{}"] * n),
-        })
-        d = tmp_path / "sf"
-        d.mkdir()
-        _pq.write_table(t, str(d / "events.parquet"))
-        got = cusum_changepoint(str(d)).to_pandas().set_index("event_type")
-        df = t.to_pandas()
-        for et in ("a", "b"):
-            g = df[df["event_type"] == et].sort_values(["ts", "event_id"])
-            cents = np.floor(g["value"].to_numpy() * 100 + 0.5).astype(np.int64)
-            nn = len(cents)
-            pref = np.cumsum(cents)
-            stat = np.abs(nn * pref - np.arange(1, nn + 1) * cents.sum())
-            assert got.loc[et, "n_events"] == nn
-            assert got.loc[et, "cusum_q"] == stat.max()
-            assert got.loc[et, "pos"] == int(np.argmax(stat)) + 1
-        # the engineered shift is detected near the midpoint of "a"
-        assert 60 <= got.loc["a", "pos"] <= 90
-
-    def test_q10_matches_duckdb(self, ray_session):
-        import duckdb
-
-        import __ray_entry__ as E
-
-        sf = "/root/testdata/sf0.001"
-        got = E._q_rel_returned_revenue(sf).to_pandas()
-        con = duckdb.connect()
-        for tb in ("lineitem", "orders", "customer", "nation"):
-            con.sql(f"CREATE VIEW {tb} AS SELECT * FROM read_parquet('{sf}/{tb}.parquet')")
-        # direct naive recompute (avoids oracle's sf0.01-pinned siblings)
-        exp = con.sql(
-            "WITH r AS (SELECT l_orderkey, sum(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT) * "
-            "(100 - CAST(floor(l_discount * 100 + 0.5) AS BIGINT))) AS rev_q "
-            "FROM lineitem WHERE l_returnflag = 'R' GROUP BY 1), "
-            "c AS (SELECT o_custkey, sum(rev_q) AS rev_q FROM r JOIN orders ON l_orderkey = o_orderkey GROUP BY 1) "
-            "SELECT c_custkey, c_name, n_name, CAST(rev_q AS DOUBLE) / 1e4 AS revenue "
-            "FROM c JOIN customer ON o_custkey = c_custkey JOIN nation ON c_nationkey = n_nationkey "
-            "ORDER BY rev_q DESC, c_custkey LIMIT 20"
-        ).df()
-        assert got["c_custkey"].tolist() == exp["c_custkey"].tolist()
-        assert got["c_name"].tolist() == exp["c_name"].tolist()
-        assert got["n_name"].tolist() == exp["n_name"].tolist()
-        assert got["revenue"].tolist() == exp["revenue"].tolist()
 
 
 class TestNaiveBayes:
@@ -2615,41 +2102,6 @@ class TestMst:
             self._run(rows, max_rounds=1)
 
 
-class TestOhlc:
-    def test_matches_pandas_naive(self, ray_session, tmp_path):
-        import pyarrow.parquet as _pq
-
-        from text_to_graph_ray.pipelines.analytics import ohlc_bars
-
-        rng = np.random.default_rng(81)
-        n = 500
-        t = pa.table({
-            "event_id": pa.array(rng.permutation(n), type=pa.int64()),  # ids shuffled vs ts
-            "ts": pa.array(rng.integers(0, 3600 * 10**6, n), type=pa.timestamp("us")),
-            "event_type": pa.array(rng.choice(["x", "y"], n)),
-            "value": pa.array(np.round(rng.uniform(0.01, 99, n), 2), type=pa.float64()),
-            "user_id": pa.array([0] * n, type=pa.int64()),
-            "props": pa.array(["{}"] * n),
-        })
-        d = tmp_path / "sf"
-        d.mkdir()
-        _pq.write_table(t, str(d / "events.parquet"))
-        got = ohlc_bars(str(d)).to_pandas()
-        df = t.to_pandas()
-        df["w"] = df["ts"].astype("int64") // (300 * 10**6)
-        df["cents"] = np.floor(df["value"].to_numpy() * 100 + 0.5).astype(np.int64)
-        df = df.sort_values(["event_type", "w", "ts", "event_id"], kind="mergesort")
-        exp = df.groupby(["event_type", "w"], as_index=False).agg(
-            open=("cents", "first"), high=("cents", "max"), low=("cents", "min"),
-            close=("cents", "last"), volume=("cents", "size"))
-        exp = exp.sort_values(["event_type", "w"]).reset_index(drop=True)
-        for c in ("event_type", "w", "open", "high", "low", "close", "volume"):
-            assert got[c].tolist() == exp[c].tolist(), c
-        # invariants: low <= open/close <= high
-        assert (got["low"] <= got["open"]).all() and (got["open"] <= got["high"]).all()
-        assert (got["low"] <= got["close"]).all() and (got["close"] <= got["high"]).all()
-
-
 class TestMetapathAndIntegrity:
     def test_metapath_matches_pandas(self, ray_session):
         import __ray_entry__ as E
@@ -2665,24 +2117,6 @@ class TestMetapathAndIntegrity:
         assert got["src_key"].tolist() == exp["src_key"].tolist()
         assert got["n_paths"].tolist() == exp["n_paths"].astype("int64").tolist()
         assert len(got) > 0  # the synth KG has defines->calls chains
-
-    def test_integrity_report(self, ray_session):
-        import duckdb
-
-        import __ray_entry__ as E
-
-        sf = "/root/testdata/sf0.001"
-        got = E._q_rel_integrity_check(sf).to_pandas().set_index("chk")["n_violations"]
-        con = duckdb.connect()
-        for tb in ("lineitem", "orders", "customer"):
-            con.sql(f"CREATE VIEW {tb} AS SELECT * FROM read_parquet('{sf}/{tb}.parquet')")
-        for chk, sql in [
-            ("orphan_lineitem", "SELECT count(*) FROM lineitem WHERE l_orderkey NOT IN (SELECT o_orderkey FROM orders)"),
-            ("orphan_orders", "SELECT count(*) FROM orders WHERE o_custkey NOT IN (SELECT c_custkey FROM customer)"),
-            ("childless_orders", "SELECT count(*) FROM orders WHERE o_orderkey NOT IN (SELECT l_orderkey FROM lineitem)"),
-            ("dup_custkey", "SELECT count(*) FROM (SELECT c_custkey FROM customer GROUP BY 1 HAVING count(*) > 1)"),
-        ]:
-            assert got[chk] == con.sql(sql).fetchone()[0], chk
 
 
 class TestLmTercilesAndRewrites:

@@ -6,7 +6,7 @@ import pyarrow as pa
 
 
 def test_extract_mentions_rows():
-    from text_to_graph_ray.stages.extract import extract_mentions
+    from text_to_graph_ray.stages.extract import extract_records
 
     batch = pa.table(
         {
@@ -18,8 +18,8 @@ def test_extract_mentions_rows():
             "text": ["def g(x):\n    y = f(x)\n    return y\n"],
         }
     )
-    out = extract_mentions(batch).to_pylist()
-    mentions = {(m["mention"], m["type"]) for m in out}
+    out = extract_records(batch).to_pylist()
+    mentions = {(r["a"], r["b"]) for r in out if r["kind"] == "node"}
     assert ("g", "Function") in mentions and ("f", "Function") in mentions
     assert ("r/src/m.py", "File") in mentions
 

@@ -2,18 +2,22 @@
 
 Re-expresses the query/data-processing semantics of the reference repo
 ``nobody-qwert/text-to-graph`` (LLM-driven triple extraction over documents,
-entity canonicalization, graph materialize — see /root/reference) as
-deterministic, testable Ray Data stages over Parquet tables of source-code
-repositories:
+entity canonicalization, graph materialize) as deterministic, testable Ray
+Data stages over Parquet tables of source-code repositories. The job,
+``pipelines.kg.run``, is:
 
-    read_parquet(repo_files)                      # (repo, path, commit, lang, content)
+    read_parquet(repo_files)                      # (repo, path, lang, content), read once;
+                                                  #   rows of done partitions dropped
       -> map_batches(add_sha256)                  # per-row invariant column
       -> map_batches(chunk_files)                 # code-aware chunking + context padding
-      -> map_batches(extract_triples)             # per-lang deterministic extraction
-      -> groupby(entity_key) canonicalize         # the canonicalization shuffle
-      -> map_batches(EntityLinker, concurrency=N) # stateful actor pool (alias scorer)
-      -> groupby(triple) dedup + sort             # graph materialize
-      -> write_parquet(nodes/, edges/)            # partitioned, resumable output
+      -> map_batches(extract_records)             # per-lang deterministic extraction
+      -> write_parquet(records/part_id=k/)        # checkpoint + per-partition manifests
+      -> map_batches(_plain_keys, combined_partials)  # entity keys + per-batch combiner
+      -> groupby(bucket).map_groups(merge_bucket) # the one canonicalization shuffle
+      -> link_merged                              # stateless alias-linking pass over the
+                                                  #   merged vocabulary (broadcast defs)
+      -> write_parquet(merged/)                   # second checkpoint level
+      -> sort + dense ids -> write_parquet(nodes/, edges/)
 
 Nothing here calls ``ray.init()``; callers (bench.py, tests, CLI) own the
 Ray session.

@@ -213,8 +213,7 @@ def _bucket_pairs(group, max_bucket: int = 200) -> pa.Table:
     (a = -1 - coarse_bucket, b = dropped, est_jaccard = 2.0: unique key per
     group, passes the threshold filter, stripped + summed + surfaced by the
     caller — no silent caps). Returns Arrow with a FIXED schema so all-empty
-    buckets can't destabilize the downstream sort/union schema (same
-    discipline as pricing_summary)."""
+    buckets can't destabilize the downstream sort/union schema."""
     a_out, b_out, est = [], [], []
     dropped = 0
     for (_, _), g in group.groupby(["band", "band_hash"], sort=False):

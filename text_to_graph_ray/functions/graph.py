@@ -727,8 +727,8 @@ def sssp_bounded(edges_ds, seeds, max_hops: int = 3, src_col: str = "src", dst_c
     ``ray.put`` (sorted arrays, per-batch lookup is a vectorized
     searchsorted); above the guard the candidates come from a distributed
     hash join instead (the same guarded-small-side discipline as
-    kg.DEFS_BROADCAST_MAX / BROADCAST_JOIN_MAX_ROWS — both plans are
-    value-identical, test forces the threshold to 0). Candidates meet the
+    kg.DEFS_BROADCAST_MAX — both plans are value-identical, test forces
+    the threshold to 0). Candidates meet the
     previous dists in one coarse-bucket min-merge; convergence before
     max_hops stops the loop early via distributed (count, sum) invariants —
     the driver only ever holds counters."""

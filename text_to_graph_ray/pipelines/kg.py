@@ -50,8 +50,6 @@ from text_to_graph_ray.stages.hashing import add_sha256
 
 from text_to_graph_ray.state.checkpoint import CheckpointStore, part_ids, require_file_keys
 
-INPUT_COLUMNS = ["repo", "path", "commit", "lang", "content"]
-
 
 def _input_blocks(input_path: str) -> int:
     """Read-task count: ~4 MB of parquet per block (extraction is the
@@ -571,7 +569,7 @@ def scored_fallback_links(
       rounded to 6 dp, sorted by mention.
 
     Two plans, guard sized like every other small-side collect in this repo
-    (DEFS_BROADCAST_MAX / BROADCAST_JOIN_MAX_ROWS discipline):
+    (the DEFS_BROADCAST_MAX discipline):
 
     **Broadcast** (distinct vocabulary <= ``vocab_broadcast_max``): vocab
     collected once, ``ray.put``, each ScoredLinkStage actor builds the dense
@@ -787,6 +785,16 @@ def _part_dirs(rec_dir: str) -> set[int]:
     return {int(n[len("part_id=") :]) for n in os.listdir(rec_dir) if n.startswith("part_id=")}
 
 
+def _sink_files(out_dir: str) -> list[str] | None:
+    """The file names under ``nodes/`` and ``edges/`` (None when either is
+    missing). Every write names its files after a fresh dataset id, so the
+    list identifies the write that produced the sink on disk."""
+    try:
+        return [f"{d}/{n}" for d in ("nodes", "edges") for n in sorted(os.listdir(f"{out_dir}/{d}"))]
+    except FileNotFoundError:
+        return None
+
+
 def run(
     input_path: str,
     out_dir: str,
@@ -814,10 +822,14 @@ def run(
     computed are the directories its write created. Every input file yields
     at least one record (its containment edges), so ``done`` and the computed
     set together are all of the input's partitions; the ``graph`` manifest
-    stores their number as ``parts``. A rerun whose fingerprint matches,
-    whose valid records manifests number ``parts`` and whose ``nodes/`` and
-    ``edges/`` exist returns the manifest's counters without starting a Ray
-    job. An input with no rows raises a ``ValueError`` naming the path.
+    stores their number as ``parts`` and the sink's file names as ``sink``.
+    A rerun whose fingerprint matches and whose valid records manifests
+    number ``parts`` is complete: if ``nodes/`` and ``edges/`` still hold the
+    files this config wrote, it returns the manifest's counters without
+    starting a Ray job; otherwise (another config hash wrote the shared sink
+    since, or the sink is gone) it rewrites the sink from the ``merged``
+    checkpoint without reading the input. An input with no rows raises a
+    ``ValueError`` naming the path.
 
     Every count comes from parquet footers of what this call wrote, never
     from a Ray job: a computed partition's lineage ``rows`` is the footer sum
@@ -845,43 +857,42 @@ def run(
     done = set(existing)
 
     gm = store.manifest("graph", 0)
-    if (
-        gm
-        and gm.get("input_fingerprint") == fp
-        and gm.get("parts") == len(done)
-        and os.path.isdir(f"{out_dir}/nodes")
-        and os.path.isdir(f"{out_dir}/edges")
-    ):
-        computed, n_nodes, n_edges = set(), gm["nodes"], gm["edges"]
+    complete = bool(gm) and gm.get("input_fingerprint") == fp and gm.get("parts") == len(done)
+    sink = _sink_files(out_dir)
+    computed: set[int] = set()
+    rec_dir = store.stage_dir("records")
+    if complete and sink is not None and gm.get("sink") == sink:
+        n_nodes, n_edges = gm["nodes"], gm["edges"]
     else:
-        rec_dir = store.stage_dir("records")
-        # a killed run can leave data files for partitions whose manifest was
-        # never written — clear them so recompute is an idempotent overwrite
-        # (the reference's delete-then-insert, sqlite_support.py:492-531)
-        for p in _part_dirs(rec_dir) - done:
-            shutil.rmtree(f"{rec_dir}/part_id={p}")
-        done_ids = pa.array(sorted(done), type=pa.int64())
+        if not complete:
+            # a killed run can leave data files for partitions whose manifest
+            # was never written — clear them so recompute is an idempotent
+            # overwrite (the reference's delete-then-insert,
+            # sqlite_support.py:492-531)
+            for p in _part_dirs(rec_dir) - done:
+                shutil.rmtree(f"{rec_dir}/part_id={p}")
+            done_ids = pa.array(sorted(done), type=pa.int64())
 
-        def undone(b: pa.Table) -> pa.Table:
-            ids = part_ids(b.column("repo"), b.column("path"), cfg.num_partitions)
-            return b.filter(pc.invert(pc.is_in(ids, value_set=done_ids)))
+            def undone(b: pa.Table) -> pa.Table:
+                ids = part_ids(b.column("repo"), b.column("path"), cfg.num_partitions)
+                return b.filter(pc.invert(pc.is_in(ids, value_set=done_ids)))
 
-        ds = read_parquet_clean(input_path, columns=["repo", "path", "lang", "content"])
-        ds = extract_chain(ds.map_batches(undone, batch_format="pyarrow"), cfg)  # two_pass etc. honored
-        ds = ds.map_batches(lambda b: _with_part(b, cfg.num_partitions), batch_format="pyarrow")
-        ds.write_parquet(rec_dir, partition_cols=["part_id"])
-        # every input file yields a record, so the write created a dir for
-        # exactly the partitions that were not done
-        computed = _part_dirs(rec_dir) - done
-        if not done | computed:
-            raise ValueError(f"input {input_path!r} has no rows: there is no graph to build")
+            ds = read_parquet_clean(input_path, columns=["repo", "path", "lang", "content"])
+            ds = extract_chain(ds.map_batches(undone, batch_format="pyarrow"), cfg)  # two_pass etc. honored
+            ds = ds.map_batches(lambda b: _with_part(b, cfg.num_partitions), batch_format="pyarrow")
+            ds.write_parquet(rec_dir, partition_cols=["part_id"])
+            # every input file yields a record, so the write created a dir
+            # for exactly the partitions that were not done
+            computed = _part_dirs(rec_dir) - done
+            if not done | computed:
+                raise ValueError(f"input {input_path!r} has no rows: there is no graph to build")
 
-        # lineage + counters per freshly-computed partition, from the footers
-        # of the files just written
-        wall_ms = int((time.monotonic() - t0) * 1000)
-        for p in sorted(computed):
-            rows = parquet_row_count(f"{rec_dir}/part_id={p}")
-            store.mark_done("records", p, rows=rows, input_fingerprint=fp, wall_ms=wall_ms)
+            # lineage + counters per freshly-computed partition, from the
+            # footers of the files just written
+            wall_ms = int((time.monotonic() - t0) * 1000)
+            for p in sorted(computed):
+                rows = parquet_row_count(f"{rec_dir}/part_id={p}")
+                store.mark_done("records", p, rows=rows, input_fingerprint=fp, wall_ms=wall_ms)
 
         for d in (f"{out_dir}/nodes", f"{out_dir}/edges"):
             shutil.rmtree(d, ignore_errors=True)
@@ -909,7 +920,14 @@ def run(
         n_edges = parquet_row_count(f"{out_dir}/edges")
         wall_ms = int((time.monotonic() - t0) * 1000)
         store.mark_done(
-            "graph", 0, nodes=n_nodes, edges=n_edges, parts=len(done | computed), input_fingerprint=fp, wall_ms=wall_ms
+            "graph",
+            0,
+            nodes=n_nodes,
+            edges=n_edges,
+            parts=len(done | computed),
+            sink=_sink_files(out_dir),
+            input_fingerprint=fp,
+            wall_ms=wall_ms,
         )
         # run completed: fold per-partition manifest rows into one snapshot so
         # the manifest dir stays O(1) files across arbitrarily many run/resume

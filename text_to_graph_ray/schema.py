@@ -1,28 +1,12 @@
-"""Explicit Arrow schemas per stage (SURVEY §1.2).
+"""Explicit Arrow schema of the chunk stage (SURVEY §1.2).
 
-The reference is dynamically-typed pandas + CSV text; here every stage has a
-fixed ``pyarrow.Schema``, multi-valued fields are real list columns (never
-``'|'``-packed strings — that packing exists only in the conformance emitter,
-mirroring /root/reference/graph_extractor/src/graph_utils.py:68,220-223).
+The reference is dynamically-typed pandas + CSV text; here the chunk table has
+a fixed ``pyarrow.Schema`` with padding computed at chunk-creation time.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
-
-# Input table — the authoritative external shape (BASELINE.json input_hint).
-REPO_FILES = pa.schema(
-    [
-        ("repo", pa.string()),
-        ("path", pa.string()),
-        ("commit", pa.string()),
-        ("lang", pa.string()),
-        ("content", pa.string()),
-    ]
-)
-
-# After the sha stage: per-row invariant column (reference my_hash.py:4-16).
-REPO_FILES_HASHED = REPO_FILES.append(pa.field("content_sha256", pa.string()))
 
 # Chunk table (reference chunk_utils.py:36-44,127-133 reshaped; padding is
 # computed at chunk-creation time so no cross-row dependency survives).
@@ -38,51 +22,5 @@ CHUNKS = pa.schema(
         ("token_end", pa.int64()),
         ("text", pa.string()),
         ("text_padded", pa.string()),
-    ]
-)
-
-# Flat per-chunk extraction output: one row per node mention / edge.
-MENTIONS = pa.schema(
-    [
-        ("repo", pa.string()),
-        ("path", pa.string()),
-        ("content_sha256", pa.string()),
-        ("chunk_index", pa.int64()),
-        ("ord", pa.int64()),          # first-seen order within the chunk (determinism)
-        ("entity_key", pa.string()),  # sanitize(label).lower()
-        ("label", pa.string()),       # original casing
-        ("type", pa.string()),
-    ]
-)
-
-TRIPLES_RAW = pa.schema(
-    [
-        ("repo", pa.string()),
-        ("path", pa.string()),
-        ("content_sha256", pa.string()),
-        ("chunk_index", pa.int64()),
-        ("src_key", pa.string()),
-        ("pred", pa.string()),        # lowercased edge label (graph_utils.py:79-84)
-        ("dst_key", pa.string()),
-    ]
-)
-
-# Canonical outputs (FIXTURES.md F4).
-NODES = pa.schema(
-    [
-        ("entity_id", pa.int64()),
-        ("entity_key", pa.string()),
-        ("label", pa.string()),             # first-seen casing, deterministic order
-        ("types", pa.list_(pa.string())),   # set-union, sorted
-        ("repos", pa.list_(pa.string())),   # provenance
-    ]
-)
-
-EDGES = pa.schema(
-    [
-        ("src_key", pa.string()),
-        ("pred", pa.string()),
-        ("dst_key", pa.string()),
-        ("repos", pa.list_(pa.string())),
     ]
 )

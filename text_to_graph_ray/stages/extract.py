@@ -251,30 +251,6 @@ RECORD_FIELDS = [
     ("b", pa.string()),      # node: type  | edge: pred
     ("c", pa.string()),      # node: ""    | edge: dst_label
 ]
-RECORDS_SCHEMA = pa.schema(RECORD_FIELDS)
-
-
-def extract_mentions(batch: pa.Table) -> pa.Table:
-    """L1 mention pass (reference "high resolution" first stage,
-    graph_generator.py:215-243): per-chunk entity list as proper rows
-    ``(repo, path, content_sha256, chunk_index, ord, mention, type)`` —
-    a real Arrow table instead of the reference's quoted CSV blob
-    (sqlite_support.py:71-81)."""
-    rec = extract_records(batch)
-    import pyarrow.compute as pc
-
-    nodes = rec.filter(pc.equal(rec.column("kind"), "node"))
-    return pa.table(
-        {
-            "repo": nodes.column("repo"),
-            "path": nodes.column("path"),
-            "content_sha256": nodes.column("content_sha256"),
-            "chunk_index": nodes.column("chunk_index"),
-            "ord": nodes.column("ord"),
-            "mention": nodes.column("a"),
-            "type": nodes.column("b"),
-        }
-    )
 
 
 def mention_consistency_filter(batch: pa.Table) -> pa.Table:

@@ -19,17 +19,3 @@ def add_sha256(batch: pa.Table, column: str = "content", out: str = "content_sha
     hashes = [hashlib.sha256(v.encode("utf-8") if v is not None else b"").hexdigest() for v in vals.to_pylist()]
     return batch.append_column(out, pa.array(hashes, type=pa.string()))
 
-
-def dedup_batch_partial(batch: pa.Table, key: str = "content_sha256") -> pa.Table:
-    """Batch-local keep-first dedup — the partial/combiner half of exact dedup
-    run before the groupby shuffle so duplicate-heavy corpora don't ship every
-    copy through the exchange."""
-
-    keys = batch.column(key)
-    seen: set = set()
-    mask = []
-    for k in keys.to_pylist():
-        dup = k in seen
-        seen.add(k)
-        mask.append(not dup)
-    return batch.filter(pa.array(mask))

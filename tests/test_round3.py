@@ -270,7 +270,139 @@ def test_bucket_exchange_vectorized_per_bucket(ray_session):
     assert out.count() == 0 and out.schema().names == ["k", "vmax"]
 
 
+# ---- functions/joins.py: distributed as-of and range joins ------------------
+
+
+def _random_events(rng, n, n_users, seed_ts=1_700_000_000_000_000):
+    ts = seed_ts + rng.choice(10**9, size=n, replace=False).astype("int64")  # unique
+    return pd.DataFrame(
+        {
+            "event_id": np.arange(n, dtype="int64"),
+            "ts": pd.to_datetime(ts, unit="us"),
+            "user_id": rng.integers(0, n_users, n).astype("int64"),
+            "value": rng.uniform(0, 100, n).round(2),
+        }
+    )
+
+
 import numpy as np  # noqa: E402  (used by the join tests below)
+
+
+def test_asof_join_matches_pandas_merge_asof(ray_session):
+    """Distributed asof_join == single-process pandas merge_asof on the whole
+    frame — bucket splits and block splits must not change any match.
+    Includes a hot key (half of one side is one user)."""
+    import ray.data as rd
+
+    from text_to_graph_ray.functions.joins import asof_join
+
+    rng = np.random.default_rng(21)
+    left = _random_events(rng, 400, 20)
+    right = _random_events(rng, 600, 20)
+    right.loc[:200, "user_id"] = 7  # hot key
+
+    got = (
+        asof_join(
+            rd.from_pandas(left).repartition(5),
+            rd.from_pandas(right).repartition(7),
+            on="ts",
+            by="user_id",
+            left_cols={"event_id": "event_id", "value": "value"},
+            right_cols={"r_ts": "ts", "r_value": "value"},
+            num_buckets=8,
+        )
+        .to_pandas()
+        .sort_values("event_id")
+        .reset_index(drop=True)
+    )
+
+    l = left.sort_values("ts").copy()
+    r = right.sort_values("ts").copy()
+    r2 = r.rename(columns={"value": "r_value"})
+    r2["r_ts"] = r2["ts"].values.astype("datetime64[us]").astype("int64")
+    want = pd.merge_asof(l, r2[["ts", "user_id", "r_ts", "r_value"]], on="ts", by="user_id", direction="backward")
+    want = want[want["r_ts"].notna()].sort_values("event_id").reset_index(drop=True)
+    want["ts"] = want["ts"].values.astype("datetime64[us]").astype("int64")
+
+    assert list(got["event_id"]) == list(want["event_id"])
+    assert list(got["ts"]) == list(want["ts"])
+    assert list(got["r_ts"]) == [int(x) for x in want["r_ts"]]
+    assert np.allclose(got["r_value"], want["r_value"])
+
+
+def test_asof_join_left_outer_and_forward(ray_session):
+    """inner=False keeps unmatched left rows (null right payload);
+    direction='forward' matches the NEXT right row instead."""
+    import ray.data as rd
+
+    from text_to_graph_ray.functions.joins import asof_join
+
+    left = pd.DataFrame(
+        {
+            "event_id": np.array([1, 2], dtype="int64"),
+            "ts": pd.to_datetime([100, 200], unit="s"),
+            "user_id": np.array([1, 1], dtype="int64"),
+            "value": [1.0, 2.0],
+        }
+    )
+    right = pd.DataFrame(
+        {
+            "event_id": np.array([9], dtype="int64"),
+            "ts": pd.to_datetime([150], unit="s"),
+            "user_id": np.array([1], dtype="int64"),
+            "value": [9.0],
+        }
+    )
+    l, r = rd.from_pandas(left), rd.from_pandas(right)
+    kw = dict(on="ts", by="user_id", left_cols={"event_id": "event_id"}, right_cols={"r_value": "value"}, num_buckets=4)
+
+    outer = asof_join(l, r, inner=False, **kw).to_pandas().sort_values("event_id")
+    assert len(outer) == 2
+    assert np.isnan(outer.iloc[0]["r_value"]) and outer.iloc[1]["r_value"] == 9.0  # 100<150 unmatched backward
+
+    fwd = asof_join(l, r, direction="forward", **kw).to_pandas().sort_values("event_id")
+    assert list(fwd["event_id"]) == [1] and fwd.iloc[0]["r_value"] == 9.0  # only ts=100 has a next right
+
+
+def test_range_join_matches_naive(ray_session):
+    """Distributed range_join == the O(n^2) per-user double loop, including
+    boundary semantics (strict lower, inclusive upper) and a hot key."""
+    import ray.data as rd
+
+    from text_to_graph_ray.functions.joins import range_join
+
+    rng = np.random.default_rng(33)
+    left = _random_events(rng, 300, 12)
+    right = _random_events(rng, 300, 12)
+    right.loc[:150, "user_id"] = 3
+    upper = 200_000_000  # 200 s in us
+
+    got = (
+        range_join(
+            rd.from_pandas(left).repartition(4),
+            rd.from_pandas(right).repartition(6),
+            on="ts",
+            by="user_id",
+            left_cols={"a_id": "event_id"},
+            right_cols={"b_id": "event_id"},
+            lower_us=0,
+            upper_us=upper,
+            num_buckets=8,
+        )
+        .to_pandas()
+        .sort_values(["a_id", "b_id"])
+        .reset_index(drop=True)
+    )
+
+    lus = left.assign(us=left["ts"].values.astype("datetime64[us]").astype("int64"))
+    rus = right.assign(us=right["ts"].values.astype("datetime64[us]").astype("int64"))
+    pairs = []
+    for _, lrow in lus.iterrows():
+        for _, rrow in rus.iterrows():
+            if lrow["user_id"] == rrow["user_id"] and lrow["us"] < rrow["us"] <= lrow["us"] + upper:
+                pairs.append((int(lrow["event_id"]), int(rrow["event_id"])))
+    pairs.sort()
+    assert list(zip(got["a_id"], got["b_id"])) == pairs
 
 
 # ---- defs-broadcast pruning (link_merged early-return gates) -----------------
@@ -487,6 +619,28 @@ def test_distinct_rows_matches_pandas(ray_session):
     pd.testing.assert_frame_equal(got, want)
 
 
+def test_nunique_per_group_matches_pandas(ray_session):
+    import numpy as np
+    import ray.data as rd
+
+    from text_to_graph_ray.functions.agg import nunique_per_group
+
+    rng = np.random.default_rng(22)
+    df = pd.DataFrame(
+        {"g": rng.choice(["p", "q", "r"], 2000), "u": rng.integers(0, 40, 2000).astype("int64")}
+    )
+    got = (
+        nunique_per_group(rd.from_pandas(df).repartition(9), "g", "u", out_name="n_unique")
+        .to_pandas()
+        .sort_values("g")
+        .reset_index(drop=True)
+    )
+    want = (
+        df.groupby("g", as_index=False)["u"].nunique().rename(columns={"u": "n_unique"}).sort_values("g").reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(got, want)
+
+
 def test_tfidf_topk_matches_naive(ray_session):
     """tfidf vs a from-scratch pandas reimplementation on a tiny corpus with
     known tie cases (same score -> token ascending wins)."""
@@ -669,6 +823,107 @@ def test_pagerank_sink_and_empty(ray_session):
     assert pagerank(empty).count() == 0
 
 
+def test_set_op_rows_matches_pandas(ray_session):
+    import numpy as np
+    import ray.data as rd
+
+    from text_to_graph_ray.functions.agg import set_op_rows
+
+    rng = np.random.default_rng(51)
+    a = pd.DataFrame({"x": rng.integers(0, 30, 400).astype("int64"), "y": rng.choice(["p", "q"], 400)})
+    b = pd.DataFrame({"x": rng.integers(15, 45, 400).astype("int64"), "y": rng.choice(["p", "q"], 400)})
+    dsa, dsb = rd.from_pandas(a).repartition(4), rd.from_pandas(b).repartition(3)
+    schema = pa.schema([("x", pa.int64()), ("y", pa.string())])
+
+    def want(op):
+        da = a.drop_duplicates()
+        kb = set(map(tuple, b[["x", "y"]].itertuples(index=False)))
+        m = da.apply(lambda r: (r["x"], r["y"]) in kb, axis=1)
+        d = da[m] if op == "intersect" else da[~m]
+        return d.sort_values(["x", "y"]).reset_index(drop=True)
+
+    for op in ("intersect", "except"):
+        got = (
+            set_op_rows(dsa, dsb, ["x", "y"], schema, op=op)
+            .to_pandas()
+            .sort_values(["x", "y"])
+            .reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(got, want(op), check_dtype=False)
+
+    # single-column path
+    s1 = pa.schema([("x", pa.int64())])
+    got1 = (
+        set_op_rows(dsa.select_columns(["x"]), dsb.select_columns(["x"]), ["x"], s1, op="intersect")
+        .to_pandas()
+        .sort_values("x")
+        .reset_index(drop=True)
+    )
+    want1 = pd.DataFrame({"x": sorted(set(a["x"]) & set(b["x"]))}).astype("int64")
+    pd.testing.assert_frame_equal(got1, want1)
+
+
+def test_set_op_rows_empty_sides(ray_session):
+    import ray.data as rd
+
+    from text_to_graph_ray.functions.agg import set_op_rows
+
+    schema = pa.schema([("x", pa.int64())])
+    a = rd.from_arrow(pa.table({"x": pa.array([1, 2, 2, 3], type=pa.int64())}))
+    empty = rd.from_arrow(schema.empty_table())
+    assert set_op_rows(a, empty, ["x"], schema, op="intersect").count() == 0
+    got = set_op_rows(a, empty, ["x"], schema, op="except").to_pandas().sort_values("x").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, pd.DataFrame({"x": [1, 2, 3]}).astype("int64"))
+
+
+def test_latest_per_key_matches_pandas(ray_session):
+    import numpy as np
+    import ray.data as rd
+
+    from text_to_graph_ray.functions.agg import latest_per_key
+
+    rng = np.random.default_rng(61)
+    n = 2000
+    df = pd.DataFrame(
+        {
+            "k": rng.integers(0, 60, n).astype("int64"),
+            # duplicate ts values force the id tiebreaker
+            "ts": rng.integers(0, 50, n).astype("int64"),
+            "id": np.arange(n, dtype="int64"),
+            "v": rng.normal(size=n),
+        }
+    )
+    schema = pa.schema([("k", pa.int64()), ("ts", pa.int64()), ("id", pa.int64()), ("v", pa.float64())])
+    got = (
+        latest_per_key(rd.from_pandas(df).repartition(7), "k", ["ts", "id"], schema, descending=True)
+        .to_pandas()
+        .sort_values("k")
+        .reset_index(drop=True)
+    )
+    want = (
+        df.sort_values(["ts", "id"], ascending=False, kind="mergesort")
+        .drop_duplicates("k", keep="first")
+        .sort_values("k")
+        .reset_index(drop=True)[["k", "ts", "id", "v"]]
+    )
+    pd.testing.assert_frame_equal(got, want)
+
+    # ascending = keep-oldest
+    got_min = (
+        latest_per_key(rd.from_pandas(df).repartition(7), "k", ["ts", "id"], schema, descending=False)
+        .to_pandas()
+        .sort_values("k")
+        .reset_index(drop=True)
+    )
+    want_min = (
+        df.sort_values(["ts", "id"], kind="mergesort")
+        .drop_duplicates("k", keep="first")
+        .sort_values("k")
+        .reset_index(drop=True)[["k", "ts", "id", "v"]]
+    )
+    pd.testing.assert_frame_equal(got_min, want_min)
+
+
 def test_extract_image_features_matches_naive(ray_session):
     import ray.data as rd
 
@@ -687,6 +942,79 @@ def test_extract_image_features_matches_naive(ray_session):
     want = pd.DataFrame(rows, columns=["media_id", "f00", "f01", "f10", "f11", "fstd"]).astype({"media_id": "int64"})
     assert len(want) == 10  # ids 0,3,6,... are images
     pd.testing.assert_frame_equal(got, want)
+
+
+def test_asof_left_outer_int_and_timestamp_payload(ray_session):
+    """Regression: inner=False with an INT or TIMESTAMP right payload used to
+    crash (NaN from the unmatched-left float promotion truncated into the
+    int64 cast); unmatched rows must carry NULL instead."""
+    import numpy as np
+    import ray.data as rd
+
+    from text_to_graph_ray.functions.joins import asof_join
+
+    left = pd.DataFrame(
+        {
+            "event_id": np.array([1, 2], dtype="int64"),
+            "ts": pd.to_datetime([100, 200], unit="s"),
+            "user_id": np.array([1, 1], dtype="int64"),
+        }
+    )
+    right = pd.DataFrame(
+        {
+            "event_id": np.array([9], dtype="int64"),
+            "ts": pd.to_datetime([150], unit="s"),
+            "user_id": np.array([1], dtype="int64"),
+        }
+    )
+    out = (
+        asof_join(
+            rd.from_pandas(left),
+            rd.from_pandas(right),
+            on="ts",
+            by="user_id",
+            left_cols={"l_event": "event_id"},
+            right_cols={"r_event": "event_id", "r_ts": "ts"},  # int64 + timestamp payloads
+            inner=False,
+            num_buckets=4,
+        )
+        .to_pandas()
+        .sort_values("l_event")
+        .reset_index(drop=True)
+    )
+    assert len(out) == 2
+    assert pd.isna(out.iloc[0]["r_event"]) and pd.isna(out.iloc[0]["r_ts"])  # ts=100: no prior right
+    assert out.iloc[1]["r_event"] == 9 and out.iloc[1]["r_ts"] == 150_000_000  # epoch-us
+
+
+def test_range_join_cap_fails_loudly(ray_session):
+    """max_matches_per_row must raise, not silently truncate."""
+    import numpy as np
+    import pytest
+    import ray.data as rd
+
+    from text_to_graph_ray.functions.joins import range_join
+
+    left = pd.DataFrame(
+        {"ts": pd.to_datetime([0], unit="s"), "user_id": np.array([1], dtype="int64"), "v": [1.0]}
+    )
+    right = pd.DataFrame(
+        {
+            "ts": pd.to_datetime(np.arange(5), unit="s"),
+            "user_id": np.ones(5, dtype="int64"),
+            "w": np.zeros(5),
+        }
+    )
+    kw = dict(
+        on="ts", by="user_id", left_cols={"v": "v"}, right_cols={"w": "w"},
+        lower_us=0, upper_us=10_000_000, num_buckets=2,
+    )
+    ok = range_join(rd.from_pandas(left), rd.from_pandas(right), **kw).to_pandas()
+    assert len(ok) == 4  # window is lower-exclusive: rt == lt+lower_us excluded
+    with pytest.raises(Exception, match="max_matches_per_row"):
+        range_join(
+            rd.from_pandas(left), rd.from_pandas(right), max_matches_per_row=3, **kw
+        ).to_pandas()
 
 
 def test_metadata_row_count_no_execution(ray_session, tmp_path):

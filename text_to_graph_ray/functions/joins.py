@@ -1,19 +1,23 @@
-"""Guarded semi/anti filters and keyed joins without Ray join actors.
+"""Guarded semi/anti filters, keyed joins and as-of / range (interval) joins
+without Ray join actors.
 
-Ray Data's ``Dataset.join`` reserves aggregator actors per partition; these
-joins instead either broadcast a small side once via ``ray.put`` (while it
-fits a row guard) or run ONE keyed exchange:
+Ray Data's ``Dataset.join`` reserves aggregator actors per partition and has
+no as-of or range join; these joins instead either broadcast a small side
+once via ``ray.put`` (while it fits a row guard) or run ONE keyed exchange:
 
 1. tag each side and align schemas (the other side's payload columns ride as
    nulls) so the two Datasets union into one stream;
 2. coarse-bucket on the equality key (``agg.with_bucket`` — deterministic
    SipHash, so every key's rows land in exactly one bucket regardless of
    block splits);
-3. run the join logic VECTORIZED per bucket in pandas.
+3. run the join logic VECTORIZED per bucket in pandas: ``pandas.merge_asof``
+   for as-of, ``numpy.searchsorted`` window expansion for range.
 
 Partitioning assumption (documented contract): all rows of one join key fit
 in one bucket task — the same contract as any keyed groupby.  A hot key costs
 its own row count, not the corpus; bucket count smooths skew across keys.
+
+The temporal joins return timestamps as int64 epoch-microseconds.
 """
 
 from __future__ import annotations
@@ -24,6 +28,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from text_to_graph_ray.functions.agg import BUCKET_COL, with_bucket
+
+_SIDE = "__side"
+_US = "datetime64[us]"
+
+
+def _epoch_us(series: pd.Series) -> np.ndarray:
+    return series.values.astype(_US).astype("int64")
 
 
 def _arrow_schema(ds) -> pa.Schema:
@@ -40,6 +51,185 @@ def _arrow_schema(ds) -> pa.Schema:
             t = pa.string()  # object dtype
         fields.append((name, t))
     return pa.schema(fields)
+
+
+def _tagged_union(left, right, by: str, on: str, left_cols: dict, right_cols: dict):
+    """Map both sides onto one combined schema (key, ts-us, side tag, each
+    side's payload with the OTHER side's columns nulled) and union them.
+    ``left_cols`` / ``right_cols`` map output name -> source column."""
+    lschema, rschema = _arrow_schema(left), _arrow_schema(right)
+
+    def out_type(schema, col):
+        t = schema.field(col).type
+        return pa.int64() if pa.types.is_timestamp(t) else t
+
+    fields = [(by, pa.int64()), (on, pa.int64()), (_SIDE, pa.int8())]
+    fields += [(o, out_type(lschema, c)) for o, c in left_cols.items()]
+    fields += [(o, out_type(rschema, c)) for o, c in right_cols.items()]
+    combined = pa.schema(fields)
+
+    def side_fn(cols: dict, schema: pa.Schema, side: int):
+        ts_srcs = {o for o, c in cols.items() if pa.types.is_timestamp(schema.field(c).type)}
+
+        def fn(df: pd.DataFrame) -> pa.Table:
+            n = len(df)
+            arrays = {
+                by: pa.array(df[by].to_numpy(dtype="int64"), type=pa.int64()),
+                on: pa.array(_epoch_us(df[on]), type=pa.int64()),
+                _SIDE: pa.array(np.full(n, side, dtype="int8"), type=pa.int8()),
+            }
+            for f in combined:
+                if f.name in arrays:
+                    continue
+                src = cols.get(f.name)
+                if src is None:
+                    arrays[f.name] = pa.nulls(n, type=f.type)
+                elif f.name in ts_srcs:
+                    arrays[f.name] = pa.array(_epoch_us(df[src]), type=pa.int64())
+                else:
+                    arrays[f.name] = pa.array(df[src], type=f.type)
+            return pa.table({f.name: arrays[f.name] for f in combined}, schema=combined)
+
+        return fn
+
+    l = left.map_batches(side_fn(left_cols, lschema, 0), batch_format="pandas", batch_size=None)
+    r = right.map_batches(side_fn(right_cols, rschema, 1), batch_format="pandas", batch_size=None)
+    return l.union(r), combined
+
+
+def _bucketed_merge(unioned, combined: pa.Schema, by: str, merge_fn, out_schema: pa.Schema, num_buckets: int):
+    bucketed = with_bucket(unioned, by, num_buckets, in_schema=combined)
+
+    def per_bucket(df: pd.DataFrame) -> pa.Table:
+        if len(df) == 0:  # empty shuffle partition (may be schema-less)
+            return out_schema.empty_table()
+        return merge_fn(df.drop(columns=[BUCKET_COL]))
+
+    from text_to_graph_ray.functions.agg import bucket_exchange
+
+    return bucket_exchange(bucketed, per_bucket, out_schema, num_buckets)
+
+
+def asof_join(
+    left,
+    right,
+    on: str,
+    by: str,
+    left_cols: dict,
+    right_cols: dict,
+    direction: str = "backward",
+    inner: bool = True,
+    num_buckets: int = 64,
+):
+    """For each left row, the single nearest right row with the same ``by``
+    key and ``right.on <= left.on`` (``direction="backward"``; ``"forward"``
+    for >=).  Exact-timestamp matches count.  ``inner=True`` drops left rows
+    with no match (DuckDB ``ASOF JOIN``); ``inner=False`` keeps them with
+    null right payload (``ASOF LEFT JOIN``).
+
+    ``left_cols`` / ``right_cols``: output name -> source column.  Timestamp
+    sources are emitted as int64 epoch-us.  Assumes (by, on) is unique per
+    side — with duplicates the chosen right row follows sort order and may
+    differ from an oracle's choice.
+    """
+    unioned, combined = _tagged_union(left, right, by, on, left_cols, right_cols)
+    lnames, rnames = list(left_cols), list(right_cols)
+    out_fields = [(by, pa.int64()), (on, pa.int64())]
+    out_fields += [(n, combined.field(n).type) for n in lnames + rnames]
+    out_schema = pa.schema(out_fields)
+
+    def merge(df: pd.DataFrame) -> pa.Table:
+        l = df[df[_SIDE] == 0][[by, on] + lnames].sort_values(on, kind="mergesort")
+        r = df[df[_SIDE] == 1][[by, on] + rnames].sort_values(on, kind="mergesort")
+        if len(l) == 0:
+            return out_schema.empty_table()
+        r["__m"] = np.int8(1)
+        out = pd.merge_asof(l, r, on=on, by=by, direction=direction, allow_exact_matches=True)
+        if inner:
+            out = out[out["__m"].notna()]
+        out = out.drop(columns=["__m"])
+        arrays = {}
+        for f in out_schema:
+            col = out[f.name]
+            if pa.types.is_integer(f.type) and col.dtype.kind == "f":
+                # unmatched-left nulls promoted these to float; NaN must map
+                # to NULL, not crash the int cast (ASOF LEFT JOIN with an
+                # int/timestamp right payload)
+                v = col.to_numpy()
+                arrays[f.name] = pa.array(
+                    [None if np.isnan(x) else int(x) for x in v], type=f.type
+                )
+            else:
+                arrays[f.name] = pa.array(col, type=f.type)
+        return pa.table(arrays, schema=out_schema)
+
+    return _bucketed_merge(unioned, combined, by, merge, out_schema, num_buckets)
+
+
+def range_join(
+    left,
+    right,
+    on: str,
+    by: str,
+    left_cols: dict,
+    right_cols: dict,
+    lower_us: int,
+    upper_us: int,
+    num_buckets: int = 64,
+    max_matches_per_row: int = 1000,
+):
+    """All (left, right) pairs with the same ``by`` key and
+    ``left.on + lower_us < right.on <= left.on + upper_us`` (an interval /
+    band join, e.g. attribution windows).  Per bucket, per key: one
+    ``np.searchsorted`` over the right side's sorted timestamps gives each
+    left row its match span; spans expand with ``np.repeat`` — no Python
+    per-row loop.  ``max_matches_per_row`` FAILS LOUDLY (ValueError, never a
+    silent truncation) on pathological windows — a key firing continuously
+    inside every window.
+    """
+    unioned, combined = _tagged_union(left, right, by, on, left_cols, right_cols)
+    lnames, rnames = list(left_cols), list(right_cols)
+    out_fields = [(by, pa.int64()), (f"l_{on}", pa.int64()), (f"r_{on}", pa.int64())]
+    out_fields += [(n, combined.field(n).type) for n in lnames + rnames]
+    out_schema = pa.schema(out_fields)
+
+    def merge(df: pd.DataFrame) -> pa.Table:
+        outs = []
+        for _, g in df.groupby(by, sort=False):
+            l = g[g[_SIDE] == 0].sort_values(on, kind="mergesort")
+            r = g[g[_SIDE] == 1].sort_values(on, kind="mergesort")
+            if len(l) == 0 or len(r) == 0:
+                continue
+            lt = l[on].to_numpy()
+            rt = r[on].to_numpy()
+            lo = np.searchsorted(rt, lt + lower_us, side="right")
+            hi = np.searchsorted(rt, lt + upper_us, side="right")
+            if int((hi - lo).max(initial=0)) > max_matches_per_row:
+                # loud, not silent: truncation would diverge from the SQL
+                # inequality-join semantics the oracle checks
+                raise ValueError(
+                    f"range_join: a row matched {(hi - lo).max()} right rows > "
+                    f"max_matches_per_row={max_matches_per_row}; raise the cap "
+                    "explicitly if this density is expected"
+                )
+            counts = hi - lo
+            if counts.sum() == 0:
+                continue
+            li = np.repeat(np.arange(len(l)), counts)
+            # right index for each pair: span start + within-span offset
+            offs = np.arange(len(li)) - np.repeat(np.cumsum(counts) - counts, counts)
+            ri = np.repeat(lo, counts) + offs
+            cols = {by: np.repeat(g[by].iloc[0], len(li)), f"l_{on}": lt[li], f"r_{on}": rt[ri]}
+            for n in lnames:
+                cols[n] = l[n].to_numpy()[li]
+            for n in rnames:
+                cols[n] = r[n].to_numpy()[ri]
+            outs.append(pa.table({f.name: pa.array(cols[f.name], type=f.type) for f in out_schema}, schema=out_schema))
+        if not outs:
+            return out_schema.empty_table()
+        return pa.concat_tables(outs)
+
+    return _bucketed_merge(unioned, combined, by, merge, out_schema, num_buckets)
 
 
 SEMI_BROADCAST_MAX_ROWS = 5_000_000  # keys fit one plasma object (~40 MB of int64) and one is_in probe
@@ -123,7 +313,7 @@ def keyed_full_outer(left, right, keys, left_vals, right_vals, num_buckets: int 
     Contract: ``keys`` are unique per side (both inputs are aggregate
     outputs; asserted per bucket), value columns are numeric. Scale shape:
     the exchange carries |left| + |right| aggregate rows — never a corpus —
-    and a key's rows meet in exactly one bucket task (the module's
+    and a key's rows meet in exactly one bucket task (the asof/range-join
     partitioning assumption).
     """
     import ray.data as rd

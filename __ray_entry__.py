@@ -378,32 +378,6 @@ def _q_text_lm_score(sf_dir):
     return bigram_lm_nll(docs)
 
 
-def _q_graph_common_neighbors(sf_dir):
-    """Link prediction over the 1000-node lineitem-derived graph (the
-    graph_bfs/graph_sssp edge set): top-100 NON-adjacent pairs by common
-    neighbor count, (cn DESC, u, v)-ordered. Center-keyed wedge exchange
-    with per-bucket pair pre-counting + packed-edge-set adjacency removal."""
-    import numpy as np
-
-    from text_to_graph_ray.functions.graph import common_neighbor_topk
-    from text_to_graph_ray.util import read_parquet_clean
-
-    def to_edges(b):
-        import numpy as np
-        import pyarrow as pa
-
-        if b.num_rows == 0:
-            return pa.schema([("src", pa.int64()), ("dst", pa.int64())]).empty_table()
-        pk = np.asarray(b.column("l_partkey").to_pylist(), dtype=np.int64)
-        sk = np.asarray(b.column("l_suppkey").to_pylist(), dtype=np.int64)
-        return pa.table({"src": pa.array(pk % 1000, type=pa.int64()), "dst": pa.array(sk % 1000, type=pa.int64())})
-
-    ds = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]).map_batches(
-        to_edges, batch_format="pyarrow"
-    )
-    return common_neighbor_topk(ds, k=100, min_common=2)
-
-
 def _q_dedup_minhash_incr(sf_dir):
     """INCREMENTAL near-dup maintenance (the incremental-KG story applied
     to dedup): when the newest 20% of the corpus arrives, the pairs
@@ -434,112 +408,6 @@ def _q_dedup_minhash_incr(sf_dir):
     p_new = minhash_near_dup_pairs(new, threshold=0.5)
     p_cross = minhash_cross_pairs(old, new, threshold=0.5)
     return p_new.union(p_cross).sort(["a", "b"])
-
-
-def _q_graph_hits(sf_dir):
-    """HITS hubs/authorities, 2 unrolled L1-normalized iterations over the
-    100-node directed graph (same graph and round-9 boundary discipline as
-    graph_pagerank); per half-iteration: one guarded edge-stream lookup join
-    + one keyed sum + one driver scalar."""
-    import pyarrow as _pa
-
-    from text_to_graph_ray.functions.graph import hits_scores
-    from text_to_graph_ray.util import read_parquet_clean
-
-    def to_edges(b):
-        import numpy as _np
-
-        if b.num_rows == 0:
-            return _pa.schema([("src", _pa.int64()), ("dst", _pa.int64())]).empty_table()
-        pk = _np.asarray(b.column("l_partkey"), dtype=_np.int64) % 100
-        sk = _np.asarray(b.column("l_suppkey"), dtype=_np.int64) % 100
-        return _pa.table({"src": _pa.array(pk), "dst": _pa.array(sk)})
-
-    ds = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]).map_batches(
-        to_edges, batch_format="pyarrow"
-    )
-    from text_to_graph_ray.functions.agg import distinct_rows
-
-    edges = distinct_rows(ds, ["src", "dst"], _pa.schema([("src", _pa.int64()), ("dst", _pa.int64())]))
-    return hits_scores(edges, iters=2)
-
-
-def _q_graph_link_jaccard(sf_dir):
-    """Jaccard-coefficient link prediction over the 1000-node graph: top-100
-    non-adjacent pairs by cn / (deg u + deg v - cn), quantized EXACTLY as
-    (10^9 * cn) // denom so the rank cut is integer-identical on both
-    engines; degrees ride one node-keyed combiner aggregate + two guarded
-    lookup joins."""
-    from text_to_graph_ray.functions.graph import common_neighbor_topk
-    from text_to_graph_ray.util import read_parquet_clean
-
-    def to_edges(b):
-        import numpy as np
-        import pyarrow as pa
-
-        if b.num_rows == 0:
-            return pa.schema([("src", pa.int64()), ("dst", pa.int64())]).empty_table()
-        pk = np.asarray(b.column("l_partkey").to_pylist(), dtype=np.int64)
-        sk = np.asarray(b.column("l_suppkey").to_pylist(), dtype=np.int64)
-        return pa.table({"src": pa.array(pk % 1000, type=pa.int64()), "dst": pa.array(sk % 1000, type=pa.int64())})
-
-    ds = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]).map_batches(
-        to_edges, batch_format="pyarrow"
-    )
-    return common_neighbor_topk(ds, k=100, min_common=2, rank_by="jaccard", include_ra=True)
-
-
-def _q_graph_scc(sf_dir):
-    """Directed strongly connected components over a 251-node graph derived
-    from first-line lineitems (src=o%251, dst=p%251): guarded driver Tarjan
-    below collect_max, distributed FW-BW-MIN peeling past it (threshold-0
-    equivalence in tests); scc_id = min member id, the components contract."""
-    import pyarrow as _pa
-
-    from text_to_graph_ray.functions.graph import strongly_connected_components
-    from text_to_graph_ray.util import read_parquet_clean
-
-    def to_edges(b):
-        import numpy as _np
-
-        if b.num_rows == 0:
-            return _pa.schema([("src", _pa.int64()), ("dst", _pa.int64())]).empty_table()
-        ln = _np.asarray(b.column("l_linenumber"), dtype=_np.int64)
-        ok = _np.asarray(b.column("l_orderkey"), dtype=_np.int64)[ln == 1] % 251
-        pk = _np.asarray(b.column("l_partkey"), dtype=_np.int64)[ln == 1] % 251
-        keep = ok != pk
-        return _pa.table({"src": _pa.array(ok[keep]), "dst": _pa.array(pk[keep])})
-
-    ds = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey", "l_linenumber"]
-    ).map_batches(to_edges, batch_format="pyarrow")
-    return strongly_connected_components(ds)
-
-
-def _q_graph_link_ra(sf_dir):
-    """Resource-Allocation link prediction (Zhou et al. 2009) over the same
-    1000-node graph: top-100 non-adjacent pairs by Σ 1/deg(common neighbor),
-    hub co-neighbors downweighted. Weights quantized EXACTLY as 10^9 // deg
-    (integer division — no libm drift), summed as int64, divided once at
-    the output; ranked by the quantized sum so the LIMIT cut is identical
-    on both engines."""
-    from text_to_graph_ray.functions.graph import common_neighbor_topk
-    from text_to_graph_ray.util import read_parquet_clean
-
-    def to_edges(b):
-        import numpy as np
-        import pyarrow as pa
-
-        if b.num_rows == 0:
-            return pa.schema([("src", pa.int64()), ("dst", pa.int64())]).empty_table()
-        pk = np.asarray(b.column("l_partkey").to_pylist(), dtype=np.int64)
-        sk = np.asarray(b.column("l_suppkey").to_pylist(), dtype=np.int64)
-        return pa.table({"src": pa.array(pk % 1000, type=pa.int64()), "dst": pa.array(sk % 1000, type=pa.int64())})
-
-    ds = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]).map_batches(
-        to_edges, batch_format="pyarrow"
-    )
-    return common_neighbor_topk(ds, k=100, min_common=2, rank_by="ra", include_ra=True)
 
 
 def _q_docs_length_band(sf_dir):
@@ -1212,55 +1080,6 @@ def _q_dedup_decontaminate(sf_dir):
     return ngram_contamination(docs, eval_sources=("src0", "src1"), n=8)
 
 
-def _q_graph_pagerank(sf_dir):
-    """Fixed 3-iteration PageRank over a lineitem-derived directed graph
-    (src = l_partkey % 100, dst = l_suppkey % 100, DISTINCT edges, no
-    dangling redistribution). Bit-identical to the unrolled SQL oracle via
-    per-iteration 9-dp rounding on both sides."""
-    import numpy as np
-
-    from text_to_graph_ray.functions.graph import pagerank
-    from text_to_graph_ray.util import read_parquet_clean
-
-    def to_edges(b):
-        import numpy as np
-        import pyarrow as pa
-
-        if b.num_rows == 0:
-            return pa.schema([("src", pa.int64()), ("dst", pa.int64())]).empty_table()
-        pk = np.asarray(b.column("l_partkey").to_pylist(), dtype=np.int64)
-        sk = np.asarray(b.column("l_suppkey").to_pylist(), dtype=np.int64)
-        return pa.table({"src": pa.array(pk % 100, type=pa.int64()), "dst": pa.array(sk % 100, type=pa.int64())})
-
-    ds = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]).map_batches(
-        to_edges, batch_format="pyarrow"
-    )
-    return pagerank(ds, iterations=3)
-
-
-def _q_graph_triangles(sf_dir):
-    """Per-node triangle counts over the mod-500 lineitem graph — canonical
-    wedge enumeration, two distributed hash joins + one bucketed count."""
-    import numpy as np
-
-    from text_to_graph_ray.functions.graph import triangle_counts
-    from text_to_graph_ray.util import read_parquet_clean
-
-    def to_edges(b):
-        import pyarrow as pa
-
-        if b.num_rows == 0:
-            return pa.schema([("src", pa.int64()), ("dst", pa.int64())]).empty_table()
-        pk = np.asarray(b.column("l_partkey").to_pylist(), dtype=np.int64)
-        sk = np.asarray(b.column("l_suppkey").to_pylist(), dtype=np.int64)
-        return pa.table({"src": pa.array(pk % 500, type=pa.int64()), "dst": pa.array(sk % 500, type=pa.int64())})
-
-    ds = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]).map_batches(
-        to_edges, batch_format="pyarrow"
-    )
-    return triangle_counts(ds)
-
-
 def _q_kg_pagerank_topk(sf_dir):
     """Top-20 PageRank entities of the linked KG (5 iterations over the
     dense-id entity graph, deterministic rank-desc/node-asc ranking, entity
@@ -1339,90 +1158,6 @@ def _q_stats_moments_by_flag(sf_dir):
 
     li = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_returnflag", "l_quantity"])
     return grouped_moments_int(li, "l_returnflag", "l_quantity")
-
-
-def _q_graph_bfs(sf_dir):
-    """Bounded BFS min-depth (3 hops from seeds {0,1,2}) over the mod-1000
-    lineitem graph — per round one streamed edge pass through the guarded
-    semi filter + node-set-sized distinct/anti exchanges; oracle is a
-    recursive CTE with min(depth)."""
-    import numpy as np
-
-    from text_to_graph_ray.functions.graph import bfs_depths
-    from text_to_graph_ray.util import read_parquet_clean
-
-    def to_edges(b):
-        import pyarrow as pa
-
-        if b.num_rows == 0:
-            return pa.schema([("src", pa.int64()), ("dst", pa.int64())]).empty_table()
-        pk = np.asarray(b.column("l_partkey").to_pylist(), dtype=np.int64)
-        sk = np.asarray(b.column("l_suppkey").to_pylist(), dtype=np.int64)
-        return pa.table({"src": pa.array(pk % 1000, type=pa.int64()), "dst": pa.array(sk % 1000, type=pa.int64())})
-
-    edges = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]).map_batches(
-        to_edges, batch_format="pyarrow"
-    )
-    return bfs_depths(edges, seeds=[0, 1, 2], max_depth=3)
-
-
-def _kcore_mod(sf_dir: str) -> int:
-    """Data-derived node-space size (~avg degree 6 at any sf): parquet-footer
-    row count only, no scan."""
-    import pyarrow.parquet as pq
-
-    return max(2, pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows // 3)
-
-
-def _kcore_sql(mod: int, k: int = 8, rounds: int = 4) -> str:
-    """Unrolled bounded-peel oracle: d_r/a_r/e_{r+1} CTE per round — the SQL
-    mirror of kcore_bounded's exactly-``rounds``-peels contract. CTEs are
-    MATERIALIZED: each e_r is referenced ~5x by the next level, so inlining
-    recomputes e0 O(5^rounds) times (measured: timeout vs 0.6 s at sf0.1)."""
-    parts = [
-        f"WITH e0 AS MATERIALIZED (SELECT DISTINCT least(l_orderkey % {mod}, l_partkey % {mod}) AS a, "
-        f"greatest(l_orderkey % {mod}, l_partkey % {mod}) AS b FROM lineitem "
-        f"WHERE l_orderkey % {mod} <> l_partkey % {mod})"
-    ]
-    for r in range(rounds):
-        parts.append(
-            f", d{r} AS MATERIALIZED (SELECT node, count(*) AS deg FROM "
-            f"(SELECT a AS node FROM e{r} UNION ALL SELECT b FROM e{r}) GROUP BY node)"
-            f", a{r} AS MATERIALIZED (SELECT node FROM d{r} WHERE deg >= {k})"
-            f", e{r + 1} AS MATERIALIZED (SELECT e{r}.a, e{r}.b FROM e{r} "
-            f"JOIN a{r} x ON e{r}.a = x.node JOIN a{r} y ON e{r}.b = y.node)"
-        )
-    parts.append(
-        f" SELECT node, count(*)::BIGINT AS deg FROM "
-        f"(SELECT a AS node FROM e{rounds} UNION ALL SELECT b FROM e{rounds}) GROUP BY node ORDER BY node"
-    )
-    return "".join(parts)
-
-
-def _q_graph_kcore(sf_dir):
-    """Bounded k-core peeling (4 rounds, k=8) over the data-sized mod graph
-    (avg degree ~6 at every sf, so the peel cascades at any scale): per
-    round one degree count + two guarded semi filters; early fixpoint stop
-    is result-identical to the unrolled-SQL oracle."""
-    import numpy as np
-
-    from text_to_graph_ray.functions.graph import kcore_bounded
-
-    mod = _kcore_mod(sf_dir)
-
-    def to_edges(b):
-        import pyarrow as pa
-
-        if b.num_rows == 0:
-            return pa.schema([("src", pa.int64()), ("dst", pa.int64())]).empty_table()
-        ok = np.asarray(b.column("l_orderkey").to_pylist(), dtype=np.int64)
-        pk = np.asarray(b.column("l_partkey").to_pylist(), dtype=np.int64)
-        return pa.table({"src": pa.array(ok % mod, type=pa.int64()), "dst": pa.array(pk % mod, type=pa.int64())})
-
-    edges = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]).map_batches(
-        to_edges, batch_format="pyarrow"
-    )
-    return kcore_bounded(edges, k=8, max_rounds=4)
 
 
 def _q_emb_outliers(sf_dir):
@@ -1668,36 +1403,6 @@ def _q_kg_metapath_counts(sf_dir):
     return sort_coalesced(agg, "src_key")
 
 
-def _q_graph_mst(sf_dir):
-    """Distributed Borůvka minimum spanning forest over the lineitem-derived
-    weighted graph (a=o%M, b=p%M, M=rows//30, w=extendedprice cents,
-    parallel edges collapsed to min weight): per round each component picks
-    its min-(w, a, b) cross edge through two guarded lookup joins + one
-    comp-keyed pre-reduced exchange; the lexicographic total order makes
-    the forest identical to the naive Kruskal oracle (expected.py)."""
-    import numpy as np
-    import pyarrow.parquet as _pq
-
-    from text_to_graph_ray.functions.graph import minimum_spanning_forest
-
-    mod = max(2, _pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows // 30)
-
-    def to_edges(b):
-        import pyarrow as pa
-
-        if b.num_rows == 0:
-            return pa.schema([("src", pa.int64()), ("dst", pa.int64()), ("w", pa.int64())]).empty_table()
-        ok = np.asarray(b.column("l_orderkey").to_pylist(), dtype=np.int64) % mod
-        pk = np.asarray(b.column("l_partkey").to_pylist(), dtype=np.int64) % mod
-        w = np.floor(b.column("l_extendedprice").to_numpy(zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        return pa.table({"src": pa.array(ok), "dst": pa.array(pk), "w": pa.array(w)})
-
-    edges = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey", "l_extendedprice"]
-    ).map_batches(to_edges, batch_format="pyarrow")
-    return minimum_spanning_forest(edges)
-
-
 def _q_emb_kmeans(sf_dir):
     """Deterministic k-means clustering profile over the embedding corpus
     (cluster sizes + int64-quantized cohesion sums): bounded training
@@ -1825,80 +1530,6 @@ def _q_kg_negative_samples(sf_dir):
     return sort_coalesced(out, ["src_key", "pred", "neg_key"])
 
 
-def _ktruss_mod(sf_dir: str) -> int:
-    """Data-derived node-space size (~avg degree 34 at any sf over the
-    first-two-lines subgraph): footer row count only, no scan."""
-    import pyarrow.parquet as pq
-
-    return max(2, pq.read_metadata(f"{sf_dir}/lineitem.parquet").num_rows // 60)
-
-
-def _ktruss_sql(mod: int, k: int = 4, rounds: int = 3) -> str:
-    """Unrolled bounded k-truss oracle: per round a MATERIALIZED triangle CTE
-    (compact-forward enumeration: e1=(a,y) ⋈ e2=(a,z>y) ⋈ e3=(y,z) — every
-    triangle once) fans its THREE edges into a per-edge support count, then
-    filters sup >= k-2; the final SELECT LEFT-joins the surviving edges to a
-    support recount WITHIN the surviving set so zero-support edges (round
-    budget exhausted before fixpoint) surface with sup = 0, exactly the
-    engine's contract."""
-    parts = [
-        f"WITH e0 AS MATERIALIZED (SELECT DISTINCT least(l_orderkey % {mod}, l_partkey % {mod}) AS a, "
-        f"greatest(l_orderkey % {mod}, l_partkey % {mod}) AS b FROM lineitem "
-        f"WHERE l_linenumber <= 2 AND l_orderkey % {mod} <> l_partkey % {mod})"
-    ]
-    for r in range(rounds):
-        parts.append(
-            f", t{r} AS MATERIALIZED (SELECT e1.a AS x, e1.b AS y, e2.b AS z FROM e{r} e1 "
-            f"JOIN e{r} e2 ON e2.a = e1.a AND e2.b > e1.b "
-            f"JOIN e{r} e3 ON e3.a = e1.b AND e3.b = e2.b)"
-            f", s{r} AS MATERIALIZED (SELECT a, b, count(*)::BIGINT AS sup FROM "
-            f"(SELECT x AS a, y AS b FROM t{r} UNION ALL SELECT x, z FROM t{r} "
-            f"UNION ALL SELECT y, z FROM t{r}) GROUP BY a, b)"
-            f", e{r + 1} AS MATERIALIZED (SELECT a, b FROM s{r} WHERE sup >= {k - 2})"
-        )
-    parts.append(
-        f", tf AS MATERIALIZED (SELECT e1.a AS x, e1.b AS y, e2.b AS z FROM e{rounds} e1 "
-        f"JOIN e{rounds} e2 ON e2.a = e1.a AND e2.b > e1.b "
-        f"JOIN e{rounds} e3 ON e3.a = e1.b AND e3.b = e2.b)"
-        f", sfin AS MATERIALIZED (SELECT a, b, count(*)::BIGINT AS sup FROM "
-        f"(SELECT x AS a, y AS b FROM tf UNION ALL SELECT x, z FROM tf "
-        f"UNION ALL SELECT y, z FROM tf) GROUP BY a, b)"
-        f" SELECT e.a, e.b, coalesce(s.sup, 0)::BIGINT AS sup FROM e{rounds} e "
-        f"LEFT JOIN sfin s ON e.a = s.a AND e.b = s.b ORDER BY e.a, e.b"
-    )
-    return "".join(parts)
-
-
-def _q_graph_ktruss(sf_dir):
-    """Bounded k-truss peeling (k=4, 3 rounds) over the data-sized mod graph:
-    per round one degree-oriented per-edge support pass (wedge volume
-    Σ outdeg², outdeg O(√m); only (a, b, cnt) combiner partials cross the
-    exchanges) + an answer-sized filter. The round budget is deliberately
-    short of fixpoint at sf0.01 (peel 5417→1786→567) so the zero-support
-    left-join output path is exercised by the hash oracle."""
-    import numpy as np
-
-    from text_to_graph_ray.functions.graph import ktruss_bounded
-
-    mod = _ktruss_mod(sf_dir)
-
-    def to_edges(b):
-        import pyarrow as pa
-
-        if b.num_rows == 0:
-            return pa.schema([("src", pa.int64()), ("dst", pa.int64())]).empty_table()
-        ln = np.asarray(b.column("l_linenumber").to_pylist(), dtype=np.int64)
-        keep = ln <= 2
-        ok = np.asarray(b.column("l_orderkey").to_pylist(), dtype=np.int64)[keep]
-        pk = np.asarray(b.column("l_partkey").to_pylist(), dtype=np.int64)[keep]
-        return pa.table({"src": pa.array(ok % mod, type=pa.int64()), "dst": pa.array(pk % mod, type=pa.int64())})
-
-    edges = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey", "l_linenumber"]
-    ).map_batches(to_edges, batch_format="pyarrow")
-    return ktruss_bounded(edges, k=4, max_rounds=3)
-
-
 def _q_stats_quantiles_cont(sf_dir):
     """Per-type interpolated quantiles (quantile_cont) — exact row-shipping
     keyed quantile, DuckDB-mirrored interpolation, round(6)."""
@@ -1978,37 +1609,6 @@ def _q_docs_csv_stats(sf_dir):
     return source_stats_from(read_csv(path, columns=["source", "lang", "n_chars"]))
 
 
-def _q_graph_sssp(sf_dir):
-    """Weighted shortest paths <= 3 hops from seeds {0,1,2} (Bellman-Ford
-    rounds; integer weights, exact arithmetic): per round one streamed edge
-    pass with the dist table guard-broadcast (distributed join fallback),
-    then a coarse-bucket min-merge. Oracle: recursive CTE min(d)."""
-    import numpy as np
-
-    from text_to_graph_ray.functions.graph import sssp_bounded
-    from text_to_graph_ray.util import read_parquet_clean
-
-    def to_edges(b):
-        import pyarrow as pa
-
-        sch = pa.schema([("src", pa.int64()), ("dst", pa.int64()), ("w", pa.int64())])
-        if b.num_rows == 0:
-            return sch.empty_table()
-        pk = np.asarray(b.column("l_partkey").to_pylist(), dtype=np.int64)
-        sk = np.asarray(b.column("l_suppkey").to_pylist(), dtype=np.int64)
-        ln = np.asarray(b.column("l_linenumber").to_pylist(), dtype=np.int64)
-        return pa.table(
-            {"src": pa.array(pk % 1000, type=pa.int64()), "dst": pa.array(sk % 1000, type=pa.int64()),
-             "w": pa.array(1 + (ln % 5), type=pa.int64())},
-            schema=sch,
-        )
-
-    edges = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey", "l_linenumber"]
-    ).map_batches(to_edges, batch_format="pyarrow")
-    return sssp_bounded(edges, seeds=[0, 1, 2], max_hops=3)
-
-
 def _q_docs_hash_split(sf_dir):
     """Deterministic md5-based train/test split assignment — per-row
     assignment (not just sizes) cross-checked against DuckDB md5(); ~10%
@@ -2062,55 +1662,6 @@ def _q_emb_gram_matrix(sf_dir):
     return gram_matrix(emb)
 
 
-def _q_graph_clustering(sf_dir):
-    """Local clustering coefficient per node over the mod-500 lineitem
-    graph — degrees ride the triangle plan for free (return_degrees), one
-    node-sized full-outer exchange, elementwise finish; cc is one int64
-    product + one IEEE division + round(6), mirrored op-for-op in SQL."""
-    import numpy as np
-
-    from text_to_graph_ray.functions.graph import clustering_coefficients
-    from text_to_graph_ray.util import read_parquet_clean
-
-    def to_edges(b):
-        import pyarrow as pa
-
-        if b.num_rows == 0:
-            return pa.schema([("src", pa.int64()), ("dst", pa.int64())]).empty_table()
-        pk = np.asarray(b.column("l_partkey").to_pylist(), dtype=np.int64)
-        sk = np.asarray(b.column("l_suppkey").to_pylist(), dtype=np.int64)
-        return pa.table({"src": pa.array(pk % 500, type=pa.int64()),
-                         "dst": pa.array(sk % 500, type=pa.int64())})
-
-    li = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"])
-    return clustering_coefficients(li.map_batches(to_edges, batch_format="pyarrow"))
-
-
-def _q_graph_assortativity(sf_dir):
-    """Degree assortativity coefficient of the mod-500 lineitem graph —
-    distinct canonical edges + one bucketed degree exchange + guarded
-    degree broadcast, batch-reduced to four int64 sums folded exactly on
-    the driver; r = (4*m*sp - ss^2)/(2*m*sq - ss^2) as ONE IEEE division
-    + round(6), mirrored term-for-term in the HUGEINT SQL."""
-    import numpy as np
-
-    from text_to_graph_ray.functions.graph import degree_assortativity
-    from text_to_graph_ray.util import read_parquet_clean
-
-    def to_edges(b):
-        import pyarrow as pa
-
-        if b.num_rows == 0:
-            return pa.schema([("src", pa.int64()), ("dst", pa.int64())]).empty_table()
-        pk = np.asarray(b.column("l_partkey").to_pylist(), dtype=np.int64)
-        sk = np.asarray(b.column("l_suppkey").to_pylist(), dtype=np.int64)
-        return pa.table({"src": pa.array(pk % 500, type=pa.int64()),
-                         "dst": pa.array(sk % 500, type=pa.int64())})
-
-    li = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"])
-    return degree_assortativity(li.map_batches(to_edges, batch_format="pyarrow"))
-
-
 def _q_docs_langid_kappa(sf_dir):
     """Cohen's kappa between the n-gram lang-id heuristic and the corpus's
     reference lang labels — the eval-agreement gate you run before letting
@@ -2159,31 +1710,6 @@ def _q_text_pmi_topk(sf_dir):
 
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return pmi_topk(ds, k=50, min_count=5)
-
-
-def _q_graph_sample_2hop(sf_dir):
-    """Deterministic 2-hop neighbor sampling (fanout 3,2; seeds s%7==0)
-    over the mod-500 lineitem digraph — Knuth-hash edge ranking via ONE
-    reused topk_per_group + one hash join; sample-sized output; the SQL
-    mirror ranks with row_number over the identical hash expression."""
-    import numpy as np
-
-    from text_to_graph_ray.functions.graph import sample_neighbors
-    from text_to_graph_ray.util import read_parquet_clean
-
-    def to_edges(b):
-        import pyarrow as pa
-
-        if b.num_rows == 0:
-            return pa.schema([("src", pa.int64()), ("dst", pa.int64())]).empty_table()
-        pk = np.asarray(b.column("l_partkey").to_pylist(), dtype=np.int64)
-        sk = np.asarray(b.column("l_suppkey").to_pylist(), dtype=np.int64)
-        return pa.table({"src": pa.array(pk % 500, type=pa.int64()),
-                         "dst": pa.array(sk % 500, type=pa.int64())})
-
-    li = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"])
-    return sample_neighbors(li.map_batches(to_edges, batch_format="pyarrow"),
-                            fanout=(3, 2), seed_mod=7)
 
 
 def _q_docs_holdout_split(sf_dir):
@@ -2300,21 +1826,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_fixture_triples": _q_kg_fixture_triples,
         "kg_fixture_nodes": _q_kg_fixture_nodes,
         "emb_outliers": _q_emb_outliers,
-        "graph_ktruss": _q_graph_ktruss,
         "docs_naive_bayes": _q_docs_naive_bayes,
         "emb_kmeans": _q_emb_kmeans,
-        "graph_mst": _q_graph_mst,
         "docs_lm_terciles": _q_docs_lm_terciles,
-        "graph_hits": _q_graph_hits,
-        "graph_link_jaccard": _q_graph_link_jaccard,
-        "graph_scc": _q_graph_scc,
-        "graph_assortativity": _q_graph_assortativity,
         "docs_langid_kappa": _q_docs_langid_kappa,
         "docs_langid_report": _q_docs_langid_report,
         "ann_ivf_recall": _q_ann_ivf_recall,
         "text_pmi_topk": _q_text_pmi_topk,
-        "graph_sample_2hop": _q_graph_sample_2hop,
-        "graph_clustering": _q_graph_clustering,
         "docs_holdout_split": _q_docs_holdout_split,
         "text_gopher_rules": _q_text_gopher_rules,
         "text_bm25_topk": _q_text_bm25_topk,
@@ -2327,18 +1845,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_shuffle_shards": _q_docs_shuffle_shards,
         "docs_mixture_plan": _q_docs_mixture_plan,
         "dedup_minhash_incr": _q_dedup_minhash_incr,
-        "graph_link_ra": _q_graph_link_ra,
         "text_lm_score": _q_text_lm_score,
-        "graph_common_neighbors": _q_graph_common_neighbors,
         "docs_length_band": _q_docs_length_band,
         "dedup_cross_corpus": _q_dedup_cross_corpus,
         "emb_knn_classify": _q_emb_knn_classify,
         "text_lexical": _q_text_lexical,
-        "graph_triangles": _q_graph_triangles,
-        "graph_pagerank": _q_graph_pagerank,
-        "graph_bfs": _q_graph_bfs,
-        "graph_sssp": _q_graph_sssp,
-        "graph_kcore": _q_graph_kcore,
         "docs_parquet_profile": _q_docs_parquet_profile,
         "pipeline_curation_full": _q_pipeline_curation_full,
         "pipeline_pretraining": _q_pipeline_pretraining,
@@ -2450,93 +1961,6 @@ def oracle_sql() -> dict[str, str]:
             f"WHERE NOT EXISTS (SELECT 1 FROM t WHERE t.src_key = cand.src_key "
             f"AND t.pred = cand.pred AND t.dst_key = cand.neg_key) "
             f"ORDER BY src_key, pred, neg_key"
-        ),
-        "graph_hits": (
-            # 2 unrolled HITS iterations, L1 normalization + round(_, 9) at
-            # every boundary (the pagerank discipline); dangling ends fill 0
-            "WITH edges AS (SELECT DISTINCT l_partkey % 100 AS src, l_suppkey % 100 AS dst FROM lineitem), "
-            "nodes AS (SELECT src AS node FROM edges UNION SELECT dst FROM edges), "
-            "nn AS (SELECT count(*)::DOUBLE AS c FROM nodes), "
-            "h0 AS (SELECT node, round(1.0 / (SELECT c FROM nn), 9) AS s FROM nodes), "
-            "a1r AS (SELECT e.dst AS node, sum(h0.s) AS r FROM edges e JOIN h0 ON e.src = h0.node GROUP BY e.dst), "
-            "a1 AS (SELECT n.node, round(COALESCE(a1r.r, 0) / (SELECT sum(r) FROM a1r), 9) AS s "
-            "FROM nodes n LEFT JOIN a1r ON n.node = a1r.node), "
-            "h1r AS (SELECT e.src AS node, sum(a1.s) AS r FROM edges e JOIN a1 ON e.dst = a1.node GROUP BY e.src), "
-            "h1 AS (SELECT n.node, round(COALESCE(h1r.r, 0) / (SELECT sum(r) FROM h1r), 9) AS s "
-            "FROM nodes n LEFT JOIN h1r ON n.node = h1r.node), "
-            "a2r AS (SELECT e.dst AS node, sum(h1.s) AS r FROM edges e JOIN h1 ON e.src = h1.node GROUP BY e.dst), "
-            "a2 AS (SELECT n.node, round(COALESCE(a2r.r, 0) / (SELECT sum(r) FROM a2r), 9) AS s "
-            "FROM nodes n LEFT JOIN a2r ON n.node = a2r.node), "
-            "h2r AS (SELECT e.src AS node, sum(a2.s) AS r FROM edges e JOIN a2 ON e.dst = a2.node GROUP BY e.src), "
-            "h2 AS (SELECT n.node, round(COALESCE(h2r.r, 0) / (SELECT sum(r) FROM h2r), 9) AS s "
-            "FROM nodes n LEFT JOIN h2r ON n.node = h2r.node) "
-            "SELECT a2.node::BIGINT AS node, a2.s AS authority, h2.s AS hub "
-            "FROM a2 JOIN h2 ON a2.node = h2.node ORDER BY node"
-        ),
-        "graph_link_jaccard": (
-            # same canonical CTEs as graph_link_ra; rank metric quantized as
-            # (10^9 * cn) // (du + dv - cn) — exact integer division on both
-            # engines, so the LIMIT cut is bit-identical
-            "WITH raw AS (SELECT l_partkey % 1000 AS x, l_suppkey % 1000 AS y FROM lineitem), "
-            "e AS MATERIALIZED (SELECT DISTINCT least(x, y) AS a, greatest(x, y) AS b FROM raw WHERE x <> y), "
-            "adj AS MATERIALIZED (SELECT a AS c, b AS nb FROM e UNION ALL SELECT b, a FROM e), "
-            "deg AS MATERIALIZED (SELECT c AS node, count(*)::BIGINT AS d FROM adj GROUP BY 1), "
-            "cn AS (SELECT x.c AS u, y.c AS v, count(*)::BIGINT AS cn "
-            " FROM adj x JOIN adj y ON x.nb = y.nb AND x.c < y.c GROUP BY 1, 2), "
-            "j AS (SELECT u, v, cn, (1000000000 * cn) // (du.d + dv.d - cn) AS q "
-            " FROM cn JOIN deg du ON du.node = u JOIN deg dv ON dv.node = v) "
-            "SELECT u, v, cn, round(q::DOUBLE / 1e9, 6) AS jaccard "
-            "FROM j LEFT JOIN e ON e.a = j.u AND e.b = j.v "
-            "WHERE e.a IS NULL AND cn >= 2 ORDER BY q DESC, u, v LIMIT 100"
-        ),
-        "graph_scc": (
-            # mutual reachability via one recursive closure; scc_id is the
-            # min over the node's mutually-reachable set (node included)
-            "WITH RECURSIVE e AS (SELECT DISTINCT l_orderkey % 251 AS src, l_partkey % 251 AS dst "
-            "FROM lineitem WHERE l_linenumber = 1 AND l_orderkey % 251 <> l_partkey % 251), "
-            "r(s, t) AS (SELECT src, dst FROM e UNION SELECT r.s, e.dst FROM r JOIN e ON r.t = e.src), "
-            "nodes AS (SELECT src AS node FROM e UNION SELECT dst FROM e), "
-            "m AS (SELECT a.s AS u, a.t AS v FROM r a JOIN r b ON a.s = b.t AND a.t = b.s) "
-            "SELECT n.node::BIGINT AS node, least(n.node, coalesce(min(m.v), n.node))::BIGINT AS scc_id "
-            "FROM nodes n LEFT JOIN m ON m.u = n.node GROUP BY n.node ORDER BY node"
-        ),
-        "graph_assortativity": (
-            # same canonical-edge + degree CTEs as graph_clustering; the
-            # final expression mirrors the engine term-for-term: integer
-            # sums (HUGEINT — DuckDB sum(BIGINT) is HUGEINT already), one
-            # CAST AS DOUBLE division, round(6); den = 0 => 0.0
-            "WITH e AS (SELECT DISTINCT least(l_partkey%500, l_suppkey%500)::BIGINT AS a, "
-            "greatest(l_partkey%500, l_suppkey%500)::BIGINT AS b FROM lineitem "
-            "WHERE l_partkey%500 <> l_suppkey%500), "
-            "deg AS (SELECT node, count(*)::BIGINT AS d FROM ("
-            "SELECT a AS node FROM e UNION ALL SELECT b FROM e) GROUP BY node), "
-            "j AS (SELECT dda.d AS da, ddb.d AS db FROM e "
-            "JOIN deg dda ON e.a = dda.node JOIN deg ddb ON e.b = ddb.node), "
-            "s AS (SELECT count(*)::HUGEINT AS m, sum(da + db)::HUGEINT AS ss, "
-            "sum(da * db)::HUGEINT AS sp, sum(da*da + db*db)::HUGEINT AS sq FROM j) "
-            "SELECT CAST(m AS BIGINT) AS m_edges, "
-            "CASE WHEN (2*m*sq - ss*ss) = 0 THEN 0.0 "
-            "ELSE round(CAST(4*m*sp - ss*ss AS DOUBLE) / CAST(2*m*sq - ss*ss AS DOUBLE), 6) "
-            "END AS r FROM s"
-        ),
-        "graph_clustering": (
-            # triangles CTE shared with graph_triangles; cc mirrors the
-            # engine: (2.0 * t) / (degree * (degree - 1)) then round(6)
-            "WITH e AS (SELECT DISTINCT least(l_partkey%500, l_suppkey%500)::BIGINT AS a, "
-            "greatest(l_partkey%500, l_suppkey%500)::BIGINT AS b FROM lineitem "
-            "WHERE l_partkey%500 <> l_suppkey%500), "
-            "deg AS (SELECT node, count(*)::BIGINT AS degree FROM ("
-            "SELECT a AS node FROM e UNION ALL SELECT b FROM e) GROUP BY node), "
-            "t AS (SELECT e1.a AS x, e1.b AS y, e2.c AS z FROM e e1 "
-            "JOIN (SELECT a AS m, b AS c FROM e) e2 ON e1.b = e2.m "
-            "JOIN e e3 ON e3.a = e1.a AND e3.b = e2.c), "
-            "tc AS (SELECT node, count(*)::BIGINT AS triangles FROM ("
-            "SELECT x AS node FROM t UNION ALL SELECT y FROM t UNION ALL SELECT z FROM t"
-            ") GROUP BY node) "
-            "SELECT d.node, d.degree, coalesce(tc.triangles, 0)::BIGINT AS triangles, "
-            "CASE WHEN d.degree >= 2 THEN round((2.0 * coalesce(tc.triangles, 0)) / (d.degree * (d.degree - 1)), 6) "
-            "ELSE 0.0 END AS cc "
-            "FROM deg d LEFT JOIN tc USING (node) ORDER BY d.node"
         ),
         "docs_holdout_split": (
             # exact int64 arithmetic on both engines (doc_id * knuth stays
@@ -2701,19 +2125,6 @@ def oracle_sql() -> dict[str, str]:
             "QUALIFY row_number() OVER (ORDER BY pmi DESC, c.x, c.y) <= 50 "
             "ORDER BY pmi DESC, c.x, c.y"
         ),
-        "graph_sample_2hop": (
-            # rank key mirrors the engine's Knuth hash exactly in int64;
-            # the same ranked CTE serves both hops; inner join drops leaf
-            # hop-1 nodes on both engines
-            "WITH e AS (SELECT DISTINCT (l_partkey%500)::BIGINT AS s, "
-            "(l_suppkey%500)::BIGINT AS t FROM lineitem WHERE l_partkey%500 <> l_suppkey%500), "
-            "r AS (SELECT s, t, row_number() OVER (PARTITION BY s "
-            "ORDER BY (s * 2654435761 + t * 40503) % 1000003, t) AS rk FROM e) "
-            "SELECT h1.s AS seed, h1.t AS n1, r2.t AS n2 "
-            "FROM r h1 JOIN r r2 ON r2.s = h1.t AND r2.rk <= 2 "
-            "WHERE h1.rk <= 3 AND h1.s % 7 = 0 "
-            "ORDER BY seed, n1, n2"
-        ),
         "text_langid": f"SELECT doc_id, lang_pred FROM read_parquet('{e}/expected_text.parquet')",
         "docs_langid_kappa": (
             # contingency recomputed in SQL from the independent naive
@@ -2869,41 +2280,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM c GROUP BY doc_id) "
             "SELECT doc_id, total AS n_bigrams, 1 - dist / total::DOUBLE AS dup_frac, "
             "maxc / total::DOUBLE AS top_frac FROM s ORDER BY doc_id"
-        ),
-        "graph_triangles": (
-            "WITH e AS (SELECT DISTINCT least(l_partkey%500, l_suppkey%500)::BIGINT AS a, "
-            "greatest(l_partkey%500, l_suppkey%500)::BIGINT AS b FROM lineitem "
-            "WHERE l_partkey%500 <> l_suppkey%500), "
-            "t AS (SELECT e1.a AS x, e1.b AS y, e2.c AS z FROM e e1 "
-            "JOIN (SELECT a AS m, b AS c FROM e) e2 ON e1.b = e2.m "
-            "JOIN e e3 ON e3.a = e1.a AND e3.b = e2.c) "
-            "SELECT node, count(*)::BIGINT AS triangles FROM ("
-            "SELECT x AS node FROM t UNION ALL SELECT y FROM t UNION ALL SELECT z FROM t"
-            ") GROUP BY node ORDER BY node"
-        ),
-        "graph_pagerank": (
-            # 3 unrolled power iterations, SAME semantics as the engine:
-            # r0 = 1/N, r_{t+1} = 0.15/N + 0.85 * sum_in(r_t(u)/outdeg(u)),
-            # no dangling redistribution; round(_, 9) at every iteration
-            # boundary on both sides kills association-order float noise
-            "WITH edges AS (SELECT DISTINCT l_partkey % 100 AS src, l_suppkey % 100 AS dst FROM lineitem), "
-            "deg AS (SELECT src, count(*)::DOUBLE AS d FROM edges GROUP BY src), "
-            "nodes AS (SELECT src AS node FROM edges UNION SELECT dst FROM edges), "
-            "nn AS (SELECT count(*)::DOUBLE AS c FROM nodes), "
-            "r0 AS (SELECT node, round(1.0/(SELECT c FROM nn), 9) AS r FROM nodes), "
-            "c1 AS (SELECT e.dst AS node, sum(r0.r / deg.d) AS s FROM edges e "
-            "JOIN r0 ON e.src = r0.node JOIN deg ON e.src = deg.src GROUP BY e.dst), "
-            "r1 AS (SELECT n.node, round(0.15/(SELECT c FROM nn) + 0.85 * COALESCE(c1.s, 0), 9) AS r "
-            "FROM nodes n LEFT JOIN c1 ON n.node = c1.node), "
-            "c2 AS (SELECT e.dst AS node, sum(r1.r / deg.d) AS s FROM edges e "
-            "JOIN r1 ON e.src = r1.node JOIN deg ON e.src = deg.src GROUP BY e.dst), "
-            "r2 AS (SELECT n.node, round(0.15/(SELECT c FROM nn) + 0.85 * COALESCE(c2.s, 0), 9) AS r "
-            "FROM nodes n LEFT JOIN c2 ON n.node = c2.node), "
-            "c3 AS (SELECT e.dst AS node, sum(r2.r / deg.d) AS s FROM edges e "
-            "JOIN r2 ON e.src = r2.node JOIN deg ON e.src = deg.src GROUP BY e.dst), "
-            "r3 AS (SELECT n.node, round(0.15/(SELECT c FROM nn) + 0.85 * COALESCE(c3.s, 0), 9) AS r "
-            "FROM nodes n LEFT JOIN c3 ON n.node = c3.node) "
-            "SELECT node::BIGINT AS node, r AS rank FROM r3 ORDER BY node"
         ),
         "dedup_decontaminate": (
             # tokenization contract: string_split(text, ' ') == python
@@ -3102,8 +2478,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM w CROSS JOIN range(4) AS r(j) WHERE r.j < w.wt GROUP BY doc_id, wt) "
             "SELECT doc_id, CAST(wt AS BIGINT) AS wt, tkey FROM t ORDER BY tkey, doc_id LIMIT 50"
         ),
-        "graph_kcore": _kcore_sql(_kcore_mod(_SF01)),
-        "graph_ktruss": _ktruss_sql(_ktruss_mod(_SF01)),
         "docs_lm_terciles": (
             # nll from the independent naive LM; NTILE is exact SQL semantics
             f"WITH s AS (SELECT doc_id, nll FROM read_parquet('{e}/expected_lm_nll.parquet')) "
@@ -3121,10 +2495,6 @@ def oracle_sql() -> dict[str, str]:
             f"FROM read_parquet('{exp_linked}') d JOIN read_parquet('{exp_linked}') c "
             f"ON d.dst_key = c.src_key AND d.pred = 'defines' AND c.pred = 'calls' "
             f"GROUP BY d.src_key ORDER BY d.src_key"
-        ),
-        "graph_mst": (
-            # independent naive Kruskal under the shared (w, a, b) order
-            f"SELECT a, b, w FROM read_parquet('{e}/expected_mst.parquet') ORDER BY a, b"
         ),
         "emb_kmeans": (
             # independent naive Lloyd mirror (expected.py)
@@ -3225,22 +2595,6 @@ def oracle_sql() -> dict[str, str]:
             "WHERE est_jaccard >= 0.5 "
             "AND b >= (SELECT count(*) * 4 // 5 FROM documents)"
         ),
-        "graph_link_ra": (
-            # RA weight 10^9 // deg is exact integer division on both
-            # engines; ORDER BY the quantized sum q (not the rounded float)
-            # so the LIMIT cut is bit-identical
-            "WITH raw AS (SELECT l_partkey % 1000 AS x, l_suppkey % 1000 AS y FROM lineitem), "
-            "e AS MATERIALIZED (SELECT DISTINCT least(x, y) AS a, greatest(x, y) AS b FROM raw WHERE x <> y), "
-            "adj AS MATERIALIZED (SELECT a AS c, b AS nb FROM e UNION ALL SELECT b, a FROM e), "
-            "deg AS MATERIALIZED (SELECT c AS node, count(*)::BIGINT AS d FROM adj GROUP BY 1), "
-            "cn AS (SELECT x.c AS u, y.c AS v, count(*)::BIGINT AS cn, "
-            "sum(1000000000 // d.d)::BIGINT AS q "
-            " FROM adj x JOIN adj y ON x.nb = y.nb AND x.c < y.c "
-            " JOIN deg d ON d.node = x.nb GROUP BY 1, 2) "
-            "SELECT u, v, cn, round(q::DOUBLE / 1e9, 6) AS ra "
-            "FROM cn LEFT JOIN e ON e.a = cn.u AND e.b = cn.v "
-            "WHERE e.a IS NULL AND cn >= 2 ORDER BY q DESC, u, v LIMIT 100"
-        ),
         "text_lm_score": (
             # n_bigrams is REAL SQL over the established tokenization
             # contract; nll joins the independent naive bigram-LM scores
@@ -3248,16 +2602,6 @@ def oracle_sql() -> dict[str, str]:
             "len(regexp_split_to_array(trim(text), '\\s+')) END::BIGINT AS n_tokens FROM documents) "
             f"SELECT t.doc_id, greatest(n_tokens - 1, 0)::BIGINT AS n_bigrams, e.nll "
             f"FROM t JOIN read_parquet('{e}/expected_lm_nll.parquet') e USING (doc_id) ORDER BY doc_id"
-        ),
-        "graph_common_neighbors": (
-            # LIMIT is deterministic: (cn DESC, u, v) is a total order
-            "WITH raw AS (SELECT l_partkey % 1000 AS x, l_suppkey % 1000 AS y FROM lineitem), "
-            "e AS MATERIALIZED (SELECT DISTINCT least(x, y) AS a, greatest(x, y) AS b FROM raw WHERE x <> y), "
-            "adj AS MATERIALIZED (SELECT a AS c, b AS nb FROM e UNION ALL SELECT b, a FROM e), "
-            "cn AS (SELECT x.c AS u, y.c AS v, count(*)::BIGINT AS cn "
-            " FROM adj x JOIN adj y ON x.nb = y.nb AND x.c < y.c GROUP BY 1, 2) "
-            "SELECT u, v, cn FROM cn LEFT JOIN e ON e.a = cn.u AND e.b = cn.v "
-            "WHERE e.a IS NULL AND cn >= 2 ORDER BY cn DESC, u, v LIMIT 100"
         ),
         "docs_length_band": (
             # thresholds round(6)-quantized on both engines (the hash-green
@@ -3312,32 +2656,6 @@ def oracle_sql() -> dict[str, str]:
             "  SELECT source, doc_id, CAST('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8) AS BIGINT) AS hkey"
             "  FROM documents)) "
             "WHERE rn <= 3 ORDER BY source, hkey, doc_id"
-        ),
-        "graph_sssp": (
-            # min over paths of <= 3 edges == 3 Bellman-Ford rounds; UNION
-            # dedups (node, d, hops) so the walk table stays bounded
-            "WITH RECURSIVE e AS (SELECT DISTINCT l_partkey % 1000 AS src, "
-            "l_suppkey % 1000 AS dst, 1 + (l_linenumber % 5) AS w FROM lineitem), "
-            "walk(node, d, hops) AS ("
-            "SELECT CAST(node AS BIGINT), CAST(d AS BIGINT), 0 FROM "
-            "(VALUES (0, 0), (1, 0), (2, 0)) AS t(node, d) "
-            "UNION "
-            "SELECT e.dst, w.d + e.w, w.hops + 1 FROM walk w JOIN e ON e.src = w.node "
-            "WHERE w.hops < 3) "
-            "SELECT node, min(d)::BIGINT AS dist FROM walk GROUP BY node ORDER BY node"
-        ),
-        "graph_bfs": (
-            # UNION (not UNION ALL) recursion: dedup on (node, depth) bounds
-            # the walk table at nodes x depths; min(depth) = first discovery
-            "WITH RECURSIVE e AS (SELECT DISTINCT l_partkey % 1000 AS src, "
-            "l_suppkey % 1000 AS dst FROM lineitem), "
-            "walk(node, depth) AS ("
-            "SELECT CAST(node AS BIGINT), CAST(depth AS BIGINT) FROM "
-            "(VALUES (0, 0), (1, 0), (2, 0)) AS t(node, depth) "
-            "UNION "
-            "SELECT e.dst, w.depth + 1 FROM walk w JOIN e ON e.src = w.node "
-            "WHERE w.depth < 3) "
-            "SELECT node, min(depth)::BIGINT AS depth FROM walk GROUP BY node ORDER BY node"
         ),
         "docs_hash_split": (
             # md5 over the DECIMAL id string on both engines — per-row

@@ -1,4 +1,4 @@
-"""Scale smoke for bounded BFS and the keyed full outer join: multi-million-row
+"""Scale smoke for the keyed full outer join: multi-million-row
 deterministic synthetic inputs generated DISTRIBUTED (from the row id inside
 map_batches — the driver never materializes an input), wall-clock per op at
 the session's CPU count. Usage:
@@ -31,25 +31,6 @@ def main():
         ray.init(address="local", num_cpus=ncpu, include_dashboard=False, logging_level="ERROR")
     DataContext.get_current().enable_progress_bars = False
     walls = {}
-
-    # ---- BFS: 10M edges over 500k nodes, 3 rounds
-    def gen_edges(b: pa.Table) -> pa.Table:
-        ids = b.column("id").to_numpy().astype(np.int64)
-        # prime dst modulus: with dst mod == src mod the per-src out-edges all
-        # collapse to one target (out-degree 1, a 9-node BFS)
-        return pa.table(
-            {
-                "src": pa.array(ids % 500_000, type=pa.int64()),
-                "dst": pa.array((ids * 1_000_003) % 499_979, type=pa.int64()),
-            }
-        )
-
-    edges = rd.range(10_000_000, override_num_blocks=32).map_batches(gen_edges, batch_format="pyarrow")
-    from text_to_graph_ray.functions.graph import bfs_depths
-
-    t0 = time.monotonic()
-    n = bfs_depths(edges, seeds=[0, 1, 2], max_depth=3).count()
-    walls["bfs_10M_edges_3rounds"] = (round(time.monotonic() - t0, 1), n)
 
     # ---- full outer of two 2M-row keyed aggregates
     def gen_side(name, mod):

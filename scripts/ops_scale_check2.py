@@ -1,4 +1,4 @@
-"""Scale smoke for corpus-level segment dedup and bounded k-core peeling.
+"""Scale smoke for corpus-level segment dedup.
 Deterministic synthetic inputs generated DISTRIBUTED from the row id; the
 driver never materializes an input. Usage:
 
@@ -46,23 +46,6 @@ def synth_docs(n_docs: int, vocab: int = 5000, toks: int = 64, dup_every: int = 
     )
 
 
-def synth_edges(n_edges: int, n_nodes: int):
-    import ray.data as rd
-
-    def gen(b: pa.Table) -> pa.Table:
-        ids = b.column("id").to_numpy().astype(np.int64)
-        z = _mix(ids)
-        z2 = _mix(ids + np.int64(7_777_777))
-        return pa.table({
-            "src": pa.array((z % np.uint64(n_nodes)).astype(np.int64), type=pa.int64()),
-            "dst": pa.array((z2 % np.uint64(n_nodes)).astype(np.int64), type=pa.int64()),
-        })
-
-    return rd.range(n_edges, override_num_blocks=max(64, n_edges // 500_000)).map_batches(
-        gen, batch_format="pyarrow"
-    )
-
-
 def main():
     import ray
     from ray.data import DataContext
@@ -72,10 +55,9 @@ def main():
         ray.init(address="local", num_cpus=ncpu, include_dashboard=False, logging_level="ERROR")
     DataContext.get_current().enable_progress_bars = False
 
-    from text_to_graph_ray.functions.graph import kcore_bounded
     from text_to_graph_ray.functions.text import segment_dedup
 
-    # 1. segment dedup: 400k docs x 64 tokens (~25.6M tokens, 1.6M segments)
+    # segment dedup: 400k docs x 64 tokens (~25.6M tokens, 1.6M segments)
     docs = synth_docs(400_000).materialize()
     t0 = time.monotonic()
     out = segment_dedup(docs)
@@ -83,12 +65,6 @@ def main():
     removed = docs.count() * 4 - int(out.sum("n_kept"))  # distributed scalar fold, no driver collect
     print(f"segment_dedup: 400k docs -> {n} out docs, {removed} segments removed, "
           f"{time.monotonic() - t0:.1f}s", flush=True)
-
-    # 2. bounded k-core: 10M edges / 1M nodes (avg deg 20), k=12: below the ER 14-core cascade threshold so a core survives
-    edges = synth_edges(10_000_000, 1_000_000).materialize()
-    t0 = time.monotonic()
-    nk = kcore_bounded(edges, k=12, max_rounds=4).count()
-    print(f"kcore: 10M edges k=12 4 rounds -> {nk} nodes, {time.monotonic() - t0:.1f}s", flush=True)
 
     ray.shutdown()
 

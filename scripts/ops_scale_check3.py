@@ -3,10 +3,6 @@ inputs, walls are smoke-scale proofs on a shared host (not steady-state
 benchmarks). Run: python -u scripts/ops_scale_check3.py [num_cpus]
 
 Covers:
-- triangle_counts on a CELEBRITY graph (one hub wired to every node): the
-  round-4 id-oriented plan would enumerate deg(hub)^2 wedges from the hub
-  (~1e10 rows at hub degree 1e5 — unrunnable); the degree-ordered plan
-  sources every wedge at a low-degree spoke, so wedge rows stay O(m).
 - lookup_join at 10M facts x 200k dims, broadcast AND fallback plans.
 - lexical_stats at 400k synthetic docs (vectorized ttr + token entropy).
 """
@@ -21,6 +17,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
@@ -51,38 +48,7 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    # --- 1. celebrity-graph triangles -------------------------------------
-    # hub 0 -- every spoke 1..N; ring i--i+1 over the spokes. Triangles =
-    # one per ring edge = N-2. Old plan: deg(hub)=N -> N^2 wedges from the
-    # hub (1e10 at N=1e5). New plan: hub edges orient spoke->hub, wedges
-    # come only from degree<=3 spokes.
-    N = 100_000
-
-    def edges_fn(a, b):
-        i = np.arange(a, b, dtype=np.int64)
-        hub_src = np.zeros(len(i), dtype=np.int64)
-        ring_src = i[(i >= 1) & (i < N - 1)]
-        return pa.table({
-            "src": pa.array(np.concatenate([hub_src, ring_src]), type=pa.int64()),
-            "dst": pa.array(np.concatenate([i, ring_src + 1]), type=pa.int64()),
-        })
-
-    from text_to_graph_ray.functions.graph import triangle_counts
-
-    edges = gen_range(N, 64, edges_fn).materialize()
-    t0 = time.time()
-    tri = triangle_counts(edges).materialize()
-    rows = tri.count()
-    import pyarrow.compute as pc
-
-    total = sum(pc.sum(t.column("triangles")).as_py() for t in ray.get(tri.to_arrow_refs()) if t.num_rows)
-    hub = [t.filter(pc.equal(t.column("node"), 0)) for t in ray.get(tri.to_arrow_refs())]
-    hub_n = sum(t.column("triangles")[0].as_py() for t in hub if t.num_rows)
-    log(f"triangles celebrity N={N}: {time.time()-t0:.1f}s rows={rows} "
-        f"sum={total} (expect {3*(N-2)}) hub={hub_n} (expect {N-2})")
-    assert total == 3 * (N - 2) and hub_n == N - 2
-
-    # --- 2. lookup_join 10M x 200k ----------------------------------------
+    # --- 1. lookup_join 10M x 200k ----------------------------------------
     NF, ND = 10_000_000, 200_000
 
     def facts_fn(a, b):
@@ -110,7 +76,7 @@ def main():
             f"rows={n} matched={matched} (expect {NF//2})")
         assert n == NF and matched == NF // 2
 
-    # --- 3. lexical_stats 400k docs ---------------------------------------
+    # --- 2. lexical_stats 400k docs ---------------------------------------
     ND2 = 400_000
     VOCAB = np.array([f"w{j}" for j in range(5000)], dtype=object)
 

@@ -5,11 +5,6 @@ steady-state benchmarks). Run: python -u scripts/ops_scale_check4.py [num_cpus]
 Covers:
 - bigram_lm_nll at 200k synthetic docs (combiner counting pass +
   lookup_join count attachment + keyed reduce).
-- common_neighbor_topk on a CELEBRITY graph (100k-degree hub): exact
-  common-neighbor counting is inherently Σ deg(center)^2 — the hub alone
-  is 1e10 wedge rows, unrunnable — so this smoke proves the documented
-  mitigation: hub_degree_cap skips the hub (surfaced count) and the
-  remaining ring wedges finish in seconds. RA weights ride along.
 - minhash_cross_pairs at 100k x 100k docs (fuzzy decontamination shape:
   only cross-side pairs generate).
 """
@@ -77,33 +72,7 @@ def main():
     assert n_rows == N_DOCS
     log(f"bigram_lm_nll 200k docs (~24M tokens): {w:.1f}s")
 
-    # --- 2. celebrity-graph common neighbors with hub cap ------------------
-    from text_to_graph_ray.functions.graph import common_neighbor_topk
-
-    N = 100_000
-
-    def edge_chunk(a, b):
-        spokes = np.arange(max(a, 1), b, dtype=np.int64)
-        hub = pa.table({"src": pa.array(np.zeros(len(spokes), dtype=np.int64), type=pa.int64()),
-                        "dst": pa.array(spokes, type=pa.int64())})
-        ring_lo = spokes[spokes < N - 1]
-        ring = pa.table({"src": pa.array(ring_lo, type=pa.int64()),
-                         "dst": pa.array(ring_lo + 1, type=pa.int64())})
-        return pa.concat_tables([hub, ring])
-
-    edges = gen_range(N, 64, edge_chunk).materialize()
-    stats: dict = {}
-    t0 = time.monotonic()
-    out = common_neighbor_topk(edges, k=50, min_common=1, hub_degree_cap=1000,
-                               stats=stats, rank_by="ra", include_ra=True).to_pandas()
-    w = time.monotonic() - t0
-    assert stats["cn_hubs_skipped"] == 1
-    # ring spokes i, i+2 share center i+1 (degree 3): top RA pairs
-    assert len(out) == 50 and out.iloc[0]["cn"] >= 1
-    log(f"common_neighbor_topk celebrity(100k-deg hub, capped): {w:.1f}s "
-        f"(skipped={stats['cn_hubs_skipped']}; exact would be ~1e10 hub wedges)")
-
-    # --- 3. cross-corpus minhash at 100k x 100k ---------------------------
+    # --- 2. cross-corpus minhash at 100k x 100k ---------------------------
     from text_to_graph_ray.functions.dedup import minhash_cross_pairs
 
     N_SIDE = 100_000

@@ -3,10 +3,6 @@ inputs, walls are smoke-scale proofs on a shared host (not steady-state
 benchmarks). Run: python -u scripts/ops_scale_check7.py [num_cpus]
 
 Covers:
-- ktruss_bounded at 2M distinct edges / 50k nodes (k=5, 3 rounds): per
-  round one degree-oriented per-edge support pass; plus a celebrity-hub
-  graph (100k-degree node) where the degree orientation keeps the wedge
-  volume near-linear.
 - naive_bayes_classify at 400k docs / 5 synthetic classes: model stays
   distributed (pair combiner -> token pivot), classification is one
   lookup_join + doc-keyed sum.
@@ -53,38 +49,7 @@ def main():
     DataContext.get_current().enable_progress_bars = False
 
     from text_to_graph_ray.functions.ann import kmeans_profile
-    from text_to_graph_ray.functions.graph import ktruss_bounded
     from text_to_graph_ray.functions.text import naive_bayes_classify
-
-    # --- ktruss: 2M-edge random graph on 50k nodes -------------------------
-    N_NODE, N_EDGE = 50_000, 2_000_000
-
-    def edge_chunk(a, b):
-        i = np.arange(a, b, dtype=np.int64)
-        s = (i * 6364136223846793005 + 1442695040888963407) % N_NODE
-        d = (i * 2862933555777941757 + 3037000493) % N_NODE
-        return pa.table({"src": pa.array(s), "dst": pa.array(d)})
-
-    edges = gen_range(N_EDGE, 128, edge_chunk)
-    t0 = time.monotonic()
-    stats = {}
-    out = ktruss_bounded(edges, k=5, max_rounds=3, stats=stats)
-    n = out.count()
-    log(f"ktruss 2M edges k=5: {time.monotonic()-t0:.1f}s surviving={n} rounds={stats['ktruss_rounds']}")
-
-    # celebrity hub: node 0 adjacent to 100k nodes + a clique background
-    def hub_chunk(a, b):
-        i = np.arange(a, b, dtype=np.int64)
-        return pa.table({"src": pa.array(np.zeros_like(i)), "dst": pa.array(i + 1)})
-
-    hub = gen_range(100_000, 16, hub_chunk)
-    ring = gen_range(100_000, 16, lambda a, b: pa.table({
-        "src": pa.array(np.arange(a, b, dtype=np.int64) + 1),
-        "dst": pa.array((np.arange(a, b, dtype=np.int64) + 1) % 100_000 + 1),
-    }))
-    t0 = time.monotonic()
-    nh = ktruss_bounded(hub.union(ring), k=3, max_rounds=2).count()
-    log(f"ktruss celebrity hub (100k-deg): {time.monotonic()-t0:.1f}s surviving={nh}")
 
     # --- Naive Bayes: 400k docs / 5 classes --------------------------------
     CLS = ["aa", "bb", "cc", "dd", "ee"]

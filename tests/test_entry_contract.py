@@ -38,6 +38,10 @@ def test_no_events_or_rel_queries():
     assert [k for k in E.queries() if k.startswith(("events_", "rel_"))] == []
 
 
+def test_no_graph_analytics_queries(oracles):
+    assert [k for k in (*E.queries(), *oracles) if k.startswith("graph_")] == []
+
+
 def test_every_query_but_the_rows_only_sketch_has_an_oracle(oracles):
     qs = set(E.queries())
     assert ROWS_ONLY <= qs

@@ -436,54 +436,3 @@ class TestFilterByKeys:
         empty = ray.data.from_items([{"k": 1}]).filter(lambda r: False)
         assert filter_by_keys(left, empty, "k", mode="anti").count() == 200
         assert filter_by_keys(left, empty, "k", mode="semi").count() == 0
-
-
-class TestTriangleCounts:
-    def _counts(self, ray_session, edges, parts=4):
-        import pyarrow as pa
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import triangle_counts
-
-        t = pa.table({"src": pa.array([a for a, _ in edges], type=pa.int64()),
-                      "dst": pa.array([b for _, b in edges], type=pa.int64())})
-        return triangle_counts(_ray.data.from_arrow(t).repartition(parts)).to_pandas()
-
-    def test_known_small_graph(self, ray_session):
-        """K4 minus one edge: two triangles sharing edge (1,2); nodes 1 and 2
-        are in both, 0 and 3 in one each."""
-        edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
-        got = self._counts(ray_session, edges)
-        assert dict(zip(got["node"], got["triangles"])) == {0: 1, 1: 2, 2: 2, 3: 1}
-
-    def test_direction_selfloop_dup_invariant(self, ray_session):
-        """Reversed duplicates, self-loops and repeats collapse to the same
-        canonical edge set."""
-        edges = [(1, 0), (0, 1), (2, 0), (2, 1), (3, 3), (1, 2)]
-        got = self._counts(ray_session, edges)
-        assert dict(zip(got["node"], got["triangles"])) == {0: 1, 1: 1, 2: 1}
-
-    def test_triangle_free_graph_empty(self, ray_session):
-        got = self._counts(ray_session, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert len(got) == 0
-
-    def test_random_graph_vs_naive(self, ray_session):
-        import itertools
-
-        import numpy as np
-
-        rng = np.random.default_rng(23)
-        n = 40
-        adj = np.zeros((n, n), dtype=bool)
-        edges = []
-        for a, b in itertools.combinations(range(n), 2):
-            if rng.random() < 0.25:
-                adj[a, b] = adj[b, a] = True
-                edges.append((a, b))
-        naive = {}
-        for x, y, z in itertools.combinations(range(n), 3):
-            if adj[x, y] and adj[y, z] and adj[x, z]:
-                for v in (x, y, z):
-                    naive[v] = naive.get(v, 0) + 1
-        got = self._counts(ray_session, edges, parts=7)
-        assert dict(zip(got["node"], got["triangles"])) == naive

@@ -95,34 +95,6 @@ def test_hash_split_matches_hashlib_and_fraction(ray_session):
     assert abs(n_test / 5000 - 0x1999 / 0x10000) < 0.02
 
 
-class TestBfsDepths:
-    def test_chain_cycle_unreachable_and_min_depth(self, ray_session):
-        import ray.data as rd
-
-        from text_to_graph_ray.functions.graph import bfs_depths
-
-        # 0->1->2->3->4 chain; 2->0 back-edge (cycle); 1->3 shortcut
-        # (3 is reachable at depth 2 via the shortcut, not 3); 8->9 unreachable
-        edges = pa.table(
-            {
-                "src": pa.array([0, 1, 2, 3, 2, 1, 8], type=pa.int64()),
-                "dst": pa.array([1, 2, 3, 4, 0, 3, 9], type=pa.int64()),
-            }
-        )
-        out = {r["node"]: r["depth"] for r in bfs_depths(rd.from_arrow(edges), seeds=[0], max_depth=3).take_all()}
-        assert out == {0: 0, 1: 1, 2: 2, 3: 2, 4: 3}
-
-    def test_early_stop_and_seed_without_edges(self, ray_session):
-        import ray.data as rd
-
-        from text_to_graph_ray.functions.graph import bfs_depths
-
-        edges = pa.table({"src": pa.array([5], type=pa.int64()), "dst": pa.array([6], type=pa.int64())})
-        # seed 7 has no out-edges; frontier empties after round 1 << max_depth
-        out = {r["node"]: r["depth"] for r in bfs_depths(rd.from_arrow(edges), seeds=[5, 7], max_depth=10).take_all()}
-        assert out == {5: 0, 7: 0, 6: 1}
-
-
 class TestCooccurrencePairs:
     def test_counts_threshold_and_dedup(self, ray_session):
         import ray.data as rd
@@ -337,41 +309,3 @@ def test_parquet_profile_aggregates_row_groups(tmp_path):
     md = pq.ParquetFile(p).metadata
     want_comp = sum(md.row_group(i).column(0).total_compressed_size for i in range(10))
     assert out.loc["a", "compressed_bytes"] == want_comp
-
-
-class TestSsspBounded:
-    EDGES = {
-        # 0 -> 1 (w 10) direct, but 0 -> 2 -> 1 costs 3; 1 -> 3 (w 1)
-        # 4 -> 5 unreachable from seed 0
-        "src": [0, 0, 2, 1, 4],
-        "dst": [1, 2, 1, 3, 5],
-        "w": [10, 1, 2, 1, 7],
-    }
-
-    def _edges(self, rd):
-        return rd.from_arrow(pa.table({k: pa.array(v, type=pa.int64()) for k, v in self.EDGES.items()}))
-
-    def test_min_over_bounded_paths(self, ray_session):
-        import ray.data as rd
-
-        from text_to_graph_ray.functions.graph import sssp_bounded
-
-        out = {r["node"]: r["dist"] for r in sssp_bounded(self._edges(rd), seeds=[0], max_hops=3).take_all()}
-        assert out == {0: 0, 1: 3, 2: 1, 3: 4}
-        # hop bound 1: only direct edges relax
-        out1 = {r["node"]: r["dist"] for r in sssp_bounded(self._edges(rd), seeds=[0], max_hops=1).take_all()}
-        assert out1 == {0: 0, 1: 10, 2: 1}
-        # hop bound 2: the cheap 2-hop route to 1 wins, 3 now reachable via 0->1->3
-        out2 = {r["node"]: r["dist"] for r in sssp_bounded(self._edges(rd), seeds=[0], max_hops=2).take_all()}
-        assert out2 == {0: 0, 1: 3, 2: 1, 3: 11}
-
-    def test_broadcast_matches_distributed_join(self, ray_session):
-        import ray.data as rd
-
-        from text_to_graph_ray.functions.graph import sssp_bounded
-
-        a = sssp_bounded(self._edges(rd), seeds=[0, 4], max_hops=3, dist_broadcast_max=10**9).take_all()
-        b = sssp_bounded(self._edges(rd), seeds=[0, 4], max_hops=3, dist_broadcast_max=0).take_all()
-        key = lambda r: (r["node"], r["dist"])  # noqa: E731
-        assert sorted(map(key, a)) == sorted(map(key, b))
-        assert {r["node"]: r["dist"] for r in a}[5] == 7

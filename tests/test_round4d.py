@@ -1,5 +1,5 @@
 """Round-4 part 5 operator tests: segment-level corpus dedup, upsert merge,
-winsorized and MAD group stats, key-skew profile, bounded k-core."""
+winsorized and MAD group stats, key-skew profile."""
 
 import pandas as pd
 import pyarrow as pa
@@ -77,52 +77,6 @@ class TestSegmentDedup:
         exch = segment_dedup(ds, seg_tokens=4, removed_broadcast_max=-1).to_pandas()
         pd.testing.assert_frame_equal(bcast.reset_index(drop=True), exch.reset_index(drop=True))
         assert (bcast.n_kept <= bcast.n_segs).all() and len(bcast) > 0
-
-
-class TestKCore:
-    def _edges(self, pairs):
-        import ray
-
-        return ray.data.from_arrow(pa.table({
-            "src": pa.array([a for a, _ in pairs], type=pa.int64()),
-            "dst": pa.array([b for _, b in pairs], type=pa.int64()),
-        }))
-
-    def test_known_small_graph(self, ray_session):
-        from text_to_graph_ray.functions.graph import kcore_bounded
-
-        # K4 on {0,1,2,3} plus a pendant chain 3-4-5: the 2-core is exactly
-        # the K4 (4 and 5 peel away over two rounds)
-        k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-        out = kcore_bounded(self._edges(k4 + [(3, 4), (4, 5)]), k=2, max_rounds=4).to_pandas()
-        assert list(out.node) == [0, 1, 2, 3]
-        assert list(out.deg) == [3, 3, 3, 3]
-
-    def test_fixpoint_early_stop_matches_more_rounds(self, ray_session):
-        import numpy as np
-
-        from text_to_graph_ray.functions.graph import kcore_bounded
-
-        rng = np.random.RandomState(3)
-        pairs = list(zip(rng.randint(0, 60, 400).tolist(), rng.randint(0, 60, 400).tolist()))
-        a = kcore_bounded(self._edges(pairs), k=4, max_rounds=4).to_pandas()
-        b = kcore_bounded(self._edges(pairs), k=4, max_rounds=12).to_pandas()
-        # converged within 4 rounds -> extra rounds are no-ops
-        pd.testing.assert_frame_equal(a, b)
-
-    def test_whole_graph_peels_to_empty(self, ray_session):
-        from text_to_graph_ray.functions.graph import kcore_bounded
-
-        chain = [(i, i + 1) for i in range(10)]
-        out = kcore_bounded(self._edges(chain), k=3, max_rounds=5).to_pandas()
-        assert len(out) == 0
-
-    def test_self_loops_and_duplicates_ignored(self, ray_session):
-        from text_to_graph_ray.functions.graph import kcore_bounded
-
-        tri = [(0, 1), (1, 0), (1, 2), (2, 0), (0, 0), (2, 2)]
-        out = kcore_bounded(self._edges(tri), k=2, max_rounds=3).to_pandas()
-        assert list(out.node) == [0, 1, 2] and list(out.deg) == [2, 2, 2]
 
 
 class TestMergeUpsert:

@@ -1,5 +1,4 @@
-"""Round-5 tests: degree-ordered triangle orientation (both plans), the
-filter_by_all_keys type guard, the half-up cents rounding contract, and the
+"""Round-5 tests: the filter_by_all_keys type guard, the half-up cents rounding contract, and the
 exact Gini / grouped OLS / MAD-outlier / chi-square drift statistics."""
 
 import os
@@ -10,59 +9,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
-
-
-def _tri_counts(edges, parts=4, **kw):
-    import ray as _ray
-
-    from text_to_graph_ray.functions.graph import triangle_counts
-
-    t = pa.table({"src": pa.array([a for a, _ in edges], type=pa.int64()),
-                  "dst": pa.array([b for _, b in edges], type=pa.int64())})
-    got = triangle_counts(_ray.data.from_arrow(t).repartition(parts), **kw).to_pandas()
-    return dict(zip(got["node"], got["triangles"]))
-
-
-class TestDegreeOrientedTriangles:
-    def test_broadcast_and_join_plans_identical(self, ray_session):
-        """deg_broadcast_max=0 forces the two-hash-join degree attachment;
-        both plans must match each other and the naive O(n^3) count."""
-        import itertools
-
-        rng = np.random.default_rng(51)
-        n = 35
-        adj = np.zeros((n, n), dtype=bool)
-        edges = []
-        for a, b in itertools.combinations(range(n), 2):
-            if rng.random() < 0.3:
-                adj[a, b] = adj[b, a] = True
-                edges.append((a, b))
-        naive = {}
-        for x, y, z in itertools.combinations(range(n), 3):
-            if adj[x, y] and adj[y, z] and adj[x, z]:
-                for v in (x, y, z):
-                    naive[v] = naive.get(v, 0) + 1
-        assert _tri_counts(edges) == naive
-        assert _tri_counts(edges, deg_broadcast_max=0) == naive
-
-    def test_celebrity_star_graph(self, ray_session):
-        """Hub node 0 connected to everyone; spokes form a ring. The old
-        id-oriented plan would enumerate deg(hub)^2 wedges from the hub;
-        degree orientation sources every wedge at a degree-3 spoke. Each
-        ring edge (i, i+1) + hub closes one triangle."""
-        n = 60
-        edges = [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)]
-        got = _tri_counts(edges, parts=6)
-        # hub is in all n-2 triangles; interior spokes in 2; end spokes in 1
-        expect = {0: n - 2, 1: 1, n - 1: 1}
-        for i in range(2, n - 1):
-            expect[i] = 2
-        assert got == expect
-
-    def test_degree_tie_breaks_by_id(self, ray_session):
-        """K3: all degrees equal — orientation must fall back to id order
-        and still count each triangle once."""
-        assert _tri_counts([(2, 1), (0, 2), (1, 0)]) == {0: 1, 1: 1, 2: 1}
 
 
 class TestFilterByAllKeysTypeGuard:
@@ -533,65 +479,6 @@ class TestLengthBandStats:
             length_band_stats(_ray.data.from_arrow(t), max_groups=10)
 
 
-class TestCommonNeighbors:
-    def _edges(self, seed=3, n=40, p=0.18):
-        rng = np.random.default_rng(seed)
-        adj = np.triu(rng.random((n, n)) < p, 1)
-        pairs = np.argwhere(adj)
-        return [(int(a), int(b)) for a, b in pairs], n, adj | adj.T
-
-    def _run(self, edges, **kw):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import common_neighbor_topk
-
-        t = pa.table({"src": pa.array([a for a, _ in edges], type=pa.int64()),
-                      "dst": pa.array([b for _, b in edges], type=pa.int64())})
-        return common_neighbor_topk(_ray.data.from_arrow(t).repartition(4), **kw).to_pandas()
-
-    def _naive(self, n, adj, k, min_common):
-        rows = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if adj[u, v]:
-                    continue
-                cn = int((adj[u] & adj[v]).sum())
-                if cn >= min_common:
-                    rows.append((u, v, cn))
-        rows.sort(key=lambda r: (-r[2], r[0], r[1]))
-        return rows[:k]
-
-    def test_matches_naive_dense_recount(self, ray_session):
-        edges, n, adj = self._edges()
-        got = self._run(edges, k=25, min_common=2)
-        assert [tuple(r) for r in got.itertuples(index=False)] == self._naive(n, adj, 25, 2)
-
-    def test_broadcast_and_antijoin_plans_identical(self, ray_session):
-        """edge_broadcast_max=0 forces the side-tagged bucketed anti-join;
-        both adjacency-removal plans must produce identical top-k."""
-        edges, n, adj = self._edges(seed=9)
-        a = self._run(edges, k=30, min_common=1)
-        b = self._run(edges, k=30, min_common=1, edge_broadcast_max=0)
-        assert a.values.tolist() == b.values.tolist()
-        assert len(a) == 30
-
-    def test_hub_cap_skips_and_surfaces(self, ray_session):
-        """A star hub above the cap stops voting: pairs of its leaves lose
-        their only common neighbor, and the skipped count surfaces."""
-        hub_edges = [(100, i) for i in range(20)] + [(0, 1), (1, 2), (0, 2), (3, 4)]
-        stats = {}
-        got = self._run(hub_edges, k=50, min_common=1, hub_degree_cap=5, stats=stats)
-        assert stats["cn_hubs_skipped"] == 1
-        # with the hub silenced, EVERY remaining candidate pair is adjacent
-        # (the triangle 0-1-2 and the hub spokes), so the capped answer is
-        # empty — all leaf-pair signal came from the hub
-        assert len(got) == 0
-        exact = self._run(hub_edges, k=50, min_common=1)
-        # hub votes restored: leaf pairs (i, j) now share the hub; e.g. (0, 3)
-        pairs = {(int(r.u), int(r.v)) for r in exact.itertuples()}
-        assert (0, 3) in pairs and len(exact) == 50
-
-
 class TestBigramLM:
     def _docs(self):
         texts = [
@@ -669,52 +556,6 @@ class TestDriftChi2:
         # even x's 25/25 split is drifted against the 40:60 cohort baseline)
         assert terms["z"] == max(terms.values()) and terms["z"] > 5.0
         assert max(terms["x"], terms["y"]) < 2.5
-
-
-class TestResourceAllocationLink:
-    def test_ra_matches_naive_and_reranks(self, ray_session):
-        """RA scores must equal a dense recomputation (sum of 10^9//deg per
-        common neighbor, /1e9, round 6); ranking by RA must downweight
-        hub-mediated pairs relative to count ranking."""
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import common_neighbor_topk
-
-        rng = np.random.default_rng(17)
-        n = 30
-        adj = np.triu(rng.random((n, n)) < 0.25, 1)
-        # add a hub adjacent to everyone: every non-adjacent pair gains a
-        # weak (1/deg≈1/29) vote; low-degree shared neighbors dominate RA
-        edges = [(int(a), int(b)) for a, b in np.argwhere(adj)] + [(i, 99) for i in range(n)]
-        sym = adj | adj.T
-        full = np.zeros((100, 100), dtype=bool)
-        full[:n, :n] = sym
-        full[99, :n] = True
-        full[:n, 99] = True
-        t = pa.table({"src": pa.array([a for a, _ in edges], type=pa.int64()),
-                      "dst": pa.array([b for _, b in edges], type=pa.int64())})
-        got = common_neighbor_topk(_ray.data.from_arrow(t).repartition(4),
-                                   k=40, min_common=1, rank_by="ra", include_ra=True).to_pandas()
-
-        deg = full.sum(axis=1).astype(np.int64)
-        w = np.zeros(100, dtype=np.int64)
-        w[deg > 0] = np.int64(1_000_000_000) // deg[deg > 0]
-        rows = []
-        for u in range(100):
-            for v in range(u + 1, 100):
-                if full[u, v]:
-                    continue
-                commons = np.flatnonzero(full[u] & full[v])
-                if len(commons) < 1:
-                    continue
-                q = int(w[commons].sum())
-                rows.append((u, v, len(commons), q))
-        rows.sort(key=lambda r: (-r[3], r[0], r[1]))
-        want = [(u, v, cn, round(q / 1e9, 6)) for u, v, cn, q in rows[:40]]
-        assert [tuple(r) for r in got.itertuples(index=False)] == want
-        # every surviving pair shares the hub, so cn >= 1 everywhere; the
-        # top RA rows must carry MORE weight than the hub alone provides
-        assert got.iloc[0]["ra"] > round(int(w[99]) / 1e9, 6)
 
 
 class TestIncrementalMinhash:
@@ -1456,55 +1297,6 @@ class TestHoldoutSplit:
         assert 700 < want_n["train"] < 900 and 50 < want_n["val"] < 160
 
 
-class TestClusteringCoefficients:
-    def test_matches_naive(self, ray_session):
-        import itertools
-
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import clustering_coefficients
-
-        rng = np.random.default_rng(13)
-        nodes = list(range(20))
-        edges = sorted({(a, b) for a, b in
-                        ((int(rng.integers(0, 20)), int(rng.integers(0, 20))) for _ in range(80))
-                        if a != b for (a, b) in [(min(a, b), max(a, b))]})
-        adj = {n: set() for n in nodes}
-        for a, b in edges:
-            adj[a].add(b); adj[b].add(a)
-        want = {}
-        for n in nodes:
-            d = len(adj[n])
-            if d == 0:
-                continue
-            t = sum(1 for u, v in itertools.combinations(sorted(adj[n]), 2) if v in adj[u])
-            cc = round((2.0 * t) / (d * (d - 1.0)), 6) if d >= 2 else 0.0
-            want[n] = (d, t, cc)
-        t_in = pa.table({"src": pa.array([a for a, _ in edges] * 2, type=pa.int64()),
-                         "dst": pa.array([b for _, b in edges] + [a for a, _ in edges],
-                                         type=pa.int64())})
-        got = clustering_coefficients(_ray.data.from_arrow(t_in).repartition(4)).to_pandas()
-        got_d = {int(r.node): (int(r.degree), int(r.triangles), float(r.cc))
-                 for r in got.itertuples()}
-        assert got_d == want
-
-    def test_triangle_free_and_complete(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import clustering_coefficients
-
-        # path graph (triangle-free) + K4 (all cc = 1.0)
-        path = [(0, 1), (1, 2), (2, 3)]
-        k4 = [(10, 11), (10, 12), (10, 13), (11, 12), (11, 13), (12, 13)]
-        edges = path + k4
-        t = pa.table({"src": pa.array([a for a, _ in edges], type=pa.int64()),
-                      "dst": pa.array([b for _, b in edges], type=pa.int64())})
-        got = clustering_coefficients(_ray.data.from_arrow(t)).to_pandas()
-        cc = dict(zip(got["node"], got["cc"]))
-        assert cc[1] == 0.0 and cc[2] == 0.0  # path interior: degree 2, no triangle
-        assert all(cc[n] == 1.0 for n in (10, 11, 12, 13))
-
-
 class TestQuantizeGrid:
     """The L2-blocked half-up quantizer must be bit-identical to the naive
     one-liner it replaced in the PCA hot path (round 5: the naive chain's
@@ -1534,46 +1326,6 @@ class TestQuantizeGrid:
         v = base[::2, ::2]  # non-contiguous view
         naive = np.floor(v * 1_000 + 0.5).astype(np.int64)
         assert (quantize_grid(v, 1_000) == naive).all()
-
-
-class TestDegreeAssortativity:
-    def _run(self, edges, **kw):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import degree_assortativity
-
-        t = pa.table({"src": pa.array([a for a, _ in edges], type=pa.int64()),
-                      "dst": pa.array([b for _, b in edges], type=pa.int64())})
-        return degree_assortativity(_ray.data.from_arrow(t).repartition(3), **kw)
-
-    def test_known_graphs(self, ray_session):
-        # star K1,3 and path are perfectly disassortative; a cycle is
-        # regular (zero degree variance) -> defined as 0.0
-        assert self._run([(0, 1), (0, 2), (0, 3)]).to_pydict() == {"m_edges": [3], "r": [-1.0]}
-        assert self._run([(0, 1), (1, 2)]).to_pydict() == {"m_edges": [2], "r": [-1.0]}
-        assert self._run([(0, 1), (1, 2), (2, 0)]).to_pydict() == {"m_edges": [3], "r": [0.0]}
-
-    def test_matches_naive_and_join_fallback(self, ray_session):
-        rng = np.random.default_rng(11)
-        raw = {(int(a), int(b)) for a, b in rng.integers(0, 40, size=(300, 2)) if a != b}
-        edges = sorted((min(a, b), max(a, b)) for a, b in raw)
-        edges = sorted(set(edges))
-        deg = {}
-        for a, b in edges:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        m = len(edges)
-        ss = sum(deg[a] + deg[b] for a, b in edges)
-        sp = sum(deg[a] * deg[b] for a, b in edges)
-        sq = sum(deg[a] ** 2 + deg[b] ** 2 for a, b in edges)
-        want = round(float(4 * m * sp - ss * ss) / float(2 * m * sq - ss * ss), 6)
-        # duplicate + reversed input rows must not change the distinct graph
-        noisy = edges + [(b, a) for a, b in edges[:50]] + edges[:20]
-        got = self._run(noisy).to_pydict()
-        assert got == {"m_edges": [m], "r": [want]}
-        # the distributed join fallback (deg_broadcast_max=0) is value-identical
-        got_j = self._run(noisy, deg_broadcast_max=0).to_pydict()
-        assert got_j == got
 
 
 class TestCohensKappa:
@@ -1701,38 +1453,6 @@ class TestPmiTopk:
         assert list(zip(got["x"], got["y"])) == [("unique", "pair")]
 
 
-class TestSampleNeighbors:
-    def test_matches_naive_and_repartition_stable(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import sample_neighbors
-
-        rng = np.random.default_rng(21)
-        raw = {(int(a), int(b)) for a, b in rng.integers(0, 30, size=(200, 2)) if a != b}
-        edges = sorted(raw)
-        t = pa.table({"src": pa.array([a for a, _ in edges], type=pa.int64()),
-                      "dst": pa.array([b for _, b in edges], type=pa.int64())})
-        knuth, mix, modp = 2654435761, 40503, 1_000_003
-        adj = {}
-        for a, b in edges:
-            adj.setdefault(a, []).append(b)
-
-        def rank(s, k):
-            return sorted(adj.get(s, []), key=lambda v: ((s * knuth + v * mix) % modp, v))[:k]
-
-        want = sorted((seed, n1, n2)
-                      for seed in adj if seed % 3 == 0
-                      for n1 in rank(seed, 3)
-                      for n2 in rank(n1, 2))
-        got = sample_neighbors(_ray.data.from_arrow(t).repartition(4),
-                               fanout=(3, 2), seed_mod=3).to_pandas()
-        assert list(got.itertuples(index=False, name=None)) == want
-        # determinism under a different partitioning + duplicate edges
-        noisy = _ray.data.from_arrow(pa.concat_tables([t, t.slice(0, 40)])).repartition(7)
-        got2 = sample_neighbors(noisy, fanout=(3, 2), seed_mod=3).to_pandas()
-        assert got2.equals(got)
-
-
 class TestGiniExact:
     def test_hand_computed_and_partition_invariant(self, ray_session):
         import ray as _ray
@@ -1765,245 +1485,6 @@ class TestGiniExact:
         out = gini_exact(_ray.data.from_arrow(t).repartition(3)).to_pandas()
         assert out["gini"][0] == 0.0
         assert int(out["total"][0]) == v * 2000
-
-
-class TestStronglyConnectedComponents:
-    def _scc_naive(self, edges):
-        # reachability by repeated squaring over sets; scc_id = min of the
-        # mutual-reach class — an independent oracle (no Tarjan machinery)
-        nodes = sorted({a for a, _ in edges} | {b for _, b in edges})
-        reach = {v: {v} for v in nodes}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in edges:
-                for v in nodes:
-                    if a in reach[v] and b not in reach[v]:
-                        reach[v].add(b)
-                        changed = True
-        out = {}
-        for v in nodes:
-            cls = {u for u in reach[v] if v in reach[u]}
-            out[v] = min(cls)
-        return [(v, out[v]) for v in nodes]
-
-    def test_hand_graph_both_plans(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import strongly_connected_components as scc
-
-        edges = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 4), (6, 1), (7, 7)]
-        t = pa.table({"src": pa.array([a for a, _ in edges], type=pa.int64()),
-                      "dst": pa.array([b for _, b in edges], type=pa.int64())})
-        want = [(1, 1), (2, 1), (3, 1), (4, 4), (5, 4), (6, 6), (7, 7)]
-        a = scc(_ray.data.from_arrow(t)).to_pandas()
-        assert list(a.itertuples(index=False, name=None)) == want
-        b = scc(_ray.data.from_arrow(t).repartition(3), collect_max=0).to_pandas()
-        assert b.equals(a)
-
-    def test_random_graph_matches_naive_both_plans(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import strongly_connected_components as scc
-
-        rng = np.random.default_rng(11)
-        edges = sorted({(int(a), int(b)) for a, b in rng.integers(0, 40, size=(55, 2)) if a != b})
-        want = self._scc_naive(edges)
-        t = pa.table({"src": pa.array([a for a, _ in edges], type=pa.int64()),
-                      "dst": pa.array([b for _, b in edges], type=pa.int64())})
-        a = scc(_ray.data.from_arrow(t)).to_pandas()
-        assert list(a.itertuples(index=False, name=None)) == want
-        b = scc(_ray.data.from_arrow(t).repartition(5), collect_max=0).to_pandas()
-        assert b.equals(a)
-
-    def test_chain_of_cycles_and_empty(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import strongly_connected_components as scc
-
-        # 3 two-node cycles chained: {0,1} -> {2,3} -> {4,5}; peeling needs
-        # multiple outer rounds on the distributed plan
-        edges = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4), (4, 5), (5, 4)]
-        t = pa.table({"src": pa.array([a for a, _ in edges], type=pa.int64()),
-                      "dst": pa.array([b for _, b in edges], type=pa.int64())})
-        want = [(0, 0), (1, 0), (2, 2), (3, 2), (4, 4), (5, 4)]
-        b = scc(_ray.data.from_arrow(t), collect_max=0).to_pandas()
-        assert list(b.itertuples(index=False, name=None)) == want
-        empty = pa.table({"src": pa.array([], type=pa.int64()), "dst": pa.array([], type=pa.int64())})
-        out = scc(_ray.data.from_arrow(empty))
-        assert out.count() == 0
-
-
-class TestJaccardLinkPrediction:
-    def test_matches_naive_random(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import common_neighbor_topk
-
-        rng = np.random.default_rng(5)
-        raw = {(int(a), int(b)) for a, b in rng.integers(0, 25, size=(120, 2)) if a != b}
-        edges = sorted({(min(a, b), max(a, b)) for a, b in raw})
-        adj = {}
-        for a, b in edges:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        want = []
-        nodes = sorted(adj)
-        eset = set(edges)
-        for i, u in enumerate(nodes):
-            for v in nodes[i + 1:]:
-                if (u, v) in eset:
-                    continue
-                cn = len(adj[u] & adj[v])
-                if cn >= 2:
-                    q = (10**9 * cn) // (len(adj[u]) + len(adj[v]) - cn)
-                    want.append((u, v, cn, q))
-        want.sort(key=lambda r: (-r[3], r[0], r[1]))
-        want = [(u, v, cn, round(q / 1e9, 6)) for u, v, cn, q in want[:10]]
-
-        t = pa.table({"src": pa.array([a for a, _ in raw], type=pa.int64()),
-                      "dst": pa.array([b for _, b in raw], type=pa.int64())})
-        got = common_neighbor_topk(_ray.data.from_arrow(t).repartition(3), k=10,
-                                   min_common=2, rank_by="jaccard", include_ra=True).to_pandas()
-        assert list(got.columns) == ["u", "v", "cn", "jaccard"]
-        assert list(got.itertuples(index=False, name=None)) == want
-
-    def test_min_common_guard(self, ray_session):
-        import ray as _ray
-        import pytest as _pytest
-
-        from text_to_graph_ray.functions.graph import common_neighbor_topk
-
-        t = pa.table({"src": pa.array([1], type=pa.int64()), "dst": pa.array([2], type=pa.int64())})
-        with _pytest.raises(ValueError):
-            common_neighbor_topk(_ray.data.from_arrow(t), min_common=0, rank_by="jaccard")
-
-
-class TestHits:
-    def test_matches_naive_and_l1(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import hits_scores
-
-        rng = np.random.default_rng(9)
-        edges = sorted({(int(a), int(b)) for a, b in rng.integers(0, 20, size=(60, 2))})
-        nodes = sorted({a for a, _ in edges} | {b for _, b in edges})
-        idx = {v: i for i, v in enumerate(nodes)}
-        n = len(nodes)
-        h = np.full(n, round(1.0 / n, 9))
-        a = None
-        for _ in range(2):
-            ar = np.zeros(n)
-            for s, d in edges:
-                ar[idx[d]] += h[idx[s]]
-            a = np.round(ar / ar.sum(), 9)
-            hr = np.zeros(n)
-            for s, d in edges:
-                hr[idx[s]] += a[idx[d]]
-            h = np.round(hr / hr.sum(), 9)
-        t = pa.table({"src": pa.array([s for s, _ in edges], type=pa.int64()),
-                      "dst": pa.array([d for _, d in edges], type=pa.int64())})
-        got = hits_scores(_ray.data.from_arrow(t).repartition(4), iters=2).to_pandas()
-        assert got["node"].tolist() == nodes
-        assert np.array_equal(got["authority"].to_numpy(), a)
-        assert np.array_equal(got["hub"].to_numpy(), h)
-        assert abs(got["authority"].sum() - 1.0) < 1e-6
-        assert abs(got["hub"].sum() - 1.0) < 1e-6
-
-    def test_empty(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import hits_scores
-
-        empty = pa.table({"src": pa.array([], type=pa.int64()), "dst": pa.array([], type=pa.int64())})
-        assert hits_scores(_ray.data.from_arrow(empty)).count() == 0
-
-
-def _naive_ktruss(pairs, k, max_rounds):
-    """Reference bounded k-truss peel + final within-set support recount."""
-    E = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
-    for _ in range(max_rounds):
-        adj = {}
-        for a, b in E:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        sup = {e: len(adj[e[0]] & adj[e[1]]) for e in E}
-        e2 = {e for e in E if sup[e] >= k - 2}
-        if len(e2) == len(E):
-            break
-        E = e2
-    adj = {}
-    for a, b in E:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return sorted((a, b, len(adj[a] & adj[b])) for a, b in E)
-
-
-class TestKTruss:
-    def _run(self, pairs, **kw):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import ktruss_bounded
-
-        t = pa.table({"src": pa.array([a for a, _ in pairs], type=pa.int64()),
-                      "dst": pa.array([b for _, b in pairs], type=pa.int64())})
-        got = ktruss_bounded(_ray.data.from_arrow(t).repartition(4), **kw).take_all()
-        return sorted((r["a"], r["b"], r["sup"]) for r in got)
-
-    def test_k4_complete_is_4truss(self, ray_session):
-        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        # K4: every edge closes 2 triangles — the whole graph survives k=4
-        assert self._run(pairs, k=4, max_rounds=3) == [(a, b, 2) for a, b in pairs]
-
-    def test_k4_minus_edge_peels_away(self, ray_session):
-        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4) if (i, j) != (2, 3)]
-        # removing one edge leaves every edge with support <= 1 < k-2
-        assert self._run(pairs, k=4, max_rounds=3) == []
-
-    def test_random_matches_naive_all_round_budgets(self, ray_session):
-        rng = np.random.default_rng(11)
-        pairs = list(zip(rng.integers(0, 50, 400).tolist(), rng.integers(0, 50, 400).tolist()))
-        for k in (4, 6):
-            for mr in (1, 2, 4):
-                assert self._run(pairs, k=k, max_rounds=mr) == _naive_ktruss(pairs, k, mr), (k, mr)
-
-    def test_fallback_plan_identical(self, ray_session):
-        # deg_broadcast_max=0 forces the distributed degree joins AND the
-        # side-tagged closing exchange in _edge_support
-        rng = np.random.default_rng(12)
-        pairs = list(zip(rng.integers(0, 40, 300).tolist(), rng.integers(0, 40, 300).tolist()))
-        exp = self._run(pairs, k=5, max_rounds=2)
-        assert self._run(pairs, k=5, max_rounds=2, deg_broadcast_max=0) == exp
-        assert exp == _naive_ktruss(pairs, 5, 2)
-
-    def test_mid_peel_zero_support_surfaces(self, ray_session):
-        # a triangle chain: peeling the tail with a 1-round budget leaves
-        # edges whose within-set support is 0 — they must appear with sup=0
-        pairs = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)]
-        got = self._run(pairs, k=3, max_rounds=1)
-        assert got == _naive_ktruss(pairs, 3, 1)
-        assert all(s >= 0 for _, _, s in got)
-
-    def test_stats_and_fixpoint(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import ktruss_bounded
-
-        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]  # K5
-        t = pa.table({"src": pa.array([a for a, _ in pairs], type=pa.int64()),
-                      "dst": pa.array([b for _, b in pairs], type=pa.int64())})
-        stats = {}
-        got = ktruss_bounded(_ray.data.from_arrow(t), k=5, max_rounds=4, stats=stats).take_all()
-        assert stats["ktruss_fixpoint"] is True
-        assert stats["ktruss_rounds"][-1] == len(got) == len(pairs)  # K5 is a 5-truss
-
-    def test_empty(self, ray_session):
-        assert self._run([], k=4, max_rounds=2) == []
-
-    def test_k_below_3_raises(self, ray_session):
-        # k - 2 <= 0 would keep no triangle-free edge instead of all of them
-        with pytest.raises(ValueError, match="k >= 3"):
-            self._run([(0, 1), (1, 2)], k=2, max_rounds=1)
 
 
 class TestGroupedOls:
@@ -2176,73 +1657,6 @@ class TestKmeansProfile:
         t = pa.table({"vec_id": pa.array([], type=pa.int64()),
                       "embedding": pa.array([], type=pa.list_(pa.float32()))})
         assert kmeans_profile(_ray.data.from_arrow(t)).count() == 0
-
-
-def _naive_kruskal_pairs(rows):
-    best = {}
-    for s, d, w in rows:
-        if s == d:
-            continue
-        k = (min(s, d), max(s, d))
-        if k not in best or w < best[k]:
-            best[k] = w
-    edges = sorted((w, a, b) for (a, b), w in best.items())
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        r = x
-        while parent[r] != r:
-            r = parent[r]
-        while parent[x] != r:
-            parent[x], x = r, parent[x]
-        return r
-
-    out = []
-    for w, a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            out.append((a, b, w))
-    return sorted(out)
-
-
-class TestMst:
-    def _run(self, rows, **kw):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import minimum_spanning_forest
-
-        t = pa.table({"src": pa.array([r[0] for r in rows], type=pa.int64()),
-                      "dst": pa.array([r[1] for r in rows], type=pa.int64()),
-                      "w": pa.array([r[2] for r in rows], type=pa.int64())})
-        got = minimum_spanning_forest(_ray.data.from_arrow(t).repartition(4), **kw).take_all()
-        return sorted((r["a"], r["b"], r["w"]) for r in got)
-
-    def test_random_with_ties_matches_kruskal(self, ray_session):
-        rng = np.random.default_rng(71)
-        for trial in range(3):
-            n = [30, 80, 40][trial]
-            m = [100, 250, 45][trial]
-            rows = list(zip(rng.integers(0, n, m).tolist(), rng.integers(0, n, m).tolist(),
-                            rng.integers(1, 25, m).tolist()))  # heavy weight ties
-            assert self._run(rows) == _naive_kruskal_pairs(rows), trial
-
-    def test_disconnected_forest(self, ray_session):
-        rows = [(0, 1, 5), (1, 2, 3), (0, 2, 4), (10, 11, 1), (11, 12, 1), (10, 12, 9)]
-        got = self._run(rows)
-        assert got == _naive_kruskal_pairs(rows)
-        assert len(got) == 4  # two trees: 3 nodes + 3 nodes -> 2 + 2 edges
-
-    def test_parallel_edges_collapse_to_min(self, ray_session):
-        rows = [(0, 1, 9), (1, 0, 2), (0, 1, 5), (1, 2, 7)]
-        assert self._run(rows) == [(0, 1, 2), (1, 2, 7)]
-
-    def test_round_budget_raises_loudly(self, ray_session):
-        # a path graph merges only neighbors per round: 1 round can't finish
-        rows = [(i, i + 1, 10 + i) for i in range(16)]
-        with pytest.raises(ValueError, match="Borůvka rounds"):
-            self._run(rows, max_rounds=1)
 
 
 class TestMetapathAndIntegrity:

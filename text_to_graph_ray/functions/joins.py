@@ -369,7 +369,7 @@ def filter_by_all_keys(left, right, keys, right_key: str, mode: str = "semi",
                        broadcast_max: int = SEMI_BROADCAST_MAX_ROWS):
     """Conjunctive multi-column variant of ``filter_by_keys``: keep left
     rows whose EVERY column in ``keys`` appears in ``right``'s key set
-    (``mode="semi"``), or the complement (``mode="anti"``). The k-core /
+    (``mode="semi"``), or the complement (``mode="anti"``). The
     edge-both-endpoints-alive shape.
 
     Under the broadcast guard this is ONE streamed pass over the left with

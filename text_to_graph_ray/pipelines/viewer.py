@@ -30,12 +30,13 @@ _TEMPLATE = """<!DOCTYPE html>
 <body>
 <h1>{title}</h1>
 <p id="summary"></p>
-<h2>Nodes</h2><table id="nodes"></table>
+{docs_section}<h2>Nodes</h2><table id="nodes"></table>
 <h2>Edges</h2><table id="edges"></table>
 <script src="https://cdn.jsdelivr.net/npm/pako@2/dist/pako.min.js"></script>
 <script>
 const NODES_B64 = "{nodes_b64}";
 const EDGES_B64 = "{edges_b64}";
+const META_B64 = "{meta_b64}";
 function unpack(b64) {{
   const bin = atob(b64);
   const arr = Uint8Array.from(bin, c => c.charCodeAt(0));
@@ -56,70 +57,33 @@ function fill(id, rows) {{
     t.appendChild(tr);
   }}
 }}
-const nodes = unpack(NODES_B64), edges = unpack(EDGES_B64);
-document.getElementById("summary").textContent = nodes.length + " nodes, " + edges.length + " edges (first 2000 shown)";
-fill("nodes", nodes); fill("edges", edges);
+const nodes = unpack(NODES_B64), edges = unpack(EDGES_B64), meta = unpack(META_B64);
+document.getElementById("summary").textContent = (meta.length ? meta.length + " documents, " : "") +
+  nodes.length + " nodes, " + edges.length + " edges (first 2000 shown)";
+fill("meta", meta); fill("nodes", nodes); fill("edges", edges);
 </script>
 </body></html>
 """
 
 
-def write_graph_html(nodes_df, edges_df, out_path: str, title: str = "graph") -> str:
-    """nodes_df/edges_df: small pandas DataFrames (the aggregated output)."""
+def _write_viewer(out_path: str, title: str, nodes_df, edges_df, meta: list) -> str:
+    """Fill the one viewer template; the Documents table appears only when
+    ``meta`` has rows."""
     doc = _TEMPLATE.format(
         title=html.escape(title),
+        docs_section='<h2>Documents</h2><table id="meta"></table>\n' if meta else "",
         nodes_b64=_pack(nodes_df.to_dict(orient="records")),
         edges_b64=_pack(edges_df.to_dict(orient="records")),
+        meta_b64=_pack(meta),
     )
     with open(out_path, "w", encoding="utf-8") as f:
         f.write(doc)
     return out_path
 
-_META_TEMPLATE_EXTRA = """<!DOCTYPE html>
-<html><head><meta charset="utf-8"><title>{title}</title>
-<style>
- body {{ font-family: sans-serif; margin: 1.5rem; }}
- table {{ border-collapse: collapse; margin: 1rem 0; }}
- td, th {{ border: 1px solid #999; padding: 2px 8px; font-size: 13px; }}
- h2 {{ margin-bottom: 0; }}
-</style></head>
-<body>
-<h1>{title}</h1>
-<p id="summary"></p>
-<h2>Documents</h2><table id="meta"></table>
-<h2>Nodes</h2><table id="nodes"></table>
-<h2>Edges</h2><table id="edges"></table>
-<script src="https://cdn.jsdelivr.net/npm/pako@2/dist/pako.min.js"></script>
-<script>
-const NODES_B64 = "{nodes_b64}";
-const EDGES_B64 = "{edges_b64}";
-const META_B64 = "{meta_b64}";
-function unpack(b64) {{
-  const bin = atob(b64);
-  const arr = Uint8Array.from(bin, c => c.charCodeAt(0));
-  return JSON.parse(new TextDecoder().decode(pako.inflate(arr)));
-}}
-function fill(id, rows) {{
-  const t = document.getElementById(id);
-  if (!rows.length) return;
-  const cols = Object.keys(rows[0]);
-  // textContent only (never innerHTML): labels carry arbitrary corpus text
-  const hr = document.createElement("tr");
-  for (const c of cols) {{ const th = document.createElement("th"); th.textContent = c; hr.appendChild(th); }}
-  t.appendChild(hr);
-  for (const r of rows.slice(0, 2000)) {{
-    const tr = document.createElement("tr");
-    for (const c of cols) {{ const td = document.createElement("td"); td.textContent = String(r[c]); tr.appendChild(td); }}
-    t.appendChild(tr);
-  }}
-}}
-const nodes = unpack(NODES_B64), edges = unpack(EDGES_B64), meta = unpack(META_B64);
-document.getElementById("summary").textContent =
-  meta.length + " documents, " + nodes.length + " nodes, " + edges.length + " edges (first 2000 shown)";
-fill("meta", meta); fill("nodes", nodes); fill("edges", edges);
-</script>
-</body></html>
-"""
+
+def write_graph_html(nodes_df, edges_df, out_path: str, title: str = "graph") -> str:
+    """nodes_df/edges_df: small pandas DataFrames (the aggregated output)."""
+    return _write_viewer(out_path, title, nodes_df, edges_df, [])
 
 
 def write_composite_html(doc_graphs, out_path: str, title: str = "composite graph", doc_shas=None) -> str:
@@ -146,15 +110,7 @@ def write_composite_html(doc_graphs, out_path: str, title: str = "composite grap
         {"index": i, "filename": str(name), "sha256": (doc_shas[i] if doc_shas else "")}
         for i, (name, _n, _e) in enumerate(doc_graphs)
     ]
-    doc = _META_TEMPLATE_EXTRA.format(
-        title=html.escape(title),
-        nodes_b64=_pack(nodes_df.to_dict(orient="records")),
-        edges_b64=_pack(edges_df.to_dict(orient="records")),
-        meta_b64=_pack(meta),
-    )
-    with open(out_path, "w", encoding="utf-8") as f:
-        f.write(doc)
-    return out_path
+    return _write_viewer(out_path, title, nodes_df, edges_df, meta)
 
 
 def unpack_payload(html_text: str, marker: str) -> list:

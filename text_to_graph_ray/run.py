@@ -51,8 +51,6 @@ def main(argv=None) -> int:
     print(json.dumps(counters))
 
     if args.html:
-        import ray.data as rd
-
         from text_to_graph_ray.pipelines.viewer import write_graph_html
 
         nodes = read_parquet_clean(f"{args.out}/nodes").to_pandas()

@@ -1487,6 +1487,45 @@ class TestGiniExact:
         assert int(out["total"][0]) == v * 2000
 
 
+class TestHits:
+    def test_matches_naive_and_l1(self, ray_session):
+        import ray as _ray
+
+        from text_to_graph_ray.functions.graph import hits_scores
+
+        rng = np.random.default_rng(9)
+        edges = sorted({(int(a), int(b)) for a, b in rng.integers(0, 20, size=(60, 2))})
+        nodes = sorted({a for a, _ in edges} | {b for _, b in edges})
+        idx = {v: i for i, v in enumerate(nodes)}
+        n = len(nodes)
+        h = np.full(n, round(1.0 / n, 9))
+        a = None
+        for _ in range(2):
+            ar = np.zeros(n)
+            for s, d in edges:
+                ar[idx[d]] += h[idx[s]]
+            a = np.round(ar / ar.sum(), 9)
+            hr = np.zeros(n)
+            for s, d in edges:
+                hr[idx[s]] += a[idx[d]]
+            h = np.round(hr / hr.sum(), 9)
+        t = pa.table({"src": pa.array([s for s, _ in edges], type=pa.int64()),
+                      "dst": pa.array([d for _, d in edges], type=pa.int64())})
+        got = hits_scores(_ray.data.from_arrow(t).repartition(4), iters=2).to_pandas()
+        assert got["node"].tolist() == nodes
+        assert np.array_equal(got["authority"].to_numpy(), a)
+        assert np.array_equal(got["hub"].to_numpy(), h)
+        assert abs(got["authority"].sum() - 1.0) < 1e-6
+        assert abs(got["hub"].sum() - 1.0) < 1e-6
+
+    def test_empty(self, ray_session):
+        import ray as _ray
+
+        from text_to_graph_ray.functions.graph import hits_scores
+
+        empty = pa.table({"src": pa.array([], type=pa.int64()), "dst": pa.array([], type=pa.int64())})
+        assert hits_scores(_ray.data.from_arrow(empty)).count() == 0
+
 class TestGroupedOls:
     def test_matches_closed_form(self, ray_session):
         import ray as _ray

@@ -261,24 +261,6 @@ def _q_dedup_simhash(sf_dir):
     return simhash_near_dup_pairs(ds, max_hamming=3)
 
 
-def _q_dedup_embedding(sf_dir):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.dedup import embedding_near_dup_pairs
-
-    ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    return embedding_near_dup_pairs(ds, threshold=0.45)
-
-
-def _q_dedup_embedding_lsh(sf_dir):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.dedup import embedding_near_dup_lsh
-
-    ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    return embedding_near_dup_lsh(ds, threshold=0.45, n_planes=4)
-
-
 def _q_dedup_survivors(sf_dir):
     import ray.data as rd
 
@@ -330,17 +312,6 @@ def _q_text_vocab_by_lang(sf_dir):
 
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
     return grouped_vocab_topk(ds, "lang", k=5)
-
-
-def _q_emb_quantize_profile(sf_dir):
-    """Int8 scalar-quantization profile of the embedding corpus (per-dim
-    min/max scaling — the 4x vector-compression prep for ANN): two passes,
-    dims-sized exchanges only, quantize expression mirrored op-for-op in
-    SQL (floor, not round — identical IEEE semantics), integer sums."""
-    from text_to_graph_ray.functions.embeddings import quantize_int8_profile
-
-    ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    return quantize_int8_profile(ds)
 
 
 def _q_docs_budget_select(sf_dir):
@@ -446,50 +417,6 @@ def _q_dedup_cross_corpus(sf_dir):
         batch_format="pyarrow",
     )
     return minhash_cross_pairs(ev, tr, threshold=0.5)
-
-
-def _q_emb_knn_classify(sf_dir):
-    """kNN majority-vote label assignment over the embedding table (the
-    label-propagation building block of a quality-classifier pipeline):
-    the hash-green brute-force cosine top-10 per query (vec_id < 8),
-    labels attached via joins.lookup_join, majority vote with (votes DESC,
-    label ASC) tie-break. The vote table is answer-sized (8 x <=10 rows),
-    so the final pick runs in one task."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from text_to_graph_ray.functions.ann import brute_force_topk, queries_from_dataset
-    from text_to_graph_ray.functions.joins import lookup_join
-    from text_to_graph_ray.util import read_parquet_clean
-
-    emb = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding", "label"])
-    q_ids, q_vecs = queries_from_dataset(emb, n_queries=8)
-    topk = brute_force_topk(emb, q_ids, q_vecs, k=10)
-    labels = emb.map_batches(
-        lambda b: pa.table({"vec_id": b.column("vec_id"),
-                            "label": pc.cast(b.column("label"), pa.int64())}),
-        batch_format="pyarrow",
-    )
-    joined = lookup_join(topk.select_columns(["query_id", "vec_id"]), labels, key="vec_id", cols=["label"])
-
-    out_schema = pa.schema([("query_id", pa.int64()), ("label", pa.int64()), ("votes", pa.int64())])
-
-    def vote(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        if b.num_rows == 0:
-            return out_schema.empty_table()
-        g = pd.DataFrame({
-            "query_id": b.column("query_id").to_pylist(),
-            "label": b.column("label").to_pylist(),
-        }).groupby(["query_id", "label"], sort=False).size().reset_index(name="votes")
-        g = g.sort_values(["query_id", "votes", "label"], ascending=[True, False, True])
-        g = g.groupby("query_id", as_index=False).first()
-        return pa.table({f.name: pa.array(g[f.name].to_numpy(dtype=np.int64), type=f.type)
-                         for f in out_schema}, schema=out_schema)
-
-    return joined.repartition(1).map_batches(vote, batch_format="pyarrow", batch_size=None)
 
 
 def _q_text_lexical(sf_dir):
@@ -663,55 +590,6 @@ def _q_text_fingerprint(sf_dir):
     return ds.map_batches(add_fingerprint, batch_format="pyarrow")
 
 
-def _q_ann_topk(sf_dir):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.ann import brute_force_topk, queries_from_dataset
-
-    ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    q_ids, q_vecs = queries_from_dataset(ds, n_queries=8)
-    return brute_force_topk(ds, q_ids, q_vecs, k=10)
-
-
-def _q_ann_lsh(sf_dir):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.ann import lsh_topk, queries_from_dataset
-
-    ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    q_ids, q_vecs = queries_from_dataset(ds, n_queries=8)
-    return lsh_topk(ds, q_ids, q_vecs, k=10, n_planes=6)
-
-
-def _q_ann_ivf_recall(sf_dir):
-    """recall@10 of the IVF scale path against brute-force ground truth —
-    the approximation-quality gate for the bucketed ANN plan. Both sides
-    are answer-sized top-k tables; recall is one integer ratio + round(6),
-    and the oracle intersects the independent expected-IVF table with the
-    exact SQL top-k."""
-    from text_to_graph_ray.functions.ann import (
-        brute_force_topk,
-        ivf_topk,
-        queries_from_dataset,
-        topk_recall,
-    )
-
-    ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    q_ids, q_vecs = queries_from_dataset(ds, n_queries=8)
-    approx = ivf_topk(ds, q_ids, q_vecs, k=10)
-    exact = brute_force_topk(ds, q_ids, q_vecs, k=10)
-    return topk_recall(approx, exact, k=10)
-
-
-def _q_emb_label_centroids(sf_dir):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.embeddings import label_centroids
-
-    ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"])
-    return label_centroids(ds)
-
-
 def _q_docs_topk_per_source(sf_dir):
     """Top-3 documents per source by n_chars (per-group top-k with a
     per-batch combiner prune, ``functions/agg.topk_per_group``) vs a SQL
@@ -770,16 +648,6 @@ def _q_docs_source_stats(sf_dir):
         return df[["source", "lang", "n_docs", "total_chars", "avg_chars"]]
 
     return agg.map_batches(finish, batch_format="pandas").sort(["source", "lang"])
-
-
-def _q_ann_ivf(sf_dir):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.ann import ivf_topk, queries_from_dataset
-
-    ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    q_ids, q_vecs = queries_from_dataset(ds, n_queries=8)
-    return ivf_topk(ds, q_ids, q_vecs, k=10)
 
 
 def _q_stats_kmv_distinct(sf_dir):
@@ -960,82 +828,10 @@ def _q_kg_relabeled(sf_dir):
     return out.groupby("pred").aggregate(Count(alias_name="n")).sort("pred")
 
 
-def _q_mm_resize(sf_dir):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.multimodal import ResizeImage, media_table_from_documents
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    media = docs.map_batches(media_table_from_documents, batch_format="pyarrow")
-    return media.map_batches(
-        ResizeImage, batch_format="pyarrow", batch_size=64, concurrency=(1, 2)
-    ).sort("media_id")
-
-
 def _q_pipeline_clean_corpus(sf_dir):
     from text_to_graph_ray.pipelines.curation import clean_corpus_survivors
 
     return clean_corpus_survivors(sf_dir)
-
-
-def _q_mm_frames(sf_dir):
-    """Video frame-sampling stage (every stride-th frame index, no decode)
-    made driver-visible: media rows -> FrameSampler actor pool -> vectorized
-    per-video summary, vs an independent naive reimplementation."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from text_to_graph_ray.functions.multimodal import FrameSampler, media_table_from_documents
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    media = docs.map_batches(media_table_from_documents, batch_format="pyarrow")
-    videos = media.map_batches(
-        lambda b: b.filter(pc.equal(b.column("kind"), "video")), batch_format="pyarrow"
-    )
-    sampled = videos.map_batches(FrameSampler, batch_format="pyarrow", batch_size=64, concurrency=(1, 2))
-
-    def summarize(b: pa.Table) -> pa.Table:
-        lst = b.column("sampled_frames").combine_chunks()
-        n_sampled = pc.list_value_length(lst).to_numpy(zero_copy_only=False).astype("int64")
-        flat = pc.list_flatten(lst).to_numpy(zero_copy_only=False).astype("int64")
-        ends = n_sampled.cumsum()
-        csum = np.concatenate(([0], flat.cumsum()))
-        sums = csum[ends] - csum[np.concatenate(([0], ends[:-1]))]
-        return pa.table(
-            {
-                "media_id": b.column("media_id"),
-                "n_frames": b.column("n_frames"),
-                "n_sampled": pa.array(n_sampled, type=pa.int64()),
-                "frames_sum": pa.array(sums, type=pa.int64()),
-            }
-        )
-
-    return sampled.map_batches(summarize, batch_format="pyarrow")
-
-
-def _q_mm_decode(sf_dir):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.multimodal import decode_stats, media_table_from_documents
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    media = docs.map_batches(media_table_from_documents, batch_format="pyarrow")
-    return decode_stats(media)
-
-
-def _q_mm_features(sf_dir):
-    """Image feature-extraction stage (2x2 quadrant-pooled means + global
-    std) over the media stream's image partition — actor pool, flat float
-    columns, vs an independent naive reimplementation
-    (expected.naive_mm_features)."""
-    from text_to_graph_ray.functions.multimodal import ExtractImageFeatures, media_table_from_documents
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    media = docs.map_batches(media_table_from_documents, batch_format="pyarrow")
-    return media.map_batches(
-        ExtractImageFeatures, batch_format="pyarrow", batch_size=64, concurrency=(1, 2)
-    ).sort("media_id")
 
 
 def _q_text_tfidf_topk(sf_dir):
@@ -1158,18 +954,6 @@ def _q_stats_moments_by_flag(sf_dir):
 
     li = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_returnflag", "l_quantity"])
     return grouped_moments_int(li, "l_returnflag", "l_quantity")
-
-
-def _q_emb_outliers(sf_dir):
-    """Cluster-cohesion embedding outliers (z = 2 below the cluster's mean
-    centroid-cosine): per-cluster integer sufficient sums collapse the
-    z-test to ONE isqrt-derived int boundary per cluster, so both passes
-    stay vectorized and overflow-free at any corpus size. Oracle:
-    independent naive mirror (expected.py)."""
-    from text_to_graph_ray.functions.ann import kmeans_outliers
-
-    ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    return kmeans_outliers(ds)
 
 
 def _q_kg_degree_distribution(sf_dir):
@@ -1401,17 +1185,6 @@ def _q_kg_metapath_counts(sf_dir):
         "src_key", {"n_paths": ("hop", "size")}, out_schema=out_schema, in_schema=in_schema,
     )
     return sort_coalesced(agg, "src_key")
-
-
-def _q_emb_kmeans(sf_dir):
-    """Deterministic k-means clustering profile over the embedding corpus
-    (cluster sizes + int64-quantized cohesion sums): bounded training
-    sample, broadcast centroids, per-batch bincount partials, driver folds
-    #blocks·k ints. Oracle: independent naive Lloyd mirror (expected.py)."""
-    from text_to_graph_ray.functions.ann import kmeans_profile
-
-    ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    return kmeans_profile(ds)
 
 
 def _q_docs_naive_bayes(sf_dir):
@@ -1650,18 +1423,6 @@ def _q_text_bpe_encode(sf_dir):
     return bpe_encode_counts(docs, merges)
 
 
-def _q_emb_gram_matrix(sf_dir):
-    """Distributed Gram-matrix accumulation (PCA/whitening prep): per-batch
-    dim x dim int64 partials, answer-sized exchange; every cell exact —
-    per-row products quantized half-up before summing so numpy and DuckDB
-    agree bit-for-bit."""
-    from text_to_graph_ray.functions.stats import gram_matrix
-    from text_to_graph_ray.util import read_parquet_clean
-
-    emb = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["embedding"])
-    return gram_matrix(emb)
-
-
 def _q_docs_langid_kappa(sf_dir):
     """Cohen's kappa between the n-gram lang-id heuristic and the corpus's
     reference lang labels — the eval-agreement gate you run before letting
@@ -1748,19 +1509,6 @@ def _q_text_bm25_topk(sf_dir):
     return bm25_topk(ds, ["table", "query", "fast", "stream"], k=10)
 
 
-def _q_emb_pca_project(sf_dir):
-    """PCA projection onto the top-2 uncentered principal directions —
-    gram_matrix's answer-sized exchange feeds a driver-side eigh (the
-    eigensolver contract), then one embarrassingly-parallel int64-exact
-    projection pass; every quantized coordinate matches the independent
-    naive oracle bit-for-bit."""
-    from text_to_graph_ray.functions.stats import pca_project
-    from text_to_graph_ray.util import read_parquet_clean
-
-    emb = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    return pca_project(emb, n_components=2)
-
-
 def _q_docs_mixture_temperature(sf_dir):
     """Temperature-scaled (alpha=0.5) mixture apportionment — sqrt weights
     int64-quantized before the largest-remainder split, so every per-source
@@ -1770,17 +1518,6 @@ def _q_docs_mixture_temperature(sf_dir):
 
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["source", "text"])
     return mixture_plan(docs, budget_tokens=1_000_000, by="source", temperature=True)
-
-
-def _q_dedup_semdedup(sf_dir):
-    """SemDeDup cluster-scoped semantic dedup — every (vec_id, cluster,
-    kept) row cross-checked against the independent naive k-means +
-    within-cluster min-id domination oracle."""
-    from text_to_graph_ray.functions.dedup import semdedup
-    from text_to_graph_ray.util import read_parquet_clean
-
-    emb = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    return semdedup(emb, tau=0.45, n_centroids=8)
 
 
 def _q_text_bpe_merges(sf_dir):
@@ -1825,22 +1562,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_relabeled": _q_kg_relabeled,
         "kg_fixture_triples": _q_kg_fixture_triples,
         "kg_fixture_nodes": _q_kg_fixture_nodes,
-        "emb_outliers": _q_emb_outliers,
         "docs_naive_bayes": _q_docs_naive_bayes,
-        "emb_kmeans": _q_emb_kmeans,
         "docs_lm_terciles": _q_docs_lm_terciles,
         "docs_langid_kappa": _q_docs_langid_kappa,
         "docs_langid_report": _q_docs_langid_report,
-        "ann_ivf_recall": _q_ann_ivf_recall,
         "text_pmi_topk": _q_text_pmi_topk,
         "docs_holdout_split": _q_docs_holdout_split,
         "text_gopher_rules": _q_text_gopher_rules,
         "text_bm25_topk": _q_text_bm25_topk,
-        "emb_pca_project": _q_emb_pca_project,
         "text_bpe_merges": _q_text_bpe_merges,
-        "dedup_semdedup": _q_dedup_semdedup,
         "docs_mixture_temperature": _q_docs_mixture_temperature,
-        "emb_gram_matrix": _q_emb_gram_matrix,
         "text_bpe_encode": _q_text_bpe_encode,
         "docs_shuffle_shards": _q_docs_shuffle_shards,
         "docs_mixture_plan": _q_docs_mixture_plan,
@@ -1848,7 +1579,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "text_lm_score": _q_text_lm_score,
         "docs_length_band": _q_docs_length_band,
         "dedup_cross_corpus": _q_dedup_cross_corpus,
-        "emb_knn_classify": _q_emb_knn_classify,
         "text_lexical": _q_text_lexical,
         "docs_parquet_profile": _q_docs_parquet_profile,
         "pipeline_curation_full": _q_pipeline_curation_full,
@@ -1868,10 +1598,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pipeline_clean_corpus": _q_pipeline_clean_corpus,
         "docs_budget_select": _q_docs_budget_select,
         "docs_quota_sample": _q_docs_quota_sample,
-        "mm_decode": _q_mm_decode,
-        "mm_resize": _q_mm_resize,
-        "mm_frames": _q_mm_frames,
-        "mm_features": _q_mm_features,
         "docs_distinct_pairs": _q_docs_distinct_pairs,
         "stats_value_histogram": _q_stats_value_histogram,
         "stats_grouped_quantiles": _q_stats_grouped_quantiles,
@@ -1882,7 +1608,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "stats_quantiles_cont": _q_stats_quantiles_cont,
         "docs_weighted_sample": _q_docs_weighted_sample,
         "docs_hash_split": _q_docs_hash_split,
-        "emb_quantize_profile": _q_emb_quantize_profile,
         "dedup_exact": _q_dedup_exact,
         "dedup_minhash": _q_dedup_minhash,
         "dedup_minhash_sigjoin": _q_dedup_minhash_sigjoin,
@@ -1890,8 +1615,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dedup_survivors": _q_dedup_survivors,
         "dedup_best_survivors": _q_dedup_best_survivors,
         "text_redact_pii": _q_text_redact_pii,
-        "dedup_embedding": _q_dedup_embedding,
-        "dedup_embedding_lsh": _q_dedup_embedding_lsh,
         "text_stats": _q_text_stats,
         "text_tokens": _q_text_tokens,
         "text_vocab_topk": _q_text_vocab_topk,
@@ -1903,10 +1626,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "text_langid": _q_text_langid,
         "text_quality": _q_text_quality,
         "text_fingerprint": _q_text_fingerprint,
-        "ann_topk": _q_ann_topk,
-        "ann_lsh": _q_ann_lsh,
-        "ann_ivf": _q_ann_ivf,
-        "emb_label_centroids": _q_emb_label_centroids,
         "docs_source_stats": _q_docs_source_stats,
         "docs_topk_per_source": _q_docs_topk_per_source,
         "stats_quantiles": _q_stats_quantiles,
@@ -2016,29 +1735,13 @@ def oracle_sql() -> dict[str, str]:
             "SELECT doc_id, score FROM sc WHERE hits > 0 ORDER BY score DESC, doc_id LIMIT 10"
         ),
         # --- naive-reference oracles (expected.py) ---
-        "emb_pca_project": (
-            f"SELECT vec_id, pc0, pc1 FROM read_parquet('{e}/expected_pca.parquet') ORDER BY vec_id"
-        ),
         "text_bpe_merges": (
             f"SELECT rank, \"left\", \"right\", pair_count "
             f"FROM read_parquet('{e}/expected_bpe_merges.parquet') ORDER BY rank"
         ),
-        "dedup_semdedup": (
-            f"SELECT vec_id, cluster, kept FROM read_parquet('{e}/expected_semdedup.parquet') ORDER BY vec_id"
-        ),
         "text_bpe_encode": (
             f"SELECT doc_id, n_words, n_subwords "
             f"FROM read_parquet('{e}/expected_bpe_doclens.parquet') ORDER BY doc_id"
-        ),
-        "emb_gram_matrix": (
-            # per-row products quantized half-up BEFORE the sum: float32 ->
-            # double widening is exact and the double multiply is one IEEE op,
-            # so numpy and DuckDB produce the identical int64 cell
-            "WITH e AS (SELECT vec_id, generate_subscripts(embedding, 1) - 1 AS idx, "
-            "unnest(embedding) AS a FROM embeddings) "
-            "SELECT e1.idx::BIGINT AS i, e2.idx::BIGINT AS j, "
-            "SUM(CAST(floor(CAST(e1.a AS DOUBLE) * CAST(e2.a AS DOUBLE) * 1000000 + 0.5) AS BIGINT))::BIGINT AS g "
-            "FROM e e1 JOIN e e2 USING (vec_id) GROUP BY 1, 2 ORDER BY 1, 2"
         ),
         "docs_mixture_temperature": (
             # alpha=0.5 temperature weights, int64-quantized (IEEE sqrt is
@@ -2065,7 +1768,6 @@ def oracle_sql() -> dict[str, str]:
         # (verified_near_dup_pairs prunes at threshold-0.2 before exact verify)
         # so a >3-sigma estimator miss can't turn the oracle red by design
         "dedup_ngram_verified": f"SELECT a, b, est_jaccard, jaccard FROM read_parquet('{e}/expected_ngram_pairs.parquet') WHERE jaccard >= 0.4 AND est_jaccard >= 0.2",
-        "dedup_embedding_lsh": f"SELECT a, b, sim FROM read_parquet('{e}/expected_emb_lsh_pairs.parquet')",
         "dedup_survivors": f"SELECT doc_id FROM read_parquet('{e}/expected_survivors.parquet')",
         "dedup_best_survivors": f"SELECT doc_id FROM read_parquet('{e}/expected_best_survivors.parquet')",
         # same RE2 engine on both sides; counts on the progressively-redacted
@@ -2087,24 +1789,6 @@ def oracle_sql() -> dict[str, str]:
         "pipeline_pretraining": f"SELECT doc_id FROM read_parquet('{e}/expected_clean2.parquet')",
         "pipeline_curation_full": (
             f"SELECT doc_id, quality, n_tokens, cum_tokens FROM read_parquet('{e}/expected_clean3.parquet')"
-        ),
-        "ann_lsh": f"SELECT query_id, rank, vec_id, sim FROM read_parquet('{e}/expected_ann_lsh.parquet')",
-        "ann_ivf": f"SELECT query_id, rank, vec_id, sim FROM read_parquet('{e}/expected_ann_ivf.parquet')",
-        "ann_ivf_recall": (
-            # exact ground truth recomputed in SQL (the ann_topk contract),
-            # intersected with the independent expected-IVF table; recall is
-            # one integer ratio cast to DOUBLE + round(6), engine-mirrored
-            "WITH exact AS (SELECT q.vec_id AS query_id, e.vec_id AS vec_id, "
-            "row_number() OVER (PARTITION BY q.vec_id ORDER BY "
-            "round(list_cosine_similarity(q.embedding::DOUBLE[], e.embedding::DOUBLE[]), 6) DESC, e.vec_id) AS rank "
-            "FROM embeddings e, embeddings q WHERE q.vec_id < 8 QUALIFY rank <= 10), "
-            f"approx AS (SELECT query_id, vec_id FROM read_parquet('{e}/expected_ann_ivf.parquet')), "
-            "h AS (SELECT a.query_id, count(*)::BIGINT AS hits FROM approx a "
-            "JOIN exact x ON a.query_id = x.query_id AND a.vec_id = x.vec_id GROUP BY 1) "
-            "SELECT q.query_id, coalesce(h.hits, 0)::BIGINT AS hits, "
-            "round(CAST(coalesce(h.hits, 0) AS DOUBLE) / CAST(10 AS DOUBLE), 6) AS recall "
-            "FROM (SELECT DISTINCT query_id FROM approx) q LEFT JOIN h USING (query_id) "
-            "ORDER BY q.query_id"
         ),
         "text_pmi_topk": (
             # tokenization mirrors python str.split (the text_vocab_topk
@@ -2165,23 +1849,7 @@ def oracle_sql() -> dict[str, str]:
         ),
         "text_quality": f"SELECT doc_id, mean_tok_len, stop_ratio, alpha_ratio, quality FROM read_parquet('{e}/expected_text.parquet')",
         "text_fingerprint": f"SELECT doc_id, fingerprint FROM read_parquet('{e}/expected_text.parquet')",
-        "mm_decode": (
-            f"SELECT media_id, kind, width, height, sample_rate, n_frames, feat_mean, feat_std "
-            f"FROM read_parquet('{e}/expected_mm.parquet')"
-        ),
         # --- generator-derived kg oracles (synth.py) ---
-        "mm_resize": (
-            f"SELECT media_id, kind, out_w, out_h, resized_mean "
-            f"FROM read_parquet('{e}/expected_mm_resize.parquet')"
-        ),
-        "mm_frames": (
-            f"SELECT media_id, n_frames, n_sampled, frames_sum "
-            f"FROM read_parquet('{e}/expected_mm_frames.parquet')"
-        ),
-        "mm_features": (
-            f"SELECT media_id, f00, f01, f10, f11, fstd "
-            f"FROM read_parquet('{e}/expected_mm_features.parquet')"
-        ),
         "kg_chunks": f"SELECT repo, path, n_chunks, n_tokens FROM read_parquet('{d}/expected_chunks.parquet')",
         "kg_run_checkpointed": f"SELECT run, parts_total, parts_skipped, parts_computed, nodes, edges FROM read_parquet('{d}/expected_run.parquet')",
         # --- hand-written oracles (fixtures.py / expected.py REPLY_CASES) ---
@@ -2193,12 +1861,7 @@ def oracle_sql() -> dict[str, str]:
             f"SELECT CASE pred WHEN 'calls' THEN 'invokes' WHEN 'imports' THEN 'uses' ELSE pred END AS pred, "
             f"count(*)::BIGINT AS n FROM read_parquet('{exp_linked}') GROUP BY 1 ORDER BY pred"
         ),
-        # --- embedding / corpus-catalog aggregates (pure-SQL oracles) ---
-        "emb_label_centroids": (
-            "SELECT label::BIGINT AS label, r AS dim, round(avg(embedding[r + 1]), 4) AS mean_val "
-            "FROM embeddings, (SELECT unnest(range(64)) AS r) "
-            "GROUP BY label, r ORDER BY label, dim"
-        ),
+        # --- corpus-catalog aggregates (pure-SQL oracles) ---
         "docs_source_stats": (
             "SELECT source, lang, count(*)::BIGINT AS n_docs, sum(n_chars)::BIGINT AS total_chars, "
             "round(sum(n_chars) / count(*), 4) AS avg_chars "
@@ -2348,12 +2011,6 @@ def oracle_sql() -> dict[str, str]:
         "kg_edge_labels": f"SELECT pred, count(*)::BIGINT AS n FROM read_parquet('{exp_linked}') GROUP BY pred ORDER BY pred",
         "kg_sha256": f"SELECT repo, path, sha256(content) AS content_sha256 FROM read_parquet('{repo_files}')",
         "dedup_exact": "SELECT min(doc_id) AS doc_id FROM documents GROUP BY text ORDER BY doc_id",
-        "dedup_embedding": (
-            "SELECT a.vec_id AS a, b.vec_id AS b, "
-            "round(list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[]), 6) AS sim "
-            "FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id "
-            "WHERE list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[]) >= 0.45"
-        ),
         "text_stats": (
             "SELECT doc_id, length(text)::BIGINT AS n_chars, "
             "CASE WHEN trim(text) = '' THEN 0 ELSE len(regexp_split_to_array(trim(text), '\\s+')) END::BIGINT AS n_tokens, "
@@ -2365,14 +2022,6 @@ def oracle_sql() -> dict[str, str]:
             "CASE WHEN trim(text) = '' THEN 0 ELSE len(regexp_split_to_array(trim(text), '\\s+')) END::BIGINT AS n_ws_tokens, "
             "len(regexp_extract_all(text, ' ?[a-zA-Z]+| ?[0-9]+| ?[^ a-zA-Z0-9]+'))::BIGINT AS n_bpe_tokens "
             "FROM documents"
-        ),
-        "ann_topk": (
-            "SELECT q.vec_id AS query_id, "
-            "row_number() OVER (PARTITION BY q.vec_id ORDER BY "
-            "round(list_cosine_similarity(q.embedding::DOUBLE[], e.embedding::DOUBLE[]), 6) DESC, e.vec_id) AS rank, "
-            "e.vec_id AS vec_id, "
-            "round(list_cosine_similarity(q.embedding::DOUBLE[], e.embedding::DOUBLE[]), 6) AS sim "
-            "FROM embeddings e, embeddings q WHERE q.vec_id < 8 QUALIFY rank <= 10"
         ),
         "stats_value_histogram": (
             # the engine's bin rule IEEE-op-for-op: w = (max-min)/16.0;
@@ -2496,15 +2145,6 @@ def oracle_sql() -> dict[str, str]:
             f"ON d.dst_key = c.src_key AND d.pred = 'defines' AND c.pred = 'calls' "
             f"GROUP BY d.src_key ORDER BY d.src_key"
         ),
-        "emb_kmeans": (
-            # independent naive Lloyd mirror (expected.py)
-            f"SELECT list_id, n_vecs, simq_sum FROM read_parquet('{e}/expected_kmeans.parquet') ORDER BY list_id"
-        ),
-        "emb_outliers": (
-            # independent naive mirror (expected.py: same Lloyd spec + exact
-            # integer z-boundary per cluster)
-            f"SELECT vec_id, list_id, simq FROM read_parquet('{e}/expected_kmeans_outliers.parquet') ORDER BY vec_id"
-        ),
         "kg_repo_triples": (
             # provenance explode over the expected linked triples
             f"SELECT u.repo, count(*)::BIGINT AS n_triples FROM ("
@@ -2545,19 +2185,6 @@ def oracle_sql() -> dict[str, str]:
             "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW)::BIGINT AS cum_tokens FROM t) "
             "SELECT doc_id, quality, n_tokens, cum_tokens FROM c "
             "WHERE cum_tokens <= (SELECT sum(n_tokens) FROM t) // 3 ORDER BY quality DESC, doc_id"
-        ),
-        "emb_quantize_profile": (
-            # float32 widened to double (exact); q = floor((v-lo)*255/(hi-lo))
-            # clamped — the same three IEEE ops in the same order as the engine
-            "WITH v AS (SELECT CAST(embedding[d + 1] AS DOUBLE) AS val, CAST(d AS BIGINT) AS dim "
-            "FROM (SELECT embedding, unnest(generate_series(0, len(embedding) - 1)) AS d FROM embeddings)), "
-            "b AS (SELECT dim, min(val) AS lo, max(val) AS hi FROM v GROUP BY dim), "
-            "q AS (SELECT v.dim, CASE WHEN hi = lo THEN 0 ELSE "
-            "CAST(LEAST(GREATEST(floor((val - lo) * 255 / (hi - lo)), 0), 255) AS BIGINT) END AS qv "
-            "FROM v JOIN b USING (dim)) "
-            "SELECT q.dim, any_value(b.lo) AS lo, any_value(b.hi) AS hi, "
-            "count(*)::BIGINT AS n, sum(qv)::BIGINT AS sum_q "
-            "FROM q JOIN b USING (dim) GROUP BY q.dim ORDER BY q.dim"
         ),
         "text_vocab_by_lang": (
             # token filter mirrors python str.split (see text_vocab_topk)
@@ -2619,20 +2246,6 @@ def oracle_sql() -> dict[str, str]:
         "dedup_cross_corpus": (
             f"SELECT a, b, est_jaccard FROM read_parquet('{e}/expected_cross_pairs.parquet') "
             "WHERE est_jaccard >= 0.5"
-        ),
-        "emb_knn_classify": (
-            # same top-10 contract as the hash-green ann_topk oracle, then a
-            # majority vote with (votes DESC, label ASC) tie-break
-            "WITH topk AS MATERIALIZED ("
-            " SELECT q.vec_id AS query_id, e.vec_id AS vec_id, "
-            " row_number() OVER (PARTITION BY q.vec_id ORDER BY "
-            " round(list_cosine_similarity(q.embedding::DOUBLE[], e.embedding::DOUBLE[]), 6) DESC, e.vec_id) AS rank "
-            " FROM embeddings e, embeddings q WHERE q.vec_id < 8 QUALIFY rank <= 10), "
-            "v AS (SELECT t.query_id, e.label::BIGINT AS label, count(*)::BIGINT AS votes "
-            "FROM topk t JOIN embeddings e USING (vec_id) GROUP BY 1, 2) "
-            "SELECT query_id, label, votes FROM v "
-            "QUALIFY row_number() OVER (PARTITION BY query_id ORDER BY votes DESC, label) = 1 "
-            "ORDER BY query_id"
         ),
         "text_lexical": (
             # n_tokens / n_types / ttr are REAL SQL over the established

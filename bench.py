@@ -61,8 +61,6 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
 
     # secondary pipelines
     read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"]).count()
-    read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id"]).count()
-    from text_to_graph_ray.functions.ann import brute_force_topk, queries_from_dataset
     from text_to_graph_ray.functions.dedup import minhash_near_dup_pairs
     from text_to_graph_ray.functions.text import text_stats
 
@@ -75,12 +73,6 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     docs.map_batches(text_stats, batch_format="pyarrow").count()
     times["text_stats"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    emb = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    q_ids, q_vecs = queries_from_dataset(emb, n_queries=8)
-    brute_force_topk(emb, q_ids, q_vecs, k=10).count()
-    times["ann_topk"] = round(time.monotonic() - t0, 3)
 
     from text_to_graph_ray.functions.dedup import near_dup_survivors
 
@@ -144,28 +136,19 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     times["text_lm_score"] = round(time.monotonic() - t0, 3)
 
     t0 = time.monotonic()
-    _e._q_emb_knn_classify(sf_dir).count()
-    times["emb_knn_classify"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
     _e._q_dedup_cross_corpus(sf_dir).count()
     times["dedup_cross_corpus"] = round(time.monotonic() - t0, 3)
 
-    # BPE tokenizer training, SemDeDup and the temperature mixture plan
+    # BPE tokenizer training and the temperature mixture plan
     t0 = time.monotonic()
     _e._q_text_bpe_merges(sf_dir).count()
     times["text_bpe_merges"] = round(time.monotonic() - t0, 3)
 
     t0 = time.monotonic()
-    _e._q_dedup_semdedup(sf_dir).count()
-    times["dedup_semdedup"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
     _e._q_docs_mixture_temperature(sf_dir).count()
     times["docs_mixture_temperature"] = round(time.monotonic() - t0, 3)
 
-    # BPE apply, the Gopher rule gate, BM25 retrieval and the exact PCA
-    # projection
+    # BPE apply, the Gopher rule gate and BM25 retrieval
     t0 = time.monotonic()
     _e._q_text_bpe_encode(sf_dir).count()
     times["text_bpe_encode"] = round(time.monotonic() - t0, 3)
@@ -178,18 +161,10 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     _e._q_text_bm25_topk(sf_dir).count()
     times["text_bm25_topk"] = round(time.monotonic() - t0, 3)
 
-    t0 = time.monotonic()
-    _e._q_emb_pca_project(sf_dir).count()
-    times["emb_pca_project"] = round(time.monotonic() - t0, 3)
-
-    # NB classifier train/classify and the k-means clustering profile
+    # NB classifier train/classify
     t0 = time.monotonic()
     _e._q_docs_naive_bayes(sf_dir).count()
     times["docs_naive_bayes"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    _e._q_emb_kmeans(sf_dir).count()
-    times["emb_kmeans"] = round(time.monotonic() - t0, 3)
 
     return times["kg_pipeline"], times, extras
 

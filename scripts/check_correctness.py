@@ -14,7 +14,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-TABLES = ["region", "nation", "customer", "supplier", "part", "orders", "lineitem", "events", "documents", "embeddings"]
+TABLES = ["lineitem", "events", "documents"]
 
 
 def to_pandas(res):

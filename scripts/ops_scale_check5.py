@@ -7,9 +7,6 @@ Covers:
   pass is one word-count exchange; both the driver merge loop and the
   distributed merge loop (word_collect_max=0, 40 vocab-sized exchanges)
   are timed and must agree.
-- semdedup at 500k x 64-dim embeddings / 512 centroids: cluster sizes
-  ~1k, so the within-cluster quadratic is ~1M sims per cluster — the
-  clustering is what makes 500k^2 tractable.
 - mixture_plan(temperature=True) at 400k docs / 200 sources.
 """
 
@@ -79,35 +76,7 @@ def main():
     log(f"bpe_train 400k docs/~48M tokens/50k vocab: driver plan {w_drv:.1f}s, "
         f"distributed plan {w_dist:.1f}s (40 merges, plans identical)")
 
-    # --- 2. semdedup at 500k x 64 dims -------------------------------------
-    from text_to_graph_ray.functions.dedup import semdedup
-
-    N_VEC, DIM = 500_000, 64
-
-    def vec_chunk(a, b):
-        ids = np.arange(a, b, dtype=np.int64)
-        rng = np.random.default_rng(a)  # chunk-deterministic
-        v = rng.standard_normal((len(ids), DIM)).astype(np.float32)
-        # plant near-dups: every 1000th vector duplicates its predecessor
-        dup = (ids % 1000 == 0) & (ids > 0)
-        if dup.any():
-            v[dup] = v[np.where(dup)[0] - 1] + 1e-4
-        return pa.table({"vec_id": pa.array(ids, type=pa.int64()),
-                         "embedding": pa.array([r.tolist() for r in v], type=pa.list_(pa.float32()))})
-
-    emb = gen_range(N_VEC, 64, vec_chunk).materialize()
-    t0 = time.monotonic()
-    out = semdedup(emb, tau=0.99, n_centroids=512, cluster_rows_max=200_000)
-    n_removed = out.map_batches(
-        lambda t: pa.table({"r": pa.array([int((~t.column("kept").to_numpy(zero_copy_only=False)).sum())])}),
-        batch_format="pyarrow",
-    ).sum("r")
-    w = time.monotonic() - t0
-    log(f"semdedup 500k x 64d / 512 clusters: {w:.1f}s ({n_removed} removed; "
-        f"planted near-dup pairs only collapse when both land in one cluster — scoping is the design trade)")
-    assert n_removed > 0
-
-    # --- 3. temperature mixture at 400k docs / 200 sources ------------------
+    # --- 2. temperature mixture at 400k docs / 200 sources ------------------
     from text_to_graph_ray.functions.sample import mixture_plan
 
     def src_chunk(a, b):

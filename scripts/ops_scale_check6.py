@@ -10,8 +10,6 @@ Covers:
 - gopher_rules at 1.6M docs: zero exchanges, one vectorized pass.
 - bm25_topk at 400k docs / 4 terms: stats pass + score pass, both
   streamed; only (T+2)-scalar partials and k-row combiner outputs move.
-- pca_project at 500k x 64-dim embeddings: one Gram exchange (dim^2
-  rows), driver eigh, one int64-exact projection pass.
 """
 
 from __future__ import annotations
@@ -73,7 +71,6 @@ def main():
     DataContext.get_current().enable_progress_bars = False
 
     from text_to_graph_ray.functions.bpe import bpe_encode_counts, bpe_train
-    from text_to_graph_ray.functions.stats import pca_project
     from text_to_graph_ray.functions.text import bm25_topk, gopher_rules
 
     # --- 1. BPE encode at 400k docs ----------------------------------------
@@ -105,27 +102,6 @@ def main():
     w = time.monotonic() - t0
     assert len(top) == 10 and top["score"].is_monotonic_decreasing
     log(f"bm25_topk 400k docs / 4 terms: {w:.1f}s (top score {top['score'].iloc[0]:.3f})")
-
-    # --- 4. pca_project at 500k x 64 ----------------------------------------
-    DIM = 64
-
-    def vec_chunk(a, b):
-        ids = np.arange(a, b, dtype=np.int64)
-        rng = np.random.default_rng(a)
-        v = rng.standard_normal((len(ids), DIM)).astype(np.float32)
-        v[:, 0] *= 4.0  # dominant axis so pc0 >> pc1 is checkable
-        return pa.table({"vec_id": pa.array(ids, type=pa.int64()),
-                         "embedding": pa.array([r.tolist() for r in v], type=pa.list_(pa.float32()))})
-
-    emb = gen_range(500_000, 64, vec_chunk).materialize()
-    t0 = time.monotonic()
-    proj = pca_project(emb, n_components=2).materialize()
-    w = time.monotonic() - t0
-    assert proj.count() == 500_000
-    df = proj.limit(50_000).to_pandas()
-    assert df["pc0"].astype(float).var() > 2.0 * df["pc1"].astype(float).var()
-    log(f"pca_project 500k x 64d: {w:.1f}s (Gram exchange {DIM * DIM} rows, "
-        f"driver eigh, int64-exact projection)")
 
     ray.shutdown()
 

@@ -6,8 +6,6 @@ Covers:
 - naive_bayes_classify at 400k docs / 5 synthetic classes: model stays
   distributed (pair combiner -> token pivot), classification is one
   lookup_join + doc-keyed sum.
-- kmeans_profile at 1M x 64-dim embeddings: bounded sample fit, broadcast
-  centroids, bincount partials only.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    from text_to_graph_ray.functions.ann import kmeans_profile
     from text_to_graph_ray.functions.text import naive_bayes_classify
 
     # --- Naive Bayes: 400k docs / 5 classes --------------------------------
@@ -73,18 +70,6 @@ def main():
     acc = nb.map_batches(lambda t: pa.table({"c": [int(pa.compute.sum(t.column("correct")).as_py() or 0)],
                                              "n": [t.num_rows]}), batch_format="pyarrow").to_pandas()
     log(f"naive_bayes 400k docs: {time.monotonic()-t0:.1f}s acc={acc['c'].sum()}/{acc['n'].sum()}")
-
-    # --- kmeans profile: 1M x 64 embeddings --------------------------------
-    def vec_chunk(a, b):
-        ids = np.arange(a, b, dtype=np.int64)
-        base = ((ids[:, None] * 31 + np.arange(64)[None, :] * 17) % 1000).astype(np.float32) / 500 - 1
-        return pa.table({"vec_id": pa.array(ids),
-                         "embedding": pa.array(list(base), type=pa.list_(pa.float32()))})
-
-    vecs = gen_range(1_000_000, 128, vec_chunk).materialize()
-    t0 = time.monotonic()
-    km = kmeans_profile(vecs).to_pandas()
-    log(f"kmeans_profile 1M x 64: {time.monotonic()-t0:.1f}s clusters={len(km)} total={km['n_vecs'].sum()}")
 
     ray.shutdown()
 

@@ -3,9 +3,6 @@ inputs, walls are smoke-scale proofs on a shared host (not steady-state
 benchmarks). Run: python -u scripts/ops_scale_check8.py [num_cpus]
 
 Covers:
-- kmeans_outliers at 1M x 64-dim embeddings: bounded sample fit, broadcast
-  centroids, two vectorized passes (bincount sufficient-sum partials, then
-  one int64-boundary compare) — nothing corpus-sized funnels to the driver.
 - forest_depths on a 2M-node forest of 10k roots x 3-ary levels (depth ~5):
   distributed root discovery + one streamed guarded semi pass per level;
   exchanges are node-set-sized, wall grows with DEPTH not width.
@@ -53,27 +50,7 @@ def main():
     DataContext.get_current().enable_progress_bars = False
 
     from text_to_graph_ray.functions.agg import bucketed_aggregate
-    from text_to_graph_ray.functions.ann import kmeans_outliers
     from text_to_graph_ray.functions.graph import forest_depths
-
-    # --- kmeans_outliers: 1M x 64d -----------------------------------------
-    N_VEC, DIM = 1_000_000, 64
-
-    def vec_chunk(a, b):
-        i = np.arange(a, b, dtype=np.int64)
-        # deterministic pseudo-gaussian-ish: 8 cluster centers + hash noise
-        c = (i % 8).astype(np.float64)
-        base = np.zeros((len(i), DIM))
-        base[np.arange(len(i)), (i % 8).astype(np.int64) * 8 % DIM] = 4.0
-        h = ((i[:, None] * 2654435761 + np.arange(DIM)[None, :] * 40503) % 1000).astype(np.float64)
-        v = base + (h / 1000.0 - 0.5) * (1.0 + (c[:, None] * 0))
-        return pa.table({"vec_id": pa.array(i),
-                         "embedding": pa.array(list(v.astype(np.float32)), type=pa.list_(pa.float32()))})
-
-    vecs = gen_range(N_VEC, 128, vec_chunk).materialize()
-    t0 = time.monotonic()
-    n_out = kmeans_outliers(vecs, n_centroids=16, train_rows=2048).count()
-    log(f"kmeans_outliers 1Mx{DIM}d: {time.monotonic()-t0:.1f}s flagged={n_out}")
 
     # --- forest_depths: 2M-node forest, 10k roots, branching 3 -------------
     N_NODE = 2_000_000

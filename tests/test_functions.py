@@ -1,5 +1,5 @@
-"""Training-data ops: dedup (exact/minhash/simhash/embedding), text analysis,
-ANN, multimodal plumbing — correctness on planted fixtures."""
+"""Training-data ops: dedup (exact/minhash/simhash), text analysis and edge
+relabeling — correctness on planted fixtures."""
 
 import numpy as np
 import pyarrow as pa
@@ -68,57 +68,6 @@ def test_simhash64_deterministic():
     assert simhash64("") == 0
 
 
-def test_embedding_near_dup(ray_session):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.dedup import embedding_near_dup_pairs
-
-    rng = np.random.RandomState(0)
-    base = rng.normal(size=16)
-    rows = [
-        {"vec_id": 0, "embedding": base.tolist()},
-        {"vec_id": 1, "embedding": (base + rng.normal(scale=0.01, size=16)).tolist()},  # near dup
-        {"vec_id": 2, "embedding": rng.normal(size=16).tolist()},
-    ]
-    pairs = embedding_near_dup_pairs(rd.from_items(rows), threshold=0.95).to_pandas()
-    assert list(zip(pairs["a"], pairs["b"])) == [(0, 1)]
-
-
-def test_ann_brute_force_topk(ray_session):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.ann import brute_force_topk
-
-    rng = np.random.RandomState(1)
-    vecs = rng.normal(size=(50, 8))
-    rows = [{"vec_id": i, "embedding": vecs[i].tolist()} for i in range(50)]
-    ds = rd.from_items(rows)
-    out = brute_force_topk(ds, [0], vecs[:1], k=5).to_pandas()
-    assert len(out) == 5
-    assert out.iloc[0]["vec_id"] == 0 and out.iloc[0]["sim"] == 1.0  # self first
-    # verify against numpy
-    sims = (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)) @ (vecs[0] / np.linalg.norm(vecs[0]))
-    want = np.argsort(-np.round(sims, 6), kind="stable")[:5]
-    assert list(out["vec_id"]) == list(want)
-
-
-def test_ann_lsh_recall(ray_session):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.ann import brute_force_topk, lsh_topk
-
-    rng = np.random.RandomState(2)
-    vecs = rng.normal(size=(200, 16))
-    rows = [{"vec_id": i, "embedding": vecs[i].tolist()} for i in range(200)]
-    ds = rd.from_items(rows)
-    exact = brute_force_topk(ds, [0, 1], vecs[:2], k=5).to_pandas()
-    approx = lsh_topk(ds, [0, 1], vecs[:2], k=5, n_planes=4).to_pandas()
-    # self-match must survive bucketing; partial recall acceptable
-    assert 0 in set(approx[approx["query_id"] == 0]["vec_id"])
-    inter = len(set(exact["vec_id"]) & set(approx["vec_id"]))
-    assert inter >= 3
-
-
 def test_text_stats_and_tokens():
     from text_to_graph_ray.functions.text import text_stats
 
@@ -157,35 +106,6 @@ def test_quality_score_monotonic_in_substance():
     assert out[0]["quality"] > out[1]["quality"]
 
 
-def test_multimodal_decode_stub(ray_session):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.multimodal import DecodeImage, DecodeMedia, decode_stats, media_table_from_documents
-
-    docs = rd.from_items([{"doc_id": i, "text": f"payload {i}"} for i in range(6)])
-    media = docs.map_batches(media_table_from_documents, batch_format="pyarrow")
-    out = decode_stats(media).to_pandas().sort_values("media_id").reset_index(drop=True)
-    assert len(out) == 6
-    assert list(out["kind"]) == ["image", "audio", "video"] * 2  # all three branches decoded
-    assert (out.loc[out["kind"] != "audio", "feat_mean"] > 0).all()  # pixel means positive
-    assert (out["feat_std"] > 0).all()
-    # deterministic across instances
-    d1, d2 = DecodeMedia(), DecodeMedia()
-    assert (d1._decode_one("image", b"x", 4, 4, 0, 1) == d2._decode_one("image", b"x", 4, 4, 0, 1)).all()
-    with pytest.raises(NotImplementedError):
-        DecodeMedia(fake=False)._decode_one("image", b"x", 4, 4, 0, 1)
-    with pytest.raises(NotImplementedError):
-        DecodeImage(fake=False)._decode(b"x", 4, 4)
-
-
-def test_frame_sampler():
-    from text_to_graph_ray.functions.multimodal import FrameSampler
-
-    b = pa.table({"media_id": [0], "n_frames": [25]})
-    out = FrameSampler(stride=10)(b)
-    assert out.column("sampled_frames").to_pylist() == [[0, 10, 20]]
-
-
 def test_relabel_edges(ray_session):
     import ray.data as rd
 
@@ -195,19 +115,3 @@ def test_relabel_edges(ray_session):
     out = relabel_edges(ds, {"calls": "invokes"}).to_pandas()
     assert set(out["pred"]) == {"invokes", "defines"}
     assert relabel_edges(ds, {}) is ds
-
-
-def test_embedding_near_dup_lsh_finds_close_pair(ray_session):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.dedup import embedding_near_dup_lsh
-
-    rng = np.random.RandomState(3)
-    base = rng.normal(size=16)
-    rows = [
-        {"vec_id": 0, "embedding": base.tolist()},
-        {"vec_id": 1, "embedding": (base + rng.normal(scale=0.005, size=16)).tolist()},
-        {"vec_id": 2, "embedding": rng.normal(size=16).tolist()},
-    ]
-    out = embedding_near_dup_lsh(rd.from_items(rows), threshold=0.95, n_planes=2).to_pandas()
-    assert (0, 1) in set(zip(out["a"], out["b"]))  # nearly-identical vectors share every bucket

@@ -208,22 +208,3 @@ def test_survivors_distributed_matches_unionfind(ray_session):
     b = near_dup_survivors(docs, threshold=0.5, cc_collect_max=0).to_pandas()
     assert a.reset_index(drop=True).equals(b.reset_index(drop=True))
     assert len(a) > 0
-
-
-def test_embedding_exact_blocked_matches_single_block(ray_session):
-    """Blocked pairwise (tiny blocks) equals the one-block computation."""
-    import numpy as np
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.dedup import embedding_near_dup_pairs
-
-    rng = np.random.RandomState(7)
-    base = rng.normal(size=(30, 16))
-    base[7] = base[3] + 0.01 * rng.normal(size=16)  # a near-dup pair
-    base[22] = base[15] + 0.02 * rng.normal(size=16)
-    rows = [{"vec_id": i, "embedding": base[i].astype("float32").tolist()} for i in range(30)]
-    a = embedding_near_dup_pairs(rd.from_items(rows), threshold=0.9, block_rows=7).to_pandas()
-    b = embedding_near_dup_pairs(rd.from_items(rows), threshold=0.9, block_rows=1000).to_pandas()
-    cols = ["a", "b", "sim"]
-    assert len(a) >= 2
-    assert _sorted(a, cols).equals(_sorted(b, cols))

@@ -1,5 +1,5 @@
 """Unit coverage for the round-2 operator additions (sampling, vocabulary,
-embedding centroids, degree analytics, IVF recall)."""
+degree analytics, sequence packing, connected components)."""
 
 import numpy as np
 import pyarrow as pa
@@ -47,21 +47,6 @@ def test_vocab_topk_counts_and_ties(ray_session):
     out = vocab_topk(docs, k=10).to_pandas()
     assert list(out["token"]) == ["a", "b", "c"]  # count desc, token asc on the b/c tie? a=3,b=2,c=1
     assert list(out["n"]) == [3, 2, 1]
-
-
-def test_label_centroids_exact_small(ray_session):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.embeddings import label_centroids
-
-    rows = [
-        {"label": 0, "embedding": [1.0, 3.0]},
-        {"label": 0, "embedding": [3.0, 5.0]},
-        {"label": 1, "embedding": [10.0, 0.0]},
-    ]
-    out = label_centroids(rd.from_items(rows)).to_pandas()
-    got = {(int(r.label), int(r.dim)): r.mean_val for r in out.itertuples()}
-    assert got == {(0, 0): 2.0, (0, 1): 4.0, (1, 0): 10.0, (1, 1): 0.0}
 
 
 def test_degree_topk(ray_session):
@@ -142,25 +127,3 @@ def test_connected_components_long_chain_converges(ray_session):
     out = connected_components(rd.from_items(edges), collect_max=0, max_rounds=32).to_pandas()
     assert set(out["component"]) == {0}
     assert len(out) == 11
-
-
-def test_ivf_topk_recall_vs_brute_force(ray_session):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.ann import brute_force_topk, ivf_topk, queries_from_dataset
-
-    rng = np.random.RandomState(3)
-    vecs = rng.normal(size=(300, 16)).astype("float32")
-    rows = [{"vec_id": i, "embedding": vecs[i].tolist()} for i in range(300)]
-    ds = rd.from_items(rows)
-    q_ids, q_vecs = queries_from_dataset(ds, n_queries=4)
-    exact = brute_force_topk(rd.from_items(rows), q_ids, q_vecs, k=5).to_pandas()
-    approx = ivf_topk(rd.from_items(rows), q_ids, q_vecs, k=5, n_centroids=8, nprobe=4).to_pandas()
-    ex = set(zip(exact["query_id"], exact["vec_id"]))
-    ap = set(zip(approx["query_id"], approx["vec_id"]))
-    recall = len(ex & ap) / len(ex)
-    assert recall >= 0.5  # nprobe=half the lists: decent recall on random data
-    # probing every list recovers brute force exactly
-    full = ivf_topk(rd.from_items(rows), q_ids, q_vecs, k=5, n_centroids=8, nprobe=8).to_pandas()
-    cols = ["query_id", "rank", "vec_id", "sim"]
-    assert full[cols].reset_index(drop=True).equals(exact[cols].reset_index(drop=True))

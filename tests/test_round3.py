@@ -115,27 +115,6 @@ def test_pa_from_pandas_no_metadata():
     assert hash(t.schema)  # hashable again
 
 
-def test_decode_image_real_branch_import_guarded():
-    """fake=False exercises whichever branch the environment provides: a real
-    PIL decode when PIL is importable, a clear NotImplementedError otherwise."""
-    import pytest
-
-    from text_to_graph_ray.functions.multimodal import DecodeImage, _PILImage
-
-    d = DecodeImage(fake=False)
-    if _PILImage is None:
-        with pytest.raises(NotImplementedError):
-            d._decode(b"\x00\x01", 4, 4)
-    else:
-        import io
-
-        buf = io.BytesIO()
-        _PILImage.new("RGB", (4, 4), (10, 20, 30)).save(buf, format="PNG")
-        img = d._decode(buf.getvalue(), 4, 4)
-        assert img.shape == (4, 4, 3)
-        assert img[0, 0, 0] == 10.0
-
-
 # ---- functions/agg.py: high-cardinality bucketed aggregation ----------------
 
 
@@ -922,26 +901,6 @@ def test_latest_per_key_matches_pandas(ray_session):
         .reset_index(drop=True)[["k", "ts", "id", "v"]]
     )
     pd.testing.assert_frame_equal(got_min, want_min)
-
-
-def test_extract_image_features_matches_naive(ray_session):
-    import ray.data as rd
-
-    from text_to_graph_ray.expected import naive_mm_features
-    from text_to_graph_ray.functions.multimodal import ExtractImageFeatures, media_table_from_documents
-
-    docs = pd.DataFrame({"doc_id": range(30), "text": [f"doc text {i} " * (i % 7 + 1) for i in range(30)]})
-    media = rd.from_pandas(docs).map_batches(media_table_from_documents, batch_format="pyarrow")
-    got = (
-        media.map_batches(ExtractImageFeatures, batch_format="pyarrow", batch_size=8, concurrency=(1, 2))
-        .to_pandas()
-        .sort_values("media_id")
-        .reset_index(drop=True)
-    )
-    rows = [f for f in (naive_mm_features(i, t) for i, t in zip(docs["doc_id"], docs["text"])) if f is not None]
-    want = pd.DataFrame(rows, columns=["media_id", "f00", "f01", "f10", "f11", "fstd"]).astype({"media_id": "int64"})
-    assert len(want) == 10  # ids 0,3,6,... are images
-    pd.testing.assert_frame_equal(got, want)
 
 
 def test_asof_left_outer_int_and_timestamp_payload(ray_session):

@@ -228,41 +228,6 @@ class TestFilterByAllKeys:
                                mode="anti", broadcast_max=0).to_pandas()
 
 
-class TestQuantizeInt8:
-    def test_known_values_and_constant_dim(self, ray_session):
-        import ray
-
-        from text_to_graph_ray.functions.embeddings import quantize_int8_profile
-
-        # dim0: [0, 1, 2] -> lo 0 hi 2 -> q floor(v*127.5) = 0,127,255
-        # dim1 constant 5 -> hi==lo guard -> all q 0
-        vecs = [[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]]
-        ds = ray.data.from_arrow(pa.table({
-            "vec_id": pa.array(range(3), type=pa.int64()),
-            "embedding": pa.array(vecs, type=pa.list_(pa.float32())),
-        }))
-        out = quantize_int8_profile(ds).to_pandas()
-        assert list(out.dim) == [0, 1]
-        assert out.iloc[0].lo == 0.0 and out.iloc[0].hi == 2.0
-        assert out.iloc[0].sum_q == 0 + 127 + 255
-        assert out.iloc[1].sum_q == 0 and out.iloc[1].n == 3
-
-    def test_partition_invariance(self, ray_session):
-        import numpy as np
-
-        import ray
-
-        from text_to_graph_ray.functions.embeddings import quantize_int8_profile
-
-        rng = np.random.RandomState(11)
-        vecs = rng.rand(200, 8).astype(np.float32).tolist()
-        t = pa.table({"vec_id": pa.array(range(200), type=pa.int64()),
-                      "embedding": pa.array(vecs, type=pa.list_(pa.float32()))})
-        a = quantize_int8_profile(ray.data.from_arrow(t)).to_pandas()
-        b = quantize_int8_profile(ray.data.from_arrow(t).repartition(7)).to_pandas()
-        pd.testing.assert_frame_equal(a, b)
-
-
 class TestBudgetSelect:
     def test_prefix_semantics_and_budget(self, ray_session):
         import ray

@@ -1,18 +1,18 @@
 """Independent local reference implementations ("naive oracles").
 
 Each approximate / heuristic operator in ``functions/`` (MinHash+LSH dedup,
-SimHash dedup, embedding-LSH near-dup, ANN-LSH, text heuristics, the fake
-media decoder) gets a deliberately straightforward SINGLE-THREADED
-re-implementation here, written against the operator's documented semantics —
-NOT by importing its code. ``ensure_doc_expected`` materializes the resulting
-expected tables as parquet under ``/tmp/graft_expected/<tag>/`` so the DuckDB
-oracles in ``__ray_entry__.oracle_sql`` can hash-compare the distributed
-pipelines against them. A divergence between the two code paths (distributed
+SimHash dedup, text heuristics) gets a deliberately straightforward
+SINGLE-THREADED re-implementation here, written against the operator's
+documented semantics — NOT by importing its code. ``ensure_doc_expected``
+materializes the resulting expected tables as parquet under
+``/tmp/graft_expected/<tag>/`` so the DuckDB oracles in
+``__ray_entry__.oracle_sql`` can hash-compare the distributed pipelines
+against them. A divergence between the two code paths (distributed
 bucketing / shuffle / merge vs. the naive loop) fails the driver's hash gate.
 
 What is deliberately shared with the engine (because it IS the spec, not the
 implementation under test): crc32 as the stable hash primitive,
-``np.random.RandomState(seed)`` for permutation / hyperplane parameters, and
+``np.random.RandomState(seed)`` for permutation parameters, and
 the reference-derived constants (k=64 minhash perms, 16/32 bands, 4x16-bit
 simhash bands, shingle width 3). Everything else — signature accumulation,
 banding, candidate generation, pair verification, ranking — is re-derived.
@@ -31,8 +31,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-# v21: +expected_kmeans_outliers; v20: +expected_mst (dropped since with its
-# query: a dir built earlier keeps it unread, so no bump); v19: +expected_kmeans
+# v21 and v19 added the k-means tables, v20 the MST table. Since then their
+# queries and the other embedding / media queries were deleted and their
+# tables are no longer built; a directory built earlier keeps them unread, so
+# the version is not bumped.
 EXPECTED_ROOT = "/tmp/graft_expected/v21"
 
 _MERSENNE = (1 << 61) - 1
@@ -264,36 +266,6 @@ def naive_bpe_doclens(ids, texts, merges):
         rows["doc_id"].append(int(did))
         rows["n_words"].append(len(ws))
         rows["n_subwords"].append(total)
-    return rows
-
-
-def naive_pca_project(vids, vecs, n_components: int = 2, scale: int = 1_000_000):
-    """Independent PCA projection, same spec as functions/stats.pca_project:
-    Gram accumulated one plain row loop at a time with per-product half-up
-    int64 quantization; np.linalg.eigh is the eigensolver CONTRACT
-    (identical input bits -> identical output on one build); components
-    eigenvalue-desc, sign-fixed at the max-|.| component; per-row int64
-    dots in a plain loop."""
-    vecs = np.asarray(vecs, dtype=np.float64)
-    dim = vecs.shape[1]
-    G = np.zeros((dim, dim), dtype=np.int64)
-    for r in range(vecs.shape[0]):
-        outer = vecs[r][:, None] * vecs[r][None, :]
-        G += np.floor(outer * scale + 0.5).astype(np.int64)
-    w, V = np.linalg.eigh(G.astype(np.float64))
-    order = np.argsort(-w, kind="stable")[:n_components]
-    comps = V[:, order]
-    for c in range(comps.shape[1]):
-        m = int(np.argmax(np.abs(comps[:, c])))
-        if comps[m, c] < 0:
-            comps[:, c] = -comps[:, c]
-    wq = np.floor(comps * scale + 0.5).astype(np.int64)
-    rows = {"vec_id": [], **{f"pc{c}": [] for c in range(n_components)}}
-    for r in range(vecs.shape[0]):
-        vq = np.floor(vecs[r] * scale + 0.5).astype(np.int64)
-        rows["vec_id"].append(int(vids[r]))
-        for c in range(n_components):
-            rows[f"pc{c}"].append(int(np.dot(vq, wq[:, c])))
     return rows
 
 
@@ -604,317 +576,6 @@ def naive_word_jaccard(ta: str, tb: str, shingle: int = 3) -> float:
 
 
 # ---------------------------------------------------------------------------
-# embedding LSH (signed random projections) + ANN-LSH
-# ---------------------------------------------------------------------------
-
-
-def _planes(dim: int, n_planes: int, seed: int) -> np.ndarray:
-    return np.random.RandomState(seed).normal(size=(n_planes, dim)).astype(np.float64)
-
-
-def _norm_rows(m: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(m, axis=1, keepdims=True)
-    n[n == 0] = 1.0
-    return m / n
-
-
-def _srp_buckets(vecs_n: np.ndarray, planes: np.ndarray) -> np.ndarray:
-    signs = (vecs_n @ planes.T) >= 0
-    return (signs.astype(np.uint32) << np.arange(signs.shape[1], dtype=np.uint32)).sum(axis=1).astype(np.int64)
-
-
-def naive_embedding_lsh_pairs(ids: np.ndarray, vecs: np.ndarray, threshold: float, n_planes: int, seed: int = 42):
-    vn = _norm_rows(vecs.astype(np.float64))
-    buckets = _srp_buckets(vn, _planes(vecs.shape[1], n_planes, seed))
-    a_out, b_out, s_out = [], [], []
-    for bk in np.unique(buckets):
-        members = np.where(buckets == bk)[0]
-        if len(members) < 2:
-            continue
-        members = members[np.argsort(ids[members])]
-        sub = vn[members]
-        sims = sub @ sub.T
-        for x in range(len(members)):
-            for y in range(x + 1, len(members)):
-                if sims[x, y] >= threshold:
-                    a_out.append(int(ids[members[x]]))
-                    b_out.append(int(ids[members[y]]))
-                    s_out.append(round(float(sims[x, y]), 6))
-    order = sorted(range(len(a_out)), key=lambda i: (a_out[i], b_out[i]))
-    return [a_out[i] for i in order], [b_out[i] for i in order], [s_out[i] for i in order]
-
-
-def naive_ann_ivf(
-    ids: np.ndarray,
-    vecs: np.ndarray,
-    n_queries: int,
-    k: int,
-    n_centroids: int = 16,
-    nprobe: int = 4,
-    train_rows: int = 2048,
-    iters: int = 10,
-):
-    """Single-threaded IVF: same spec as the engine (deterministic Lloyd
-    k-means on the first train_rows vectors by id, cosine assignment, probe
-    the nprobe nearest lists), re-derived here without engine imports."""
-    order = np.argsort(ids)
-    ids, vecs = ids[order], vecs[order].astype(np.float64)
-    vn = _norm_rows(vecs)
-
-    sample = vn[:train_rows]
-    nc = min(n_centroids, len(sample))
-    cent = sample[:nc].copy()
-    for _ in range(iters):
-        cn = _norm_rows(cent)
-        assign = np.argmax(sample @ cn.T, axis=1)
-        for c in range(nc):
-            members = sample[assign == c]
-            if len(members):
-                cent[c] = members.mean(axis=0)
-    cent = _norm_rows(cent)
-
-    lists = np.argmax(vn @ cent.T, axis=1)
-    rows = {"query_id": [], "rank": [], "vec_id": [], "sim": []}
-    np_probe = min(nprobe, nc)
-    for qi in range(min(n_queries, len(ids))):
-        probed = np.argsort(-(vn[qi] @ cent.T))[:np_probe]
-        mask = np.isin(lists, probed)
-        cand_ids = ids[mask]
-        sims = np.round(vn[qi] @ vn[mask].T, 6)
-        top = np.lexsort((cand_ids, -sims))[:k]
-        for rank, j in enumerate(top, start=1):
-            rows["query_id"].append(int(ids[qi]))
-            rows["rank"].append(rank)
-            rows["vec_id"].append(int(cand_ids[j]))
-            rows["sim"].append(float(sims[j]))
-    return rows
-
-
-def naive_kmeans_profile(ids: np.ndarray, vecs: np.ndarray, n_centroids: int = 16,
-                         train_rows: int = 2048, iters: int = 10):
-    """Single-threaded clustering profile mirror of ann.kmeans_profile:
-    same deterministic Lloyd spec as naive_ann_ivf (first train_rows by id,
-    cosine assignment), per-vector nearest-centroid cosine quantized to
-    int64 round(sim·1e9) then summed per cluster."""
-    order = np.argsort(ids)
-    vecs = vecs[order].astype(np.float64)
-    vn = _norm_rows(vecs)
-    sample = vn[:train_rows]
-    nc = min(n_centroids, len(sample))
-    cent = sample[:nc].copy()
-    for _ in range(iters):
-        cn = _norm_rows(cent)
-        assign = np.argmax(sample @ cn.T, axis=1)
-        for c in range(nc):
-            members = sample[assign == c]
-            if len(members):
-                cent[c] = members.mean(axis=0)
-    cent = _norm_rows(cent)
-    sims = vn @ cent.T
-    lists = np.argmax(sims, axis=1)
-    simq = np.round(np.max(sims, axis=1) * 1e9)
-    out = {"list_id": [], "n_vecs": [], "simq_sum": []}
-    for c in sorted(set(lists.tolist())):
-        m = lists == c
-        out["list_id"].append(int(c))
-        out["n_vecs"].append(int(m.sum()))
-        out["simq_sum"].append(int(simq[m].sum()))
-    return out
-
-
-def naive_kmeans_outliers(ids: np.ndarray, vecs: np.ndarray, n_centroids: int = 16,
-                          train_rows: int = 2048, z: int = 2, iters: int = 10):
-    """Single-threaded mirror of ann.kmeans_outliers: same Lloyd spec,
-    q = round(sim·1e7), per-cluster Python-int (n, Σq, Σq²), flag
-    q ≤ (Σq − isqrt(z²(n·Σq² − Σq²ᵗᵒᵗ)) − 1) // n."""
-    import math
-
-    order = np.argsort(ids)
-    ids, vecs = ids[order], vecs[order].astype(np.float64)
-    vn = _norm_rows(vecs)
-    sample = vn[:train_rows]
-    nc = min(n_centroids, len(sample))
-    cent = sample[:nc].copy()
-    for _ in range(iters):
-        cn = _norm_rows(cent)
-        assign = np.argmax(sample @ cn.T, axis=1)
-        for c in range(nc):
-            members = sample[assign == c]
-            if len(members):
-                cent[c] = members.mean(axis=0)
-    cent = _norm_rows(cent)
-    sims = vn @ cent.T
-    lists = np.argmax(sims, axis=1)
-    simq = np.round(np.max(sims, axis=1) * 1e7).astype(np.int64)
-    out = {"vec_id": [], "list_id": [], "simq": []}
-    for c in sorted(set(lists.tolist())):
-        m = lists == c
-        qs = simq[m]
-        n, s, ss = int(m.sum()), int(qs.sum()), int(sum(int(v) * int(v) for v in qs))
-        bound = (s - math.isqrt(z * z * (n * ss - s * s)) - 1) // n
-        for i, q in zip(ids[m], qs):
-            if int(q) <= bound:
-                out["vec_id"].append(int(i))
-                out["list_id"].append(int(c))
-                out["simq"].append(int(q))
-    order2 = sorted(range(len(out["vec_id"])), key=lambda j: out["vec_id"][j])
-    return {k: [v[j] for j in order2] for k, v in out.items()}
-
-
-def naive_ann_lsh(ids: np.ndarray, vecs: np.ndarray, n_queries: int, k: int, n_planes: int, seed: int = 42):
-    """Global top-k by (round(sim,6) desc, id asc) among same-bucket vectors,
-    for the first n_queries vectors by id."""
-    order = np.argsort(ids)
-    ids, vecs = ids[order], vecs[order]
-    vn = _norm_rows(vecs.astype(np.float64))
-    buckets = _srp_buckets(vn, _planes(vecs.shape[1], n_planes, seed))
-    rows = {"query_id": [], "rank": [], "vec_id": [], "sim": []}
-    for qi in range(min(n_queries, len(ids))):
-        qb = buckets[qi]
-        mask = buckets == qb
-        cand_ids = ids[mask]
-        sims = np.round(vn[qi] @ vn[mask].T, 6)
-        top = np.lexsort((cand_ids, -sims))[:k]
-        for rank, j in enumerate(top, start=1):
-            rows["query_id"].append(int(ids[qi]))
-            rows["rank"].append(rank)
-            rows["vec_id"].append(int(cand_ids[j]))
-            rows["sim"].append(float(sims[j]))
-    return rows
-
-
-def naive_semdedup(
-    ids: np.ndarray,
-    vecs: np.ndarray,
-    tau: float = 0.45,
-    n_centroids: int = 8,
-    train_rows: int = 2048,
-    iters: int = 10,
-):
-    """Single-threaded SemDeDup, same spec as functions/dedup.semdedup but
-    re-derived without engine imports: deterministic Lloyd k-means on the
-    first train_rows vectors by id, cosine cluster assignment, and within
-    each cluster (members id-ascending) member i removed iff some j < i has
-    round(cos_sim, 6) >= tau. Returns (vec_id, cluster, kept) id-sorted."""
-    order = np.argsort(ids)
-    ids, vecs = ids[order], vecs[order].astype(np.float64)
-    vn = _norm_rows(vecs)
-
-    sample = vn[:train_rows]
-    nc = min(n_centroids, len(sample))
-    cent = sample[:nc].copy()
-    for _ in range(iters):
-        cn = _norm_rows(cent)
-        assign = np.argmax(sample @ cn.T, axis=1)
-        for c in range(nc):
-            members = sample[assign == c]
-            if len(members):
-                cent[c] = members.mean(axis=0)
-    cent = _norm_rows(cent)
-
-    clusters = np.argmax(vn @ cent.T, axis=1)
-    kept = np.ones(len(ids), dtype=bool)
-    for c in np.unique(clusters):
-        idx = np.where(clusters == c)[0]  # already id-ascending
-        sims = np.round(vn[idx] @ vn[idx].T, 6)
-        hit = (sims >= tau) & np.tri(len(idx), len(idx), -1, dtype=bool)
-        kept[idx[hit.any(axis=1)]] = False
-    return {
-        "vec_id": [int(i) for i in ids],
-        "cluster": [int(c) for c in clusters],
-        "kept": [bool(k) for k in kept],
-    }
-
-
-# ---------------------------------------------------------------------------
-# fake media decode (the decoder's fake kernel is itself the spec:
-# crc32-seeded RandomState pseudo-pixels)
-# ---------------------------------------------------------------------------
-
-
-def naive_mm_stats(doc_id: int, text: str):
-    """(media_id, kind, width, height, sample_rate, n_frames, feat_mean,
-    feat_std) for the fake multi-kind decoder (kinds cycle by id)."""
-    payload = (text or "").encode("utf-8")
-    crc = zlib.crc32(payload)
-    kind = ("image", "audio", "video")[doc_id % 3]
-    w = 8 + (crc % 8) if kind != "audio" else 0
-    h = 8 if kind != "audio" else 0
-    sr = 8000 + (crc % 4) * 4000 if kind == "audio" else 0
-    nf = 1 if kind == "image" else (10 + crc % 20 if kind == "video" else 0)
-    if kind == "audio":
-        arr = np.random.RandomState(crc).standard_normal(max(sr // 100, 1)).astype(np.float32)
-    elif kind == "video":
-        frames = list(range(0, max(nf, 1), 5))[:4]
-        arr = np.stack(
-            [
-                np.random.RandomState((crc + fi) & 0xFFFFFFFF)
-                .randint(0, 256, size=(h, max(w, 1), 3))
-                .astype(np.float32)
-                for fi in frames
-            ]
-        )
-    else:
-        arr = np.random.RandomState(crc).randint(0, 256, size=(h, max(w, 1), 3)).astype(np.float32)
-    return doc_id, kind, w, h, sr, nf, round(float(arr.mean()), 4), round(float(arr.std()), 4)
-
-
-def naive_mm_resize(doc_id: int, text: str, tw: int = 4, th: int = 4):
-    """(media_id, kind, out_w, out_h, resized_mean) for the nearest-neighbor
-    resize stage (image rows only; others pass through with null mean)."""
-    payload = (text or "").encode("utf-8")
-    crc = zlib.crc32(payload)
-    kind = ("image", "audio", "video")[doc_id % 3]
-    if kind != "audio":
-        w, h = 8 + (crc % 8), 8
-    else:
-        w, h = 0, 0
-    if kind != "image":
-        return doc_id, kind, w, h, None
-    img = np.random.RandomState(crc).randint(0, 256, size=(h, max(w, 1), 3)).astype(np.float32)
-    rows = (np.arange(th) * h // th).astype(np.int64)
-    cols = (np.arange(tw) * w // tw).astype(np.int64)
-    small = img[rows][:, cols]
-    return doc_id, kind, tw, th, round(float(small.mean()), 4)
-
-
-def naive_mm_features(doc_id: int, text: str):
-    """(media_id, f00, f01, f10, f11, fstd) for the 2x2 quadrant-pooled
-    image feature stage (image rows only) — independent reimplementation of
-    the documented fake-decode + pooling semantics."""
-    payload = (text or "").encode("utf-8")
-    crc = zlib.crc32(payload)
-    kind = ("image", "audio", "video")[doc_id % 3]
-    if kind != "image":
-        return None
-    w, h = 8 + (crc % 8), 8
-    img = np.random.RandomState(crc).randint(0, 256, size=(h, max(w, 1), 3)).astype(np.float32)
-    hh, ww = h // 2, w // 2
-    return (
-        doc_id,
-        round(float(img[:hh, :ww].mean()), 4),
-        round(float(img[:hh, ww:].mean()), 4),
-        round(float(img[hh:, :ww].mean()), 4),
-        round(float(img[hh:, ww:].mean()), 4),
-        round(float(img.std()), 4),
-    )
-
-
-def naive_mm_frames(doc_id: int, text: str, stride: int = 10):
-    """(media_id, n_frames, n_sampled, frames_sum) for the video
-    frame-sampling stage (video rows only) — independent reimplementation of
-    the documented media-synthesis + every-stride-th-frame semantics."""
-    payload = (text or "").encode("utf-8")
-    crc = zlib.crc32(payload)
-    kind = ("image", "audio", "video")[doc_id % 3]
-    if kind != "video":
-        return None
-    n_frames = 10 + crc % 20
-    sampled = list(range(0, n_frames, stride))
-    return doc_id, n_frames, len(sampled), sum(sampled)
-
-
-# ---------------------------------------------------------------------------
 # conformance-parser corpus: reference-formatted replies with HAND-WRITTEN
 # expected parse outcomes (response_parser.py:210-745 case classes). The
 # expected values below were derived by hand from the documented reject/prune
@@ -1011,7 +672,7 @@ def _write(tmp: str, name: str, table: pa.Table) -> None:
 
 
 def ensure_doc_expected(sf_dir: str) -> str:
-    """Idempotently build every documents/embeddings-derived expected table for
+    """Idempotently build every documents-derived expected table for
     one sf dir. Atomic (tmp dir + rename); returns the directory."""
     from text_to_graph_ray.util import ensure_dir_once
 
@@ -1225,151 +886,6 @@ def _build_doc_expected(sf_dir: str, tmp: str) -> None:
                 "b": pa.array(b32, type=pa.int64()),
                 "est_jaccard": pa.array(est32, type=pa.float64()),
                 "jaccard": pa.array(jac, type=pa.float64()),
-            }
-        ),
-    )
-
-    # embeddings: LSH near-dup pairs + ANN-LSH top-k
-    emb = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"])
-    vids = np.asarray(emb.column("vec_id").to_pylist(), dtype=np.int64)
-    vecs = np.asarray(emb.column("embedding").to_pylist(), dtype=np.float64)
-    ea, eb, es = naive_embedding_lsh_pairs(vids, vecs, threshold=0.45, n_planes=4)
-    _write(
-        tmp,
-        "expected_emb_lsh_pairs",
-        pa.table(
-            {
-                "a": pa.array(ea, type=pa.int64()),
-                "b": pa.array(eb, type=pa.int64()),
-                "sim": pa.array(es, type=pa.float64()),
-            }
-        ),
-    )
-    pp = naive_pca_project(vids, vecs, n_components=2)
-    _write(
-        tmp,
-        "expected_pca",
-        pa.table(
-            {
-                "vec_id": pa.array(pp["vec_id"], type=pa.int64()),
-                "pc0": pa.array(pp["pc0"], type=pa.int64()),
-                "pc1": pa.array(pp["pc1"], type=pa.int64()),
-            }
-        ),
-    )
-    km = naive_kmeans_profile(vids, vecs, n_centroids=16, train_rows=2048)
-    _write(
-        tmp,
-        "expected_kmeans",
-        pa.table(
-            {
-                "list_id": pa.array(km["list_id"], type=pa.int64()),
-                "n_vecs": pa.array(km["n_vecs"], type=pa.int64()),
-                "simq_sum": pa.array(km["simq_sum"], type=pa.int64()),
-            }
-        ),
-    )
-    ko = naive_kmeans_outliers(vids, vecs, n_centroids=16, train_rows=2048)
-    _write(
-        tmp,
-        "expected_kmeans_outliers",
-        pa.table(
-            {
-                "vec_id": pa.array(ko["vec_id"], type=pa.int64()),
-                "list_id": pa.array(ko["list_id"], type=pa.int64()),
-                "simq": pa.array(ko["simq"], type=pa.int64()),
-            }
-        ),
-    )
-    sd = naive_semdedup(vids, vecs, tau=0.45, n_centroids=8)
-    _write(
-        tmp,
-        "expected_semdedup",
-        pa.table(
-            {
-                "vec_id": pa.array(sd["vec_id"], type=pa.int64()),
-                "cluster": pa.array(sd["cluster"], type=pa.int64()),
-                "kept": pa.array(sd["kept"], type=pa.bool_()),
-            }
-        ),
-    )
-    for name, ann in (
-        ("expected_ann_lsh", naive_ann_lsh(vids, vecs, n_queries=8, k=10, n_planes=6)),
-        ("expected_ann_ivf", naive_ann_ivf(vids, vecs, n_queries=8, k=10)),
-    ):
-        _write(
-            tmp,
-            name,
-            pa.table(
-                {
-                    "query_id": pa.array(ann["query_id"], type=pa.int64()),
-                    "rank": pa.array(ann["rank"], type=pa.int64()),
-                    "vec_id": pa.array(ann["vec_id"], type=pa.int64()),
-                    "sim": pa.array(ann["sim"], type=pa.float64()),
-                }
-            ),
-        )
-
-    # fake multi-kind media decode stats
-    mm = [naive_mm_stats(i, t) for i, t in zip(ids, texts)]
-    _write(
-        tmp,
-        "expected_mm",
-        pa.table(
-            {
-                "media_id": pa.array([m[0] for m in mm], type=pa.int64()),
-                "kind": pa.array([m[1] for m in mm], type=pa.string()),
-                "width": pa.array([m[2] for m in mm], type=pa.int64()),
-                "height": pa.array([m[3] for m in mm], type=pa.int64()),
-                "sample_rate": pa.array([m[4] for m in mm], type=pa.int64()),
-                "n_frames": pa.array([m[5] for m in mm], type=pa.int64()),
-                "feat_mean": pa.array([m[6] for m in mm], type=pa.float64()),
-                "feat_std": pa.array([m[7] for m in mm], type=pa.float64()),
-            }
-        ),
-    )
-
-    rz = [naive_mm_resize(i, t) for i, t in zip(ids, texts)]
-    _write(
-        tmp,
-        "expected_mm_resize",
-        pa.table(
-            {
-                "media_id": pa.array([m[0] for m in rz], type=pa.int64()),
-                "kind": pa.array([m[1] for m in rz], type=pa.string()),
-                "out_w": pa.array([m[2] for m in rz], type=pa.int64()),
-                "out_h": pa.array([m[3] for m in rz], type=pa.int64()),
-                "resized_mean": pa.array([m[4] for m in rz], type=pa.float64()),
-            }
-        ),
-    )
-
-    ft = [f for f in (naive_mm_features(i, t) for i, t in zip(ids, texts)) if f is not None]
-    _write(
-        tmp,
-        "expected_mm_features",
-        pa.table(
-            {
-                "media_id": pa.array([m[0] for m in ft], type=pa.int64()),
-                "f00": pa.array([m[1] for m in ft], type=pa.float64()),
-                "f01": pa.array([m[2] for m in ft], type=pa.float64()),
-                "f10": pa.array([m[3] for m in ft], type=pa.float64()),
-                "f11": pa.array([m[4] for m in ft], type=pa.float64()),
-                "fstd": pa.array([m[5] for m in ft], type=pa.float64()),
-            }
-        ),
-    )
-
-    fr = [f for f in (naive_mm_frames(i, t) for i, t in zip(ids, texts)) if f is not None]
-    _write(
-        tmp,
-        "expected_mm_frames",
-        pa.table(
-            {
-                "media_id": pa.array([m[0] for m in fr], type=pa.int64()),
-                "n_frames": pa.array([m[1] for m in fr], type=pa.int64()),
-                "n_sampled": pa.array([m[2] for m in fr], type=pa.int64()),
-                "frames_sum": pa.array([m[3] for m in fr], type=pa.int64()),
             }
         ),
     )

@@ -1,4 +1,4 @@
 """Large-scale training-data operations: deduplication (exact / MinHash-LSH /
-SimHash / n-gram Jaccard / embedding-cosine / connected-component survivors),
-similarity search (brute-force / LSH / IVF), text analysis + vocabulary,
-deterministic sampling, embedding aggregates, multimodal column plumbing."""
+SimHash / n-gram Jaccard / connected-component survivors), text analysis +
+vocabulary, deterministic sampling, sketches and statistics, joins, and the
+graph operators the kg_* queries use."""

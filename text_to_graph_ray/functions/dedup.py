@@ -16,9 +16,6 @@ over pre-aggregated/candidate rows (combiner-first, SURVEY §7.3).
   O(candidates) on the driver.
 * SimHash: 64-bit token-hash majority fingerprint, banded into 4x16-bit
   buckets; hamming-distance verify within buckets (exact for hamming <= 3).
-* embedding-cosine near-dup: exact pairs via blocked pairwise (bounded driver
-  blocks broadcast against the streaming corpus); the LSH-bucketed variant
-  below is the sub-quadratic scale path.
 """
 
 from __future__ import annotations
@@ -30,8 +27,6 @@ import pyarrow as pa
 
 from text_to_graph_ray.util import pa_from_pandas
 import pyarrow.compute as pc
-
-from text_to_graph_ray.util import vec_matrix
 
 _MERSENNE = (1 << 61) - 1
 
@@ -202,7 +197,6 @@ def _band_rows(batch: pa.Table, bands: int, shuffle_buckets: int = 64, include_s
 _PAIR_EST_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("est_jaccard", pa.float64())])
 _PAIR_ID_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 _PAIR_HAM_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("hamming", pa.int64())])
-_PAIR_SIM_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("sim", pa.float64())])
 
 
 def _bucket_pairs(group, max_bucket: int = 200) -> pa.Table:
@@ -724,109 +718,6 @@ def simhash_near_dup_pairs(ds, text_col="text", id_col="doc_id", max_hamming=3):
     return pairs.groupby(["a", "b"]).aggregate(Min("hamming", alias_name="hamming")).sort(["a", "b"])
 
 
-# ---------------------------------------------------------------------------
-# embedding-cosine near-dup (exact, broadcast matrix)
-# ---------------------------------------------------------------------------
-
-
-def embedding_near_dup_lsh(ds, threshold=0.95, id_col="vec_id", vec_col="embedding", n_planes=8, seed=42):
-    """Scale-path variant: signed-random-projection buckets (shared with
-    functions/ann.LshIndexer), pairwise cosine only WITHIN a bucket — no
-    broadcast of the full matrix, each bucket merges independently.
-    Approximate: pairs straddling a hyperplane are missed (raise recall with
-    fewer planes or multi-probe)."""
-    import pandas as pd
-
-    from text_to_graph_ray.functions.ann import lsh_bucketed
-
-    first = ds.take(1)
-    if not first:
-        return _empty_pairs("sim")  # pair schema, like every other path
-    dim = len(first[0][vec_col])
-    bucketed = lsh_bucketed(ds, dim, n_planes, seed, vec_col)
-
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        ids = np.asarray(g[id_col], dtype=np.int64)
-        order = np.argsort(ids)
-        ids = ids[order]
-        vecs = np.asarray(list(g[vec_col]), dtype=np.float64)[order]
-        n = np.linalg.norm(vecs, axis=1, keepdims=True)
-        n[n == 0] = 1.0
-        sims = (vecs / n) @ (vecs / n).T
-        a, b, s = [], [], []
-        for i in range(len(ids)):
-            hit = np.where(sims[i, i + 1 :] >= threshold)[0]
-            for j in hit:
-                a.append(int(ids[i]))
-                b.append(int(ids[i + 1 + j]))
-                s.append(round(float(sims[i, i + 1 + j]), 6))
-        return pa.table(
-            {"a": pa.array(a, type=pa.int64()), "b": pa.array(b, type=pa.int64()), "sim": pa.array(s, type=pa.float64())},
-            schema=_PAIR_SIM_SCHEMA,
-        )
-
-    from ray.data.aggregate import Max
-
-    pairs = bucketed.groupby("bucket").map_groups(bucket_pairs, batch_format="pandas")
-    return pairs.groupby(["a", "b"]).aggregate(Max("sim", alias_name="sim")).sort(["a", "b"])
-
-
-def embedding_near_dup_pairs(ds, threshold=0.95, id_col="vec_id", vec_col="embedding", block_rows=8192):
-    """Exact cosine pairs (a < b, sim >= threshold) via BLOCKED pairwise: the
-    corpus is streamed on the driver one bounded block at a time (block_rows ×
-    dim floats ≈ a few MB — never the whole matrix), each block is broadcast
-    with ``ray.put`` and matmul'd against the streaming corpus inside
-    ``map_batches``. A pair (a < b) is emitted exactly once: by the block that
-    contains ``a`` (the ``block_id < corpus_id`` filter kills the mirror hit).
-    Work is the inherent O(N²/B · B) of exact all-pairs; driver heap is O(B).
-    For >quadratic-scale corpora use ``embedding_near_dup_lsh``."""
-    import ray
-
-    mds = ds.select_columns([id_col, vec_col]).materialize()  # scanned once per block: keep it object-store resident
-
-    def block_pairs(ref):
-        def pairs(batch: pa.Table) -> pa.Table:
-            q_ids, q_m = ray.get(ref)
-            bids = np.asarray(batch.column(id_col).to_pylist(), dtype=np.int64)
-            bv = vec_matrix(batch.column(vec_col))
-            bn = np.linalg.norm(bv, axis=1, keepdims=True)
-            bn[bn == 0] = 1.0
-            sims = q_m @ (bv / bn).T  # (Q, B)
-            rows_a, rows_b, rows_s = [], [], []
-            for r in range(sims.shape[0]):
-                hit = np.where(sims[r] >= threshold)[0]
-                for c in hit:
-                    if q_ids[r] < bids[c]:
-                        rows_a.append(int(q_ids[r]))
-                        rows_b.append(int(bids[c]))
-                        rows_s.append(round(float(sims[r, c]), 6))
-            return pa.table(
-                {
-                    "a": pa.array(rows_a, type=pa.int64()),
-                    "b": pa.array(rows_b, type=pa.int64()),
-                    "sim": pa.array(rows_s, type=pa.float64()),
-                }
-            )
-
-        return pairs
-
-    parts = []
-    for blk in mds.iter_batches(batch_size=block_rows, batch_format="pyarrow"):
-        q_ids = np.asarray(blk.column(id_col).to_pylist(), dtype=np.int64)
-        q = vec_matrix(blk.column(vec_col))
-        qn = np.linalg.norm(q, axis=1, keepdims=True)
-        qn[qn == 0] = 1.0
-        ref = ray.put((q_ids, q / qn))
-        parts.append(mds.map_batches(block_pairs(ref), batch_format="pyarrow"))
-
-    if not parts:
-        return _empty_pairs("sim")
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
-    return out.sort(["a", "b"])
-
-
 _CROSS_OFFSET = np.int64(1) << np.int64(40)  # right-side id encoding for cross-corpus banding
 
 
@@ -945,101 +836,3 @@ def minhash_cross_pairs(
 
     return deduped.map_batches(decode, batch_format="pyarrow").sort(["a", "b"])
 
-
-# ---------------------------------------------------------------------------
-# SemDeDup: cluster-scoped semantic dedup (Abbas et al. 2023, arXiv:2303.09540)
-# ---------------------------------------------------------------------------
-
-
-def semdedup(
-    ds,
-    tau: float = 0.45,
-    n_centroids: int = 8,
-    train_rows: int = 2048,
-    id_col: str = "vec_id",
-    vec_col: str = "embedding",
-    cluster_rows_max: int = 65_536,
-):
-    """Semantic dedup the SemDeDup way: k-means-cluster the embeddings, then
-    look for near-duplicates ONLY within each cluster — the clustering bounds
-    the quadratic, and cross-cluster dups are out of scope BY DESIGN (that is
-    the paper's trade; the unclustered exact path is embedding_near_dup_pairs).
-
-    Deterministic spec (shared with expected.naive_semdedup):
-      * quantizer = kmeans_fit on the first ``train_rows`` vectors by id
-        (no RNG; init = first rows; empty clusters keep their centroid),
-        centroids broadcast once via ray.put
-      * assignment = argmax cosine per batch (IvfAssigner actor pool)
-      * within a cluster, members sorted by id; member i is REMOVED iff some
-        earlier member j < i has round(cos_sim(i, j), 6) >= tau (min-id
-        keeper — a deterministic stand-in for the paper's
-        keep-lowest-centroid-similarity choice)
-
-    Scale shape: ONE cluster-keyed exchange (groupby.map_groups); inside a
-    group the |C|^2 sims run as a single full matmul up to 8192 rows (the
-    oracle's exact op) and row-blocked above it against the same full matrix
-    (identical dot products, memory O(block x |C|)). Groups past
-    ``cluster_rows_max`` raise LOUDLY — at that size the fix is more
-    centroids, not a silent all-pairs blowup.
-
-    Returns (vec_id, cluster int64, kept bool) sorted by vec_id.
-    """
-    import pandas as pd
-    import ray
-
-    from text_to_graph_ray.functions.ann import IvfAssigner, kmeans_fit
-
-    sample_rows = ds.sort(id_col).limit(train_rows).take_all()
-    out_schema = pa.schema([(id_col, pa.int64()), ("cluster", pa.int64()), ("kept", pa.bool_())])
-    if not sample_rows:
-        import ray.data as rd
-
-        return rd.from_arrow(out_schema.empty_table())
-    sample = np.asarray([r[vec_col] for r in sample_rows], dtype=np.float64)
-    cent_ref = ray.put(kmeans_fit(sample, n_centroids))
-
-    assigned = ds.map_batches(
-        IvfAssigner, fn_constructor_kwargs={"centroids_ref": cent_ref, "vec_col": vec_col},
-        batch_format="pyarrow", concurrency=(1, 8),
-    )
-
-    def per_cluster(df: pd.DataFrame) -> pa.Table:
-        n = len(df)
-        if n > cluster_rows_max:
-            raise ValueError(
-                f"semdedup: cluster {int(df['list_id'].iloc[0])} has {n} rows > "
-                f"cluster_rows_max={cluster_rows_max} — retrain with more centroids "
-                "instead of paying an unbounded within-cluster quadratic"
-            )
-        order = np.argsort(df[id_col].to_numpy())
-        ids = df[id_col].to_numpy()[order]
-        v = np.asarray(list(df[vec_col].to_numpy()[order]), dtype=np.float64)
-        nrm = np.linalg.norm(v, axis=1, keepdims=True)
-        nrm[nrm == 0.0] = 1.0
-        vn = v / nrm
-        removed = np.zeros(n, dtype=bool)
-        block = 8192
-        if n <= block:
-            sims = np.round(vn @ vn.T, 6)  # the oracle's exact op
-            hit = sims >= tau
-            hit &= np.tri(n, n, -1, dtype=bool)  # strictly earlier ids only
-            removed = hit.any(axis=1)
-        else:
-            for s in range(0, n, block):
-                e = min(s + block, n)
-                sims = np.round(vn[s:e] @ vn.T, 6)
-                hit = sims >= tau
-                cols = np.arange(n)[None, :]
-                rows = np.arange(s, e)[:, None]
-                hit &= cols < rows
-                removed[s:e] = hit.any(axis=1)
-        return pa.table(
-            {
-                id_col: pa.array(ids, type=pa.int64()),
-                "cluster": pa.array(np.full(n, int(df["list_id"].iloc[0]), dtype=np.int64)),
-                "kept": pa.array(~removed),
-            },
-            schema=out_schema,
-        )
-
-    return assigned.groupby("list_id").map_groups(per_cluster, batch_format="pandas").sort(id_col)

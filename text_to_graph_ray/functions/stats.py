@@ -1,8 +1,8 @@
 """Decomposable statistics: fixed-width histograms, integer-exact grouped
 moments, correlation, Spearman and OLS, grouped entropy and z-scores,
 winsorized / MAD group stats and MAD outliers, chi-square category drift, the
-exact Gini coefficient, the Gram matrix / PCA projection pair, and the
-label-agreement reports (Cohen's kappa, per-label precision/recall/F1).
+exact Gini coefficient, and the label-agreement reports (Cohen's kappa,
+per-label precision/recall/F1).
 
 Each ships kilobyte-scale partials per block and folds them in the calling
 process or through one answer-sized exchange (the ``functions/sketch.py``
@@ -17,8 +17,6 @@ import math
 
 import numpy as np
 import pyarrow as pa
-
-from text_to_graph_ray.util import vec_matrix
 
 
 def grouped_corr_int(ds, key: str, x_col: str, y_col: str, y_scale: int = 1, out_name: str = "corr"):
@@ -756,159 +754,6 @@ def categorical_drift_chi2(ds, cat_col: str, side_col: str, num_buckets: int = 6
         )
 
     return sums.repartition(1).map_batches(finish, batch_format="pyarrow", batch_size=None)
-
-
-def gram_matrix(ds, vec_col: str = "embedding", scale: int = 1_000_000):
-    """Distributed feature Gram matrix over an embedding column — the
-    accumulation behind PCA / whitening / covariance feature prep:
-    G[i, j] = sum over rows of q(v[i] * v[j]), with each per-row product
-    int64-quantized BEFORE summing (q(x) = floor(x * scale + 0.5) — half-up,
-    negative-safe, the engine's established cents discipline) so the sum is
-    order- and plan-independent and a SQL oracle can reproduce it exactly:
-    float32 -> float64 widening is exact, the double multiply is one IEEE op
-    identical in numpy and DuckDB, and everything after is integer.
-
-    Scale shape: combiner-first all the way — each batch reduces to ONE
-    dim x dim int64 partial (numpy blocked outer products, nothing
-    row-sized leaves the task), the exchange carries dim^2-row partials,
-    and the final groupby is answer-sized (dim^2 rows, e.g. 4096 for
-    dim=64). No driver-side math beyond the final table.
-
-    Returns (i int64, j int64, g int64) sorted by (i, j), full dense matrix
-    (including symmetric duplicates — the oracle's cross-join shape).
-    """
-    part_schema = pa.schema([("i", pa.int64()), ("j", pa.int64()), ("g", pa.int64())])
-
-    def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return part_schema.empty_table()
-        v = vec_matrix(b.column(vec_col))
-        dim = v.shape[1]
-        acc = np.zeros((dim, dim), dtype=np.int64)
-        # L2-RESIDENT blocks + in-place quantization: the quantize chain
-        # makes 4 write+read passes over the outer-product temporary, so its
-        # size decides whether those passes hit cache or DRAM. At 512 KB
-        # (65_536 elements) the passes stay in L2 and the kernel holds
-        # ~14.5 us/row under 32-way concurrency; the old 16 MB blocks
-        # saturated memory bandwidth at 54.6 us/row (3.8x) while looking
-        # identical single-threaded. The per-BLOCK float64 sum is exact
-        # (<= 512 integer-valued floats of |.| <= ~1e8 stays far below
-        # 2^53) and lands in the int64 accumulator each block, so block
-        # size never threatens exactness (asserted equal across sizes).
-        block = max(1, 65_536 // (dim * dim))
-        for s in range(0, v.shape[0], block):
-            outer = np.multiply(v[s : s + block, :, None], v[s : s + block, None, :])
-            outer *= scale
-            outer += 0.5
-            np.floor(outer, out=outer)
-            acc += outer.sum(axis=0).astype(np.int64)
-        ii, jj = np.meshgrid(np.arange(dim, dtype=np.int64), np.arange(dim, dtype=np.int64), indexing="ij")
-        return pa.table(
-            {"i": pa.array(ii.ravel()), "j": pa.array(jj.ravel()), "g": pa.array(acc.ravel())},
-            schema=part_schema,
-        )
-
-    def combine(b: pa.Table) -> pa.Table:
-        # elementwise int64 sum of dense dim^2 partials (associative, exact —
-        # np.add.at, NOT bincount, whose float64 weights would lose int64 bits)
-        if b.num_rows == 0:
-            return part_schema.empty_table()
-        i = b.column("i").to_numpy()
-        j = b.column("j").to_numpy()
-        dim = int(i.max()) + 1  # every partial carries the full dense grid
-        acc = np.zeros(dim * dim, dtype=np.int64)
-        np.add.at(acc, i * dim + j, b.column("g").to_numpy())
-        ii, jj = np.meshgrid(np.arange(dim, dtype=np.int64), np.arange(dim, dtype=np.int64), indexing="ij")
-        return pa.table(
-            {"i": pa.array(ii.ravel()), "j": pa.array(jj.ravel()), "g": pa.array(acc.ravel())},
-            schema=part_schema,
-        )
-
-    # whole-block batches (one dim^2 partial per BLOCK, not per 1024 rows),
-    # then an app-level TREE combine instead of ds.groupby: Ray's sort-based
-    # Aggregate cost 7.2 s wall / 81 s CPU on 128 answer-sized partials where
-    # this fan-in costs ~0.2 s. The materialize() after the partial scan is
-    # load-bearing twice over: (a) it pins only dim^2-per-block partials
-    # (96 KB per 4 MB input block at dim 64 — ~2% of input, ~300 MB/node at
-    # 100 TB), and (b) it keeps the AllToAll fan-in OUT of the scan's
-    # streaming topology — co-scheduled, the executor's AllToAll resource
-    # reservation throttled the partial stage to ~1 concurrent task at
-    # 8 CPUs (34 s wall for 30 s task-CPU; 8.2 s with the barrier). The
-    # coalescing level-1 combine (numeric batch_size spans block boundaries,
-    # ~256 partials per task at dim 64; no fusion risk post-materialize)
-    # keeps the root answer-sized at any block count. Integer partials are
-    # associative, so values are plan-independent by construction.
-    parts = ds.map_batches(partial, batch_format="pyarrow", batch_size=None).materialize()
-    level1 = parts.map_batches(combine, batch_format="pyarrow", batch_size=1_048_576)
-    root = level1.repartition(1).map_batches(combine, batch_format="pyarrow", batch_size=None)
-
-    from text_to_graph_ray.util import sort_coalesced
-
-    return sort_coalesced(root, ["i", "j"])
-
-
-def pca_project(ds, n_components: int = 2, vec_col: str = "embedding",
-                id_col: str = "vec_id", scale: int = 1_000_000):
-    """Project every embedding onto the top principal directions of the
-    (uncentered) feature Gram matrix — the whitening/feature-prep step the
-    ``gram_matrix`` accumulation exists for.
-
-    Exactness discipline, end to end in integers:
-      1. G comes from ``gram_matrix`` (per-row products half-up-quantized
-         to int64 BEFORE summing — order/plan-independent, dim^2 rows).
-      2. ``np.linalg.eigh`` on the small float64 G is the eigensolver
-         CONTRACT (deterministic for identical input bits on one build —
-         the np.log2 precedent); components ordered by eigenvalue DESC,
-         each sign-fixed so its max-|.|-component (lowest index on ties)
-         is positive.
-      3. Both the components and the vectors are half-up-quantized to the
-         same int64 grid, so the projection is an INT64 dot product —
-         bit-exact regardless of batch boundaries or BLAS blocking
-         (|v_q| <= ~1e7, |w_q| <= 1e6, dim 64: far inside int64).
-
-    Scale shape: the Gram exchange is the only corpus-sized step (already
-    combiner-first); eigh runs on the driver over a dim x dim answer-sized
-    table; the component matrix broadcasts once via ray.put; projection is
-    one embarrassingly-parallel pass. Returns (id_col, pc0..pc{c-1}) as
-    int64 quantized projections, sorted by id."""
-    import ray
-
-    from text_to_graph_ray.util import sort_coalesced
-
-    g = gram_matrix(ds, vec_col=vec_col, scale=scale).to_pandas()
-    dim = int(g["i"].max()) + 1
-    G = np.zeros((dim, dim), dtype=np.float64)
-    G[g["i"].to_numpy(), g["j"].to_numpy()] = g["g"].to_numpy().astype(np.float64)
-    w, V = np.linalg.eigh(G)
-    order = np.argsort(-w, kind="stable")[:n_components]
-    comps = V[:, order]  # dim x c
-    for c in range(comps.shape[1]):
-        m = int(np.argmax(np.abs(comps[:, c])))  # argmax: lowest index on ties
-        if comps[m, c] < 0:
-            comps[:, c] = -comps[:, c]
-    wq = np.floor(comps * scale + 0.5).astype(np.int64)  # half-up, negative-safe
-    ref = ray.put(wq)
-
-    out_schema = pa.schema([(id_col, pa.int64())] +
-                           [(f"pc{c}", pa.int64()) for c in range(n_components)])
-
-    def project(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return out_schema.empty_table()
-        from text_to_graph_ray.util import quantize_grid
-
-        Wq = ray.get(ref)
-        v = vec_matrix(b.column(vec_col))
-        vq = quantize_grid(v, scale)  # L2-blocked floor(v*scale+0.5), exact
-        proj = vq @ Wq  # exact int64 matmul
-        cols = {id_col: b.column(id_col).cast(pa.int64())}
-        for c in range(proj.shape[1]):
-            cols[f"pc{c}"] = pa.array(proj[:, c])
-        return pa.table(cols, schema=out_schema)
-
-    return sort_coalesced(
-        ds.map_batches(project, batch_format="pyarrow", batch_size=None), id_col
-    )
 
 
 def cohens_kappa(ds, a_col: str, b_col: str):

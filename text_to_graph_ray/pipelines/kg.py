@@ -589,8 +589,9 @@ def scored_fallback_links(
     matrix at ~8·dim·chunk bytes) and unioned — chunks partition mentions, so
     no cross-chunk merge is needed. Exchange bound: <= one candidate row per
     (mention, shard) that clears the threshold; for a pathological vocabulary
-    where that explodes, the LSH-bucketed path in ``functions/ann.py`` is the
-    documented escalation.
+    where that explodes, an LSH-bucketed candidate pass (signed random
+    projections over the trigram vectors) would be the escalation; none is
+    implemented.
 
     Both plans are value-identical (threshold-0 equivalence test in
     tests/test_round4.py, mirroring test_distributed_linking_matches_broadcast)."""

@@ -175,55 +175,3 @@ def compact_nonempty(mds):
         return mds
     return rd.from_arrow_refs(keep)
 
-
-def vec_matrix(col, dtype=None):
-    """Extract a ``list<float>`` Arrow column into an (n, dim) ndarray
-    WITHOUT the to_pylist Python round-trip: one list_flatten (zero-copy
-    for null-free uniform-length lists) + one reshape + one exact
-    float32 -> float64 widening. Bit-identical to
-    ``np.asarray(col.to_pylist(), dtype=np.float64)`` — to_pylist yields
-    the same float32 values as Python floats — but ~10x cheaper on the
-    64-dim embedding tables. Falls back to the pylist path for ragged or
-    null-bearing layouts (never produced by the engine's tables)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    if dtype is None:
-        dtype = np.float64
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if col.null_count == 0 and len(col):
-        lens = pc.unique(pc.list_value_length(col)).to_pylist()
-        if len(lens) == 1 and lens[0]:
-            flat = pc.list_flatten(col)
-            v = flat.to_numpy(zero_copy_only=False)
-            return np.ascontiguousarray(v).astype(dtype, copy=False).reshape(len(col), lens[0])
-    return np.asarray(col.to_pylist(), dtype=dtype)
-
-
-def quantize_grid(v, scale):
-    """Half-up int64 quantization ``floor(v * scale + 0.5)`` of a float64
-    matrix, L2-BLOCKED: the naive one-liner makes four full-array passes
-    (multiply temp, add, floor, astype) whose DRAM traffic saturates under
-    many-core concurrency — measured 1.93 s vs 43 ms per 62.5k x 64 batch
-    at 32-way parallelism (44x). Identical values by construction: the same
-    three IEEE ops run per element in the same order, only the loop
-    blocking differs, and float64 elementwise ops have no cross-element
-    state. Returns an int64 array of v's shape."""
-    import numpy as np
-
-    v = np.ascontiguousarray(v)
-    if v.ndim == 1:
-        return quantize_grid(v.reshape(1, -1), scale).reshape(-1)
-    out = np.empty(v.shape, dtype=np.int64)
-    rows = max(1, 65_536 // max(1, v.shape[1]))  # ~512 KB of float64 per block
-    buf = np.empty((min(rows, len(v)), v.shape[1]), dtype=np.float64)
-    for s in range(0, len(v), rows):
-        e = min(s + rows, len(v))
-        b = buf[: e - s]
-        np.multiply(v[s:e], scale, out=b)
-        b += 0.5
-        np.floor(b, out=b)
-        out[s:e] = b
-    return out

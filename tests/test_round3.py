@@ -4,6 +4,7 @@ and the schema-metadata hygiene helpers."""
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
@@ -249,141 +250,6 @@ def test_bucket_exchange_vectorized_per_bucket(ray_session):
     assert out.count() == 0 and out.schema().names == ["k", "vmax"]
 
 
-# ---- functions/joins.py: distributed as-of and range joins ------------------
-
-
-def _random_events(rng, n, n_users, seed_ts=1_700_000_000_000_000):
-    ts = seed_ts + rng.choice(10**9, size=n, replace=False).astype("int64")  # unique
-    return pd.DataFrame(
-        {
-            "event_id": np.arange(n, dtype="int64"),
-            "ts": pd.to_datetime(ts, unit="us"),
-            "user_id": rng.integers(0, n_users, n).astype("int64"),
-            "value": rng.uniform(0, 100, n).round(2),
-        }
-    )
-
-
-import numpy as np  # noqa: E402  (used by the join tests below)
-
-
-def test_asof_join_matches_pandas_merge_asof(ray_session):
-    """Distributed asof_join == single-process pandas merge_asof on the whole
-    frame — bucket splits and block splits must not change any match.
-    Includes a hot key (half of one side is one user)."""
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.joins import asof_join
-
-    rng = np.random.default_rng(21)
-    left = _random_events(rng, 400, 20)
-    right = _random_events(rng, 600, 20)
-    right.loc[:200, "user_id"] = 7  # hot key
-
-    got = (
-        asof_join(
-            rd.from_pandas(left).repartition(5),
-            rd.from_pandas(right).repartition(7),
-            on="ts",
-            by="user_id",
-            left_cols={"event_id": "event_id", "value": "value"},
-            right_cols={"r_ts": "ts", "r_value": "value"},
-            num_buckets=8,
-        )
-        .to_pandas()
-        .sort_values("event_id")
-        .reset_index(drop=True)
-    )
-
-    l = left.sort_values("ts").copy()
-    r = right.sort_values("ts").copy()
-    r2 = r.rename(columns={"value": "r_value"})
-    r2["r_ts"] = r2["ts"].values.astype("datetime64[us]").astype("int64")
-    want = pd.merge_asof(l, r2[["ts", "user_id", "r_ts", "r_value"]], on="ts", by="user_id", direction="backward")
-    want = want[want["r_ts"].notna()].sort_values("event_id").reset_index(drop=True)
-    want["ts"] = want["ts"].values.astype("datetime64[us]").astype("int64")
-
-    assert list(got["event_id"]) == list(want["event_id"])
-    assert list(got["ts"]) == list(want["ts"])
-    assert list(got["r_ts"]) == [int(x) for x in want["r_ts"]]
-    assert np.allclose(got["r_value"], want["r_value"])
-
-
-def test_asof_join_left_outer_and_forward(ray_session):
-    """inner=False keeps unmatched left rows (null right payload);
-    direction='forward' matches the NEXT right row instead."""
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.joins import asof_join
-
-    left = pd.DataFrame(
-        {
-            "event_id": np.array([1, 2], dtype="int64"),
-            "ts": pd.to_datetime([100, 200], unit="s"),
-            "user_id": np.array([1, 1], dtype="int64"),
-            "value": [1.0, 2.0],
-        }
-    )
-    right = pd.DataFrame(
-        {
-            "event_id": np.array([9], dtype="int64"),
-            "ts": pd.to_datetime([150], unit="s"),
-            "user_id": np.array([1], dtype="int64"),
-            "value": [9.0],
-        }
-    )
-    l, r = rd.from_pandas(left), rd.from_pandas(right)
-    kw = dict(on="ts", by="user_id", left_cols={"event_id": "event_id"}, right_cols={"r_value": "value"}, num_buckets=4)
-
-    outer = asof_join(l, r, inner=False, **kw).to_pandas().sort_values("event_id")
-    assert len(outer) == 2
-    assert np.isnan(outer.iloc[0]["r_value"]) and outer.iloc[1]["r_value"] == 9.0  # 100<150 unmatched backward
-
-    fwd = asof_join(l, r, direction="forward", **kw).to_pandas().sort_values("event_id")
-    assert list(fwd["event_id"]) == [1] and fwd.iloc[0]["r_value"] == 9.0  # only ts=100 has a next right
-
-
-def test_range_join_matches_naive(ray_session):
-    """Distributed range_join == the O(n^2) per-user double loop, including
-    boundary semantics (strict lower, inclusive upper) and a hot key."""
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.joins import range_join
-
-    rng = np.random.default_rng(33)
-    left = _random_events(rng, 300, 12)
-    right = _random_events(rng, 300, 12)
-    right.loc[:150, "user_id"] = 3
-    upper = 200_000_000  # 200 s in us
-
-    got = (
-        range_join(
-            rd.from_pandas(left).repartition(4),
-            rd.from_pandas(right).repartition(6),
-            on="ts",
-            by="user_id",
-            left_cols={"a_id": "event_id"},
-            right_cols={"b_id": "event_id"},
-            lower_us=0,
-            upper_us=upper,
-            num_buckets=8,
-        )
-        .to_pandas()
-        .sort_values(["a_id", "b_id"])
-        .reset_index(drop=True)
-    )
-
-    lus = left.assign(us=left["ts"].values.astype("datetime64[us]").astype("int64"))
-    rus = right.assign(us=right["ts"].values.astype("datetime64[us]").astype("int64"))
-    pairs = []
-    for _, lrow in lus.iterrows():
-        for _, rrow in rus.iterrows():
-            if lrow["user_id"] == rrow["user_id"] and lrow["us"] < rrow["us"] <= lrow["us"] + upper:
-                pairs.append((int(lrow["event_id"]), int(rrow["event_id"])))
-    pairs.sort()
-    assert list(zip(got["a_id"], got["b_id"])) == pairs
-
-
 # ---- defs-broadcast pruning (link_merged early-return gates) -----------------
 
 
@@ -595,28 +461,6 @@ def test_distinct_rows_matches_pandas(ray_session):
         .reset_index(drop=True)
     )
     want = df.drop_duplicates().sort_values(["a", "b"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want)
-
-
-def test_nunique_per_group_matches_pandas(ray_session):
-    import numpy as np
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.agg import nunique_per_group
-
-    rng = np.random.default_rng(22)
-    df = pd.DataFrame(
-        {"g": rng.choice(["p", "q", "r"], 2000), "u": rng.integers(0, 40, 2000).astype("int64")}
-    )
-    got = (
-        nunique_per_group(rd.from_pandas(df).repartition(9), "g", "u", out_name="n_unique")
-        .to_pandas()
-        .sort_values("g")
-        .reset_index(drop=True)
-    )
-    want = (
-        df.groupby("g", as_index=False)["u"].nunique().rename(columns={"u": "n_unique"}).sort_values("g").reset_index(drop=True)
-    )
     pd.testing.assert_frame_equal(got, want)
 
 
@@ -903,79 +747,6 @@ def test_latest_per_key_matches_pandas(ray_session):
     pd.testing.assert_frame_equal(got_min, want_min)
 
 
-def test_asof_left_outer_int_and_timestamp_payload(ray_session):
-    """Regression: inner=False with an INT or TIMESTAMP right payload used to
-    crash (NaN from the unmatched-left float promotion truncated into the
-    int64 cast); unmatched rows must carry NULL instead."""
-    import numpy as np
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.joins import asof_join
-
-    left = pd.DataFrame(
-        {
-            "event_id": np.array([1, 2], dtype="int64"),
-            "ts": pd.to_datetime([100, 200], unit="s"),
-            "user_id": np.array([1, 1], dtype="int64"),
-        }
-    )
-    right = pd.DataFrame(
-        {
-            "event_id": np.array([9], dtype="int64"),
-            "ts": pd.to_datetime([150], unit="s"),
-            "user_id": np.array([1], dtype="int64"),
-        }
-    )
-    out = (
-        asof_join(
-            rd.from_pandas(left),
-            rd.from_pandas(right),
-            on="ts",
-            by="user_id",
-            left_cols={"l_event": "event_id"},
-            right_cols={"r_event": "event_id", "r_ts": "ts"},  # int64 + timestamp payloads
-            inner=False,
-            num_buckets=4,
-        )
-        .to_pandas()
-        .sort_values("l_event")
-        .reset_index(drop=True)
-    )
-    assert len(out) == 2
-    assert pd.isna(out.iloc[0]["r_event"]) and pd.isna(out.iloc[0]["r_ts"])  # ts=100: no prior right
-    assert out.iloc[1]["r_event"] == 9 and out.iloc[1]["r_ts"] == 150_000_000  # epoch-us
-
-
-def test_range_join_cap_fails_loudly(ray_session):
-    """max_matches_per_row must raise, not silently truncate."""
-    import numpy as np
-    import pytest
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.joins import range_join
-
-    left = pd.DataFrame(
-        {"ts": pd.to_datetime([0], unit="s"), "user_id": np.array([1], dtype="int64"), "v": [1.0]}
-    )
-    right = pd.DataFrame(
-        {
-            "ts": pd.to_datetime(np.arange(5), unit="s"),
-            "user_id": np.ones(5, dtype="int64"),
-            "w": np.zeros(5),
-        }
-    )
-    kw = dict(
-        on="ts", by="user_id", left_cols={"v": "v"}, right_cols={"w": "w"},
-        lower_us=0, upper_us=10_000_000, num_buckets=2,
-    )
-    ok = range_join(rd.from_pandas(left), rd.from_pandas(right), **kw).to_pandas()
-    assert len(ok) == 4  # window is lower-exclusive: rt == lt+lower_us excluded
-    with pytest.raises(Exception, match="max_matches_per_row"):
-        range_join(
-            rd.from_pandas(left), rd.from_pandas(right), max_matches_per_row=3, **kw
-        ).to_pandas()
-
-
 def test_metadata_row_count_no_execution(ray_session, tmp_path):
     """signature_join='auto' sizing must come from parquet footers even when
     read stages are appended (ds.count() would execute a full scan)."""
@@ -1043,3 +814,4 @@ def test_worker_crash_mid_pagerank_recovers(ray_session, tmp_path):
     ).to_pandas().reset_index(drop=True)
     assert os.path.exists(flag), "fault was never injected"
     pd.testing.assert_frame_equal(crashed, clean)
+

@@ -1,36 +1,9 @@
-"""Round-4 part-2 tests: integer-exact grouped correlation, fixed-width
-histogram, grouped quantile and KMV distinct sketches, grouped integer-exact
-moments."""
+"""Round-4 part-2 tests: fixed-width histogram, grouped quantile sketch,
+grouped integer-exact moments."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
-
-
-def test_grouped_corr_matches_numpy_and_nulls_degenerate(ray_session):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.stats import grouped_corr_int
-
-    rng = np.random.default_rng(11)
-    n = 5000
-    key = np.where(rng.random(n) < 0.5, "A", "B")
-    x = rng.integers(1, 51, size=n).astype(np.float64)
-    y = rng.integers(0, 11, size=n).astype(np.float64) / 100.0  # 2-decimal like discount
-    # group C: constant y -> zero variance -> NULL corr
-    key = np.concatenate([key, np.array(["C"] * 50)])
-    x = np.concatenate([x, rng.integers(1, 51, size=50).astype(np.float64)])
-    y = np.concatenate([y, np.full(50, 0.05)])
-    ds = rd.from_arrow(
-        pa.table({"k": pa.array(key.tolist()), "x": pa.array(x), "y": pa.array(y)})
-    ).repartition(8)
-    out = {r["k"]: r for r in grouped_corr_int(ds, "k", "x", "y", y_scale=100, out_name="c").take_all()}
-    assert out["C"]["c"] is None
-    for g in ("A", "B"):
-        m = key == g
-        want = np.corrcoef(x[m], np.rint(y[m] * 100))[0, 1]
-        assert out[g]["n"] == int(m.sum())
-        assert abs(out[g]["c"] - want) < 1e-12
 
 
 def test_histogram_exact_drops_nulls_and_closes_top_bin(ray_session):
@@ -107,41 +80,6 @@ class TestGroupedQuantileSketch:
                 assert abs(rank - q) < 0.01, (g, q, rank)
 
 
-class TestGroupedKMV:
-    def test_exact_below_k_per_group(self, ray_session):
-        import ray.data as rd
-
-        from text_to_graph_ray.functions.sketch import grouped_kmv_distinct
-
-        rng = np.random.default_rng(11)
-        keys = rng.choice(["a", "b", "c"], size=5000).tolist()
-        vals = rng.integers(0, 900, size=5000)  # < k distinct per group
-        tbl = pa.table({"g": pa.array(keys), "v": pa.array([str(v) for v in vals])})
-        ds = rd.from_arrow(tbl).repartition(8)
-        out = {r["g"]: r["n_distinct"] for r in grouped_kmv_distinct(ds, "g", "v", k=8192).take_all()}
-        import pandas as pd
-
-        want = pd.DataFrame({"g": keys, "v": vals}).groupby("g")["v"].nunique().to_dict()
-        assert out == want
-
-    def test_estimate_regime_relative_error(self, ray_session):
-        import ray.data as rd
-
-        from text_to_graph_ray.functions.sketch import grouped_kmv_distinct
-
-        n = 120_000
-        tbl = pa.table(
-            {
-                "g": pa.array(["hot"] * n + ["cold"] * 500),
-                "v": pa.array([str(i) for i in range(n)] + [str(i % 100) for i in range(500)]),
-            }
-        )
-        ds = rd.from_arrow(tbl).repartition(16)
-        out = {r["g"]: r["n_distinct"] for r in grouped_kmv_distinct(ds, "g", "v", k=1024).take_all()}
-        assert out["cold"] == 100  # still exact
-        assert abs(out["hot"] - n) / n < 0.15  # ~1/sqrt(k-1) regime
-
-
 def test_grouped_moments_matches_exact_reference(ray_session):
     import math
 
@@ -179,3 +117,4 @@ def test_grouped_moments_matches_exact_reference(ray_session):
         rr = math.sqrt(float(a2))
         assert r["skew_pop"] == float(a3) / (rr * rr * rr)
         assert r["kurt_pop"] == float(a4) / (float(a2) * float(a2)) * (float(n) * float(n)) - 3.0
+

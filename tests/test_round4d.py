@@ -1,5 +1,6 @@
 """Round-4 part 5 operator tests: segment-level corpus dedup, upsert merge,
-winsorized and MAD group stats, key-skew profile."""
+quota per group, partitioned layout, budget select, incremental merge, search
+top-k."""
 
 import pandas as pd
 import pyarrow as pa
@@ -176,58 +177,6 @@ class TestPartitionedLayout:
             read_partition_values(str(tmp_path / "p"), "lang", ["zz"])
 
 
-class TestWinsorize:
-    def test_known_bounds_and_clipped_sum(self, ray_session):
-        import ray
-
-        from text_to_graph_ray.functions.stats import winsorize_group_stats
-
-        # group g: values 1..10 -> disc p10 = ceil(0.1*10)-1 = idx 0 -> 1;
-        # p90 = ceil(9)-1 = idx 8 -> 9; clip only the 10 -> sum 54
-        t = pa.table({
-            "g": pa.array(["g"] * 10 + ["h"] * 3),
-            "v": pa.array(list(range(1, 11)) + [100, 200, 300], type=pa.int64()),
-        })
-        out = winsorize_group_stats(ray.data.from_arrow(t), "g", "v").to_pandas()
-        g = out[out.g == "g"].iloc[0]
-        assert (g.n, g.n_lo, g.n_hi, g.sum_clipped) == (10, 0, 1, 54)
-        # h: n=3 -> p10 idx ceil(0.3)-1=0 -> 100; p90 idx ceil(2.7)-1=2 -> 300: nothing clips
-        h = out[out.g == "h"].iloc[0]
-        assert (h.n, h.n_lo, h.n_hi, h.sum_clipped) == (3, 0, 0, 600)
-
-    def test_groups_max_guard(self, ray_session):
-        import ray
-
-        from text_to_graph_ray.functions.stats import winsorize_group_stats
-
-        t = pa.table({"g": pa.array([f"g{i}" for i in range(50)]), "v": pa.array(range(50), type=pa.int64())})
-        with pytest.raises(ValueError, match="groups_max"):
-            winsorize_group_stats(ray.data.from_arrow(t), "g", "v", groups_max=10)
-
-
-class TestFilterByAllKeys:
-    def test_broadcast_matches_distributed_and_anti(self, ray_session):
-        import ray
-
-        from text_to_graph_ray.functions.joins import filter_by_all_keys
-
-        edges = ray.data.from_arrow(pa.table({
-            "a": pa.array([0, 1, 2, 3, 4], type=pa.int64()),
-            "b": pa.array([1, 2, 3, 4, 0], type=pa.int64()),
-        }))
-        alive = ray.data.from_arrow(pa.table({"node": pa.array([0, 1, 2], type=pa.int64())}))
-        semi_b = filter_by_all_keys(edges, alive, keys=("a", "b"), right_key="node").to_pandas()
-        semi_d = filter_by_all_keys(edges, alive, keys=("a", "b"), right_key="node",
-                                    broadcast_max=0).to_pandas()
-        want = {(0, 1), (1, 2)}
-        assert set(zip(semi_b.a, semi_b.b)) == set(zip(semi_d.a, semi_d.b)) == want
-        anti = filter_by_all_keys(edges, alive, keys=("a", "b"), right_key="node", mode="anti").to_pandas()
-        assert set(zip(anti.a, anti.b)) == {(2, 3), (3, 4), (4, 0)}
-        with pytest.raises(NotImplementedError):
-            filter_by_all_keys(edges, alive, keys=("a", "b"), right_key="node",
-                               mode="anti", broadcast_max=0).to_pandas()
-
-
 class TestBudgetSelect:
     def test_prefix_semantics_and_budget(self, ray_session):
         import ray
@@ -321,76 +270,6 @@ class TestMergeIncrement:
         assert len(row) == 1
 
 
-class TestKeySkewProfile:
-    def test_known_distribution(self, ray_session):
-        import ray
-
-        from text_to_graph_ray.functions.agg import key_skew_profile
-
-        # counts: a=1, b=2, c=3 (sorted ranks 1,2,3; n_keys=3, n_rows=6)
-        # gini = ((2*1-4)*1 + (2*2-4)*2 + (2*3-4)*3) / (3*6) = (-2+0+6)/18
-        rows = ["a"] + ["b"] * 2 + ["c"] * 3
-        ds = ray.data.from_arrow(pa.table({"k": pa.array(rows)}))
-        out = key_skew_profile(ds, "k").to_pandas()
-        assert out.n_rows.item() == 6 and out.n_keys.item() == 3
-        assert out.max_n.item() == 3 and out.top_key.item() == "c"
-        assert out.gini.item() == 4.0 / 18.0
-
-    def test_uniform_is_zero_and_tie_picks_min_key(self, ray_session):
-        import ray
-
-        from text_to_graph_ray.functions.agg import key_skew_profile
-
-        rows = [f"k{i % 5}" for i in range(50)]
-        out = key_skew_profile(ray.data.from_arrow(pa.table({"k": pa.array(rows)})), "k").to_pandas()
-        assert out.gini.item() == 0.0
-        assert out.top_key.item() == "k0"  # all tie at 10 -> min key
-
-    def test_partition_invariance(self, ray_session):
-        import ray
-
-        from text_to_graph_ray.functions.agg import key_skew_profile
-
-        rows = [f"k{(i * i) % 37}" for i in range(500)]
-        t = pa.table({"k": pa.array(rows)})
-        a = key_skew_profile(ray.data.from_arrow(t), "k").to_pandas()
-        b = key_skew_profile(ray.data.from_arrow(t).repartition(13), "k").to_pandas()
-        pd.testing.assert_frame_equal(a, b)
-
-
-def test_column_stats_nulls_and_minmax(ray_session):
-    import ray
-
-    from text_to_graph_ray.sources.formats import column_stats
-
-    t = pa.table({
-        "a": pa.array([1, None, 3, None], type=pa.int64()),
-        "b": pa.array([10, 20, 30, 40], type=pa.int64()),
-    })
-    out = column_stats(ray.data.from_arrow(t).repartition(3), ["a", "b"]).to_pandas()
-    a = out[out["column"] == "a"].iloc[0]
-    assert (a.n_rows, a.n_null, a.vmin, a.vmax) == (4, 2, 1, 3)
-    b = out[out["column"] == "b"].iloc[0]
-    assert (b.n_rows, b.n_null, b.vmin, b.vmax) == (4, 0, 10, 40)
-
-
-def test_grouped_mad_known_values_and_guard(ray_session):
-    import ray
-
-    from text_to_graph_ray.functions.stats import grouped_mad
-
-    # g: [1,2,3,4,100] -> median 3, |x-3| = [2,1,0,1,97] -> mad 1
-    # h: [10, 20] -> median 15, devs [5, 5] -> mad 5
-    t = pa.table({
-        "g": pa.array(["g"] * 5 + ["h"] * 2),
-        "v": pa.array([1, 2, 3, 4, 100, 10, 20], type=pa.int64()),
-    })
-    out = grouped_mad(ray.data.from_arrow(t), "g", "v").to_pandas()
-    assert dict(zip(out.g, out["mad"])) == {"g": 1.0, "h": 5.0}
-    with pytest.raises(ValueError, match="groups_max"):
-        grouped_mad(ray.data.from_arrow(t), "g", "v", groups_max=1)
-
-
 def test_search_topk_scoring_and_rank(ray_session):
     import math
 
@@ -415,3 +294,4 @@ def test_search_topk_scoring_and_rank(ray_session):
     assert set(got) == {1, 3, 2}
     assert abs(got[3] - 3 * idf) < 1e-12 and abs(got[1] - 3 * idf) < 1e-12
     assert list(out.doc_id) == [1, 3, 2]
+

@@ -1,5 +1,6 @@
-"""Round-5 tests: the filter_by_all_keys type guard, the half-up cents rounding contract, and the
-exact Gini / grouped OLS / MAD-outlier / chi-square drift statistics."""
+"""Round-5 tests: batch text kernels, lookup join, the half-up cents rounding
+contract, checkpoint compaction, incremental merge, and the kept text, mixture,
+label-agreement and KG operators."""
 
 import os
 import shutil
@@ -7,23 +8,7 @@ import shutil
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 import pytest
-
-
-class TestFilterByAllKeysTypeGuard:
-    def test_heterogeneous_key_types_rejected(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.joins import filter_by_all_keys
-
-        left = _ray.data.from_arrow(pa.table({
-            "x": pa.array([1, 2], type=pa.int64()),
-            "y": pa.array(["1", "2"], type=pa.string()),
-        }))
-        right = _ray.data.from_arrow(pa.table({"k": pa.array([1], type=pa.int64())}))
-        with pytest.raises(TypeError, match="must share one type"):
-            filter_by_all_keys(left, right, keys=["x", "y"], right_key="k")
 
 
 def _adversarial_texts():
@@ -202,34 +187,6 @@ class TestLookupJoin:
                                                "x": pa.array([2], type=pa.int64())}))
         with pytest.raises(ValueError, match="already exist"):
             lookup_join(left, right, key="k")
-
-
-class TestMadOutliers:
-    def test_counts_match_naive(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.stats import mad_outliers
-
-        rng = np.random.default_rng(19)
-        keys, vals = [], []
-        data = {"a": rng.normal(10.0, 2.0, 200), "b": rng.normal(50.0, 5.0, 150)}
-        # inject extreme outliers that would wreck a mean/stddev z-score
-        data["a"][:3] = [1000.0, -900.0, 800.0]
-        for k, arr in data.items():
-            keys += [k] * len(arr)
-            vals += arr.tolist()
-        t = pa.table({"g": pa.array(keys, type=pa.string()), "x": pa.array(vals, type=pa.float64())})
-        got = mad_outliers(_ray.data.from_arrow(t).repartition(5), "g", "x", k=3.0).to_pandas()
-
-        expect = {}
-        for k, arr in data.items():
-            med = round(float(np.quantile(arr, 0.5, method="linear")), 6)
-            mad = round(float(np.quantile(np.abs(arr - med), 0.5, method="linear")), 6)
-            anom = int((np.abs(arr - med) > 3.0 * mad).sum())
-            expect[k] = (len(arr), anom)
-        assert {r.g: (int(r.n), int(r.n_anomalies)) for r in got.itertuples()} == expect
-        # the planted extremes must be flagged (robustness property)
-        assert expect["a"][1] >= 3
 
 
 class TestLexicalStats:
@@ -427,41 +384,6 @@ class TestBigramLM:
         a = bigram_lm_nll(_ray.data.from_arrow(t).repartition(3)).to_pandas()
         b = bigram_lm_nll(_ray.data.from_arrow(t).repartition(3), counts_broadcast_max=0).to_pandas()
         assert a.values.tolist() == b.values.tolist()
-
-
-class TestDriftChi2:
-    def test_matches_naive_and_detects_planted_drift(self, ray_session):
-        """Category 'z' appears only in cohort B: its chi2 term must
-        dominate; a perfectly balanced category contributes ~0; totals and
-        terms must match a plain-dict recomputation."""
-        import ray as _ray
-
-        from text_to_graph_ray.functions.stats import categorical_drift_chi2
-
-        cats = ["x"] * 50 + ["y"] * 30 + ["z"] * 20
-        side = [False, True] * 25 + [False] * 15 + [True] * 15 + [True] * 20
-        t = pa.table({"cat": pa.array(cats, type=pa.string()),
-                      "side": pa.array(side, type=pa.bool_())})
-        got = categorical_drift_chi2(_ray.data.from_arrow(t).repartition(4), "cat", "side").to_pandas()
-
-        from collections import Counter
-        ca = Counter(c for c, s in zip(cats, side) if not s)
-        cb = Counter(c for c, s in zip(cats, side) if s)
-        ta, tb = float(sum(ca.values())), float(sum(cb.values()))
-        want = []
-        for c in sorted(set(cats)):
-            na, nb = ca.get(c, 0), cb.get(c, 0)
-            ea = (na + nb) * ta / (ta + tb)
-            eb = (na + nb) * tb / (ta + tb)
-            term = (0.0 if ea == 0 else (na - ea) * (na - ea) / ea) + (
-                0.0 if eb == 0 else (nb - eb) * (nb - eb) / eb)
-            want.append((c, na, nb, round(term, 6)))
-        assert [tuple(r) for r in got.itertuples(index=False)] == want
-        terms = dict(zip(got["cat"], got["chi2_term"]))
-        # the planted one-sided category dominates (13.33 vs <= 2.09: note
-        # even x's 25/25 split is drifted against the 40:60 cohort baseline)
-        assert terms["z"] == max(terms.values()) and terms["z"] > 5.0
-        assert max(terms["x"], terms["y"]) < 2.5
 
 
 class TestIncrementalMinhash:
@@ -1177,124 +1099,6 @@ class TestPmiTopk:
         assert list(zip(got["x"], got["y"])) == [("unique", "pair")]
 
 
-class TestGiniExact:
-    def test_hand_computed_and_partition_invariant(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.stats import gini_exact
-
-        t = pa.table({"cents": pa.array([8, 1, 1], type=pa.int64())})
-        out = gini_exact(_ray.data.from_arrow(t)).to_pandas()
-        # sorted [1,1,8]: S1=27, Sx=10, n=3 -> (54-40)/30
-        assert out["n_rows"][0] == 3 and out["total"][0] == 10
-        assert out["gini"][0] == round(14 / 30, 6)
-        # equal values -> 0; partitioning must not change the result
-        eq = pa.table({"cents": pa.array([5] * 40, type=pa.int64())})
-        out_eq = gini_exact(_ray.data.from_arrow(eq).repartition(7)).to_pandas()
-        assert out_eq["gini"][0] == 0.0
-        big = pa.table({"cents": pa.array(list(range(1, 201)), type=pa.int64())})
-        a = gini_exact(_ray.data.from_arrow(big)).to_pandas()
-        b = gini_exact(_ray.data.from_arrow(big).repartition(9)).to_pandas()
-        assert a.equals(b)
-
-    def test_chunked_accumulation_is_exact_near_int64(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.stats import gini_exact
-
-        # values large enough that a single-block Σ rank·x overflows int64
-        # (forces the reduceat chunking + Python-int fold path)
-        v = 2_000_000_000_000_000
-        t = pa.table({"cents": pa.array([v] * 2000, type=pa.int64())})
-        out = gini_exact(_ray.data.from_arrow(t).repartition(3)).to_pandas()
-        assert out["gini"][0] == 0.0
-        assert int(out["total"][0]) == v * 2000
-
-
-class TestHits:
-    def test_matches_naive_and_l1(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import hits_scores
-
-        rng = np.random.default_rng(9)
-        edges = sorted({(int(a), int(b)) for a, b in rng.integers(0, 20, size=(60, 2))})
-        nodes = sorted({a for a, _ in edges} | {b for _, b in edges})
-        idx = {v: i for i, v in enumerate(nodes)}
-        n = len(nodes)
-        h = np.full(n, round(1.0 / n, 9))
-        a = None
-        for _ in range(2):
-            ar = np.zeros(n)
-            for s, d in edges:
-                ar[idx[d]] += h[idx[s]]
-            a = np.round(ar / ar.sum(), 9)
-            hr = np.zeros(n)
-            for s, d in edges:
-                hr[idx[s]] += a[idx[d]]
-            h = np.round(hr / hr.sum(), 9)
-        t = pa.table({"src": pa.array([s for s, _ in edges], type=pa.int64()),
-                      "dst": pa.array([d for _, d in edges], type=pa.int64())})
-        got = hits_scores(_ray.data.from_arrow(t).repartition(4), iters=2).to_pandas()
-        assert got["node"].tolist() == nodes
-        assert np.array_equal(got["authority"].to_numpy(), a)
-        assert np.array_equal(got["hub"].to_numpy(), h)
-        assert abs(got["authority"].sum() - 1.0) < 1e-6
-        assert abs(got["hub"].sum() - 1.0) < 1e-6
-
-    def test_empty(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.graph import hits_scores
-
-        empty = pa.table({"src": pa.array([], type=pa.int64()), "dst": pa.array([], type=pa.int64())})
-        assert hits_scores(_ray.data.from_arrow(empty)).count() == 0
-
-class TestGroupedOls:
-    def test_matches_closed_form(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.stats import grouped_ols_int
-
-        rng = np.random.default_rng(21)
-        n = 500
-        key = rng.choice(["a", "b", "c"], n)
-        x = rng.integers(1, 50, n).astype(np.float64)
-        y = (3.25 * x + rng.normal(0, 5, n)).round(2)
-        t = pa.table({"k": pa.array(key), "x": pa.array(x), "y": pa.array(y)})
-        got = grouped_ols_int(
-            _ray.data.from_arrow(t).repartition(4), "k", "x", "y", y_scale=100, chunk_rows=37
-        ).to_pandas()
-        for _, r in got.iterrows():
-            m = key == r["k"]
-            xi = np.floor(x[m] + 0.5).astype(np.int64)
-            yi = np.floor(y[m] * 100 + 0.5).astype(np.int64)
-            nn, sx, sy = len(xi), int(xi.sum()), int(yi.sum())
-            sxy = int((xi * yi).sum())
-            sxx = int((xi * xi).sum())
-            syy = int((yi * yi).sum())
-            num, varx, vary = nn * sxy - sx * sy, nn * sxx - sx * sx, nn * syy - sy * sy
-            slope = float(num) / float(varx)
-            assert r["slope"] == slope
-            assert r["intercept"] == (float(sy) - slope * float(sx)) / float(nn)
-            corr = float(num) / (np.sqrt(float(varx)) * np.sqrt(float(vary)))
-            assert r["r2"] == corr * corr
-            # sanity: slope in cents/unit ≈ 325
-            assert 250 < r["slope"] < 400
-
-    def test_zero_variance_group_is_null(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.stats import grouped_ols_int
-
-        t = pa.table({"k": pa.array(["z"] * 5 + ["w"] * 5),
-                      "x": pa.array([2.0] * 5 + [1, 2, 3, 4, 5.0]),
-                      "y": pa.array([1.0, 2, 3, 4, 5] * 2)})
-        got = grouped_ols_int(_ray.data.from_arrow(t), "k", "x", "y").to_pandas().set_index("k")
-        assert np.isnan(got.loc["z", "slope"])  # varx == 0
-        assert got.loc["w", "slope"] == 1.0
-
-
 class TestKgSchemaAndNegatives:
     def test_schema_summary_covers_every_edge(self, ray_session):
         import __ray_entry__ as E
@@ -1595,3 +1399,4 @@ class TestForestDepthsProperty:
                 TestForestDepths._naive(TestForestDepths(), edges)
 
         run()
+

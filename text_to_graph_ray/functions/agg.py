@@ -192,57 +192,6 @@ def distinct_rows(ds, cols, out_schema: pa.Schema, num_buckets: int = 64):
     )
 
 
-def nunique_per_group(ds, keys, value_col: str, out_name: str = "n_unique", num_buckets: int = 64):
-    """Exact distributed ``COUNT(DISTINCT value) GROUP BY keys``.
-
-    The non-decomposable aggregate: a plain combiner can't pre-sum it, but
-    DISTINCT itself decomposes — a per-batch ``drop_duplicates`` combiner
-    bounds the exchange at one (key, value) row per distinct pair per batch,
-    and because a fine key never splits across coarse buckets, the per-bucket
-    vectorized ``groupby().nunique()`` is exact (same argument as median in
-    ``bucketed_aggregate``). 100 TB shape: shuffle carries the distinct-pair
-    cardinality, not the row count.
-    """
-    keys = _as_key_list(keys)
-    cols = keys + [value_col]
-
-    def local(df: pd.DataFrame) -> pa.Table:
-        if len(df) == 0:
-            return pa.table({})  # schema pinned downstream by with_bucket(in_schema=...)
-        return pa_from_pandas(df[cols].drop_duplicates())
-
-    def per_bucket(df: pd.DataFrame) -> pa.Table:
-        if len(df) == 0:
-            return out_schema.empty_table()
-        df = df.drop(columns=[BUCKET_COL]).drop_duplicates()
-        g = df.groupby(keys, as_index=False, sort=False)[value_col].nunique()
-        return pa.table(
-            {
-                **{k: pa.array(g[k], type=out_schema.field(k).type) for k in keys},
-                out_name: pa.array(g[value_col].to_numpy(), type=pa.int64()),
-            }
-        )
-
-    def _arrow_type(t):
-        # ray Schema.types yields Python types for pandas-backed datasets
-        if isinstance(t, pa.DataType):
-            return t
-        fixed = {int: pa.int64(), float: pa.float64(), str: pa.string(), bool: pa.bool_(), object: pa.string()}
-        if t in fixed:
-            return fixed[t]
-        dt = np.dtype(t)
-        return pa.string() if dt.kind in ("O", "U", "S") else pa.from_numpy_dtype(dt)
-
-    sch = ds.schema()
-    in_schema = pa.schema([pa.field(n, _arrow_type(t)) for n, t in zip(sch.names, sch.types) if n in cols])
-    in_schema = pa.schema([in_schema.field(c) for c in cols])  # caller's column order
-    out_schema = pa.schema([in_schema.field(k) for k in keys] + [pa.field(out_name, pa.int64())])
-    pre = ds.map_batches(local, batch_format="pandas", batch_size=None)
-    return bucket_exchange(
-        with_bucket(pre, keys, num_buckets, in_schema=in_schema), per_bucket, out_schema, num_buckets
-    )
-
-
 def topk_per_group(
     ds,
     keys,
@@ -459,122 +408,6 @@ def melt(ds, id_cols, value_cols, var_name: str = "variable", value_name: str = 
     return ds.map_batches(fan_out, batch_format="pyarrow")
 
 
-def ordered_string_agg(ds, key, val_col: str, order_by, sep: str = ",", out_name: str = "agg",
-                       num_buckets: int = 64, in_schema: pa.Schema | None = None):
-    """Per-key ORDERED string concatenation (SQL ``string_agg(val, sep ORDER
-    BY ...)``): one coarse-bucket keyed exchange, then a vectorized
-    per-bucket sort + per-group join. The concat itself is inherently
-    per-group (it produces one Python string per key), but the sort and
-    grouping around it are C-speed and each group's bytes are touched once.
-
-    Scale shape: output rows = distinct keys; a key's full value list must
-    fit one bucket task (same contract as any keyed groupby — a key whose
-    concatenation wouldn't fit in task memory wouldn't fit in the SQL result
-    row either)."""
-    keys = _as_key_list(key)
-    order_by = _as_key_list(order_by)
-    out_schema = pa.schema([(k, _schema_of(ds, in_schema).field(k).type) for k in keys] + [(out_name, pa.string())])
-
-    def per_bucket(df: pd.DataFrame) -> pa.Table:
-        if len(df) == 0:
-            return out_schema.empty_table()
-        df = df.drop(columns=[BUCKET_COL]).sort_values(keys + order_by, kind="mergesort")
-        g = df.groupby(keys, as_index=False, sort=False)[val_col].agg(sep.join)
-        return pa.table({f.name: pa.array(g[f.name if f.name != out_name else val_col], type=f.type) for f in out_schema},
-                        schema=out_schema)
-
-    return bucket_exchange(with_bucket(ds, keys, num_buckets, in_schema=in_schema), per_bucket, out_schema, num_buckets)
-
-
-def _schema_of(ds, in_schema):
-    if in_schema is not None:
-        return in_schema
-    s = ds.schema()
-    return pa.schema(list(zip(s.names, s.types)))
-
-
-def cooccurrence_pairs(ds, group_col: str, item_col: str, min_count: int = 2,
-                       max_items_per_group: int = 10_000, num_buckets: int = 64,
-                       in_schema: pa.Schema | None = None):
-    """Item pairs that co-occur in >= ``min_count`` groups (co-citation /
-    market-basket projection of a bipartite (group, item) table) — the
-    classic self-join-explosion operator with the explosion kept under
-    control:
-
-    1. exact distributed DISTINCT (group, item) — the per-batch combiner
-       collapses repeat mentions before anything fans out;
-    2. one exchange keyed on group; each group's sorted item set fans out to
-       its C(m, 2) pairs VECTORIZED (np.triu_indices, no Python pair loop).
-       A group above ``max_items_per_group`` FAILS LOUDLY (ValueError naming
-       the group) — at real scale a hot group means a degenerate key (the
-       range_join discipline: never silently truncate);
-    3. one exchange keyed on the pair counts them; ``min_count`` filters
-       inside the bucket kernel.
-
-    Scale shape: the pair exchange is sum-of-C(m,2) rows — the operator's
-    irreducible output-side cost, bounded by the max_items guard; nothing is
-    ever collected on the driver. Pairs are ordered a < b by the item
-    type's natural order. Returns (a, b, n) sorted by (a, b)."""
-    import numpy as np
-
-    from text_to_graph_ray.util import sort_coalesced
-
-    sch = _schema_of(ds, in_schema)
-    g_type, i_type = sch.field(group_col).type, sch.field(item_col).type
-    gi_schema = pa.schema([(group_col, g_type), (item_col, i_type)])
-    pair_schema = pa.schema([("a", i_type), ("b", i_type)])
-    out_schema = pa.schema([("a", i_type), ("b", i_type), ("n", pa.int64())])
-
-    gi = distinct_rows(ds.select_columns([group_col, item_col]), [group_col, item_col], gi_schema)
-
-    def fan_pairs(df: pd.DataFrame) -> pa.Table:
-        if len(df) == 0:
-            return pair_schema.empty_table()
-        df = df.drop(columns=[BUCKET_COL])
-        a_parts, b_parts = [], []
-        for gv, gg in df.groupby(group_col, sort=False):
-            items = np.sort(gg[item_col].to_numpy())
-            m = len(items)
-            if m > max_items_per_group:
-                raise ValueError(
-                    f"cooccurrence_pairs: group {gv!r} has {m} items "
-                    f"(> max_items_per_group={max_items_per_group}); "
-                    "raise the guard or pre-filter degenerate groups"
-                )
-            if m < 2:
-                continue
-            i, j = np.triu_indices(m, 1)
-            a_parts.append(items[i])
-            b_parts.append(items[j])
-        if not a_parts:
-            return pair_schema.empty_table()
-        return pa.table(
-            {"a": pa.array(np.concatenate(a_parts), type=i_type),
-             "b": pa.array(np.concatenate(b_parts), type=i_type)},
-            schema=pair_schema,
-        )
-
-    pairs = bucket_exchange(
-        with_bucket(gi, group_col, num_buckets, in_schema=gi_schema), fan_pairs, pair_schema, num_buckets
-    )
-
-    def count_bucket(df: pd.DataFrame) -> pa.Table:
-        if len(df) == 0:
-            return out_schema.empty_table()
-        g = df.drop(columns=[BUCKET_COL]).groupby(["a", "b"], as_index=False, sort=False).size()
-        g = g[g["size"] >= min_count]
-        return pa.table(
-            {"a": pa.array(g["a"], type=i_type), "b": pa.array(g["b"], type=i_type),
-             "n": pa.array(g["size"], type=pa.int64())},
-            schema=out_schema,
-        )
-
-    counted = bucket_exchange(
-        with_bucket(pairs, ["a", "b"], num_buckets, in_schema=pair_schema), count_bucket, out_schema, num_buckets
-    )
-    return sort_coalesced(counted, ["a", "b"])
-
-
 def merge_upsert(base_ds, changes_ds, key, order_by, deleted_col: str | None = None,
                  out_schema: pa.Schema | None = None, num_buckets: int = 64):
     """Apply a CDC change set to a base table (SQL ``MERGE``): per key the
@@ -629,92 +462,3 @@ def merge_upsert(base_ds, changes_ds, key, order_by, deleted_col: str | None = N
 
     return winners.map_batches(finish, batch_format="pyarrow")
 
-
-def key_skew_profile(ds, key, num_buckets: int = 64):
-    """Key-distribution skew profile — the diagnostic behind every
-    shuffle-planning decision in this repo (salt or not, broadcast or not,
-    bucket count): one row (n_rows, n_keys, max_n, top_key, gini) where
-    ``gini`` is the Gini coefficient of the per-key row counts.
-
-    Exactness: counts come from the usual combiner + one bucketed sum; the
-    Gini numerator sum((2*rank - n_keys - 1) * count) over counts sorted by
-    (count, key) is computed EXACTLY in int64 via the block-offset pattern
-    (sort the counts table, per-block partial with the driver-supplied rank
-    base — #blocks numbers on the driver), and the final value is ONE IEEE
-    division of two exactly-converted ints (contract: numerator and
-    n_keys*n_rows < 2^53 — beyond that, pre-scale the counts).
-
-    Scale shape: the corpus ships count partials only; the counts table
-    (distinct-key-sized) is the only thing sorted. Returns a 1-row Dataset.
-    """
-    import ray
-    import ray.data as rd
-
-    keys = _as_key_list(key)
-    assert len(keys) == 1, "key_skew_profile takes a single key column"
-    k = keys[0]
-    base_schema = _schema_of(ds, None)
-    ktype = base_schema.field(k).type
-    cnt_schema = pa.schema([(k, ktype), ("n", pa.int64())])
-
-    def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return cnt_schema.empty_table()
-        df = b.select([k]).to_pandas()
-        g = df.groupby(k, as_index=False, sort=False).size().rename(columns={"size": "n"})
-        return pa.table({k: pa.array(g[k], type=ktype), "n": pa.array(g["n"], type=pa.int64())},
-                        schema=cnt_schema)
-
-    counts = bucketed_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"), [k], {"n": ("n", "sum")},
-        out_schema=cnt_schema, num_buckets=num_buckets, in_schema=cnt_schema,
-    )
-    ranked = counts.sort(["n", k]).materialize()
-    refs = ranked.to_arrow_refs()
-
-    @ray.remote
-    def block_stats(t: pa.Table):
-        if t.num_rows == 0 or "n" not in t.schema.names:
-            return (0, 0, None, None)
-        narr = np.asarray(t.column("n"), dtype=np.int64)
-        # (rows_in_block, sum_n, last_key (max n in block is the LAST row —
-        # the block is sorted), last_n)
-        return (len(narr), int(narr.sum()), t.column(k)[-1].as_py(), int(narr[-1]))
-
-    stats = ray.get([block_stats.remote(r) for r in refs])
-    n_keys = sum(s[0] for s in stats)
-    n_rows = sum(s[1] for s in stats)
-    out_schema = pa.schema([("n_rows", pa.int64()), ("n_keys", pa.int64()), ("max_n", pa.int64()),
-                            ("top_key", ktype), ("gini", pa.float64())])
-    if n_keys == 0:
-        return rd.from_arrow(out_schema.empty_table())
-    # global max = the last row of the last non-empty block; ties on n are
-    # broken by the (n, key) sort, so this is max-n-then-max-key; report the
-    # MIN key among max-n holders instead to match SQL's deterministic pick
-    bases, tot = [], 0
-    for s in stats:
-        bases.append(tot)
-        tot += s[0]
-
-    @ray.remote
-    def block_gini_and_top(t: pa.Table, base: int, nk: int, maxn: int):
-        if t.num_rows == 0 or "n" not in t.schema.names:
-            return (0, None)
-        narr = np.asarray(t.column("n"), dtype=np.int64)
-        ranks = base + 1 + np.arange(len(narr), dtype=np.int64)
-        num = int(((2 * ranks - nk - 1) * narr).sum())
-        kk = [t.column(k)[i].as_py() for i in np.nonzero(narr == maxn)[0]]
-        return (num, min(kk) if kk else None)
-
-    max_n = max(s[3] for s in stats if s[3] is not None)
-    parts = ray.get([block_gini_and_top.remote(r, b, n_keys, max_n) for r, b in zip(refs, bases)])
-    numerator = sum(p[0] for p in parts)
-    top_key = min(p[1] for p in parts if p[1] is not None)
-    gini = float(numerator) / float(n_keys * n_rows)
-    return rd.from_arrow(pa.table({
-        "n_rows": pa.array([n_rows], type=pa.int64()),
-        "n_keys": pa.array([n_keys], type=pa.int64()),
-        "max_n": pa.array([max_n], type=pa.int64()),
-        "top_key": pa.array([top_key], type=ktype),
-        "gini": pa.array([gini], type=pa.float64()),
-    }, schema=out_schema))

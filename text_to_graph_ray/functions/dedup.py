@@ -24,8 +24,6 @@ import zlib
 
 import numpy as np
 import pyarrow as pa
-
-from text_to_graph_ray.util import pa_from_pandas
 import pyarrow.compute as pc
 
 _MERSENNE = (1 << 61) - 1

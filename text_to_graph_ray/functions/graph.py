@@ -1,5 +1,4 @@
-"""The three graph operators the knowledge-graph queries use, plus one kept
-without a query.
+"""The three graph operators the knowledge-graph queries use.
 
 ``connected_components``: weakly-connected components with the same guarded
 two-path design as every small-side assumption in this repo — exact driver
@@ -16,9 +15,6 @@ the ``kg_pagerank_topk`` query over the linked triples.
 
 ``forest_depths``: per-node depth in a single-parent containment forest; used
 by the ``kg_containment_depth`` query over the repo/dir/file edges.
-
-``hits_scores``: HITS hubs and authorities; query-less library code, kept with
-its tests.
 """
 
 from __future__ import annotations
@@ -363,115 +359,6 @@ def pagerank(
     return ranks_ds.sort("node")
 
 
-def hits_scores(edges_ds, iters: int = 2, src_col: str = "src", dst_col: str = "dst",
-                node_type: pa.DataType = None):
-    """HITS hubs-and-authorities (Kleinberg 1999), ``iters`` full unrolled
-    iterations with L1 normalization: a_t(v) = Σ_{u→v} h_{t-1}(u) then
-    a_t /= Σa_t; h_t(u) = Σ_{u→v} a_t(v) then h_t /= Σh_t.  round(_, 9) at
-    every normalization boundary (the pagerank float discipline):
-    association-order drift in the keyed sums and in the global L1 scalar is
-    ~1e-15 relative, orders of magnitude inside the 5e-10 rounding window, so
-    the result is the same doubles as a sequential reference.
-
-    Scale shape per half-iteration: ONE guarded lookup_join of the edge
-    stream against the node-set-sized score table (broadcast under the row
-    guard, bucketed exchange past it) + ONE keyed sum + ONE driver scalar —
-    the pagerank per-round shape.  Dangling ends contribute 0 via the
-    LEFT-outer fill.
-
-    Query-less library code: no driver query or KG stage calls it."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from text_to_graph_ray.functions.agg import distinct_rows
-    from text_to_graph_ray.functions.joins import lookup_join
-
-    node_type = node_type or pa.int64()
-    node_schema = pa.schema([("node", node_type)])
-    score_schema = pa.schema([("node", node_type), ("s", pa.float64())])
-
-    def to_nodes(col):
-        def f(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return node_schema.empty_table()
-            return pa.table({"node": pc.cast(t.column(col), node_type)}, schema=node_schema)
-
-        return f
-
-    edges = edges_ds.materialize()
-    out_schema = pa.schema([("node", node_type), ("authority", pa.float64()), ("hub", pa.float64())])
-    if edges.count() == 0:
-        return rd.from_arrow(out_schema.empty_table())
-    nodes = distinct_rows(
-        edges.map_batches(to_nodes(src_col), batch_format="pyarrow").union(
-            edges.map_batches(to_nodes(dst_col), batch_format="pyarrow")
-        ),
-        "node", node_schema,
-    ).materialize()
-    n = nodes.count()
-    h0 = round(1.0 / n, 9)
-    h = nodes.map_batches(
-        lambda t: pa.table({"node": t.column("node"), "s": pa.array(np.full(t.num_rows, h0))}, schema=score_schema)
-        if t.num_rows else score_schema.empty_table(),
-        batch_format="pyarrow",
-    ).materialize()
-
-    def half_step(scores, from_col: str, to_col: str):
-        """push ``scores`` along from_col -> to_col, L1-normalize, round 9."""
-        enriched = lookup_join(edges, scores, key=from_col, right_key="node", cols=["s"])
-        msgs = enriched.map_batches(
-            lambda t: pa.table(
-                {"node": pc.cast(t.column(to_col), node_type), "s": pc.cast(t.column("s"), pa.float64())},
-                schema=score_schema,
-            )
-            if t.num_rows else score_schema.empty_table(),
-            batch_format="pyarrow",
-        )
-        sums = msgs.groupby("node").aggregate(Sum("s", alias_name="raw")).materialize()
-        total = sums.sum("raw") or 1.0
-        filled = lookup_join(nodes, sums, key="node", right_key="node", cols=["raw"])
-
-        def norm(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return score_schema.empty_table()
-            raw = t.column("raw").to_pandas().fillna(0.0).to_numpy(dtype=np.float64)
-            return pa.table({"node": t.column("node"), "s": pa.array(np.round(raw / total, 9))},
-                            schema=score_schema)
-
-        return filled.map_batches(norm, batch_format="pyarrow").materialize()
-
-    a = None
-    for _ in range(iters):
-        a = half_step(h, src_col, dst_col)   # authorities collect hub mass
-        h = half_step(a, dst_col, src_col)   # hubs collect authority mass
-
-    a2 = a.map_batches(
-        lambda t: pa.table({"node": t.column("node"), "authority": t.column("s")})
-        if t.num_rows else pa.schema([("node", node_type), ("authority", pa.float64())]).empty_table(),
-        batch_format="pyarrow",
-    )
-    joined = lookup_join(
-        a2, h.map_batches(
-            lambda t: pa.table({"node": t.column("node"), "hub": t.column("s")})
-            if t.num_rows else pa.schema([("node", node_type), ("hub", pa.float64())]).empty_table(),
-            batch_format="pyarrow",
-        ),
-        key="node", right_key="node", cols=["hub"],
-    )
-    from text_to_graph_ray.util import sort_coalesced
-
-    return sort_coalesced(
-        joined.map_batches(
-            lambda t: pa.table({"node": t.column("node"), "authority": t.column("authority"),
-                                "hub": t.column("hub")}, schema=out_schema)
-            if t.num_rows else out_schema.empty_table(),
-            batch_format="pyarrow",
-        ),
-        "node",
-    )
-
-
 def forest_depths(edges_ds, src_col: str = "src", dst_col: str = "dst",
                   max_depth: int = 64, node_type: pa.DataType = None):
     """Per-node depth in a containment FOREST (every child has exactly ONE
@@ -545,3 +432,4 @@ def forest_depths(edges_ds, src_col: str = "src", dst_col: str = "dst",
     for p in out_parts[1:]:
         out = out.union(p)
     return sort_coalesced(out, "node")
+

@@ -1,10 +1,10 @@
 """Distinct-count sketches: KMV (k-minimum-values) and HyperLogLog.
 
 COUNT(DISTINCT x) at 100 TB is an all-to-all exchange of every distinct value
-(``agg.nunique_per_group`` / ``distinct_rows`` pay it exactly). A sketch
-replaces that with a FIXED-SIZE partial per block — mergeable by union/max —
-so the whole reduction is one driver-side fold over kilobyte-sized partials,
-no exchange at all. Both sketches here hash with pandas' process-stable
+(``agg.distinct_rows`` pays it exactly). A sketch replaces that with a
+FIXED-SIZE partial per block — mergeable by union/max — so the whole
+reduction is one driver-side fold over kilobyte-sized partials, no exchange
+at all. Both sketches here hash with pandas' process-stable
 SipHash64 (``hash_pandas_object``: fixed key, vectorized, any key dtype).
 
 * ``kmv_distinct`` — keeps the k smallest distinct 64-bit hashes per column.
@@ -433,69 +433,3 @@ def grouped_quantile_sketch(ds, key: str, col: str, quantiles, k: int = 4096, nu
     )
     return sort_coalesced(out, [key, "q"])
 
-
-def grouped_kmv_distinct(ds, key: str, col: str, k: int = 8192, num_buckets: int = 64):
-    """Per-GROUP distinct count via mergeable KMV summaries: one fixed-size
-    partial per (batch, group) — the k smallest distinct SipHash64 values of
-    ``col``, as a binary blob — then ONE coarse-bucket keyed exchange of
-    blobs merged per group. Same EXACT-BELOW-k contract as ``kmv_distinct``:
-    while a group's true cardinality is < k the merged sketch holds every
-    distinct hash and the count is exact (that regime is what the
-    COUNT(DISTINCT) GROUP BY hash oracle checks); above k it is a
-    ~1/sqrt(k-1) relative-error estimate.
-
-    Scale shape: a plain COUNT(DISTINCT x) GROUP BY g exchanges every
-    distinct (g, x) pair; this exchanges #groups x #blocks blobs of at most
-    8k bytes — for a billion-row hot group, #blocks sketches instead of the
-    group's full value set. Returns (key, n_distinct) sorted by key."""
-    import pandas as pd
-
-    from text_to_graph_ray.functions.agg import BUCKET_COL, bucket_exchange, with_bucket
-    from text_to_graph_ray.util import sort_coalesced
-
-    part_schema = pa.schema([(key, pa.string()), ("mins", pa.binary())])
-    out_schema = pa.schema([(key, pa.string()), ("n_distinct", pa.int64())])
-
-    def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return part_schema.empty_table()
-        h = _hashes(b, col)
-        df = pd.DataFrame({key: b.column(key).to_pylist(), "__h": h})
-        keys_out, blobs = [], []
-        for kv, g in df.groupby(key, sort=False):
-            hh = np.unique(g["__h"].to_numpy())  # sorted ascending
-            if len(hh) > k:
-                hh = hh[:k]
-            keys_out.append(kv)
-            blobs.append(hh.tobytes())
-        return pa.table(
-            {key: pa.array(keys_out, type=pa.string()), "mins": pa.array(blobs, type=pa.binary())},
-            schema=part_schema,
-        )
-
-    def per_bucket(df: pd.DataFrame) -> pa.Table:
-        if len(df) == 0:
-            return out_schema.empty_table()
-        df = df.drop(columns=[BUCKET_COL])
-        keys_out, ests = [], []
-        for kv, g in df.groupby(key, sort=False):
-            acc = np.array([], dtype=np.uint64)
-            for blob in g["mins"]:
-                acc = np.union1d(acc, np.frombuffer(blob, dtype=np.uint64))
-                if len(acc) > k:
-                    acc = acc[:k]
-            keys_out.append(kv)
-            if len(acc) < k:
-                ests.append(len(acc))
-            else:
-                ests.append(int(round((k - 1) * (2.0**64) / float(acc[k - 1]))))
-        return pa.table(
-            {key: pa.array(keys_out, type=pa.string()), "n_distinct": pa.array(ests, type=pa.int64())},
-            schema=out_schema,
-        )
-
-    pre = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    out = bucket_exchange(
-        with_bucket(pre, key, num_buckets, in_schema=part_schema), per_bucket, out_schema, num_buckets
-    )
-    return sort_coalesced(out, key)

@@ -600,8 +600,9 @@ REPETITION_SCHEMA = pa.schema(
 
 def bigram_repetition(text: str) -> tuple:
     """(n_bigrams, dup_frac, top_frac) for one doc — THE bigram-repetition
-    contract, shared by repetition_stats and the curation gate so the two
-    cannot drift. (None, None, None) when the doc has < 2 tokens."""
+    contract, as a scalar reference: tests check ``bigram_rep_batch`` (what
+    repetition_stats and the curation gate run) against it. (None, None,
+    None) when the doc has < 2 tokens."""
     from collections import Counter
 
     toks = (text or "").split(" ")
@@ -1674,7 +1675,6 @@ def pmi_topk(ds, k: int = 50, min_count: int = 5, text_col: str = "text",
 
     from text_to_graph_ray.functions.agg import bucketed_aggregate
     from text_to_graph_ray.functions.joins import lookup_join
-    from text_to_graph_ray.util import read_parquet_clean  # noqa: F401  (doc symmetry)
 
     def explode_bg(b: pa.Table) -> pa.Table:
         return explode_bigrams_batch(b, text_col=text_col, id_col=id_col)

@@ -51,8 +51,8 @@ def clean_corpus_survivors(sf_dir: str, min_quality: float = 0.45, threshold: fl
 def pretraining_gate(batch: pa.Table, min_quality: float = 0.45, langs: tuple = ("en",), max_dup_frac: float = 0.06) -> pa.Table:
     """quality_lang_gate + the Gopher-style repetition cap, fused (one text
     scan per doc for the heuristics, one bigram pass via the SHARED
-    text.bigram_repetition kernel — the same contract repetition_stats is
-    hash-checked against)."""
+    text.bigram_rep_batch kernel — the same kernel repetition_stats is
+    hash-checked through)."""
     from text_to_graph_ray.functions.text import bigram_rep_batch, text_signals_batch
 
     if batch.num_rows == 0:

@@ -196,50 +196,3 @@ def read_partition_values(path: str, col: str, values, columns: list[str] | None
         out = out.union(p)
     return out
 
-
-def column_stats(ds, columns: list[str], in_schema=None):
-    """Ingest-validation column profile — the data-quality gate a 100 TB
-    load runs before anything downstream trusts the table: per column
-    (n_rows, n_null, min, max) in ONE streamed scan. Per-batch partials use
-    Arrow kernels (null_count / min_max — zero-copy, no pandas); the
-    partials table is (#columns x #blocks) rows and folds through one tiny
-    grouped aggregate. Min/max are emitted as strings (casting preserves
-    exact integer text; floats use repr-style formatting on both engines is
-    NOT guaranteed, so use numeric columns or accept string ordering — the
-    driver query profiles int columns)."""
-    import pyarrow.compute as pc
-
-    part_schema = pa.schema([
-        ("column", pa.string()), ("n_rows", pa.int64()), ("n_null", pa.int64()),
-        ("vmin", pa.int64()), ("vmax", pa.int64()),
-    ])
-
-    def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return part_schema.empty_table()
-        names, rows, nulls, mins, maxs = [], [], [], [], []
-        for c in columns:
-            col = b.column(c)
-            names.append(c)
-            rows.append(b.num_rows)
-            nulls.append(col.null_count)
-            mm = pc.min_max(col)
-            mn, mx = mm["min"].as_py(), mm["max"].as_py()
-            mins.append(int(mn) if mn is not None else None)
-            maxs.append(int(mx) if mx is not None else None)
-        return pa.table({
-            "column": pa.array(names), "n_rows": pa.array(rows, type=pa.int64()),
-            "n_null": pa.array(nulls, type=pa.int64()),
-            "vmin": pa.array(mins, type=pa.int64()), "vmax": pa.array(maxs, type=pa.int64()),
-        }, schema=part_schema)
-
-    from text_to_graph_ray.functions.agg import bucketed_aggregate
-    from text_to_graph_ray.util import sort_coalesced
-
-    out = bucketed_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"), ["column"],
-        {"n_rows": ("n_rows", "sum"), "n_null": ("n_null", "sum"),
-         "vmin": ("vmin", "min"), "vmax": ("vmax", "max")},
-        out_schema=part_schema, num_buckets=8, in_schema=part_schema,
-    )
-    return sort_coalesced(out, "column")

@@ -281,19 +281,6 @@ def _q_dedup_best_survivors(sf_dir):
     return survivors_best_quality(ds, threshold=0.5)
 
 
-def _q_text_segment_dedup(sf_dir):
-    """Corpus-level exact segment dedup (MassiveText/Gopher line dedup
-    reshaped for single-line docs): 16-token segments, globally-first
-    occurrence survives, ordered reassembly. Two keyed exchanges (digest
-    winner pick + doc reassembly); fires on the injected near/exact-dup
-    docs. Oracle: row_number window over exploded segments + ordered
-    string_agg."""
-    from text_to_graph_ray.functions.text import segment_dedup
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return segment_dedup(ds)
-
-
 def _q_docs_quota_sample(sf_dir):
     """Per-source quota sampling (cap 3 docs per source — source balancing):
     md5-ranked deterministic winners, combiner-bounded exchange. Oracle:
@@ -302,16 +289,6 @@ def _q_docs_quota_sample(sf_dir):
 
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
     return quota_per_group(ds, "source", n=3)
-
-
-def _q_text_vocab_by_lang(sf_dir):
-    """Top-5 tokens per language: (group, token) Counter combiner -> one
-    bucketed sum -> combiner-pruned topk_per_group (n desc, token asc —
-    the window order the oracle ranks with)."""
-    from text_to_graph_ray.functions.text import grouped_vocab_topk
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["lang", "text"])
-    return grouped_vocab_topk(ds, "lang", k=5)
 
 
 def _q_docs_budget_select(sf_dir):
@@ -334,19 +311,6 @@ def _q_pipeline_curation_full(sf_dir):
     from text_to_graph_ray.pipelines.curation import curation_full
 
     return curation_full(sf_dir)
-
-
-def _q_text_lm_score(sf_dir):
-    """Self-trained bigram-LM quality scores per document (the perplexity
-    filter): Laplace-smoothed corpus model in one counting pass, per-doc
-    mean negative log2-likelihood with int64-quantized terms (order- and
-    plan-independent sums). Oracle: n_bigrams is real SQL over the
-    tokenization contract; nll joins the independent naive recomputation."""
-    from text_to_graph_ray.functions.text import bigram_lm_nll
-    from text_to_graph_ray.util import read_parquet_clean
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return bigram_lm_nll(docs)
 
 
 def _q_dedup_minhash_incr(sf_dir):
@@ -419,31 +383,6 @@ def _q_dedup_cross_corpus(sf_dir):
     return minhash_cross_pairs(ev, tr, threshold=0.5)
 
 
-def _q_text_lexical(sf_dir):
-    """Lexical-diversity signals per document: type-token ratio + Shannon
-    token entropy — vectorized batch kernel (Arrow whitespace split +
-    exact dictionary-code groupby), entropy terms quantized to int64 at
-    1e9 before summing so the sum is order-independent and bit-equal to
-    the independent naive oracle (np.log2 is the contract's log). Token
-    counts/types are REAL SQL; entropy joins the naive expected table."""
-    from text_to_graph_ray.functions.text import lexical_stats
-    from text_to_graph_ray.util import read_parquet_clean, sort_coalesced
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return sort_coalesced(ds.map_batches(lexical_stats, batch_format="pyarrow"), "doc_id")
-
-
-def _q_text_search_topk(sf_dir):
-    """Query-term retrieval: top-10 docs by sum(tf * idf) for a fixed
-    3-term query — df/N from one streamed scan, round(6) idf absorbs the
-    libm-vs-SQL ln ulp, fixed-order score arithmetic, per-block top-k
-    combiner. Oracle mirrors every op explicitly."""
-    from text_to_graph_ray.functions.text import search_topk
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return search_topk(ds, ["table", "fast", "customer"], k=10)
-
-
 def _q_docs_partitioned_scan(sf_dir):
     """Hive-partitioned layout + directory-pruned read: documents written
     once partitioned by lang (one dir per value — the coarsest skipping
@@ -461,77 +400,6 @@ def _q_docs_partitioned_scan(sf_dir):
     write_partitioned(docs, path, ["lang"])
     ds = read_partition_values(path, "lang", ["en", "fr"], columns=["source", "n_chars"])
     return source_stats_from(ds)
-
-
-def _q_text_redact_pii(sf_dir):
-    """Vectorized PII redaction (round 4): emails / IPv4 / phone patterns via
-    RE2 kernels; counts taken on the progressively-redacted text. The synth
-    documents carry no PII, so a deterministic PII suffix derived from doc_id
-    is appended IDENTICALLY in the engine and the SQL oracle — the kernels
-    under test are the regex replace/count, not the concat."""
-    import pyarrow as pa
-
-    from text_to_graph_ray.functions.text import redact_pii
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-
-    def with_pii(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_pylist()
-        texts = b.column("text").to_pylist()
-        out = [
-            f"{t or ''} contact user{i}@example.com at 10.{i % 256}.0.1 call 555-010-{i % 10000:04d}"
-            for i, t in zip(ids, texts)
-        ]
-        return pa.table({"doc_id": b.column("doc_id"), "text": pa.array(out, type=pa.string())})
-
-    return ds.map_batches(with_pii, batch_format="pyarrow").map_batches(redact_pii, batch_format="pyarrow").sort(
-        "doc_id"
-    )
-
-
-def _q_text_stats(sf_dir):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.text import text_stats
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return ds.map_batches(text_stats, batch_format="pyarrow")
-
-
-def _q_text_langid(sf_dir):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.text import lang_id
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return ds.map_batches(lang_id, batch_format="pyarrow")
-
-
-def _q_text_quality(sf_dir):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.text import quality_score
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return ds.map_batches(quality_score, batch_format="pyarrow")
-
-
-def _q_text_tokens(sf_dir):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.text import bpe_ish_tokens
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return ds.map_batches(bpe_ish_tokens, batch_format="pyarrow")
-
-
-def _q_text_vocab_topk(sf_dir):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.text import vocab_topk
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return vocab_topk(ds, k=50)
 
 
 def _q_sample_stratified(sf_dir):
@@ -552,26 +420,6 @@ def _q_sample_mod(sf_dir):
     return mod_sample(ds, rate_pct=10)
 
 
-def _q_text_pack_offsets(sf_dir):
-    """Deterministic sequence packing placement (distributed weighted
-    prefix-sum via the block-offset pattern)."""
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.pack import sequence_pack_offsets
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return sequence_pack_offsets(ds, seq_len=1024)
-
-
-def _q_text_packed_seqs(sf_dir):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.pack import packed_sequences
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return packed_sequences(ds, seq_len=1024)
-
-
 def _q_dedup_ngram_verified(sf_dir):
     import ray.data as rd
 
@@ -579,15 +427,6 @@ def _q_dedup_ngram_verified(sf_dir):
 
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return verified_near_dup_pairs(ds, threshold=0.4)
-
-
-def _q_text_fingerprint(sf_dir):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.text import add_fingerprint
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return ds.map_batches(add_fingerprint, batch_format="pyarrow")
 
 
 def _q_docs_topk_per_source(sf_dir):
@@ -667,25 +506,6 @@ def _q_stats_hll_distinct(sf_dir):
 
     ev = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_type", "user_id"])
     return hll_distinct(ev, ["event_type", "user_id"], p=14)
-
-
-def _q_text_token_heavy_hitters(sf_dir):
-    """Frequent tokens (> 0.5% of all token occurrences) via MG candidates +
-    verification over the exploded token stream vs GROUP BY HAVING: no
-    (token, count) exchange, the token stream is scanned twice."""
-    import pyarrow as pa
-
-    from text_to_graph_ray.functions.sketch import heavy_hitters
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["text"])
-
-    def explode(b: pa.Table) -> pa.Table:
-        toks: list = []
-        for t in b.column("text").to_pylist():
-            toks.extend((t or "").split())
-        return pa.table({"token": pa.array(toks, type=pa.string())})
-
-    return heavy_hitters(docs.map_batches(explode, batch_format="pyarrow"), "token", 0.005)
 
 
 def _q_stats_quantile_sketch(sf_dir):
@@ -834,24 +654,6 @@ def _q_pipeline_clean_corpus(sf_dir):
     return clean_corpus_survivors(sf_dir)
 
 
-def _q_text_tfidf_topk(sf_dir):
-    """Top-3 tf-idf terms per document (tf exchange-free, df one
-    vocabulary-sized aggregate, guarded-broadcast join, combiner-first
-    top-k)."""
-    from text_to_graph_ray.functions.text import tfidf_topk
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return tfidf_topk(ds, k=3)
-
-
-def _q_text_inverted_index(sf_dir):
-    """Full-corpus inverted index: token -> (df, sorted posting list)."""
-    from text_to_graph_ray.functions.text import inverted_index
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return inverted_index(ds, min_df=5)
-
-
 def _q_docs_distinct_pairs(sf_dir):
     """SELECT DISTINCT source, lang (per-batch distinct combiner + one
     coarse-bucket dedup exchange)."""
@@ -906,16 +708,6 @@ def _q_kg_pagerank_topk(sf_dir):
         )
 
     return pr.sort(["rank", "node"], descending=[True, False]).limit(20).map_batches(attach, batch_format="pyarrow")
-
-
-def _q_text_repetition(sf_dir):
-    """Gopher-style repetition quality signals (duplicated-2-gram fraction +
-    top-2-gram share), map-only over row-atomic documents."""
-    from text_to_graph_ray.functions.text import repetition_stats
-    from text_to_graph_ray.util import read_parquet_clean, sort_coalesced
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return sort_coalesced(ds.map_batches(repetition_stats, batch_format="pyarrow"), "doc_id")
 
 
 def _q_pipeline_pretraining(sf_dir):
@@ -1062,7 +854,7 @@ def _q_docs_lm_terciles(sf_dir):
     nll ranked into GLOBAL terciles (head/middle/tail) with exact SQL
     NTILE(3) semantics — one distributed (nll, doc_id) sort + block-offset
     global ranks (the gini/budget-select discipline; the driver holds
-    #blocks counts only). nll values are the text_lm_score contract, so
+    #blocks counts only). nll values are rounded to 6 dp by bigram_lm_nll, so
     ranking ties break identically on both engines."""
     import numpy as np
     import pyarrow as pa
@@ -1194,7 +986,7 @@ def _q_docs_naive_bayes(sf_dir):
     doc-keyed sum of int64-quantized log terms (np.log is scalar/vector/
     offset-invariant — measured 0 diffs over 200k ratios — so the naive
     expected-table oracle reproduces the engine bit-exactly; math.log and
-    SQL ln would NOT, the lexical_stats precedent)."""
+    SQL ln would NOT)."""
     from text_to_graph_ray.functions.text import naive_bayes_classify
 
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "text"])
@@ -1332,28 +1124,6 @@ def _q_docs_weighted_sample(sf_dir):
     return weighted_topk(docs.map_batches(add_wt, batch_format="pyarrow"), "doc_id", "wt", k=50)
 
 
-def _q_text_chunks(sf_dir):
-    """Sliding-window text chunking (256-char windows, 64 overlap) — pure
-    per-batch fan-out, one row per (doc, chunk) with offset/len/count."""
-    from text_to_graph_ray.functions.text import sliding_chunks
-    from text_to_graph_ray.util import sort_coalesced
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = docs.map_batches(sliding_chunks, batch_format="pyarrow")
-    return sort_coalesced(out, ["doc_id", "chunk_idx"])
-
-
-def _q_text_normalize(sf_dir):
-    """Curation text normalization (lowercase + ASCII-whitespace collapse +
-    trim), checked end-to-end by sha-256 of the normalized body on both
-    engines."""
-    from text_to_graph_ray.functions.text import normalize_text
-    from text_to_graph_ray.util import sort_coalesced
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return sort_coalesced(docs.map_batches(normalize_text, batch_format="pyarrow"), "doc_id")
-
-
 def _q_docs_parquet_profile(sf_dir):
     """Column-chunk storage profile from the parquet footer only (no data
     pages read) — the catalog op behind prune-at-the-read decisions; oracle
@@ -1410,19 +1180,6 @@ def _q_docs_mixture_plan(sf_dir):
     return mixture_plan(docs, budget_tokens=1_000_000, by="source")
 
 
-def _q_text_bpe_encode(sf_dir):
-    """The apply half of the tokenizer story: learn 40 merges from the
-    corpus (bpe_train), broadcast the table, encode every document —
-    per-doc word and subword counts each hash-checked against the
-    independent naive apply (expected.py)."""
-    from text_to_graph_ray.functions.bpe import bpe_encode_counts, bpe_train
-    from text_to_graph_ray.util import read_parquet_clean
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    merges = [(r["left"], r["right"]) for r in bpe_train(docs, n_merges=40).take_all()]
-    return bpe_encode_counts(docs, merges)
-
-
 def _q_docs_langid_kappa(sf_dir):
     """Cohen's kappa between the n-gram lang-id heuristic and the corpus's
     reference lang labels — the eval-agreement gate you run before letting
@@ -1461,18 +1218,6 @@ def _q_docs_langid_report(sf_dir):
                                  "lang", "lang_pred")
 
 
-def _q_text_pmi_topk(sf_dir):
-    """Top-50 collocations by PMI over adjacent whitespace bigrams
-    (min_count 5) — combiner-first count exchanges, guarded unigram
-    lookup joins, per-batch top-k combiner; pmi is ln of a ratio of two
-    exact int64 products, round(6), REAL-SQL mirrored."""
-    from text_to_graph_ray.functions.text import pmi_topk
-    from text_to_graph_ray.util import read_parquet_clean
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return pmi_topk(ds, k=50, min_count=5)
-
-
 def _q_docs_holdout_split(sf_dir):
     """Deterministic train/val/test split (Knuth-hash buckets, 80/10/10)
     reported as the answer-sized per-split audit (n_docs, sum of n_chars)
@@ -1485,30 +1230,6 @@ def _q_docs_holdout_split(sf_dir):
     return holdout_split(ds, size_col="n_chars")
 
 
-def _q_text_gopher_rules(sf_dir):
-    """Gopher-style rule gate (Rae et al. 2021 document filters): token
-    count band, mean-word-length band, stopword floor — every per-doc
-    value, flag, and the AND checked by a REAL SQL mirror (no expected
-    table). Zero exchanges: the cheapest curation gate shape."""
-    from text_to_graph_ray.functions.text import gopher_rules
-    from text_to_graph_ray.util import read_parquet_clean, sort_coalesced
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return sort_coalesced(ds.map_batches(gopher_rules, batch_format="pyarrow"), "doc_id")
-
-
-def _q_text_bm25_topk(sf_dir):
-    """BM25 retrieval (Okapi k1=1.5, b=0.75) over four query terms: global
-    top-10 docs. Stats pass folds (N, avgdl, df) from per-batch partials;
-    the score is a fixed-order IEEE op sequence mirrored token-for-token
-    in the SQL oracle; idf round(6) absorbs libm-vs-SQL ln drift."""
-    from text_to_graph_ray.functions.text import bm25_topk
-    from text_to_graph_ray.util import read_parquet_clean
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return bm25_topk(ds, ["table", "query", "fast", "stream"], k=10)
-
-
 def _q_docs_mixture_temperature(sf_dir):
     """Temperature-scaled (alpha=0.5) mixture apportionment — sqrt weights
     int64-quantized before the largest-remainder split, so every per-source
@@ -1518,17 +1239,6 @@ def _q_docs_mixture_temperature(sf_dir):
 
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["source", "text"])
     return mixture_plan(docs, budget_tokens=1_000_000, by="source", temperature=True)
-
-
-def _q_text_bpe_merges(sf_dir):
-    """BPE tokenizer training: first 40 merge rules over the documents
-    corpus — one corpus-sized word-count exchange, then a vocabulary-sized
-    merge loop. Oracle: independent full-recount naive BPE (expected.py)."""
-    from text_to_graph_ray.functions.bpe import bpe_train
-    from text_to_graph_ray.util import read_parquet_clean
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["text"])
-    return bpe_train(docs, n_merges=40)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
@@ -1566,32 +1276,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_lm_terciles": _q_docs_lm_terciles,
         "docs_langid_kappa": _q_docs_langid_kappa,
         "docs_langid_report": _q_docs_langid_report,
-        "text_pmi_topk": _q_text_pmi_topk,
         "docs_holdout_split": _q_docs_holdout_split,
-        "text_gopher_rules": _q_text_gopher_rules,
-        "text_bm25_topk": _q_text_bm25_topk,
-        "text_bpe_merges": _q_text_bpe_merges,
         "docs_mixture_temperature": _q_docs_mixture_temperature,
-        "text_bpe_encode": _q_text_bpe_encode,
         "docs_shuffle_shards": _q_docs_shuffle_shards,
         "docs_mixture_plan": _q_docs_mixture_plan,
         "dedup_minhash_incr": _q_dedup_minhash_incr,
-        "text_lm_score": _q_text_lm_score,
         "docs_length_band": _q_docs_length_band,
         "dedup_cross_corpus": _q_dedup_cross_corpus,
-        "text_lexical": _q_text_lexical,
         "docs_parquet_profile": _q_docs_parquet_profile,
         "pipeline_curation_full": _q_pipeline_curation_full,
         "pipeline_pretraining": _q_pipeline_pretraining,
-        "text_segment_dedup": _q_text_segment_dedup,
         "dedup_decontaminate": _q_dedup_decontaminate,
-        "text_repetition": _q_text_repetition,
-        "text_tfidf_topk": _q_text_tfidf_topk,
-        "text_inverted_index": _q_text_inverted_index,
-        "text_search_topk": _q_text_search_topk,
-        "text_vocab_by_lang": _q_text_vocab_by_lang,
-        "text_chunks": _q_text_chunks,
-        "text_token_heavy_hitters": _q_text_token_heavy_hitters,
         "docs_partitioned_scan": _q_docs_partitioned_scan,
         "stats_quantile_sketch": _q_stats_quantile_sketch,
         "conformance_parse": _q_conformance_parse,
@@ -1603,7 +1298,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "stats_grouped_quantiles": _q_stats_grouped_quantiles,
         "stats_moments_by_flag": _q_stats_moments_by_flag,
         "docs_jsonl_stats": _q_docs_jsonl_stats,
-        "text_normalize": _q_text_normalize,
         "docs_csv_stats": _q_docs_csv_stats,
         "stats_quantiles_cont": _q_stats_quantiles_cont,
         "docs_weighted_sample": _q_docs_weighted_sample,
@@ -1614,18 +1308,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dedup_simhash": _q_dedup_simhash,
         "dedup_survivors": _q_dedup_survivors,
         "dedup_best_survivors": _q_dedup_best_survivors,
-        "text_redact_pii": _q_text_redact_pii,
-        "text_stats": _q_text_stats,
-        "text_tokens": _q_text_tokens,
-        "text_vocab_topk": _q_text_vocab_topk,
-        "text_pack_offsets": _q_text_pack_offsets,
-        "text_packed_seqs": _q_text_packed_seqs,
         "sample_stratified": _q_sample_stratified,
         "sample_mod": _q_sample_mod,
         "dedup_ngram_verified": _q_dedup_ngram_verified,
-        "text_langid": _q_text_langid,
-        "text_quality": _q_text_quality,
-        "text_fingerprint": _q_text_fingerprint,
         "docs_source_stats": _q_docs_source_stats,
         "docs_topk_per_source": _q_docs_topk_per_source,
         "stats_quantiles": _q_stats_quantiles,
@@ -1690,59 +1375,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT split, count(*)::BIGINT AS n_docs, sum(n_chars)::BIGINT AS sum_size "
             "FROM s GROUP BY 1 ORDER BY split"
         ),
-        "text_gopher_rules": (
-            # REAL SQL mirror of the Gopher rule gate: whitespace token
-            # contract, mean_tok_len = ONE int/int double division then
-            # round(6) (identical correctly-rounded IEEE op in numpy and
-            # DuckDB), rules compare the QUANTIZED value
-            "WITH t AS (SELECT doc_id, list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'), tk -> tk <> '') AS toks FROM documents), "
-            "d AS (SELECT doc_id, len(toks)::BIGINT AS n_tokens, "
-            " coalesce(list_sum(list_transform(toks, tk -> length(tk))), 0)::BIGINT AS sum_len, "
-            " len(list_filter(toks, tk -> tk IN ('the','a','of','to','and','in','is','on')))::BIGINT AS stop_hits FROM t), "
-            "v AS (SELECT doc_id, n_tokens, "
-            " CASE WHEN n_tokens = 0 THEN 0.0 ELSE round(sum_len::DOUBLE / n_tokens, 6) END AS mean_tok_len, "
-            " stop_hits FROM d) "
-            "SELECT doc_id, n_tokens, mean_tok_len, stop_hits, "
-            " (n_tokens >= 30 AND n_tokens <= 90)::BIGINT AS r_len, "
-            " (mean_tok_len >= 4.3 AND mean_tok_len <= 5.0)::BIGINT AS r_wordlen, "
-            " (stop_hits >= 2)::BIGINT AS r_stop, "
-            " (n_tokens >= 30 AND n_tokens <= 90 AND mean_tok_len >= 4.3 AND mean_tok_len <= 5.0 AND stop_hits >= 2)::BIGINT AS passed "
-            "FROM v ORDER BY doc_id"
-        ),
-        "text_bm25_topk": (
-            # token-for-token mirror of the engine's fixed-order BM25 op
-            # sequence (k1=1.5, b=0.75 — dyadic, so 2.5/0.25/0.75 are the
-            # exact doubles the engine multiplies by); idf round(6) is the
-            # shared ln contract; score sum is left-associated in both
-            "WITH tok AS (SELECT doc_id, list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'), tk -> tk <> '') AS toks FROM documents), "
-            "d AS (SELECT doc_id, len(toks)::BIGINT AS dl, toks FROM tok), "
-            "st AS (SELECT count(*)::BIGINT AS n, sum(dl)::BIGINT AS sdl FROM d), "
-            "tf AS (SELECT doc_id, dl, "
-            " len(list_filter(toks, tk -> tk = 'table'))::BIGINT AS tf0, "
-            " len(list_filter(toks, tk -> tk = 'query'))::BIGINT AS tf1, "
-            " len(list_filter(toks, tk -> tk = 'fast'))::BIGINT AS tf2, "
-            " len(list_filter(toks, tk -> tk = 'stream'))::BIGINT AS tf3 FROM d), "
-            "f AS (SELECT count(*) FILTER (WHERE tf0 > 0)::BIGINT AS df0, "
-            " count(*) FILTER (WHERE tf1 > 0)::BIGINT AS df1, "
-            " count(*) FILTER (WHERE tf2 > 0)::BIGINT AS df2, "
-            " count(*) FILTER (WHERE tf3 > 0)::BIGINT AS df3 FROM tf), "
-            "sc AS (SELECT t.doc_id, round("
-            "   round(ln(((s.n - f.df0) + 0.5) / (f.df0 + 0.5) + 1.0), 6) * ((t.tf0 * 2.5) / (t.tf0 + 1.5 * (0.25 + (0.75 * t.dl) / (s.sdl::DOUBLE / s.n)))) "
-            " + round(ln(((s.n - f.df1) + 0.5) / (f.df1 + 0.5) + 1.0), 6) * ((t.tf1 * 2.5) / (t.tf1 + 1.5 * (0.25 + (0.75 * t.dl) / (s.sdl::DOUBLE / s.n)))) "
-            " + round(ln(((s.n - f.df2) + 0.5) / (f.df2 + 0.5) + 1.0), 6) * ((t.tf2 * 2.5) / (t.tf2 + 1.5 * (0.25 + (0.75 * t.dl) / (s.sdl::DOUBLE / s.n)))) "
-            " + round(ln(((s.n - f.df3) + 0.5) / (f.df3 + 0.5) + 1.0), 6) * ((t.tf3 * 2.5) / (t.tf3 + 1.5 * (0.25 + (0.75 * t.dl) / (s.sdl::DOUBLE / s.n)))) "
-            " , 6) AS score, (t.tf0 + t.tf1 + t.tf2 + t.tf3) AS hits FROM tf t, st s, f) "
-            "SELECT doc_id, score FROM sc WHERE hits > 0 ORDER BY score DESC, doc_id LIMIT 10"
-        ),
-        # --- naive-reference oracles (expected.py) ---
-        "text_bpe_merges": (
-            f"SELECT rank, \"left\", \"right\", pair_count "
-            f"FROM read_parquet('{e}/expected_bpe_merges.parquet') ORDER BY rank"
-        ),
-        "text_bpe_encode": (
-            f"SELECT doc_id, n_words, n_subwords "
-            f"FROM read_parquet('{e}/expected_bpe_doclens.parquet') ORDER BY doc_id"
-        ),
         "docs_mixture_temperature": (
             # alpha=0.5 temperature weights, int64-quantized (IEEE sqrt is
             # correctly rounded => identical weight in numpy and DuckDB);
@@ -1770,46 +1402,11 @@ def oracle_sql() -> dict[str, str]:
         "dedup_ngram_verified": f"SELECT a, b, est_jaccard, jaccard FROM read_parquet('{e}/expected_ngram_pairs.parquet') WHERE jaccard >= 0.4 AND est_jaccard >= 0.2",
         "dedup_survivors": f"SELECT doc_id FROM read_parquet('{e}/expected_survivors.parquet')",
         "dedup_best_survivors": f"SELECT doc_id FROM read_parquet('{e}/expected_best_survivors.parquet')",
-        # same RE2 engine on both sides; counts on the progressively-redacted
-        # text, PII suffix derived identically from doc_id (see the query)
-        "text_redact_pii": (
-            "WITH s0 AS (SELECT doc_id, coalesce(text,'') || ' contact user' || doc_id || "
-            "'@example.com at 10.' || (doc_id % 256) || '.0.1 call 555-010-' || "
-            "lpad(CAST(doc_id % 10000 AS VARCHAR), 4, '0') AS t FROM documents), "
-            "s1 AS (SELECT doc_id, length(regexp_extract_all(t, '" + r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}" + "')) c1, "
-            "regexp_replace(t, '" + r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}" + "', '<EMAIL>', 'g') t FROM s0), "
-            "s2 AS (SELECT doc_id, c1, length(regexp_extract_all(t, '" + r"\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b" + "')) c2, "
-            "regexp_replace(t, '" + r"\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b" + "', '<IP>', 'g') t FROM s1), "
-            "s3 AS (SELECT doc_id, c1, c2, length(regexp_extract_all(t, '" + r"\b\d{3}-\d{3}-\d{4}\b" + "')) c3, "
-            "regexp_replace(t, '" + r"\b\d{3}-\d{3}-\d{4}\b" + "', '<PHONE>', 'g') t FROM s2) "
-            "SELECT doc_id, t AS text_redacted, CAST(c1 + c2 + c3 AS BIGINT) AS n_redactions FROM s3 ORDER BY doc_id"
-        ),
-        "text_packed_seqs": f"SELECT seq_id, n_filled, tok_sum FROM read_parquet('{e}/expected_packed.parquet')",
         "pipeline_clean_corpus": f"SELECT doc_id FROM read_parquet('{e}/expected_clean.parquet')",
         "pipeline_pretraining": f"SELECT doc_id FROM read_parquet('{e}/expected_clean2.parquet')",
         "pipeline_curation_full": (
             f"SELECT doc_id, quality, n_tokens, cum_tokens FROM read_parquet('{e}/expected_clean3.parquet')"
         ),
-        "text_pmi_topk": (
-            # tokenization mirrors python str.split (the text_vocab_topk
-            # contract: '' only at row edges, filtered BEFORE adjacency);
-            # zipped unnests give token ordinality; pmi is ln of one
-            # CAST AS DOUBLE ratio of exact integer products, round(6)
-            "WITH raw AS (SELECT doc_id, regexp_split_to_array(text, '\\s+') AS arr FROM documents), "
-            "tk AS (SELECT doc_id, unnest(arr) AS tok, unnest(generate_series(1, len(arr))) AS ord FROM raw), "
-            "toks AS (SELECT doc_id, tok, ord FROM tk WHERE tok <> ''), "
-            "bi AS (SELECT doc_id, tok AS x, lead(tok) OVER (PARTITION BY doc_id ORDER BY ord) AS y FROM toks), "
-            "bc AS (SELECT x, y, count(*)::BIGINT AS cxy FROM bi WHERE y IS NOT NULL GROUP BY 1, 2), "
-            "uc AS (SELECT tok AS w, count(*)::BIGINT AS c FROM toks GROUP BY 1), "
-            "nb AS (SELECT sum(cxy)::BIGINT AS n FROM bc) "
-            "SELECT c.x, c.y, c.cxy, ux.c AS cx, uy.c AS cy, "
-            "round(ln(CAST(nb.n * c.cxy AS DOUBLE) / CAST(ux.c * uy.c AS DOUBLE)), 6) AS pmi "
-            "FROM (SELECT * FROM bc WHERE cxy >= 5) c "
-            "JOIN uc ux ON c.x = ux.w JOIN uc uy ON c.y = uy.w CROSS JOIN nb "
-            "QUALIFY row_number() OVER (ORDER BY pmi DESC, c.x, c.y) <= 50 "
-            "ORDER BY pmi DESC, c.x, c.y"
-        ),
-        "text_langid": f"SELECT doc_id, lang_pred FROM read_parquet('{e}/expected_text.parquet')",
         "docs_langid_kappa": (
             # contingency recomputed in SQL from the independent naive
             # lang-id expected table joined to the documents' true labels;
@@ -1847,8 +1444,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM labels l LEFT JOIN nt USING (label) LEFT JOIN np USING (label) "
             "LEFT JOIN tpc USING (label) ORDER BY l.label"
         ),
-        "text_quality": f"SELECT doc_id, mean_tok_len, stop_ratio, alpha_ratio, quality FROM read_parquet('{e}/expected_text.parquet')",
-        "text_fingerprint": f"SELECT doc_id, fingerprint FROM read_parquet('{e}/expected_text.parquet')",
         # --- generator-derived kg oracles (synth.py) ---
         "kg_chunks": f"SELECT repo, path, n_chunks, n_tokens FROM read_parquet('{d}/expected_chunks.parquet')",
         "kg_run_checkpointed": f"SELECT run, parts_total, parts_skipped, parts_computed, nodes, edges FROM read_parquet('{d}/expected_run.parquet')",
@@ -1866,14 +1461,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT source, lang, count(*)::BIGINT AS n_docs, sum(n_chars)::BIGINT AS total_chars, "
             "round(sum(n_chars) / count(*), 4) AS avg_chars "
             "FROM documents GROUP BY source, lang ORDER BY source, lang"
-        ),
-        "text_token_heavy_hitters": (
-            # token filter mirrors python str.split (see text_vocab_topk)
-            "WITH toks AS (SELECT unnest(regexp_split_to_array(text, '\\s+')) AS token "
-            "FROM documents), t AS (SELECT token, count(*)::BIGINT AS cnt FROM toks "
-            "WHERE token <> '' GROUP BY token) "
-            "SELECT token, cnt FROM t WHERE cnt > 0.005 * (SELECT sum(cnt) FROM t) "
-            "ORDER BY token"
         ),
         "stats_quantile_sketch": (
             "SELECT q, value FROM ("
@@ -1906,44 +1493,7 @@ def oracle_sql() -> dict[str, str]:
                 for q in (0.01, 0.25, 0.5, 0.75, 0.99)
             )
         ),
-        # --- sampling / vocab (pure-SQL oracles) ---
-        "text_vocab_topk": (
-            # filter '' tokens (regexp_split yields them at non-space
-            # leading/trailing whitespace; python str.split never does)
-            "SELECT token, sum(1)::BIGINT AS n FROM ("
-            "SELECT unnest(regexp_split_to_array(text, '\\s+')) AS token FROM documents) "
-            "WHERE token <> '' GROUP BY token ORDER BY n DESC, token LIMIT 50"
-        ),
-        "text_tfidf_topk": (
-            # token filter mirrors python str.split (see text_vocab_topk);
-            # score rounded to 6 dp on BOTH sides BEFORE ranking
-            "WITH toks AS (SELECT doc_id, unnest(regexp_split_to_array(text, '\\s+')) AS token FROM documents), "
-            "tf AS (SELECT doc_id, token, count(*)::BIGINT AS tf FROM toks WHERE token <> '' GROUP BY 1, 2), "
-            "df AS (SELECT token, count(*)::BIGINT AS df FROM tf GROUP BY 1), "
-            "n AS (SELECT count(*)::DOUBLE AS n FROM documents), "
-            "scored AS (SELECT tf.doc_id, tf.token, tf.tf, "
-            "round(tf.tf * (ln((n.n + 1) / (df.df + 1)) + 1), 6) AS score FROM tf JOIN df USING (token) CROSS JOIN n), "
-            "ranked AS (SELECT *, row_number() OVER (PARTITION BY doc_id ORDER BY score DESC, token) AS r FROM scored) "
-            "SELECT doc_id, token, tf, score FROM ranked WHERE r <= 3 ORDER BY doc_id, score DESC, token"
-        ),
-        "text_inverted_index": (
-            "SELECT token, count(*)::BIGINT AS df, string_agg(doc_id::VARCHAR, ',' ORDER BY doc_id) AS postings "
-            "FROM (SELECT DISTINCT doc_id, unnest(regexp_split_to_array(text, '\\s+')) AS token FROM documents) "
-            "WHERE token <> '' GROUP BY token HAVING count(*) >= 5 ORDER BY token"
-        ),
         "docs_distinct_pairs": ("SELECT DISTINCT source, lang FROM documents ORDER BY source, lang"),
-        "text_repetition": (
-            # each output float is ONE IEEE division (+ subtraction) of exact
-            # ints on both sides — bit-identical, no rounding needed
-            "WITH tok AS (SELECT doc_id, string_split(text, ' ') AS t FROM documents), "
-            "g AS (SELECT doc_id, array_to_string(t[i:i+1], ' ') AS bg "
-            "FROM tok CROSS JOIN unnest(generate_series(1, len(t) - 1)) AS u(i)), "
-            "c AS (SELECT doc_id, bg, count(*) AS cnt FROM g GROUP BY doc_id, bg), "
-            "s AS (SELECT doc_id, sum(cnt)::BIGINT AS total, count(*)::BIGINT AS dist, max(cnt) AS maxc "
-            "FROM c GROUP BY doc_id) "
-            "SELECT doc_id, total AS n_bigrams, 1 - dist / total::DOUBLE AS dup_frac, "
-            "maxc / total::DOUBLE AS top_frac FROM s ORDER BY doc_id"
-        ),
         "dedup_decontaminate": (
             # tokenization contract: string_split(text, ' ') == python
             # text.split(' '); t[i:i+7] is the 8-token window (1-based,
@@ -1955,16 +1505,6 @@ def oracle_sql() -> dict[str, str]:
             "tr AS (SELECT doc_id, g FROM sh WHERE source NOT IN ('src0', 'src1')) "
             "SELECT tr.doc_id, count(*)::BIGINT AS n_shared FROM tr JOIN ev USING (g) "
             "GROUP BY tr.doc_id ORDER BY tr.doc_id"
-        ),
-        "text_pack_offsets": (
-            # ::BIGINT casts: the windowed sum() is HUGEINT in DuckDB, which
-            # pandas receives as float64 — the driver's value hash is dtype-
-            # sensitive (100000.0 != 100000), so derive everything from int64
-            "SELECT doc_id, n_tokens, o::BIGINT AS offset, (o // 1024)::BIGINT AS seq_id, (o % 1024)::BIGINT AS seq_pos FROM ("
-            "SELECT doc_id, n_tokens, COALESCE(sum(n_tokens) OVER "
-            "(ORDER BY doc_id ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS o FROM ("
-            "SELECT doc_id, CASE WHEN trim(text) = '' THEN 0 ELSE "
-            "len(regexp_split_to_array(trim(text), '\\s+')) END::BIGINT AS n_tokens FROM documents))"
         ),
         "sample_stratified": (
             "SELECT doc_id, lang FROM ("
@@ -2011,18 +1551,6 @@ def oracle_sql() -> dict[str, str]:
         "kg_edge_labels": f"SELECT pred, count(*)::BIGINT AS n FROM read_parquet('{exp_linked}') GROUP BY pred ORDER BY pred",
         "kg_sha256": f"SELECT repo, path, sha256(content) AS content_sha256 FROM read_parquet('{repo_files}')",
         "dedup_exact": "SELECT min(doc_id) AS doc_id FROM documents GROUP BY text ORDER BY doc_id",
-        "text_stats": (
-            "SELECT doc_id, length(text)::BIGINT AS n_chars, "
-            "CASE WHEN trim(text) = '' THEN 0 ELSE len(regexp_split_to_array(trim(text), '\\s+')) END::BIGINT AS n_tokens, "
-            "(length(text) - length(regexp_replace(text, '[.!?,;:]', '', 'g')))::BIGINT AS n_punct "
-            "FROM documents"
-        ),
-        "text_tokens": (
-            "SELECT doc_id, "
-            "CASE WHEN trim(text) = '' THEN 0 ELSE len(regexp_split_to_array(trim(text), '\\s+')) END::BIGINT AS n_ws_tokens, "
-            "len(regexp_extract_all(text, ' ?[a-zA-Z]+| ?[0-9]+| ?[^ a-zA-Z0-9]+'))::BIGINT AS n_bpe_tokens "
-            "FROM documents"
-        ),
         "stats_value_histogram": (
             # the engine's bin rule IEEE-op-for-op: w = (max-min)/16.0;
             # bin = least(floor((v-min)/w), 15); lo = min + bin*w
@@ -2063,38 +1591,6 @@ def oracle_sql() -> dict[str, str]:
             "CASE WHEN n < 2 OR a2 = 0 THEN NULL "
             "ELSE CAST(a4 AS DOUBLE) / (CAST(a2 AS DOUBLE) * CAST(a2 AS DOUBLE)) * (CAST(n AS DOUBLE) * CAST(n AS DOUBLE)) - 3.0 END AS kurt_pop "
             "FROM a ORDER BY l_returnflag"
-        ),
-        "text_chunks": (
-            # integer ceil: 1 + (n - 65) // 192 == 1 + ceil((n-256)/192)
-            "WITH d AS (SELECT doc_id, length(coalesce(text, '')) AS n FROM documents), "
-            "k AS (SELECT doc_id, n, CASE WHEN n > 256 THEN 1 + (n - 65) // 192 ELSE 1 END AS n_chunks FROM d) "
-            "SELECT doc_id, c AS chunk_idx, c * 192 AS off, LEAST(256, n - c * 192) AS chunk_len, n_chunks "
-            "FROM k JOIN generate_series(0, 1023) AS t(c) ON t.c < k.n_chunks ORDER BY doc_id, chunk_idx"
-        ),
-        "text_segment_dedup": (
-            # 16-token segments (token = string_split(' '), the decontam
-            # contract); winner = first (doc_id, seg_idx) per exact segment
-            # text; docs losing every segment drop out via GROUP BY
-            "WITH segs AS ("
-            " SELECT doc_id, seg_idx, array_to_string(toks[seg_idx*16+1 : seg_idx*16+16], ' ') AS seg, n_segs"
-            " FROM ("
-            "  SELECT doc_id, toks, n_segs, unnest(generate_series(0, n_segs-1)) AS seg_idx"
-            "  FROM (SELECT doc_id, string_split(coalesce(text,''), ' ') AS toks,"
-            "               ((len(string_split(coalesce(text,''),' ')) + 15) // 16)::BIGINT AS n_segs"
-            "        FROM documents))"
-            "), win AS ("
-            " SELECT doc_id, seg_idx, seg, n_segs FROM ("
-            "  SELECT *, row_number() OVER (PARTITION BY seg ORDER BY doc_id, seg_idx) AS rn FROM segs) WHERE rn = 1)"
-            " SELECT doc_id, string_agg(seg, ' ' ORDER BY seg_idx) AS text_dedup,"
-            " count(*)::BIGINT AS n_kept, any_value(n_segs) AS n_segs"
-            " FROM win GROUP BY doc_id ORDER BY doc_id"
-        ),
-        "text_normalize": (
-            # byte-identical pattern on both RE2-compatible engines; sha256
-            # of the normalized body checks the transform end-to-end
-            "SELECT doc_id, length(norm)::BIGINT AS norm_len, sha256(norm) AS norm_sha FROM ("
-            "SELECT doc_id, trim(regexp_replace(lower(coalesce(text, '')), "
-            "'[ \\t\\n\\r\\f\\v]+', ' ', 'g'), ' ') AS norm FROM documents) ORDER BY doc_id"
         ),
         "docs_parquet_profile": (
             f"SELECT path_in_schema AS column, count(*)::BIGINT AS n_chunks, "
@@ -2186,49 +1682,12 @@ def oracle_sql() -> dict[str, str]:
             "SELECT doc_id, quality, n_tokens, cum_tokens FROM c "
             "WHERE cum_tokens <= (SELECT sum(n_tokens) FROM t) // 3 ORDER BY quality DESC, doc_id"
         ),
-        "text_vocab_by_lang": (
-            # token filter mirrors python str.split (see text_vocab_topk)
-            "SELECT lang, token, n FROM ("
-            " SELECT lang, token, n, row_number() OVER "
-            " (PARTITION BY lang ORDER BY n DESC, token) AS rn FROM ("
-            "  SELECT lang, token, count(*)::BIGINT AS n FROM ("
-            "   SELECT lang, unnest(regexp_split_to_array(text, '\\s+')) AS token FROM documents) "
-            "  WHERE token <> '' GROUP BY 1, 2)) "
-            "WHERE rn <= 5 ORDER BY lang, n DESC, token"
-        ),
-        "text_search_topk": (
-            # tf via exact-token list_filter; idf rounded to 6 dp on both
-            # engines; score = tf1*idf1 + tf2*idf2 + tf3*idf3 left-to-right
-            "WITH t AS (SELECT doc_id, string_split(coalesce(text,''), ' ') AS toks FROM documents), "
-            "d AS (SELECT doc_id, "
-            "len(list_filter(toks, x -> x = 'table'))::BIGINT AS tf1, "
-            "len(list_filter(toks, x -> x = 'fast'))::BIGINT AS tf2, "
-            "len(list_filter(toks, x -> x = 'customer'))::BIGINT AS tf3 FROM t), "
-            "s AS (SELECT count(*)::BIGINT AS n, "
-            "sum(CASE WHEN tf1 > 0 THEN 1 ELSE 0 END)::BIGINT AS df1, "
-            "sum(CASE WHEN tf2 > 0 THEN 1 ELSE 0 END)::BIGINT AS df2, "
-            "sum(CASE WHEN tf3 > 0 THEN 1 ELSE 0 END)::BIGINT AS df3 FROM d) "
-            "SELECT doc_id, "
-            "tf1 * round(ln((s.n + 1) / (s.df1 + 1.0)), 6) "
-            "+ tf2 * round(ln((s.n + 1) / (s.df2 + 1.0)), 6) "
-            "+ tf3 * round(ln((s.n + 1) / (s.df3 + 1.0)), 6) AS score "
-            "FROM d, s WHERE tf1 + tf2 + tf3 > 0 "
-            "ORDER BY score DESC, doc_id LIMIT 10"
-        ),
         "dedup_minhash_incr": (
             # a pair involves a new doc iff its max id is new (new ids are
             # the dense top 20%); same expected table as dedup_minhash
             f"SELECT a, b, est_jaccard FROM read_parquet('{e}/expected_minhash_pairs.parquet') "
             "WHERE est_jaccard >= 0.5 "
             "AND b >= (SELECT count(*) * 4 // 5 FROM documents)"
-        ),
-        "text_lm_score": (
-            # n_bigrams is REAL SQL over the established tokenization
-            # contract; nll joins the independent naive bigram-LM scores
-            "WITH t AS (SELECT doc_id, CASE WHEN trim(text) = '' THEN 0 ELSE "
-            "len(regexp_split_to_array(trim(text), '\\s+')) END::BIGINT AS n_tokens FROM documents) "
-            f"SELECT t.doc_id, greatest(n_tokens - 1, 0)::BIGINT AS n_bigrams, e.nll "
-            f"FROM t JOIN read_parquet('{e}/expected_lm_nll.parquet') e USING (doc_id) ORDER BY doc_id"
         ),
         "docs_length_band": (
             # thresholds round(6)-quantized on both engines (the hash-green
@@ -2246,17 +1705,6 @@ def oracle_sql() -> dict[str, str]:
         "dedup_cross_corpus": (
             f"SELECT a, b, est_jaccard FROM read_parquet('{e}/expected_cross_pairs.parquet') "
             "WHERE est_jaccard >= 0.5"
-        ),
-        "text_lexical": (
-            # n_tokens / n_types / ttr are REAL SQL over the established
-            # tokenization contract; token_entropy joins the independent
-            # naive expected table (quantized-term contract — SQL log2 is
-            # not bit-stable vs libm, verified 1-ulp drift)
-            "WITH t AS (SELECT doc_id, list_filter(regexp_split_to_array(coalesce(text, ''), '\\s+'), tk -> tk <> '') AS toks FROM documents) "
-            "SELECT t.doc_id, len(t.toks)::BIGINT AS n_tokens, "
-            "len(list_distinct(t.toks))::BIGINT AS n_types, "
-            "CASE WHEN len(t.toks) = 0 THEN 0.0 ELSE round(len(list_distinct(t.toks)) / len(t.toks), 6) END AS ttr, "
-            f"x.token_entropy FROM t JOIN read_parquet('{e}/expected_lexical.parquet') x USING (doc_id) ORDER BY t.doc_id"
         ),
         "docs_partitioned_scan": (
             "SELECT source, lang, count(*)::BIGINT AS n_docs, sum(n_chars)::BIGINT AS chars "

@@ -74,17 +74,11 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     # secondary pipelines
     read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"]).count()
     from text_to_graph_ray.functions.dedup import minhash_near_dup_pairs
-    from text_to_graph_ray.functions.text import text_stats
 
     t0 = time.monotonic()
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     minhash_near_dup_pairs(docs, threshold=0.5).count()
     times["dedup_minhash"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    docs.map_batches(text_stats, batch_format="pyarrow").count()
-    times["text_stats"] = round(time.monotonic() - t0, 3)
 
     from text_to_graph_ray.functions.dedup import near_dup_survivors
 
@@ -92,20 +86,6 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     near_dup_survivors(docs, threshold=0.5).count()
     times["dedup_survivors"] = round(time.monotonic() - t0, 3)
-
-    from text_to_graph_ray.functions.pack import packed_sequences
-
-    t0 = time.monotonic()
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    packed_sequences(docs).count()
-    times["text_packed_seqs"] = round(time.monotonic() - t0, 3)
-
-    from text_to_graph_ray.functions.text import tfidf_topk
-
-    t0 = time.monotonic()
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    tfidf_topk(docs, k=3).count()
-    times["text_tfidf"] = round(time.monotonic() - t0, 3)
 
     from text_to_graph_ray.functions.decontam import ngram_contamination
 
@@ -126,52 +106,21 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     _e._q_stats_hll_distinct(sf_dir)
     times["stats_sketches"] = round(time.monotonic() - t0, 3)
 
-    # corpus-level segment dedup
-    t0 = time.monotonic()
-    _e._q_text_segment_dedup(sf_dir).count()
-    times["text_segment_dedup"] = round(time.monotonic() - t0, 3)
-
     t0 = time.monotonic()
     _e._q_pipeline_curation_full(sf_dir).count()
     times["pipeline_curation_full"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    _e._q_text_lexical(sf_dir).count()
-    times["text_lexical"] = round(time.monotonic() - t0, 3)
 
     t0 = time.monotonic()
     _e._q_docs_length_band(sf_dir).count()
     times["docs_length_band"] = round(time.monotonic() - t0, 3)
 
     t0 = time.monotonic()
-    _e._q_text_lm_score(sf_dir).count()
-    times["text_lm_score"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
     _e._q_dedup_cross_corpus(sf_dir).count()
     times["dedup_cross_corpus"] = round(time.monotonic() - t0, 3)
-
-    # BPE tokenizer training and the temperature mixture plan
-    t0 = time.monotonic()
-    _e._q_text_bpe_merges(sf_dir).count()
-    times["text_bpe_merges"] = round(time.monotonic() - t0, 3)
 
     t0 = time.monotonic()
     _e._q_docs_mixture_temperature(sf_dir).count()
     times["docs_mixture_temperature"] = round(time.monotonic() - t0, 3)
-
-    # BPE apply, the Gopher rule gate and BM25 retrieval
-    t0 = time.monotonic()
-    _e._q_text_bpe_encode(sf_dir).count()
-    times["text_bpe_encode"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    _e._q_text_gopher_rules(sf_dir).count()
-    times["text_gopher_rules"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    _e._q_text_bm25_topk(sf_dir).count()
-    times["text_bm25_topk"] = round(time.monotonic() - t0, 3)
 
     # NB classifier train/classify
     t0 = time.monotonic()

@@ -4,7 +4,6 @@ benchmarks). Run: python -u scripts/ops_scale_check3.py [num_cpus]
 
 Covers:
 - lookup_join at 10M facts x 200k dims, broadcast AND fallback plans.
-- lexical_stats at 400k synthetic docs (vectorized ttr + token entropy).
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    # --- 1. lookup_join 10M x 200k ----------------------------------------
+    # --- lookup_join 10M x 200k ------------------------------------------
     NF, ND = 10_000_000, 200_000
 
     def facts_fn(a, b):
@@ -75,25 +74,6 @@ def main():
         log(f"lookup_join[{tag}] {NF/1e6:.0f}M x {ND/1e3:.0f}k: {time.time()-t0:.1f}s "
             f"rows={n} matched={matched} (expect {NF//2})")
         assert n == NF and matched == NF // 2
-
-    # --- 2. lexical_stats 400k docs ---------------------------------------
-    ND2 = 400_000
-    VOCAB = np.array([f"w{j}" for j in range(5000)], dtype=object)
-
-    def docs_fn(a, b):
-        i = np.arange(a, b, dtype=np.int64)
-        texts = [" ".join(VOCAB[(int(x) * 17 + np.arange(64) * (1 + int(x) % 7)) % 5000]) for x in i]
-        return pa.table({"doc_id": pa.array(i, type=pa.int64()),
-                         "text": pa.array(texts, type=pa.string())})
-
-    from text_to_graph_ray.functions.text import lexical_stats
-
-    docs = gen_range(ND2, 64, docs_fn).materialize()
-    t0 = time.time()
-    lex = docs.map_batches(lexical_stats, batch_format="pyarrow").materialize()
-    n = lex.count()
-    log(f"lexical_stats {ND2/1e3:.0f}k docs x 64 toks: {time.time()-t0:.1f}s rows={n}")
-    assert n == ND2
 
     log("ops_scale_check3: ALL OK")
     ray.shutdown()

@@ -3,10 +3,6 @@ inputs, walls are smoke-scale proofs on a shared host (not steady-state
 benchmarks). Run: python -u scripts/ops_scale_check5.py [num_cpus]
 
 Covers:
-- bpe_train at 400k docs / ~48M tokens / 50k-word vocabulary: the corpus
-  pass is one word-count exchange; both the driver merge loop and the
-  distributed merge loop (word_collect_max=0, 40 vocab-sized exchanges)
-  are timed and must agree.
 - mixture_plan(temperature=True) at 400k docs / 200 sources.
 """
 
@@ -49,34 +45,7 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    # --- 1. BPE at 400k docs / 50k-word vocab ------------------------------
-    from text_to_graph_ray.functions.bpe import bpe_train
-
-    N_DOCS, N_WORDS = 400_000, 50_000
-    VOCAB = np.array([f"w{j}x{j % 7}" for j in range(N_WORDS)])
-
-    def doc_chunk(a, b):
-        ids = np.arange(a, b, dtype=np.int64)
-        texts = []
-        for i in ids:
-            L = 60 + (i * 31) % 120
-            idx = (i * 7919 + np.arange(L) * ((i % 97) + 3)) % N_WORDS
-            texts.append(" ".join(VOCAB[idx]))
-        return pa.table({"text": pa.array(texts, type=pa.string())})
-
-    docs = gen_range(N_DOCS, 64, doc_chunk).materialize()
-    t0 = time.monotonic()
-    a = bpe_train(docs, n_merges=40).to_pandas()
-    w_drv = time.monotonic() - t0
-    t0 = time.monotonic()
-    b = bpe_train(docs, n_merges=40, word_collect_max=0).to_pandas()
-    w_dist = time.monotonic() - t0
-    assert a.equals(b), "driver vs distributed BPE plans diverged"
-    assert len(a) == 40
-    log(f"bpe_train 400k docs/~48M tokens/50k vocab: driver plan {w_drv:.1f}s, "
-        f"distributed plan {w_dist:.1f}s (40 merges, plans identical)")
-
-    # --- 2. temperature mixture at 400k docs / 200 sources ------------------
+    # --- temperature mixture at 400k docs / 200 sources --------------------
     from text_to_graph_ray.functions.sample import mixture_plan
 
     def src_chunk(a, b):
@@ -86,7 +55,7 @@ def main():
         return pa.table({"source": pa.array(np.char.add("s", src.astype(str)), type=pa.string()),
                          "text": pa.array(texts, type=pa.string())})
 
-    sdocs = gen_range(N_DOCS, 64, src_chunk).materialize()
+    sdocs = gen_range(400_000, 64, src_chunk).materialize()
     t0 = time.monotonic()
     mx = mixture_plan(sdocs, budget_tokens=10_000_000, by="source", temperature=True).to_pandas()
     w = time.monotonic() - t0

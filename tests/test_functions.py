@@ -68,15 +68,6 @@ def test_simhash64_deterministic():
     assert simhash64("") == 0
 
 
-def test_text_stats_and_tokens():
-    from text_to_graph_ray.functions.text import text_stats
-
-    b = pa.table({"doc_id": [0, 1], "text": ["Hello, world! Two.", ""]})
-    out = text_stats(b).to_pylist()
-    assert out[0]["n_tokens"] == 3 and out[0]["n_punct"] == 3
-    assert out[1] == {"doc_id": 1, "n_chars": 0, "n_tokens": 0, "n_punct": 0}
-
-
 def test_lang_id_heuristic():
     from text_to_graph_ray.functions.text import detect_lang
 

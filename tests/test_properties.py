@@ -124,9 +124,9 @@ def test_shingle_rows_distinct_ngram_spec(texts):
     st.lists(st.sampled_from(["a", "b", "c", ""]), min_size=0, max_size=25).map(" ".join)
 )
 def test_bigram_repetition_spec(text):
-    """The shared bigram-repetition kernel (used by repetition_stats AND the
-    curation gate) matches a from-scratch spec: totals, distinct fraction and
-    top share over consecutive token pairs."""
+    """The scalar bigram-repetition contract (the reference the curation
+    gate's batch kernel is checked against) matches a from-scratch spec:
+    totals, distinct fraction and top share over consecutive token pairs."""
     from collections import Counter
 
     from text_to_graph_ray.functions.text import bigram_repetition

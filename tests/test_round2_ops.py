@@ -1,5 +1,5 @@
-"""Unit coverage for the round-2 operator additions (sampling, vocabulary,
-degree analytics, sequence packing, connected components)."""
+"""Unit coverage for the round-2 operator additions (sampling, degree
+analytics, connected components)."""
 
 import numpy as np
 import pyarrow as pa
@@ -32,23 +32,6 @@ def test_mod_sample_deterministic_and_roughly_rate(ray_session):
     assert set(a["doc_id"]).issubset(set(c["doc_id"]))
 
 
-def test_vocab_topk_counts_and_ties(ray_session):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.text import vocab_topk
-
-    docs = rd.from_items(
-        [
-            {"doc_id": 0, "text": "b a a"},
-            {"doc_id": 1, "text": "c b a"},
-            {"doc_id": 2, "text": "  "},
-        ]
-    )
-    out = vocab_topk(docs, k=10).to_pandas()
-    assert list(out["token"]) == ["a", "b", "c"]  # count desc, token asc on the b/c tie? a=3,b=2,c=1
-    assert list(out["n"]) == [3, 2, 1]
-
-
 def test_degree_topk(ray_session):
     import ray.data as rd
 
@@ -64,30 +47,6 @@ def test_degree_topk(ray_session):
     out = degree_topk(edges, k=2).to_pandas()
     assert list(out["entity_key"]) == ["a", "b"]  # a=2, b=2 tie -> key asc; c=2... all tie
     assert list(out["degree"]) == [2, 2]
-
-
-def test_sequence_pack_offsets_invariants(ray_session):
-    """offset = exclusive prefix-sum of token counts in id order; seq math
-    consistent; invariant under a different input block split."""
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.pack import sequence_pack_offsets
-
-    rows = [{"doc_id": i, "text": " ".join(["w"] * (3 + i % 7))} for i in range(200)]
-    out = sequence_pack_offsets(rd.from_items(rows), seq_len=16).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    assert out.loc[0, "offset"] == 0
-    expect = out["n_tokens"].cumsum().shift(fill_value=0)
-    assert (out["offset"] == expect).all()
-    assert (out["seq_id"] == out["offset"] // 16).all()
-    assert (out["seq_pos"] == out["offset"] % 16).all()
-    # different physical blocking, same placement
-    out2 = (
-        sequence_pack_offsets(rd.from_items(rows).repartition(7), seq_len=16)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    assert out.equals(out2)
 
 
 def test_connected_components_string_ids_distributed(ray_session):

@@ -464,65 +464,6 @@ def test_distinct_rows_matches_pandas(ray_session):
     pd.testing.assert_frame_equal(got, want)
 
 
-def test_tfidf_topk_matches_naive(ray_session):
-    """tfidf vs a from-scratch pandas reimplementation on a tiny corpus with
-    known tie cases (same score -> token ascending wins)."""
-    import math
-
-    import numpy as np
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.text import tfidf_topk
-
-    docs = pd.DataFrame(
-        {
-            "doc_id": pd.array([1, 2, 3, 4], dtype="int64"),
-            "text": ["cat dog cat", "dog bird", "cat bird bird fish", "  "],
-        }
-    )
-    got = tfidf_topk(rd.from_pandas(docs).repartition(3), k=2).to_pandas()
-
-    n = len(docs)
-    tf: dict = {}
-    for _, row in docs.iterrows():
-        for tok in row["text"].split():
-            tf[(row["doc_id"], tok)] = tf.get((row["doc_id"], tok), 0) + 1
-    df_count: dict = {}
-    for (_, tok) in tf:
-        df_count[tok] = df_count.get(tok, 0) + 1
-    scored = [
-        (d, t, c, round(c * (math.log((n + 1) / (df_count[t] + 1)) + 1), 6))
-        for (d, t), c in tf.items()
-    ]
-    want_rows = []
-    for d in sorted({r[0] for r in scored}):
-        rows = sorted((r for r in scored if r[0] == d), key=lambda r: (-r[3], r[1]))[:2]
-        want_rows.extend(rows)
-    want = pd.DataFrame(want_rows, columns=["doc_id", "token", "tf", "score"])
-    got_s = got.sort_values(["doc_id", "token"]).reset_index(drop=True)
-    want_s = want.sort_values(["doc_id", "token"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got_s, want_s, check_dtype=False)
-
-
-def test_inverted_index_matches_naive(ray_session):
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.text import inverted_index
-
-    docs = pd.DataFrame(
-        {
-            "doc_id": pd.array([10, 2, 5, 7], dtype="int64"),
-            "text": ["a b a", "b c", "a c d", "b"],
-        }
-    )
-    got = inverted_index(rd.from_pandas(docs).repartition(2), min_df=2).to_pandas()
-    want = pd.DataFrame(
-        {"token": ["a", "b", "c"], "df": pd.array([2, 3, 2], dtype="int64"), "postings": ["5,10", "2,7,10", "2,5"]}
-    )
-    # postings sorted numerically by doc_id; df counts DISTINCT docs
-    pd.testing.assert_frame_equal(got.reset_index(drop=True), want)
-
-
 def _naive_contamination(df, eval_sources, n):
     """From-scratch pandas/set reimplementation of ngram_contamination."""
     def grams(text):
@@ -764,20 +705,6 @@ def test_metadata_row_count_no_execution(ray_session, tmp_path):
     assert _metadata_row_count(ds) == 30
 
 
-def test_repetition_stats_known_values():
-    """Hand-computed repetition signals: 'a b a b a' has bigrams
-    [ab, ba, ab, ba] -> 4 total, 2 distinct, max count 2."""
-    from text_to_graph_ray.functions.text import repetition_stats
-
-    b = pa.table({"doc_id": pa.array([1, 2, 3], type=pa.int64()), "text": ["a b a b a", "x", "p q"]})
-    out = repetition_stats(b).to_pandas().set_index("doc_id")
-    assert 2 not in out.index  # single token: no bigrams, no row
-    assert out.loc[1, "n_bigrams"] == 4
-    assert out.loc[1, "dup_frac"] == 1 - 2 / 4
-    assert out.loc[1, "top_frac"] == 2 / 4
-    assert out.loc[3, "n_bigrams"] == 1 and out.loc[3, "dup_frac"] == 0.0 and out.loc[3, "top_frac"] == 1.0
-
-
 def test_worker_crash_mid_pagerank_recovers(ray_session, tmp_path):
     """A worker dying mid-task (os._exit, a real process crash) inside the
     pagerank edge-normalization stage is retried by Ray and the distributed
@@ -814,4 +741,3 @@ def test_worker_crash_mid_pagerank_recovers(ray_session, tmp_path):
     ).to_pandas().reset_index(drop=True)
     assert os.path.exists(flag), "fault was never injected"
     pd.testing.assert_frame_equal(crashed, clean)
-

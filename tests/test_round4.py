@@ -349,32 +349,6 @@ class TestChainedReexports:
             assert "pkg.fn" not in keys and "vendor.blob" in keys
 
 
-def test_redact_pii_kernel(ray_session):
-    import pyarrow as pa
-
-    from text_to_graph_ray.functions.text import redact_pii
-
-    b = pa.table(
-        {
-            "doc_id": pa.array([1, 2], type=pa.int64()),
-            "text": pa.array(
-                [
-                    "mail bob.smith+x@foo.co.uk or root@10.0.0.1 from 192.168.1.10 call 555-123-4567",
-                    "no pii here",
-                ]
-            ),
-        }
-    )
-    out = redact_pii(b)
-    t = out.column("text_redacted")[0].as_py()
-    assert "<EMAIL>" in t and "<IP>" in t and "<PHONE>" in t
-    assert "bob.smith" not in t and "192.168" not in t and "555-123" not in t
-    # root@10.0.0.1: alpha-TLD requirement means it is NOT an email; the IP
-    # inside it is caught by the IP pass
-    assert "root@<IP>" in t
-    assert out.column("n_redactions").to_pylist() == [4, 0]
-
-
 def test_best_quality_survivor_beats_min_id(ray_session):
     """A planted near-dup cluster where the HIGHER id is clearly higher
     quality: min-id dedup keeps doc 0, quality dedup must keep doc 1."""

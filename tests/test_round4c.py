@@ -1,5 +1,5 @@
 """Round-4 part-4 tests: md5 hash split, grouped quantiles, weighted top-k,
-format ingest, sliding chunks, text normalization, parquet profile."""
+format ingest, parquet profile."""
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -101,45 +101,6 @@ def test_format_ingest_matches_parquet_path(ray_session, tmp_path):
     assert sorted(map(key, got_c)) == sorted(map(key, want))
 
 
-def test_sliding_chunks_boundaries():
-    from text_to_graph_ray.functions.text import sliding_chunks
-
-    t = pa.table(
-        {
-            "doc_id": pa.array([1, 2, 3, 4], type=pa.int64()),
-            "text": pa.array(["", "x" * 256, "x" * 257, "x" * (256 + 192 * 2)]),
-        }
-    )
-    out = sliding_chunks(t, size=256, overlap=64).to_pandas()
-    by_doc = {d: g for d, g in out.groupby("doc_id")}
-    # empty doc and exactly-one-window doc both emit ONE chunk
-    assert list(by_doc[1][["chunk_idx", "off", "chunk_len", "n_chunks"]].itertuples(index=False, name=None)) == [(0, 0, 0, 1)]
-    assert list(by_doc[2][["chunk_idx", "chunk_len", "n_chunks"]].itertuples(index=False, name=None)) == [(0, 256, 1)]
-    # one char past a window starts a second chunk
-    assert list(by_doc[3][["chunk_idx", "off", "chunk_len"]].itertuples(index=False, name=None)) == [(0, 0, 256), (1, 192, 65)]
-    # full extra steps: exact cover, last chunk full-size
-    g4 = list(by_doc[4][["chunk_idx", "off", "chunk_len"]].itertuples(index=False, name=None))
-    assert g4 == [(0, 0, 256), (1, 192, 256), (2, 384, 256)]
-
-
-def test_normalize_text_whitespace_semantics():
-    import hashlib
-
-    from text_to_graph_ray.functions.text import normalize_text
-
-    t = pa.table(
-        {
-            "doc_id": pa.array([1, 2, 3], type=pa.int64()),
-            "text": pa.array(["  Hello\t\tWORLD \n", "a\x0b\x0cb", None]),
-        }
-    )
-    out = normalize_text(t).to_pandas().set_index("doc_id")
-    assert out.loc[1, "norm_len"] == len("hello world")
-    assert out.loc[1, "norm_sha"] == hashlib.sha256(b"hello world").hexdigest()
-    assert out.loc[2, "norm_len"] == 3  # \v and \f collapse to one space
-    assert out.loc[3, "norm_len"] == 0
-
-
 def test_parquet_profile_aggregates_row_groups(tmp_path):
     import pyarrow.parquet as pq
 
@@ -155,4 +116,3 @@ def test_parquet_profile_aggregates_row_groups(tmp_path):
     md = pq.ParquetFile(p).metadata
     want_comp = sum(md.row_group(i).column(0).total_compressed_size for i in range(10))
     assert out.loc["a", "compressed_bytes"] == want_comp
-

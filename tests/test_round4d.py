@@ -1,6 +1,5 @@
 """Round-4 part 5 operator tests: segment-level corpus dedup, upsert merge,
-quota per group, partitioned layout, budget select, incremental merge, search
-top-k."""
+quota per group, partitioned layout, budget select, incremental merge."""
 
 import pandas as pd
 import pyarrow as pa
@@ -268,30 +267,3 @@ class TestMergeIncrement:
         pd.testing.assert_frame_equal(full.reset_index(drop=True), inc.reset_index(drop=True))
         row = inc[inc.entity_key == "alpha"]
         assert len(row) == 1
-
-
-def test_search_topk_scoring_and_rank(ray_session):
-    import math
-
-    import ray
-
-    from text_to_graph_ray.functions.text import search_topk
-
-    docs = [
-        (1, "apple apple banana"),   # tf(apple)=2
-        (2, "apple cherry"),         # tf(apple)=1
-        (3, "banana banana banana"),  # tf(banana)=3
-        (4, "plum"),                  # no query term -> excluded
-    ]
-    ds = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array([d[0] for d in docs], type=pa.int64()),
-        "text": pa.array([d[1] for d in docs]),
-    }))
-    out = search_topk(ds, ["apple", "banana"], k=3).to_pandas()
-    idf = round(math.log(5 / 3), 6)  # df(apple)=df(banana)=2, N=4
-    # doc1 = 2*idf + 1*idf = 3 units, doc3 = 3 units (ties -> id asc), doc2 = 1
-    got = dict(zip(out.doc_id, out.score))
-    assert set(got) == {1, 3, 2}
-    assert abs(got[3] - 3 * idf) < 1e-12 and abs(got[1] - 3 * idf) < 1e-12
-    assert list(out.doc_id) == [1, 3, 2]
-

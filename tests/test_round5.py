@@ -189,39 +189,6 @@ class TestLookupJoin:
             lookup_join(left, right, key="k")
 
 
-class TestLexicalStats:
-    def test_batch_matches_row_contract(self):
-        from text_to_graph_ray.functions.text import lexical_row, lexical_stats
-
-        texts = _adversarial_texts() + ["a a b", "x y z x y x", "unique words only here"]
-        batch = pa.table({"doc_id": pa.array(range(len(texts)), type=pa.int64()),
-                          "text": pa.array(texts, type=pa.string())})
-        got = lexical_stats(batch)
-        for i, t in enumerate(texts):
-            n, ty, ttr, h = lexical_row(t)
-            assert got.column("n_tokens")[i].as_py() == n, (i, repr(t))
-            assert got.column("n_types")[i].as_py() == ty, (i, repr(t))
-            assert got.column("ttr")[i].as_py() == ttr, (i, repr(t))
-            assert got.column("token_entropy")[i].as_py() == h, (i, repr(t))
-
-    def test_matches_independent_naive(self):
-        from text_to_graph_ray.expected import naive_lexical
-        from text_to_graph_ray.functions.text import lexical_row
-
-        for t in _adversarial_texts():
-            assert lexical_row(t) == naive_lexical(t), repr(t)
-
-    def test_entropy_values_sane(self):
-        from text_to_graph_ray.functions.text import lexical_row
-
-        # uniform distribution over 4 types -> exactly 2 bits
-        n, ty, ttr, h = lexical_row("a b c d")
-        assert (n, ty, ttr) == (4, 4, 1.0)
-        assert h == 2.0
-        # single repeated token -> zero entropy
-        assert lexical_row("a a a a")[3] == 0.0
-
-
 class TestMinhashCrossPairs:
     def _corpora(self):
         base = [
@@ -747,70 +714,6 @@ class TestMixturePlan:
         assert got["alloc_tokens"].sum() == 7
 
 
-class TestBpeTrain:
-    def _docs(self, texts):
-        import ray as _ray
-
-        return _ray.data.from_arrow(pa.table({"text": pa.array(texts, type=pa.string())})).repartition(3)
-
-    def test_hand_checked_merges(self, ray_session):
-        """'low low low lower' x1: first merge is the most frequent adjacent
-        pair; hand-derived sequence for a corpus small enough to eyeball."""
-        from text_to_graph_ray.functions.bpe import bpe_train
-
-        got = bpe_train(self._docs(["low low low", "lower"]), n_merges=3).to_pandas()
-        # pairs: (l,o)x4 (o,w)x4 (w,</w>)x3 (w,e)x1 (e,r)x1 (r,</w>)x1
-        # rank1 = ('l','o') count 4 (ties with ('o','w'), left asc wins)
-        assert list(got.itertuples(index=False, name=None)) == [
-            (1, "l", "o", 4),
-            (2, "lo", "w", 4),
-            (3, "low", "</w>", 3),
-        ]
-
-    def test_plans_identical_and_match_naive(self, ray_session):
-        """Driver (collect) and distributed (word_collect_max=0) plans must
-        produce identical merge tables, and both must match the independent
-        full-recount naive implementation."""
-        import pandas as pd
-
-        from text_to_graph_ray.expected import naive_bpe_merges
-        from text_to_graph_ray.functions.bpe import bpe_train
-
-        rng = np.random.default_rng(55)
-        words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
-        texts = [" ".join(rng.choice(words, size=rng.integers(3, 30))) for _ in range(40)]
-        ds = self._docs(texts)
-        a = bpe_train(ds, n_merges=15).to_pandas()
-        b = bpe_train(ds, n_merges=15, word_collect_max=0).to_pandas()
-        exp = pd.DataFrame(naive_bpe_merges(texts, 15))
-        assert a.equals(b)
-        assert a.reset_index(drop=True).equals(exp.reset_index(drop=True))
-
-    def test_stops_when_pairs_exhausted(self, ray_session):
-        """A one-word corpus runs out of adjacent pairs before n_merges; the
-        merge table must stop early, not pad."""
-        from text_to_graph_ray.functions.bpe import bpe_train
-
-        got = bpe_train(self._docs(["ab ab"]), n_merges=10).to_pandas()
-        # 'ab</w>' has pairs (a,b), (b,</w>) -> merges collapse to ONE symbol
-        # in 2 steps; after that no pair remains
-        assert len(got) == 2
-        assert got["rank"].tolist() == [1, 2]
-
-    def test_unicode_fallback_rows(self, ray_session):
-        """Non-ASCII rows take the per-row str.split path; results must match
-        the naive oracle (which always uses str.split)."""
-        import pandas as pd
-
-        from text_to_graph_ray.expected import naive_bpe_merges
-        from text_to_graph_ray.functions.bpe import bpe_train
-
-        texts = ["héllo wörld héllo", "plain ascii words here", "héllo wörld"]
-        got = bpe_train(self._docs(texts), n_merges=8).to_pandas()
-        exp = pd.DataFrame(naive_bpe_merges(texts, 8))
-        assert got.reset_index(drop=True).equals(exp.reset_index(drop=True))
-
-
 class TestMixtureTemperature:
     def test_sqrt_weights_hand_checked(self, ray_session):
         """Two sources, 9x token imbalance: plain plan splits 90/10, the
@@ -830,144 +733,6 @@ class TestMixtureTemperature:
         assert dict(zip(plain["source"], plain["alloc_tokens"])) == {"big": 90, "small": 10}
         assert dict(zip(temp["source"], temp["alloc_tokens"])) == {"big": 75, "small": 25}
         assert temp["alloc_tokens"].sum() == 100
-
-
-class TestBpeEncode:
-    def test_train_then_apply_matches_naive(self, ray_session):
-        import pandas as pd
-        import ray as _ray
-
-        from text_to_graph_ray.expected import naive_bpe_doclens, naive_bpe_merges
-        from text_to_graph_ray.functions.bpe import bpe_encode_counts, bpe_train
-
-        rng = np.random.default_rng(77)
-        words = ["lower", "newest", "widest", "low", "new", "wide"]
-        texts = [" ".join(rng.choice(words, size=rng.integers(1, 20))) for _ in range(30)]
-        texts += ["", "héllo wörld", "a  b"]  # empty / unicode / run-of-spaces
-        ids = list(range(len(texts)))
-        t = pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                      "text": pa.array(texts, type=pa.string())})
-        ds = _ray.data.from_arrow(t).repartition(4)
-        merges = [(r["left"], r["right"]) for r in bpe_train(ds, n_merges=10).take_all()]
-        got = bpe_encode_counts(ds, merges).to_pandas()
-        exp = pd.DataFrame(naive_bpe_doclens(ids, texts, merges))
-        assert got.reset_index(drop=True).equals(exp.reset_index(drop=True))
-
-    def test_full_merge_collapses_word_to_one_token(self, ray_session):
-        """With enough merges a frequent word collapses to a single symbol:
-        'low' -> l o w </w> needs 3 merges."""
-        import ray as _ray
-
-        from text_to_graph_ray.functions.bpe import bpe_encode_counts, bpe_train
-
-        t = pa.table({"doc_id": pa.array([0], type=pa.int64()),
-                      "text": pa.array(["low low low low"], type=pa.string())})
-        ds = _ray.data.from_arrow(t)
-        merges = [(r["left"], r["right"]) for r in bpe_train(ds, n_merges=10).take_all()]
-        got = bpe_encode_counts(ds, merges).to_pandas()
-        assert got.n_words.item() == 4 and got.n_subwords.item() == 4
-
-
-class TestGopherRules:
-    def _naive(self, doc_id, text):
-        toks = (text or "").split()
-        n = len(toks)
-        stops = {"the", "a", "of", "to", "and", "in", "is", "on"}
-        sh = sum(1 for t in toks if t in stops)
-        ml = round(sum(len(t) for t in toks) / n, 6) if n else 0.0
-        r1 = int(30 <= n <= 90)
-        r2 = int(4.3 <= ml <= 5.0)
-        r3 = int(sh >= 2)
-        return (doc_id, n, ml, sh, r1, r2, r3, r1 & r2 & r3)
-
-    def test_matches_naive_per_row(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.text import gopher_rules
-
-        texts = [
-            "",                                     # empty
-            "a  b",                                 # run of spaces
-            "the " * 50,                            # token-count band edge, 1-char words
-            " ".join(["abcd"] * 30),                # exactly min_tokens, mean 4.0
-            " ".join(["abcde"] * 30) + " the a",    # stop hits = 2 boundary
-            "héllo wörld the a of",                 # unicode lengths
-            " ".join(["words"] * 91),               # one past max_tokens
-        ]
-        ids = list(range(len(texts)))
-        t = pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                      "text": pa.array(texts, type=pa.string())})
-        got = (_ray.data.from_arrow(t).repartition(3)
-               .map_batches(gopher_rules, batch_format="pyarrow").to_pandas()
-               .sort_values("doc_id").reset_index(drop=True))
-        for i, row in got.iterrows():
-            assert tuple(row) == self._naive(ids[i], texts[i]), texts[i]
-
-    def test_rules_live_on_corpus(self, ray_session):
-        """Each rule must exclude SOMETHING at sf0.001 or the gate is dead."""
-        from text_to_graph_ray.functions.text import gopher_rules
-        from text_to_graph_ray.util import read_parquet_clean
-
-        ds = read_parquet_clean("/root/testdata/sf0.001/documents.parquet",
-                                columns=["doc_id", "text"])
-        df = ds.map_batches(gopher_rules, batch_format="pyarrow").to_pandas()
-        for col in ("r_len", "r_wordlen", "r_stop"):
-            assert df[col].min() == 0 and df[col].max() == 1, col
-        assert 0 < df["passed"].sum() < len(df)
-
-
-class TestBm25:
-    def _naive_scores(self, ids, texts, terms, k1=1.5, b=0.75):
-        import math
-
-        N = len(texts)
-        toklists = [(t or "").split() for t in texts]
-        dls = [len(tk) for tk in toklists]
-        avgdl = float(sum(dls)) / float(N)
-        dfs = [sum(1 for tk in toklists if term in tk) for term in terms]
-        idfs = [round(math.log(((N - df) + 0.5) / (df + 0.5) + 1.0), 6) for df in dfs]
-        out = {}
-        for did, toks, dl in zip(ids, toklists, dls):
-            s = 0.0
-            hit = False
-            for term, idf in zip(terms, idfs):
-                tf = float(toks.count(term))
-                if tf:
-                    hit = True
-                s = s + idf * ((tf * (k1 + 1.0)) / (tf + k1 * ((1.0 - b) + (b * float(dl)) / avgdl)))
-            if hit:
-                out[did] = round(s, 6)
-        return out
-
-    def test_matches_naive_and_ranks(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.text import bm25_topk
-
-        rng = np.random.default_rng(55)
-        vocab = ["table", "query", "fast", "stream", "row", "scan", "agg", "the"]
-        texts = [" ".join(rng.choice(vocab, size=int(rng.integers(2, 40)))) for _ in range(60)]
-        texts += ["table table", "table " + "filler " * 60]  # dl-normalization pair
-        ids = list(range(len(texts)))
-        terms = ["table", "query"]
-        t = pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                      "text": pa.array(texts, type=pa.string())})
-        got = bm25_topk(_ray.data.from_arrow(t).repartition(4), terms, k=10).to_pandas()
-        naive = self._naive_scores(ids, texts, terms)
-        want = sorted(naive.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-        assert list(zip(got["doc_id"], got["score"])) == [(d, s) for d, s in want]
-        # doc-length normalization: same tf=2, shorter doc scores higher
-        assert naive[60] > naive[61]
-
-    def test_term_absent_everywhere(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.text import bm25_topk
-
-        t = pa.table({"doc_id": pa.array([0, 1], type=pa.int64()),
-                      "text": pa.array(["row scan", "agg merge"], type=pa.string())})
-        got = bm25_topk(_ray.data.from_arrow(t), ["zzz"], k=5).to_pandas()
-        assert len(got) == 0
 
 
 class TestHoldoutSplit:
@@ -1053,50 +818,6 @@ class TestClassificationReport:
         assert (got["n_true"][j], got["n_pred"][j], got["tp"][j]) == (0, 1, 0)
         assert got["precision"][j] == 0.0 and got["recall"][j] == 0.0
         assert got["f1"][j] == 0.0
-
-
-class TestPmiTopk:
-    def test_hand_computed_and_partition_invariance(self, ray_session):
-        import math
-
-        import ray as _ray
-
-        from text_to_graph_ray.functions.text import pmi_topk
-
-        docs = [
-            "new york is a big city",
-            "new york has new people",
-            "york new city",
-            "a a a a a a",
-            "big city big city new york",
-        ]
-        t = pa.table({"doc_id": pa.array(range(len(docs)), type=pa.int64()),
-                      "text": pa.array(docs, type=pa.string())})
-        got = pmi_topk(_ray.data.from_arrow(t).repartition(3), k=5, min_count=2).to_pandas()
-        # n_bigrams = 5+4+2+5+5 = 21; hand-checked survivors of min_count=2
-        n = 21
-        want = [
-            ("big", "city", 3, 3, 4),
-            ("new", "york", 3, 5, 4),
-            ("a", "a", 5, 7, 7),
-        ]
-        assert [(r.x, r.y, int(r.cxy), int(r.cx), int(r.cy)) for r in got.itertuples()] == want
-        for r, (x, y, cxy, cx, cy) in zip(got.itertuples(), want):
-            assert r.pmi == round(math.log(float(n * cxy) / float(cx * cy)), 6)
-        # partition invariance: counts and ranking identical on 1 block
-        got1 = pmi_topk(_ray.data.from_arrow(t), k=5, min_count=2).to_pandas()
-        assert got1.equals(got)
-
-    def test_min_count_floor_excludes_hapax(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.text import pmi_topk
-
-        t = pa.table({"doc_id": pa.array([0, 1], type=pa.int64()),
-                      "text": pa.array(["unique pair here", "unique pair again"], type=pa.string())})
-        got = pmi_topk(_ray.data.from_arrow(t), k=10, min_count=2).to_pandas()
-        # only "unique pair" repeats; every other bigram is a hapax
-        assert list(zip(got["x"], got["y"])) == [("unique", "pair")]
 
 
 class TestKgSchemaAndNegatives:
@@ -1399,4 +1120,3 @@ class TestForestDepthsProperty:
                 TestForestDepths._naive(TestForestDepths(), edges)
 
         run()
-

@@ -83,51 +83,6 @@ class TestHLL:
         assert _rho(np.array([0], dtype=np.uint64), p)[0] == 64 - p + 1
 
 
-class TestHeavyHitters:
-    def _zipf(self, n=120_000, vocab=20_000, seed=21):
-        rng = np.random.default_rng(seed)
-        ranks = np.arange(1, vocab + 1, dtype=np.float64)
-        p = (1.0 / ranks) / np.sum(1.0 / ranks)
-        return rng.choice(vocab, size=n, p=p).astype("int64")
-
-    def test_exact_on_zipf(self, ray_session):
-        """Skewed regime: the MG summaries truncate hard (20k distinct, k=200
-        counters) yet the verified output equals the exact GROUP BY HAVING."""
-        from text_to_graph_ray.functions.sketch import heavy_hitters
-        import pandas as pd
-
-        vals = self._zipf()
-        got = heavy_hitters(_ds(vals), "x", threshold=0.01).to_pandas()
-        vc = pd.Series(vals).value_counts()
-        want = vc[vc > 0.01 * len(vals)].sort_index()
-        assert list(got["x"]) == list(want.index)
-        assert list(got["cnt"]) == list(want.to_numpy())
-
-    def test_partition_invariance(self, ray_session):
-        from text_to_graph_ray.functions.sketch import heavy_hitters
-
-        vals = self._zipf(n=50_000, vocab=5_000)
-        a = heavy_hitters(_ds(vals, parts=2), "x", 0.02).to_pandas()
-        b = heavy_hitters(_ds(vals, parts=31), "x", 0.02).to_pandas()
-        assert a.equals(b)
-
-    def test_no_qualifiers_empty_typed(self, ray_session):
-        """Uniform data above any threshold: empty result, schema intact."""
-        from text_to_graph_ray.functions.sketch import heavy_hitters
-
-        vals = np.arange(10_000, dtype="int64") % 1000  # each value 0.1%
-        got = heavy_hitters(_ds(vals), "x", threshold=0.5)
-        assert got.num_rows == 0
-        assert got.schema.field("x").type == pa.int64()
-
-    def test_string_values(self, ray_session):
-        from text_to_graph_ray.functions.sketch import heavy_hitters
-
-        vals = ["hot"] * 600 + [f"cold{i}" for i in range(400)]
-        got = heavy_hitters(_ds(vals), "x", threshold=0.25).to_pandas()
-        assert list(got["x"]) == ["hot"] and list(got["cnt"]) == [600]
-
-
 class TestQuantileSketch:
     QS = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
 

@@ -32,9 +32,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 # v21 and v19 added the k-means tables, v20 the MST table. Since then their
-# queries and the other embedding / media queries were deleted and their
-# tables are no longer built; a directory built earlier keeps them unread, so
-# the version is not bumped.
+# queries, the other embedding / media queries and the lexical, BPE and
+# packed-sequence queries were deleted and their tables are no longer built;
+# a directory built earlier keeps them unread, so the version is not bumped.
 EXPECTED_ROOT = "/tmp/graft_expected/v21"
 
 _MERSENNE = (1 << 61) - 1
@@ -86,30 +86,6 @@ def naive_quality(text: str) -> tuple[float, float, float, float]:
     alpha = sum(1 for c in t if c.isalpha()) / len(t) if t else 0.0
     q = min(1.0, n / 50.0) * 0.4 + min(mean_len / 8.0, 1.0) * 0.2 + stop_r * 0.2 + alpha * 0.2
     return round(mean_len, 6), round(stop_r, 6), round(alpha, 6), round(q, 6)
-
-
-def naive_lexical(text: str) -> tuple[int, int, float, float]:
-    """(n_tokens, n_types, ttr, token_entropy) — independent naive walk of
-    the lexical contract: Counter over split() tokens; entropy terms
-    c*log2(c) quantized to int64 at 1e9 before summing (order-independent
-    exact sum; np.log2 is the contract's log — math.log2 differs by 1 ulp
-    on some integers)."""
-    import numpy as np
-
-    toks = (text or "").split()
-    n = len(toks)
-    if n == 0:
-        return 0, 0, 0.0, 0.0
-    counts: dict = {}
-    for w in toks:
-        counts[w] = counts.get(w, 0) + 1
-    s = 0
-    for c in counts.values():
-        cf = np.float64(c)
-        s += int(np.rint(cf * np.log2(cf) * np.float64(1e9)))
-    nf = np.float64(n)
-    h = float(np.log2(nf) - (np.float64(s) / np.float64(1e9)) / nf)
-    return n, len(counts), round(len(counts) / n, 6), round(h, 6)
 
 
 def naive_fingerprint(text: str, k: int = 5, window: int = 4) -> int:
@@ -190,83 +166,6 @@ def naive_nb(ids, texts, labels, test_mod: int = 5, scale: int = 10**12):
                 best_c, best_s = c, s
         out.append((i, lab, best_c, int(best_c == lab)))
     return sorted(out)
-
-
-def naive_bpe_merges(texts, n_merges: int = 40):
-    """Naive full-recount BPE (Sennrich 2016) — independent of the engine's
-    incremental pair index: word counts via one Counter pass, then per
-    iteration a FULL pair recount over the whole vocabulary and a rescan
-    merge of every word. Spec shared with functions/bpe.py: words =
-    str.split(), symbols = chars + trailing "</w>", winner = max total
-    frequency with (left ASC, right ASC) tiebreak."""
-    from collections import Counter
-
-    wc: Counter = Counter()
-    for t in texts:
-        wc.update((t or "").split())
-    seqs = {w: tuple(w) + ("</w>",) for w in wc}
-    rows = {"rank": [], "left": [], "right": [], "pair_count": []}
-    for rank in range(1, n_merges + 1):
-        pair_counts: Counter = Counter()
-        for w, f in wc.items():
-            s = seqs[w]
-            for a, b in zip(s, s[1:]):
-                pair_counts[(a, b)] += f
-        if not pair_counts:
-            break
-        (la, rb), cnt = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        rows["rank"].append(rank)
-        rows["left"].append(la)
-        rows["right"].append(rb)
-        rows["pair_count"].append(cnt)
-        for w, s in seqs.items():
-            out = []
-            j = 0
-            while j < len(s):
-                if j + 1 < len(s) and s[j] == la and s[j + 1] == rb:
-                    out.append(la + rb)
-                    j += 2
-                else:
-                    out.append(s[j])
-                    j += 1
-            seqs[w] = tuple(out)
-    return rows
-
-
-def naive_bpe_doclens(ids, texts, merges):
-    """Per-document (n_words, n_subwords) after applying ``merges`` (list of
-    (left, right) in rank order) sequentially, left-to-right per word —
-    the spec shared with functions/bpe.BpeEncoder, re-derived naively
-    (one plain loop per word per doc; memo only for speed)."""
-
-    def enc(word: str) -> int:
-        s = list(word) + ["</w>"]
-        for la, rb in merges:
-            out = []
-            j = 0
-            while j < len(s):
-                if j + 1 < len(s) and s[j] == la and s[j + 1] == rb:
-                    out.append(la + rb)
-                    j += 2
-                else:
-                    out.append(s[j])
-                    j += 1
-            s = out
-        return len(s)
-
-    memo: dict = {}
-    rows = {"doc_id": [], "n_words": [], "n_subwords": []}
-    for did, t in zip(ids, texts):
-        ws = (t or "").split()
-        total = 0
-        for w in ws:
-            if w not in memo:
-                memo[w] = enc(w)
-            total += memo[w]
-        rows["doc_id"].append(int(did))
-        rows["n_words"].append(len(ws))
-        rows["n_subwords"].append(total)
-    return rows
 
 
 def naive_simhash_pairs(ids: list[int], texts: list[str], max_hamming: int = 3):
@@ -544,22 +443,6 @@ def naive_pretraining_corpus(
     return [i for i in survivors if not (grams(text_of[i]) & eval_grams)]
 
 
-def naive_packed_sequences(ids: list[int], texts: list[str], seq_len: int = 1024, vocab: int = 32768):
-    """Build the whole packed token stream directly (id order, one flat
-    list), then chunk — the straightforward spec the distributed
-    span/assembly plan must reproduce. Returns (seq_id, n_filled, tok_sum)
-    rows."""
-    order = sorted(range(len(ids)), key=lambda i: ids[i])
-    stream: list[int] = []
-    for i in order:
-        stream.extend(zlib.crc32(t.encode("utf-8")) % vocab for t in (texts[i] or "").split())
-    rows = []
-    for s0 in range(0, len(stream), seq_len):
-        chunk = stream[s0 : s0 + seq_len]
-        rows.append((s0 // seq_len, len(chunk), sum(chunk)))
-    return rows
-
-
 def naive_word_jaccard(ta: str, tb: str, shingle: int = 3) -> float:
     def sh(t):
         toks = (t or "").split()
@@ -705,22 +588,6 @@ def _build_doc_expected(sf_dir: str, tmp: str) -> None:
         ),
     )
 
-    # lexical diversity (ttr + quantized-term token entropy)
-    lex = [naive_lexical(t) for t in texts]
-    _write(
-        tmp,
-        "expected_lexical",
-        pa.table(
-            {
-                "doc_id": pa.array(ids, type=pa.int64()),
-                "n_tokens": pa.array([x[0] for x in lex], type=pa.int64()),
-                "n_types": pa.array([x[1] for x in lex], type=pa.int64()),
-                "ttr": pa.array([x[2] for x in lex], type=pa.float64()),
-                "token_entropy": pa.array([x[3] for x in lex], type=pa.float64()),
-            }
-        ),
-    )
-
     # multinomial Naive Bayes over the true lang labels (train: id%5 != 0)
     langs_true = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
                                columns=["doc_id", "lang"]).column("lang").to_pylist()
@@ -734,35 +601,6 @@ def _build_doc_expected(sf_dir: str, tmp: str) -> None:
                 "lang": pa.array([r[1] for r in nb], type=pa.string()),
                 "pred": pa.array([r[2] for r in nb], type=pa.string()),
                 "correct": pa.array([r[3] for r in nb], type=pa.int64()),
-            }
-        ),
-    )
-
-    # BPE merge table (first 40 merges, full-recount naive implementation)
-    bpe = naive_bpe_merges(texts, n_merges=40)
-    _write(
-        tmp,
-        "expected_bpe_merges",
-        pa.table(
-            {
-                "rank": pa.array(bpe["rank"], type=pa.int64()),
-                "left": pa.array(bpe["left"], type=pa.string()),
-                "right": pa.array(bpe["right"], type=pa.string()),
-                "pair_count": pa.array(bpe["pair_count"], type=pa.int64()),
-            }
-        ),
-    )
-
-    # BPE apply: per-doc subword counts under the 40 learned merges
-    dl = naive_bpe_doclens(ids, texts, list(zip(bpe["left"], bpe["right"])))
-    _write(
-        tmp,
-        "expected_bpe_doclens",
-        pa.table(
-            {
-                "doc_id": pa.array(dl["doc_id"], type=pa.int64()),
-                "n_words": pa.array(dl["n_words"], type=pa.int64()),
-                "n_subwords": pa.array(dl["n_subwords"], type=pa.int64()),
             }
         ),
     )
@@ -834,20 +672,6 @@ def _build_doc_expected(sf_dir: str, tmp: str) -> None:
     # quality-argmax survivors (keep the best-quality copy per cluster)
     bq = naive_best_quality_survivors(ids, texts, threshold=0.5)
     _write(tmp, "expected_best_survivors", pa.table({"doc_id": pa.array(bq, type=pa.int64())}))
-
-    # packed-sequence stream summary
-    ps = naive_packed_sequences(ids, texts)
-    _write(
-        tmp,
-        "expected_packed",
-        pa.table(
-            {
-                "seq_id": pa.array([r[0] for r in ps], type=pa.int64()),
-                "n_filled": pa.array([r[1] for r in ps], type=pa.int64()),
-                "tok_sum": pa.array([r[2] for r in ps], type=pa.int64()),
-            }
-        ),
-    )
 
     # curation composition: gate then dedup
     clean = naive_clean_corpus(ids, texts)

@@ -15,13 +15,6 @@ SipHash64 (``hash_pandas_object``: fixed key, vectorized, any key dtype).
   hash-checkable against DuckDB's COUNT(DISTINCT). Std error above k:
   ~1/√(k-1) (Beyer et al., "On Synopses for Distinct-Value Estimation Under
   Multiset Operations", SIGMOD'07).
-* ``heavy_hitters`` — EXACT frequent items without a groupby: Misra-Gries
-  mergeable summaries (Agarwal et al., "Mergeable Summaries", PODS'12) give a
-  candidate superset guaranteed to contain every value with frequency
-  > n/k, then a second pass counts ONLY the candidates exactly (a ≤k-value
-  broadcast filter + per-batch partial counts summed on the driver). The
-  full-cardinality distinct-value exchange a groupby would pay is replaced
-  by two streaming scans and kilobyte partials.
 * ``hll_distinct`` — 2^p max-of-rho registers (Flajolet et al., HyperLogLog,
   AofA'07), std error 1.04/√(2^p) (~0.81% at the default p=14, 16 KiB per
   partial). Small-range linear-counting correction included; the 64-bit hash
@@ -159,78 +152,6 @@ def hll_distinct(ds, cols, p: int = 14) -> pa.Table:
 # ---------------------------------------------------------------------------
 # Heavy hitters (Misra-Gries candidates + exact verification pass)
 # ---------------------------------------------------------------------------
-
-
-def _mg_prune(counts: dict, k: int) -> dict:
-    """Misra-Gries reduction to ≤ k counters: subtract the (k+1)-th largest
-    count from all, drop non-positive. Guarantee: any item with true count
-    > n/k keeps a positive counter through arbitrary merges."""
-    if len(counts) <= k:
-        return counts
-    dec = sorted(counts.values(), reverse=True)[k]
-    return {v: c - dec for v, c in counts.items() if c - dec > 0}
-
-
-def heavy_hitters(ds, col: str, threshold: float, k: int | None = None) -> pa.Table:
-    """EXACT (value, cnt) of every ``col`` value with cnt > threshold * n.
-
-    Pass 1 folds per-batch Misra-Gries summaries (k counters each, k defaults
-    to ceil(2/threshold) so the n/k guarantee covers the threshold with
-    margin); pass 2 re-counts just the ≤k candidates exactly. Output sorted
-    by value (cnt ties are common on uniform data)."""
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    if not (0 < threshold < 1):
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    k = k or int(np.ceil(2.0 / threshold))
-    # resolved upfront so empty-batch partials emit the SAME list type as
-    # populated ones (mixed block schemas break the exchange)
-    col_type = ds.schema().base_schema.field(col).type
-
-    def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or col not in b.schema.names:
-            return pa.table({"v": pa.array([[]], type=pa.list_(col_type)),
-                             "c": pa.array([[]], type=pa.list_(pa.int64())),
-                             "n": pa.array([0], type=pa.int64())})
-        vc = pd.Series(b.column(col).to_pandas()).value_counts()
-        counts = _mg_prune(dict(zip(vc.index, vc.to_numpy())), k)
-        return pa.table({
-            "v": pa.array([list(counts.keys())], type=pa.list_(col_type)),
-            "c": pa.array([[int(x) for x in counts.values()]], type=pa.list_(pa.int64())),
-            "n": pa.array([b.num_rows], type=pa.int64()),
-        })
-
-    merged: dict = {}
-    total = 0
-    for batch in ds.map_batches(partial, batch_format="pyarrow").iter_batches(batch_size=64, batch_format="pyarrow"):
-        for vs, cs, n in zip(batch.column("v").to_pylist(), batch.column("c").to_pylist(), batch.column("n").to_pylist()):
-            total += n
-            for v, c in zip(vs, cs):
-                merged[v] = merged.get(v, 0) + c
-            merged = _mg_prune(merged, k)
-
-    candidates = list(merged.keys())
-    if not candidates or total == 0:
-        return pa.table({col: pa.array([], type=col_type), "cnt": pa.array([], type=pa.int64())})
-    cand_arr = pa.array(candidates, type=col_type)
-
-    def count_candidates(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or col not in b.schema.names:
-            return pa.table({"v": pa.array([], type=col_type), "c": pa.array([], type=pa.int64())})
-        flt = b.filter(pc.is_in(b.column(col), value_set=cand_arr))
-        vc = pd.Series(flt.column(col).to_pandas()).value_counts()
-        return pa.table({"v": pa.array(list(vc.index), type=col_type), "c": pa.array(vc.to_numpy(), type=pa.int64())})
-
-    exact: dict = {v: 0 for v in candidates}
-    for batch in ds.map_batches(count_candidates, batch_format="pyarrow").iter_batches(batch_size=4096, batch_format="pyarrow"):
-        for v, c in zip(batch.column("v").to_pylist(), batch.column("c").to_pylist()):
-            exact[v] += c
-
-    cut = threshold * total
-    keep = sorted((v, c) for v, c in exact.items() if c > cut)
-    return pa.table({col: pa.array([v for v, _ in keep], type=col_type),
-                     "cnt": pa.array([c for _, c in keep], type=pa.int64())})
 
 
 # ---------------------------------------------------------------------------
@@ -432,4 +353,3 @@ def grouped_quantile_sketch(ds, key: str, col: str, quantiles, k: int = 4096, nu
         with_bucket(pre, key, num_buckets, in_schema=part_schema), per_bucket, out_schema, num_buckets
     )
     return sort_coalesced(out, [key, "q"])
-

@@ -1,19 +1,17 @@
-"""Text analysis over a documents table: stats/quality, language-ID,
-token counting, document fingerprinting. All stateless vectorized-ish
-``map_batches`` transforms (regexes/profiles compiled at module import, once
+"""Text signals over a documents table, for the docs, dedup and curation
+queries: quality, language-ID, document fingerprinting, bigram repetition,
+corpus-level segment dedup, per-group length bands, a self-trained bigram
+language model and a Naive Bayes classifier. The per-document signals are
+stateless ``map_batches`` transforms (profiles built at module import, once
 per worker process)."""
 
 from __future__ import annotations
 
-import re
 import zlib
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-
-_WS = re.compile(r"\s+")
-_PUNCT = re.compile(r"[.!?,;:]")
 
 # tiny function-word profiles — deterministic n-gram-free language heuristic
 _LANG_PROFILES = {
@@ -23,43 +21,6 @@ _LANG_PROFILES = {
     "es": {"el", "la", "los", "y", "es", "un", "una", "en", "por", "que"},
     "zh": set(),  # CJK detected by codepoint range, not stopwords
 }
-
-
-def text_stats(batch: pa.Table, text_col: str = "text", id_col: str = "doc_id") -> pa.Table:
-    """n_chars / n_tokens / n_punct — the SQL-oracle-checkable quality core."""
-    texts = batch.column(text_col).to_pylist()
-    n_chars = [len(t or "") for t in texts]
-    n_tokens = [len((t or "").split()) for t in texts]
-    n_punct = [len(_PUNCT.findall(t or "")) for t in texts]
-    return pa.table(
-        {
-            id_col: batch.column(id_col),
-            "n_chars": pa.array(n_chars, type=pa.int64()),
-            "n_tokens": pa.array(n_tokens, type=pa.int64()),
-            "n_punct": pa.array(n_punct, type=pa.int64()),
-        }
-    )
-
-
-# BPE-ish pre-tokenization (GPT-2-style word/number/punct split, simplified to
-# an RE2-compatible pattern — no lookaheads — so a DuckDB oracle can replicate
-# it exactly with regexp_extract_all)
-BPE_ISH_PATTERN = r" ?[a-zA-Z]+| ?[0-9]+| ?[^ a-zA-Z0-9]+"
-_BPE_ISH = re.compile(BPE_ISH_PATTERN)
-
-
-def bpe_ish_tokens(batch: pa.Table, text_col: str = "text", id_col: str = "doc_id") -> pa.Table:
-    """Token counts: whitespace tokens + BPE-ish pre-tokens per document."""
-    texts = batch.column(text_col).to_pylist()
-    ws = [len((t or "").split()) for t in texts]
-    bpe = [len(_BPE_ISH.findall(t or "")) for t in texts]
-    return pa.table(
-        {
-            id_col: batch.column(id_col),
-            "n_ws_tokens": pa.array(ws, type=pa.int64()),
-            "n_bpe_tokens": pa.array(bpe, type=pa.int64()),
-        }
-    )
 
 
 def quality_row(t: str, toks: list) -> tuple:
@@ -267,103 +228,6 @@ def bigram_rep_batch(texts) -> tuple:
     return valid, n_big, dup, top
 
 
-LEXICAL_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.int64()),
-        ("n_tokens", pa.int64()),
-        ("n_types", pa.int64()),
-        ("ttr", pa.float64()),
-        ("token_entropy", pa.float64()),
-    ]
-)
-
-
-def lexical_row(text: str) -> tuple:
-    """(n_tokens, n_types, ttr, token_entropy) for one document — THE
-    lexical-diversity contract. ttr = distinct/total tokens (type-token
-    ratio); entropy is Shannon over the token frequency distribution,
-    computed as log2(n) - (Σ round(c·log2(c)·1e9)) / 1e9 / n: quantizing
-    each term to an int64 BEFORE summing makes the sum order-independent
-    and bit-reproducible across the vectorized batch kernel, this per-row
-    fallback, and the naive oracle (np.log2 scalar == np.log2 array,
-    verified; math.log2 differs by 1 ulp on ~0.8% of integers, so np.log2
-    IS the contract). Both floats round(·, 6)."""
-    from collections import Counter
-
-    toks = (text or "").split()
-    n = len(toks)
-    if n == 0:
-        return 0, 0, 0.0, 0.0
-    c = Counter(toks)
-    cnts = np.asarray(list(c.values()), dtype=np.float64)
-    s = int(np.rint(cnts * np.log2(cnts) * 1e9).astype(np.int64).sum())
-    nf = np.float64(n)
-    h = float(np.log2(nf) - (np.float64(s) / 1e9) / nf)
-    return n, len(c), round(len(c) / n, 6), round(h, 6)
-
-
-def lexical_stats(batch: pa.Table, text_col: str = "text", id_col: str = "doc_id") -> pa.Table:
-    """Vectorized ``lexical_row`` over a batch: token counts via the Arrow
-    whitespace split (ASCII rows — differentially verified against
-    str.split), per-(row, type) counts via exact dictionary codes + one
-    pandas int groupby (no hashing in the identity), entropy terms
-    quantized per the contract. Non-ASCII rows fall back to lexical_row."""
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    texts = batch.column(text_col)
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    t = pc.fill_null(texts.cast(pa.string()), "")
-    n_rows = len(t)
-    ids = batch.column(id_col).cast(pa.int64())
-    if n_rows == 0:
-        return LEXICAL_SCHEMA.empty_table()
-    ascii_mask = pc.string_is_ascii(t).to_numpy(zero_copy_only=False)
-
-    s = pc.utf8_split_whitespace(t)
-    lens = pc.list_value_length(s).to_numpy(zero_copy_only=False).astype(np.int64)
-    flat = pc.list_flatten(s)
-    parent = np.repeat(np.arange(n_rows, dtype=np.int64), lens)
-    tok_len_all = pc.utf8_length(flat).to_numpy(zero_copy_only=False).astype(np.int64)
-    ne = tok_len_all > 0
-    parent_ne = parent[ne]
-    flat_ne = flat.filter(pa.array(ne))
-    n_tok = np.bincount(parent_ne, minlength=n_rows).astype(np.int64)
-
-    n_types = np.zeros(n_rows, dtype=np.int64)
-    sum_q = np.zeros(n_rows, dtype=np.int64)
-    if len(parent_ne):
-        codes = pc.dictionary_encode(flat_ne).indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        g = pd.DataFrame({"row": parent_ne, "k": codes}).groupby(["row", "k"], sort=False).size()
-        rows = g.index.get_level_values(0).to_numpy()
-        cnt = g.to_numpy().astype(np.float64)
-        term_q = np.rint(cnt * np.log2(cnt) * 1e9).astype(np.int64)
-        np.add.at(n_types, rows, 1)
-        np.add.at(sum_q, rows, term_q)
-
-    nf = n_tok.astype(np.float64)
-    safe = np.maximum(nf, 1.0)
-    ttr = np.where(n_tok > 0, n_types.astype(np.float64) / safe, 0.0)
-    with np.errstate(divide="ignore"):
-        h = np.where(n_tok > 0, np.log2(safe) - (sum_q.astype(np.float64) / 1e9) / safe, 0.0)
-
-    fb = set(np.flatnonzero(~ascii_mask).tolist())
-    if fb:
-        texts_py = t.to_pylist()
-        for i in fb:
-            n_tok[i], n_types[i], ttr[i], h[i] = lexical_row(texts_py[i])
-    ttr = np.asarray([x if i in fb else round(x, 6) for i, x in enumerate(ttr.tolist())], dtype=np.float64)
-    h = np.asarray([x if i in fb else round(x, 6) for i, x in enumerate(h.tolist())], dtype=np.float64)
-    return pa.table({
-        "doc_id": ids,
-        "n_tokens": pa.array(n_tok, type=pa.int64()),
-        "n_types": pa.array(n_types, type=pa.int64()),
-        "ttr": pa.array(ttr, type=pa.float64()),
-        "token_entropy": pa.array(h, type=pa.float64()),
-    }, schema=LEXICAL_SCHEMA)
-
-
 def lang_id(batch: pa.Table, text_col: str = "text", id_col: str = "doc_id") -> pa.Table:
     preds = text_signals_batch(batch.column(text_col), want=("lang",))["lang"]
     return pa.table({id_col: batch.column(id_col), "lang_pred": pa.array(preds, type=pa.string())})
@@ -385,223 +249,10 @@ def fingerprint(text: str, k: int = 5, window: int = 4) -> int:
     return out & 0xFFFFFFFF
 
 
-def add_fingerprint(batch: pa.Table, text_col: str = "text", id_col: str = "doc_id") -> pa.Table:
-    fps = [fingerprint(t) for t in batch.column(text_col).to_pylist()]
-    return pa.table({id_col: batch.column(id_col), "fingerprint": pa.array(fps, type=pa.int64())})
-
-
-def token_count_partial(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """Per-batch token-frequency partial (Counter) — the combiner half of the
-    corpus-vocabulary wordcount. One row per distinct token PER BATCH enters
-    the exchange, so a 100 TB corpus ships its vocabulary, not its tokens."""
-    from collections import Counter
-
-    c: Counter = Counter()
-    for t in batch.column(text_col).to_pylist():
-        c.update((t or "").split())
-    items = sorted(c.items())
-    return pa.table(
-        {
-            "token": pa.array([k for k, _ in items], type=pa.string()),
-            "n": pa.array([v for _, v in items], type=pa.int64()),
-        }
-    )
-
-
-def vocab_topk(ds, k: int = 50, text_col: str = "text"):
-    """Corpus vocabulary top-k: flat-map to tokens with per-batch Counter
-    partials, one groupby-sum over the (vocabulary-sized) partials, then
-    sort desc + limit. Ties break on the token string so the DuckDB oracle
-    ranks identically."""
-    from ray.data.aggregate import Sum
-
-    parts = ds.map_batches(lambda b: token_count_partial(b, text_col), batch_format="pyarrow")
-    agg = parts.groupby("token").aggregate(Sum("n", alias_name="n"))
-    return agg.sort(["n", "token"], descending=[True, False]).limit(k)
-
-
-def doc_token_partial(batch: pa.Table, text_col: str = "text", id_col: str = "doc_id") -> pa.Table:
-    """(doc_id, token, tf) rows — one row per DISTINCT token per document.
-    Documents are row-atomic, so per-doc term frequencies are exact without
-    any exchange; this is the shared front end of tf-idf and the inverted
-    index."""
-    from collections import Counter
-
-    ids_out, toks_out, tfs_out = [], [], []
-    for i, t in zip(batch.column(id_col).to_pylist(), batch.column(text_col).to_pylist()):
-        c = Counter((t or "").split())
-        for tok in sorted(c):
-            ids_out.append(i)
-            toks_out.append(tok)
-            tfs_out.append(c[tok])
-    return pa.table(
-        {
-            id_col: pa.array(ids_out, type=pa.int64()),
-            "token": pa.array(toks_out, type=pa.string()),
-            "tf": pa.array(tfs_out, type=pa.int64()),
-        }
-    )
-
-
-_POSTINGS_SCHEMA = pa.schema([("token", pa.string()), ("df", pa.int64()), ("postings", pa.string())])
-
-
-def inverted_index(ds, min_df: int = 5, text_col: str = "text", id_col: str = "doc_id"):
-    """token -> (document frequency, comma-joined sorted doc-id posting list).
-
-    Scale shape: the exchange carries (token, doc_id) pairs — the postings
-    themselves, irreducible for an exact index — hash-bucketed coarse so the
-    per-bucket build is one vectorized sort + boundary scan (no per-token Ray
-    dispatch). ``min_df`` prunes the hapax tail AFTER counting (exact df).
-    A production index would shard hot tokens' postings by range; here a hot
-    token is one bucket task, the same bound as any keyed groupby."""
-    from text_to_graph_ray.functions.agg import BUCKET_COL, with_bucket
-
-    pairs_schema = pa.schema([("token", pa.string()), ("doc_id", pa.int64())])
-
-    def pairs(b: pa.Table) -> pa.Table:
-        t = doc_token_partial(b, text_col, id_col)
-        return pa.table({"token": t.column("token"), "doc_id": t.column(id_col)})
-
-    def per_bucket(df) -> pa.Table:
-        if len(df) == 0:
-            return _POSTINGS_SCHEMA.empty_table()
-        df = df.drop(columns=[BUCKET_COL]).sort_values(["token", "doc_id"], kind="mergesort")
-        toks = df["token"].to_numpy()
-        ids = df["doc_id"].to_numpy()
-        starts = np.flatnonzero(np.r_[True, toks[1:] != toks[:-1]])
-        ends = np.r_[starts[1:], len(toks)]
-        keep = (ends - starts) >= min_df
-        id_strs = ids.astype("U")
-        out_t = [toks[s] for s, k in zip(starts, keep) if k]
-        out_df = (ends - starts)[keep]
-        out_p = [",".join(id_strs[s:e]) for s, e, k in zip(starts, ends, keep) if k]
-        return pa.table(
-            {
-                "token": pa.array(out_t, type=pa.string()),
-                "df": pa.array(out_df, type=pa.int64()),
-                "postings": pa.array(out_p, type=pa.string()),
-            }
-        )
-
-    from text_to_graph_ray.functions.agg import bucket_exchange
-    from text_to_graph_ray.util import sort_coalesced
-
-    rows = ds.map_batches(pairs, batch_format="pyarrow")
-    out = bucket_exchange(with_bucket(rows, "token", 64, in_schema=pairs_schema), per_bucket, _POSTINGS_SCHEMA, 64)
-    return sort_coalesced(out, "token")
-
-
-def tfidf_topk(ds, k: int = 3, text_col: str = "text", id_col: str = "doc_id", df_broadcast_max: int = 5_000_000):
-    """Top-k tf-idf terms per document: score = tf * (ln((N+1)/(df+1)) + 1),
-    ranked (score desc, token asc), score rounded to 6 dp BEFORE ranking so
-    the DuckDB oracle orders identically.
-
-    Scale shape: tf rows need no exchange (documents are row-atomic); df is
-    ONE vocabulary-sized groupby-sum of per-batch distinct-token partials;
-    the df table joins back by guarded broadcast (vocabulary-sized — ships
-    once per worker via ray.put) with a distributed hash-join fallback above
-    ``df_broadcast_max``; the final top-k uses the combiner-first
-    ``topk_per_group`` (per-batch prune caps the exchange at k rows per doc
-    per batch)."""
-    import ray
-
-    from text_to_graph_ray.functions.agg import bucketed_aggregate, topk_per_group
-
-    n_docs = ds.count()
-    tf_rows = ds.map_batches(lambda b: doc_token_partial(b, text_col, id_col), batch_format="pyarrow").materialize()
-
-    df_parts_schema = pa.schema([("token", pa.string()), ("n", pa.int64())])
-    df_schema = pa.schema([("token", pa.string()), ("df", pa.int64())])
-    df_parts = tf_rows.map_batches(
-        lambda b: pa.table(
-            {"token": b.column("token"), "n": pa.array(np.ones(b.num_rows, dtype="int64"), type=pa.int64())}
-        ),
-        batch_format="pyarrow",
-    )
-    # vocabulary-cardinality key: coarse-bucketed vectorized aggregation, not
-    # Ray's per-group combine (~200 us/group at 100k+ groups)
-    df_tab = bucketed_aggregate(
-        df_parts, "token", {"df": ("n", "sum")}, out_schema=df_schema, in_schema=df_parts_schema
-    ).materialize()
-
-    scored_schema = pa.schema(
-        [(id_col, pa.int64()), ("token", pa.string()), ("tf", pa.int64()), ("score", pa.float64())]
-    )
-
-    def score_cols(tf_arr, df_arr):
-        idf = np.log((n_docs + 1.0) / (df_arr + 1.0)) + 1.0
-        return np.round(tf_arr * idf, 6)
-
-    n_vocab = df_tab.count()
-    if n_vocab <= df_broadcast_max:
-        # broadcast once (ray.put), map vectorized per batch (pandas Series
-        # .map — a C-level hash lookup, not a per-token Python loop)
-        df_ser = df_tab.to_pandas().set_index("token")["df"].astype("float64")
-        df_ser_ref = ray.put(df_ser)
-
-        def attach(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
-                return scored_schema.empty_table()
-            import pandas as pd
-
-            ser = ray.get(df_ser_ref)
-            df_arr = pd.Index(b.column("token").to_pandas()).map(ser).to_numpy(dtype="float64")
-            sc = score_cols(b.column("tf").to_numpy().astype("float64"), df_arr)
-            return pa.table(
-                {
-                    id_col: b.column(id_col),
-                    "token": b.column("token"),
-                    "tf": b.column("tf"),
-                    "score": pa.array(sc, type=pa.float64()),
-                }
-            )
-
-        scored = tf_rows.map_batches(attach, batch_format="pyarrow")
-    else:
-        from text_to_graph_ray.functions.dedup import join_partitions_for
-
-        joined = tf_rows.join(
-            df_tab, join_type="inner", num_partitions=join_partitions_for(), on=("token",), partition_size_hint=32 << 20
-        )
-
-        def attach_joined(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
-                return scored_schema.empty_table()
-            sc = score_cols(b.column("tf").to_numpy().astype("float64"), b.column("df").to_numpy().astype("float64"))
-            return pa.table(
-                {
-                    id_col: b.column(id_col),
-                    "token": b.column("token"),
-                    "tf": b.column("tf"),
-                    "score": pa.array(sc, type=pa.float64()),
-                }
-            )
-
-        scored = joined.map_batches(attach_joined, batch_format="pyarrow")
-
-    from text_to_graph_ray.util import sort_coalesced
-
-    top = topk_per_group(
-        scored, id_col, "score", k=k, descending=True, tiebreak="token", out_schema=scored_schema, in_schema=scored_schema
-    )
-    return sort_coalesced(top, [id_col, "score", "token"], descending=[False, True, False])
-
-
-REPETITION_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.int64()),
-        ("n_bigrams", pa.int64()),
-        ("dup_frac", pa.float64()),
-        ("top_frac", pa.float64()),
-    ]
-)
-
-
 def bigram_repetition(text: str) -> tuple:
     """(n_bigrams, dup_frac, top_frac) for one doc — THE bigram-repetition
     contract, as a scalar reference: tests check ``bigram_rep_batch`` (what
-    repetition_stats and the curation gate run) against it. (None, None,
+    the curation gate runs) against it. (None, None,
     None) when the doc has < 2 tokens."""
     from collections import Counter
 
@@ -611,131 +262,6 @@ def bigram_repetition(text: str) -> tuple:
     c = Counter(zip(toks, toks[1:]))
     total = sum(c.values())
     return total, 1 - len(c) / total, max(c.values()) / total
-
-
-def repetition_stats(batch: pa.Table, text_col: str = "text", id_col: str = "doc_id") -> pa.Table:
-    """Gopher-style repetition quality signals per document: the duplicated
-    2-gram fraction (1 - distinct/total) and the most-frequent-2-gram share
-    (max count / total). Map-only (documents are row-atomic); each output
-    float is ONE IEEE division (+ one subtraction) of exact ints, so values
-    are bit-identical to the SQL oracle with no rounding. Docs with < 2
-    tokens emit no row (they have no 2-grams), matching the SQL n-gram
-    expansion."""
-    if batch.num_rows == 0:
-        return REPETITION_SCHEMA.empty_table()
-    valid, n_big, dup, top = bigram_rep_batch(batch.column(text_col))
-    ids = batch.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-    return pa.table({
-        "doc_id": pa.array(ids[valid], type=pa.int64()),
-        "n_bigrams": pa.array(n_big[valid], type=pa.int64()),
-        "dup_frac": pa.array(dup[valid], type=pa.float64()),
-        "top_frac": pa.array(top[valid], type=pa.float64()),
-    }, schema=REPETITION_SCHEMA)
-
-
-PII_PATTERNS = (
-    # order matters and is part of the contract: counts are taken on the
-    # progressively-redacted text (a replacement token can never retrigger
-    # an earlier pattern)
-    (r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}", "<EMAIL>"),
-    (r"\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b", "<IP>"),
-    (r"\b\d{3}-\d{3}-\d{4}\b", "<PHONE>"),
-)
-
-
-def redact_pii(batch: pa.Table, text_col: str = "text", id_col: str = "doc_id") -> pa.Table:
-    """Vectorized PII redaction (emails / IPv4 literals / NANP-style phone
-    numbers) — a standard pretraining-corpus scrub, map-only. RE2 kernels
-    (pyarrow ``replace_substring_regex`` / ``count_substring_regex``) — the
-    same regex engine DuckDB uses, so the oracle is ``regexp_replace(...,
-    'g')`` with the identical patterns. Returns (doc_id, text_redacted,
-    n_redactions)."""
-    import pyarrow.compute as pc
-
-    txt = batch.column(text_col)
-    total = None
-    for pat, tok in PII_PATTERNS:
-        c = pc.count_substring_regex(txt, pattern=pat)
-        total = c if total is None else pc.add(total, c)
-        txt = pc.replace_substring_regex(txt, pattern=pat, replacement=tok)
-    return pa.table(
-        {
-            id_col: batch.column(id_col),
-            "text_redacted": txt,
-            "n_redactions": pc.cast(total, pa.int64()),
-        }
-    )
-
-
-def sliding_chunks(batch: pa.Table, size: int = 256, overlap: int = 64,
-                   text_col: str = "text", id_col: str = "doc_id") -> pa.Table:
-    """Sliding-window text chunking for embedding pipelines (the documents-
-    table counterpart of the code-aware chunker in stages/chunker.py): fixed
-    ``size``-char windows advancing by ``size - overlap``, last window
-    clipped at the end of the doc — the standard RAG/embedding pre-pass.
-    Pure per-batch fan-out (flat_map shape, no exchange); one output row per
-    (doc, chunk) with the chunk's offset, length and exact window count
-    n_chunks = 1 + ceil(max(0, len - size) / step).
-
-    SQL-mirrored boundary rule: a doc shorter than (or equal to) one window
-    emits exactly ONE chunk, even when empty."""
-    out_schema = pa.schema(
-        [(id_col, pa.int64()), ("chunk_idx", pa.int64()), ("off", pa.int64()),
-         ("chunk_len", pa.int64()), ("n_chunks", pa.int64())]
-    )
-    if batch.num_rows == 0:
-        return out_schema.empty_table()
-    step = size - overlap
-    ids_out, idx_out, off_out, len_out, n_out = [], [], [], [], []
-    for i, t in zip(batch.column(id_col).to_pylist(), batch.column(text_col).to_pylist()):
-        n = len(t or "")
-        n_chunks = 1 + max(0, -(-(n - size) // step)) if n > size else 1
-        for c in range(n_chunks):
-            off = c * step
-            ids_out.append(i)
-            idx_out.append(c)
-            off_out.append(off)
-            len_out.append(min(size, n - off))
-            n_out.append(n_chunks)
-    return pa.table(
-        {id_col: pa.array(ids_out, type=pa.int64()), "chunk_idx": pa.array(idx_out, type=pa.int64()),
-         "off": pa.array(off_out, type=pa.int64()), "chunk_len": pa.array(len_out, type=pa.int64()),
-         "n_chunks": pa.array(n_out, type=pa.int64())},
-        schema=out_schema,
-    )
-
-
-_WS_RE = None
-
-
-def normalize_text(batch: pa.Table, text_col: str = "text", id_col: str = "doc_id") -> pa.Table:
-    """Curation-grade text normalization: lowercase + collapse every
-    whitespace run to one space + strip ends. Emits the normalized length
-    and the normalized text's sha-256 (hex) so the full transform is
-    hash-checked without shipping normalized bodies through the gate.
-    Explicit ASCII whitespace class (NOT ``\\s``: Python's ``\\s`` also
-    matches unicode spaces, RE2's does not) so both engines run the
-    byte-identical pattern — the redact_pii cross-engine regex discipline."""
-    import hashlib
-    import re
-
-    global _WS_RE
-    if _WS_RE is None:
-        _WS_RE = re.compile(r"[ \t\n\r\f\v]+")
-    out_schema = pa.schema([(id_col, pa.int64()), ("norm_len", pa.int64()), ("norm_sha", pa.string())])
-    if batch.num_rows == 0:
-        return out_schema.empty_table()
-    ids = batch.column(id_col).to_pylist()
-    lens, shas = [], []
-    for t in batch.column(text_col).to_pylist():
-        norm = _WS_RE.sub(" ", (t or "").lower()).strip(" ")  # plain-space strip == SQL trim()
-        lens.append(len(norm))
-        shas.append(hashlib.sha256(norm.encode("utf-8")).hexdigest())
-    return pa.table(
-        {id_col: pa.array(ids, type=pa.int64()), "norm_len": pa.array(lens, type=pa.int64()),
-         "norm_sha": pa.array(shas, type=pa.string())},
-        schema=out_schema,
-    )
 
 
 def segment_dedup(ds, seg_tokens: int = 16, text_col: str = "text", id_col: str = "doc_id",
@@ -1001,139 +527,6 @@ def segment_dedup(ds, seg_tokens: int = 16, text_col: str = "text", id_col: str 
     return sort_coalesced(out, id_col)
 
 
-def grouped_vocab_topk(ds, group_col: str = "lang", k: int = 5,
-                       text_col: str = "text", num_buckets: int = 64):
-    """Top-k vocabulary PER GROUP (the per-language/per-domain token profile
-    behind corpus balancing and lang-ID calibration): per-batch (group,
-    token) Counter partials — one row per distinct (group, token) per batch
-    enters the exchange, so the corpus ships its per-group vocabulary, not
-    its tokens — then one bucketed sum and a combiner-pruned
-    ``topk_per_group`` (n desc, token asc tiebreak, mirroring the DuckDB
-    window order). Returns (group, token, n) sorted by (group, n desc,
-    token)."""
-    from collections import Counter
-
-    import pandas as pd
-
-    from text_to_graph_ray.functions.agg import bucketed_aggregate, topk_per_group
-    from text_to_graph_ray.util import sort_coalesced
-
-    s = ds.schema()
-    gtype = dict(zip(s.names, s.types))[group_col]
-    pair_schema = pa.schema([(group_col, gtype), ("token", pa.string()), ("n", pa.int64())])
-
-    def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pair_schema.empty_table()
-        c: Counter = Counter()
-        for g, t in zip(b.column(group_col).to_pylist(), b.column(text_col).to_pylist()):
-            for tok in (t or "").split():
-                c[(g, tok)] += 1
-        items = sorted(c.items())
-        return pa.table({
-            group_col: pa.array([g for (g, _), _ in items], type=gtype),
-            "token": pa.array([tok for (_, tok), _ in items], type=pa.string()),
-            "n": pa.array([v for _, v in items], type=pa.int64()),
-        }, schema=pair_schema)
-
-    counts = bucketed_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"), [group_col, "token"],
-        {"n": ("n", "sum")}, out_schema=pair_schema, num_buckets=num_buckets, in_schema=pair_schema,
-    )
-    top = topk_per_group(counts, [group_col], "n", k=k, descending=True, tiebreak="token",
-                         out_schema=pair_schema, in_schema=pair_schema)
-    return sort_coalesced(top, [group_col, "n", "token"], descending=[False, True, False])
-
-
-def search_topk(ds, terms, k: int = 10, text_col: str = "text", id_col: str = "doc_id"):
-    """Query-term retrieval — score every document against a fixed term set
-    by sum(tf_t * idf_t) and return the global top-k (the brute-force exact
-    leg of a search stack; the inverted index covers the at-scale path).
-
-    Exactness discipline: df/N come from one streamed scan (per-batch
-    presence partials, len(terms)+1 scalars folded on the driver);
-    idf_t = round(ln((N+1)/(df_t+1)), 6) — the round(6) absorbs the
-    last-ulp difference between libm's log and the SQL engine's ln; the
-    score is the FIXED-ORDER left-associated sum tf_1*idf_1 + tf_2*idf_2 +
-    ... so both engines run the identical IEEE op sequence. Token = the
-    ``' '``-split contract. Top-k: per-block combiner keeps k rows before
-    one tiny global sort (score desc, id asc)."""
-    import math
-
-    import ray
-
-    terms = list(terms)
-    T = len(terms)
-
-    part_schema = pa.schema([("n", pa.int64())] + [(f"df{i}", pa.int64()) for i in range(T)])
-
-    def _tf_mat(b: pa.Table) -> np.ndarray:
-        """tf per (row, term) under the SINGLE-SPACE split contract —
-        vectorized: one split_pattern + index_in + bincount (empty parts
-        never equal a non-empty term, so skipping them is a no-op)."""
-        texts = b.column(text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        t = pc.fill_null(texts.cast(pa.string()), "")
-        n_rows = len(t)
-        s = pc.split_pattern(t, " ")
-        lens = pc.list_value_length(s).to_numpy(zero_copy_only=False).astype(np.int64)
-        flat = pc.list_flatten(s)
-        parent = np.repeat(np.arange(n_rows, dtype=np.int64), lens)
-        code = pc.index_in(flat, value_set=pa.array(terms, type=pa.string()))
-        hit = pc.is_valid(code).to_numpy(zero_copy_only=False)
-        tf = np.zeros((n_rows, T), dtype=np.int64)
-        if hit.any():
-            cv = code.to_numpy(zero_copy_only=False)
-            keyed = parent[hit] * T + cv[hit].astype(np.int64)
-            tf = np.bincount(keyed, minlength=n_rows * T).reshape(n_rows, T).astype(np.int64)
-        return tf
-
-    def df_partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return part_schema.empty_table()
-        tf = _tf_mat(b)
-        cols = {"n": pa.array([b.num_rows], type=pa.int64())}
-        for i in range(T):
-            cols[f"df{i}"] = pa.array([int((tf[:, i] > 0).sum())], type=pa.int64())
-        return pa.table(cols, schema=part_schema)
-
-    parts = ds.map_batches(df_partial, batch_format="pyarrow").to_pandas()
-    n_docs = int(parts["n"].sum())
-    idfs = [round(math.log((n_docs + 1) / (int(parts[f"df{i}"].sum()) + 1)), 6) for i in range(len(terms))]
-    ref = ray.put((terms, idfs))
-
-    out_schema = pa.schema([(id_col, pa.int64()), ("score", pa.float64())])
-
-    def score(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return out_schema.empty_table()
-        tms, widf = ray.get(ref)
-        tf = _tf_mat(b)
-        s = np.zeros(b.num_rows, dtype=np.float64)
-        for i in range(T):  # fixed-order left-associated adds
-            s = s + tf[:, i].astype(np.float64) * widf[i]
-        hit = tf.sum(axis=1) > 0
-        out = pa.table(
-            {id_col: b.column(id_col).cast(pa.int64()).filter(pa.array(hit)),
-             "score": pa.array(s[hit])},
-            schema=out_schema,
-        )
-        # per-block combiner: only k candidates per block reach the sort
-        if out.num_rows > k:
-            import pandas as pd
-
-            df = out.to_pandas().sort_values(["score", id_col], ascending=[False, True]).head(k)
-            out = pa.table({f.name: pa.array(df[f.name], type=f.type) for f in out_schema}, schema=out_schema)
-        return out
-
-    return (
-        ds.map_batches(score, batch_format="pyarrow")
-        .sort(["score", id_col], descending=[True, False])
-        .limit(k)
-    )
-
-
 def length_band_stats(ds, lo_q: float = 0.05, hi_q: float = 0.95,
                       text_col: str = "text", group_col: str = "source",
                       max_groups: int = 100_000):
@@ -1143,8 +536,8 @@ def length_band_stats(ds, lo_q: float = 0.05, hi_q: float = 0.95,
     token count lies in [p(lo_q), p(hi_q)] of their OWN group's length
     distribution — each source's band adapts to that source's shape.
 
-    Scale shape: one pass computes (group, n_tokens) rows (the established
-    text_stats tokenization contract); the exact per-group quantiles ship
+    Scale shape: one pass computes (group, n_tokens) rows (whitespace
+    ``str.split()`` tokens); the exact per-group quantiles ship
     through grouped_quantiles_cont's ONE keyed exchange; the thresholds
     table is answer-sized (2 rows per group, loudly guarded at max_groups)
     and rides into the filter pass as a closure broadcast — the filter then
@@ -1359,7 +752,7 @@ def bigram_lm_nll(ds, text_col: str = "text", id_col: str = "doc_id",
 
     with V = distinct token types corpus-wide. Quantizing each bigram term
     to int64 BEFORE summing makes the per-doc sum order- and plan-
-    independent (the lexical_stats entropy discipline), so the broadcast
+    independent, so the broadcast
     and exchange scoring paths are bit-identical. Docs with < 2 tokens
     score (0, 0.0).
 
@@ -1451,321 +844,6 @@ def bigram_lm_nll(ds, text_col: str = "text", id_col: str = "doc_id",
                          "nll": pa.array(nll, type=pa.float64())}, schema=LM_NLL_SCHEMA)
 
     return sort_coalesced(sums.map_batches(finish, batch_format="pyarrow"), "doc_id")
-
-
-# Gopher-style rule-gate thresholds (Rae et al. 2021 "Scaling Language
-# Models" App. A.1.1 document filters, re-parameterized to keep every rule
-# LIVE on the synthetic corpus: each bound excludes a real slice of docs).
-GOPHER_STOPS = ("the", "a", "of", "to", "and", "in", "is", "on")
-GOPHER_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.int64()),
-        ("n_tokens", pa.int64()),
-        ("mean_tok_len", pa.float64()),
-        ("stop_hits", pa.int64()),
-        ("r_len", pa.int64()),
-        ("r_wordlen", pa.int64()),
-        ("r_stop", pa.int64()),
-        ("passed", pa.int64()),
-    ]
-)
-
-
-def gopher_rules(
-    batch: pa.Table,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    min_tokens: int = 30,
-    max_tokens: int = 90,
-    min_word_len: float = 4.3,
-    max_word_len: float = 5.0,
-    min_stop_hits: int = 2,
-) -> pa.Table:
-    """Gopher-style document rule gate, fully vectorized and REAL-SQL
-    checkable: per doc (whitespace token contract) emit n_tokens,
-    mean_tok_len = round(sum(len)/n, 6), stop_hits (total occurrences of
-    the 8-word stop list), the three rule flags, and the AND. No exchange
-    at all — embarrassingly parallel, the cheapest curation gate shape.
-
-    Float discipline: mean token length is ONE int/int IEEE division then
-    round(6); the rule compares the QUANTIZED value against dyadic-adjacent
-    literals, so engine and SQL decide identically (the divide is the same
-    correctly-rounded double op in numpy and DuckDB)."""
-    if batch.num_rows == 0:
-        return GOPHER_SCHEMA.empty_table()
-    texts = batch.column(text_col)
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    t = pc.fill_null(texts.cast(pa.string()), "")
-    n_rows = len(t)
-    ids = batch.column(id_col).cast(pa.int64())
-
-    s = pc.utf8_split_whitespace(t)
-    lens = pc.list_value_length(s).to_numpy(zero_copy_only=False).astype(np.int64)
-    flat = pc.list_flatten(s)
-    parent = np.repeat(np.arange(n_rows, dtype=np.int64), lens)
-    tok_len = pc.utf8_length(flat).to_numpy(zero_copy_only=False).astype(np.int64)
-    ne = tok_len > 0
-    parent_ne = parent[ne]
-    n_tok = np.bincount(parent_ne, minlength=n_rows).astype(np.int64)
-    sum_len = np.bincount(parent_ne, weights=tok_len[ne], minlength=n_rows).astype(np.int64)
-    is_stop = pc.is_in(flat, value_set=pa.array(GOPHER_STOPS)).to_numpy(zero_copy_only=False)
-    stop_hits = np.bincount(parent_ne[is_stop[ne]], minlength=n_rows).astype(np.int64)
-
-    mean_len = np.zeros(n_rows, dtype=np.float64)
-    nz = n_tok > 0
-    mean_len[nz] = np.round(sum_len[nz].astype(np.float64) / n_tok[nz].astype(np.float64), 6)
-    r_len = ((n_tok >= min_tokens) & (n_tok <= max_tokens)).astype(np.int64)
-    r_wordlen = ((mean_len >= min_word_len) & (mean_len <= max_word_len)).astype(np.int64)
-    r_stop = (stop_hits >= min_stop_hits).astype(np.int64)
-    return pa.table(
-        {
-            "doc_id": ids,
-            "n_tokens": pa.array(n_tok),
-            "mean_tok_len": pa.array(mean_len),
-            "stop_hits": pa.array(stop_hits),
-            "r_len": pa.array(r_len),
-            "r_wordlen": pa.array(r_wordlen),
-            "r_stop": pa.array(r_stop),
-            "passed": pa.array(r_len & r_wordlen & r_stop),
-        },
-        schema=GOPHER_SCHEMA,
-    )
-
-
-def bm25_topk(ds, terms, k: int = 10, k1: float = 1.5, b: float = 0.75,
-              text_col: str = "text", id_col: str = "doc_id"):
-    """BM25 retrieval over a fixed query-term set — the doclen-normalized
-    upgrade of ``search_topk``'s tf-idf scoring (Robertson/Sparck Jones;
-    the Okapi BM25 form with k1/b). Two streamed passes:
-
-    1. stats: per-batch partials (n_docs, sum_dl, df per term) — a
-       (T+2)-scalar row per batch, folded on the driver (answer-sized).
-    2. score: tf per (doc, term) via one index_in + bincount, then the
-       BM25 sum accumulated LEFT-ASSOCIATED over terms in fixed order so
-       numpy and the SQL mirror run the identical IEEE op sequence;
-       idf_t = round(ln((N - df + 0.5)/(df + 0.5) + 1), 6) absorbs the
-       last-ulp libm-vs-SQL ln drift (the search_topk discipline);
-       k1/b default to dyadic values so 1-b and k1+1 are exact doubles.
-
-    Tokenization is the whitespace contract. Per-block top-k combiner,
-    then one tiny global sort (score desc, id asc) + limit."""
-    import math
-
-    import ray
-
-    terms = [str(x) for x in terms]
-    T = len(terms)
-    part_schema = pa.schema(
-        [("n", pa.int64()), ("sdl", pa.int64())] + [(f"df{i}", pa.int64()) for i in range(T)]
-    )
-
-    def _tf_dl(bt: pa.Table):
-        texts = bt.column(text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        t = pc.fill_null(texts.cast(pa.string()), "")
-        n_rows = len(t)
-        s = pc.utf8_split_whitespace(t)
-        lens = pc.list_value_length(s).to_numpy(zero_copy_only=False).astype(np.int64)
-        flat = pc.list_flatten(s)
-        parent = np.repeat(np.arange(n_rows, dtype=np.int64), lens)
-        ne = pc.utf8_length(flat).to_numpy(zero_copy_only=False) > 0
-        parent_ne = parent[ne]
-        dl = np.bincount(parent_ne, minlength=n_rows).astype(np.int64)
-        code = pc.index_in(flat, value_set=pa.array(terms, type=pa.string()))
-        cv = code.to_numpy(zero_copy_only=False)
-        hit = ~pc.is_null(code).to_numpy(zero_copy_only=False) & ne
-        tf = np.zeros((n_rows, T), dtype=np.int64)
-        if hit.any():
-            keyed = parent[hit] * T + cv[hit].astype(np.int64)
-            tf = np.bincount(keyed, minlength=n_rows * T).reshape(n_rows, T).astype(np.int64)
-        return dl, tf
-
-    def stats_partial(bt: pa.Table) -> pa.Table:
-        if bt.num_rows == 0:
-            return part_schema.empty_table()
-        dl, tf = _tf_dl(bt)
-        cols = {"n": pa.array([bt.num_rows], type=pa.int64()),
-                "sdl": pa.array([int(dl.sum())], type=pa.int64())}
-        for i in range(T):
-            cols[f"df{i}"] = pa.array([int((tf[:, i] > 0).sum())], type=pa.int64())
-        return pa.table(cols, schema=part_schema)
-
-    parts = ds.map_batches(stats_partial, batch_format="pyarrow").to_pandas()
-    n_docs = int(parts["n"].sum())
-    sum_dl = int(parts["sdl"].sum())
-    avgdl = float(sum_dl) / float(n_docs) if n_docs else 1.0
-    idfs = [
-        round(math.log(((n_docs - int(parts[f"df{i}"].sum())) + 0.5) / (int(parts[f"df{i}"].sum()) + 0.5) + 1.0), 6)
-        for i in range(T)
-    ]
-    ref = ray.put((idfs, avgdl))
-    one_minus_b = 1.0 - b  # dyadic defaults: exact
-    k1_plus_1 = k1 + 1.0
-
-    out_schema = pa.schema([(id_col, pa.int64()), ("score", pa.float64())])
-
-    def score(bt: pa.Table) -> pa.Table:
-        if bt.num_rows == 0:
-            return out_schema.empty_table()
-        widf, av = ray.get(ref)
-        dl, tf = _tf_dl(bt)
-        dlf = dl.astype(np.float64)
-        s = np.zeros(len(dl), dtype=np.float64)
-        for i in range(T):  # fixed-order left-associated accumulation
-            tfi = tf[:, i].astype(np.float64)
-            s = s + widf[i] * ((tfi * k1_plus_1) / (tfi + k1 * (one_minus_b + (b * dlf) / av)))
-        hit = tf.sum(axis=1) > 0
-        out = pa.table(
-            {id_col: bt.column(id_col).cast(pa.int64()).filter(pa.array(hit)),
-             "score": pa.array(np.round(s[hit], 6))},
-            schema=out_schema,
-        )
-        if out.num_rows > k:  # per-block combiner
-            import pandas as pd
-
-            df = out.to_pandas().sort_values(["score", id_col], ascending=[False, True]).head(k)
-            out = pa.table({f.name: pa.array(df[f.name], type=f.type) for f in out_schema},
-                           schema=out_schema)
-        return out
-
-    return (
-        ds.map_batches(score, batch_format="pyarrow")
-        .sort(["score", id_col], descending=[True, False])
-        .limit(k)
-    )
-
-
-PMI_SCHEMA = pa.schema([("x", pa.string()), ("y", pa.string()), ("cxy", pa.int64()),
-                        ("cx", pa.int64()), ("cy", pa.int64()), ("pmi", pa.float64())])
-
-
-def pmi_topk(ds, k: int = 50, min_count: int = 5, text_col: str = "text",
-             id_col: str = "doc_id", counts_broadcast_max: int = 2_000_000,
-             num_buckets: int = 64):
-    """Top-k collocations by pointwise mutual information over adjacent
-    whitespace-token bigrams — the classic corpus-analysis op for finding
-    multi-word expressions worth protecting from tokenization/dedup:
-
-        pmi(x, y) = ln( n_bigrams * c(x,y) / (c(x) * c(y)) )      (round 6)
-
-    with c(x)/c(y) the corpus-wide unigram OCCURRENCE counts and the
-    ``min_count`` floor cutting the long noise tail (bare hapax pairs
-    otherwise dominate any PMI ranking).
-
-    Exact-math discipline: all counts fold as int64 through the same
-    combiner-first bucketed exchanges as ``bigram_lm_nll`` (per-batch
-    multiplicities via ``explode_bigrams_batch``); the PMI argument is a
-    ratio of two exact INT64 PRODUCTS converted once to float64, so the SQL
-    mirror (one CAST AS DOUBLE division inside ln, the shared ln contract)
-    decides identically. Product-fits-int64 contract: n_bigrams * c(x,y)
-    <= 2^63 — beyond ~10^9 total bigrams with 10^9-count pairs, split the
-    ln into quantized log terms instead.
-
-    Scale shape: the count exchanges carry (bigram, partial) rows only; the
-    ``min_count`` filter runs before the unigram enrichment; unigram counts
-    attach via ``joins.lookup_join`` (guarded broadcast, equivalence-tested
-    bucketed fallback); the global top-k prunes per batch before ONE
-    single-block final sort (k rows per upstream batch cross the wire).
-
-    Returns (x, y, cxy, cx, cy, pmi) — the top ``k`` by (pmi DESC, x, y).
-    """
-    import pyarrow.compute as pc
-
-    from text_to_graph_ray.functions.agg import bucketed_aggregate
-    from text_to_graph_ray.functions.joins import lookup_join
-
-    def explode_bg(b: pa.Table) -> pa.Table:
-        return explode_bigrams_batch(b, text_col=text_col, id_col=id_col)
-
-    tok_schema = pa.schema([("tok", pa.string())])
-
-    def explode_toks(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return tok_schema.empty_table()
-        s = pc.utf8_split_whitespace(pc.fill_null(b.column(text_col).cast(pa.string()), ""))
-        flat = pc.list_flatten(s)
-        flat = flat.filter(pc.greater(pc.utf8_length(flat), 0))
-        return pa.table({"tok": flat}, schema=tok_schema)
-
-    docbg = ds.map_batches(explode_bg, batch_format="pyarrow")
-
-    bg_counts = bucketed_aggregate(
-        docbg.select_columns(["bg", "m"]), "bg", {"cxy": ("m", "sum")},
-        out_schema=pa.schema([("bg", pa.string()), ("cxy", pa.int64())]),
-        num_buckets=num_buckets,
-    ).materialize()
-    uni = bucketed_aggregate(
-        ds.map_batches(explode_toks, batch_format="pyarrow"), "tok", {"c": ("tok", "size")},
-        out_schema=pa.schema([("tok", pa.string()), ("c", pa.int64())]),
-        num_buckets=num_buckets,
-    ).materialize()
-
-    # total bigram count: answer-sized fold of one partial per block
-    n_bi = 0
-    one = pa.schema([("nb", pa.int64())])
-    for row in bg_counts.map_batches(
-        lambda t: pa.table({"nb": pa.array([int(np.sum(t.column("cxy").to_numpy(zero_copy_only=False)))]
-                                           if t.num_rows else [0], type=pa.int64())}, schema=one),
-        batch_format="pyarrow", batch_size=None,
-    ).take_all():
-        n_bi += int(row["nb"])
-
-    cand_schema = pa.schema([("x", pa.string()), ("y", pa.string()), ("cxy", pa.int64())])
-
-    def split_pairs(t: pa.Table) -> pa.Table:
-        # bg = x + "\x1f" + y (the explode kernel's packing); candidate rows
-        # are the post-min_count survivors, so this per-row split touches a
-        # filtered, aggregation-sized set — never the raw bigram stream
-        keep = t.filter(pc.greater_equal(t.column("cxy"), min_count))
-        if keep.num_rows == 0:
-            return cand_schema.empty_table()
-        xs, ys = [], []
-        for s in keep.column("bg").to_pylist():
-            a, b = s.split("\x1f", 1)
-            xs.append(a)
-            ys.append(b)
-        return pa.table({"x": pa.array(xs, type=pa.string()),
-                         "y": pa.array(ys, type=pa.string()),
-                         "cxy": keep.column("cxy")}, schema=cand_schema)
-
-    cand = bg_counts.map_batches(split_pairs, batch_format="pyarrow", batch_size=None)
-    cand = lookup_join(cand, uni, key="x", right_key="tok", cols=["c"],
-                       broadcast_max=counts_broadcast_max, num_buckets=num_buckets)
-    cand = cand.map_batches(lambda t: t.rename_columns([{"c": "cx"}.get(n, n) for n in t.column_names]),
-                            batch_format="pyarrow", batch_size=None)
-    cand = lookup_join(cand, uni, key="y", right_key="tok", cols=["c"],
-                       broadcast_max=counts_broadcast_max, num_buckets=num_buckets)
-
-    def score(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return PMI_SCHEMA.empty_table()
-        cxy = t.column("cxy").to_numpy(zero_copy_only=False).astype(np.int64)
-        cx = t.column("cx").to_numpy(zero_copy_only=False).astype(np.int64)
-        cy = t.column("c").to_numpy(zero_copy_only=False).astype(np.int64)
-        pmi = np.log((np.int64(n_bi) * cxy).astype(np.float64) / (cx * cy).astype(np.float64))
-        pmi = np.asarray([round(float(v), 6) for v in pmi], dtype=np.float64)
-        out = pa.table({"x": t.column("x"), "y": t.column("y"),
-                        "cxy": pa.array(cxy, type=pa.int64()),
-                        "cx": pa.array(cx, type=pa.int64()),
-                        "cy": pa.array(cy, type=pa.int64()),
-                        "pmi": pa.array(pmi, type=pa.float64())}, schema=PMI_SCHEMA)
-        # per-batch combiner: the global top-k is a subset of per-batch top-ks
-        idx = pa.table({"pmi": out.column("pmi"), "x": out.column("x"), "y": out.column("y")})
-        order = pc.sort_indices(idx, sort_keys=[("pmi", "descending"), ("x", "ascending"), ("y", "ascending")])
-        return out.take(order[:k])
-
-    scored = cand.map_batches(score, batch_format="pyarrow", batch_size=None)
-
-    def final(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return PMI_SCHEMA.empty_table()
-        idx = pa.table({"pmi": t.column("pmi"), "x": t.column("x"), "y": t.column("y")})
-        order = pc.sort_indices(idx, sort_keys=[("pmi", "descending"), ("x", "ascending"), ("y", "ascending")])
-        return t.take(order[:k])
-
-    return scored.repartition(1).map_batches(final, batch_format="pyarrow", batch_size=None)
 
 
 def naive_bayes_classify(ds, label_col: str = "lang", text_col: str = "text",

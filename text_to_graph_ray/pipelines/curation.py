@@ -8,8 +8,9 @@ actually runs over a raw document table —
                                           components -> keep-min survivor
       -> surviving doc ids                sorted, resumable sink-ready
 
-Each stage is an operator the driver already hash-checks in isolation
-(text_quality, text_langid, dedup_survivors); this module composes them the
+The gate runs the text.py quality and language kernels that the tests check
+against their naive mirrors, and near-dup removal is the operator the
+dedup_survivors query hash-checks; this module composes them the
 way a user would and is itself oracle-checked end-to-end against a naive
 single-threaded reimplementation (expected.naive_clean_corpus).
 """
@@ -25,8 +26,7 @@ import pyarrow as pa
 def quality_lang_gate(batch: pa.Table, min_quality: float = 0.45, langs: tuple = ("en",)) -> pa.Table:
     """Keep documents whose composite quality clears min_quality AND whose
     detected language is in ``langs`` — one text extraction, one tokenization
-    shared by both heuristics (quality_row / detect_lang(toks=...) are the
-    same kernels text_quality / text_langid are hash-checked against)."""
+    shared by both heuristics (the quality_row / detect_lang kernels)."""
     from text_to_graph_ray.functions.text import text_signals_batch
 
     if batch.num_rows == 0:
@@ -51,8 +51,8 @@ def clean_corpus_survivors(sf_dir: str, min_quality: float = 0.45, threshold: fl
 def pretraining_gate(batch: pa.Table, min_quality: float = 0.45, langs: tuple = ("en",), max_dup_frac: float = 0.06) -> pa.Table:
     """quality_lang_gate + the Gopher-style repetition cap, fused (one text
     scan per doc for the heuristics, one bigram pass via the SHARED
-    text.bigram_rep_batch kernel — the same kernel repetition_stats is
-    hash-checked through)."""
+    text.bigram_rep_batch kernel, which tests check against the scalar
+    text.bigram_repetition)."""
     from text_to_graph_ray.functions.text import bigram_rep_batch, text_signals_batch
 
     if batch.num_rows == 0:

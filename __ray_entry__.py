@@ -281,28 +281,6 @@ def _q_dedup_best_survivors(sf_dir):
     return survivors_best_quality(ds, threshold=0.5)
 
 
-def _q_docs_quota_sample(sf_dir):
-    """Per-source quota sampling (cap 3 docs per source — source balancing):
-    md5-ranked deterministic winners, combiner-bounded exchange. Oracle:
-    row_number window over the identical DuckDB md5 keys."""
-    from text_to_graph_ray.functions.sample import quota_per_group
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
-    return quota_per_group(ds, "source", n=3)
-
-
-def _q_docs_budget_select(sf_dir):
-    """Token-budget corpus selection: rank by the shared quality contract,
-    keep docs while the running token total fits total//3 (budget derived
-    from the data). One global sort + the pack.py block-offset prefix-sum —
-    the driver holds #blocks numbers. Oracle: window cumsum over the
-    expected quality table joined to exact token counts."""
-    from text_to_graph_ray.functions.sample import budget_select
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return budget_select(ds)
-
-
 def _q_pipeline_curation_full(sf_dir):
     """End-to-end curation flagship: pretraining composition -> corpus-level
     segment dedup over the survivors -> quality-ranked token-budget
@@ -345,19 +323,6 @@ def _q_dedup_minhash_incr(sf_dir):
     return p_new.union(p_cross).sort(["a", "b"])
 
 
-def _q_docs_length_band(sf_dir):
-    """Per-source token-length percentile band gate (drop each source's
-    freak-length tails): docs within [p5, p95] of their OWN source's
-    whitespace-token-count distribution, reported as per-source surviving
-    doc + token counts. One keyed quantile exchange + answer-sized
-    threshold broadcast + combiner-first survivors sum."""
-    from text_to_graph_ray.functions.text import length_band_stats
-    from text_to_graph_ray.util import read_parquet_clean
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"])
-    return length_band_stats(docs, lo_q=0.05, hi_q=0.95)
-
-
 def _q_dedup_cross_corpus(sf_dir):
     """Fuzzy decontamination: cross-corpus MinHash near-dup pairs between
     the eval slice (source src0/src1 — the ngram_contamination convention)
@@ -381,25 +346,6 @@ def _q_dedup_cross_corpus(sf_dir):
         batch_format="pyarrow",
     )
     return minhash_cross_pairs(ev, tr, threshold=0.5)
-
-
-def _q_docs_partitioned_scan(sf_dir):
-    """Hive-partitioned layout + directory-pruned read: documents written
-    once partitioned by lang (one dir per value — the coarsest skipping
-    granule), then a two-language catalog aggregate reads ONLY those two
-    directories (pruned partitions never even reach the read plan). Oracle:
-    WHERE lang IN (...) over the original table — layout must be
-    result-invariant."""
-    import os
-
-    from text_to_graph_ray.sources.formats import read_partition_values, source_stats_from, write_partitioned
-
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    path = f"/tmp/graft_partitioned/{tag}/documents"
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["lang", "source", "n_chars"])
-    write_partitioned(docs, path, ["lang"])
-    ds = read_partition_values(path, "lang", ["en", "fr"], columns=["source", "n_chars"])
-    return source_stats_from(ds)
 
 
 def _q_sample_stratified(sf_dir):
@@ -429,19 +375,6 @@ def _q_dedup_ngram_verified(sf_dir):
     return verified_near_dup_pairs(ds, threshold=0.4)
 
 
-def _q_docs_topk_per_source(sf_dir):
-    """Top-3 documents per source by n_chars (per-group top-k with a
-    per-batch combiner prune, ``functions/agg.topk_per_group``) vs a SQL
-    row_number() window oracle."""
-    import pyarrow as pa
-
-    from text_to_graph_ray.functions.agg import topk_per_group
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"])
-    out_schema = pa.schema([("doc_id", pa.int64()), ("source", pa.string()), ("n_chars", pa.int64())])
-    return topk_per_group(docs, "source", "n_chars", k=3, descending=True, tiebreak="doc_id", out_schema=out_schema)
-
-
 def _q_stats_quantiles(sf_dir):
     """Exact distributed quantiles (sort + block-offset probe,
     ``functions/quantiles.exact_quantiles``) vs DuckDB quantile_disc /
@@ -450,43 +383,6 @@ def _q_stats_quantiles(sf_dir):
 
     li = read_parquet_clean(f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"])
     return exact_quantiles(li, "l_extendedprice", [0.01, 0.25, 0.5, 0.75, 0.99])
-
-
-def _q_docs_source_stats(sf_dir):
-    """Per-(source, lang) corpus stats — catalog-style aggregate over the
-    documents table metadata columns."""
-    import ray.data as rd
-
-    from ray.data.aggregate import Sum
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["source", "lang", "n_chars"])
-
-    import pandas as pd
-    import pyarrow as pa
-
-    def partial(b):
-        df = b.to_pandas()
-        g = df.groupby(["source", "lang"], as_index=False).agg(s_chars=("n_chars", "sum"), n=("n_chars", "size"))
-        return pa.table(
-            {
-                "source": pa.array(g["source"], type=pa.string()),
-                "lang": pa.array(g["lang"], type=pa.string()),
-                "s_chars": pa.array(g["s_chars"], type=pa.int64()),
-                "n": pa.array(g["n"], type=pa.int64()),
-            }
-        )
-
-    agg = ds.map_batches(partial, batch_format="pyarrow", batch_size=None).groupby(["source", "lang"]).aggregate(
-        Sum("s_chars", alias_name="total_chars"), Sum("n", alias_name="n_docs")
-    )
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        df["avg_chars"] = (df["total_chars"] / df["n_docs"]).round(4)
-        df["total_chars"] = df["total_chars"].astype("int64")
-        df["n_docs"] = df["n_docs"].astype("int64")
-        return df[["source", "lang", "n_docs", "total_chars", "avg_chars"]]
-
-    return agg.map_batches(finish, batch_format="pandas").sort(["source", "lang"])
 
 
 def _q_stats_kmv_distinct(sf_dir):
@@ -652,19 +548,6 @@ def _q_pipeline_clean_corpus(sf_dir):
     from text_to_graph_ray.pipelines.curation import clean_corpus_survivors
 
     return clean_corpus_survivors(sf_dir)
-
-
-def _q_docs_distinct_pairs(sf_dir):
-    """SELECT DISTINCT source, lang (per-batch distinct combiner + one
-    coarse-bucket dedup exchange)."""
-    import pyarrow as pa
-
-    from text_to_graph_ray.functions.agg import distinct_rows
-    from text_to_graph_ray.util import sort_coalesced
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["source", "lang"])
-    out_schema = pa.schema([("source", pa.string()), ("lang", pa.string())])
-    return sort_coalesced(distinct_rows(ds, ["source", "lang"], out_schema), ["source", "lang"])
 
 
 def _q_dedup_decontaminate(sf_dir):
@@ -849,60 +732,6 @@ def _q_kg_repo_triples(sf_dir):
     return sort_coalesced(out, "repo")
 
 
-def _q_docs_lm_terciles(sf_dir):
-    """CCNet-style perplexity bucketing: every doc's self-trained bigram-LM
-    nll ranked into GLOBAL terciles (head/middle/tail) with exact SQL
-    NTILE(3) semantics — one distributed (nll, doc_id) sort + block-offset
-    global ranks (the gini/budget-select discipline; the driver holds
-    #blocks counts only). nll values are rounded to 6 dp by bigram_lm_nll, so
-    ranking ties break identically on both engines."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
-    import ray.data as rd
-
-    from text_to_graph_ray.functions.text import bigram_lm_nll
-    from text_to_graph_ray.util import sort_coalesced
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    scores = bigram_lm_nll(docs).map_batches(
-        lambda t: t.select(["doc_id", "nll"]) if t.num_rows
-        else pa.schema([("doc_id", pa.int64()), ("nll", pa.float64())]).empty_table(),
-        batch_format="pyarrow",
-    )
-    from text_to_graph_ray.util import block_rows
-
-    blocks = block_rows(scores.sort(["nll", "doc_id"]).materialize())
-    offsets, n = [], 0
-    for _, c in blocks:
-        offsets.append(n)
-        n += c
-    out_schema = pa.schema([("doc_id", pa.int64()), ("nll", pa.float64()), ("tercile", pa.int64())])
-    if n == 0:
-        return rd.from_arrow(out_schema.empty_table())
-    k = 3
-    q, rem = divmod(n, k)
-    big = q + 1
-
-    @ray.remote
-    def tag(t: pa.Table, offset: int) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        r = np.arange(offset + 1, offset + t.num_rows + 1, dtype=np.int64)
-        if q == 0:  # fewer rows than tiles: NTILE gives row r tile r
-            tile = r
-        else:
-            # exact SQL NTILE: the first `rem` tiles carry one extra row
-            tile = np.where(r <= big * rem, (r - 1) // big + 1,
-                            rem + (r - 1 - big * rem) // q + 1)
-        return pa.table({"doc_id": t.column("doc_id"), "nll": t.column("nll"),
-                         "tercile": pa.array(tile, type=pa.int64())}, schema=out_schema)
-
-    tagged = ray.get([tag.remote(r, o) for (r, _), o in zip(blocks, offsets)])
-    return sort_coalesced(
-        rd.from_arrow_refs([ray.put(t) for t in tagged if t.num_rows]), "doc_id")
-
-
 def _q_kg_link_rewrites(sf_dir):
     """Alias-linking audit of the KG: how many RAW triples per predicate the
     linker rewrote (raw EXCEPT linked on the distinct (src, pred, dst)
@@ -977,20 +806,6 @@ def _q_kg_metapath_counts(sf_dir):
         "src_key", {"n_paths": ("hop", "size")}, out_schema=out_schema, in_schema=in_schema,
     )
     return sort_coalesced(agg, "src_key")
-
-
-def _q_docs_naive_bayes(sf_dir):
-    """Distributed multinomial Naive Bayes on the true lang labels: train on
-    doc_id%5 != 0, classify the rest. Model stays distributed (pair
-    combiner -> token-keyed pivot); classification is one lookup_join +
-    doc-keyed sum of int64-quantized log terms (np.log is scalar/vector/
-    offset-invariant — measured 0 diffs over 200k ratios — so the naive
-    expected-table oracle reproduces the engine bit-exactly; math.log and
-    SQL ln would NOT)."""
-    from text_to_graph_ray.functions.text import naive_bayes_classify
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "text"])
-    return naive_bayes_classify(ds)
 
 
 def _q_kg_schema_summary(sf_dir):
@@ -1104,143 +919,6 @@ def _q_stats_quantiles_cont(sf_dir):
     return grouped_quantiles_cont(ev, "event_type", "value", (0.25, 0.5, 0.9))
 
 
-def _q_docs_weighted_sample(sf_dir):
-    """Deterministic weighted sample (replicated-ticket minwise md5 draw);
-    the oracle recomputes the identical integer tickets in SQL. Weight =
-    1 + n_chars % 4; the k=50 smallest keys win (sample.weighted_topk)."""
-    import pyarrow as pa
-
-    from text_to_graph_ray.functions.sample import weighted_topk
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"])
-
-    def add_wt(b: pa.Table) -> pa.Table:
-        sch = pa.schema([("doc_id", pa.int64()), ("wt", pa.int64())])
-        if b.num_rows == 0:
-            return sch.empty_table()
-        nc = b.column("n_chars").to_numpy(zero_copy_only=False).astype("int64")
-        return pa.table({"doc_id": b.column("doc_id"), "wt": pa.array(nc % 4 + 1, type=pa.int64())}, schema=sch)
-
-    return weighted_topk(docs.map_batches(add_wt, batch_format="pyarrow"), "doc_id", "wt", k=50)
-
-
-def _q_docs_parquet_profile(sf_dir):
-    """Column-chunk storage profile from the parquet footer only (no data
-    pages read) — the catalog op behind prune-at-the-read decisions; oracle
-    is DuckDB parquet_metadata() over the same file."""
-    from text_to_graph_ray.sources.formats import parquet_profile
-
-    return parquet_profile(f"{sf_dir}/documents.parquet")
-
-
-def _q_docs_jsonl_stats(sf_dir):
-    """Per-(source, lang) catalog stats computed from a JSONL ingest
-    (ray.data.read_json over a deterministic conversion of the documents
-    table); the oracle reads the SAME file with DuckDB read_json_auto."""
-    from text_to_graph_ray.sources.formats import _ensure_converted, read_jsonl, source_stats_from
-
-    path = _ensure_converted(sf_dir, "jsonl")
-    return source_stats_from(read_jsonl(path, columns=["source", "lang", "n_chars"]))
-
-
-def _q_docs_csv_stats(sf_dir):
-    """Same catalog aggregate from a CSV ingest (ray.data.read_csv);
-    oracle reads the same file with DuckDB read_csv_auto."""
-    from text_to_graph_ray.sources.formats import _ensure_converted, read_csv, source_stats_from
-
-    path = _ensure_converted(sf_dir, "csv")
-    return source_stats_from(read_csv(path, columns=["source", "lang", "n_chars"]))
-
-
-def _q_docs_hash_split(sf_dir):
-    """Deterministic md5-based train/test split assignment — per-row
-    assignment (not just sizes) cross-checked against DuckDB md5(); ~10%
-    test at thresh '1999'."""
-    from text_to_graph_ray.functions.sample import hash_split
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    return hash_split(docs, "doc_id", thresh_hex="1999")
-
-
-def _q_docs_shuffle_shards(sf_dir):
-    """Deterministic corpus shuffle + shard striping — exact per-row shuffled
-    position and shard cross-checked against DuckDB row_number over md5()."""
-    from text_to_graph_ray.functions.sample import shuffle_shards
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    return shuffle_shards(docs, n_shards=16)
-
-
-def _q_docs_mixture_plan(sf_dir):
-    """Largest-remainder domain-mixture token allocation — every per-source
-    integer allocation cross-checked, and they sum to the budget exactly."""
-    from text_to_graph_ray.functions.sample import mixture_plan
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["source", "text"])
-    return mixture_plan(docs, budget_tokens=1_000_000, by="source")
-
-
-def _q_docs_langid_kappa(sf_dir):
-    """Cohen's kappa between the n-gram lang-id heuristic and the corpus's
-    reference lang labels — the eval-agreement gate you run before letting
-    a cheap classifier filter a corpus. Per-batch Arrow contingency
-    partials (label-pair-sized), arbitrary-precision driver fold, ONE
-    IEEE division + round(6); the oracle recomputes the contingency in
-    SQL from the independent naive lang-id expected table."""
-    from text_to_graph_ray.functions.stats import cohens_kappa
-    from text_to_graph_ray.functions.text import lang_id
-    from text_to_graph_ray.util import read_parquet_clean
-
-    def pred_vs_truth(b):
-        out = lang_id(b)  # (doc_id, lang_pred), row order preserved
-        return out.append_column("lang", b.column("lang"))
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
-    return cohens_kappa(ds.map_batches(pred_vs_truth, batch_format="pyarrow"),
-                        "lang_pred", "lang")
-
-
-def _q_docs_langid_report(sf_dir):
-    """Per-label precision/recall/F1 of the lang-id heuristic against the
-    reference lang labels — same contingency fold as the kappa query;
-    every metric is one integer ratio (f1 = 2*tp/(n_true+n_pred)) +
-    round(6), mirrored verbatim in SQL."""
-    from text_to_graph_ray.functions.stats import classification_report
-    from text_to_graph_ray.functions.text import lang_id
-    from text_to_graph_ray.util import read_parquet_clean
-
-    def pred_vs_truth(b):
-        out = lang_id(b)
-        return out.append_column("lang", b.column("lang"))
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
-    return classification_report(ds.map_batches(pred_vs_truth, batch_format="pyarrow"),
-                                 "lang", "lang_pred")
-
-
-def _q_docs_holdout_split(sf_dir):
-    """Deterministic train/val/test split (Knuth-hash buckets, 80/10/10)
-    reported as the answer-sized per-split audit (n_docs, sum of n_chars)
-    — pure int64 column arithmetic, exact in SQL; hash-based so a doc's
-    split survives repartitioning and incremental corpus growth."""
-    from text_to_graph_ray.functions.sample import holdout_split
-    from text_to_graph_ray.util import read_parquet_clean
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"])
-    return holdout_split(ds, size_col="n_chars")
-
-
-def _q_docs_mixture_temperature(sf_dir):
-    """Temperature-scaled (alpha=0.5) mixture apportionment — sqrt weights
-    int64-quantized before the largest-remainder split, so every per-source
-    allocation is exact and cross-checked (IEEE sqrt is correctly rounded:
-    numpy and DuckDB compute the identical weight)."""
-    from text_to_graph_ray.functions.sample import mixture_plan
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["source", "text"])
-    return mixture_plan(docs, budget_tokens=1_000_000, by="source", temperature=True)
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
     # kg_* first: the knowledge-graph queries are the engine's contract, so a
     # consumer that checks only a prefix of this dict checks them before the
@@ -1272,36 +950,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_relabeled": _q_kg_relabeled,
         "kg_fixture_triples": _q_kg_fixture_triples,
         "kg_fixture_nodes": _q_kg_fixture_nodes,
-        "docs_naive_bayes": _q_docs_naive_bayes,
-        "docs_lm_terciles": _q_docs_lm_terciles,
-        "docs_langid_kappa": _q_docs_langid_kappa,
-        "docs_langid_report": _q_docs_langid_report,
-        "docs_holdout_split": _q_docs_holdout_split,
-        "docs_mixture_temperature": _q_docs_mixture_temperature,
-        "docs_shuffle_shards": _q_docs_shuffle_shards,
-        "docs_mixture_plan": _q_docs_mixture_plan,
         "dedup_minhash_incr": _q_dedup_minhash_incr,
-        "docs_length_band": _q_docs_length_band,
         "dedup_cross_corpus": _q_dedup_cross_corpus,
-        "docs_parquet_profile": _q_docs_parquet_profile,
         "pipeline_curation_full": _q_pipeline_curation_full,
         "pipeline_pretraining": _q_pipeline_pretraining,
         "dedup_decontaminate": _q_dedup_decontaminate,
-        "docs_partitioned_scan": _q_docs_partitioned_scan,
         "stats_quantile_sketch": _q_stats_quantile_sketch,
         "conformance_parse": _q_conformance_parse,
         "pipeline_clean_corpus": _q_pipeline_clean_corpus,
-        "docs_budget_select": _q_docs_budget_select,
-        "docs_quota_sample": _q_docs_quota_sample,
-        "docs_distinct_pairs": _q_docs_distinct_pairs,
         "stats_value_histogram": _q_stats_value_histogram,
         "stats_grouped_quantiles": _q_stats_grouped_quantiles,
         "stats_moments_by_flag": _q_stats_moments_by_flag,
-        "docs_jsonl_stats": _q_docs_jsonl_stats,
-        "docs_csv_stats": _q_docs_csv_stats,
         "stats_quantiles_cont": _q_stats_quantiles_cont,
-        "docs_weighted_sample": _q_docs_weighted_sample,
-        "docs_hash_split": _q_docs_hash_split,
         "dedup_exact": _q_dedup_exact,
         "dedup_minhash": _q_dedup_minhash,
         "dedup_minhash_sigjoin": _q_dedup_minhash_sigjoin,
@@ -1311,8 +971,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "sample_stratified": _q_sample_stratified,
         "sample_mod": _q_sample_mod,
         "dedup_ngram_verified": _q_dedup_ngram_verified,
-        "docs_source_stats": _q_docs_source_stats,
-        "docs_topk_per_source": _q_docs_topk_per_source,
         "stats_quantiles": _q_stats_quantiles,
         "stats_kmv_distinct": _q_stats_kmv_distinct,
         "stats_hll_distinct": _q_stats_hll_distinct,
@@ -1327,13 +985,9 @@ def oracle_sql() -> dict[str, str]:
     from text_to_graph_ray.expected import ensure_conformance_expected, ensure_doc_expected, ensure_kg_scored_expected
     from text_to_graph_ray.fixtures import ensure_fixture
 
-    from text_to_graph_ray.sources.formats import _ensure_converted
-
     d = _synth(_SF01)
     ks = ensure_kg_scored_expected(_SF01)
     e = ensure_doc_expected(_SF01)
-    _fmt_jsonl = _ensure_converted(_SF01, "jsonl")
-    _fmt_csv = _ensure_converted(_SF01, "csv")
     c = ensure_conformance_expected()
     fx = ensure_fixture()
     exp_linked = f"{d}/expected_triples_linked.parquet"
@@ -1366,33 +1020,6 @@ def oracle_sql() -> dict[str, str]:
             f"AND t.pred = cand.pred AND t.dst_key = cand.neg_key) "
             f"ORDER BY src_key, pred, neg_key"
         ),
-        "docs_holdout_split": (
-            # exact int64 arithmetic on both engines (doc_id * knuth stays
-            # far below 2^63, % on non-negative ints is identical)
-            "WITH b AS (SELECT doc_id, n_chars, (doc_id * 2654435761) % 100 AS bucket FROM documents), "
-            "s AS (SELECT CASE WHEN bucket < 80 THEN 'train' "
-            " WHEN bucket < 90 THEN 'val' ELSE 'test' END AS split, n_chars FROM b) "
-            "SELECT split, count(*)::BIGINT AS n_docs, sum(n_chars)::BIGINT AS sum_size "
-            "FROM s GROUP BY 1 ORDER BY split"
-        ),
-        "docs_mixture_temperature": (
-            # alpha=0.5 temperature weights, int64-quantized (IEEE sqrt is
-            # correctly rounded => identical weight in numpy and DuckDB);
-            # HUGEINT for budget*w so the apportionment can't overflow
-            "WITH t AS (SELECT source, COUNT(*)::BIGINT AS n_docs, "
-            "SUM(len(str_split(coalesce(text, ''), ' ')))::BIGINT AS n_tokens "
-            "FROM documents GROUP BY source), "
-            "q AS (SELECT source, n_docs, n_tokens, "
-            "floor(sqrt(n_tokens) * 1000000 + 0.5)::BIGINT AS w FROM t), "
-            "tot AS (SELECT SUM(w)::HUGEINT AS total FROM q), "
-            "b AS (SELECT source, n_docs, n_tokens, "
-            "(1000000::HUGEINT * w) // total AS base, (1000000::HUGEINT * w) % total AS rem "
-            "FROM q, tot), "
-            "l AS (SELECT 1000000 - SUM(base) AS leftover FROM b) "
-            "SELECT source, n_docs, n_tokens, "
-            "(base + CASE WHEN row_number() OVER (ORDER BY rem DESC, source ASC) <= leftover "
-            "THEN 1 ELSE 0 END)::BIGINT AS alloc_tokens FROM b, l ORDER BY source"
-        ),
         "dedup_minhash": f"SELECT a, b, est_jaccard FROM read_parquet('{e}/expected_minhash_pairs.parquet') WHERE est_jaccard >= 0.5",
         "dedup_minhash_sigjoin": f"SELECT a, b, est_jaccard FROM read_parquet('{e}/expected_minhash_pairs.parquet') WHERE est_jaccard >= 0.5",
         "dedup_simhash": f"SELECT a, b, hamming FROM read_parquet('{e}/expected_simhash_pairs.parquet')",
@@ -1407,43 +1034,6 @@ def oracle_sql() -> dict[str, str]:
         "pipeline_curation_full": (
             f"SELECT doc_id, quality, n_tokens, cum_tokens FROM read_parquet('{e}/expected_clean3.parquet')"
         ),
-        "docs_langid_kappa": (
-            # contingency recomputed in SQL from the independent naive
-            # lang-id expected table joined to the documents' true labels;
-            # kappa mirrors the engine term-for-term: integer sums, one
-            # CAST AS DOUBLE division, round(6); den = 0 => 1.0
-            f"WITH p AS (SELECT t.lang_pred, d.lang AS truth "
-            f"FROM read_parquet('{e}/expected_text.parquet') t JOIN documents d USING (doc_id)), "
-            "tot AS (SELECT count(*)::HUGEINT AS n, "
-            "sum(CASE WHEN lang_pred = truth THEN 1 ELSE 0 END)::HUGEINT AS agree FROM p), "
-            "rm AS (SELECT lang_pred AS k, count(*)::HUGEINT AS rc FROM p GROUP BY 1), "
-            "cm AS (SELECT truth AS k, count(*)::HUGEINT AS cc FROM p GROUP BY 1), "
-            "pe AS (SELECT coalesce(sum(rc * cc), 0)::HUGEINT AS s FROM rm JOIN cm USING (k)) "
-            "SELECT CAST(tot.n AS BIGINT) AS n_rows, CAST(tot.agree AS BIGINT) AS agree, "
-            "CASE WHEN (tot.n * tot.n - pe.s) = 0 THEN 1.0 "
-            "ELSE round(CAST(tot.n * tot.agree - pe.s AS DOUBLE) / "
-            "CAST(tot.n * tot.n - pe.s AS DOUBLE), 6) END AS kappa "
-            "FROM tot, pe"
-        ),
-        "docs_langid_report": (
-            # per-label metrics from the same SQL contingency; each metric is
-            # ONE integer ratio cast to DOUBLE then round(6), mirroring the
-            # engine (f1 = 2*tp/(n_true+n_pred), zero denominators -> 0.0)
-            f"WITH p AS (SELECT d.lang AS truth, t.lang_pred AS pred "
-            f"FROM read_parquet('{e}/expected_text.parquet') t JOIN documents d USING (doc_id)), "
-            "labels AS (SELECT truth AS label FROM p UNION SELECT pred FROM p), "
-            "nt AS (SELECT truth AS label, count(*)::BIGINT AS n_true FROM p GROUP BY 1), "
-            "np AS (SELECT pred AS label, count(*)::BIGINT AS n_pred FROM p GROUP BY 1), "
-            "tpc AS (SELECT truth AS label, count(*)::BIGINT AS tp FROM p WHERE truth = pred GROUP BY 1) "
-            "SELECT l.label, coalesce(nt.n_true, 0)::BIGINT AS n_true, "
-            "coalesce(np.n_pred, 0)::BIGINT AS n_pred, coalesce(tpc.tp, 0)::BIGINT AS tp, "
-            "CASE WHEN coalesce(np.n_pred, 0) = 0 THEN 0.0 ELSE round(CAST(coalesce(tpc.tp, 0) AS DOUBLE) / CAST(np.n_pred AS DOUBLE), 6) END AS precision, "
-            "CASE WHEN coalesce(nt.n_true, 0) = 0 THEN 0.0 ELSE round(CAST(coalesce(tpc.tp, 0) AS DOUBLE) / CAST(nt.n_true AS DOUBLE), 6) END AS recall, "
-            "CASE WHEN coalesce(nt.n_true, 0) + coalesce(np.n_pred, 0) = 0 THEN 0.0 "
-            "ELSE round(CAST(2 * coalesce(tpc.tp, 0) AS DOUBLE) / CAST(coalesce(nt.n_true, 0) + coalesce(np.n_pred, 0) AS DOUBLE), 6) END AS f1 "
-            "FROM labels l LEFT JOIN nt USING (label) LEFT JOIN np USING (label) "
-            "LEFT JOIN tpc USING (label) ORDER BY l.label"
-        ),
         # --- generator-derived kg oracles (synth.py) ---
         "kg_chunks": f"SELECT repo, path, n_chunks, n_tokens FROM read_parquet('{d}/expected_chunks.parquet')",
         "kg_run_checkpointed": f"SELECT run, parts_total, parts_skipped, parts_computed, nodes, edges FROM read_parquet('{d}/expected_run.parquet')",
@@ -1456,12 +1046,7 @@ def oracle_sql() -> dict[str, str]:
             f"SELECT CASE pred WHEN 'calls' THEN 'invokes' WHEN 'imports' THEN 'uses' ELSE pred END AS pred, "
             f"count(*)::BIGINT AS n FROM read_parquet('{exp_linked}') GROUP BY 1 ORDER BY pred"
         ),
-        # --- corpus-catalog aggregates (pure-SQL oracles) ---
-        "docs_source_stats": (
-            "SELECT source, lang, count(*)::BIGINT AS n_docs, sum(n_chars)::BIGINT AS total_chars, "
-            "round(sum(n_chars) / count(*), 4) AS avg_chars "
-            "FROM documents GROUP BY source, lang ORDER BY source, lang"
-        ),
+        # --- pure-SQL aggregate oracles ---
         "stats_quantile_sketch": (
             "SELECT q, value FROM ("
             "SELECT 0.1 AS q, quantile_disc(value, 0.1) AS value FROM events "
@@ -1480,12 +1065,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT 'user_id' AS col, count(DISTINCT user_id)::BIGINT AS n_distinct FROM events"
             ") ORDER BY col"
         ),
-        "docs_topk_per_source": (
-            "SELECT doc_id, source, n_chars FROM ("
-            "SELECT doc_id, source, n_chars, "
-            "row_number() OVER (PARTITION BY source ORDER BY n_chars DESC, doc_id) AS rn "
-            "FROM documents) WHERE rn <= 3"
-        ),
         "stats_quantiles": (
             " UNION ALL ".join(
                 f"SELECT {q}::DOUBLE AS q, quantile_disc(l_extendedprice, {q}) AS disc, "
@@ -1493,7 +1072,6 @@ def oracle_sql() -> dict[str, str]:
                 for q in (0.01, 0.25, 0.5, 0.75, 0.99)
             )
         ),
-        "docs_distinct_pairs": ("SELECT DISTINCT source, lang FROM documents ORDER BY source, lang"),
         "dedup_decontaminate": (
             # tokenization contract: string_split(text, ' ') == python
             # text.split(' '); t[i:i+7] is the 8-token window (1-based,
@@ -1592,21 +1170,6 @@ def oracle_sql() -> dict[str, str]:
             "ELSE CAST(a4 AS DOUBLE) / (CAST(a2 AS DOUBLE) * CAST(a2 AS DOUBLE)) * (CAST(n AS DOUBLE) * CAST(n AS DOUBLE)) - 3.0 END AS kurt_pop "
             "FROM a ORDER BY l_returnflag"
         ),
-        "docs_parquet_profile": (
-            f"SELECT path_in_schema AS column, count(*)::BIGINT AS n_chunks, "
-            f"sum(num_values)::BIGINT AS n_values, "
-            f"sum(total_compressed_size)::BIGINT AS compressed_bytes, "
-            f"sum(total_uncompressed_size)::BIGINT AS uncompressed_bytes "
-            f"FROM parquet_metadata('{_SF01}/documents.parquet') GROUP BY 1 ORDER BY 1"
-        ),
-        "docs_jsonl_stats": (
-            f"SELECT source, lang, count(*)::BIGINT AS n_docs, sum(n_chars)::BIGINT AS chars "
-            f"FROM read_json_auto('{_fmt_jsonl}') GROUP BY 1, 2 ORDER BY 1, 2"
-        ),
-        "docs_csv_stats": (
-            f"SELECT source, lang, count(*)::BIGINT AS n_docs, sum(n_chars)::BIGINT AS chars "
-            f"FROM read_csv_auto('{_fmt_csv}') GROUP BY 1, 2 ORDER BY 1, 2"
-        ),
         "stats_quantiles_cont": (
             # round(6) absorbs the one-ulp interpolation-association delta
             "SELECT event_type, q, value FROM ("
@@ -1614,20 +1177,6 @@ def oracle_sql() -> dict[str, str]:
             "UNION ALL SELECT event_type, 0.5, round(quantile_cont(value, 0.5), 6) FROM events GROUP BY event_type "
             "UNION ALL SELECT event_type, 0.9, round(quantile_cont(value, 0.9), 6) FROM events GROUP BY event_type"
             ") ORDER BY event_type, q"
-        ),
-        "docs_weighted_sample": (
-            # identical integer tickets: md5 over 'id:j' decimal strings,
-            # first 8 hex chars as int, min over the row's wt tickets
-            "WITH w AS (SELECT doc_id, 1 + (n_chars % 4) AS wt FROM documents), "
-            "t AS (SELECT doc_id, wt, min(CAST('0x' || substr(md5(CAST(doc_id AS VARCHAR) || ':' || CAST(j AS VARCHAR)), 1, 8) AS BIGINT)) AS tkey "
-            "FROM w CROSS JOIN range(4) AS r(j) WHERE r.j < w.wt GROUP BY doc_id, wt) "
-            "SELECT doc_id, CAST(wt AS BIGINT) AS wt, tkey FROM t ORDER BY tkey, doc_id LIMIT 50"
-        ),
-        "docs_lm_terciles": (
-            # nll from the independent naive LM; NTILE is exact SQL semantics
-            f"WITH s AS (SELECT doc_id, nll FROM read_parquet('{e}/expected_lm_nll.parquet')) "
-            "SELECT doc_id, nll, ntile(3) OVER (ORDER BY nll, doc_id)::BIGINT AS tercile "
-            "FROM s ORDER BY doc_id"
         ),
         "kg_link_rewrites": (
             f"SELECT pred, count(*)::BIGINT AS n_rewritten FROM ("
@@ -1666,22 +1215,6 @@ def oracle_sql() -> dict[str, str]:
             f"SELECT floor(log2(deg))::BIGINT AS bucket, count(*)::BIGINT AS n_nodes "
             f"FROM deg GROUP BY 1 ORDER BY 1"
         ),
-        "docs_naive_bayes": (
-            # independent naive NB (expected.py, same np.log quantization)
-            f"SELECT doc_id, lang, pred, correct FROM read_parquet('{e}/expected_nb.parquet') ORDER BY doc_id"
-        ),
-        "docs_budget_select": (
-            # quality from the independent expected table; token counts from
-            # the docs (list_filter mirrors python str.split exactly);
-            # integer // for the data-derived budget on both engines
-            f"WITH t AS (SELECT x.doc_id, x.quality, "
-            f"len(list_filter(regexp_split_to_array(coalesce(d.text,''), '\\s+'), tk -> tk <> ''))::BIGINT AS n_tokens "
-            f"FROM read_parquet('{e}/expected_text.parquet') x JOIN documents d USING (doc_id)), "
-            "c AS (SELECT doc_id, quality, n_tokens, sum(n_tokens) OVER (ORDER BY quality DESC, doc_id "
-            "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW)::BIGINT AS cum_tokens FROM t) "
-            "SELECT doc_id, quality, n_tokens, cum_tokens FROM c "
-            "WHERE cum_tokens <= (SELECT sum(n_tokens) FROM t) // 3 ORDER BY quality DESC, doc_id"
-        ),
         "dedup_minhash_incr": (
             # a pair involves a new doc iff its max id is new (new ids are
             # the dense top 20%); same expected table as dedup_minhash
@@ -1689,62 +1222,8 @@ def oracle_sql() -> dict[str, str]:
             "WHERE est_jaccard >= 0.5 "
             "AND b >= (SELECT count(*) * 4 // 5 FROM documents)"
         ),
-        "docs_length_band": (
-            # thresholds round(6)-quantized on both engines (the hash-green
-            # grouped-quantiles contract); token counts are ints, so band
-            # membership can only flip if the true quantile sits within 5e-7
-            # of an integer AND the engines' interpolations straddle it
-            "WITH t AS (SELECT source, CASE WHEN trim(text) = '' THEN 0 ELSE "
-            "len(regexp_split_to_array(trim(text), '\\s+')) END::BIGINT AS n_tokens FROM documents), "
-            "q AS (SELECT source, round(quantile_cont(n_tokens, 0.05), 6) AS lo, "
-            "round(quantile_cont(n_tokens, 0.95), 6) AS hi FROM t GROUP BY 1) "
-            "SELECT t.source, count(*)::BIGINT AS kept, sum(n_tokens)::BIGINT AS kept_tokens "
-            "FROM t JOIN q USING (source) WHERE n_tokens >= lo AND n_tokens <= hi "
-            "GROUP BY 1 ORDER BY 1"
-        ),
         "dedup_cross_corpus": (
             f"SELECT a, b, est_jaccard FROM read_parquet('{e}/expected_cross_pairs.parquet') "
             "WHERE est_jaccard >= 0.5"
-        ),
-        "docs_partitioned_scan": (
-            "SELECT source, lang, count(*)::BIGINT AS n_docs, sum(n_chars)::BIGINT AS chars "
-            "FROM documents WHERE lang IN ('en', 'fr') GROUP BY 1, 2 ORDER BY 1, 2"
-        ),
-        "docs_quota_sample": (
-            "SELECT source, doc_id, hkey FROM ("
-            " SELECT source, doc_id, hkey, row_number() OVER "
-            " (PARTITION BY source ORDER BY hkey, doc_id) AS rn FROM ("
-            "  SELECT source, doc_id, CAST('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8) AS BIGINT) AS hkey"
-            "  FROM documents)) "
-            "WHERE rn <= 3 ORDER BY source, hkey, doc_id"
-        ),
-        "docs_hash_split": (
-            # md5 over the DECIMAL id string on both engines — per-row
-            # assignment is the check, not just the split fraction
-            "SELECT doc_id, CASE WHEN substr(md5(CAST(doc_id AS VARCHAR)), 1, 4) < '1999' "
-            "THEN 'test' ELSE 'train' END AS split FROM documents ORDER BY doc_id"
-        ),
-        "docs_shuffle_shards": (
-            # the exact shuffled rank — not just shard sizes — is the check:
-            # both engines order by (md5(decimal-id-string), id)
-            "SELECT doc_id, pos, pos % 16 AS shard FROM ("
-            "SELECT doc_id, row_number() OVER (ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id) - 1 AS pos "
-            "FROM documents) ORDER BY pos"
-        ),
-        "docs_mixture_plan": (
-            # largest-remainder (Hamilton) apportionment in pure int64 SQL:
-            # floor share + 1 for the top-`leftover` remainders (source ASC
-            # tiebreak); token count by the string_split contract
-            "WITH t AS (SELECT source, COUNT(*)::BIGINT AS n_docs, "
-            "SUM(len(str_split(coalesce(text, ''), ' ')))::BIGINT AS n_tokens "
-            "FROM documents GROUP BY source), "
-            "tot AS (SELECT SUM(n_tokens)::BIGINT AS total FROM t), "
-            "b AS (SELECT source, n_docs, n_tokens, "
-            "(1000000 * n_tokens) // total AS base, (1000000 * n_tokens) % total AS rem "
-            "FROM t, tot), "
-            "l AS (SELECT 1000000 - SUM(base) AS leftover FROM b) "
-            "SELECT source, n_docs, n_tokens, "
-            "(base + CASE WHEN row_number() OVER (ORDER BY rem DESC, source ASC) <= leftover "
-            "THEN 1 ELSE 0 END)::BIGINT AS alloc_tokens FROM b, l ORDER BY source"
         ),
     }

@@ -111,21 +111,8 @@ def _bench_queries(sf_dir: str) -> tuple[float, dict, dict]:
     times["pipeline_curation_full"] = round(time.monotonic() - t0, 3)
 
     t0 = time.monotonic()
-    _e._q_docs_length_band(sf_dir).count()
-    times["docs_length_band"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
     _e._q_dedup_cross_corpus(sf_dir).count()
     times["dedup_cross_corpus"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    _e._q_docs_mixture_temperature(sf_dir).count()
-    times["docs_mixture_temperature"] = round(time.monotonic() - t0, 3)
-
-    # NB classifier train/classify
-    t0 = time.monotonic()
-    _e._q_docs_naive_bayes(sf_dir).count()
-    times["docs_naive_bayes"] = round(time.monotonic() - t0, 3)
 
     return times["kg_pipeline"], times, extras
 

@@ -1,12 +1,9 @@
-"""Round-5 part-3/4 operator scale smoke: deterministic distributed
-synthetic inputs, walls are smoke-scale proofs on a shared host (not
-steady-state benchmarks). Run: python -u scripts/ops_scale_check4.py [num_cpus]
+"""Round-5 operator scale smoke: deterministic distributed synthetic
+inputs, walls are smoke-scale proofs on a shared host (not steady-state
+benchmarks). Run: python -u scripts/ops_scale_check4.py [num_cpus]
 
-Covers:
-- bigram_lm_nll at 200k synthetic docs (combiner counting pass +
-  lookup_join count attachment + keyed reduce).
-- minhash_cross_pairs at 100k x 100k docs (fuzzy decontamination shape:
-  only cross-side pairs generate).
+Covers minhash_cross_pairs at 100k x 100k docs (fuzzy decontamination
+shape: only cross-side pairs generate).
 """
 
 from __future__ import annotations
@@ -48,34 +45,10 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    # --- 1. bigram LM at 200k docs ----------------------------------------
-    from text_to_graph_ray.functions.text import bigram_lm_nll
-
-    N_DOCS = 200_000
-    VOCAB = np.array([f"w{j}" for j in range(5000)])
-
-    def doc_chunk(a, b):
-        ids = np.arange(a, b, dtype=np.int64)
-        texts = []
-        for i in ids:
-            L = 40 + (i * 31) % 160
-            idx = (i * 7919 + np.arange(L) * ((i % 97) + 3)) % len(VOCAB)
-            texts.append(" ".join(VOCAB[idx]))
-        return pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                         "text": pa.array(texts, type=pa.string())})
-
-    docs = gen_range(N_DOCS, 64, doc_chunk).materialize()
-    t0 = time.monotonic()
-    lm = bigram_lm_nll(docs)
-    n_rows = lm.count()
-    w = time.monotonic() - t0
-    assert n_rows == N_DOCS
-    log(f"bigram_lm_nll 200k docs (~24M tokens): {w:.1f}s")
-
-    # --- 2. cross-corpus minhash at 100k x 100k ---------------------------
     from text_to_graph_ray.functions.dedup import minhash_cross_pairs
 
     N_SIDE = 100_000
+    VOCAB = np.array([f"w{j}" for j in range(5000)])
 
     def corpus_chunk(offset):
         def f(a, b):

@@ -80,15 +80,6 @@ def test_lang_id_heuristic():
     assert detect_lang("zzz qqq xxx") == "und"
 
 
-def test_fingerprint_deterministic_and_sensitive():
-    from text_to_graph_ray.functions.text import fingerprint
-
-    a = fingerprint("some document body with enough text to window over")
-    assert a == fingerprint("some document body with enough text to window over")
-    assert a != fingerprint("some document body with enough text to window under")
-    assert 0 <= a <= 0xFFFFFFFF
-
-
 def test_quality_score_monotonic_in_substance():
     from text_to_graph_ray.functions.text import quality_score
 

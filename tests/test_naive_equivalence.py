@@ -40,15 +40,6 @@ def test_simhash_matches_naive(t):
 
 @settings(max_examples=150, deadline=None)
 @given(texts)
-def test_fingerprint_matches_naive(t):
-    from text_to_graph_ray.expected import naive_fingerprint
-    from text_to_graph_ray.functions.text import fingerprint
-
-    assert fingerprint(t) == naive_fingerprint(t)
-
-
-@settings(max_examples=150, deadline=None)
-@given(texts)
 def test_langid_and_quality_match_naive(t):
     from text_to_graph_ray.expected import naive_lang, naive_quality
     from text_to_graph_ray.functions.text import detect_lang, quality_score

@@ -1,9 +1,8 @@
 """Round-4 part 5 operator tests: segment-level corpus dedup, upsert merge,
-quota per group, partitioned layout, budget select, incremental merge."""
+budget select, incremental merge."""
 
 import pandas as pd
 import pyarrow as pa
-import pytest
 import ray
 
 
@@ -122,58 +121,6 @@ class TestMergeUpsert:
             .to_pandas().sort_values("k").reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(out, base.to_pandas().sort_values("k").reset_index(drop=True))
-
-
-class TestQuotaPerGroup:
-    def test_cap_and_determinism(self, ray_session):
-        import hashlib
-
-        import ray
-
-        from text_to_graph_ray.functions.sample import quota_per_group
-
-        t = pa.table({
-            "doc_id": pa.array(range(100), type=pa.int64()),
-            "source": pa.array([f"s{i % 4}" for i in range(100)]),
-        })
-        out = quota_per_group(ray.data.from_arrow(t), "source", n=5).to_pandas()
-        assert (out.groupby("source").size() == 5).all()
-        # winners = the 5 smallest md5 keys per group (independent recompute)
-        df = t.to_pandas()
-        df["hkey"] = [int(hashlib.md5(str(i).encode()).hexdigest()[:8], 16) for i in df.doc_id]
-        want = df.sort_values(["hkey", "doc_id"]).groupby("source").head(5)
-        assert set(zip(out.source, out.doc_id)) == set(zip(want.source, want.doc_id))
-        # partition invariance
-        rep = quota_per_group(ray.data.from_arrow(t).repartition(9), "source", n=5).to_pandas()
-        pd.testing.assert_frame_equal(out, rep)
-
-    def test_group_smaller_than_quota_kept_whole(self, ray_session):
-        import ray
-
-        from text_to_graph_ray.functions.sample import quota_per_group
-
-        t = pa.table({"doc_id": pa.array([1, 2], type=pa.int64()), "source": pa.array(["a", "a"])})
-        out = quota_per_group(ray.data.from_arrow(t), "source", n=10).to_pandas()
-        assert len(out) == 2
-
-
-class TestPartitionedLayout:
-    def test_directory_pruned_read(self, ray_session, tmp_path):
-        import ray
-
-        from text_to_graph_ray.sources.formats import read_partition_values, write_partitioned
-
-        t = pa.table({
-            "lang": pa.array(["en", "de", "en", "fr", "de", "en"]),
-            "val": pa.array(range(6), type=pa.int64()),
-        })
-        write_partitioned(ray.data.from_arrow(t), str(tmp_path / "p"), ["lang"])
-        # only the requested directories exist in the read plan
-        out = read_partition_values(str(tmp_path / "p"), "lang", ["en", "fr"]).to_pandas()
-        assert sorted(out.val) == [0, 2, 3, 5]
-        assert set(out.lang) == {"en", "fr"}
-        with pytest.raises(ValueError, match="no partition"):
-            read_partition_values(str(tmp_path / "p"), "lang", ["zz"])
 
 
 class TestBudgetSelect:

@@ -1,6 +1,5 @@
 """Round-5 tests: batch text kernels, lookup join, the half-up cents rounding
-contract, checkpoint compaction, incremental merge, and the kept text, mixture,
-label-agreement and KG operators."""
+contract, checkpoint compaction, incremental merge, and the KG operators."""
 
 import os
 import shutil
@@ -266,93 +265,6 @@ class TestHalfUpCents:
         assert np.round(0.125 * 100).astype(np.int64) != engine[0]
 
 
-class TestLengthBandStats:
-    def test_matches_numpy_linear_quantiles(self, ray_session):
-        """Per-group band membership must match numpy linear-interpolated
-        quantiles (the quantile_cont contract) with round(6) thresholds,
-        including a group whose p5/p95 land on fractional positions."""
-        import ray as _ray
-
-        from text_to_graph_ray.functions.text import length_band_stats
-
-        rng = np.random.default_rng(23)
-        rows = []
-        for g, sizes in (("g0", rng.integers(1, 50, 37)), ("g1", rng.integers(5, 500, 83)),
-                         ("g2", np.array([7]))):  # single-doc group: band == its own length
-            for s in sizes:
-                rows.append((g, "w " * int(s)))
-        t = pa.table({"source": pa.array([g for g, _ in rows], type=pa.string()),
-                      "doc_id": pa.array(range(len(rows)), type=pa.int64()),
-                      "text": pa.array([x for _, x in rows], type=pa.string())})
-        got = length_band_stats(_ray.data.from_arrow(t).repartition(5)).to_pandas()
-
-        import pandas as pd
-        df = pd.DataFrame({"source": [g for g, _ in rows],
-                           "n": [len(x.split()) for _, x in rows]})
-        want = []
-        for g, grp in df.groupby("source"):
-            lo = round(float(np.quantile(grp["n"], 0.05, method="linear")), 6)
-            hi = round(float(np.quantile(grp["n"], 0.95, method="linear")), 6)
-            keep = grp[(grp["n"] >= lo) & (grp["n"] <= hi)]
-            want.append((g, len(keep), int(keep["n"].sum())))
-        assert [tuple(r) for r in got.itertuples(index=False)] == want
-        assert (got.set_index("source").loc["g2"] == (1, 7)).all()
-
-    def test_group_count_guard(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.text import length_band_stats
-
-        t = pa.table({"source": pa.array([f"s{i}" for i in range(40)], type=pa.string()),
-                      "text": pa.array(["a b c"] * 40, type=pa.string())})
-        with pytest.raises(ValueError, match="answer-sized"):
-            length_band_stats(_ray.data.from_arrow(t), max_groups=10)
-
-
-class TestBigramLM:
-    def _docs(self):
-        texts = [
-            "the cat sat on the mat",
-            "the cat ate",
-            "solo",
-            "",
-            "the cat sat on the mat",  # exact dup: identical score
-            "unseen words entirely here",
-        ]
-        return pa.table({"doc_id": pa.array(range(len(texts)), type=pa.int64()),
-                         "text": pa.array(texts, type=pa.string())}), texts
-
-    def test_matches_naive_and_edge_cases(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.expected import naive_bigram_lm
-        from text_to_graph_ray.functions.text import bigram_lm_nll
-
-        t, texts = self._docs()
-        got = bigram_lm_nll(_ray.data.from_arrow(t).repartition(3)).to_pandas()
-        nb, nll = naive_bigram_lm(list(range(len(texts))), texts)
-        assert got["n_bigrams"].tolist() == nb
-        assert got["nll"].tolist() == nll
-        assert got.loc[2, "n_bigrams"] == 0 and got.loc[2, "nll"] == 0.0  # 1 token
-        assert got.loc[3, "n_bigrams"] == 0 and got.loc[3, "nll"] == 0.0  # empty
-        assert got.loc[0, "nll"] == got.loc[4, "nll"]  # dup docs score equal
-        # dup'd doc is MORE likely under the corpus model than the unique one
-        assert got.loc[0, "nll"] < got.loc[5, "nll"]
-
-    def test_broadcast_and_exchange_plans_identical(self, ray_session):
-        """counts_broadcast_max=0 forces lookup_join's bucketed fallback for
-        both count attachments; quantized term sums make the paths
-        bit-identical."""
-        import ray as _ray
-
-        from text_to_graph_ray.functions.text import bigram_lm_nll
-
-        t, _ = self._docs()
-        a = bigram_lm_nll(_ray.data.from_arrow(t).repartition(3)).to_pandas()
-        b = bigram_lm_nll(_ray.data.from_arrow(t).repartition(3), counts_broadcast_max=0).to_pandas()
-        assert a.values.tolist() == b.values.tolist()
-
-
 class TestIncrementalMinhash:
     def test_incremental_equals_full_rebuild_slice(self, ray_session):
         """pairs(new) ∪ cross(old, new) must hash-equal the full corpus
@@ -394,65 +306,6 @@ class TestIncrementalMinhash:
         assert (2, 4) in pairs and (5, 6) in pairs   # old-new and new-new found
         assert (0, 1) not in pairs                   # old-old never re-enumerated
         assert (0, 1) in {(int(r.a), int(r.b)) for r in full.itertuples()}
-
-
-class TestExplodeBigramsVectorized:
-    def test_differential_vs_per_row_contract(self):
-        """Batch kernel == per-row kernel as a multiset of (doc, bg, f, m),
-        over adversarial inputs: every ASCII char as separator candidates,
-        leading/trailing/repeated whitespace, 0/1-token docs, dup bigrams,
-        non-ASCII fallback rows, nulls."""
-        import pandas as pd
-
-        from text_to_graph_ray.functions.text import (
-            _explode_bigrams_rows, explode_bigrams_batch,
-        )
-
-        texts = [
-            "a b a b a",                    # dup bigrams
-            "  leading and  trailing  ",
-            "single",
-            "",
-            None,
-            "café au lait café au",  # non-ascii fallback
-            "x\ty\nz\x0b w \x0c q",
-            "\x1c a \x1d b \x1e c \x1f d",  # ascii control seps (str.split strips)
-            " ".join(f"w{i%7}" for i in range(50)),
-        ]
-        ids = list(range(len(texts)))
-        t = pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                      "text": pa.array(texts, type=pa.string())})
-        got = explode_bigrams_batch(t).to_pandas()
-        d, bgs, f, m = _explode_bigrams_rows(ids, ["" if x is None else x for x in texts])
-        want = pd.DataFrame({"doc_id": d, "bg": bgs, "f": f, "m": m})
-        key = ["doc_id", "bg", "f", "m"]
-        assert (
-            got.sort_values(key).reset_index(drop=True)[key].values.tolist()
-            == want.sort_values(key).reset_index(drop=True)[key].values.tolist()
-        )
-        assert (got["m"] > 0).all() and len(got) > 0
-
-    def test_all_128_ascii_one_char_seps(self):
-        """For every ASCII char c, 'a<c>b' must tokenize identically in the
-        batch kernel and str.split (whitespace chars split, others glue)."""
-        import pandas as pd
-
-        from text_to_graph_ray.functions.text import (
-            _explode_bigrams_rows, explode_bigrams_batch,
-        )
-
-        texts = [f"a{chr(c)}b x" for c in range(128)]
-        ids = list(range(128))
-        t = pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                      "text": pa.array(texts, type=pa.string())})
-        got = explode_bigrams_batch(t).to_pandas()
-        d, bgs, f, m = _explode_bigrams_rows(ids, texts)
-        want = pd.DataFrame({"doc_id": d, "bg": bgs, "f": f, "m": m})
-        key = ["doc_id", "bg", "f", "m"]
-        assert (
-            got.sort_values(key).reset_index(drop=True)[key].values.tolist()
-            == want.sort_values(key).reset_index(drop=True)[key].values.tolist()
-        )
 
 
 class TestCheckpointCompactionAndGC:
@@ -638,188 +491,6 @@ class TestDeltaScopedIncrementalMerge:
         assert row.iloc[0]["repos_packed"] == "r1|r2"
 
 
-class TestShuffleShards:
-    def test_permutation_balance_and_naive_match(self, ray_session):
-        import hashlib
-
-        import ray as _ray
-
-        from text_to_graph_ray.functions.sample import shuffle_shards
-
-        ids = [7, 1, 42, 300, 5, 19, 88, 250, 3, 1001, 64, 12]
-        t = pa.table({"doc_id": pa.array(ids, type=pa.int64())})
-        got = shuffle_shards(_ray.data.from_arrow(t).repartition(3), n_shards=5).to_pandas()
-        # pos is a permutation of 0..N-1
-        assert sorted(got["pos"]) == list(range(len(ids)))
-        # shard striping: pos % n_shards, so shard sizes balanced within 1
-        assert (got["shard"] == got["pos"] % 5).all()
-        sizes = got.groupby("shard").size()
-        assert sizes.max() - sizes.min() <= 1
-        # exact per-row position matches the naive md5-ordered rank
-        order = sorted(ids, key=lambda i: (hashlib.md5(str(i).encode()).hexdigest(), i))
-        want = {i: p for p, i in enumerate(order)}
-        assert {r.doc_id: r.pos for r in got.itertuples()} == want
-
-
-class TestMixturePlan:
-    @staticmethod
-    def _naive(rows, budget):
-        # rows: list of (source, tokens-per-doc lists)
-        tot = {s: sum(ts) for s, ts in rows}
-        total = sum(tot.values())
-        base = {s: budget * v // total for s, v in tot.items()}
-        left = budget - sum(base.values())
-        for s in sorted(tot, key=lambda s: (-(budget * tot[s] % total), s))[:left]:
-            base[s] += 1
-        return tot, base
-
-    def test_exact_hamilton_allocation(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.sample import mixture_plan
-
-        rows = [
-            ("web", ["a b c", "d e", "f"]),           # 6 tokens
-            ("code", ["x y z w", "q"]),               # 5 tokens
-            ("books", ["l m n o p r s"]),             # 7 tokens
-        ]
-        flat_src, flat_txt = [], []
-        for s, ts in rows:
-            for txt in ts:
-                flat_src.append(s)
-                flat_txt.append(txt)
-        t = pa.table({"source": pa.array(flat_src, type=pa.string()),
-                      "text": pa.array(flat_txt, type=pa.string())})
-        budget = 100
-        got = mixture_plan(_ray.data.from_arrow(t).repartition(4), budget_tokens=budget).to_pandas()
-        tok_rows = [(s, [len(x.split(" ")) for x in ts]) for s, ts in rows]
-        tot, want = self._naive(tok_rows, budget)
-        assert got["alloc_tokens"].sum() == budget
-        assert dict(zip(got["source"], got["n_tokens"])) == tot
-        assert dict(zip(got["source"], got["alloc_tokens"])) == want
-        assert dict(zip(got["source"], got["n_docs"])) == {s: len(ts) for s, ts in rows}
-
-    def test_ties_and_empty_text(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.sample import mixture_plan
-
-        # equal token counts force remainder ties -> source-ASC tiebreak
-        t = pa.table({"source": pa.array(["b", "a", "c"], type=pa.string()),
-                      "text": pa.array(["x y", "p q", ""], type=pa.string())})
-        got = mixture_plan(_ray.data.from_arrow(t), budget_tokens=7).to_pandas()
-        # tokens: b=2, a=2, c=1 (empty text = 1 token by the split contract)
-        tot, want = self._naive([("b", [2]), ("a", [2]), ("c", [1])], 7)
-        assert dict(zip(got["source"], got["alloc_tokens"])) == want
-        assert got["alloc_tokens"].sum() == 7
-
-
-class TestMixtureTemperature:
-    def test_sqrt_weights_hand_checked(self, ray_session):
-        """Two sources, 9x token imbalance: plain plan splits 90/10, the
-        alpha=0.5 plan splits 75/25 (sqrt(9):sqrt(1) = 3:1)."""
-        import ray as _ray
-
-        from text_to_graph_ray.functions.sample import mixture_plan
-
-        t = pa.table({
-            "source": pa.array(["big"] * 9 + ["small"], type=pa.string()),
-            # one token per doc -> n_tokens = doc counts
-            "text": pa.array(["x"] * 10, type=pa.string()),
-        })
-        ds = _ray.data.from_arrow(t).repartition(2)
-        plain = mixture_plan(ds, budget_tokens=100, by="source").to_pandas()
-        temp = mixture_plan(ds, budget_tokens=100, by="source", temperature=True).to_pandas()
-        assert dict(zip(plain["source"], plain["alloc_tokens"])) == {"big": 90, "small": 10}
-        assert dict(zip(temp["source"], temp["alloc_tokens"])) == {"big": 75, "small": 25}
-        assert temp["alloc_tokens"].sum() == 100
-
-
-class TestHoldoutSplit:
-    def test_counts_and_stability_under_repartition(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.sample import holdout_split
-
-        ids = np.arange(1000, dtype=np.int64)
-        sizes = (ids % 37 + 1).astype(np.int64)
-        t = pa.table({"doc_id": pa.array(ids), "n_chars": pa.array(sizes)})
-        # naive: same hash rule, plain python
-        lab = [("train" if b < 80 else "val" if b < 90 else "test")
-               for b in ((ids.astype(np.uint64) * np.uint64(2654435761)) % np.uint64(100))]
-        import collections
-        want_n = collections.Counter(lab)
-        want_s = collections.defaultdict(int)
-        for l, s in zip(lab, sizes):
-            want_s[l] += int(s)
-        for parts in (1, 9):
-            got = holdout_split(_ray.data.from_arrow(t).repartition(parts),
-                                size_col="n_chars").to_pandas()
-            assert dict(zip(got["split"], got["n_docs"])) == dict(want_n)
-            assert dict(zip(got["split"], got["sum_size"])) == dict(want_s)
-        # roughly 80/10/10
-        assert 700 < want_n["train"] < 900 and 50 < want_n["val"] < 160
-
-
-class TestCohensKappa:
-    def _run(self, a, b):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.stats import cohens_kappa
-
-        t = pa.table({"p": pa.array(a), "q": pa.array(b)})
-        return cohens_kappa(_ray.data.from_arrow(t).repartition(3), "p", "q").to_pydict()
-
-    def test_textbook_2x2(self, ray_session):
-        # classic 2x2: diag 20/15, off-diag 5/10 -> po=0.7, pe=0.5, kappa=0.4
-        a = ["y"] * 25 + ["n"] * 25
-        b = ["y"] * 20 + ["n"] * 5 + ["y"] * 10 + ["n"] * 15
-        assert self._run(a, b) == {"n_rows": [50], "agree": [35], "kappa": [0.4]}
-
-    def test_degenerate_and_disjoint(self, ray_session):
-        # single shared label on both sides: den == 0 -> 1.0 by contract
-        assert self._run(["x"] * 5, ["x"] * 5)["kappa"] == [1.0]
-        # disjoint label sets: agree = 0, pe = 0 -> kappa = 0/1 scaled = 0.0
-        got = self._run(["a", "a", "b"], ["c", "c", "d"])
-        assert got == {"n_rows": [3], "agree": [0], "kappa": [0.0]}
-
-    def test_matches_naive_random(self, ray_session):
-        rng = np.random.default_rng(3)
-        labels = np.array(["en", "de", "fr", "und"])
-        a = labels[rng.integers(0, 4, 500)].tolist()
-        b = labels[rng.integers(0, 4, 500)].tolist()
-        n = 500
-        agree = sum(1 for x, y in zip(a, b) if x == y)
-        from collections import Counter
-        rm, cm = Counter(a), Counter(b)
-        s = sum(rm[k] * cm.get(k, 0) for k in rm)
-        want = round(float(n * agree - s) / float(n * n - s), 6)
-        assert self._run(a, b) == {"n_rows": [n], "agree": [agree], "kappa": [want]}
-
-
-class TestClassificationReport:
-    def test_matches_naive_and_pred_only_labels(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.functions.stats import classification_report
-
-        truth = ["en", "en", "de", "de", "fr", "fr", "fr"]
-        pred = ["en", "de", "de", "de", "fr", "und", "fr"]  # 'und' never true
-        t = pa.table({"t": pa.array(truth), "p": pa.array(pred)})
-        got = classification_report(_ray.data.from_arrow(t).repartition(2), "t", "p").to_pydict()
-        assert got["label"] == ["de", "en", "fr", "und"]
-        # de: n_true 2, n_pred 3, tp 2 -> p=2/3, r=1, f1=4/5
-        i = got["label"].index("de")
-        assert (got["n_true"][i], got["n_pred"][i], got["tp"][i]) == (2, 3, 2)
-        assert got["precision"][i] == round(2 / 3, 6)
-        assert got["recall"][i] == 1.0 and got["f1"][i] == 0.8
-        # und: pred-only label gets a row with zero recall/f1 denominator rules
-        j = got["label"].index("und")
-        assert (got["n_true"][j], got["n_pred"][j], got["tp"][j]) == (0, 1, 0)
-        assert got["precision"][j] == 0.0 and got["recall"][j] == 0.0
-        assert got["f1"][j] == 0.0
-
-
 class TestKgSchemaAndNegatives:
     def test_schema_summary_covers_every_edge(self, ray_session):
         import __ray_entry__ as E
@@ -869,52 +540,6 @@ class TestKgSchemaAndNegatives:
             assert emitted.get(k) == v or v in got[got["src_key"] == k[0]]["neg_key"].values
 
 
-class TestNaiveBayes:
-    def test_matches_naive_and_learns(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.expected import naive_nb
-        from text_to_graph_ray.functions.text import naive_bayes_classify
-
-        rng = np.random.default_rng(51)
-        vocabs = {"aa": ["red", "green", "blue", "shared"],
-                  "bb": ["cat", "dog", "bird", "shared"],
-                  "cc": ["one", "two", "three", "shared"]}
-        ids, texts, labels = [], [], []
-        for i in range(120):
-            lab = ["aa", "bb", "cc"][i % 3]
-            toks = list(rng.choice(vocabs[lab], 12)) + list(rng.choice(["shared", "noise"], 3))
-            ids.append(i)
-            texts.append(" ".join(toks))
-            labels.append(lab)
-        t = pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                      "lang": pa.array(labels, type=pa.string()),
-                      "text": pa.array(texts, type=pa.string())})
-        got = naive_bayes_classify(_ray.data.from_arrow(t).repartition(4)).to_pandas()
-        exp = naive_nb(ids, texts, labels)
-        assert list(map(tuple, got[["doc_id", "lang", "pred", "correct"]].values)) == exp
-        # distinct class vocabularies: the classifier must actually learn
-        assert got["correct"].mean() > 0.9
-
-    def test_unseen_tokens_and_empty_doc(self, ray_session):
-        import ray as _ray
-
-        from text_to_graph_ray.expected import naive_nb
-        from text_to_graph_ray.functions.text import naive_bayes_classify
-
-        ids = list(range(12))
-        labels = ["p", "q"] * 6
-        texts = ["ppp ppp" if l == "p" else "qqq qqq" for l in labels]
-        texts[0] = "zzz yyy"   # test doc with only unseen tokens
-        texts[5] = ""          # empty test doc (id 5 % 5 == 0)
-        t = pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                      "lang": pa.array(labels, type=pa.string()),
-                      "text": pa.array(texts, type=pa.string())})
-        got = naive_bayes_classify(_ray.data.from_arrow(t).repartition(3)).to_pandas()
-        exp = naive_nb(ids, texts, labels)
-        assert list(map(tuple, got[["doc_id", "lang", "pred", "correct"]].values)) == exp
-
-
 class TestMetapathAndIntegrity:
     def test_metapath_matches_pandas(self, ray_session):
         import __ray_entry__ as E
@@ -933,23 +558,6 @@ class TestMetapathAndIntegrity:
 
 
 class TestLmTercilesAndRewrites:
-    def test_terciles_are_exact_ntile(self, ray_session):
-        import duckdb
-
-        import __ray_entry__ as E
-
-        sf = "/root/testdata/sf0.001"
-        got = E._q_docs_lm_terciles(sf).to_pandas()
-        con = duckdb.connect()
-        exp = con.execute(
-            "SELECT doc_id, ntile(3) OVER (ORDER BY nll, doc_id) AS tercile FROM got ORDER BY doc_id"
-        ).df()
-        assert got["tercile"].tolist() == exp["tercile"].astype("int64").tolist()
-        # tile sizes differ by at most 1 and are ordered big-first
-        sizes = got.groupby("tercile").size()
-        assert sizes.max() - sizes.min() <= 1
-        assert sizes.sort_index().is_monotonic_decreasing or sizes.nunique() == 1
-
     def test_link_rewrites_match_pandas_except(self, ray_session):
         import __ray_entry__ as E
 

@@ -32,8 +32,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 # v21 and v19 added the k-means tables, v20 the MST table. Since then their
-# queries, the other embedding / media queries and the lexical, BPE and
-# packed-sequence queries were deleted and their tables are no longer built;
+# queries, the other embedding / media queries, the lexical, BPE and
+# packed-sequence queries and the docs_* queries (per-doc text, Naive Bayes
+# and bigram-LM tables) were deleted and their tables are no longer built;
 # a directory built earlier keeps them unread, so the version is not bumped.
 EXPECTED_ROOT = "/tmp/graft_expected/v21"
 
@@ -88,20 +89,6 @@ def naive_quality(text: str) -> tuple[float, float, float, float]:
     return round(mean_len, 6), round(stop_r, 6), round(alpha, 6), round(q, 6)
 
 
-def naive_fingerprint(text: str, k: int = 5, window: int = 4) -> int:
-    t = text or ""
-    if len(t) < k:
-        return zlib.crc32(t.encode("utf-8"))
-    grams = [zlib.crc32(t[i : i + k].encode("utf-8")) for i in range(len(t) - k + 1)]
-    if len(grams) < window:
-        return min(grams)
-    mins = {min(grams[i : i + window]) for i in range(len(grams) - window + 1)}
-    out = 0
-    for m in mins:  # xor is commutative/associative: iteration order irrelevant
-        out ^= m
-    return out & 0xFFFFFFFF
-
-
 # ---------------------------------------------------------------------------
 # SimHash (vectorized over tokens — different shape than the engine's
 # per-token accumulation loop, same 64-bit majority fingerprint)
@@ -123,49 +110,6 @@ def naive_simhash64(text: str) -> int:
         if acc[i] > 0:
             fp |= 1 << i
     return fp
-
-
-def naive_nb(ids, texts, labels, test_mod: int = 5, scale: int = 10**12):
-    """Single-threaded multinomial Naive Bayes mirror of
-    text.naive_bayes_classify: train on id % test_mod != 0, classify the
-    rest. Every log term quantized to int64 round(log(p)·scale) BEFORE
-    summing (order-independent), argmax tie-break (score desc, class asc).
-    Returns [(doc_id, true, pred, correct)] sorted by doc_id."""
-    from collections import Counter, defaultdict
-
-    counts: dict = defaultdict(Counter)
-    docs_per: Counter = Counter()
-    for i, t, lab in zip(ids, texts, labels):
-        if i % test_mod == 0:
-            continue
-        docs_per[lab] += 1
-        counts[lab].update((t or "").split())
-    classes = sorted(docs_per)
-    vocab = set()
-    for c in classes:
-        vocab |= set(counts[c])
-    V = len(vocab)
-    total_docs = sum(docs_per.values())
-    n_tok = {c: sum(counts[c].values()) for c in classes}
-
-    def q(x: float) -> int:
-        return int(np.round(np.log(x) * scale))
-
-    priors = {c: q(docs_per[c] / total_docs) for c in classes}
-    out = []
-    for i, t, lab in zip(ids, texts, labels):
-        if i % test_mod != 0:
-            continue
-        toks = Counter((t or "").split())
-        best_c, best_s = None, None
-        for c in classes:
-            s = priors[c]
-            for tok, cnt in toks.items():
-                s += cnt * q((counts[c].get(tok, 0) + 1) / (n_tok[c] + V))
-            if best_s is None or s > best_s:
-                best_c, best_s = c, s
-        out.append((i, lab, best_c, int(best_c == lab)))
-    return sorted(out)
 
 
 def naive_simhash_pairs(ids: list[int], texts: list[str], max_hamming: int = 3):
@@ -294,39 +238,6 @@ def naive_cross_minhash_pairs(
                     pairs[(i, j)] = est
     out = sorted(pairs.items())
     return [p[0] for p, _ in out], [p[1] for p, _ in out], [e for _, e in out]
-
-
-def naive_bigram_lm(ids: list[int], texts: list[str]):
-    """Independent bigram-LM scores with plain dicts: Laplace-smoothed
-    p(w|prev) = (c(prev w)+1)/(c(prev ·)+V), V = distinct tokens corpus-wide;
-    per-doc nll = -(sum of round(log2(p)*1e9)) / 1e9 / n_bigrams, round 6
-    (0.0 and 0 bigrams for docs with < 2 tokens) — the engine contract,
-    recomputed from scratch."""
-    c_bg: dict = {}
-    c_f: dict = {}
-    vocab = set()
-    for t in texts:
-        toks = (t or "").split()
-        vocab.update(toks)
-        for fw, tw in zip(toks, toks[1:]):
-            c_bg[(fw, tw)] = c_bg.get((fw, tw), 0) + 1
-            c_f[fw] = c_f.get(fw, 0) + 1
-    v = float(len(vocab))
-    nb_out, nll_out = [], []
-    for t in texts:
-        toks = (t or "").split()
-        if len(toks) < 2:
-            nb_out.append(0)
-            nll_out.append(0.0)
-            continue
-        s = 0
-        for fw, tw in zip(toks, toks[1:]):
-            p = (c_bg[(fw, tw)] + 1.0) / (c_f[fw] + v)
-            s += int(np.rint(np.log2(np.float64(p)) * 1e9))
-        nb = len(toks) - 1
-        nb_out.append(nb)
-        nll_out.append(round(-(np.float64(s) / 1e9) / np.float64(nb), 6))
-    return nb_out, nll_out
 
 
 def naive_survivors(ids: list[int], texts: list[str], threshold: float, bands: int = 16) -> list[int]:
@@ -568,43 +479,6 @@ def _build_doc_expected(sf_dir: str, tmp: str) -> None:
     texts = [t or "" for t in docs.column("text").to_pylist()]
     sources = docs.column("source").to_pylist()
 
-    # per-document text heuristics
-    langs = [naive_lang(t) for t in texts]
-    quals = [naive_quality(t) for t in texts]
-    fps = [naive_fingerprint(t) for t in texts]
-    _write(
-        tmp,
-        "expected_text",
-        pa.table(
-            {
-                "doc_id": pa.array(ids, type=pa.int64()),
-                "lang_pred": pa.array(langs, type=pa.string()),
-                "mean_tok_len": pa.array([q[0] for q in quals], type=pa.float64()),
-                "stop_ratio": pa.array([q[1] for q in quals], type=pa.float64()),
-                "alpha_ratio": pa.array([q[2] for q in quals], type=pa.float64()),
-                "quality": pa.array([q[3] for q in quals], type=pa.float64()),
-                "fingerprint": pa.array(fps, type=pa.int64()),
-            }
-        ),
-    )
-
-    # multinomial Naive Bayes over the true lang labels (train: id%5 != 0)
-    langs_true = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "lang"]).column("lang").to_pylist()
-    nb = naive_nb(ids, texts, langs_true)
-    _write(
-        tmp,
-        "expected_nb",
-        pa.table(
-            {
-                "doc_id": pa.array([r[0] for r in nb], type=pa.int64()),
-                "lang": pa.array([r[1] for r in nb], type=pa.string()),
-                "pred": pa.array([r[2] for r in nb], type=pa.string()),
-                "correct": pa.array([r[3] for r in nb], type=pa.int64()),
-            }
-        ),
-    )
-
     # simhash pairs (hamming <= 3 — the banding-guaranteed regime)
     sa, sb, sh = naive_simhash_pairs(ids, texts, max_hamming=3)
     _write(
@@ -647,20 +521,6 @@ def _build_doc_expected(sf_dir: str, tmp: str) -> None:
                 "a": pa.array(ca, type=pa.int64()),
                 "b": pa.array(cb, type=pa.int64()),
                 "est_jaccard": pa.array(ce, type=pa.float64()),
-            }
-        ),
-    )
-
-    # self-trained bigram-LM quality scores (Laplace smoothing, corpus vocab)
-    nb, nll = naive_bigram_lm(ids, texts)
-    _write(
-        tmp,
-        "expected_lm_nll",
-        pa.table(
-            {
-                "doc_id": pa.array(ids, type=pa.int64()),
-                "n_bigrams": pa.array(nb, type=pa.int64()),
-                "nll": pa.array(nll, type=pa.float64()),
             }
         ),
     )

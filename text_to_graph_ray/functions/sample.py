@@ -1,9 +1,10 @@
-"""Deterministic sampling operators for training-data pipelines.
+"""Deterministic sampling and selection operators for training-data pipelines.
 
-Both are shuffle-light: ``mod_sample`` is a pure per-batch filter (no exchange
-at all); ``stratified_sample`` exchanges only group keys and survives skew by
+``mod_sample`` is a pure per-batch filter (no exchange at all);
+``stratified_sample`` exchanges only group keys and survives skew by
 truncating per group. Both are exactly reproducible in SQL, so the driver
-hash-checks them against DuckDB.
+hash-checks them against DuckDB. ``budget_select`` is the last step of the
+full curation pipeline, checked there against its naive mirror.
 """
 
 from __future__ import annotations
@@ -45,105 +46,6 @@ def stratified_sample(ds, key_col: str, n_per_key: int, id_col: str = "doc_id"):
     return ds.groupby(key_col).map_groups(take_first, batch_format="pandas").sort([key_col, id_col])
 
 
-def hash_split(ds, id_col: str = "doc_id", thresh_hex: str = "1999",
-               labels: tuple = ("test", "train"), out_col: str = "split"):
-    """Deterministic train/test assignment by CONTENT-INDEPENDENT id hash:
-    a row lands in ``labels[0]`` iff the first 4 hex chars of
-    ``md5(str(id))`` sort below ``thresh_hex`` (md5 is uniform, so the split
-    fraction is int(thresh_hex,16)/65536 — '1999' ~ 10%). md5-on-the-decimal
-    -string is chosen because BOTH engines have it natively (hashlib here,
-    DuckDB ``md5()`` in the oracle), so the exact per-row assignment — not
-    just the split sizes — is cross-checked. Embarrassingly parallel: no
-    exchange, the split column is computed inside the scan.
-
-    hashlib-per-row is C-speed per call and this is a once-per-corpus pass;
-    the same measured argument as exact_dedup_keep_min's kernel note."""
-    import hashlib
-
-    def f(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.schema([(id_col, pa.int64()), (out_col, pa.string())]).empty_table()
-        ids = b.column(id_col).to_pylist()
-        lab = [labels[0] if hashlib.md5(str(i).encode()).hexdigest()[:4] < thresh_hex else labels[1] for i in ids]
-        return pa.table({id_col: pa.array(ids, type=pa.int64()), out_col: pa.array(lab, type=pa.string())})
-
-    return ds.map_batches(f, batch_format="pyarrow").sort(id_col)
-
-
-def weighted_topk(ds, id_col: str, weight_col: str, k: int = 50, max_weight: int = 64):
-    """Deterministic weighted sample of k rows (replicated-ticket minwise
-    scheme): every row gets ``weight`` integer tickets, ticket j's value is
-    the first 8 hex chars of ``md5(f"{id}:{j}")`` as an int, the row's key
-    is its MINIMUM ticket, and the k smallest keys win — heavier rows hold
-    more lottery tickets, so selection probability rises with weight while
-    the whole draw stays integer-exact and engine-independent (the oracle
-    recomputes the identical tickets with DuckDB's md5()).
-
-    Contract: ``weight_col`` is an integer in [1, max_weight] (guarded
-    loudly). Scale shape: keys are computed inside the scan; a per-block
-    top-k combiner keeps only k rows per block before the final global
-    sort + limit, so the sort input is k x #blocks rows, never the corpus.
-    Returns (id, weight, tkey) ordered by (tkey, id)."""
-    import hashlib
-
-    out_schema = pa.schema([(id_col, pa.int64()), (weight_col, pa.int64()), ("tkey", pa.int64())])
-
-    def keys_topk(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return out_schema.empty_table()
-        ids = b.column(id_col).to_pylist()
-        ws = b.column(weight_col).to_pylist()
-        tkeys = []
-        for i, w in zip(ids, ws):
-            if not 1 <= w <= max_weight:
-                raise ValueError(f"weighted_topk: weight {w} for id {i} outside [1, {max_weight}]")
-            tkeys.append(min(int(hashlib.md5(f"{i}:{j}".encode()).hexdigest()[:8], 16) for j in range(w)))
-        order = sorted(range(len(ids)), key=lambda x: (tkeys[x], ids[x]))[:k]
-        return pa.table(
-            {
-                id_col: pa.array([ids[x] for x in order], type=pa.int64()),
-                weight_col: pa.array([ws[x] for x in order], type=pa.int64()),
-                "tkey": pa.array([tkeys[x] for x in order], type=pa.int64()),
-            },
-            schema=out_schema,
-        )
-
-    return ds.map_batches(keys_topk, batch_format="pyarrow").sort(["tkey", id_col]).limit(k)
-
-
-def quota_per_group(ds, group_col: str, n: int, id_col: str = "doc_id"):
-    """Deterministic per-group quota sampling — cap every group at ``n``
-    rows (the source-balancing curation op: no single domain/source may
-    dominate the corpus). Rank key = first-8-hex ``md5(str(id))`` as int
-    (content-independent and engine-independent: DuckDB's ``md5()``
-    recomputes the identical key), keep the n SMALLEST keys per group with
-    an id tiebreak. ``topk_per_group``'s per-batch combiner bounds the one
-    keyed exchange at n rows per group per upstream batch. Returns
-    (group, id, hkey) ordered by (group, hkey, id)."""
-    import hashlib
-
-    from text_to_graph_ray.functions.agg import topk_per_group
-    from text_to_graph_ray.util import sort_coalesced
-
-    s = ds.schema()
-    gtype = dict(zip(s.names, s.types))[group_col]
-    schema = pa.schema([(group_col, gtype), (id_col, pa.int64()), ("hkey", pa.int64())])
-
-    def keyed(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return schema.empty_table()
-        ids = b.column(id_col).to_pylist()
-        hk = [int(hashlib.md5(str(i).encode()).hexdigest()[:8], 16) for i in ids]
-        return pa.table({group_col: b.column(group_col), id_col: pa.array(ids, type=pa.int64()),
-                         "hkey": pa.array(hk, type=pa.int64())}, schema=schema)
-
-    top = topk_per_group(
-        ds.map_batches(keyed, batch_format="pyarrow"), [group_col], "hkey", k=n,
-        descending=False, tiebreak=id_col, out_schema=schema, in_schema=schema,
-    )
-    return sort_coalesced(top, [group_col, "hkey", id_col])
-
-
 def budget_select(ds, budget_tokens: int | None = None, budget_denom: int = 3,
                   id_col: str = "doc_id", text_col: str = "text"):
     """Token-budget corpus selection — the final curation step that fills a
@@ -156,7 +58,7 @@ def budget_select(ds, budget_tokens: int | None = None, budget_denom: int = 3,
     knapsack).
 
     Scale shape: quality + token counts inside the scan; ONE global sort by
-    (quality, id); the running total is pack.py's block-offset prefix-sum —
+    (quality, id); the running total is a block-offset prefix-sum —
     per-block sums to the driver (#blocks numbers), bases broadcast back,
     per-block vectorized cumsum + filter. Nothing corpus-sized reaches the
     driver. ``budget_tokens=None`` derives the budget from the data
@@ -219,192 +121,3 @@ def budget_select(ds, budget_tokens: int | None = None, budget_denom: int = 3,
 
     out_refs = [keep_within.remote(r, b) for r, b in zip(refs, bases) if b <= budget]
     return rd.from_arrow_refs(out_refs)
-
-
-def shuffle_shards(ds, n_shards: int = 16, id_col: str = "doc_id"):
-    """Deterministic global corpus shuffle + shard assignment — the
-    pre-training "shuffle the corpus once, write N shards" step. Every row
-    gets a content-independent shuffle key ``md5(str(id))`` (the hash_split
-    md5-on-decimal-string contract: both engines have it natively, so the
-    exact per-row position — not just shard sizes — is cross-checkable);
-    the corpus is globally ordered by ``(md5, id)``; ``pos`` is the 0-based
-    rank in that order; ``shard = pos % n_shards`` stripes the shuffled
-    order round-robin, so every shard is (a) an unbiased 1/n slice of the
-    corpus and (b) balanced to within one row, with no shard ever holding
-    two originally-adjacent documents.
-
-    Scale shape: the sort exchange carries ONLY (id, 32-hex digest) — 40
-    bytes/row regardless of document size (a 100-TB corpus's shuffle
-    exchange is ~40 GB of ids, not 100 TB of text; callers join the
-    assignment back to text inside their shard writers, or pass the
-    text through by id-bucketed exchange). The global rank is
-    canonicalize.add_dense_index's block-offset pattern: per-block counts
-    to the driver (#blocks ints), offsets back, a range column per block —
-    no data leaves the object store. md5-per-row is C-speed (the measured
-    hash_split argument).
-
-    Returns (doc_id, pos, shard) ordered by pos (= the shuffled order)."""
-    import hashlib
-
-    from text_to_graph_ray.stages.canonicalize import add_dense_index
-    from text_to_graph_ray.util import sort_coalesced
-
-    key_schema = pa.schema([(id_col, pa.int64()), ("__h", pa.string())])
-
-    def with_key(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return key_schema.empty_table()
-        ids = b.column(id_col).to_pylist()
-        hs = [hashlib.md5(str(i).encode()).hexdigest() for i in ids]
-        return pa.table({id_col: pa.array(ids, type=pa.int64()), "__h": pa.array(hs, type=pa.string())},
-                        schema=key_schema)
-
-    keyed = sort_coalesced(ds.map_batches(with_key, batch_format="pyarrow"), ["__h", id_col])
-    ranked = add_dense_index(keyed, col="pos")
-
-    out_schema = pa.schema([(id_col, pa.int64()), ("pos", pa.int64()), ("shard", pa.int64())])
-
-    def project(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return out_schema.empty_table()
-        pos = np.asarray(b.column("pos"), dtype=np.int64)
-        return pa.table({id_col: b.column(id_col), "pos": b.column("pos"),
-                         "shard": pa.array(pos % np.int64(n_shards), type=pa.int64())}, schema=out_schema)
-
-    return ranked.map_batches(project, batch_format="pyarrow")
-
-
-def mixture_plan(ds, budget_tokens: int, by: str = "source", text_col: str = "text",
-                 max_groups: int = 100_000, temperature: bool = False):
-    """Domain-mixture token allocation — apportion a fixed training budget
-    across sources proportionally to their available whitespace tokens,
-    using largest-remainder (Hamilton) rounding so the allocations are
-    EXACT integers that sum to the budget (no float weights, no drift):
-
-        base_i   = budget * tokens_i // total        (floor share)
-        leftover = budget - sum(base_i)              (< #sources)
-        +1 to the ``leftover`` sources with the largest remainder
-        ``budget * tokens_i % total`` (source-name tiebreak, ascending)
-
-    All pure int64 math, identical in SQL — the driver hash-checks every
-    allocation, not just the totals.
-
-    Scale shape: per-batch combiner partials (source, docs, tokens) — the
-    token count is ONE vectorized Arrow kernel, ``count_substring(' ')+1``
-    == len(split(' ')) by the string_split contract — then a #sources-row
-    groupby; the apportionment itself runs on the driver over the final
-    per-source table (mixture sources are inherently few — domains, not
-    documents; ``max_groups`` guards the collect LOUDLY rather than
-    degrading).
-
-    ``temperature=True`` switches to temperature-scaled (alpha = 0.5)
-    sampling weights — the standard multilingual/domain rebalancing trick
-    (upsample the tail, downsample the head): allocations go proportional
-    to ``sqrt(n_tokens)`` instead of ``n_tokens``. The weight is quantized
-    to int64 FIRST (``floor(sqrt(n_tokens)*1e6 + 0.5)``) so the whole
-    apportionment stays exact integer math — IEEE sqrt is correctly
-    rounded, so numpy and DuckDB produce the identical weight and the
-    driver can hash-check every allocation. alpha is fixed at 0.5 because
-    sqrt is the one power IEEE-754 guarantees exactly; a general pow()
-    differs by ULPs across libms and would make the oracle flaky.
-
-    Returns (source, n_docs, n_tokens, alloc_tokens) sorted by source;
-    sum(alloc_tokens) == budget_tokens exactly (when total > 0)."""
-    from ray.data.aggregate import Sum
-
-    part_schema = pa.schema([(by, pa.string()), ("n_docs", pa.int64()), ("n_tokens", pa.int64())])
-
-    def partials(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return part_schema.empty_table()
-        txt = pc.fill_null(b.column(text_col), "")
-        ntok = pc.add(pc.count_substring(txt, " "), 1)
-        tt = pa.table({by: b.column(by), "n_tokens": pc.cast(ntok, pa.int64())})
-        df = tt.to_pandas().groupby(by, as_index=False).agg(n_docs=("n_tokens", "size"),
-                                                            n_tokens=("n_tokens", "sum"))
-        return pa.table({by: pa.array(df[by], type=pa.string()),
-                         "n_docs": pa.array(df["n_docs"], type=pa.int64()),
-                         "n_tokens": pa.array(df["n_tokens"], type=pa.int64())}, schema=part_schema)
-
-    per_src = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby(by)
-        .aggregate(Sum("n_docs", alias_name="n_docs"), Sum("n_tokens", alias_name="n_tokens"))
-    ).materialize()
-    n_groups = per_src.count()
-    if n_groups > max_groups:
-        raise ValueError(
-            f"mixture_plan: {n_groups} distinct {by!r} groups exceeds max_groups={max_groups} — "
-            "mixture planning is a per-DOMAIN op; a group column this wide wants grouped_sum + "
-            "a distributed apportionment, not this driver-side exact plan"
-        )
-    import ray.data as rd
-
-    rows = sorted(per_src.take_all(), key=lambda r: r[by])  # bounded: one row per source
-    import math
-
-    def w(r) -> int:
-        n = int(r["n_tokens"])
-        return int(math.floor(math.sqrt(n) * 1e6 + 0.5)) if temperature else n
-
-    total = sum(w(r) for r in rows)
-    alloc = {r[by]: 0 for r in rows}
-    if total > 0 and rows:
-        for r in rows:
-            alloc[r[by]] = budget_tokens * w(r) // total
-        leftover = budget_tokens - sum(alloc.values())
-        by_rem = sorted(rows, key=lambda r: (-(budget_tokens * w(r) % total), r[by]))
-        for r in by_rem[:leftover]:
-            alloc[r[by]] += 1
-
-    out_schema = pa.schema([(by, pa.string()), ("n_docs", pa.int64()), ("n_tokens", pa.int64()),
-                            ("alloc_tokens", pa.int64())])
-    out = pa.table({
-        by: pa.array([r[by] for r in rows], type=pa.string()),
-        "n_docs": pa.array([int(r["n_docs"]) for r in rows], type=pa.int64()),
-        "n_tokens": pa.array([int(r["n_tokens"]) for r in rows], type=pa.int64()),
-        "alloc_tokens": pa.array([alloc[r[by]] for r in rows], type=pa.int64()),
-    }, schema=out_schema)
-    return rd.from_arrow(out)
-
-
-def holdout_split(ds, id_col: str = "doc_id", size_col: str = "n_chars",
-                  train_pct: int = 80, val_pct: int = 10, knuth: int = 2654435761):
-    """Deterministic train/val/test split assignment — the corpus-building
-    staple: bucket = (id * knuth) mod 100 (the mod_sample Knuth hash, pure
-    int64 column arithmetic, reproducible in SQL); buckets [0, train_pct)
-    -> train, [train_pct, train_pct + val_pct) -> val, rest -> test.
-    Splitting by HASH (not position) keeps the assignment stable under
-    any repartition/reorder and under incremental corpus growth — a doc's
-    split never changes when neighbors are added or removed.
-
-    Returns the answer-sized audit table (split, n_docs, sum_size): one
-    combiner partial per batch (3 rows), one tiny groupby — the full
-    assignment is a zero-exchange map any consumer can apply inline."""
-    from ray.data.aggregate import Sum
-
-    from text_to_graph_ray.util import sort_coalesced
-
-    part_schema = pa.schema([("split", pa.string()), ("n_docs", pa.int64()),
-                             ("sum_size", pa.int64())])
-    names = np.array(["test", "train", "val"])  # index by (is_train, is_val) below
-
-    def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return part_schema.empty_table()
-        ids = b.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False).astype(np.uint64)
-        bucket = (ids * np.uint64(knuth)) % np.uint64(100)
-        lab = np.where(bucket < train_pct, 1, np.where(bucket < train_pct + val_pct, 2, 0))
-        size = b.column(size_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        n = np.bincount(lab, minlength=3).astype(np.int64)
-        s = np.bincount(lab, weights=size, minlength=3).astype(np.int64)
-        keep = n > 0
-        return pa.table({"split": pa.array(names[keep]), "n_docs": pa.array(n[keep]),
-                         "sum_size": pa.array(s[keep])}, schema=part_schema)
-
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("split")
-        .aggregate(Sum("n_docs", alias_name="n_docs"), Sum("sum_size", alias_name="sum_size"))
-    )
-    return sort_coalesced(out, "split")

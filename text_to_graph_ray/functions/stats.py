@@ -1,6 +1,5 @@
-"""Decomposable statistics: fixed-width histograms, integer-exact grouped
-moments, and the label-agreement reports (Cohen's kappa, per-label
-precision/recall/F1).
+"""Decomposable statistics: fixed-width histograms and integer-exact grouped
+moments.
 
 Each ships kilobyte-scale partials per block and folds them in the calling
 process (the ``functions/sketch.py`` family shape), so wall time is the
@@ -160,113 +159,3 @@ def grouped_moments_int(ds, key: str, x_col: str):
         }
     )
     return rd.from_arrow(out)
-
-
-def cohens_kappa(ds, a_col: str, b_col: str):
-    """Cohen's kappa — chance-corrected agreement between two categorical
-    columns (rater A vs rater B; classifier prediction vs ground truth).
-    The standard eval-agreement metric for judging a cheap heuristic
-    labeler (lang-id, quality gate, weak classifier) against reference
-    labels before trusting it to filter a corpus.
-
-    Exact-math discipline: each batch reduces to its (a, b) contingency
-    partial via one Arrow group_by — label-pair-sized, never row-sized —
-    and the driver folds the per-block partials in arbitrary-precision
-    Python ints. With po = agree/n and pe = sum_k row_k * col_k / n^2,
-    kappa scaled by n^2 is a ratio of two INTEGERS:
-
-        kappa = (n * agree - S) / (n^2 - S),   S = sum_k row_k * col_k
-
-    finished as ONE float64 division + round(6), mirrored op-for-op in
-    SQL (HUGEINT sums, one CAST AS DOUBLE division). The degenerate
-    den == 0 case (both marginals concentrated on one identical label,
-    which forces agree == n) returns 1.0 on both engines.
-
-    Returns a ONE-ROW (n_rows int64, agree int64, kappa float64) Table.
-    Driver memory is O(blocks x distinct label pairs) — the established
-    "driver holds #blocks answer-sized rows" fold pattern."""
-    part_schema = pa.schema([("a", pa.string()), ("b", pa.string()), ("n", pa.int64())])
-
-    def contingency(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
-        g = (
-            pa.table({"a": t.column(a_col).cast(pa.string()), "b": t.column(b_col).cast(pa.string())})
-            .group_by(["a", "b"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table({"a": g.column("a"), "b": g.column("b"),
-                         "n": g.column("count_all").cast(pa.int64())}, schema=part_schema)
-
-    from collections import Counter
-
-    cell = Counter()
-    for row in ds.map_batches(contingency, batch_format="pyarrow", batch_size=None).take_all():
-        cell[(row["a"], row["b"])] += int(row["n"])
-    n = sum(cell.values())
-    agree = sum(v for (x, y), v in cell.items() if x == y)
-    row_m, col_m = Counter(), Counter()
-    for (x, y), v in cell.items():
-        row_m[x] += v
-        col_m[y] += v
-    s = sum(row_m[k] * col_m.get(k, 0) for k in row_m)
-    num, den = n * agree - s, n * n - s
-    kappa = round(float(num) / float(den), 6) if den != 0 else 1.0
-    return pa.table({"n_rows": pa.array([n], type=pa.int64()),
-                     "agree": pa.array([agree], type=pa.int64()),
-                     "kappa": pa.array([kappa], type=pa.float64())})
-
-
-def classification_report(ds, truth_col: str, pred_col: str):
-    """Per-label precision / recall / F1 from the same label-pair-sized
-    contingency fold as ``cohens_kappa`` — the standard eval table for a
-    heuristic labeler against reference labels.
-
-    Float discipline: every metric is ONE ratio of exact integers
-    (precision = tp/n_pred, recall = tp/n_true, f1 = 2*tp/(n_true+n_pred)
-    — the harmonic mean reduced to a single integer ratio), one IEEE
-    division + round(6) each, mirrored verbatim in SQL. Labels appearing
-    only in predictions still get a row (n_true = 0); zero denominators
-    yield 0.0 on both engines.
-
-    Returns (label, n_true, n_pred, tp, precision, recall, f1) sorted by
-    label."""
-    part_schema = pa.schema([("t", pa.string()), ("p", pa.string()), ("n", pa.int64())])
-
-    def contingency(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
-        g = (
-            pa.table({"t": t.column(truth_col).cast(pa.string()), "p": t.column(pred_col).cast(pa.string())})
-            .group_by(["t", "p"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table({"t": g.column("t"), "p": g.column("p"),
-                         "n": g.column("count_all").cast(pa.int64())}, schema=part_schema)
-
-    from collections import Counter
-
-    cell = Counter()
-    for row in ds.map_batches(contingency, batch_format="pyarrow", batch_size=None).take_all():
-        cell[(row["t"], row["p"])] += int(row["n"])
-    n_true, n_pred, tp = Counter(), Counter(), Counter()
-    for (t, p), v in cell.items():
-        n_true[t] += v
-        n_pred[p] += v
-        if t == p:
-            tp[t] += v
-    labels = sorted(set(n_true) | set(n_pred))
-
-    def ratio(a: int, b: int) -> float:
-        return round(float(a) / float(b), 6) if b else 0.0
-
-    return pa.table({
-        "label": pa.array(labels, type=pa.string()),
-        "n_true": pa.array([n_true[l] for l in labels], type=pa.int64()),
-        "n_pred": pa.array([n_pred[l] for l in labels], type=pa.int64()),
-        "tp": pa.array([tp[l] for l in labels], type=pa.int64()),
-        "precision": pa.array([ratio(tp[l], n_pred[l]) for l in labels], type=pa.float64()),
-        "recall": pa.array([ratio(tp[l], n_true[l]) for l in labels], type=pa.float64()),
-        "f1": pa.array([ratio(2 * tp[l], n_true[l] + n_pred[l]) for l in labels], type=pa.float64()),
-    })
-

@@ -1,13 +1,9 @@
-"""Text signals over a documents table, for the docs, dedup and curation
-queries: quality, language-ID, document fingerprinting, bigram repetition,
-corpus-level segment dedup, per-group length bands, a self-trained bigram
-language model and a Naive Bayes classifier. The per-document signals are
-stateless ``map_batches`` transforms (profiles built at module import, once
-per worker process)."""
+"""Text signals over a documents table, for the dedup and curation queries:
+quality, language-ID, bigram repetition and corpus-level segment dedup. The
+per-document signals are stateless ``map_batches`` transforms (profiles
+built at module import, once per worker process)."""
 
 from __future__ import annotations
-
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -226,27 +222,6 @@ def bigram_rep_batch(texts) -> tuple:
     dup[rows_idx] = 1 - distinct.to_numpy(dtype=np.int64) / tot
     top[rows_idx] = mx.to_numpy(dtype=np.int64) / tot
     return valid, n_big, dup, top
-
-
-def lang_id(batch: pa.Table, text_col: str = "text", id_col: str = "doc_id") -> pa.Table:
-    preds = text_signals_batch(batch.column(text_col), want=("lang",))["lang"]
-    return pa.table({id_col: batch.column(id_col), "lang_pred": pa.array(preds, type=pa.string())})
-
-
-def fingerprint(text: str, k: int = 5, window: int = 4) -> int:
-    """Winnowing-style rolling fingerprint: min crc32 of char k-grams per
-    window, xor-folded — a deterministic 32-bit document sketch."""
-    t = text or ""
-    if len(t) < k:
-        return zlib.crc32(t.encode("utf-8"))
-    grams = np.fromiter((zlib.crc32(t[i : i + k].encode("utf-8")) for i in range(len(t) - k + 1)), dtype=np.int64)
-    if len(grams) < window:
-        return int(grams.min())
-    mins = np.lib.stride_tricks.sliding_window_view(grams, window).min(axis=1)
-    out = 0
-    for m in np.unique(mins):
-        out ^= int(m)
-    return out & 0xFFFFFFFF
 
 
 def bigram_repetition(text: str) -> tuple:
@@ -525,539 +500,3 @@ def segment_dedup(ds, seg_tokens: int = 16, text_col: str = "text", id_col: str 
         with_bucket(unioned, [id_col], num_buckets, in_schema=comb), per_bucket, out_schema, num_buckets
     )
     return sort_coalesced(out, id_col)
-
-
-def length_band_stats(ds, lo_q: float = 0.05, hi_q: float = 0.95,
-                      text_col: str = "text", group_col: str = "source",
-                      max_groups: int = 100_000):
-    """Per-group token-length percentile band filter (the CCNet/Gopher-style
-    "drop the freak-length tails" curation gate), reported as per-group
-    surviving counts: (group, kept, kept_tokens) for docs whose whitespace
-    token count lies in [p(lo_q), p(hi_q)] of their OWN group's length
-    distribution — each source's band adapts to that source's shape.
-
-    Scale shape: one pass computes (group, n_tokens) rows (whitespace
-    ``str.split()`` tokens); the exact per-group quantiles ship
-    through grouped_quantiles_cont's ONE keyed exchange; the thresholds
-    table is answer-sized (2 rows per group, loudly guarded at max_groups)
-    and rides into the filter pass as a closure broadcast — the filter then
-    emits per-batch PARTIAL (group, kept, kept_tokens) sums, so the final
-    exchange carries combiner output, never documents. Threshold floats are
-    round(6)-quantized on both engines (the hash-green grouped-quantiles
-    discipline); token counts are ints, so band membership is exact."""
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    from text_to_graph_ray.functions.quantiles import grouped_quantiles_cont
-
-    pair_schema = pa.schema([(group_col, pa.string()), ("n_tokens", pa.int64())])
-
-    def to_pairs(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pair_schema.empty_table()
-        toks = [len((t or "").split()) for t in b.column(text_col).to_pylist()]
-        return pa.table(
-            {group_col: pc.cast(b.column(group_col), pa.string()),
-             "n_tokens": pa.array(toks, type=pa.int64())},
-            schema=pair_schema,
-        )
-
-    pairs = ds.map_batches(to_pairs, batch_format="pyarrow")
-    qs = grouped_quantiles_cont(pairs, group_col, "n_tokens", [lo_q, hi_q]).materialize()
-    if qs.count() > 2 * max_groups:
-        raise ValueError(
-            f"length_band_stats: >{max_groups} groups — the thresholds table is no longer "
-            "answer-sized; raise max_groups deliberately or pre-bucket the group column"
-        )
-    th = qs.to_pandas()
-    lo = dict(zip(th[th["q"] == lo_q][group_col], th[th["q"] == lo_q]["value"]))
-    hi = dict(zip(th[th["q"] == hi_q][group_col], th[th["q"] == hi_q]["value"]))
-
-    part_schema = pa.schema([(group_col, pa.string()), ("kept", pa.int64()), ("kept_tokens", pa.int64())])
-
-    def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return part_schema.empty_table()
-        df = pd.DataFrame({group_col: b.column(group_col).to_pylist(),
-                           "n_tokens": b.column("n_tokens").to_numpy(zero_copy_only=False)})
-        n = df["n_tokens"].to_numpy(dtype=np.int64)
-        keep = (n >= df[group_col].map(lo).to_numpy(dtype=np.float64)) & (
-            n <= df[group_col].map(hi).to_numpy(dtype=np.float64)
-        )
-        g = (
-            df[keep]
-            .groupby(group_col, sort=False, as_index=False)["n_tokens"]
-            .agg(kept="size", kept_tokens="sum")
-        )
-        return pa.table(
-            {group_col: pa.array(g[group_col], type=pa.string()),
-             "kept": pa.array(g["kept"].to_numpy(dtype=np.int64), type=pa.int64()),
-             "kept_tokens": pa.array(g["kept_tokens"].to_numpy(dtype=np.int64), type=pa.int64())},
-            schema=part_schema,
-        )
-
-    partials = pairs.map_batches(partial, batch_format="pyarrow")
-
-    def finish(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return part_schema.empty_table()
-        g = (
-            b.to_pandas()
-            .groupby(group_col, sort=False, as_index=False)[["kept", "kept_tokens"]]
-            .sum()
-            .sort_values(group_col, kind="mergesort")
-        )
-        return pa.table(
-            {group_col: pa.array(g[group_col], type=pa.string()),
-             "kept": pa.array(g["kept"].to_numpy(dtype=np.int64), type=pa.int64()),
-             "kept_tokens": pa.array(g["kept_tokens"].to_numpy(dtype=np.int64), type=pa.int64())},
-            schema=part_schema,
-        )
-
-    return partials.repartition(1).map_batches(finish, batch_format="pyarrow", batch_size=None)
-
-
-LM_NLL_SCHEMA = pa.schema([("doc_id", pa.int64()), ("n_bigrams", pa.int64()), ("nll", pa.float64())])
-
-BG_SCHEMA = pa.schema([("doc_id", pa.int64()), ("bg", pa.string()), ("f", pa.string()), ("m", pa.int64())])
-
-
-def _explode_bigrams_rows(ids, texts):
-    """Per-row fallback: (doc_id, bg, f, m) lists for the given docs — THE
-    bigram contract (whitespace .split() tokens, adjacent pairs, per-doc
-    multiplicity)."""
-    doc_out, bg_out, f_out, m_out = [], [], [], []
-    for i, t in zip(ids, texts):
-        toks = (t or "").split()
-        if len(toks) < 2:
-            continue
-        local: dict = {}
-        for fw, tw in zip(toks, toks[1:]):
-            local[(fw, tw)] = local.get((fw, tw), 0) + 1
-        for (fw, tw), m in local.items():
-            doc_out.append(i)
-            bg_out.append(fw + "\x1f" + tw)
-            f_out.append(fw)
-            m_out.append(m)
-    return doc_out, bg_out, f_out, m_out
-
-
-def explode_bigrams_batch(b: pa.Table, text_col: str = "text", id_col: str = "doc_id") -> pa.Table:
-    """Vectorized ``_explode_bigrams_rows`` over a batch: Arrow whitespace
-    split + empty-edge-token filter (== str.split() for ASCII rows — empties
-    only occur at row edges because utf8_split_whitespace collapses runs, so
-    dropping them never bridges a false adjacency), exact dictionary codes,
-    one pandas int groupby for per-doc multiplicities, and the bigram
-    strings rebuilt from the dictionary only for the (distinct-per-batch)
-    output rows. Non-ASCII rows fall back to the per-row contract. Output
-    ROW ORDER differs from the per-row kernel; every consumer aggregates or
-    joins, so the difference is unobservable (differential test asserts
-    set-with-multiplicity equality).
-
-    Oversized batches are processed in <=8192-row slices: the per-doc
-    multiplicity reduction is doc-local, so slicing on row boundaries is
-    exact, and it keeps the packed-key unique() in the regime where it
-    beats the per-row kernel (measured 2.7x on a 100k-row single batch)."""
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    if b.num_rows == 0:
-        return BG_SCHEMA.empty_table()
-    if b.num_rows > 8192:
-        return pa.concat_tables([
-            explode_bigrams_batch(b.slice(off, 8192), text_col=text_col, id_col=id_col)
-            for off in range(0, b.num_rows, 8192)
-        ])
-    texts = b.column(text_col)
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    t = pc.fill_null(texts.cast(pa.string()), "")
-    ids = b.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False).astype(np.int64)
-    ascii_mask = pc.string_is_ascii(t).to_numpy(zero_copy_only=False)
-
-    parts = []
-    if ascii_mask.any():
-        ta = t.filter(pa.array(ascii_mask))
-        ids_a = ids[ascii_mask]
-        s = pc.utf8_split_whitespace(ta)
-        lens = pc.list_value_length(s).to_numpy(zero_copy_only=False).astype(np.int64)
-        flat = pc.list_flatten(s)
-        parent = np.repeat(np.arange(len(ids_a), dtype=np.int64), lens)
-        ne = pc.greater(pc.utf8_length(flat), 0).to_numpy(zero_copy_only=False)
-        parent_ne = parent[ne]
-        flat_ne = flat.filter(pa.array(ne))
-        if len(parent_ne) >= 2:
-            enc = pc.dictionary_encode(flat_ne)
-            if isinstance(enc, pa.ChunkedArray):
-                enc = enc.combine_chunks()
-            codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            adj = parent_ne[1:] == parent_ne[:-1]
-            if adj.any():
-                dd = parent_ne[:-1][adj]
-                ff = codes[:-1][adj]
-                tt = codes[1:][adj]
-                n_codes = int(codes.max()) + 1
-                if len(ids_a) <= (1 << 23) and n_codes <= (1 << 20):
-                    # pack (doc, f, t) into one int64 and np.unique it —
-                    # several times faster than a 3-key pandas groupby
-                    packed = (dd << np.int64(40)) | (ff << np.int64(20)) | tt
-                    uk, m = np.unique(packed, return_counts=True)
-                    d_u = (uk >> np.int64(40)).astype(np.int64)
-                    f_u = ((uk >> np.int64(20)) & np.int64(0xFFFFF)).astype(np.int64)
-                    t_u = (uk & np.int64(0xFFFFF)).astype(np.int64)
-                    m = m.astype(np.int64)
-                else:  # huge batch/vocab: exact pandas fallback
-                    g = (
-                        pd.DataFrame({"d": dd, "f": ff, "t": tt})
-                        .groupby(["d", "f", "t"], sort=False)
-                        .size()
-                    )
-                    d_u = g.index.get_level_values(0).to_numpy(dtype=np.int64)
-                    f_u = g.index.get_level_values(1).to_numpy(dtype=np.int64)
-                    t_u = g.index.get_level_values(2).to_numpy(dtype=np.int64)
-                    m = g.to_numpy(dtype=np.int64)
-                dict_arr = enc.dictionary
-                f_str = dict_arr.take(pa.array(f_u, type=pa.int64()))
-                t_str = dict_arr.take(pa.array(t_u, type=pa.int64()))
-                parts.append(pa.table({
-                    "doc_id": pa.array(ids_a[d_u], type=pa.int64()),
-                    "bg": pc.binary_join_element_wise(f_str, t_str, "\x1f"),
-                    "f": f_str,
-                    "m": pa.array(m, type=pa.int64()),
-                }, schema=BG_SCHEMA))
-    if (~ascii_mask).any():
-        tf = t.filter(pa.array(~ascii_mask)).to_pylist()
-        doc_out, bg_out, f_out, m_out = _explode_bigrams_rows(ids[~ascii_mask].tolist(), tf)
-        parts.append(pa.table({
-            "doc_id": pa.array(doc_out, type=pa.int64()),
-            "bg": pa.array(bg_out, type=pa.string()),
-            "f": pa.array(f_out, type=pa.string()),
-            "m": pa.array(m_out, type=pa.int64()),
-        }, schema=BG_SCHEMA))
-    if not parts:
-        return BG_SCHEMA.empty_table()
-    return pa.concat_tables(parts)
-
-
-def bigram_lm_nll(ds, text_col: str = "text", id_col: str = "doc_id",
-                  counts_broadcast_max: int = 2_000_000, num_buckets: int = 64):
-    """Per-document bigram language-model score — the CCNet/Gopher-style
-    perplexity quality filter, self-trained on the corpus: fit a Laplace-
-    smoothed bigram LM over the whole corpus (whitespace tokens, the
-    established contract) in one counting pass, then score every document's
-    mean negative log2-likelihood per bigram:
-
-        p(w_i | w_{i-1}) = (c(w_{i-1} w_i) + 1) / (c(w_{i-1} ·) + V)
-        nll = -(Σ round(log2(p)·1e9)) / 1e9 / n_bigrams        (round 6)
-
-    with V = distinct token types corpus-wide. Quantizing each bigram term
-    to int64 BEFORE summing makes the per-doc sum order- and plan-
-    independent, so the broadcast
-    and exchange scoring paths are bit-identical. Docs with < 2 tokens
-    score (0, 0.0).
-
-    Scale shape: the counting pass pre-combines bigram multiplicities per
-    batch, so the count exchange carries (bigram, partial) rows; scoring
-    attaches c(fw) and c(f·) via ``joins.lookup_join`` — ONE collected,
-    key-sorted broadcast per table while counts fit
-    ``counts_broadcast_max`` rows, a side-tagged bucketed exchange past it
-    (lookup_join's own equivalence-tested fallback); the per-doc reduce is
-    a combiner-first keyed sum. Returns (doc_id, n_bigrams, nll) sorted."""
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    from text_to_graph_ray.functions.agg import bucketed_aggregate, distinct_rows
-    from text_to_graph_ray.functions.joins import lookup_join
-    from text_to_graph_ray.util import sort_coalesced
-
-    bg_schema = pa.schema([("doc_id", pa.int64()), ("bg", pa.string()), ("f", pa.string()), ("m", pa.int64())])
-    tok_schema = pa.schema([("tok", pa.string())])
-
-    def explode_bigrams(b: pa.Table) -> pa.Table:
-        return explode_bigrams_batch(b, text_col=text_col, id_col=id_col)
-
-    def explode_tokens(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return tok_schema.empty_table()
-        s = pc.utf8_split_whitespace(pc.fill_null(b.column(text_col).cast(pa.string()), ""))
-        flat = pc.list_flatten(s)
-        flat = flat.filter(pc.greater(pc.utf8_length(flat), 0))
-        return pa.table({"tok": flat}, schema=tok_schema)
-
-    docbg = ds.map_batches(explode_bigrams, batch_format="pyarrow").materialize()
-
-    # corpus model: bigram counts, context counts, vocabulary size
-    c_bg = bucketed_aggregate(docbg.select_columns(["bg", "m"]), "bg", {"c_fw": ("m", "sum")},
-                              out_schema=pa.schema([("bg", pa.string()), ("c_fw", pa.int64())]),
-                              num_buckets=num_buckets)
-    c_f = bucketed_aggregate(docbg.select_columns(["f", "m"]), "f", {"c_f": ("m", "sum")},
-                             out_schema=pa.schema([("f", pa.string()), ("c_f", pa.int64())]),
-                             num_buckets=num_buckets)
-    vocab = distinct_rows(ds.map_batches(explode_tokens, batch_format="pyarrow"), ["tok"], tok_schema)
-    v_size = vocab.count()
-
-    scored = lookup_join(docbg, c_bg, key="bg", cols=["c_fw"], broadcast_max=counts_broadcast_max,
-                         num_buckets=num_buckets)
-    scored = lookup_join(scored, c_f, key="f", cols=["c_f"], broadcast_max=counts_broadcast_max,
-                         num_buckets=num_buckets)
-
-    part_schema = pa.schema([("doc_id", pa.int64()), ("sq", pa.int64()), ("nb", pa.int64())])
-
-    def term_partials(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return part_schema.empty_table()
-        m = b.column("m").to_numpy(zero_copy_only=False).astype(np.int64)
-        c_fw = b.column("c_fw").to_numpy(zero_copy_only=False).astype(np.float64)
-        cf = b.column("c_f").to_numpy(zero_copy_only=False).astype(np.float64)
-        q = np.rint(np.log2((c_fw + 1.0) / (cf + np.float64(v_size))) * 1e9).astype(np.int64)
-        g = pd.DataFrame({"doc_id": b.column("doc_id").to_numpy(zero_copy_only=False),
-                          "sq": q * m, "nb": m}).groupby("doc_id", sort=False, as_index=False).sum()
-        return pa.table({"doc_id": pa.array(g["doc_id"].to_numpy(dtype=np.int64), type=pa.int64()),
-                         "sq": pa.array(g["sq"].to_numpy(dtype=np.int64), type=pa.int64()),
-                         "nb": pa.array(g["nb"].to_numpy(dtype=np.int64), type=pa.int64())}, schema=part_schema)
-
-    def doc_zero(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return part_schema.empty_table()
-        n = b.num_rows
-        return pa.table({"doc_id": pc.cast(b.column(id_col), pa.int64()),
-                         "sq": pa.array(np.zeros(n, dtype=np.int64), type=pa.int64()),
-                         "nb": pa.array(np.zeros(n, dtype=np.int64), type=pa.int64())}, schema=part_schema)
-
-    partials = scored.map_batches(term_partials, batch_format="pyarrow").union(
-        ds.map_batches(doc_zero, batch_format="pyarrow")
-    )
-    sums = bucketed_aggregate(partials, "doc_id", {"sq": ("sq", "sum"), "nb": ("nb", "sum")},
-                              out_schema=pa.schema([("doc_id", pa.int64()), ("sq", pa.int64()), ("nb", pa.int64())]),
-                              num_buckets=num_buckets)
-
-    def finish(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return LM_NLL_SCHEMA.empty_table()
-        sq = b.column("sq").to_numpy(zero_copy_only=False).astype(np.int64)
-        nb = b.column("nb").to_numpy(zero_copy_only=False).astype(np.int64)
-        safe = np.maximum(nb, 1).astype(np.float64)
-        nll = np.where(nb > 0, -(sq.astype(np.float64) / 1e9) / safe, 0.0)
-        nll = np.asarray([round(float(x), 6) for x in nll], dtype=np.float64)
-        return pa.table({"doc_id": b.column("doc_id"),
-                         "n_bigrams": pa.array(nb, type=pa.int64()),
-                         "nll": pa.array(nll, type=pa.float64())}, schema=LM_NLL_SCHEMA)
-
-    return sort_coalesced(sums.map_batches(finish, batch_format="pyarrow"), "doc_id")
-
-
-def naive_bayes_classify(ds, label_col: str = "lang", text_col: str = "text",
-                         id_col: str = "doc_id", test_mod: int = 5,
-                         scale: int = 10**12, num_buckets: int = 64):
-    """Distributed multinomial Naive Bayes: train on docs with
-    ``id % test_mod != 0``, classify the held-out rest — the lang-ID /
-    domain-classifier training loop a curation pipeline runs at corpus
-    scale. Returns (doc_id, lang, pred, correct) for every test doc.
-
-    Float discipline: every log term is quantized ONCE to int64
-    (``round(log(p)·scale)``) so per-doc scores are integer sums —
-    order-independent, partition-invariant, and exactly reproducible by the
-    naive single-threaded oracle (same np.log in the same environment; no
-    cross-libm drift because the oracle is expected.py, not SQL libm).
-    argmax tie-break: (score desc, class asc), exact on ints.
-
-    Scale shape: the MODEL never funnels through the driver — per-(class,
-    token) combiner partials -> one bucketed sum -> a token-keyed pivot to
-    wide per-class weight columns; classification joins the exploded test
-    token counts to the weight table via ``lookup_join`` (guarded broadcast
-    under its row cap, bucketed left-merge past it — both plans inherit
-    lookup_join's equivalence guarantee), then ONE doc-keyed sum per class.
-    Only answer-sized facts (class list, per-class totals, vocab size) ever
-    reach the driver. Empty/all-unseen docs still classify (prior +
-    per-token unseen mass via null coalesce)."""
-    from collections import Counter
-
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from text_to_graph_ray.functions.agg import bucketed_aggregate
-    from text_to_graph_ray.functions.joins import lookup_join
-    from text_to_graph_ray.util import sort_coalesced
-
-    pair_schema = pa.schema([(label_col, pa.string()), ("token", pa.string()), ("n", pa.int64())])
-
-    def train_pairs(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pair_schema.empty_table()
-        ids = b.column(id_col).to_pylist()
-        c: Counter = Counter()
-        for i, g, t in zip(ids, b.column(label_col).to_pylist(), b.column(text_col).to_pylist()):
-            if i % test_mod == 0:
-                continue
-            for tok in (t or "").split():
-                c[(g, tok)] += 1
-        items = sorted(c.items())
-        return pa.table({
-            label_col: pa.array([g for (g, _), _ in items], type=pa.string()),
-            "token": pa.array([tok for (_, tok), _ in items], type=pa.string()),
-            "n": pa.array([v for _, v in items], type=pa.int64()),
-        }, schema=pair_schema)
-
-    counts = bucketed_aggregate(
-        ds.map_batches(train_pairs, batch_format="pyarrow"), [label_col, "token"],
-        {"n": ("n", "sum")}, out_schema=pair_schema, num_buckets=num_buckets, in_schema=pair_schema,
-    ).materialize()
-
-    # answer-sized model facts: class list, per-class token totals, |V|,
-    # per-class train-doc counts (combiner partials, driver folds ints)
-    tot_schema = pa.schema([(label_col, pa.string()), ("nc", pa.int64()), ("nv", pa.int64())])
-    per_class = bucketed_aggregate(counts, label_col, {"nc": ("n", "sum"), "nv": ("n", "size")},
-                                   out_schema=tot_schema, num_buckets=num_buckets,
-                                   in_schema=pair_schema).take_all()
-    classes = sorted(r[label_col] for r in per_class)
-    n_class_tokens = {r[label_col]: int(r["nc"]) for r in per_class}
-    vocab_size = sum(int(r["nv"]) for r in per_class)  # (class, token) rows
-    # |V| = distinct tokens, not (class, token) rows — count them exactly
-    vocab_size = counts.map_batches(
-        lambda t: pa.table({"token": pc.unique(t.column("token"))}) if t.num_rows
-        else pa.schema([("token", pa.string())]).empty_table(),
-        batch_format="pyarrow",
-    )
-    from text_to_graph_ray.functions.agg import distinct_rows
-
-    vocab_size = distinct_rows(vocab_size, ["token"], pa.schema([("token", pa.string())]),
-                               num_buckets=num_buckets).count()
-
-    doc_cnt_schema = pa.schema([(label_col, pa.string()), ("docs", pa.int64())])
-
-    def train_doc_counts(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return doc_cnt_schema.empty_table()
-        ids = np.asarray(b.column(id_col).to_pylist(), dtype=np.int64)
-        keep = (ids % test_mod) != 0
-        labs = np.asarray(b.column(label_col).to_pylist(), dtype=object)[keep]
-        u, cnt = np.unique(labs, return_counts=True)
-        return pa.table({label_col: pa.array(list(u), type=pa.string()),
-                         "docs": pa.array(cnt.astype(np.int64), type=pa.int64())}, schema=doc_cnt_schema)
-
-    doc_rows = ds.map_batches(train_doc_counts, batch_format="pyarrow").take_all()
-    docs_per_class: dict = {}
-    for r in doc_rows:
-        docs_per_class[r[label_col]] = docs_per_class.get(r[label_col], 0) + int(r["docs"])
-    total_train_docs = sum(docs_per_class.values())
-    if not classes:
-        out_schema = pa.schema([(id_col, pa.int64()), (label_col, pa.string()),
-                                ("pred", pa.string()), ("correct", pa.int64())])
-        import ray.data as rd
-
-        return rd.from_arrow(out_schema.empty_table())
-
-    def q(x: float) -> int:
-        return int(np.round(np.log(x) * scale))
-
-    priors = {c: q(docs_per_class[c] / total_train_docs) for c in classes}
-    unseen = {c: q(1.0 / (n_class_tokens[c] + vocab_size)) for c in classes}
-    wcols = [f"w_{c}" for c in classes]
-
-    # pivot the (class, token, n) model to wide per-token weight columns:
-    # one token-keyed exchange, weights quantized vectorized per bucket
-    wide_schema = pa.schema([("token", pa.string())] + [(w, pa.int64()) for w in wcols])
-
-    def pivot_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return wide_schema.empty_table()
-        labs = np.asarray(t.column(label_col).to_pylist(), dtype=object)
-        n = t.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
-        cols = {"token": t.column("token")}
-        for c, w in zip(classes, wcols):
-            m = labs == c
-            nc = np.where(m, n, 0)
-            # quantized log((cnt+1)/(Nc+V)); rows of other classes carry the
-            # class's UNSEEN weight so the per-token max/sum pivot keeps it
-            cols[w] = pa.array(np.round(
-                np.log((nc + 1.0) / (n_class_tokens[c] + vocab_size)) * scale
-            ).astype(np.int64), type=pa.int64())
-        return pa.table(cols, schema=wide_schema)
-
-    model = bucketed_aggregate(
-        counts.map_batches(pivot_partial, batch_format="pyarrow"), "token",
-        {w: (w, "max") for w in wcols},  # per (token, class) one real row; others hold unseen (the min)
-        out_schema=wide_schema, num_buckets=num_buckets, in_schema=wide_schema,
-    )
-
-    # exploded test token counts (per-doc combiner)
-    ex_schema = pa.schema([(id_col, pa.int64()), ("token", pa.string()), ("cnt", pa.int64())])
-
-    def explode_test(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return ex_schema.empty_table()
-        ids, toks, cnts = [], [], []
-        for i, t in zip(b.column(id_col).to_pylist(), b.column(text_col).to_pylist()):
-            if i % test_mod != 0:
-                continue
-            for tok, cnt in sorted(Counter((t or "").split()).items()):
-                ids.append(i)
-                toks.append(tok)
-                cnts.append(cnt)
-        return pa.table({id_col: pa.array(ids, type=pa.int64()),
-                         "token": pa.array(toks, type=pa.string()),
-                         "cnt": pa.array(cnts, type=pa.int64())}, schema=ex_schema)
-
-    exploded = ds.map_batches(explode_test, batch_format="pyarrow")
-    j = lookup_join(exploded, model, key="token", cols=wcols)
-
-    score_schema = pa.schema([(id_col, pa.int64())] + [(f"s_{c}", pa.int64()) for c in classes])
-
-    def term_scores(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return score_schema.empty_table()
-        cnt = t.column("cnt").to_numpy(zero_copy_only=False).astype(np.int64)
-        cols = {id_col: t.column(id_col)}
-        for c, w in zip(classes, wcols):
-            # a token absent from the TRAIN vocabulary joins NULL: it carries
-            # the class's unseen mass, same as the naive oracle
-            wv = pc.fill_null(pc.cast(t.column(w), pa.int64()), unseen[c]).to_numpy(zero_copy_only=False).astype(np.int64)
-            cols[f"s_{c}"] = pa.array(cnt * wv, type=pa.int64())
-        return pa.table(cols, schema=score_schema)
-
-    scores = bucketed_aggregate(
-        j.map_batches(term_scores, batch_format="pyarrow"), id_col,
-        {f"s_{c}": (f"s_{c}", "sum") for c in classes},
-        out_schema=score_schema, num_buckets=num_buckets, in_schema=score_schema,
-    )
-
-    # attach the true label (and keep token-less test docs): LEFT join the
-    # test metadata to the scores
-    meta_schema = pa.schema([(id_col, pa.int64()), (label_col, pa.string())])
-
-    def test_meta(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return meta_schema.empty_table()
-        ids = np.asarray(b.column(id_col).to_pylist(), dtype=np.int64)
-        keep = (ids % test_mod) == 0
-        return pa.table({id_col: pa.array(ids[keep], type=pa.int64()),
-                         label_col: pa.array(np.asarray(b.column(label_col).to_pylist(), dtype=object)[keep],
-                                             type=pa.string())}, schema=meta_schema)
-
-    meta = ds.map_batches(test_meta, batch_format="pyarrow")
-    enriched = lookup_join(meta, scores, key=id_col, cols=[f"s_{c}" for c in classes])
-
-    out_schema = pa.schema([(id_col, pa.int64()), (label_col, pa.string()),
-                            ("pred", pa.string()), ("correct", pa.int64())])
-
-    def finish(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        n = t.num_rows
-        mat = np.empty((n, len(classes)), dtype=np.int64)
-        for ci, c in enumerate(classes):
-            # a token-less test doc joins NULL scores: prior-only prediction
-            vals = pc.fill_null(pc.cast(t.column(f"s_{c}"), pa.int64()), 0).to_numpy(zero_copy_only=False).astype(np.int64)
-            mat[:, ci] = vals + priors[c]
-        # argmax with (score desc, class asc): classes are sorted, and
-        # np.argmax returns the FIRST max — exactly the asc tie-break
-        best = np.argmax(mat, axis=1)
-        preds = np.asarray(classes, dtype=object)[best]
-        true = np.asarray(t.column(label_col).to_pylist(), dtype=object)
-        return pa.table({
-            id_col: t.column(id_col), label_col: t.column(label_col),
-            "pred": pa.array(list(preds), type=pa.string()),
-            "correct": pa.array((preds == true).astype(np.int64), type=pa.int64()),
-        }, schema=out_schema)
-
-    return sort_coalesced(enriched.map_batches(finish, batch_format="pyarrow"), id_col)

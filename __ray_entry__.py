@@ -86,9 +86,9 @@ def _q_kg_nodes(sf_dir):
 def _q_kg_nodes_incremental(sf_dir):
     """Incremental KG maintenance equals a full rebuild: the corpus splits
     into two increments (crc32(path) parity), each increment extracts +
-    canonicalizes INDEPENDENTLY (linking disabled per increment), the packed
-    merged graphs union through ONE re-merge exchange (kg.merge_increment),
-    and linking runs once on the combined vocabulary. Shares kg_nodes'
+    canonicalizes INDEPENDENTLY (linking disabled per increment), and the
+    packed merged graphs union, link once and re-merge through ONE exchange
+    (kg.merge_increment). Shares kg_nodes'
     oracle — the value hash proves merge(A) + merge(B) == merge(A u B)."""
     import zlib
 
@@ -113,7 +113,7 @@ def _q_kg_nodes_incremental(sf_dir):
         kg.merged_graph(kg.keyed_records(kg.extract_chain(half(p), nolink), nolink), nolink)
         for p in (0, 1)
     ]
-    merged = kg.merge_increment(parts, PipelineConfig(link_aliases=True), delta=True)
+    merged = kg.merge_increment(parts, PipelineConfig(link_aliases=True))
     nodes = kg.nodes_from_merged(merged).to_pandas()
     return nodes[["entity_id", "entity_key", "label", "types_packed", "repos_packed"]]
 
@@ -145,7 +145,7 @@ def _q_kg_triples_incremental(sf_dir):
         kg.merged_graph(kg.keyed_records(kg.extract_chain(half(p), nolink), nolink), nolink)
         for p in (0, 1)
     ]
-    merged = kg.merge_increment(parts, PipelineConfig(link_aliases=True), delta=True)
+    merged = kg.merge_increment(parts, PipelineConfig(link_aliases=True))
     edges = kg.edges_from_merged(merged).to_pandas()
     return edges[["src_key", "pred", "dst_key", "repos_packed"]]
 

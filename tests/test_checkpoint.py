@@ -160,3 +160,30 @@ def test_no_resume_drops_other_inputs_partitions(ray_session, tmp_path):
     assert r == clean
     assert _read_sorted(f"{out}/nodes").equals(_read_sorted(f"{tmp_path}/clean/nodes"))
     assert _read_sorted(f"{out}/edges").equals(_read_sorted(f"{tmp_path}/clean/edges"))
+
+
+def test_counters_read_the_compacted_snapshot_once(tmp_path, monkeypatch):
+    """``counters`` over a compacted stage of 2,560 partitions opens
+    ``compacted.json`` once, not once per partition, and the individual rows
+    written after the compaction still win over the snapshot's."""
+    import builtins
+
+    from text_to_graph_ray.state.checkpoint import CheckpointStore
+
+    store = CheckpointStore(str(tmp_path), "cfg")
+    for p in range(2560):
+        store.mark_done("records", p, rows=p)
+    store.compact()
+    store.mark_done("records", 7, rows=-1)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(os.path.basename(str(path)))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    got = store.counters("records")
+    monkeypatch.undo()
+    assert opened.count("compacted.json") == 1
+    assert len(got) == 2560 and got[7]["rows"] == -1 and got[9]["rows"] == 9

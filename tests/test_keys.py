@@ -1,3 +1,6 @@
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from text_to_graph_ray.keys import (
     containment_triples,
     entity_key,
@@ -54,3 +57,17 @@ def test_resolve_alias_no_match_or_ambiguous():
     # dot-boundary: 'xmod7' must not match suffix 'mod7'
     idx2 = {"f": {"src.xmod7"}}
     assert resolve_alias("mod7.f", idx2) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.text(alphabet=st.characters(blacklist_categories=("Cs",)))), max_size=20))
+@example(["İ", "Iİ", "ΑΣ", "Σ", " x|Y ", None, ""])
+def test_entity_key_array_matches_entity_key(labels):
+    """The vectorized key over a record column equals ``entity_key`` per
+    label, so a mention's key is always its label's own key."""
+    import pyarrow as pa
+
+    from text_to_graph_ray.stages.linker import entity_key_array
+
+    got = entity_key_array(pa.array(labels, type=pa.string())).to_pylist()
+    assert got == [None if x is None else entity_key(x) for x in labels]

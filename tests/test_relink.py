@@ -1,6 +1,7 @@
-"""The broadcast relink pass re-merges only the affected slice of the merged
-vocabulary; these tests pin that slice rule against a full re-merge of the
-same linker output, plus the repo-separator guard of the merge kernel."""
+"""Alias linking runs on the combiner partials, before the one
+canonicalization exchange; these tests pin that plan against a naive mirror
+that merges first, links the merged vocabulary and merges again, plus the
+repo-separator guard of the merge kernel."""
 
 import pandas as pd
 import pyarrow as pa
@@ -26,45 +27,53 @@ REEXPORTS = [("pkg.f", "m.f"), ("x.g", "y.g"), ("y.g", "x.g"), ("q.h", "util.h")
 REPOS = ["r1", "r2", "r3"]
 
 
-def _merged_vocabulary(nodes, edges, defs) -> pa.Table:
-    """A valid merged graph (one row per merge identity): raw partial rows
-    through the merge kernel."""
+def _partials(nodes, edges, defs) -> pa.Table:
+    """Partial rows in the merged-row schema, as ``combined_partials`` emits
+    them: every node label is one whose own key is its ``k1``."""
     rows = (
         [("n", k, lbl, typ, repo) for k, lbl, typ, repo in nodes]
         + [("e", s, p, d, repo) for s, p, d, repo in edges]
         + [("d", name, mod, "", "") for name, mod in defs]
     )
-    return merge_bucket(pd.DataFrame(rows, columns=MERGED_COLS))
+    return pa.Table.from_pandas(pd.DataFrame(rows, columns=MERGED_COLS), preserve_index=False).replace_schema_metadata(None)
 
 
 def _sorted(df: pd.DataFrame) -> pd.DataFrame:
     return df[MERGED_COLS].sort_values(MERGED_COLS).reset_index(drop=True)
 
 
-def _relink_and_oracle(merged: pa.Table, reexports: dict):
-    """(relink_merged output, _remerge_all over the same MergedLinker output)."""
+def _link_and_oracle(parts: pa.Table, rx: list):
+    """(link_merged on the partials -> the exchange, as a DataFrame; the
+    naive mirror merge -> MergedLinker -> merge over the same partials)."""
     import ray.data as rd
 
     from text_to_graph_ray.pipelines import kg
     from text_to_graph_ray.stages.linker import MergedLinker
 
+    cfg = PipelineConfig(num_partitions=4, reexports=tuple(rx))
+    got = kg._canonicalize(kg.link_merged(rd.from_arrow(parts).repartition(3).materialize(), cfg)).to_pandas()
+    merged = merge_bucket(parts.to_pandas())
     is_def = pc.equal(merged.column("kind"), "d")
-    defs = merged.filter(is_def).select(["k1", "k2"])
-    ds = rd.from_arrow(merged).repartition(3)
-    got = kg.relink_merged(ds, defs, CFG, reexports=reexports)
-    linked = MergedLinker(defs_idx=defs, reexports=reexports)(merged.filter(pc.invert(is_def)))
-    want = kg._remerge_all(rd.from_arrow(linked.drop_columns(["changed"])), CFG)
-    return got, want
+    linker = MergedLinker(defs_idx=merged.filter(is_def).select(["k1", "k2"]), reexports=close_reexports(dict(rx)))
+    want = merge_bucket(linker(merged.filter(pc.invert(is_def))).drop_columns(["changed"]).to_pandas())
+    return got, want.to_pandas()
 
 
-def _with_twins(rows, twin_flags, endpoints):
-    """Each flagged row gains a twin whose endpoint keys are cut to their
-    last segment — the key a resolved alias lands on — so re-keyed rows
-    often collide with rows that did not change."""
+def _assert_sink_order(df: pd.DataFrame) -> None:
+    nodes = list(df.loc[df["kind"] == "n", "k1"])
+    edges = list(df.loc[df["kind"] == "e", ["k1", "k2", "k3"]].itertuples(index=False, name=None))
+    assert nodes == sorted(nodes) and len(set(nodes)) == len(nodes)
+    assert edges == sorted(edges) and len(set(edges)) == len(edges)
+
+
+def _with_twins(rows, twin_flags, cut):
+    """Each flagged row gains a twin whose columns in ``cut`` are cut to
+    their last segment — the key a resolved alias lands on — so rewritten
+    rows often collide with rows that did not change."""
     out = list(rows)
     for row, twin in zip(rows, twin_flags):
         if twin:
-            out.append(tuple(v.rsplit(".", 1)[-1] if i in endpoints else v for i, v in enumerate(row)))
+            out.append(tuple(v.rsplit(".", 1)[-1] if i in cut else v for i, v in enumerate(row)))
     return out
 
 
@@ -83,60 +92,63 @@ edge_rows = st.tuples(
     defs=st.lists(st.sampled_from(DEFS), max_size=5),
     rx=st.lists(st.sampled_from(REEXPORTS), max_size=4),
 )
-def test_relink_slice_equals_full_remerge(ray_session, nodes, edges, defs, rx):
-    merged = _merged_vocabulary(
-        _with_twins([r for r, _ in nodes], [t for _, t in nodes], {0}),
+def test_link_then_merge_equals_merge_link_merge(ray_session, nodes, edges, defs, rx):
+    parts = _partials(
+        _with_twins([r for r, _ in nodes], [t for _, t in nodes], {0, 1}),
         _with_twins([r for r, _ in edges], [t for _, t in edges], {0, 2}),
         defs,
     )
-    got, want = _relink_and_oracle(merged, close_reexports(dict(rx)))
-    assert _sorted(got.to_pandas()).equals(_sorted(want.to_pandas()))
+    got, want = _link_and_oracle(parts, rx)
+    assert _sorted(got).equals(_sorted(want))
+    _assert_sink_order(got)
 
 
 def test_rekeyed_edge_collides_with_unchanged_edge(ray_session):
-    """main->m.g re-keys onto main->g, which did not change and is tagged
-    only because its dst is a rewrite target: the two merge into one edge."""
-    merged = _merged_vocabulary(
+    """main->m.g re-keys onto main->g, which did not change: the two merge
+    into one edge."""
+    parts = _partials(
         nodes=[("main", "main", "function", "r1"), ("m.g", "m.g", "", "r1"), ("g", "g", "function", "r2")],
         edges=[("main", "calls", "m.g", "r1"), ("main", "calls", "g", "r2")],
         defs=[("g", "m")],
     )
-    got, want = _relink_and_oracle(merged, {})
-    edges = got.to_pandas().query("kind == 'e'")
+    got, want = _link_and_oracle(parts, [])
+    edges = got.query("kind == 'e'")
     assert list(zip(edges["k3"], edges["repos_packed"])) == [("g", "r1|r2")]
-    assert _sorted(got.to_pandas()).equals(_sorted(want.to_pandas()))
+    assert _sorted(got).equals(_sorted(want))
 
 
 def test_targets_present_but_nothing_changes(ray_session):
-    """Every defined name is a vocabulary key (so the slice is non-empty),
-    but no dotted key resolves: the relinked graph is the input minus its
-    def rows."""
-    merged = _merged_vocabulary(
+    """Every defined name is a key, but no dotted key resolves: the linked
+    graph is the merged partials minus their def rows."""
+    parts = _partials(
         nodes=[("f", "F", "function", "r1"), ("main", "main", "function", "r2"), ("m.f", "m.f", "", "r2")],
         edges=[("main", "calls", "f", "r2"), ("main", "calls", "m.f", "r1")],
         defs=[("f", "a.m"), ("f", "b.m")],
     )
-    got, want = _relink_and_oracle(merged, {})
+    got, want = _link_and_oracle(parts, [])
+    merged = merge_bucket(parts.to_pandas())
     nd = merged.filter(pc.invert(pc.equal(merged.column("kind"), "d"))).to_pandas()
-    assert _sorted(got.to_pandas()).equals(_sorted(nd))
-    assert _sorted(want.to_pandas()).equals(_sorted(nd))
+    assert _sorted(got).equals(_sorted(nd))
+    assert _sorted(want).equals(_sorted(nd))
 
 
 def test_reexports_matching_nothing_keep_merged_schema(ray_session):
-    """An empty affected slice still yields the merged schema, and the
-    sinks read it."""
+    """Re-exports that rewrite nothing still yield the merged schema, and
+    the sinks read it."""
+    import ray.data as rd
+
     from text_to_graph_ray.pipelines import kg
 
-    merged = _merged_vocabulary(
+    parts = _partials(
         nodes=[("main", "main", "function", "r1"), ("g", "g", "function", "r1")],
         edges=[("main", "calls", "g", "r1")],
         defs=[],
     )
-    got, want = _relink_and_oracle(merged, close_reexports({"zz.q": "yy.q"}))
+    cfg = PipelineConfig(num_partitions=4, reexports=(("zz.q", "yy.q"),))
+    got = kg._canonicalize(kg.link_merged(rd.from_arrow(parts), cfg))
     assert got.schema().names == MERGED_COLS
-    assert _sorted(got.to_pandas()).equals(_sorted(merged.to_pandas()))
-    assert _sorted(want.to_pandas()).equals(_sorted(merged.to_pandas()))
-    assert sorted(kg.nodes_from_merged(got).to_pandas()["entity_key"]) == ["g", "main"]
+    assert _sorted(got.to_pandas()).equals(_sorted(parts.to_pandas()))
+    assert list(kg.nodes_from_merged(got).to_pandas()["entity_key"]) == ["g", "main"]
     assert kg.edges_from_merged(got).count() == 1
 
 

@@ -307,11 +307,12 @@ def test_link_pruning_matches_distributed_no_candidate_defs(ray_session, tmp_pat
 def test_pruned_defs_table_keeps_only_probed_names(ray_session, tmp_path):
     """defs_table_from_merged(names=...) is a semi-join: only def rows whose
     name is a probed dotted last-segment survive — and linking with the
-    pruned table equals linking with the full one."""
+    pruned table equals linking with the full one. Built without linking,
+    so the merged graph keeps its def rows."""
     from text_to_graph_ray.config import PipelineConfig
     from text_to_graph_ray.pipelines import kg
 
-    cfg = PipelineConfig(num_partitions=4)
+    cfg = PipelineConfig(num_partitions=4, link_aliases=False)
     # util.helper is a dotted call whose last segment matches a def in module
     # suffix 'util'; standalone() is defined but never dotted-called
     p = _write_corpus(
@@ -337,8 +338,8 @@ def test_pruned_defs_table_keeps_only_probed_names(ray_session, tmp_path):
     assert set(pruned.column("k1").to_pylist()) <= set(names.to_pylist())
     assert "helper" in set(pruned.column("k1").to_pylist())
 
-    got_p = kg.relink_merged(merged, pruned, cfg).to_pandas()
-    got_f = kg.relink_merged(merged, full, cfg).to_pandas()
+    got_p = kg.relink_merged(merged, pruned).to_pandas()
+    got_f = kg.relink_merged(merged, full).to_pandas()
     cols = ["kind", "k1", "k2", "k3"]
     assert _sorted(got_p, cols).equals(_sorted(got_f, cols))
     # the alias actually rewrote: no 'util.helper' key survives

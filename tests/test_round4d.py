@@ -186,9 +186,7 @@ class TestMergeIncrement:
         def build(ds, cfg):
             return kg.merged_graph(kg.keyed_records(kg.extract_chain(ds, cfg), cfg), cfg)
 
-        full = kg.nodes_from_merged(
-            kg.link_merged(build(self._mk_files(rows), nolink), full_cfg)
-        ).to_pandas()
+        full = kg.nodes_from_merged(build(self._mk_files(rows), full_cfg)).to_pandas()
         parts = [build(self._mk_files(rows[i::3]), nolink) for i in range(3)]
         inc = kg.nodes_from_merged(kg.merge_increment(parts, full_cfg)).to_pandas()
         pd.testing.assert_frame_equal(full.reset_index(drop=True), inc.reset_index(drop=True))

@@ -392,105 +392,6 @@ class TestCheckpointCompactionAndGC:
         assert sorted(os.listdir(f"{out}/checkpoints")) == [c2.config_hash()]
 
 
-class TestDeltaScopedIncrementalMerge:
-    """VERDICT r4 #6: merge_increment(delta=True) scopes the re-merge
-    exchange to identities the increment touches; untouched base rows
-    stream through. Must be hash-identical to the full plan — including
-    with linking, with the guard tripped, and on overlapping key sets."""
-
-    def _mk_files(self, rows):
-        import ray
-
-        return ray.data.from_arrow(pa.table({
-            "repo": pa.array([r[0] for r in rows]),
-            "path": pa.array([r[1] for r in rows]),
-            "lang": pa.array(["python"] * len(rows)),
-            "content": pa.array([r[2] for r in rows]),
-        }))
-
-    def _build(self, rows, cfg):
-        from text_to_graph_ray.pipelines import kg
-
-        ds = self._mk_files(rows)
-        return kg.merged_graph(kg.keyed_records(kg.extract_chain(ds, cfg), cfg), cfg)
-
-    def test_delta_equals_full_with_linking(self, ray_session):
-        from text_to_graph_ray.config import PipelineConfig
-        from text_to_graph_ray.pipelines import kg
-
-        # base and increment SHARE entities (f0..f8 call-chain wraps) and the
-        # increment adds new defs that must rewrite base mentions via linking
-        base_rows = [
-            ("r1", f"m{i}.py", f"import os\n\ndef f{i}():\n    g{(i + 1) % 9}()\n")
-            for i in range(9)
-        ]
-        inc_rows = [
-            ("r2", "new.py", "import os\n\ndef g1():\n    f0()\n"),
-            ("r2", "new2.py", "def brand_new():\n    g1()\n"),
-        ]
-        full_cfg = PipelineConfig(link_aliases=True)
-        nolink = PipelineConfig(link_aliases=False)
-        parts = [self._build(base_rows, nolink), self._build(inc_rows, nolink)]
-
-        full_nodes = kg.nodes_from_merged(kg.merge_increment(parts, full_cfg)).to_pandas()
-        full_edges = kg.edges_from_merged(kg.merge_increment(parts, full_cfg)).to_pandas()
-        delta_m = kg.merge_increment(parts, full_cfg, delta=True)
-        import pandas as pd
-
-        pd.testing.assert_frame_equal(
-            kg.nodes_from_merged(delta_m).to_pandas().reset_index(drop=True),
-            full_nodes.reset_index(drop=True),
-        )
-        pd.testing.assert_frame_equal(
-            kg.edges_from_merged(delta_m).to_pandas().reset_index(drop=True),
-            full_edges.reset_index(drop=True),
-        )
-
-    def test_guard_zero_forces_full_plan_same_result(self, ray_session):
-        import pandas as pd
-
-        from text_to_graph_ray.config import PipelineConfig
-        from text_to_graph_ray.pipelines import kg
-
-        nolink = PipelineConfig(link_aliases=False)
-        a = [("r1", "a.py", "def Alpha():\n    beta()\n")]
-        b = [("r2", "b.py", "def beta():\n    Alpha()\n")]
-        parts = [self._build(a, nolink), self._build(b, nolink)]
-        want = kg.nodes_from_merged(kg.merge_increment(parts, nolink), with_ids=False).to_pandas()
-        got = kg.nodes_from_merged(
-            kg.merge_increment(parts, nolink, delta=True, delta_keys_max=0), with_ids=False
-        ).to_pandas()
-        pd.testing.assert_frame_equal(got.reset_index(drop=True), want.reset_index(drop=True))
-
-    def test_untouched_rows_bypass_the_exchange(self, ray_session):
-        """The plan property itself: with a disjoint increment, only
-        increment-identity rows enter the bucket exchange (counted via the
-        touched-side filter), and label-casing merges still resolve when the
-        increment DOES touch a base identity."""
-        import pandas as pd
-
-        from text_to_graph_ray.config import PipelineConfig
-        from text_to_graph_ray.pipelines import kg
-
-        nolink = PipelineConfig(link_aliases=False)
-        base_rows = [("r1", f"m{i}.py", f"def f{i}():\n    pass\n") for i in range(8)]
-        inc_rows = [("r2", "x.py", "def F3():\n    pass\n")]  # touches f3 only
-        base_m = self._build(base_rows, nolink).materialize()
-        inc_m = self._build(inc_rows, nolink)
-        got = kg.nodes_from_merged(
-            kg.merge_increment([base_m, inc_m], nolink, delta=True), with_ids=False
-        ).to_pandas()
-        want = kg.nodes_from_merged(
-            kg.merge_increment([base_m, inc_m], nolink), with_ids=False
-        ).to_pandas()
-        pd.testing.assert_frame_equal(got.reset_index(drop=True), want.reset_index(drop=True))
-        # min-own rule resolved across increments: ONE row for f3, with the
-        # ASCII-min own label ("F3" < "f3") and both repos in provenance
-        row = got[got.entity_key == "f3"]
-        assert len(row) == 1 and row.iloc[0]["label"] == "F3"
-        assert row.iloc[0]["repos_packed"] == "r1|r2"
-
-
 class TestKgSchemaAndNegatives:
     def test_schema_summary_covers_every_edge(self, ray_session):
         import __ray_entry__ as E

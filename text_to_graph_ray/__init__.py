@@ -13,11 +13,12 @@ Data stages over Parquet tables of source-code repositories. The job,
       -> map_batches(extract_records)             # per-lang deterministic extraction
       -> write_parquet(records/part_id=k/)        # checkpoint + per-partition manifests
       -> map_batches(_plain_keys, combined_partials)  # entity keys + per-batch combiner
-      -> groupby(bucket).map_groups(merge_bucket) # the one canonicalization shuffle
       -> link_merged                              # stateless alias-linking pass over the
-                                                  #   merged vocabulary (broadcast defs)
-      -> write_parquet(merged/)                   # second checkpoint level
-      -> sort + dense ids -> write_parquet(nodes/, edges/)
+                                                  #   partials (broadcast pruned defs)
+      -> sort(k1, kind, g2, g3)                   # the ONE exchange, in final sink order,
+         -> map_batches(merge_bucket)             #   merged once per block
+      -> write_parquet(merged/)                   # second checkpoint level (same result)
+      -> split + dense ids -> write_parquet(nodes/, edges/)   # no sort
 
 Nothing here calls ``ray.init()``; callers (bench.py, tests, CLI) own the
 Ray session.

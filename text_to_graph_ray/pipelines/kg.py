@@ -6,18 +6,18 @@
       -> map_batches(extract_records)            per-lang rules (+ def-site rows)
       -> map_batches(_plain_keys)                vectorized entity keys
       -> map_batches(combined_partials)          combiner: distinct rows/batch
-      -> groupby(bucket).map_groups(merge)       ONE canonicalization shuffle
-                                                 (nodes + edges + def sites)
-      -> relink_merged                           vocabulary-level alias linking
+      -> link_merged                             alias linking of the partials
                                                  (stateless MergedLinker pass,
-                                                 broadcast defs table; only
-                                                 affected rows re-merge)
-      -> split + sort + dense ids                deterministic materialize
+                                                 broadcast pruned defs table)
+      -> sort(k1, kind, g2, g3)                  THE exchange, in sink order
+         -> map_batches(merge_bucket)            one merge per block
+      -> write_parquet(merged/)                  checkpoint of the same result
+      -> split + dense ids (prefix sum)          no sort: blocks are in order
       -> write_parquet(nodes/, edges/)
 
 Two entry shapes:
-* ``graph_tables`` — lazy end-to-end for queries/tests (only the
-  vocabulary-sized merged graph is materialized);
+* ``graph_tables`` — lazy end-to-end for queries/tests (only the combiner
+  partials and the vocabulary-sized merged graph are materialized);
 * ``run`` — the checkpointed job: extraction lands in per-partition parquet +
   manifests; interrupted runs resume via manifest anti-join without
   recomputing completed partitions.
@@ -33,7 +33,7 @@ import time
 
 import pyarrow as pa
 
-from text_to_graph_ray.util import block_rows, pa_from_pandas, parquet_row_count, read_parquet_clean
+from text_to_graph_ray.util import block_rows, parquet_row_count, read_parquet_clean
 import pyarrow.compute as pc
 
 from text_to_graph_ray.config import DEFAULT_CONFIG, PipelineConfig
@@ -117,8 +117,9 @@ def last_dot_segment(arr: pa.Array) -> pa.Array:
 
 
 def _dotted_keys_of(b: pa.Table) -> pa.Array:
-    """Distinct dotted entity keys of one merged-graph block (k1 of every
-    row + k3 of edge rows) — the only keys the alias rule can ever rewrite."""
+    """Distinct dotted entity keys of one block of merged-schema rows (k1 of
+    every row + k3 of edge rows) — the only keys the alias rule can ever
+    rewrite."""
     ks = [pc.unique(b.column("k1").combine_chunks())]
     k3 = b.filter(pc.equal(b.column("kind"), "e")).column("k3").combine_chunks()
     ks.append(pc.unique(k3))
@@ -127,8 +128,9 @@ def _dotted_keys_of(b: pa.Table) -> pa.Array:
 
 
 def dotted_query_names(merged):
-    """Per-block-distinct LAST SEGMENTS of the vocabulary's dotted keys
-    (lazy Dataset; its row count upper-bounds the true distinct count).
+    """Per-block-distinct LAST SEGMENTS of the dotted keys of merged-schema
+    rows, combiner partials included (lazy Dataset; its row count
+    upper-bounds the true distinct count).
 
     These are the only names ``resolve_alias`` can ever probe the defs index
     with — so the broadcast defs table can be pruned to exactly these names
@@ -142,7 +144,8 @@ def dotted_query_names(merged):
 
 
 def defs_table_from_merged(merged, names: pa.Array | None = None):
-    """The (name, module) def-site pairs as ONE deduped Arrow table.
+    """The (name, module) def-site pairs of merged-schema rows (combiner
+    partials included) as ONE deduped Arrow table.
 
     This is the BROADCAST representation: at 800k defs, collecting a Python
     dict cost 4.4 s on the driver + 2.3 s to ``ray.put`` (pickle) + ~2 s to
@@ -190,8 +193,9 @@ _RECORD_BATCH_SIZE = None
 
 def keyed_records(records_ds, cfg: PipelineConfig = DEFAULT_CONFIG):
     """Attach normalized entity keys (vectorized) + optional stop-entity
-    filter. Alias linking happens LATER, on the merged vocabulary
-    (relink_merged) — resolving per distinct entity instead of per mention."""
+    filter. Alias linking happens LATER, on the combiner partials
+    (relink_merged) — resolving per distinct key of a block instead of per
+    mention."""
     return _filter_stop(
         records_ds.map_batches(_plain_keys, batch_format="pyarrow", batch_size=_RECORD_BATCH_SIZE), cfg
     )
@@ -203,35 +207,6 @@ def _drop_def_rows(merged):
     )  # def-site rows are only needed to build the linking index
 
 
-def _rebucket_fn(cfg: PipelineConfig):
-    from text_to_graph_ray.stages.canonicalize import SEP, _stable_bucket
-
-    def rebucket(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        is_n = df["kind"] == "n"
-        key = df["k1"].where(is_n, df["k1"] + SEP + df["k2"] + SEP + df["k3"])
-        df["bucket"] = _stable_bucket(key, cfg.num_partitions)
-        return pa_from_pandas(df)
-
-    return rebucket
-
-
-def _remerge(rows, cfg: PipelineConfig):
-    """Lazy distributed re-merge of (possibly re-keyed) merged-graph rows:
-    rebucket, one exchange, ``merge_bucket`` per bucket."""
-    return (
-        rows.map_batches(_rebucket_fn(cfg), batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-    )
-
-
-def _remerge_all(rows, cfg: PipelineConfig):
-    """Full distributed re-merge of (possibly re-keyed) merged-graph rows —
-    one vocabulary-sized shuffle, no driver involvement."""
-    return _remerge(rows, cfg).materialize()
-
-
 # linking scale guard: the name-pruned defs table is broadcast into the one
 # stateless relink pass while it has at most this many def-site rows, else
 # the shuffle-join fallback keeps it distributed. Not a config field: both
@@ -240,15 +215,19 @@ DEFS_BROADCAST_MAX = 2_000_000
 
 
 def link_merged(merged, cfg: PipelineConfig = DEFAULT_CONFIG):
-    """Entity linking over the merged vocabulary. The defs index is the small
-    side of a join — and it is pruned to the names the alias rule can actually
-    probe (distinct last segments of dotted vocabulary keys) BEFORE it is
-    sized: broadcast while the pruned table fits (<= ``DEFS_BROADCAST_MAX``
-    rows) into the one stateless ``relink_merged`` pass, else fall back to the
-    shuffle-join path where the def-site table stays distributed. With
-    nothing the alias rule could rewrite, linking is skipped. Both paths
-    produce hash-identical graphs (asserted in tests/test_round2.py by
-    patching the threshold to 0)."""
+    """Entity linking over merged-schema rows (combiner partials included):
+    rewrites keys and drops the def rows, but does not merge — the exchange
+    after it does. That equals merge -> link -> merge because the alias rule
+    is a pure function of one key, and each partial node label is its key's
+    own label (tests/test_relink.py). The defs index is the small side of a
+    join — and it is pruned to the names the alias rule can actually probe
+    (distinct last segments of dotted keys) BEFORE it is sized: broadcast
+    while the pruned table fits (<= ``DEFS_BROADCAST_MAX`` rows) into the
+    one stateless ``relink_merged`` pass, else fall back to the shuffle-join
+    path where the def-site table stays distributed. With nothing the alias
+    rule could rewrite, linking is skipped. Both paths produce hash-identical
+    graphs (asserted in tests/test_round2.py by patching the threshold to
+    0)."""
     import ray
 
     from text_to_graph_ray.keys import close_reexports
@@ -278,72 +257,33 @@ def link_merged(merged, cfg: PipelineConfig = DEFAULT_CONFIG):
             # no dotted key has any candidate definition: identity relink
             return _drop_def_rows(merged)
         if pruned.num_rows <= DEFS_BROADCAST_MAX:
-            return relink_merged(merged, pruned, cfg, reexports=closed)
+            return relink_merged(merged, pruned, reexports=closed)
     return relink_merged_distributed(merged, cfg, reexports=closed)
 
 
 _LINKER_CACHE: dict = {}
 
 
-def relink_merged(merged, defs_idx: pa.Table, cfg: PipelineConfig = DEFAULT_CONFIG, reexports: dict | None = None):
-    """Entity-linking pass over the vocabulary-sized merged graph with a
-    broadcast (name, module) defs table.
-
-    ONE stateless ``map_batches`` pass runs ``MergedLinker`` from a
-    per-process cache keyed by the defs-table ref (the ``ray.put`` table is
-    fetched zero-copy and indexed once per worker process, not once per
-    batch) and tags each row ``affected`` when it changed, when its ``k1`` is
-    a rewrite target, or when it is an edge whose ``k3`` is one. The rewrite
-    targets are every key the alias rule can produce: the defs table's names
-    plus the closed re-export targets. The affected slice re-merges through
-    one exchange; every other row passes through untouched.
-
-    Exact: the tag depends only on ``k1``/``k3``, so each merge identity
-    (node ``k1``, edge ``(k1, pred, k3)``) lands wholly on one side; every
-    new key of a changed row is a target, so every collision is inside the
-    slice; and re-merging an already-merged row returns it unchanged. The
-    worst case (every key a target) is one full re-merge."""
+def relink_merged(merged, defs_idx: pa.Table, reexports: dict | None = None):
+    """Alias linking of merged-schema rows with a broadcast (name, module)
+    defs table: ONE lazy, stateless ``map_batches`` pass that drops the def
+    rows and rewrites ``k1``/``k3`` with ``MergedLinker`` from a per-process
+    cache keyed by the defs-table ref (fetched zero-copy and indexed once
+    per worker process, not once per batch)."""
     import ray
 
     from text_to_graph_ray.stages.linker import MergedLinker
-    from text_to_graph_ray.util import compact_nonempty
 
-    reexports = reexports or {}
     defs_ref = ray.put(defs_idx)
     ref_id = defs_ref.hex()
 
-    def link_and_tag(b: pa.Table) -> pa.Table:
+    def link(b: pa.Table) -> pa.Table:
         cached = _LINKER_CACHE.get("merged")
         if cached is None or cached[0] != ref_id:
-            defs = ray.get(defs_ref)
-            targets = pc.unique(
-                pa.concat_arrays(
-                    [
-                        defs.column("k1").combine_chunks().cast(pa.string()),
-                        pa.array(sorted(set(reexports.values())), type=pa.string()),
-                    ]
-                )
-            )
-            cached = _LINKER_CACHE["merged"] = (ref_id, MergedLinker(defs_idx=defs, reexports=reexports), targets)
-        _, linker, targets = cached
-        out = linker(b)
-        k3_hit = pc.and_(pc.equal(out.column("kind"), "e"), pc.is_in(out.column("k3"), value_set=targets))
-        hit = pc.or_(pc.is_in(out.column("k1"), value_set=targets), k3_hit)
-        return out.append_column("affected", pc.or_(out.column("changed"), hit)).drop_columns(["changed"])
+            cached = _LINKER_CACHE["merged"] = (ref_id, MergedLinker(defs_idx=ray.get(defs_ref), reexports=reexports))
+        return cached[1](b).drop_columns(["changed"])
 
-    linked = _drop_def_rows(merged).map_batches(link_and_tag, batch_format="pyarrow").materialize()
-
-    def side(affected: bool):
-        def take(b: pa.Table) -> pa.Table:
-            mask = b.column("affected")
-            return b.filter(mask if affected else pc.invert(mask)).drop_columns(["affected"])
-
-        return take
-
-    remerged = _remerge(linked.map_batches(side(True), batch_format="pyarrow"), cfg)
-    passthrough = linked.map_batches(side(False), batch_format="pyarrow")
-    # an empty slice leaves schema-less blocks behind the exchange
-    return compact_nonempty(passthrough.union(remerged).materialize())
+    return _drop_def_rows(merged).map_batches(link, batch_format="pyarrow")
 
 
 def relink_merged_distributed(merged, cfg: PipelineConfig = DEFAULT_CONFIG, reexports: dict | None = None):
@@ -356,8 +296,8 @@ def relink_merged_distributed(merged, cfg: PipelineConfig = DEFAULT_CONFIG, reex
         ends with the dotted prefix at a dot boundary) emits rewrite rows
         (old_key -> new_key);
     (2) the rewrite table hash-joins back onto the graph rows (k1 for all
-        rows, k3 for edges) — Ray Data native shuffle joins;
-    (3) re-keyed rows re-merge distributedly (``_remerge_all``).
+        rows, k3 for edges) — Ray Data native shuffle joins — and the
+        re-keyed rows go on, unmerged, to the canonicalization exchange.
 
     ``reexports`` (the CLOSED user alias map, vocabulary-small by contract)
     composes here too: re-export source keys are excluded from the exchange
@@ -365,7 +305,7 @@ def relink_merged_distributed(merged, cfg: PipelineConfig = DEFAULT_CONFIG, reex
     hop on still-dotted targets, resolved against a name-pruned def-site
     collect bounded by the map size — are unioned into the rewrite table.
 
-    Output is hash-identical to the broadcast path."""
+    Output is hash-identical to the broadcast path once merged."""
     import pandas as pd
 
     merged_nd = _drop_def_rows(merged)
@@ -492,7 +432,7 @@ def relink_merged_distributed(merged, cfg: PipelineConfig = DEFAULT_CONFIG, reex
         out = out.set_column(out.schema.get_field_index("k3"), "k3", k3)
         return out.drop_columns(["__new_k1", "__new_k3"])
 
-    return _remerge_all(j.map_batches(apply_rewrites, batch_format="pyarrow"), cfg)
+    return j.map_batches(apply_rewrites, batch_format="pyarrow")
 
 
 def _filter_stop(ds, cfg: PipelineConfig):
@@ -507,40 +447,80 @@ def _filter_stop(ds, cfg: PipelineConfig):
     return ds.map_batches(f, batch_format="pyarrow")
 
 
+_MERGED_COLS = ["kind", "k1", "k2", "k3", "repos_packed"]
+_EMPTY_MERGED = pa.schema([(c, pa.string()) for c in _MERGED_COLS]).empty_table()
+
+
+def _with_sort_keys(b: pa.Table) -> pa.Table:
+    """Merged-schema columns (``bucket`` goes) plus ``g2``/``g3``: ``""`` on
+    node rows, ``k2``/``k3`` on edge and def rows, so ``[k1, kind, g2, g3]``
+    is one merge identity and a hot ``k1`` spreads its edges over blocks."""
+    is_n = pc.equal(b.column("kind"), "n")
+    blank = pa.scalar("", pa.string())
+    out = b.select(_MERGED_COLS)
+    return out.append_column("g2", pc.if_else(is_n, blank, b.column("k2"))).append_column(
+        "g3", pc.if_else(is_n, blank, b.column("k3"))
+    )
+
+
+def _merge_block(b: pa.Table) -> pa.Table:
+    # an empty post-sort block can arrive without columns
+    return merge_bucket(b.select(_MERGED_COLS).to_pandas()) if b.num_columns else _EMPTY_MERGED
+
+
+def _canonicalize(rows):
+    """THE canonicalization exchange: sort merged-schema rows by ``[k1,
+    kind, g2, g3]``, then ``merge_bucket`` once per block. A sort keeps
+    equal keys in one block, so each merge identity merges whole, and
+    ``merge_bucket`` sorts nodes by ``k1`` and edges by ``(k1, k2, k3)``
+    within the block: read in block order, the output is the final node and
+    edge order, and the sinks need no sort. ``preserve_order`` on the
+    Dataset context this lineage shares (never the global ``DataContext``)
+    keeps that order in the materialized result and every dataset derived
+    from it. Merging is idempotent, so merged rows may pass through again."""
+    ds = (
+        rows.map_batches(_with_sort_keys, batch_format="pyarrow")
+        .sort(["k1", "kind", "g2", "g3"])
+        .map_batches(_merge_block, batch_format="pyarrow", batch_size=None)
+    )
+    ds.context.execution_options.preserve_order = True
+    return ds.materialize()
+
+
 def merged_graph(resolved, cfg: PipelineConfig = DEFAULT_CONFIG):
-    """The canonicalization shuffle: node mentions and edges travel together
-    (kind column), combiner-reduced per batch, merged per hash bucket by
-    ``merge_bucket``. Returns the (vocabulary-sized) merged dataset,
-    materialized so nodes and edges can both be split from it without
-    re-running extraction."""
+    """Keyed records -> the materialized merged graph in sink order:
+    combiner partials (nodes, edges and def sites in one stream), linked
+    when ``cfg.link_aliases``, then the ONE exchange (``_canonicalize``)."""
     parts = resolved.map_batches(
         lambda b: combined_partials(b, cfg.num_partitions),
         batch_format="pyarrow",
         batch_size=_RECORD_BATCH_SIZE,
     )
-    return parts.groupby("bucket").map_groups(merge_bucket, batch_format="pandas").materialize()
+    if cfg.link_aliases:
+        parts = link_merged(parts.materialize(), cfg)
+    return _canonicalize(parts)
 
 
 def nodes_from_merged(merged, with_ids: bool = True):
-    nodes = merged.map_batches(split_nodes, batch_format="pyarrow").sort("entity_key")
+    """Node rows of ``_canonicalize`` output, in its order, with dense ids."""
+    nodes = merged.map_batches(split_nodes, batch_format="pyarrow")
     if with_ids:
         nodes = add_dense_index(nodes, col="entity_id")
     return nodes
 
 
 def edges_from_merged(merged):
-    return merged.map_batches(split_edges, batch_format="pyarrow").sort(["src_key", "pred", "dst_key"])
+    """Edge rows of ``_canonicalize`` output, in its order."""
+    return merged.map_batches(split_edges, batch_format="pyarrow")
 
 
 def graph_tables(input_path: str, cfg: PipelineConfig = DEFAULT_CONFIG, which: str = "both"):
     """End-to-end: returns (nodes_ds, edges_ds); either may be None per
-    ``which``. The record stream is consumed once for the combined
-    canonicalization shuffle (plus once for the defs index when linking);
-    only the vocabulary-sized merged graph is ever materialized. For
-    disk-backed reuse/resume at scale, use ``run`` instead."""
+    ``which``. The record stream is consumed once, into the combiner
+    partials; only they (when linking) and the vocabulary-sized merged graph
+    are materialized. For disk-backed reuse/resume at scale, use ``run``
+    instead."""
     merged = merged_graph(keyed_records(records_dataset(input_path, cfg), cfg), cfg)
-    if cfg.link_aliases:
-        merged = link_merged(merged, cfg)
     nodes = nodes_from_merged(merged) if which in ("both", "nodes") else None
     edges = edges_from_merged(merged) if which in ("both", "edges") else None
     return nodes, edges
@@ -899,18 +879,17 @@ def run(
             shutil.rmtree(d, ignore_errors=True)
         # second checkpoint level: the (vocabulary-sized) merged+linked graph.
         # A run that died between canonicalization and the final sink resumes
-        # here without re-reading the records or re-running the shuffle.
+        # here without re-reading the records. The merge is idempotent, so
+        # the checkpoint passes through the same exchange as a fresh build
+        # and both sinks have one plan: the in-memory exchange result.
         merged_dir = store.stage_dir("merged")
         mm = store.manifest("merged", 0)
         if not computed and mm and mm.get("input_fingerprint") == fp and any(os.scandir(merged_dir)):
-            merged = read_parquet_clean(merged_dir)
+            merged = _canonicalize(read_parquet_clean(merged_dir))
         else:
             store.clear_stage("merged")
             merged = merged_graph(keyed_records(read_parquet_clean(rec_dir), cfg), cfg)
-            if cfg.link_aliases:
-                merged = link_merged(merged, cfg)
             merged.write_parquet(store.stage_dir("merged"))
-            merged = read_parquet_clean(merged_dir)
             store.mark_done("merged", 0, rows=parquet_row_count(merged_dir), input_fingerprint=fp)
         nodes = nodes_from_merged(merged).map_batches(_unpack_lists, batch_format="pyarrow")
         nodes.write_parquet(f"{out_dir}/nodes")
@@ -943,17 +922,11 @@ def run(
     }
 
 
-def merge_increment(
-    merged_parts: list,
-    cfg: PipelineConfig = DEFAULT_CONFIG,
-    delta: bool = False,
-    delta_keys_max: int = 2_000_000,
-):
+def merge_increment(merged_parts: list, cfg: PipelineConfig = DEFAULT_CONFIG):
     """Incremental KG maintenance: union ALREADY-MERGED (packed) graph
     increments — e.g. yesterday's persisted merged graph plus today's
-    new-files increment — and re-merge in ONE vocabulary-sized exchange
-    (``_remerge_all`` / ``merge_bucket`` set-union semantics; the same
-    machinery the link paths use).
+    new-files increment — link the union when ``cfg.link_aliases``, and
+    re-merge it in the ONE exchange (``_canonicalize``).
 
     Correctness: every merge rule is ASSOCIATIVE over set union — types /
     repos / edge provenance are pure unions, the canonical label is
@@ -963,65 +936,13 @@ def merge_increment(
     ANY partition of the corpus into increments. The driver query
     kg_nodes_incremental hash-checks this against the full-rebuild oracle.
 
-    Linking (``cfg.link_aliases``) runs AFTER the final merge: defs
-    discovered in one increment must rewrite mentions extracted in another,
-    so per-increment builds pass ``link_aliases=False`` and the combined
-    graph links once here.
-
-    ``delta=True`` scopes the re-merge exchange to the increment
-    (VERDICT r4 #6): ``merged_parts[0]`` is treated as the BASE — an
-    already-merged graph in which every merge identity ("n": k1; "e"/"d":
-    (k1,k2,k3)) has exactly one row, which is what merged_graph /
-    _remerge_all / a previous merge_increment produce — and only base rows
-    whose identity appears in the increments join the bucket exchange;
-    the rest stream through untouched (associativity: their merge groups
-    have no increment member, so their merged row is already final). The
-    increment identity set is collected under a loud guard
-    (``delta_keys_max`` distinct upper-bound rows); past it, or with fewer
-    than two parts, the full vocabulary-sized plan runs — both plans are
-    hash-identical (equivalence-tested at delta_keys_max=0)."""
-    import ray
-
-    if delta and len(merged_parts) >= 2:
-        base = merged_parts[0]
-        inc = merged_parts[1]
-        for p in merged_parts[2:]:
-            inc = inc.union(p)
-        inc = inc.materialize()  # increments are small by premise; scanned twice below
-
-        def identity(b: pa.Table) -> pa.Array:
-            is_n = pc.equal(b.column("kind"), "n")
-            full = pc.binary_join_element_wise(
-                b.column("kind"), b.column("k1"), b.column("k2"), b.column("k3"), "\x00"
-            )
-            node = pc.binary_join_element_wise(b.column("kind"), b.column("k1"), "\x00")
-            return pc.if_else(is_n, node, full).cast(pa.string())
-
-        # per-block-distinct identity blocks; their block-metadata row counts gate the collect
-        kblocks = block_rows(
-            inc.map_batches(lambda b: pa.table({"ik": pc.unique(identity(b))}), batch_format="pyarrow").materialize()
-        )
-        if sum(n for _, n in kblocks) <= delta_keys_max:
-            arrays = [t.column("ik").combine_chunks().cast(pa.string()) for t in ray.get([r for r, n in kblocks if n])]
-            keys = pc.unique(pa.concat_arrays(arrays)) if arrays else pa.array([], type=pa.string())
-            kref = ray.put(keys)
-
-            def split(b: pa.Table, want_touched: bool) -> pa.Table:
-                hit = pc.is_in(identity(b), value_set=ray.get(kref))
-                return b.filter(hit if want_touched else pc.invert(hit))
-
-            touched = base.map_batches(lambda b: split(b, True), batch_format="pyarrow")
-            untouched = base.map_batches(lambda b: split(b, False), batch_format="pyarrow")
-            merged = untouched.union(_remerge_all(touched.union(inc), cfg)).materialize()
-            if cfg.link_aliases:
-                merged = link_merged(merged, cfg)
-            return merged
-        # guard tripped: fall through to the full re-merge below
-
+    Linking runs on the union: defs discovered in one increment must
+    rewrite mentions extracted in another, so per-increment builds pass
+    ``link_aliases=False`` (which also keeps each node label its key's own,
+    as linking before the merge needs) and the union links once here."""
     out = merged_parts[0]
     for p in merged_parts[1:]:
         out = out.union(p)
-    merged = _remerge_all(out, cfg)
     if cfg.link_aliases:
-        merged = link_merged(merged, cfg)
-    return merged
+        out = link_merged(out, cfg)
+    return _canonicalize(out)

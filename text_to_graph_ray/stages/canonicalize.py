@@ -7,7 +7,7 @@ Reference semantics re-expressed as two-phase distributed aggregation:
   instead of ``"label|d1|d2"`` string packing,
 * exact triple dedup on ``(src_key, lower(pred), dst_key)``
   (graph_utils.py:61-64 G2),
-* deterministic dense ids by rank over ``sort(entity_key)`` — a deliberate
+* deterministic dense ids by rank in ``entity_key`` order — a deliberate
   strengthening of the reference's insertion-order ids
   (sqlite_support.py:468-474 has no ORDER BY; SURVEY §1.3).
 
@@ -19,10 +19,14 @@ Physical design (why it looks the way it does):
   (vectorized pandas ``drop_duplicates``) before the exchange, so a hot key
   ("log" called from every file, "utils.py" at 10^12-file scale) ships one row
   per upstream batch, not one per mention.
-* **Hash-bucket groups**: the shuffle groups by a stable hash bucket of the
-  key (``pandas.util.hash_pandas_object``, process-stable), and each bucket
-  merges all its keys in one vectorized call — same result as a per-key
-  groupby at a fraction of the per-group scheduling overhead.
+* **One sort, merged per block**: the exchange (``pipelines/kg.py``
+  ``_canonicalize``) sorts the partials by ``[k1, kind, k2, k3]`` with
+  ``k2``/``k3`` blanked on node rows, so each merge identity lands whole in
+  one block, and ``merge_bucket`` merges a block in one call. Its output is
+  sorted within the block, so the blocks in order are the final node and
+  edge order and the sinks need no sort. (A ``groupby().map_groups()`` is
+  this same sort plus a per-group split; a hash bucket in front of it would
+  only throw the order away.)
 """
 
 from __future__ import annotations
@@ -50,9 +54,12 @@ def combined_partials(batch: pa.Table, buckets: int) -> pa.Table:
       kind='n': k1=entity_key, k2=label,        k3=type,    repos_packed=repo
       kind='e': k1=src_key,    k2=lower(pred),  k3=dst_key, repos_packed=repo
 
-    One vectorized drop_duplicates per kind; bucket = stable hash of the
-    grouping key. A repo containing ``|`` (the provenance separator) raises
-    instead of silently splitting into several provenance entries."""
+    One vectorized drop_duplicates per kind; ``bucket`` = stable hash of
+    the merge identity (``pandas.util.hash_pandas_object``, process-stable),
+    for callers that group the partials themselves — the canonicalization
+    exchange drops it and sorts instead. A repo containing ``|`` (the
+    provenance separator) raises instead of silently splitting into several
+    provenance entries."""
     df = batch.select(["kind", "a", "b", "c", "a_key", "c_key", "repo"]).to_pandas()
     bad = df["repo"].str.contains("|", regex=False, na=False)
     if bad.any():
@@ -79,13 +86,15 @@ def combined_partials(batch: pa.Table, buckets: int) -> pa.Table:
 
 
 def merge_bucket(group: pd.DataFrame) -> pa.Table:
-    """Merge one hash bucket of merged-schema rows (``combined_partials``
-    output, or already-merged rows re-keyed by linking / unioned across
-    increments): entity rows -> (entity_key, label, types_packed,
-    repos_packed); edge rows -> (src, pred, dst, repos_packed); def rows
-    dedup. Types and repos are ``|``-packed sets, unioned per key, so merging
-    an already-merged row returns it unchanged. Python dict work is
-    proportional to the bucket's DISTINCT rows (already combiner-reduced)."""
+    """Merge a frame of merged-schema rows that holds each of its merge
+    identities whole (one block of the canonicalization exchange:
+    ``combined_partials`` output, rows re-keyed by linking, or merged graphs
+    unioned across increments): entity rows -> (entity_key, label,
+    types_packed, repos_packed); edge rows -> (src, pred, dst,
+    repos_packed); def rows dedup. Types and repos are ``|``-packed sets, unioned per key, so merging
+    an already-merged row returns it unchanged. Nodes come out sorted by
+    ``k1``, edges by ``(k1, k2, k3)``. Python dict work is proportional to
+    the frame's DISTINCT rows (already combiner-reduced)."""
     rows_kind, rows_k1, rows_k2, rows_k3, rows_pack = [], [], [], [], []
 
     n = group[group["kind"] == "n"]
@@ -167,14 +176,14 @@ def split_edges(batch: pa.Table) -> pa.Table:
 
 
 def add_dense_index(ds, col: str = "entity_id"):
-    """Deterministic 0..N-1 ids over an already-sorted Dataset.
+    """Deterministic 0..N-1 ids over an already-ordered Dataset.
 
     The Dataset API has no zip-with-index, so this drops to raw Ray for the one
-    thing it can't express: per-block offsets. The sorted dataset is
-    materialized, its per-block row counts read from Ray's block metadata
-    (``util.block_rows``: no task, no data moved), a prefix sum computed on
-    the driver, and each block gets a range column — no data leaves the
-    object store.
+    thing it can't express: per-block offsets. The dataset is materialized
+    (in block order when its context preserves order), its per-block row
+    counts read from Ray's block metadata (``util.block_rows``: no task, no
+    data moved), a prefix sum computed on the driver, and each block gets a
+    range column — no data leaves the object store.
     """
     import ray
     import ray.data as rd

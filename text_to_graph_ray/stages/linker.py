@@ -32,10 +32,24 @@ from text_to_graph_ray.keys import resolve_alias
 
 
 def entity_key_array(arr):
-    """Vectorized sanitize+lower (keys.entity_key semantics) via pyarrow.compute."""
+    """``keys.entity_key`` over an Arrow string array, element for element:
+    Arrow kernels for ASCII values, Python for the rest. Arrow's case and
+    whitespace tables differ from Python's on some non-ASCII code points
+    (U+0130 lowers to one code point, not two; a final U+03A3 lowers to
+    U+03C3, not U+03C2), and a key that is not its label's own key breaks
+    the canonical-label rule of ``merge_bucket``."""
     import pyarrow.compute as pc
 
-    return pc.utf8_lower(pc.utf8_trim_whitespace(pc.replace_substring(arr, pattern="|", replacement="_")))
+    from text_to_graph_ray.keys import entity_key
+
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    keys = pc.utf8_lower(pc.utf8_trim_whitespace(pc.replace_substring(arr, pattern="|", replacement="_")))
+    other = pc.invert(pc.fill_null(pc.string_is_ascii(arr), True))
+    if not pc.any(other).as_py():
+        return keys
+    fixed = pa.array([entity_key(x) for x in arr.filter(other).to_pylist()], type=keys.type)
+    return pc.replace_with_mask(keys, other, fixed)
 
 
 def defs_dict_from_table(table: pa.Table) -> dict:
@@ -62,17 +76,15 @@ def defs_dict_from_table(table: pa.Table) -> dict:
 
 
 class MergedLinker:
-    """Post-canonicalization entity linking over the DISTINCT vocabulary.
-
-    Runs on the (already merged, vocabulary-sized) graph rows rather than the
-    raw mention stream: resolving once per distinct key instead of once per
-    mention makes the alias rule O(|vocabulary|). ``defs_idx`` is the
-    broadcast (name, module) Arrow table, indexed into a lookup dict once per
-    instance; the relink pass keeps one instance per worker process, so a
-    memo of resolved keys accumulates across its batches. The ``changed``
-    column flags rows whose key was rewritten. Rewrites k1 (both kinds) and
-    k3 (edge dst only — for node rows k3 is the packed type set and must pass
-    through untouched)."""
+    """Entity linking over merged-schema rows — the combiner partials or an
+    already-merged graph — rather than the raw mention stream: resolving
+    once per distinct key of a batch instead of once per mention.
+    ``defs_idx`` is the broadcast (name, module) Arrow table, indexed into a
+    lookup dict once per instance; the relink pass keeps one instance per
+    worker process, so a memo of resolved keys accumulates across its
+    batches. The ``changed`` column flags rows whose key was rewritten.
+    Rewrites k1 (both kinds) and k3 (edge dst only — for node rows k3 is the
+    packed type set and must pass through untouched)."""
 
     def __init__(self, defs_idx: pa.Table, reexports: dict | None = None):
         self.defs_idx = defs_dict_from_table(defs_idx)

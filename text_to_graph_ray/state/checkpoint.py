@@ -150,13 +150,19 @@ class CheckpointStore:
         with open(p) as f:
             return {int(k): v for k, v in json.load(f).items()}
 
-    def done_parts(self, stage: str) -> set[int]:
+    def _rows(self, stage: str) -> tuple[dict[int, dict], list[str]]:
+        """Every manifest row of a stage — the compacted snapshot, read once,
+        overlaid with the individual rows — and the individual files' names."""
         d = self._manifest_dir(stage)
-        out = set(self._compacted_rows(stage))
-        for f in os.listdir(d):
-            if f.startswith("part-") and f.endswith(".json"):
-                out.add(int(f[5:-5]))
-        return out
+        rows = self._compacted_rows(stage)
+        singles = [f for f in os.listdir(d) if f.startswith("part-") and f.endswith(".json")]
+        for fname in singles:
+            with open(os.path.join(d, fname)) as f:
+                rows[int(fname[5:-5])] = json.load(f)
+        return rows, singles
+
+    def done_parts(self, stage: str) -> set[int]:
+        return set(self.counters(stage))
 
     def manifest(self, stage: str, part: int) -> dict | None:
         # an individual row is always newer than the compacted snapshot
@@ -176,11 +182,7 @@ class CheckpointStore:
         individual rows authoritative until the next compaction. Returns the
         number of rows in the compacted snapshot."""
         d = self._manifest_dir(stage)
-        rows = self._compacted_rows(stage)
-        singles = [f for f in os.listdir(d) if f.startswith("part-") and f.endswith(".json")]
-        for fname in singles:
-            with open(os.path.join(d, fname)) as f:
-                rows[int(fname[5:-5])] = json.load(f)
+        rows, singles = self._rows(stage)
         tmp = os.path.join(d, _COMPACTED + ".tmp")
         with open(tmp, "w") as f:
             json.dump({str(k): v for k, v in rows.items()}, f)
@@ -233,7 +235,8 @@ class CheckpointStore:
         os.replace(tmp, p)  # atomic: a manifest row either exists fully or not at all
 
     def counters(self, stage: str) -> dict[int, dict]:
-        return {p: self.manifest(stage, p) for p in self.done_parts(stage)}
+        """Manifest row per done partition, from one read of the snapshot."""
+        return self._rows(stage)[0]
 
     def clear_stage(self, stage: str) -> None:
         """Drop a stage's data + manifests entirely (stale-input invalidation:

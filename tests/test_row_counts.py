@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from text_to_graph_ray.config import PipelineConfig
-from text_to_graph_ray.state.checkpoint import CheckpointStore, part_ids, part_of
+from text_to_graph_ray.state.checkpoint import CheckpointStore, part_ids, part_of, require_file_keys
 
 CFG = PipelineConfig(num_partitions=8)
 
@@ -152,6 +152,21 @@ def test_null_file_key_named_error_graph_tables(ray_session, tmp_path, col):
 def test_part_ids_null_raises_value_error():
     with pytest.raises(ValueError, match="input column 'path' has 1 null value"):
         part_ids(pa.array(["r", "r"]), pa.array(["a", None]), 8)
+
+
+def test_empty_repo_named_error_run(ray_session, tmp_path):
+    """An empty ``repo`` would be packed as "" and unpacked as no repo at
+    all (``repos=[]``, or ``['', 'r1']`` next to another repo), so it is a
+    named error like a null."""
+    from text_to_graph_ray.pipelines import kg
+
+    p = str(tmp_path / "empty_repo.parquet")
+    cols = {"repo": ["r1", ""], "path": ["a.py", "b.py"], "commit": ["c", "c"], "lang": ["python", "python"]}
+    pq.write_table(pa.table({**cols, "content": ["def f():\n    g()\n"] * 2}), p)
+    with pytest.raises(Exception, match="ValueError: input column 'repo' has 1 empty value"):
+        kg.run(p, str(tmp_path / "out"), CFG)
+    with pytest.raises(ValueError, match="input column 'repo' has 2 empty value"):
+        require_file_keys(pa.chunked_array([["", "r"], [""]]), pa.chunked_array([["a", "b"], ["c"]]))
 
 
 # ---------------------------------------------------------------------------

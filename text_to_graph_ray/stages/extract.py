@@ -40,7 +40,22 @@ _PY_FROM = re.compile(r"^from ([\w.]+) import (.+)$", re.UNICODE)
 _PY_DEF = re.compile(r"^def (\w+)\s*\(", re.UNICODE)
 _PY_CLASS = re.compile(r"^class (\w+)", re.UNICODE)
 _PY_METHOD = re.compile(r"^\s+def (\w+)\s*\(", re.UNICODE)
-_CALL = re.compile(r"(?<![\w.])([^\W\d][\w.]*)\s*\(", re.UNICODE)
+# The one unanchored scan: an identifier (dots allowed) not preceded by an
+# identifier character or a dot, then optional whitespace and "(". Both forms
+# open on the first-character class, so `re` can skip ahead to candidates,
+# and test the lookbehind only after it; the possessive run gives nothing
+# back, which is exact because `\s*\(` never matches a `[\w.]` character.
+# `\s` stays Unicode in both, so "\x1c"-"\x1f" still count as whitespace.
+_CALL_ASCII = re.compile(r"([A-Za-z_](?<![A-Za-z0-9_.][A-Za-z_])[A-Za-z0-9_.]*+)\s*\(")
+_CALL = re.compile(r"([^\W\d](?<![\w.].)[\w.]*+)\s*\(", re.UNICODE)
+
+
+def _call_re(s: str) -> re.Pattern:
+    """The call-scan pattern for ``s``: ``str.isascii`` reads a flag, so the
+    choice costs O(1), and the ASCII class scans about 3x faster."""
+    return _CALL_ASCII if s.isascii() else _CALL
+
+
 _PY_KEYWORDS = {"if", "elif", "while", "for", "return", "print", "super", "isinstance", "len", "range", "str", "int", "float", "list", "dict", "set", "tuple", "type"}
 
 _JS_REQUIRE = re.compile(r"require\('([\w./@-]+)'\)")
@@ -90,7 +105,8 @@ def _extract_python(file_ent, lines, node, edge):
             # order is preserved, and the chunk-global keep-first dedup in
             # extract_records drops exactly these duplicates anyway, so the
             # emitted record sequence is unchanged.
-            for tgt in dict.fromkeys(_CALL.findall("\x00".join(buf))):
+            body = "\x00".join(buf)
+            for tgt in dict.fromkeys(_call_re(body).findall(body)):
                 if tgt not in _PY_KEYWORDS and not tgt.startswith("self.") and (scope, tgt) not in seen_calls:
                     seen_calls.add((scope, tgt))
                     edge(scope, T_FN, "calls", tgt, T_FN)
@@ -158,7 +174,7 @@ def _extract_js(file_ent, lines, node, edge):
         elif class_ctx and line.strip() == "}":
             scope = None  # method body closed
         elif line[:1].isspace() and scope:
-            for m in _CALL.finditer(line):
+            for m in _call_re(line).finditer(line):
                 tgt = m.group(1)
                 if tgt not in _JS_KEYWORDS:
                     edge(scope, T_FN, "calls", tgt, T_FN)
@@ -179,7 +195,7 @@ def _extract_java(file_ent, lines, node, edge):
             edge(class_ctx, T_CLS, "defines", meth, T_FN)
             scope = meth
         elif scope and line.startswith(" " * 8):
-            for m in _CALL.finditer(line):
+            for m in _call_re(line).finditer(line):
                 tgt = m.group(1)
                 if tgt not in _JAVA_KEYWORDS:
                     edge(scope, T_FN, "calls", tgt, T_FN)
@@ -214,7 +230,7 @@ def _extract_go(file_ent, lines, node, edge):
             scope = None
         elif line[:1].isspace():
             if scope:
-                for m in _CALL.finditer(line):
+                for m in _call_re(line).finditer(line):
                     tgt = m.group(1)
                     if tgt not in _GO_KEYWORDS:
                         edge(scope, T_FN, "calls", tgt, T_FN)

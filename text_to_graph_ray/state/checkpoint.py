@@ -36,10 +36,7 @@ def part_of(repo: str, path: str, num_partitions: int) -> int:
     return _part_of_key(f"{repo}\x00{path}", num_partitions)
 
 
-def require_file_keys(repo, path) -> None:
-    """Raise a ``ValueError`` naming the column when ``repo`` or ``path``
-    holds a null: a file row's partition, provenance and entity keys are all
-    built from the pair."""
+def _require_non_null(repo, path) -> None:
     for name, col in (("repo", repo), ("path", path)):
         if col.null_count:
             raise ValueError(
@@ -47,11 +44,23 @@ def require_file_keys(repo, path) -> None:
             )
 
 
+def require_file_keys(repo, path) -> None:
+    """Raise a ``ValueError`` naming the column when ``repo`` or ``path``
+    holds a null, or ``repo`` an empty string: a file row's partition,
+    provenance and entity keys are all built from the pair, and provenance
+    packs repos as a ``|``-joined set in which "" is no repo at all."""
+    _require_non_null(repo, path)
+    if empty := pc.sum(pc.equal(repo, "")).as_py():
+        raise ValueError(f"input column 'repo' has {empty} empty value(s); every file row needs a non-empty repo")
+
+
 def part_ids(repo, path, num_partitions: int) -> pa.Array:
     """``part_of`` over Arrow columns, row for row: crc32 runs once per
     DISTINCT ``repo\\x00path`` of the batch (every extracted record of a file
-    shares its file's key) and is mapped back with ``index_in`` + ``take``."""
-    require_file_keys(repo, path)
+    shares its file's key) and is mapped back with ``index_in`` + ``take``.
+    Defined for every non-null pair, empty strings included; the input
+    contract is ``require_file_keys``."""
+    _require_non_null(repo, path)
     keys = pc.binary_join_element_wise(repo.cast(pa.string()), path.cast(pa.string()), "\x00")
     if isinstance(keys, pa.ChunkedArray):
         keys = keys.combine_chunks()
